@@ -1,4 +1,5 @@
-# Tier-1 verification is `make check`: vet, build, and test everything.
+# Tier-1 verification is `make check`: vet, build, and test everything —
+# at the machine's core count and again pinned to one core.
 # `make check-race` re-runs the suite under the race detector — required
 # for changes touching the parallel search layer, DB.Batch, or the
 # mutable-graph write path (the root-package apply/snapshot tests,
@@ -7,11 +8,11 @@
 # plus the tier-1 checks.
 GO ?= go
 
-.PHONY: ci check check-race fmt-check lint vet build test bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
+.PHONY: ci check check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
 
 ci: fmt-check lint check
 
-check: vet build test
+check: vet build test test-1cpu
 
 # Static analysis beyond vet. staticcheck is optional locally (the CI
 # workflow installs it); when absent the target degrades to vet alone
@@ -43,15 +44,22 @@ build:
 test:
 	$(GO) test ./...
 
+# The suite again on one core: answers and search-space counts must not
+# depend on the core count, and single-core runs take the serial paths.
+# -count=1 because the test cache does not key on GOMAXPROCS.
+test-1cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+
 # Quick-mode paper benchmarks (full versions: go run ./cmd/tsdbench).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
-# path — ego extraction and per-vertex scoring under every measure — at
-# zero steady-state allocations. Fast enough to run on every change.
+# path — ego extraction, per-vertex scoring under every measure, and the
+# DB's component/core point Score — at zero steady-state allocations.
+# Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree' -count=1 -v ./internal/ego ./internal/core
+	$(GO) test -run 'AllocFree' -count=1 -v . ./internal/ego ./internal/core
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
-	"trussdiv/internal/baseline"
 	"trussdiv/internal/core"
 	"trussdiv/internal/pfree"
 	"trussdiv/internal/store"
@@ -18,9 +17,10 @@ import (
 )
 
 // indexCache lazily provides and shares the search accelerators — the
-// global truss decomposition and the TSD/GCT/Hybrid structures — among
-// the engine adapters of one DB, so e.g. the gct and hybrid engines reuse
-// one GCT index. With an index directory configured (WithIndexDir), a
+// global truss decomposition, the TSD/GCT structures, and the per-measure
+// ranking tables — among the engine adapters of one DB snapshot, along
+// with the per-measure shared scorers every point query and context
+// recovery borrows. With an index directory configured (WithIndexDir), a
 // cache miss first tries the on-disk store and only then builds from the
 // graph; every from-scratch build is persisted back, so the next process
 // warm starts. All accessors are safe for concurrent use; builds are not
@@ -28,15 +28,18 @@ import (
 type indexCache struct {
 	g *Graph
 
+	// scorers is one shared, pooled scorer per measure over g, fixed at
+	// construction (no lock needed).
+	scorers core.Scorers
+
 	mu        sync.Mutex
 	epoch     Epoch   // the snapshot this cache belongs to; recorded on persist
 	tau       []int32 // global truss decomposition, indexed by edge ID
 	sup       []int32 // pristine edge supports matching tau (nil when tau was store-loaded)
 	tsd       *core.TSDIndex
 	gct       *core.GCTIndex
-	hybrid    *core.Hybrid
-	mrank     map[core.Measure][][]core.VertexScore // per-measure per-k rankings (non-truss)
-	pfrank    map[core.Measure][]core.VertexScore   // parameter-free rankings (all measures)
+	ranked    map[core.Measure]*core.Ranked       // per-k ranking tables (truss = hybrid)
+	pfrank    map[core.Measure][]core.VertexScore // parameter-free rankings (all measures)
 	buildTime time.Duration
 	loadTime  time.Duration
 
@@ -69,13 +72,12 @@ type indexCache struct {
 	// never builds; builds counts the from-scratch constructions. buildTau
 	// returns the supports alongside the decomposition — the incremental
 	// repair consumes them on the next Apply. buildAllIdx is the
-	// single-pass multi-structure driver Prepare routes through when two
-	// or more ego-derived structures are missing at once.
+	// single-pass multi-structure driver: every ranking table is built
+	// through it, and Prepare routes through it whenever two or more
+	// ego-derived structures are missing at once.
 	buildTau    func(*Graph) (tau, sup []int32)
 	buildTSD    func(*Graph) *core.TSDIndex
 	buildGCT    func(*Graph) *core.GCTIndex
-	buildHybrid func(*core.GCTIndex) *core.Hybrid
-	buildMRank  func(*Graph, core.Measure) [][]core.VertexScore
 	buildAllIdx func(*Graph, core.BuildTargets) *core.BuildProducts
 	builds      int
 }
@@ -94,20 +96,19 @@ func trussSec(s store.Section) store.SectionRef {
 func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 	workers := cfg.buildWorkers
 	c := &indexCache{
-		g:   g,
-		tsd: cfg.tsdIdx,
-		gct: cfg.gctIdx,
-		dir: cfg.indexDir,
+		g:       g,
+		scorers: core.NewScorers(g),
+		tsd:     cfg.tsdIdx,
+		gct:     cfg.gctIdx,
+		dir:     cfg.indexDir,
 		// Cold decompositions run the parallel h-index peeling; the tau
 		// array is byte-identical to the serial Decompose, and the supports
 		// come back pristine so the next Apply can repair incrementally.
 		buildTau: func(g *Graph) ([]int32, []int32) {
 			return truss.DecomposeFull(g, workers)
 		},
-		buildTSD:    core.BuildTSDIndex,
-		buildGCT:    core.BuildGCTIndex,
-		buildHybrid: core.BuildHybrid,
-		buildMRank:  core.BuildMeasureRankings,
+		buildTSD: core.BuildTSDIndex,
+		buildGCT: core.BuildGCTIndex,
 		buildAllIdx: func(g *Graph, t core.BuildTargets) *core.BuildProducts {
 			return core.BuildAll(g, t, workers)
 		},
@@ -169,8 +170,8 @@ func (c *indexCache) storedEpoch() Epoch {
 // ego-networks; the global truss decomposition is repaired by the bounded
 // region descent of truss.Repair (falling back to invalidation — and a
 // lazy parallel rebuild — when the affected region exceeds its budget or
-// the supports were not retained); the hybrid and per-measure rankings
-// are patched in place by re-scoring only the affected vertices. The
+// the supports were not retained); every ranking table (truss included)
+// is patched in place by re-scoring only the affected vertices. The
 // repairs run outside the lock (they only read the old, now-immutable
 // structures) so readers of this snapshot never block on an Apply. The
 // index store connection moves to the new cache: its next persist
@@ -182,30 +183,16 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	oldG := c.g
 	tsd, gct := c.tsd, c.gct
 	tau, sup := c.tau, c.sup
-	hybrid := c.hybrid
-	var mrank map[core.Measure][][]core.VertexScore
-	if len(c.mrank) > 0 {
-		mrank = make(map[core.Measure][][]core.VertexScore, len(c.mrank))
-		for m, perK := range c.mrank {
-			mrank[m] = perK
-		}
-	}
-	var pfrank map[core.Measure][]core.VertexScore
-	if len(c.pfrank) > 0 {
-		pfrank = make(map[core.Measure][]core.VertexScore, len(c.pfrank))
-		for m, ranked := range c.pfrank {
-			pfrank[m] = ranked
-		}
-	}
+	ranked := maps.Clone(c.ranked)
+	pfrank := maps.Clone(c.pfrank)
 	next := &indexCache{
 		g:           newG,
+		scorers:     core.NewScorers(newG),
 		dir:         c.dir,
 		mode:        c.mode,
 		buildTau:    c.buildTau,
 		buildTSD:    c.buildTSD,
 		buildGCT:    c.buildGCT,
-		buildHybrid: c.buildHybrid,
-		buildMRank:  c.buildMRank,
 		buildAllIdx: c.buildAllIdx,
 	}
 	// The repaired indexes below share every untouched per-vertex slice
@@ -250,20 +237,14 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	}
 
 	// Ranking tables: patch in place by re-scoring only the vertices whose
-	// ego-networks the batch touched. The hybrid patch re-scores against
-	// the repaired GCT index, so it needs one in memory; a hybrid that was
-	// reconstructed from persisted rankings without its GCT falls back to
-	// invalidation.
-	if (hybrid != nil && next.gct != nil) || len(mrank) > 0 || len(pfrank) > 0 {
+	// ego-networks the batch touched — for every measure alike, so a truss
+	// table loaded from the store without its GCT index survives too.
+	if len(ranked) > 0 || len(pfrank) > 0 {
 		affected := core.AffectedVertices(oldG, newG, ins, del)
 		st := ensureStats()
-		if hybrid != nil && next.gct != nil {
-			next.hybrid = core.PatchHybrid(hybrid, next.gct, affected)
-			st.RankingsPatched++
-		}
-		for m, perK := range mrank {
+		for m, r := range ranked {
 			// next is not shared yet: no lock needed.
-			next.setMeasureRankLocked(m, core.PatchMeasureRankings(newG, m, perK, affected))
+			next.setRankedLocked(m, core.PatchMeasureRankings(newG, m, r.Rankings(), affected))
 			st.RankingsPatched++
 		}
 		for m, ranked := range pfrank {
@@ -376,87 +357,79 @@ func (c *indexCache) gctIndexLocked() *core.GCTIndex {
 	return c.gct
 }
 
-func (c *indexCache) hybridEngine() *core.Hybrid {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hybridLocked()
-}
-
-func (c *indexCache) hybridLocked() *core.Hybrid {
-	if c.hybrid != nil {
-		return c.hybrid
-	}
-	// Persisted rankings rebuild the hybrid without touching the GCT
-	// index: NewHybridFromRankings only allocates a scorer.
-	if perK := loadSection(c, trussSec(store.SecRankings), (*store.File).Rankings); perK != nil {
-		c.hybrid = core.NewHybridFromRankings(c.g, perK)
-		return c.hybrid
-	}
-	idx := c.gctIndexLocked()
-	start := time.Now()
-	c.hybrid = c.buildHybrid(idx)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
-	return c.hybrid
-}
-
-// measureRankings returns measure m's per-k rankings: from memory, else
-// loaded from a v2 index store section, else — only when build is set —
-// built from the graph (one ego decomposition per vertex) and persisted.
+// rankedTable returns measure m's per-k ranking table (the hybrid
+// engine's for the truss measure): from memory, else loaded from the
+// index store's measure-tagged rankings section, else — only when build
+// is set — built from the graph (one BuildAll pass) and persisted.
 // Without build, a cold cache returns nil and the caller falls back to
-// scanning; Prepare("comp"/"kcore") is the build path.
-func (c *indexCache) measureRankings(m Measure, build bool) [][]core.VertexScore {
-	m = m.Normalize()
+// scanning.
+func (c *indexCache) rankedTable(m Measure, build bool) *core.Ranked {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.measureRankingsLocked(m, build)
+	return c.rankedLocked(m.Normalize(), build)
 }
 
-func (c *indexCache) measureRankingsLocked(m Measure, build bool) [][]core.VertexScore {
-	if perK := c.mrank[m]; perK != nil {
-		return perK
+func (c *indexCache) rankedLocked(m Measure, build bool) *core.Ranked {
+	if r := c.ranked[m]; r != nil {
+		return r
 	}
 	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
 	if perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
 		return f.MeasureRankings(m)
 	}); perK != nil {
-		c.setMeasureRankLocked(m, perK)
-		return perK
+		return c.setRankedLocked(m, perK)
 	}
 	if !build {
 		return nil
 	}
 	start := time.Now()
-	perK := c.buildMRank(c.g, m)
+	perK := c.buildAllIdx(c.g, core.BuildTargets{Measures: []Measure{m}}).MeasureRanks[m]
 	c.buildTime += time.Since(start)
 	c.builds++
-	c.setMeasureRankLocked(m, perK)
+	r := c.setRankedLocked(m, perK)
 	c.persistAfterBuildLocked()
-	return perK
+	return r
 }
 
-func (c *indexCache) setMeasureRankLocked(m Measure, perK [][]core.VertexScore) {
-	if c.mrank == nil {
-		c.mrank = make(map[core.Measure][][]core.VertexScore, 2)
+// setRankedLocked adopts perK as measure m's table, bound to the cache's
+// shared scorer of m.
+func (c *indexCache) setRankedLocked(m Measure, perK [][]core.VertexScore) *core.Ranked {
+	if c.ranked == nil {
+		c.ranked = make(map[core.Measure]*core.Ranked, len(c.scorers))
 	}
-	c.mrank[m] = perK
+	r := core.NewRanked(c.scorers[m], perK)
+	c.ranked[m] = r
+	return r
 }
 
-func (c *indexCache) hasMeasureRank(m Measure) bool {
+func (c *indexCache) hasRanked(m Measure) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mrank[m.Normalize()] != nil
+	return c.ranked[m.Normalize()] != nil
+}
+
+// onDiskRanked reports whether measure m's ranking table can be loaded
+// from the warm-start file.
+func (c *indexCache) onDiskRanked(m Measure) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.availLocked(store.SectionRef{Section: store.SecRankings, Measure: m.Normalize()})
+}
+
+// availLocked reports whether section ref can be loaded from the
+// warm-start file: present and not marked damaged.
+func (c *indexCache) availLocked(ref store.SectionRef) bool {
+	return c.file != nil && c.file.HasMeasure(ref.Section, ref.Measure) && !c.bad[ref]
 }
 
 // pfreeRanking returns the parameter-free engine's canonical ranking for
 // measure m: from memory, else loaded from the store's measure-tagged
-// pfree slab, else derived in O(table) from per-k rankings that are
-// already at hand (the hybrid's truss tables, or a measure-rankings
-// section in memory or on disk). Only when build is set does a fully
-// cold cache pay for the per-k source (one ego decomposition per
-// vertex); without it the caller falls back to the online scan.
-// Derivations and builds persist, so the next boot warm-starts the slab.
+// pfree slab, else derived in O(table) from the measure's per-k ranking
+// table when that is already at hand (in memory or on disk). Only when
+// build is set does a fully cold cache pay for the per-k table (one ego
+// decomposition per vertex); without it the caller falls back to the
+// online scan. Derivations and builds persist, so the next boot
+// warm-starts the slab.
 func (c *indexCache) pfreeRanking(m Measure, build bool) []core.VertexScore {
 	m = m.Normalize()
 	c.mu.Lock()
@@ -475,10 +448,10 @@ func (c *indexCache) pfreeRankingLocked(m Measure, build bool) []core.VertexScor
 		c.setPFreeRankLocked(m, ranked)
 		return ranked
 	}
-	if perK := c.perKForPFreeLocked(m, false); perK != nil {
+	if r := c.rankedLocked(m, false); r != nil {
 		// O(table) slice surgery, cheap enough for the query path; persist
 		// so the next boot loads the slab instead of re-deriving.
-		ranked := pfree.RankingFromPerK(perK)
+		ranked := pfree.RankingFromPerK(r.Rankings())
 		c.setPFreeRankLocked(m, ranked)
 		c.persistAfterBuildLocked()
 		return ranked
@@ -487,34 +460,12 @@ func (c *indexCache) pfreeRankingLocked(m Measure, build bool) []core.VertexScor
 		return nil
 	}
 	start := time.Now()
-	ranked := pfree.RankingFromPerK(c.perKForPFreeLocked(m, true))
+	ranked := pfree.RankingFromPerK(c.rankedLocked(m, true).Rankings())
 	c.buildTime += time.Since(start)
 	c.builds++
 	c.setPFreeRankLocked(m, ranked)
 	c.persistAfterBuildLocked()
 	return ranked
-}
-
-// perKForPFreeLocked resolves the per-k ranking table the pfree
-// derivation consumes: truss tables live in the hybrid engine (memory,
-// then the persisted rankings section), non-truss ones in the measure
-// rankings. Without build, only sources that are already in memory or
-// loadable from the store qualify — never a from-scratch ego pass.
-func (c *indexCache) perKForPFreeLocked(m Measure, build bool) [][]core.VertexScore {
-	if m == MeasureTruss {
-		if c.hybrid != nil {
-			return c.hybrid.Rankings()
-		}
-		if perK := loadSection(c, trussSec(store.SecRankings), (*store.File).Rankings); perK != nil {
-			c.hybrid = core.NewHybridFromRankings(c.g, perK)
-			return perK
-		}
-		if !build {
-			return nil
-		}
-		return c.hybridLocked().Rankings()
-	}
-	return c.measureRankingsLocked(m, build)
 }
 
 func (c *indexCache) setPFreeRankLocked(m Measure, ranked []core.VertexScore) {
@@ -533,42 +484,9 @@ func (c *indexCache) hasPFreeRank(m Measure) bool {
 // onDiskPFreeRank reports whether measure m's pfree ranking can be
 // loaded from the warm-start file.
 func (c *indexCache) onDiskPFreeRank(m Measure) bool {
-	m = m.Normalize()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ref := store.SectionRef{Section: store.SecPFree, Measure: m}
-	return c.file != nil && c.file.HasMeasure(store.SecPFree, m) && !c.bad[ref]
-}
-
-// hasPerKForPFree reports whether the pfree ranking for m is derivable
-// in O(table) right now (per-k source in memory or on disk), which the
-// cost model prices far below a cold ego pass.
-func (c *indexCache) hasPerKForPFree(m Measure) bool {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m == MeasureTruss {
-		if c.hybrid != nil {
-			return true
-		}
-		ref := trussSec(store.SecRankings)
-		return c.file != nil && c.file.HasMeasure(store.SecRankings, m) && !c.bad[ref]
-	}
-	if c.mrank[m] != nil {
-		return true
-	}
-	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-	return c.file != nil && c.file.HasMeasure(store.SecRankings, m) && !c.bad[ref]
-}
-
-// onDiskMeasureRank reports whether measure m's rankings can be loaded
-// from the warm-start file (a v2 store with the measure-tagged section).
-func (c *indexCache) onDiskMeasureRank(m Measure) bool {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-	return c.file != nil && c.file.HasMeasure(store.SecRankings, m) && !c.bad[ref]
+	return c.availLocked(store.SectionRef{Section: store.SecPFree, Measure: m.Normalize()})
 }
 
 // prepareShared is Prepare's fast path: it collects every ego-derived
@@ -579,8 +497,8 @@ func (c *indexCache) onDiskMeasureRank(m Measure) bool {
 // every consumer). Structures found in memory or on disk are left for
 // the per-name loaders, so the warm-open contract (builds == 0) and the
 // per-section damage accounting are untouched. With fewer than two
-// missing structures it does nothing: the dedicated builders (and their
-// test tripwires) keep handling the singleton case.
+// missing structures it does nothing: the per-name loaders build the
+// singleton (TSD and GCT through their dedicated builders).
 func (c *indexCache) prepareShared(names []string) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -588,40 +506,26 @@ func (c *indexCache) prepareShared(names []string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	avail := func(ref store.SectionRef) bool {
-		return c.file != nil && c.file.HasMeasure(ref.Section, ref.Measure) && !c.bad[ref]
-	}
-	// pfree rankings derive in O(table) from per-k tables, so "pfree"
-	// needs a from-scratch build only for measures whose pfree slab AND
-	// per-k source are both missing everywhere.
-	pfreeNeeds := func(m core.Measure) bool {
-		return want["pfree"] && c.pfrank[m] == nil &&
-			!avail(store.SectionRef{Section: store.SecPFree, Measure: m})
-	}
 	var t core.BuildTargets
-	if want["tsd"] && c.tsd == nil && !avail(trussSec(store.SecTSD)) {
+	if want["tsd"] && c.tsd == nil && !c.availLocked(trussSec(store.SecTSD)) {
 		t.TSD = true
 	}
-	if want["gct"] && c.gct == nil && !avail(trussSec(store.SecGCT)) {
+	if want["gct"] && c.gct == nil && !c.availLocked(trussSec(store.SecGCT)) {
 		t.GCT = true
 	}
-	if (want["hybrid"] || pfreeNeeds(MeasureTruss)) &&
-		c.hybrid == nil && c.gct == nil && !avail(trussSec(store.SecRankings)) {
-		// With a GCT index in memory the hybrid build is a cheap index
-		// read, not an extraction pass — leave it to buildHybrid.
-		t.TrussRanks = true
-	}
-	for _, mc := range []struct {
-		name string
-		m    core.Measure
-	}{{"comp", MeasureComponent}, {"kcore", MeasureCore}} {
-		if (want[mc.name] || pfreeNeeds(mc.m)) && c.mrank[mc.m] == nil &&
-			!avail(store.SectionRef{Section: store.SecRankings, Measure: mc.m}) {
-			t.Measures = append(t.Measures, mc.m)
+	for _, m := range AllMeasures() {
+		// pfree rankings derive in O(table) from the per-k tables, so
+		// "pfree" needs a table built only for measures whose pfree slab
+		// AND per-k table are both missing everywhere.
+		pfreeNeeds := want["pfree"] && c.pfrank[m] == nil &&
+			!c.availLocked(store.SectionRef{Section: store.SecPFree, Measure: m})
+		if (want[rankedEngineName(m)] || pfreeNeeds) && c.ranked[m] == nil &&
+			!c.availLocked(store.SectionRef{Section: store.SecRankings, Measure: m}) {
+			t.Measures = append(t.Measures, m)
 		}
 	}
 	missing := len(t.Measures)
-	for _, b := range []bool{t.TSD, t.GCT, t.TrussRanks} {
+	for _, b := range []bool{t.TSD, t.GCT} {
 		if b {
 			missing++
 		}
@@ -639,11 +543,8 @@ func (c *indexCache) prepareShared(names []string) {
 	if t.GCT {
 		c.gct = p.GCT
 	}
-	if t.TrussRanks {
-		c.hybrid = core.NewHybridFromRankings(c.g, p.TrussRanks)
-	}
 	for _, m := range t.Measures {
-		c.setMeasureRankLocked(m, p.MeasureRanks[m])
+		c.setRankedLocked(m, p.MeasureRanks[m])
 	}
 	c.persistAfterBuildLocked()
 }
@@ -702,23 +603,8 @@ func (c *indexCache) persistLocked() {
 		if c.gct == nil {
 			c.gct = loadSection(c, trussSec(store.SecGCT), (*store.File).GCT)
 		}
-		if c.hybrid == nil {
-			if perK := loadSection(c, trussSec(store.SecRankings), (*store.File).Rankings); perK != nil {
-				c.hybrid = core.NewHybridFromRankings(c.g, perK)
-			}
-		}
 		for _, m := range core.AllMeasures() {
-			if m == MeasureTruss || c.mrank[m] != nil {
-				continue
-			}
-			ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-			if perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
-				return f.MeasureRankings(m)
-			}); perK != nil {
-				c.setMeasureRankLocked(m, perK)
-			}
-		}
-		for _, m := range core.AllMeasures() {
+			c.rankedLocked(m, false)
 			if c.pfrank[m] != nil {
 				continue
 			}
@@ -731,11 +617,11 @@ func (c *indexCache) persistLocked() {
 		}
 	}
 	ix := store.Indexes{Tau: c.tau, Sup: c.sup, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
-	if c.hybrid != nil {
-		ix.Rankings = c.hybrid.Rankings()
-	}
-	if len(c.mrank) > 0 {
-		ix.MeasureRankings = c.mrank
+	if len(c.ranked) > 0 {
+		ix.MeasureRankings = make(map[core.Measure][][]core.VertexScore, len(c.ranked))
+		for m, r := range c.ranked {
+			ix.MeasureRankings[m] = r.Rankings()
+		}
 	}
 	if len(c.pfrank) > 0 {
 		ix.PFree = c.pfrank
@@ -771,19 +657,13 @@ func (c *indexCache) hasGCT() bool {
 	return c.gct != nil
 }
 
-func (c *indexCache) hasHybrid() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hybrid != nil
-}
-
 // onDisk reports whether truss section s can be loaded from the
 // warm-start file — the "cheap to have" signal the cost estimates use. A
 // section that failed to load is not cheap: it will be rebuilt.
 func (c *indexCache) onDisk(s store.Section) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.file != nil && c.file.Has(s) && !c.bad[trussSec(s)]
+	return c.availLocked(trussSec(s))
 }
 
 // storeMmap reports whether the warm-start file serves zero-copy views; a
@@ -799,12 +679,8 @@ func (c *indexCache) storeMmap() bool {
 
 type onlineEngine struct {
 	eng    *core.Online
-	scorer *core.Scorer
+	scorer *core.Scorer // the snapshot's truss scorer (point queries)
 	w      workload
-}
-
-func newOnlineEngine(g *Graph, w workload) *onlineEngine {
-	return &onlineEngine{eng: core.NewOnline(g), scorer: core.NewScorer(g), w: w}
 }
 
 func (e *onlineEngine) Name() string { return "online" }
@@ -818,17 +694,11 @@ func (e *onlineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 }
 
 func (e *onlineEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.scorer.Graph(), v, k); err != nil {
-		return 0, err
-	}
-	return e.scorer.Score(v, k), nil
+	return scorePoint(ctx, e.scorer, v, k)
 }
 
 func (e *onlineEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.scorer.Graph(), v, k); err != nil {
-		return nil, err
-	}
-	return e.scorer.Contexts(v, k), nil
+	return contextsPoint(ctx, e.scorer, v, k)
 }
 
 func (e *onlineEngine) Cost(q Query) Estimate {
@@ -839,7 +709,7 @@ func (e *onlineEngine) Cost(q Query) Estimate {
 
 type boundEngine struct {
 	eng    *core.Bound
-	scorer *core.Scorer
+	scorer *core.Scorer // the snapshot's truss scorer (point queries)
 	cache  *indexCache
 	w      workload
 }
@@ -850,7 +720,7 @@ func newBoundEngine(g *Graph, w workload, cache *indexCache) *boundEngine {
 	// the decomposition is cached (or loaded from the index store).
 	return &boundEngine{
 		eng:    core.NewBoundWithTau(g, cache.trussTau),
-		scorer: core.NewScorer(g),
+		scorer: cache.scorers[MeasureTruss],
 		cache:  cache,
 		w:      w,
 	}
@@ -867,17 +737,11 @@ func (e *boundEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 }
 
 func (e *boundEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
-		return 0, err
-	}
-	return e.scorer.Score(v, k), nil
+	return scorePoint(ctx, e.scorer, v, k)
 }
 
 func (e *boundEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.eng.Graph(), v, k); err != nil {
-		return nil, err
-	}
-	return e.scorer.Contexts(v, k), nil
+	return contextsPoint(ctx, e.scorer, v, k)
 }
 
 func (e *boundEngine) Cost(q Query) Estimate {
@@ -1019,204 +883,107 @@ func (e *gctEngine) Cost(q Query) Estimate {
 	return est
 }
 
-// --- hybrid (paper Exp-4) ---
+// --- hybrid / comp / kcore: the per-measure ranking tables ---
 
-type hybridEngine struct {
-	cache *indexCache
-	w     workload
+// rankedEngine serves one measure's per-k ranking table: registered as
+// hybrid (truss — the paper's Exp-4 competitor, whose table is by Lemma 3
+// the truss row of the per-measure rankings), comp (component), and kcore
+// (core). It is routable for its measure only. Once the table is ready
+// (Prepare, a Batch that routes here, or an index store holding the
+// measure's rankings section) a top-r query is an O(r) prefix read plus
+// online context recovery; point queries borrow the snapshot's scorer of
+// the measure. Without a table, hybrid builds it on first use, while
+// comp/kcore answer by the online scan — byte-identical answers either
+// way.
+type rankedEngine struct {
+	name      string
+	measure   Measure
+	coldBuild bool // build the table on a cold query instead of scanning
+	online    *core.Online
+	cache     *indexCache
+	w         workload
 }
 
-func (e *hybridEngine) Name() string { return "hybrid" }
+func (e *rankedEngine) Name() string { return e.name }
 
-// Measures: the hybrid rankings are truss-scored — truss only (the
-// native measure engines hold the other measures' rankings).
-func (e *hybridEngine) Measures() []Measure { return []Measure{MeasureTruss} }
+// Measures: exactly the one diversity definition the table ranks by.
+func (e *rankedEngine) Measures() []Measure { return []Measure{e.measure} }
 
-func (e *hybridEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
+func (e *rankedEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return e.cache.hybridEngine().Search(ctx, q.params())
-}
-
-func (e *hybridEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return 0, err
-	}
-	return e.cache.gctIndex().Score(v, k), nil
-}
-
-func (e *hybridEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return nil, err
-	}
-	return e.cache.gctIndex().Contexts(v, k), nil
-}
-
-func (e *hybridEngine) Cost(q Query) Estimate {
-	// Reading the precomputed ranking is nearly free; recovering contexts
-	// online is one ego decomposition per answer vertex.
-	est := Estimate{Query: float64(q.R) + e.w.contextWork(q)}
-	if !e.cache.hasHybrid() {
-		if e.cache.onDisk(store.SecRankings) {
-			// Persisted rankings skip both the ranking pass and the GCT
-			// build: reconstruction is an O(n) read.
-			est.Build = e.w.n
-		} else {
-			est.Build = float64(8) * e.w.n
-			if !e.cache.hasGCT() {
-				if e.cache.onDisk(store.SecGCT) {
-					est.Build += e.w.m
-				} else {
-					est.Build += 1.2 * e.w.egoWork
-				}
-			}
-		}
-	}
-	return est
-}
-
-// --- comp / kcore native measure engines ---
-
-// baselineEngine adapts a baseline.Model (Comp-Div or Core-Div) into the
-// native engine of its measure. It is routable for that measure only —
-// truss queries never see it — and it is the measure's fast path: once
-// the per-k rankings are prepared (Prepare("comp"/"kcore"), a Batch that
-// routes to it, or a v2 index store holding the measure's section), a
-// top-r query is an O(r) prefix read instead of a full ego-network scan.
-type baselineEngine struct {
-	name    string
-	measure Measure
-	model   baseline.Model
-	g       *Graph
-	w       workload
-	cache   *indexCache
-}
-
-func (e *baselineEngine) Name() string { return e.name }
-
-// Measures: exactly the one diversity definition the model computes.
-func (e *baselineEngine) Measures() []Measure { return []Measure{e.measure} }
-
-func (e *baselineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
+	// An empty Measure means the engine's native one.
 	if m := q.Measure.Normalize(); q.Measure != "" && m != e.measure {
 		return nil, nil, &UnsupportedMeasureError{Engine: e.name, Measure: m}
 	}
-	// Rankings fast path: serve from the prepared (or store-loaded) per-k
-	// ranking, the same strategy the hybrid engine uses for truss. The
-	// answer is byte-identical to the scan below — same scores, same
-	// canonical order, same contexts — only cheaper.
-	if perK := e.cache.measureRankings(e.measure, false); perK != nil {
-		p := q.params()
-		p.Measure = e.measure
-		return core.NewRanked(e.g, e.measure, perK).Search(ctx, p)
+	p := q.params()
+	p.Measure = e.measure
+	if r := e.cache.rankedTable(e.measure, e.coldBuild); r != nil {
+		return r.Search(ctx, p)
 	}
-	n := e.g.N()
-	// Same preconditions as the truss engines (core.Params.normalized),
-	// applied identically with and without a candidate subset.
-	if q.K < 2 {
-		return nil, nil, fmt.Errorf("trussdiv: k = %d, must be >= 2", q.K)
-	}
-	if q.R < 1 {
-		return nil, nil, fmt.Errorf("trussdiv: r = %d, must be >= 1", q.R)
-	}
-	var scored []baseline.VertexScore
-	computed := n
-	if q.Candidates == nil {
-		if q.R > n {
-			q.R = n
-		}
-		top, err := baseline.Search(ctx, e.model, n, q.K, q.R)
-		if err != nil {
-			return nil, nil, err
-		}
-		scored = top
-	} else {
-		seen := make(map[int32]bool, len(q.Candidates))
-		scored = make([]baseline.VertexScore, 0, len(q.Candidates))
-		for _, v := range q.Candidates {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			if v < 0 || int(v) >= n {
-				return nil, nil, fmt.Errorf("trussdiv: candidate vertex %d out of range [0,%d)", v, n)
-			}
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			scored = append(scored, baseline.VertexScore{V: v, Score: e.model.Score(v, q.K)})
-		}
-		sort.Slice(scored, func(i, j int) bool {
-			if scored[i].Score != scored[j].Score {
-				return scored[i].Score > scored[j].Score
-			}
-			return scored[i].V < scored[j].V
-		})
-		computed = len(scored)
-		if q.R < len(scored) {
-			scored = scored[:q.R]
-		}
-	}
-	res := &Result{TopR: make([]VertexScore, len(scored))}
-	for i, e := range scored {
-		res.TopR[i] = VertexScore{V: e.V, Score: e.Score}
-	}
-	if q.IncludeContexts {
-		res.Contexts = make(map[int32][][]int32, len(res.TopR))
-		for _, vs := range res.TopR {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			res.Contexts[vs.V] = e.model.Contexts(vs.V, q.K)
-		}
-	}
-	var stats *Stats
-	if !q.SkipStats {
-		stats = &Stats{ScoreComputations: computed, Candidates: computed}
-	}
-	return res, stats, nil
+	return e.online.Search(ctx, p)
 }
 
-func (e *baselineEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.g, v, k); err != nil {
-		return 0, err
-	}
-	return e.model.Score(v, k), nil
+func (e *rankedEngine) Score(ctx context.Context, v, k int32) (int, error) {
+	return scorePoint(ctx, e.cache.scorers[e.measure], v, k)
 }
 
-func (e *baselineEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.g, v, k); err != nil {
-		return nil, err
-	}
-	return e.model.Contexts(v, k), nil
+func (e *rankedEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
+	return contextsPoint(ctx, e.cache.scorers[e.measure], v, k)
 }
 
-func (e *baselineEngine) Cost(q Query) Estimate {
-	// With the per-k rankings ready the query is an O(r) prefix read plus
-	// per-answer context recovery; on disk they are one cheap sequential
-	// load. Cold, the rankings build costs slightly more than one online
-	// scan (it scores every k, not one), so a single cold query routes to
-	// online/bound while batches amortize the build here — Batch prepares
-	// the rankings before running when it picks this engine.
+func (e *rankedEngine) Cost(q Query) Estimate {
+	// With the table ready the query is an O(r) prefix read plus
+	// per-answer context recovery; on disk it is one cheap sequential
+	// load. Cold, the build is one BuildAll pass — slightly more than one
+	// online scan (it scores every k, not one), so a single cold query
+	// routes to online/bound while batches amortize the build here —
+	// Batch prepares the table before running when it picks this engine.
 	est := Estimate{Query: float64(q.R) + e.w.contextWork(q)}
 	switch {
-	case e.cache.hasMeasureRank(e.measure):
+	case e.cache.hasRanked(e.measure):
 		// ready: nothing to build
-	case e.cache.onDiskMeasureRank(e.measure):
+	case e.cache.onDiskRanked(e.measure):
 		est.Build = e.w.n
 	default:
-		factor := 1.25
-		if e.measure == MeasureCore {
-			// The core rankings need one component count per k.
-			factor = 1.5
+		// Truss and core tables need a decomposition plus one component
+		// count per k; the component table one labelling.
+		factor := 1.5
+		if e.measure == MeasureComponent {
+			factor = 1.25
 		}
 		est.Build = factor * e.w.egoWork
 	}
 	return est
+}
+
+// rankedEngineName names the ranked engine serving measure m's table.
+func rankedEngineName(m Measure) string {
+	switch m.Normalize() {
+	case MeasureComponent:
+		return "comp"
+	case MeasureCore:
+		return "kcore"
+	}
+	return "hybrid"
+}
+
+// scorePoint answers a single-vertex score through a shared scorer.
+func scorePoint(ctx context.Context, s *core.Scorer, v, k int32) (int, error) {
+	if err := singleVertexErr(ctx, s.Graph(), v, k); err != nil {
+		return 0, err
+	}
+	return s.Score(v, k), nil
+}
+
+// contextsPoint answers a single-vertex contexts query through a shared
+// scorer.
+func contextsPoint(ctx context.Context, s *core.Scorer, v, k int32) ([][]int32, error) {
+	if err := singleVertexErr(ctx, s.Graph(), v, k); err != nil {
+		return nil, err
+	}
+	return s.Contexts(v, k), nil
 }
 
 // singleVertexErr folds the context check into single-vertex validation.
@@ -1238,7 +1005,6 @@ func singleVertexErr(ctx context.Context, g *Graph, v, k int32) error {
 // k-less top-r query is an O(r) prefix read; cold, it falls back to the
 // online all-k scan.
 type pfreeEngine struct {
-	g     *Graph
 	w     workload
 	cache *indexCache
 }
@@ -1267,7 +1033,7 @@ func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 	// The prepared/online split lives in the Searcher; both paths answer
 	// byte-identically, the ranking only removes the scan.
 	ranked := e.cache.pfreeRanking(m, false)
-	return pfree.NewSearcher(e.g, m, ranked).Search(ctx, p)
+	return pfree.NewSearcher(e.cache.scorers[m], ranked).Search(ctx, p)
 }
 
 // pointErr validates a single-vertex pfree query: the vertex must be in
@@ -1276,8 +1042,8 @@ func (e *pfreeEngine) pointErr(ctx context.Context, v, k int32) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if v < 0 || int(v) >= e.g.N() {
-		return fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, e.g.N())
+	if v < 0 || int(v) >= e.cache.g.N() {
+		return fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, e.cache.g.N())
 	}
 	if k != 0 {
 		return &BadQueryError{Engine: "pfree", K: k,
@@ -1293,7 +1059,7 @@ func (e *pfreeEngine) Score(ctx context.Context, v, k int32) (int, error) {
 	if err := e.pointErr(ctx, v, k); err != nil {
 		return 0, err
 	}
-	return pfree.ScoreAt(e.g, v, MeasureTruss), nil
+	return pfree.ScoreAt(e.cache.scorers[MeasureTruss], v), nil
 }
 
 // Contexts returns the vertex's contexts at its discriminating level
@@ -1302,7 +1068,7 @@ func (e *pfreeEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, erro
 	if err := e.pointErr(ctx, v, k); err != nil {
 		return nil, err
 	}
-	return pfree.ContextsAt(e.g, v, MeasureTruss), nil
+	return pfree.ContextsAt(e.cache.scorers[MeasureTruss], v), nil
 }
 
 func (e *pfreeEngine) Cost(q Query) Estimate {
@@ -1310,7 +1076,7 @@ func (e *pfreeEngine) Cost(q Query) Estimate {
 	// ego decompositions per answer vertex (level probe + recovery). On
 	// disk: one cheap sequential slab load. Derivable from per-k tables
 	// that already exist: O(table) surgery, priced like a store load. Cold:
-	// the per-k source must be built first (all-k scoring, slightly above
+	// the per-k table must be built first (all-k scoring, slightly above
 	// one online scan), amortized by Batch exactly like comp/kcore.
 	m := q.Measure.Normalize()
 	est := Estimate{Query: float64(q.R) + 2*e.w.contextWork(q)}
@@ -1319,7 +1085,7 @@ func (e *pfreeEngine) Cost(q Query) Estimate {
 		// ready: nothing to build
 	case e.cache.onDiskPFreeRank(m):
 		est.Build = e.w.n
-	case e.cache.hasPerKForPFree(m):
+	case e.cache.hasRanked(m) || e.cache.onDiskRanked(m):
 		est.Build = 2 * e.w.n
 	default:
 		factor := 1.25

@@ -67,9 +67,9 @@ func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 		t.Error("apply-repaired GCT index was rebuilt from scratch")
 		return core.BuildGCTIndex(db.Graph())
 	}
-	cache.buildHybrid = func(idx *core.GCTIndex) *core.Hybrid {
-		t.Error("apply-patched hybrid rankings were rebuilt from scratch")
-		return core.BuildHybrid(idx)
+	cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
+		t.Error("apply-patched ranking tables were rebuilt from scratch")
+		return core.BuildAll(g, t2, 0)
 	}
 	for _, engine := range []string{"online", "bound", "tsd", "gct", "hybrid"} {
 		if _, _, err := db.TopR(ctx, NewQuery(4, 5, ViaEngine(engine))); err != nil {
@@ -78,6 +78,81 @@ func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 	}
 	if cache.builds != 0 {
 		t.Fatalf("builds = %d after querying every engine post-Apply, want 0", cache.builds)
+	}
+}
+
+// TestApplyPatchesStoreLoadedTrussRankings: the hybrid engine's truss
+// table patches like every other ranking table, so one loaded from an
+// index store without its GCT index survives an Apply patched in place —
+// counted in RankingsPatched, never rebuilt, answering like a cold DB on
+// the edited graph.
+func TestApplyPatchesStoreLoadedTrussRankings(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 40,
+	})
+	ctx := context.Background()
+	dir := t.TempDir()
+	seed, err := Open(g, WithIndexDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Prepare(ctx, "hybrid"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range seed.StoreStatus().Sections {
+		if sec == "gct" {
+			t.Fatal("Prepare(hybrid) persisted a GCT index; the table needs none")
+		}
+	}
+
+	db, err := Open(g, WithIndexDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(ctx, "hybrid"); err != nil {
+		t.Fatal(err)
+	}
+	var u Updates
+	for a := int32(0); a < int32(g.N()) && u.Insert == nil; a++ {
+		for b := a + 1; b < int32(g.N()); b++ {
+			if !g.HasEdge(a, b) {
+				u.Insert = []Edge{{U: a, V: b}}
+				break
+			}
+		}
+	}
+	if _, err := db.Apply(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Snapshot().ApplyStats(); st == nil || st.RankingsPatched != 1 {
+		t.Fatalf("ApplyStats = %+v, want the truss table patched", st)
+	}
+	if !db.IndexStats().HybridReady {
+		t.Fatal("store-loaded truss rankings were dropped by Apply")
+	}
+	cache := db.Snapshot().cache
+	cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
+		t.Error("apply-patched truss rankings were rebuilt from scratch")
+		return core.BuildAll(g, t2, 0)
+	}
+	cold, err := Open(db.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQuery(3, 15, ViaEngine("hybrid"), WithContexts())
+	got, _, err := db.TopR(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := cold.TopR(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
+		t.Fatalf("patched hybrid answer diverges from a cold DB\n got %v\nwant %v", got.TopR, want.TopR)
+	}
+	if cache.builds != 0 {
+		t.Fatalf("builds = %d after the post-Apply hybrid query, want 0", cache.builds)
 	}
 }
 

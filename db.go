@@ -112,8 +112,8 @@ func WithTSDIndex(idx *TSDIndex) Option {
 }
 
 // WithGCTIndex seeds the DB with an already-built GCT index, so the gct
-// (and, after one cheap ranking pass, hybrid) engine is ready at once.
-// Validated against the graph like WithTSDIndex.
+// engine is ready at once. Validated against the graph like
+// WithTSDIndex.
 func WithGCTIndex(idx *GCTIndex) Option {
 	return func(c *dbConfig) { c.gctIdx = idx }
 }
@@ -242,10 +242,11 @@ func validateInjected(name string, idxG, g *Graph) error {
 	return nil
 }
 
-// Open wraps g in a DB with the six built-in engines registered: online,
-// bound, tsd, gct, hybrid (routable) and the comp/kcore baseline models
-// (explicit-name only). Indexes are built lazily on first use unless
-// provided (WithTSDIndex, WithGCTIndex) or prebuilt (WithPreparedIndexes).
+// Open wraps g in a DB with the eight built-in engines registered:
+// online, bound, tsd, gct, and hybrid for the truss measure, comp and
+// kcore for their own measures, and pfree for k-less queries. Indexes are
+// built lazily on first use unless provided (WithTSDIndex, WithGCTIndex)
+// or prebuilt (WithPreparedIndexes).
 // The DB starts at epoch 1 (or the epoch a warm index store recorded);
 // Apply advances it.
 func Open(g *Graph, opts ...Option) (*DB, error) {

@@ -113,7 +113,7 @@ func runParallel(w io.Writer, cfg Config) error {
 			{"bound", core.NewBound(g)},
 			{"tsd", core.NewTSD(tsdIdx)},
 			{"gct", core.NewGCT(gctIdx)},
-			{"hybrid", core.BuildHybrid(gctIdx)},
+			{"hybrid", hybridSearcher(g, workers)},
 		}
 		ds := ParallelDatasetReport{
 			Name: name, Vertices: g.N(), Edges: g.M(),

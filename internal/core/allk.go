@@ -1,35 +1,15 @@
 package core
 
-import (
-	"context"
-
-	"trussdiv/internal/graph"
-)
+import "context"
 
 // Exported hooks for the parameter-free search subsystem
 // (internal/pfree). The parameter-free objective aggregates the per-k
-// score vector of a vertex across every threshold at once, so it needs
-// the all-k scorer for every measure — including truss, which
-// BuildMeasureRankings deliberately excludes (the hybrid engine owns the
-// truss per-k tables) — plus the canonical-order primitives every engine
-// shares: the ranked prefix read, the padded scan, the sharded context
-// recovery, and the patch merge. Exporting them here keeps internal/pfree
-// byte-identical to the existing engines by construction instead of by
-// re-implementation.
-
-// ScoresAllK computes score(v, k) under measure m for every k >= 2 from
-// one ego-network decomposition. The returned slice is indexed by k
-// (length maxK+1, entries 0 and 1 unused); nil when the ego-network has
-// no edges or no score reaches any threshold. For the non-truss measures
-// this is exactly the per-vertex pass BuildMeasureRankings makes; the
-// truss branch decomposes the ego-network once and counts the k-truss
-// components at every threshold the decomposition reaches.
-func ScoresAllK(g *graph.Graph, v int32, m Measure) []int {
-	// A one-shot VertexScorer: the returned vector aliases its scratch,
-	// which is never reused, so the slice is safe to keep. Loops should
-	// hold one VertexScorer and call its ScoresAllK instead.
-	return NewVertexScorer(g, m).ScoresAllK(v)
-}
+// score vector of a vertex across every threshold at once
+// (VertexScorer.ScoresAllK), and it answers under the canonical-order
+// primitives every engine shares: the ranked prefix read, the padded
+// scan, the sharded context recovery, and the patch merge. Exporting them
+// here keeps internal/pfree byte-identical to the existing engines by
+// construction instead of by re-implementation.
 
 // SortCanonical orders entries under the library's total order: score
 // descending, vertex ID ascending — the order every engine's answer (and
@@ -39,8 +19,8 @@ func SortCanonical(entries []VertexScore) { sortAnswer(entries) }
 // MergeRanked merges the surviving old entries (old minus the affected
 // vertices, already canonical) with the freshly re-scored ones (also
 // canonical) into one canonically ordered list — the splice primitive of
-// the ranking patch path (PatchHybrid, PatchMeasureRankings, and the
-// pfree ranking patch). The result never aliases either input.
+// the ranking patch path (PatchMeasureRankings and the pfree ranking
+// patch). The result never aliases either input.
 func MergeRanked(oldList, fresh []VertexScore, affected map[int32]bool) []VertexScore {
 	return mergeRanked(oldList, fresh, affected)
 }

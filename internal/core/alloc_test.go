@@ -83,7 +83,7 @@ func TestVertexScorerMatchesOneShot(t *testing.T) {
 					}
 				}
 				gotAll := append([]int(nil), reused.ScoresAllK(v)...)
-				wantAll := append([]int(nil), ScoresAllK(tc.g, v, m)...)
+				wantAll := append([]int(nil), NewVertexScorer(tc.g, m).ScoresAllK(v)...)
 				if !reflect.DeepEqual(gotAll, wantAll) {
 					t.Fatalf("%s/%s: ScoresAllK(%d) diverges:\n got %v\nwant %v",
 						tc.name, m, v, gotAll, wantAll)

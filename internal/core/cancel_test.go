@@ -38,7 +38,7 @@ func TestSearchAlreadyCancelled(t *testing.T) {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	} {
 		res, stats, err := s.Search(ctx, Params{K: 3, R: 5})
 		if !errors.Is(err, context.Canceled) {
@@ -58,7 +58,7 @@ func TestSearchCancelledMidLoop(t *testing.T) {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	} {
 		// Let a handful of polls pass, then trip: the search must stop at
 		// its next context check instead of finishing the scan.
@@ -100,7 +100,7 @@ func TestSearchCandidateSubset(t *testing.T) {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	} {
 		res, _, err := s.Search(context.Background(), Params{K: 3, R: len(subset), Candidates: subset})
 		if err != nil {
@@ -137,7 +137,7 @@ func TestSearchDuplicateCandidatesDeduped(t *testing.T) {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	} {
 		res, _, err := s.Search(context.Background(),
 			Params{K: 3, R: 3, Candidates: []int32{5, 5, 9, 9, 5, 13}})

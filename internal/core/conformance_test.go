@@ -53,8 +53,16 @@ func conformanceEngines(g *graph.Graph) map[string]searcher {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	}
+}
+
+// buildRanked builds measure m's rankings-backed searcher; for the truss
+// measure it is the hybrid engine of paper Exp-4 (by Lemma 3 its per-k
+// rankings are the truss row of BuildAll's ranking tables).
+func buildRanked(g *graph.Graph, m Measure) *Ranked {
+	p := BuildAll(g, BuildTargets{Measures: []Measure{m}}, 0)
+	return NewRanked(NewMeasureScorer(g, m), p.MeasureRanks[m])
 }
 
 // candidateSets returns the candidate variants each configuration runs

@@ -16,8 +16,10 @@
 //     with one-shot global triangle listing and bitmap truss
 //     decomposition; score(v) = N_k - M_k (Lemma 3).
 //
-// A fifth Hybrid searcher (paper Exp-4) precomputes per-k answer lists but
-// recovers social contexts online.
+// The Hybrid competitor of paper Exp-4, which precomputes per-k answer
+// lists but recovers social contexts online, is the truss row of the
+// per-measure ranking tables (Ranked, built by BuildAll): by Lemma 3 the
+// same table serves it.
 package core
 
 import "sort"

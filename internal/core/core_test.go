@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"trussdiv/internal/gen"
@@ -64,7 +66,7 @@ func TestFig1AllSearchersTop1(t *testing.T) {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(tsdIdx),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	}
 	for name, s := range searchers {
 		res, _, err := s.TopR(4, 1)
@@ -101,6 +103,33 @@ func TestFig1BoundPruning(t *testing.T) {
 	}
 	if ostats.ScoreComputations != 17 {
 		t.Fatalf("online search space = %d, want 17", ostats.ScoreComputations)
+	}
+}
+
+// TestFig1SearchSpaceAcrossWorkers pins paper Examples 2-3 at every
+// worker count: the parallel ranked scan must not score past the serial
+// stopping point just because it works in chunks.
+func TestFig1SearchSpaceAcrossWorkers(t *testing.T) {
+	g := gen.Fig1Graph()
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		p := Params{K: 4, R: 1, Workers: workers}
+		res, stats, err := NewBound(g).Search(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TopR[0].V != gen.Fig1V || stats.ScoreComputations != 1 {
+			t.Fatalf("workers=%d: bound top-1 %+v, search space %d; want v, 1 (paper Example 3)",
+				workers, res.TopR, stats.ScoreComputations)
+		}
+		_, stats, err = NewOnline(g).Search(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ScoreComputations != 17 {
+			t.Fatalf("workers=%d: online search space = %d, want 17 (paper Example 2)",
+				workers, stats.ScoreComputations)
+		}
 	}
 }
 
@@ -240,7 +269,7 @@ func TestAllSearchersAgreeOnTopR(t *testing.T) {
 			"bound":  NewBound(g),
 			"tsd":    NewTSD(tsdIdx),
 			"gct":    NewGCT(gctIdx),
-			"hybrid": BuildHybrid(gctIdx),
+			"hybrid": buildRanked(g, MeasureTruss),
 		}
 		for k := int32(2); k <= 5; k++ {
 			for _, r := range []int{1, 3, 10, 40} {

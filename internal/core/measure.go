@@ -4,17 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-
-	"trussdiv/internal/graph"
 )
 
 // Measure names one structural diversity definition — the axis the
 // paper's §7 varies when it compares the truss-based model against the
 // component-based (Comp-Div) and core-based (Core-Div) alternatives.
-// The generic engines (Online, Bound) serve every measure; the
-// truss-index engines (TSD, GCT, Hybrid) serve only MeasureTruss and
-// reject other measures with an *UnsupportedMeasureError.
+// The generic engines (Online, Bound) and the per-measure Ranked tables
+// serve every measure; the truss-index engines (TSD, GCT) serve only
+// MeasureTruss and reject other measures with an *UnsupportedMeasureError.
 type Measure string
 
 const (
@@ -62,9 +59,9 @@ func ParseMeasure(s string) (Measure, error) {
 }
 
 // ErrUnsupportedMeasure is the sentinel matched by errors.Is when a
-// query names a measure the chosen engine cannot compute (the TSD, GCT,
-// and Hybrid structures encode truss decompositions only); the concrete
-// error is *UnsupportedMeasureError.
+// query names a measure the chosen engine cannot compute (the TSD and GCT
+// structures encode truss decompositions only, and a Ranked table holds
+// one measure's scores); the concrete error is *UnsupportedMeasureError.
 var ErrUnsupportedMeasure = errors.New("core: engine does not support the requested measure")
 
 // UnsupportedMeasureError reports a (engine, measure) pair outside the
@@ -81,62 +78,6 @@ func (e *UnsupportedMeasureError) Error() string {
 
 // Is makes errors.Is(err, ErrUnsupportedMeasure) match.
 func (e *UnsupportedMeasureError) Is(target error) bool { return target == ErrUnsupportedMeasure }
-
-// DivScorer is the per-vertex interface a measure provides to the
-// generic engines: an exact score and the social contexts behind it.
-// Implementations must be safe for concurrent use (the stock scorers
-// pool per-worker scratch internally).
-type DivScorer interface {
-	Score(v int32, k int32) int
-	Contexts(v int32, k int32) [][]int32
-}
-
-// NewMeasureScorer returns the shared, concurrency-safe scorer computing
-// measure m over g: the truss Scorer (Algorithm 2) or a pooled scratch
-// scorer byte-identical to the baseline Comp-Div / Core-Div models. Scan
-// loops that own their workers should hold a NewVertexScorer per worker
-// instead of sharing one of these.
-func NewMeasureScorer(g *graph.Graph, m Measure) DivScorer {
-	switch m := m.Normalize(); m {
-	case MeasureComponent:
-		p := &pooledScorer{name: "Comp-Div"}
-		p.pool.New = func() any { return NewVertexScorer(g, m) }
-		return p
-	case MeasureCore:
-		p := &pooledScorer{name: "Core-Div"}
-		p.pool.New = func() any { return NewVertexScorer(g, m) }
-		return p
-	default:
-		return NewScorer(g)
-	}
-}
-
-// pooledScorer adapts the single-worker VertexScorer to the shared
-// DivScorer contract by borrowing one per call from a sync.Pool. It keeps
-// the baseline model name so it still satisfies baseline.Model, which the
-// parity tests (and report labels) rely on.
-type pooledScorer struct {
-	name string
-	pool sync.Pool
-}
-
-// Name identifies the measure's model in reports, matching the
-// internal/baseline naming.
-func (p *pooledScorer) Name() string { return p.name }
-
-func (p *pooledScorer) Score(v int32, k int32) int {
-	vs := p.pool.Get().(*VertexScorer)
-	score := vs.Score(v, k)
-	p.pool.Put(vs)
-	return score
-}
-
-func (p *pooledScorer) Contexts(v int32, k int32) [][]int32 {
-	vs := p.pool.Get().(*VertexScorer)
-	out := vs.Contexts(v, k)
-	p.pool.Put(vs)
-	return out
-}
 
 // MeasureUpperBound bounds score(v) under measure m from two quantities
 // every measure shares: the degree d(v) and the ego-network edge count
@@ -161,80 +102,71 @@ func MeasureUpperBound(m Measure, degree int, egoEdges int32, k int32) int {
 	}
 }
 
-// BuildMeasureRankings precomputes, for every k, the complete vertex
-// ranking of g under measure m — the same per-k artifact the Hybrid
-// engine holds for the truss measure, generalized to the alternative
-// models. One ego decomposition per vertex yields the scores for every
-// k at once (components expose their sizes; cores their full core
-// numbers), so the build costs one online scan, after which any top-r
-// query under m is an O(r) prefix read. perK[k] is sorted by score
-// descending then vertex ascending and omits zero scores; entries below
-// k=2 are nil. MeasureTruss rankings come from BuildHybrid instead.
-func BuildMeasureRankings(g *graph.Graph, m Measure) [][]VertexScore {
-	scorer := NewVertexScorer(g, m)
-	// Stream each vertex's all-k vector straight into the per-k lists
-	// (ascending v, so each list is already vertex-ordered before the
-	// canonical sort) instead of materializing an n × maxK table.
-	perK := make([][]VertexScore, 3) // grown on demand; entries below k=2 stay nil
-	for v := int32(0); int(v) < g.N(); v++ {
-		scores := scorer.ScoresAllK(v)
-		for len(perK) < len(scores) {
-			perK = append(perK, nil)
-		}
-		for k := 2; k < len(scores); k++ {
-			if s := scores[k]; s > 0 {
-				perK[k] = append(perK[k], VertexScore{V: v, Score: s})
-			}
-		}
-	}
-	for k := 2; k < len(perK); k++ {
-		sortAnswer(perK[k])
-	}
-	return perK
-}
-
 // Ranked serves top-r queries of one measure from its precomputed per-k
-// rankings — the Hybrid strategy generalized beyond the truss model.
-// Reading the ranking is an O(r) prefix scan; the social contexts of the
-// answer vertices are recovered online with the measure's own scorer
-// (sharded across p.Workers, the dominant per-answer cost).
+// rankings: perK[k] is the complete vertex ranking at threshold k, so a
+// top-r query reads the first r entries directly. For the truss measure
+// this is the Hybrid competitor of paper Exp-4 — by Lemma 3 its table is
+// exactly the truss row of the per-measure table BuildAll produces — and
+// the same strategy serves the component and core measures. Reading the
+// ranking is an O(r) prefix scan; the social contexts of the answer
+// vertices are recovered online with the measure's shared Scorer (sharded
+// across p.Workers), which is what makes the strategy lose to GCT as r
+// grows.
 type Ranked struct {
-	g      *graph.Graph
-	m      Measure
-	scorer DivScorer
+	scorer *Scorer
 	perK   [][]VertexScore
 }
 
-// NewRanked returns a rankings-backed searcher for measure m over g.
-// perK must come from BuildMeasureRankings(g, m) (or an index store that
-// persisted it): perK[k] sorted by score descending, vertex ascending,
-// zero scores omitted. The rankings are adopted, not copied.
-func NewRanked(g *graph.Graph, m Measure, perK [][]VertexScore) *Ranked {
-	return &Ranked{g: g, m: m.Normalize(), scorer: NewMeasureScorer(g, m), perK: perK}
+// NewRanked returns a rankings-backed searcher for scorer's measure over
+// scorer's graph. perK must come from BuildAll for that measure (or an
+// index store that persisted it, or PatchMeasureRankings): perK[k]
+// sorted by score descending, vertex ascending, zero scores omitted. The
+// rankings are adopted, not copied; the scorer recovers contexts.
+func NewRanked(scorer *Scorer, perK [][]VertexScore) *Ranked {
+	return &Ranked{scorer: scorer, perK: perK}
 }
 
 // Measure returns the measure the rankings were scored under.
-func (r *Ranked) Measure() Measure { return r.m }
+func (r *Ranked) Measure() Measure { return r.scorer.m }
+
+// Rankings returns every per-k ranking indexed by k (entries below k=2
+// are nil). The slices alias internal storage.
+func (r *Ranked) Rankings() [][]VertexScore { return r.perK }
+
+// Ranking returns the full precomputed ranking for k (sorted by score
+// descending), nil outside the table. The slice aliases internal storage.
+func (r *Ranked) Ranking(k int32) []VertexScore {
+	if k < 0 || int(k) >= len(r.perK) {
+		return nil
+	}
+	return r.perK[k]
+}
+
+// TopR answers from the precomputed ranking, then recovers the contexts
+// of each answer vertex online.
+func (r *Ranked) TopR(k int32, rr int) (*Result, *Stats, error) {
+	return r.Search(context.Background(), Params{K: k, R: rr})
+}
 
 // Search answers a top-r query of r.Measure() from the rankings; a
 // Params.Measure naming any other measure is rejected with an
-// *UnsupportedMeasureError.
+// *UnsupportedMeasureError. Reading the ranking is nearly free; the
+// expensive part is the per-answer online context recovery, which
+// finishResult polls on every vertex — so a Search with SkipContexts set
+// is the cheapest query in the library.
 func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
-	p, err := p.normalized(r.g.N())
+	g := r.scorer.g
+	p, err := p.normalized(g.N())
 	if err != nil {
 		return nil, nil, err
 	}
-	if m := p.Measure.Normalize(); m != r.m {
-		return nil, nil, &UnsupportedMeasureError{Engine: "ranked[" + string(r.m) + "]", Measure: m}
+	if m := p.Measure.Normalize(); m != r.scorer.m {
+		return nil, nil, &UnsupportedMeasureError{Engine: "ranked[" + string(r.scorer.m) + "]", Measure: m}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	var ranked []VertexScore
-	if int(p.K) < len(r.perK) {
-		ranked = r.perK[p.K]
-	}
-	answer, candidates := rankedAnswer(ranked, r.g.N(), p)
+	answer, candidates := rankedAnswer(r.Ranking(p.K), g.N(), p)
 	stats := &Stats{Candidates: candidates}
 	res, err := finishResult(ctx, answer, p, func(v int32) [][]int32 {
 		return r.scorer.Contexts(v, p.K)
@@ -243,8 +175,50 @@ func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 		return nil, nil, err
 	}
 	if !p.SkipContexts {
-		// One online recovery per answer vertex, same accounting as Hybrid.
+		// Every answer vertex cost one online recovery (the strategy's
+		// "search space"); counted here so parallel recovery stays
+		// race-free.
 		stats.ScoreComputations = len(answer)
 	}
 	return res, exportStats(stats, p), nil
+}
+
+// rankedAnswer selects the canonical top-r answer from one precomputed
+// per-k ranking (sorted by score descending, vertex ascending): an O(r)
+// prefix read without a candidate subset, a filtered pass with one, and
+// zero-score padding when fewer than r candidates have any social
+// context — matching the scanning searchers' answer byte for byte. The
+// second return is the number of ranked candidates considered (the
+// Stats.Candidates of rankings-backed engines).
+func rankedAnswer(ranked []VertexScore, n int, p Params) ([]VertexScore, int) {
+	var answer []VertexScore
+	var candidates int
+	if p.Candidates == nil {
+		candidates = len(ranked)
+		answer = append(make([]VertexScore, 0, p.R), ranked[:min(p.R, len(ranked))]...)
+	} else {
+		inCand := make(map[int32]bool, len(p.Candidates))
+		for _, v := range p.Candidates {
+			inCand[v] = true
+		}
+		answer = make([]VertexScore, 0, p.R)
+		for _, e := range ranked {
+			if !inCand[e.V] {
+				continue
+			}
+			candidates++
+			if len(answer) < p.R {
+				answer = append(answer, e)
+			}
+		}
+	}
+	if len(answer) < p.R {
+		heap := newTopRHeap(p.R)
+		for _, e := range answer {
+			heap.Offer(e.V, e.Score)
+		}
+		padAnswer(heap, n, p.Candidates)
+		answer = heap.Answer()
+	}
+	return answer, candidates
 }

@@ -19,11 +19,19 @@ import (
 // canonical order, same scores, same contexts — across seeded random
 // graphs and worker counts {1, 4, GOMAXPROCS}.
 
+// baselineModel returns the naive internal/baseline model of measure m.
+func baselineModel(g *graph.Graph, m Measure) baseline.Model {
+	if m == MeasureCore {
+		return baseline.NewCoreDiv(g)
+	}
+	return baseline.NewCompDiv(g)
+}
+
 // baselineTopR is the reference answer: the naive full sort of
 // baseline.Search plus contexts from the model, shaped like a Result.
 func baselineTopR(t *testing.T, g *graph.Graph, m Measure, k int32, r int) *Result {
 	t.Helper()
-	model := NewMeasureScorer(g, m).(baseline.Model)
+	model := baselineModel(g, m)
 	top, err := baseline.Search(context.Background(), model, g.N(), k, r)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +77,7 @@ func TestMeasureEnginesMatchBaseline(t *testing.T) {
 			engines := map[string]searcher{
 				"online": NewOnline(g),
 				"bound":  NewBound(g),
-				"ranked": NewRanked(g, m, BuildMeasureRankings(g, m)),
+				"ranked": buildRanked(g, m),
 			}
 			for _, k := range []int32{2, 3, 5} {
 				for _, r := range []int{1, 10, g.N()} {
@@ -141,7 +149,7 @@ func TestMeasureRankingsMatchScores(t *testing.T) {
 	for _, tc := range measureParityGraphs(t)[:2] {
 		g := tc.g
 		for _, m := range []Measure{MeasureComponent, MeasureCore} {
-			perK := BuildMeasureRankings(g, m)
+			perK := buildRanked(g, m).Rankings()
 			scorer := NewMeasureScorer(g, m)
 			maxK := int32(len(perK) + 2)
 			for k := int32(2); k <= maxK; k++ {
@@ -180,7 +188,7 @@ func TestTrussOnlyEnginesRejectMeasures(t *testing.T) {
 	engines := map[string]searcher{
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	}
 	for name, eng := range engines {
 		for _, m := range []Measure{MeasureComponent, MeasureCore} {

@@ -10,14 +10,23 @@ import (
 // structural diversity of every candidate vertex from scratch and keeps
 // the best r.
 type Online struct {
-	scorer *Scorer
+	g       *graph.Graph
+	scorers Scorers
 }
 
 // NewOnline returns an Online searcher over g.
-func NewOnline(g *graph.Graph) *Online { return &Online{scorer: NewScorer(g)} }
+func NewOnline(g *graph.Graph) *Online { return NewOnlineFrom(NewScorers(g)) }
+
+// NewOnlineFrom returns an Online searcher that recovers answer contexts
+// with the given shared scorers (one per measure, all over one graph), so
+// a caller that already holds them — a DB snapshot — lends them instead
+// of pooling a second set.
+func NewOnlineFrom(s Scorers) *Online {
+	return &Online{g: s[MeasureTruss].Graph(), scorers: s}
+}
 
 // Graph returns the underlying graph.
-func (o *Online) Graph() *graph.Graph { return o.scorer.Graph() }
+func (o *Online) Graph() *graph.Graph { return o.g }
 
 // TopR returns the r vertices with the highest truss-based structural
 // diversity w.r.t. k, together with their social contexts.
@@ -33,16 +42,12 @@ func (o *Online) TopR(k int32, r int) (*Result, *Stats, error) {
 // measure-generic: p.Measure swaps the truss scorer for the
 // component-based or core-based one, same scan either way.
 func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
-	g := o.scorer.Graph()
+	g := o.g
 	p, err := p.normalized(g.N())
 	if err != nil {
 		return nil, nil, err
 	}
 	m := p.Measure.Normalize()
-	scorer := DivScorer(o.scorer)
-	if m != MeasureTruss {
-		scorer = NewMeasureScorer(g, m)
-	}
 	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), true,
 		func() func(v int32) int {
 			vs := NewVertexScorer(g, m)
@@ -52,6 +57,7 @@ func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 		return nil, nil, err
 	}
 	stats := &Stats{ScoreComputations: scored, Candidates: scored}
+	scorer := o.scorers[m]
 	res, err := finishResult(ctx, heap.Answer(), p, func(v int32) [][]int32 {
 		return scorer.Contexts(v, p.K)
 	})

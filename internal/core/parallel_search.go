@@ -172,9 +172,10 @@ type rankedCand struct {
 	ub int
 }
 
-// rankedChunkPerWorker sizes the chunks of the parallel ranked scan:
-// each round scores up to workers*rankedChunkPerWorker candidates before
-// re-checking the termination bound.
+// rankedChunkPerWorker caps the chunks of the parallel ranked scan: once
+// chunks have grown to workers*rankedChunkPerWorker candidates they stop
+// doubling, bounding the score computations past the serial stopping
+// point by one such chunk.
 const rankedChunkPerWorker = 32
 
 // scanRanked consumes candidates sorted by descending upper bound,
@@ -182,10 +183,17 @@ const rankedChunkPerWorker = 32
 // (candidates whose bound equals the minimum are still scored — they can
 // displace an equal-score entry with a larger vertex ID, and skipping
 // them would break the canonical tie order). With workers > 1 the scan
-// proceeds in chunks scored concurrently; the chunk tail below the
-// current minimum is trimmed, so at most one chunk of extra score
-// computations happens relative to the serial scan — the answer itself is
-// identical because those extras cannot enter the heap.
+// proceeds in chunks scored concurrently. The first chunk holds exactly
+// r candidates — the serial scan scores at least those before its first
+// termination check, since the heap is not full until then — and each
+// later chunk doubles, up to workers*rankedChunkPerWorker. The chunk tail
+// below the current minimum is trimmed, so the extra score computations
+// relative to the serial scan are bounded by the chunk in flight when the
+// bound fires: fewer than the serial count plus r, and fewer than
+// workers*rankedChunkPerWorker once chunks stop growing. A query the
+// serial scan settles after r scores (paper Example 3) costs exactly r at
+// every worker count. The answer itself is identical because those
+// extras cannot enter the heap.
 func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScore func() func(v int32) int) (*topRHeap, int, error) {
 	if workers <= 1 {
 		heap := newTopRHeap(r)
@@ -205,14 +213,14 @@ func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScor
 	}
 	heap := newTopRHeap(r)
 	scored := 0
-	chunk := workers * rankedChunkPerWorker
+	chunk, maxChunk := max(r, 1), max(r, workers*rankedChunkPerWorker)
 	// One scorer per worker, reused across every chunk (scratch state like
 	// the TSD visit marks is built once, not once per round).
 	scorers := make([]func(v int32) int, workers)
 	for i := range scorers {
 		scorers[i] = newScore()
 	}
-	for lo := 0; lo < len(cands); lo += chunk {
+	for lo := 0; lo < len(cands); lo, chunk = lo+chunk, min(2*chunk, maxChunk) {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}

@@ -3,69 +3,23 @@ package core
 import "trussdiv/internal/graph"
 
 // In-place repair of the per-k ranking tables after an edit batch. The
-// rankings (hybrid truss rankings and the per-measure rankings) are global
-// orderings, but every entry is a per-vertex score computed from that
-// vertex's ego-network alone — so an edit batch can only move the vertices
-// in AffectedVertices. Patching removes those vertices from each ranking,
-// re-scores them against the repaired index (or the edited graph), and
-// merges them back in canonical order. The result is byte-identical to a
-// fresh BuildHybrid/BuildMeasureRankings over the edited graph at a cost
-// proportional to copying the tables plus re-scoring the affected set,
-// instead of re-scoring every vertex.
-
-// PatchHybrid derives the hybrid per-k rankings for the edited graph from
-// the previous snapshot's rankings: only the affected vertices (sorted,
-// from AffectedVertices) are re-scored against the repaired GCT index idx,
-// which must already describe the edited graph. old stays fully usable
-// (copy-on-write, like the index UpdateOnto repairs).
-func PatchHybrid(old *Hybrid, idx *GCTIndex, affected []int32) *Hybrid {
-	g := idx.Graph()
-	// The meaningful k range can shrink or grow only through affected
-	// vertices, but recomputing it exactly costs one cheap pass over the
-	// supernode tops — the same pass BuildHybrid makes.
-	maxK := int32(2)
-	for v := int32(0); int(v) < g.N(); v++ {
-		taus, _ := idx.Supernodes(v)
-		if len(taus) > 0 && taus[0] > maxK {
-			maxK = taus[0]
-		}
-	}
-	h := &Hybrid{
-		g:      g,
-		scorer: NewScorer(g),
-		perK:   make([][]VertexScore, maxK+1),
-		maxK:   maxK,
-	}
-	aff := make(map[int32]bool, len(affected))
-	for _, v := range affected {
-		aff[v] = true
-	}
-	for k := int32(2); k <= maxK; k++ {
-		var oldList []VertexScore
-		if int(k) < len(old.perK) {
-			oldList = old.perK[k]
-		}
-		fresh := make([]VertexScore, 0, len(affected))
-		for _, v := range affected {
-			if s := idx.Score(v, k); s > 0 {
-				fresh = append(fresh, VertexScore{V: v, Score: s})
-			}
-		}
-		sortAnswer(fresh)
-		// BuildHybrid always allocates (possibly empty, never nil) lists,
-		// so the merge does too — patched rankings must round-trip through
-		// the store identically to built ones.
-		h.perK[k] = mergeRanked(oldList, fresh, aff)
-	}
-	return h
-}
+// rankings are global orderings, but every entry is a per-vertex score
+// computed from that vertex's ego-network alone — so an edit batch can
+// only move the vertices in AffectedVertices. Patching removes those
+// vertices from each ranking, re-scores them against the edited graph,
+// and merges them back in canonical order. The result is byte-identical
+// to a fresh BuildAll over the edited graph at a cost proportional to
+// copying the tables plus re-scoring the affected set, instead of
+// re-scoring every vertex.
 
 // PatchMeasureRankings derives measure m's per-k rankings for the edited
 // graph g from the previous snapshot's rankings, re-scoring only the
-// affected vertices (one ego decomposition each). The output matches
-// BuildMeasureRankings(g, m) exactly: zero scores omitted, perK[k] in
-// canonical order, nil for entries below k=2 and for empty lists, and the
-// table trimmed to the true maximum k.
+// affected vertices (sorted, from AffectedVertices; one ego decomposition
+// each). It is the ranking patcher of every measure, the hybrid engine's
+// truss table included. The output matches BuildAll's table for m over g
+// exactly: zero scores omitted, perK[k] in canonical order, nil for
+// entries below k=2 and for empty lists, and the table trimmed to the
+// true maximum k. old stays fully usable (copy-on-write).
 func PatchMeasureRankings(g *graph.Graph, m Measure, old [][]VertexScore, affected []int32) [][]VertexScore {
 	aff := make(map[int32]bool, len(affected))
 	freshScores := make(map[int32][]int, len(affected))
@@ -97,8 +51,8 @@ func PatchMeasureRankings(g *graph.Graph, m Measure, old [][]VertexScore, affect
 			}
 		}
 		sortAnswer(fresh)
-		// BuildMeasureRankings leaves empty lists nil; mirror that so
-		// patched tables are indistinguishable from built ones.
+		// BuildAll leaves empty lists nil; mirror that so patched tables
+		// are indistinguishable from built ones.
 		if merged := mergeRanked(oldList, fresh, aff); len(merged) > 0 {
 			perK[k] = merged
 		}

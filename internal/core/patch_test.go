@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
+// TestPatchHybridMatchesRebuild: the hybrid engine's table is the truss
+// row of the per-measure rankings, patched like every other row. The
+// patched table must equal a fresh build over the edited graph and agree
+// with the incrementally repaired GCT index score for score (Lemma 3).
 func TestPatchHybridMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomGraph(t, 30, 140, seed+700)
 		idx := BuildGCTIndex(g)
-		old := BuildHybrid(idx)
-		oldCopy := make([][]VertexScore, len(old.perK))
-		for k := range old.perK {
-			oldCopy[k] = append([]VertexScore(nil), old.perK[k]...)
+		old := buildRanked(g, MeasureTruss).Rankings()
+		oldCopy := make([][]VertexScore, len(old))
+		for k := range old {
+			oldCopy[k] = append([]VertexScore(nil), old[k]...)
 		}
 
 		ins, del := randomEdits(t, g, 4, 4, seed+701)
@@ -23,19 +27,30 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 		newIdx, _ := idx.UpdateOnto(newG, ins, del)
 		affected := AffectedVertices(g, newG, ins, del)
 
-		patched := PatchHybrid(old, newIdx, affected)
-		fresh := BuildHybrid(newIdx)
-		if patched.maxK != fresh.maxK {
-			t.Fatalf("seed %d: patched maxK %d, fresh %d", seed, patched.maxK, fresh.maxK)
-		}
-		if !reflect.DeepEqual(patched.perK, fresh.perK) {
+		patched := PatchMeasureRankings(newG, MeasureTruss, old, affected)
+		fresh := buildRanked(newG, MeasureTruss).Rankings()
+		if !reflect.DeepEqual(patched, fresh) {
 			t.Fatalf("seed %d: patched hybrid rankings diverge from rebuild\npatched: %v\nfresh:   %v",
-				seed, patched.perK, fresh.perK)
+				seed, patched, fresh)
+		}
+		for k := int32(2); int(k) < len(patched)+1; k++ {
+			dense := make([]int, newG.N())
+			if int(k) < len(patched) {
+				for _, e := range patched[k] {
+					dense[e.V] = e.Score
+				}
+			}
+			for v := int32(0); int(v) < newG.N(); v++ {
+				if got, want := dense[v], newIdx.Score(v, k); got != want {
+					t.Fatalf("seed %d: patched score(%d, %d) = %d, repaired GCT index says %d",
+						seed, v, k, got, want)
+				}
+			}
 		}
 		// Copy-on-write contract: the previous snapshot's rankings survive.
 		for k := range oldCopy {
-			if !reflect.DeepEqual(old.perK[k], oldCopy[k]) {
-				t.Fatalf("seed %d k=%d: PatchHybrid mutated the old rankings", seed, k)
+			if !reflect.DeepEqual(old[k], oldCopy[k]) {
+				t.Fatalf("seed %d k=%d: the patch mutated the old rankings", seed, k)
 			}
 		}
 	}
@@ -43,21 +58,20 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 
 func TestPatchHybridNoAffected(t *testing.T) {
 	g := randomGraph(t, 20, 80, 31)
-	idx := BuildGCTIndex(g)
-	old := BuildHybrid(idx)
-	patched := PatchHybrid(old, idx, nil)
-	if !reflect.DeepEqual(patched.perK, old.perK) {
+	old := buildRanked(g, MeasureTruss).Rankings()
+	patched := PatchMeasureRankings(g, MeasureTruss, old, nil)
+	if !reflect.DeepEqual(patched, old) {
 		t.Fatal("empty affected set must reproduce the rankings unchanged")
 	}
 }
 
 func TestPatchMeasureRankingsMatchesRebuild(t *testing.T) {
-	// Truss rankings live in Hybrid (PatchHybrid above); the measure
-	// ranking tables cover the other two measures.
+	// The truss row is pinned against the GCT index above; the other two
+	// measures' tables patch through the same function.
 	for _, m := range []Measure{MeasureComponent, MeasureCore} {
 		for seed := int64(0); seed < 5; seed++ {
 			g := randomGraph(t, 28, 130, seed+800)
-			old := BuildMeasureRankings(g, m)
+			old := buildRanked(g, m).Rankings()
 			oldCopy := make([][]VertexScore, len(old))
 			for k := range old {
 				oldCopy[k] = append([]VertexScore(nil), old[k]...)
@@ -71,7 +85,7 @@ func TestPatchMeasureRankingsMatchesRebuild(t *testing.T) {
 			affected := AffectedVertices(g, newG, ins, del)
 
 			patched := PatchMeasureRankings(newG, m, old, affected)
-			fresh := BuildMeasureRankings(newG, m)
+			fresh := buildRanked(newG, m).Rankings()
 			if !reflect.DeepEqual(patched, fresh) {
 				t.Fatalf("measure %q seed %d: patched rankings diverge from rebuild\npatched: %v\nfresh:   %v",
 					m, seed, patched, fresh)

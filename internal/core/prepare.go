@@ -11,14 +11,15 @@ import (
 )
 
 // Single-pass multi-structure construction. Every accelerator this
-// package builds — the TSD forests, the GCT supernode structures, the
-// hybrid per-k truss rankings, and the per-measure rankings — starts
-// from the same two per-vertex steps: extract the ego-network and
-// decompose it. Building the structures one at a time repeats those
-// steps once per structure; BuildAll walks each vertex exactly once and
-// feeds the shared extraction (and, for the truss-derived structures,
-// the shared decomposition) to every requested consumer, so preparing N
-// structures pays for one extraction pass instead of N.
+// package builds — the TSD forests, the GCT supernode structures, and the
+// per-measure per-k rankings — starts from the same two per-vertex
+// steps: extract the ego-network and decompose it. Building the
+// structures one at a time repeats those steps once per structure;
+// BuildAll walks each vertex exactly once and feeds the shared
+// extraction (and, for the truss-derived structures, the shared
+// decomposition) to every requested consumer, so preparing N structures
+// pays for one extraction pass instead of N. It is the only builder of
+// the ranking tables.
 
 // BuildTargets selects which structures one BuildAll pass produces.
 type BuildTargets struct {
@@ -26,24 +27,24 @@ type BuildTargets struct {
 	TSD bool
 	// GCT requests the compressed supernode structures (BuildGCTIndex).
 	GCT bool
-	// TrussRanks requests the hybrid engine's per-k truss rankings,
-	// byte-identical to BuildHybrid(BuildGCTIndex(g)).Rankings(): by
-	// Lemma 3, the supernode/superedge count N_k - M_k a GCT index scores
-	// with equals the k-truss component count read straight off the shared
-	// decomposition.
-	TrussRanks bool
-	// Measures requests per-k rankings for the named non-truss measures,
-	// byte-identical to BuildMeasureRankings. MeasureTruss entries are
-	// ignored (truss rankings are TrussRanks).
+	// Measures requests the per-k ranking table of each named measure.
+	// The truss table is read straight off the shared decomposition: by
+	// Lemma 3 the supernode/superedge count N_k - M_k a GCT index scores
+	// with equals the k-truss component count, so it is exactly the
+	// hybrid engine's table.
 	Measures []Measure
 }
 
 // BuildProducts carries the structures one BuildAll pass produced;
 // fields for unrequested targets stay zero.
 type BuildProducts struct {
-	TSD          *TSDIndex
-	GCT          *GCTIndex
-	TrussRanks   [][]VertexScore // feed NewHybridFromRankings
+	TSD *TSDIndex
+	GCT *GCTIndex
+	// MeasureRanks holds each requested measure's per-k rankings (feed
+	// NewRanked): perK[k] sorted by score descending then vertex
+	// ascending, zero scores omitted, nil for empty lists and for k < 2,
+	// the table trimmed to the largest k any vertex scores at (minimum
+	// length 3).
 	MeasureRanks map[Measure][][]VertexScore
 }
 
@@ -73,13 +74,12 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 	if t.GCT {
 		gct = &GCTIndex{g: g, verts: make([]gctVertex, n)}
 	}
-	var trussVec [][]int32 // per-vertex all-k truss score vectors
-	if t.TrussRanks {
-		trussVec = make([][]int32, n)
-	}
-	var compVec, coreVec [][]int32
+	// Per-vertex all-k score vectors of each requested measure.
+	var trussVec, compVec, coreVec [][]int32
 	for _, m := range t.Measures {
 		switch m.Normalize() {
+		case MeasureTruss:
+			trussVec = make([][]int32, n)
 		case MeasureComponent:
 			compVec = make([][]int32, n)
 		case MeasureCore:
@@ -150,17 +150,16 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 
 	p.TSD = tsd
 	p.GCT = gct
-	if trussVec != nil {
-		p.TrussRanks = assembleTrussRanks(trussVec, n)
-	}
-	if compVec != nil || coreVec != nil {
-		p.MeasureRanks = make(map[Measure][][]VertexScore, 2)
-		if compVec != nil {
-			p.MeasureRanks[MeasureComponent] = assembleMeasureRanks(compVec, n)
+	for m, vecs := range map[Measure][][]int32{
+		MeasureTruss: trussVec, MeasureComponent: compVec, MeasureCore: coreVec,
+	} {
+		if vecs == nil {
+			continue
 		}
-		if coreVec != nil {
-			p.MeasureRanks[MeasureCore] = assembleMeasureRanks(coreVec, n)
+		if p.MeasureRanks == nil {
+			p.MeasureRanks = make(map[Measure][][]VertexScore, len(t.Measures))
 		}
+		p.MeasureRanks[m] = assembleMeasureRanks(vecs, n)
 	}
 	return p
 }
@@ -178,38 +177,10 @@ func copyAllK(allk []int) []int32 {
 	return out
 }
 
-// assembleTrussRanks shapes the per-vertex truss vectors into the hybrid
-// engine's per-k rankings, matching BuildHybrid byte for byte: perK[k]
-// non-nil for every k in [2, maxK] (even when empty), entries in
-// canonical order, maxK clamped to at least 2.
-func assembleTrussRanks(vecs [][]int32, n int) [][]VertexScore {
-	maxK := 2
-	for _, vec := range vecs {
-		if top := len(vec) - 1; top > maxK {
-			maxK = top
-		}
-	}
-	perK := make([][]VertexScore, maxK+1)
-	for k := 2; k <= maxK; k++ {
-		perK[k] = make([]VertexScore, 0)
-	}
-	for v := int32(0); int(v) < n; v++ {
-		vec := vecs[v]
-		for k := 2; k < len(vec); k++ {
-			if s := vec[k]; s > 0 {
-				perK[k] = append(perK[k], VertexScore{V: v, Score: int(s)})
-			}
-		}
-	}
-	for k := 2; k <= maxK; k++ {
-		sortAnswer(perK[k])
-	}
-	return perK
-}
-
 // assembleMeasureRanks shapes the per-vertex measure vectors into per-k
-// rankings, matching BuildMeasureRankings byte for byte: minimum table
-// length 3, empty entries nil, canonical order per k.
+// rankings: minimum table length 3, empty entries nil, canonical order
+// per k. Each vector ends at its vertex's largest scoring k, so the table
+// ends at the largest k any vertex scores at.
 func assembleMeasureRanks(vecs [][]int32, n int) [][]VertexScore {
 	perK := make([][]VertexScore, 3)
 	for v := int32(0); int(v) < n; v++ {

@@ -9,12 +9,39 @@ import (
 	"trussdiv/internal/testutil"
 )
 
+// referenceRankings builds a per-k ranking table the slow way — every
+// vertex scored at every k through score, until a k nobody scores at —
+// in BuildAll's shape: zero scores omitted, canonical order, empty lists
+// nil, minimum length 3.
+func referenceRankings(n int, score func(v, k int32) int) [][]VertexScore {
+	perK := make([][]VertexScore, 3)
+	for k := int32(2); ; k++ {
+		var list []VertexScore
+		for v := int32(0); int(v) < n; v++ {
+			if s := score(v, k); s > 0 {
+				list = append(list, VertexScore{V: v, Score: s})
+			}
+		}
+		if len(list) == 0 {
+			return perK
+		}
+		sortAnswer(list)
+		if int(k) < len(perK) {
+			perK[k] = list
+		} else {
+			perK = append(perK, list)
+		}
+	}
+}
+
 // TestBuildAllMatchesDedicatedBuilders pins the single-pass driver's
 // contract: every product of one BuildAll pass is deep-equal to the
 // structure the dedicated builder produces, across worker counts. The
-// truss rankings in particular must match BuildHybrid (scored through a
-// GCT index via Lemma 3) even though BuildAll reads the component counts
-// straight off the shared decomposition.
+// truss rankings in particular must match the scores a GCT index reads
+// via Lemma 3 (the hybrid engine's original derivation) even though
+// BuildAll reads the component counts straight off the shared
+// decomposition; the other measures' tables must match their naive
+// baseline models.
 func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 	rng := testutil.Rand(t, 777)
 	graphs := []conformanceGraph{
@@ -27,18 +54,17 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 		{"empty", gen.ErdosRenyiGNM(30, 0, 1)},
 	}
 	targets := BuildTargets{
-		TSD:        true,
-		GCT:        true,
-		TrussRanks: true,
-		Measures:   []Measure{MeasureComponent, MeasureCore},
+		TSD:      true,
+		GCT:      true,
+		Measures: AllMeasures(),
 	}
 	for _, tc := range graphs {
 		g := tc.g
 		wantTSD := BuildTSDIndex(g)
 		wantGCT := BuildGCTIndex(g)
-		wantHybrid := BuildHybrid(wantGCT).Rankings()
-		wantComp := BuildMeasureRankings(g, MeasureComponent)
-		wantCore := BuildMeasureRankings(g, MeasureCore)
+		wantHybrid := referenceRankings(g.N(), wantGCT.Score)
+		wantComp := referenceRankings(g.N(), baselineModel(g, MeasureComponent).Score)
+		wantCore := referenceRankings(g.N(), baselineModel(g, MeasureCore).Score)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			p := BuildAll(g, targets, workers)
 			if !reflect.DeepEqual(p.TSD, wantTSD) {
@@ -47,16 +73,16 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 			if !reflect.DeepEqual(p.GCT, wantGCT) {
 				t.Fatalf("%s/w=%d: BuildAll GCT index diverges from BuildGCTIndex", tc.name, workers)
 			}
-			if !reflect.DeepEqual(p.TrussRanks, wantHybrid) {
-				t.Fatalf("%s/w=%d: BuildAll truss rankings diverge from BuildHybrid\n got %v\nwant %v",
-					tc.name, workers, p.TrussRanks, wantHybrid)
+			if !reflect.DeepEqual(p.MeasureRanks[MeasureTruss], wantHybrid) {
+				t.Fatalf("%s/w=%d: BuildAll truss rankings diverge from the GCT index scores\n got %v\nwant %v",
+					tc.name, workers, p.MeasureRanks[MeasureTruss], wantHybrid)
 			}
 			if !reflect.DeepEqual(p.MeasureRanks[MeasureComponent], wantComp) {
-				t.Fatalf("%s/w=%d: BuildAll component rankings diverge from BuildMeasureRankings",
+				t.Fatalf("%s/w=%d: BuildAll component rankings diverge from the baseline model",
 					tc.name, workers)
 			}
 			if !reflect.DeepEqual(p.MeasureRanks[MeasureCore], wantCore) {
-				t.Fatalf("%s/w=%d: BuildAll core rankings diverge from BuildMeasureRankings",
+				t.Fatalf("%s/w=%d: BuildAll core rankings diverge from the baseline model",
 					tc.name, workers)
 			}
 		}
@@ -64,11 +90,11 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 
 	// Partial target sets leave the unrequested products zero.
 	g := gen.Fig1Graph()
-	p := BuildAll(g, BuildTargets{TrussRanks: true}, 0)
-	if p.TSD != nil || p.GCT != nil || p.MeasureRanks != nil {
+	p := BuildAll(g, BuildTargets{Measures: []Measure{MeasureTruss}}, 0)
+	if p.TSD != nil || p.GCT != nil || len(p.MeasureRanks) != 1 {
 		t.Fatal("unrequested products were built")
 	}
-	if !reflect.DeepEqual(p.TrussRanks, BuildHybrid(BuildGCTIndex(g)).Rankings()) {
-		t.Fatal("TrussRanks-only BuildAll diverges from BuildHybrid")
+	if !reflect.DeepEqual(p.MeasureRanks[MeasureTruss], referenceRankings(g.N(), BuildGCTIndex(g).Score)) {
+		t.Fatal("truss-only BuildAll diverges from the GCT index scores")
 	}
 }

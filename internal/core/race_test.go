@@ -24,7 +24,7 @@ func TestParallelSearchRace(t *testing.T) {
 		"bound":  NewBound(g),
 		"tsd":    NewTSD(BuildTSDIndex(g)),
 		"gct":    NewGCT(gctIdx),
-		"hybrid": BuildHybrid(gctIdx),
+		"hybrid": buildRanked(g, MeasureTruss),
 	}
 	ctx := context.Background()
 	p := Params{K: 3, R: 10, Workers: 4}

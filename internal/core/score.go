@@ -7,33 +7,63 @@ import (
 	"trussdiv/internal/graph"
 )
 
-// Scorer computes truss-based structural diversity scores and social
-// contexts online (paper Algorithm 2): extract the ego-network, truss-
-// decompose it, drop edges below the threshold, and count the connected
-// components that remain.
+// Scorer is the shared, concurrency-safe scorer of one measure over one
+// graph: for the truss measure it computes structural diversity scores
+// and social contexts online as in paper Algorithm 2 (extract the
+// ego-network, truss-decompose it, drop edges below the threshold, and
+// count the connected components that remain); for the component and
+// core measures it computes the Comp-Div / Core-Div models.
 //
-// A Scorer is safe for concurrent use: calls borrow a per-worker
-// VertexScorer from an internal pool, so steady-state scoring stays
-// allocation-free without giving up the shared-scorer contract. Scan
-// loops that own their workers should hold a VertexScorer directly and
-// skip the pool round-trip.
+// Calls borrow a per-worker VertexScorer from an internal pool, so
+// steady-state scoring stays allocation-free without giving up the
+// shared-scorer contract. Scan loops that own their workers should hold
+// a VertexScorer directly and skip the pool round-trip.
 type Scorer struct {
 	g    *graph.Graph
-	pool sync.Pool // of *VertexScorer with the truss measure
+	m    Measure
+	pool sync.Pool // of *VertexScorer with measure m
 }
 
-// NewScorer returns a Scorer over g.
-func NewScorer(g *graph.Graph) *Scorer {
-	s := &Scorer{g: g}
-	s.pool.New = func() any { return NewVertexScorer(g, MeasureTruss) }
+// NewScorer returns the truss-measure Scorer over g.
+func NewScorer(g *graph.Graph) *Scorer { return NewMeasureScorer(g, MeasureTruss) }
+
+// NewMeasureScorer returns the shared Scorer computing measure m over g.
+func NewMeasureScorer(g *graph.Graph, m Measure) *Scorer {
+	s := &Scorer{g: g, m: m.Normalize()}
+	s.pool.New = func() any { return NewVertexScorer(g, s.m) }
+	return s
+}
+
+// Scorers holds one shared Scorer per measure over one graph — the set a
+// DB snapshot lends to every engine that scores single vertices.
+type Scorers map[Measure]*Scorer
+
+// NewScorers returns a Scorer for every measure over g.
+func NewScorers(g *graph.Graph) Scorers {
+	s := make(Scorers, len(AllMeasures()))
+	for _, m := range AllMeasures() {
+		s[m] = NewMeasureScorer(g, m)
+	}
 	return s
 }
 
 // Graph returns the underlying graph.
 func (s *Scorer) Graph() *graph.Graph { return s.g }
 
-// Score returns score(v) w.r.t. trussness threshold k (paper Def. 3).
-// k must be >= 2.
+// Measure returns the measure this scorer computes.
+func (s *Scorer) Measure() Measure { return s.m }
+
+// Do lends f one pooled VertexScorer for the duration of the call, for
+// callers that chain several scratch-backed calls on one vertex (the
+// slices a VertexScorer returns are only valid until f returns).
+func (s *Scorer) Do(f func(vs *VertexScorer)) {
+	vs := s.pool.Get().(*VertexScorer)
+	f(vs)
+	s.pool.Put(vs)
+}
+
+// Score returns score(v) w.r.t. threshold k (paper Def. 3 for the truss
+// measure). k must be >= 2.
 func (s *Scorer) Score(v int32, k int32) int {
 	vs := s.pool.Get().(*VertexScorer)
 	score := vs.Score(v, k)
@@ -42,8 +72,9 @@ func (s *Scorer) Score(v int32, k int32) int {
 }
 
 // Contexts returns the social contexts SC(v): the vertex sets (global IDs,
-// each sorted) of the maximal connected k-trusses of v's ego-network
-// (paper Def. 2).
+// each sorted) of the measure's contexts in v's ego-network — for the
+// truss measure the maximal connected k-trusses (paper Def. 2). Nil when
+// no context qualifies.
 func (s *Scorer) Contexts(v int32, k int32) [][]int32 {
 	vs := s.pool.Get().(*VertexScorer)
 	out := vs.Contexts(v, k)
@@ -51,7 +82,8 @@ func (s *Scorer) Contexts(v int32, k int32) [][]int32 {
 	return out
 }
 
-// ScoreAndContexts computes both in one ego decomposition.
+// ScoreAndContexts computes both in one truss decomposition of v's
+// ego-network.
 func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
 	vs := s.pool.Get().(*VertexScorer)
 	defer s.pool.Put(vs)

@@ -19,8 +19,8 @@ type Params struct {
 	// vertex of the graph. Out-of-range IDs are an error.
 	Candidates []int32
 	// SkipContexts omits social-context recovery from the Result. For the
-	// Hybrid engine context recovery is the dominant query cost, so
-	// callers that only need the ranking should set it.
+	// rankings-backed engine (Ranked) context recovery is the dominant
+	// query cost, so callers that only need the ranking should set it.
 	SkipContexts bool
 	// SkipStats suppresses the Stats return (the search still runs
 	// identically; the *Stats result is nil).
@@ -31,15 +31,16 @@ type Params struct {
 	// scores its shard into a private top-r heap, and the heaps merge into
 	// one answer; score ties always resolve to the smaller vertex ID, so
 	// the answer is byte-identical for every worker count. The bound and
-	// tsd engines process their pruned candidate order in chunks when
-	// parallel, so their Stats.ScoreComputations may exceed the serial
-	// count by up to one chunk (the answer is still identical).
+	// tsd engines process their pruned candidate order in growing chunks
+	// when parallel (the first holds exactly R candidates), so their
+	// Stats.ScoreComputations may exceed the serial count by up to one
+	// chunk (the answer is still identical).
 	Workers int
 	// Measure selects the structural diversity definition ("" or
 	// MeasureTruss = the paper's truss-based model). The Online and Bound
-	// engines serve every measure; the index engines (TSD, GCT, Hybrid)
-	// serve only the truss measure and fail other values with an
-	// *UnsupportedMeasureError.
+	// engines serve every measure, a Ranked table serves the measure it
+	// was scored under, and the index engines (TSD, GCT) serve only the
+	// truss measure; mismatches fail with an *UnsupportedMeasureError.
 	Measure Measure
 }
 

@@ -10,13 +10,13 @@ import (
 // VertexScorer is the allocation-free per-vertex scoring pipeline: one
 // ego-extraction scratch plus the decomposition scratch of its measure,
 // reused across calls so a steady-state Score costs zero allocations.
-// It computes exactly what the measure's shared scorer (Scorer, or the
-// baseline Comp-Div / Core-Div models) computes — the conformance and
+// It computes exactly what the naive models compute (the truss Algorithm
+// 2, the baseline Comp-Div / Core-Div models) — the conformance and
 // allocation suites pin both.
 //
 // A VertexScorer is NOT safe for concurrent use: each scan worker owns
 // exactly one (see DESIGN.md "Scratch ownership contract"). For a
-// shared, concurrency-safe scorer use NewMeasureScorer, which pools
+// shared, concurrency-safe scorer use a Scorer, which pools
 // VertexScorers per call.
 type VertexScorer struct {
 	g *graph.Graph
@@ -73,11 +73,13 @@ func (s *VertexScorer) Score(v int32, k int32) int {
 }
 
 // Contexts returns the social contexts of v w.r.t. k as global vertex
-// sets: canonical group order (by first member), members ascending —
-// byte-identical to the measure's shared scorer. The returned groups are
+// sets: canonical group order (by first member), members ascending. Nil
+// when no context qualifies — even when the ego-network has edges — the
+// same "no contexts" every index engine reports. The returned groups are
 // freshly allocated (they escape the scratch); the transients are not.
 func (s *VertexScorer) Contexts(v int32, k int32) [][]int32 {
 	net := ego.ExtractOneInto(&s.ego, s.g, v)
+	var local [][]int32
 	switch s.m {
 	case MeasureComponent:
 		return s.compContexts(net, k)
@@ -85,15 +87,17 @@ func (s *VertexScorer) Contexts(v int32, k int32) [][]int32 {
 		if net.G.M() == 0 {
 			return nil
 		}
-		core := s.kc.DecomposeInto(net.G)
-		return net.GlobalSets(s.kc.Components(net.G, core, k))
+		local = s.kc.Components(net.G, s.kc.DecomposeInto(net.G), k)
 	default:
 		if net.G.M() == 0 {
 			return nil
 		}
-		tau := s.tr.DecomposeInto(net.G)
-		return net.GlobalSets(s.tr.Components(net.G, tau, k))
+		local = s.tr.Components(net.G, s.tr.DecomposeInto(net.G), k)
 	}
+	if len(local) == 0 {
+		return nil
+	}
+	return net.GlobalSets(local)
 }
 
 // compContexts is the component measure's contexts: the size->=k
@@ -115,6 +119,9 @@ func (s *VertexScorer) compContexts(net *ego.Network, k int32) [][]int32 {
 			s.cc.qidx[lbl] = -1
 		}
 	}
+	if nq == 0 {
+		return nil
+	}
 	flat := make([]int32, 0, total)
 	out := make([][]int32, 0, nq)
 	for lbl, sz := range s.cc.sizes[:count] {
@@ -133,9 +140,9 @@ func (s *VertexScorer) compContexts(net *ego.Network, k int32) [][]int32 {
 }
 
 // ScoresAllK computes score(v, k) for every k >= 2 from one ego
-// decomposition, like the package-level ScoresAllK but over recycled
-// storage: the returned slice is owned by s and valid only until the
-// next call. nil when no threshold scores.
+// decomposition: the returned slice is indexed by k (length maxK+1,
+// entries 0 and 1 unused), owned by s, and valid only until the next
+// call. nil when the ego-network has no edges or no threshold scores.
 func (s *VertexScorer) ScoresAllK(v int32) []int {
 	net := ego.ExtractOneInto(&s.ego, s.g, v)
 	if net.G.M() == 0 {

@@ -10,62 +10,10 @@ import (
 	"trussdiv/internal/graph"
 )
 
-// Decompose returns core[v] = the core number of every vertex of g.
+// Decompose returns core[v] = the core number of every vertex of g: the
+// Scratch peel over a scratch owned by this call.
 func Decompose(g *graph.Graph) []int32 {
-	n := g.N()
-	core := make([]int32, n)
-	if n == 0 {
-		return core
-	}
-	deg := make([]int32, n)
-	maxDeg := int32(0)
-	for v := 0; v < n; v++ {
-		deg[v] = int32(g.Degree(int32(v)))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	// Bin sort vertices by degree.
-	binStart := make([]int32, maxDeg+2)
-	for _, d := range deg {
-		binStart[d]++
-	}
-	start := int32(0)
-	for d := int32(0); d <= maxDeg; d++ {
-		c := binStart[d]
-		binStart[d] = start
-		start += c
-	}
-	binStart[maxDeg+1] = start
-	sorted := make([]int32, n)
-	pos := make([]int32, n)
-	cursor := make([]int32, maxDeg+1)
-	copy(cursor, binStart[:maxDeg+1])
-	for v := int32(0); int(v) < n; v++ {
-		d := deg[v]
-		sorted[cursor[d]] = v
-		pos[v] = cursor[d]
-		cursor[d]++
-	}
-	for i := 0; i < n; i++ {
-		v := sorted[i]
-		core[v] = deg[v]
-		for _, w := range g.Neighbors(v) {
-			if deg[w] <= deg[v] {
-				continue // already peeled or at the current level
-			}
-			d := deg[w]
-			p, q := pos[w], binStart[d]
-			if p != q {
-				other := sorted[q]
-				sorted[p], sorted[q] = other, w
-				pos[w], pos[other] = q, p
-			}
-			binStart[d]++
-			deg[w] = d - 1
-		}
-	}
-	return core
+	return new(Scratch).DecomposeInto(g)
 }
 
 // Components returns the vertex sets of the maximal connected k-cores of

@@ -152,53 +152,3 @@ func TestCoreInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestScratchMatchesAllocatePath pins the reusable-Scratch contract for
-// the core-based measure: one Scratch reused across many graphs matches
-// the allocate-path Decompose/Components/CountComponents exactly.
-func TestScratchMatchesAllocatePath(t *testing.T) {
-	var s Scratch
-	graphs := []*graph.Graph{
-		gen.Fig1Graph(),
-		randGraph(40, 300, 41),
-		randGraph(12, 40, 42),
-		randGraph(60, 500, 43),
-		randGraph(5, 0, 44),
-	}
-	for gi, g := range graphs {
-		wantCore := Decompose(g)
-		gotCore := s.DecomposeInto(g)
-		for v := range wantCore {
-			if gotCore[v] != wantCore[v] {
-				t.Fatalf("graph %d: core[%d] = %d, want %d", gi, v, gotCore[v], wantCore[v])
-			}
-		}
-		maxC := int32(0)
-		for _, c := range wantCore {
-			if c > maxC {
-				maxC = c
-			}
-		}
-		for k := int32(1); k <= maxC+1; k++ {
-			want := new(Scratch).Components(g, wantCore, k)
-			got := s.Components(g, gotCore, k)
-			if len(got) != len(want) {
-				t.Fatalf("graph %d k=%d: %d components, want %d", gi, k, len(got), len(want))
-			}
-			for ci := range want {
-				if len(got[ci]) != len(want[ci]) {
-					t.Fatalf("graph %d k=%d comp %d: size mismatch", gi, k, ci)
-				}
-				for vi := range want[ci] {
-					if got[ci][vi] != want[ci][vi] {
-						t.Fatalf("graph %d k=%d comp %d[%d]: %d want %d",
-							gi, k, ci, vi, got[ci][vi], want[ci][vi])
-					}
-				}
-			}
-			if n := s.CountComponents(g, gotCore, k); n != len(want) {
-				t.Fatalf("graph %d k=%d: CountComponents = %d, want %d", gi, k, n, len(want))
-			}
-		}
-	}
-}

@@ -28,9 +28,10 @@ type Scratch struct {
 	stamp     int32
 }
 
-// DecomposeInto is Decompose over s's recycled storage. The returned
-// core numbers are owned by s and valid only until the next
-// DecomposeInto.
+// DecomposeInto computes the core number of every vertex of g by the
+// bin-sort peel — the package's one peeler, which Decompose also runs —
+// over s's recycled storage. The returned core numbers are owned by s
+// and valid only until the next DecomposeInto.
 func (s *Scratch) DecomposeInto(g *graph.Graph) []int32 {
 	n := g.N()
 	s.core = growI32(s.core, n)

@@ -29,9 +29,9 @@
 //
 // Two execution paths produce identical bytes: a prepared path that
 // reads a precomputed pfree ranking (derived in O(table) from the per-k
-// rankings the hybrid/baseline engines already build, or loaded from the
-// store's pfree slab), and an online fallback that scores one ego
-// network at a time through core.ScoresAllK for cold or small graphs.
+// ranking table of the measure, or loaded from the store's pfree slab),
+// and an online fallback that scores one ego network at a time through
+// core.VertexScorer.ScoresAllK for cold or small graphs.
 package pfree
 
 import (
@@ -42,11 +42,11 @@ import (
 )
 
 // Score aggregates one vertex's per-k score vector (as returned by
-// core.ScoresAllK: indexed by k, entries 0 and 1 unused, nil when the
-// vertex has no contexts at any level) into its parameter-free
-// diversity score. Per level: k == 2 witnesses h = min(s, 2); a level
-// k >= 3 witnesses h = k iff s >= k. The score is the maximum witnessed
-// h over all levels, 0 when none qualifies.
+// core.VertexScorer.ScoresAllK: indexed by k, entries 0 and 1 unused,
+// nil when the vertex has no contexts at any level) into its
+// parameter-free diversity score. Per level: k == 2 witnesses
+// h = min(s, 2); a level k >= 3 witnesses h = k iff s >= k. The score is
+// the maximum witnessed h over all levels, 0 when none qualifies.
 func Score(allK []int) int {
 	best := 0
 	for k := 2; k < len(allK); k++ {
@@ -85,21 +85,24 @@ func Level(allK []int) int32 {
 	return int32(h)
 }
 
-// ScoreAt computes the parameter-free score of one vertex online: one
-// ego-network extraction and one all-k decomposition under measure m.
-func ScoreAt(g *graph.Graph, v int32, m core.Measure) int {
-	return Score(core.ScoresAllK(g, v, m))
+// ScoreAt computes the parameter-free score of one vertex online under
+// s's measure: one ego-network extraction and one all-k decomposition on
+// a pooled scorer.
+func ScoreAt(s *core.Scorer, v int32) (score int) {
+	s.Do(func(vs *core.VertexScorer) { score = Score(vs.ScoresAllK(v)) })
+	return score
 }
 
 // ContextsAt recovers the pfree contexts of one vertex online: the
 // measure's contexts at the discriminating level. Nil when the score
 // is 0.
-func ContextsAt(g *graph.Graph, v int32, m core.Measure) [][]int32 {
-	lvl := Level(core.ScoresAllK(g, v, m))
-	if lvl == 0 {
-		return nil
-	}
-	return core.NewMeasureScorer(g, m).Contexts(v, lvl)
+func ContextsAt(s *core.Scorer, v int32) (contexts [][]int32) {
+	s.Do(func(vs *core.VertexScorer) {
+		if lvl := Level(vs.ScoresAllK(v)); lvl > 0 {
+			contexts = vs.Contexts(v, lvl)
+		}
+	})
+	return contexts
 }
 
 // BuildRanking scores every vertex online and returns the canonical
@@ -121,13 +124,12 @@ func BuildRanking(g *graph.Graph, m core.Measure) []core.VertexScore {
 	return list
 }
 
-// RankingFromPerK derives the pfree ranking from per-k rankings already
-// built for a fixed-k engine (hybrid's truss rankings, or the
-// component/core tables of core.BuildMeasureRankings): perK[k] lists
-// the vertices with s(v, k) > 0 canonically. Because every listed
-// (v, k, s) entry witnesses exactly the per-level h of Score, one
-// O(total entries) sweep replaces a full per-vertex ego pass — the
-// prepared fast path. Byte-identical to BuildRanking on the same graph.
+// RankingFromPerK derives the pfree ranking from the per-k ranking table
+// a fixed-k engine already holds (core.BuildAll's table of the measure,
+// truss included): perK[k] lists the vertices with s(v, k) > 0
+// canonically. Because every listed (v, k, s) entry witnesses exactly
+// the per-level h of Score, one O(total entries) sweep replaces a full
+// per-vertex ego pass — the prepared fast path. Byte-identical to BuildRanking on the same graph.
 func RankingFromPerK(perK [][]core.VertexScore) []core.VertexScore {
 	best := make(map[int32]int)
 	for k := 2; k < len(perK); k++ {
@@ -181,42 +183,35 @@ func PatchRanking(g *graph.Graph, m core.Measure, old []core.VertexScore, affect
 // read; without one it falls back to the online scan. Both paths answer
 // byte-identically. Safe for concurrent use.
 type Searcher struct {
-	g      *graph.Graph
-	m      core.Measure
-	scorer core.DivScorer
+	scorer *core.Scorer
 	ranked []core.VertexScore
 }
 
-// NewSearcher builds a Searcher for measure m. ranked, when non-nil, is
-// a prepared canonical pfree ranking (BuildRanking / RankingFromPerK /
-// a store slab) enabling the O(r) fast path; nil selects the online
-// fallback.
-func NewSearcher(g *graph.Graph, m core.Measure, ranked []core.VertexScore) *Searcher {
-	m = m.Normalize()
-	return &Searcher{g: g, m: m, scorer: core.NewMeasureScorer(g, m), ranked: ranked}
+// NewSearcher builds a Searcher for scorer's measure over scorer's
+// graph; the shared scorer recovers answer contexts. ranked, when
+// non-nil, is a prepared canonical pfree ranking (BuildRanking /
+// RankingFromPerK / a store slab) enabling the O(r) fast path; nil
+// selects the online fallback.
+func NewSearcher(scorer *core.Scorer, ranked []core.VertexScore) *Searcher {
+	return &Searcher{scorer: scorer, ranked: ranked}
 }
 
 // Contexts recovers the pfree contexts of one answer vertex (the
 // measure's contexts at the discriminating level); nil for zero-score
 // vertices. Safe for concurrent calls.
-func (s *Searcher) Contexts(v int32) [][]int32 {
-	lvl := Level(core.ScoresAllK(s.g, v, s.m))
-	if lvl == 0 {
-		return nil
-	}
-	return s.scorer.Contexts(v, lvl)
-}
+func (s *Searcher) Contexts(v int32) [][]int32 { return ContextsAt(s.scorer, v) }
 
 // Search answers the parameter-free top-r query. p.K is ignored — the
 // objective has no threshold; validation of the remaining parameters is
 // identical to the fixed-k engines'.
 func (s *Searcher) Search(ctx context.Context, p core.Params) (*core.Result, *core.Stats, error) {
-	p, err := p.NormalizedNoK(s.g.N())
+	g, sm := s.scorer.Graph(), s.scorer.Measure()
+	p, err := p.NormalizedNoK(g.N())
 	if err != nil {
 		return nil, nil, err
 	}
-	if m := p.Measure.Normalize(); m != s.m {
-		return nil, nil, &core.UnsupportedMeasureError{Engine: "pfree[" + string(s.m) + "]", Measure: m}
+	if m := p.Measure.Normalize(); m != sm {
+		return nil, nil, &core.UnsupportedMeasureError{Engine: "pfree[" + string(sm) + "]", Measure: m}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -225,15 +220,15 @@ func (s *Searcher) Search(ctx context.Context, p core.Params) (*core.Result, *co
 	stats := &core.Stats{}
 	var answer []core.VertexScore
 	if s.ranked != nil {
-		answer, stats.Candidates = core.RankedAnswer(s.ranked, s.g.N(), p)
+		answer, stats.Candidates = core.RankedAnswer(s.ranked, g.N(), p)
 		if !p.SkipContexts {
 			// Context recovery is the only decomposition work on this path.
 			stats.ScoreComputations = len(answer)
 		}
 	} else {
 		var scored int
-		answer, scored, err = core.ScanCanonical(ctx, s.g.N(), p, func() func(v int32) int {
-			vs := core.NewVertexScorer(s.g, s.m) // one scratch per worker
+		answer, scored, err = core.ScanCanonical(ctx, g.N(), p, func() func(v int32) int {
+			vs := core.NewVertexScorer(g, sm) // one scratch per worker
 			return func(v int32) int { return Score(vs.ScoresAllK(v)) }
 		})
 		if err != nil {

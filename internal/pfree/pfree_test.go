@@ -4,7 +4,7 @@ import "testing"
 
 // The aggregation is a pure function of the all-k vector; pin its edge
 // semantics directly. Vectors are indexed by k with entries 0 and 1
-// unused, matching core.ScoresAllK.
+// unused, matching core.VertexScorer.ScoresAllK.
 func TestScoreAndLevel(t *testing.T) {
 	cases := []struct {
 		name  string

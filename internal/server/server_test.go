@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"trussdiv"
 	"trussdiv/internal/gen"
+	"trussdiv/internal/metrics"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -92,6 +94,48 @@ func TestScoreAndContextsEndpoints(t *testing.T) {
 	}
 	if len(body["contexts"].([]any)) != 2 {
 		t.Fatalf("contexts = %v", body["contexts"])
+	}
+}
+
+// TestEmptyContextsAreNullEverywhere pins one wire shape for "no
+// contexts": at k=15 the paper vertex's ego-network has edges but no
+// context qualifies under any measure, and /contexts must answer
+// byte-identically whether the point query runs through the online
+// scorer, the GCT index, or the TSD index, and the same "contexts" value
+// under every measure.
+func TestEmptyContextsAreNullEverywhere(t *testing.T) {
+	g := gen.Fig1Graph()
+	get := func(h http.Handler, url string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", url, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var want []byte
+	for _, engine := range []string{"online", "gct", "tsd"} {
+		db, err := trussdiv.Open(g, trussdiv.WithEngine(engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := (&Server{db: db, metrics: metrics.New()}).Handler()
+		body := get(h, "/contexts?v=0&k=15")
+		if want == nil {
+			want = body
+		} else if string(body) != string(want) {
+			t.Fatalf("engine=%s: /contexts = %s, engine=online answered %s", engine, body, want)
+		}
+		for _, measure := range []string{"truss", "component", "core"} {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(get(h, "/contexts?v=0&k=15&measure="+measure), &fields); err != nil {
+				t.Fatal(err)
+			}
+			if c := string(fields["contexts"]); c != "null" {
+				t.Fatalf("engine=%s measure=%s: contexts = %s, want null", engine, measure, c)
+			}
+		}
 	}
 }
 

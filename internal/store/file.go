@@ -458,12 +458,6 @@ func (f *File) Epoch() (uint64, error) {
 	return binary.LittleEndian.Uint64(payload), nil
 }
 
-// Rankings loads the truss-measure (hybrid) per-k rankings, or
-// (nil, nil) when absent.
-func (f *File) Rankings() ([][]core.VertexScore, error) {
-	return f.MeasureRankings(core.MeasureTruss)
-}
-
 // MeasureRankings loads the per-k rankings of measure m, or (nil, nil)
 // when the file has no rankings section tagged with m. Rankings always
 // materialize on the heap — scores are platform-width — so both modes pay
@@ -515,11 +509,8 @@ func ReadAll(path string, g *graph.Graph) (*Indexes, error) {
 	if ix.GCT, err = f.GCT(); err != nil {
 		return nil, err
 	}
-	if ix.Rankings, err = f.Rankings(); err != nil {
-		return nil, err
-	}
 	for _, m := range core.AllMeasures() {
-		if m == core.MeasureTruss || !f.HasMeasure(SecRankings, m) {
+		if !f.HasMeasure(SecRankings, m) {
 			continue
 		}
 		perK, err := f.MeasureRankings(m)

@@ -285,14 +285,10 @@ type Indexes struct {
 	TSD *core.TSDIndex
 	// GCT is the compressed supernode/superedge index (paper §6).
 	GCT *core.GCTIndex
-	// Rankings are the hybrid engine's per-k vertex rankings under the
-	// truss measure (Rankings[k] is sorted by score descending, vertex
-	// ascending).
-	Rankings [][]core.VertexScore
-	// MeasureRankings are the per-k rankings of the non-truss measures
-	// ("component", "core"), in the same shape as Rankings; each present
-	// measure becomes one measure-tagged rankings section. The truss
-	// rankings stay in Rankings.
+	// MeasureRankings are the per-k vertex rankings of each measure
+	// (perK[k] is sorted by score descending, vertex ascending); each
+	// present measure becomes one measure-tagged rankings section. The
+	// truss-tagged one is the hybrid engine's table.
 	MeasureRankings map[core.Measure][][]core.VertexScore
 	// PFree holds the parameter-free engine's canonical ranking per
 	// measure (all three measures, truss included); each present measure
@@ -335,19 +331,9 @@ func Write(w io.Writer, g *graph.Graph, ix Indexes) (int64, error) {
 	if ix.GCT != nil {
 		secs = append(secs, section{SecGCT, measureCodeTruss, encodeGCTSlab(ix.GCT)})
 	}
-	if ix.Rankings != nil {
-		payload, err := encodeRankingsSlab(ix.Rankings, g.N())
-		if err != nil {
-			return 0, err
-		}
-		secs = append(secs, section{SecRankings, measureCodeTruss, payload})
-	}
-	// Per-measure ranking sections, in fixed measure order so the file
-	// layout is deterministic.
+	// Per-measure ranking sections, in fixed measure order (truss first)
+	// so the file layout is deterministic.
 	for _, m := range core.AllMeasures() {
-		if m == core.MeasureTruss {
-			continue // truss rankings travel in ix.Rankings
-		}
 		perK, ok := ix.MeasureRankings[m]
 		if !ok || perK == nil {
 			continue

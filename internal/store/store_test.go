@@ -33,13 +33,27 @@ func bothModes(t *testing.T, f func(t *testing.T, mode Mode)) {
 // cmd/tsdindex does.
 func buildIndexes(g *graph.Graph) Indexes {
 	tau, sup := truss.DecomposeFull(g, 1)
-	gct := core.BuildGCTIndex(g)
 	return Indexes{
-		Tau:      tau,
-		Sup:      sup,
-		TSD:      core.BuildTSDIndex(g),
-		GCT:      gct,
-		Rankings: core.BuildHybrid(gct).Rankings(),
+		Tau: tau,
+		Sup: sup,
+		TSD: core.BuildTSDIndex(g),
+		GCT: core.BuildGCTIndex(g),
+		MeasureRankings: map[core.Measure][][]core.VertexScore{
+			core.MeasureTruss: rankingsOf(g, core.MeasureTruss),
+		},
+	}
+}
+
+// rankingsOf builds measure m's per-k ranking table over g.
+func rankingsOf(g *graph.Graph, m core.Measure) [][]core.VertexScore {
+	return core.BuildAll(g, core.BuildTargets{Measures: []core.Measure{m}}, 1).MeasureRanks[m]
+}
+
+// addMeasureRankings adds the component and core ranking tables to ix,
+// the way cmd/tsdindex -measures does.
+func addMeasureRankings(g *graph.Graph, ix *Indexes) {
+	for _, m := range []core.Measure{core.MeasureComponent, core.MeasureCore} {
+		ix.MeasureRankings[m] = rankingsOf(g, m)
 	}
 }
 
@@ -110,11 +124,11 @@ func TestRoundTripAllSections(t *testing.T) {
 		if !reflect.DeepEqual(sup, ix.Sup) {
 			t.Errorf("supports changed across the round trip")
 		}
-		rankings, err := f.Rankings()
+		rankings, err := f.MeasureRankings(core.MeasureTruss)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rankings, ix.Rankings) {
+		if !reflect.DeepEqual(rankings, ix.MeasureRankings[core.MeasureTruss]) {
 			t.Errorf("rankings changed across the round trip")
 		}
 		// The index structures have unexported scratch; compare through
@@ -149,7 +163,7 @@ func TestRoundTripAllSections(t *testing.T) {
 	if !reflect.DeepEqual(back.Tau, ix.Tau) || !reflect.DeepEqual(back.Sup, ix.Sup) {
 		t.Errorf("ReadAll lost the truss arrays")
 	}
-	if !reflect.DeepEqual(back.Rankings, ix.Rankings) {
+	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
 		t.Errorf("ReadAll lost the rankings")
 	}
 }
@@ -162,7 +176,7 @@ func TestPartialFileOnlyHasWrittenSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Tau == nil || back.Sup != nil || back.TSD != nil || back.GCT != nil || back.Rankings != nil {
+	if back.Tau == nil || back.Sup != nil || back.TSD != nil || back.GCT != nil || back.MeasureRankings != nil {
 		t.Fatalf("partial file round-tripped to %+v", back)
 	}
 }
@@ -209,10 +223,7 @@ func TestV3OffsetsAligned(t *testing.T) {
 func TestGoldenFormat(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
-	ix.MeasureRankings = map[core.Measure][][]core.VertexScore{
-		core.MeasureComponent: core.BuildMeasureRankings(g, core.MeasureComponent),
-		core.MeasureCore:      core.BuildMeasureRankings(g, core.MeasureCore),
-	}
+	addMeasureRankings(g, &ix)
 	var buf bytes.Buffer
 	if _, err := Write(&buf, g, ix); err != nil {
 		t.Fatal(err)
@@ -245,10 +256,7 @@ func TestGoldenFormat(t *testing.T) {
 func TestGoldenFormatPFree(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
-	ix.MeasureRankings = map[core.Measure][][]core.VertexScore{
-		core.MeasureComponent: core.BuildMeasureRankings(g, core.MeasureComponent),
-		core.MeasureCore:      core.BuildMeasureRankings(g, core.MeasureCore),
-	}
+	addMeasureRankings(g, &ix)
 	ix.PFree = map[core.Measure][]core.VertexScore{}
 	for _, m := range core.AllMeasures() {
 		ix.PFree[m] = pfree.BuildRanking(g, m)
@@ -327,11 +335,11 @@ func TestV1GoldenStillLoads(t *testing.T) {
 	if !reflect.DeepEqual(tau, ix.Tau) {
 		t.Fatal("v1 truss section decodes differently from a fresh build")
 	}
-	rankings, err := f.Rankings()
+	rankings, err := f.MeasureRankings(core.MeasureTruss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rankings, ix.Rankings) {
+	if !reflect.DeepEqual(rankings, ix.MeasureRankings[core.MeasureTruss]) {
 		t.Fatal("v1 rankings section decodes differently from a fresh build")
 	}
 }
@@ -355,10 +363,7 @@ func TestV2GoldenStillLoads(t *testing.T) {
 		t.Fatalf("v2 file served in %v mode; pre-v3 files must decode", f.Mode())
 	}
 	ix := buildIndexes(g)
-	ix.MeasureRankings = map[core.Measure][][]core.VertexScore{
-		core.MeasureComponent: core.BuildMeasureRankings(g, core.MeasureComponent),
-		core.MeasureCore:      core.BuildMeasureRankings(g, core.MeasureCore),
-	}
+	addMeasureRankings(g, &ix)
 	back, err := ReadAll(path, g)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +374,7 @@ func TestV2GoldenStillLoads(t *testing.T) {
 	if back.Sup != nil {
 		t.Fatal("v2 file cannot contain a supports section")
 	}
-	if !reflect.DeepEqual(back.Rankings, ix.Rankings) {
+	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
 		t.Fatal("v2 rankings section decodes differently from a fresh build")
 	}
 	for _, m := range []core.Measure{core.MeasureComponent, core.MeasureCore} {
@@ -391,10 +396,7 @@ func TestV2GoldenStillLoads(t *testing.T) {
 func TestMeasureRankingsRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
-	ix.MeasureRankings = map[core.Measure][][]core.VertexScore{
-		core.MeasureComponent: core.BuildMeasureRankings(g, core.MeasureComponent),
-		core.MeasureCore:      core.BuildMeasureRankings(g, core.MeasureCore),
-	}
+	addMeasureRankings(g, &ix)
 	path := saveTo(t, g, ix)
 	back, err := ReadAll(path, g)
 	if err != nil {
@@ -405,7 +407,7 @@ func TestMeasureRankingsRoundTrip(t *testing.T) {
 			t.Errorf("%s rankings changed across the round trip", m)
 		}
 	}
-	if !reflect.DeepEqual(back.Rankings, ix.Rankings) {
+	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
 		t.Error("truss rankings polluted by measure-tagged sections")
 	}
 	bothModes(t, func(t *testing.T, mode Mode) {
@@ -454,7 +456,7 @@ func TestPFreeRankingRoundTrip(t *testing.T) {
 	if back.PFree[core.MeasureCore] == nil {
 		t.Error("empty pfree ranking decoded to nil; empty must stay distinct from absent")
 	}
-	if !reflect.DeepEqual(back.Rankings, ix.Rankings) {
+	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
 		t.Error("truss rankings polluted by pfree sections")
 	}
 	bothModes(t, func(t *testing.T, mode Mode) {
@@ -598,8 +600,8 @@ func TestMmapMatchesDecode(t *testing.T) {
 	if !bytes.Equal(gctBytes(t, gctM), gctBytes(t, gctD)) {
 		t.Error("GCT differs between modes")
 	}
-	rkM, err1 := mm.Rankings()
-	rkD, err2 := dec.Rankings()
+	rkM, err1 := mm.MeasureRankings(core.MeasureTruss)
+	rkD, err2 := dec.MeasureRankings(core.MeasureTruss)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -908,8 +910,8 @@ func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
 	// Poison one ranking entry with a vertex the graph does not have.
-	ix.Rankings[2] = append([]core.VertexScore(nil), ix.Rankings[2]...)
-	ix.Rankings[2][0].V = int32(g.N() + 100)
+	ix.MeasureRankings[core.MeasureTruss][2] = append([]core.VertexScore(nil), ix.MeasureRankings[core.MeasureTruss][2]...)
+	ix.MeasureRankings[core.MeasureTruss][2][0].V = int32(g.N() + 100)
 	path := saveTo(t, g, ix)
 	bothModes(t, func(t *testing.T, mode Mode) {
 		f, err := OpenFile(path, g, WithMode(mode))
@@ -917,8 +919,8 @@ func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if _, err := f.Rankings(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Rankings() err = %v, want ErrCorrupt", err)
+		if _, err := f.MeasureRankings(core.MeasureTruss); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("MeasureRankings(truss) err = %v, want ErrCorrupt", err)
 		}
 	})
 }

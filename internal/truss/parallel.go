@@ -47,7 +47,7 @@ func DecomposeFull(g *graph.Graph, workers int) (tau, sup []int32) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return decompose(g, append([]int32(nil), sup...)), sup
+		return DecomposeWithSupports(g, sup), sup
 	}
 	h := append([]int32(nil), sup...)
 	hIndexDescent(g, h, nil, nil, workers, 0)

@@ -51,7 +51,9 @@ func (s *Scratch) DecomposeInto(g *graph.Graph) []int32 {
 	return s.peel(g)
 }
 
-// peel is Algorithm 1 over scratch storage. It consumes s.sup.
+// peel is Algorithm 1 over scratch storage — the package's one peeler:
+// edges leave in ascending support order through a bin sort. It consumes
+// s.sup.
 func (s *Scratch) peel(g *graph.Graph) []int32 {
 	m := g.M()
 	s.tau = growI32(s.tau, m)

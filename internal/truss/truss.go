@@ -17,9 +17,11 @@ import (
 
 // Decompose returns tau[e] = trussness of edge e for every edge of g,
 // indexed by edge ID. Trussness values start at 2 (an edge in no triangle
-// has trussness 2).
+// has trussness 2). The supports are seeded by one global triangle pass;
+// the peel is Scratch's, run over a scratch owned by this call.
 func Decompose(g *graph.Graph) []int32 {
-	return decompose(g, g.Supports())
+	s := Scratch{sup: g.Supports()}
+	return s.peel(g)
 }
 
 // DecomposeWithSupports is Decompose for callers that already computed the
@@ -27,83 +29,8 @@ func Decompose(g *graph.Graph) []int32 {
 // copy, so supports can be cached across calls (the incremental repair
 // path keeps them alive between applies).
 func DecomposeWithSupports(g *graph.Graph, sup []int32) []int32 {
-	return decompose(g, append([]int32(nil), sup...))
-}
-
-// decompose peels edges in ascending support order using a bin sort,
-// exactly Algorithm 1 of the paper.
-func decompose(g *graph.Graph, sup []int32) []int32 {
-	m := g.M()
-	tau := make([]int32, m)
-	if m == 0 {
-		return tau
-	}
-	maxSup := int32(0)
-	for _, s := range sup {
-		if s > maxSup {
-			maxSup = s
-		}
-	}
-	// Bin sort edges by support: sorted is ascending by sup, pos[e] is the
-	// index of e in sorted, binStart[s] is the first index of support s.
-	binStart := make([]int32, maxSup+2)
-	for _, s := range sup {
-		binStart[s]++
-	}
-	start := int32(0)
-	for s := int32(0); s <= maxSup; s++ {
-		c := binStart[s]
-		binStart[s] = start
-		start += c
-	}
-	binStart[maxSup+1] = start
-	sorted := make([]int32, m)
-	pos := make([]int32, m)
-	cursor := make([]int32, maxSup+1)
-	copy(cursor, binStart[:maxSup+1])
-	for e := int32(0); int(e) < m; e++ {
-		s := sup[e]
-		sorted[cursor[s]] = e
-		pos[e] = cursor[s]
-		cursor[s]++
-	}
-
-	removed := make([]bool, m)
-	// dec moves edge e one support bin down, unless it is already at the
-	// current peeling floor.
-	dec := func(e, floor int32) {
-		s := sup[e]
-		if s <= floor {
-			return
-		}
-		p, q := pos[e], binStart[s]
-		if p != q {
-			other := sorted[q]
-			sorted[p], sorted[q] = other, e
-			pos[e], pos[other] = q, p
-		}
-		binStart[s]++
-		sup[e] = s - 1
-	}
-
-	k := int32(2)
-	for i := 0; int(i) < m; i++ {
-		e := sorted[i]
-		if sup[e] > k-2 {
-			k = sup[e] + 2
-		}
-		tau[e] = k
-		removed[e] = true
-		ed := g.Edge(e)
-		forEachCommonArc(g, ed.U, ed.V, func(_ int32, euw, evw int32) {
-			if removed[euw] || removed[evw] {
-				return
-			}
-			dec(euw, k-2)
-			dec(evw, k-2)
-		})
-	}
-	return tau
+	s := Scratch{sup: append([]int32(nil), sup...)}
+	return s.peel(g)
 }
 
 // forEachCommonArc calls fn(w, id(u,w), id(v,w)) for every common neighbor

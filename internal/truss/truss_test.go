@@ -314,50 +314,3 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatal("bitmap decompose of empty should be empty")
 	}
 }
-
-// TestScratchMatchesAllocatePath pins the reusable-Scratch contract: one
-// Scratch reused across many graphs (carrying stale state from larger
-// earlier ones) produces decompositions, component counts, and component
-// groupings identical to the allocate-path package functions.
-func TestScratchMatchesAllocatePath(t *testing.T) {
-	var s Scratch
-	graphs := []*graph.Graph{
-		gen.Fig1Graph(),
-		randomGraph(t, 40, 300, 31),
-		randomGraph(t, 12, 40, 32), // shrink: stale slabs larger than needed
-		randomGraph(t, 60, 500, 33),
-		randomGraph(t, 5, 0, 34), // edgeless
-	}
-	for gi, g := range graphs {
-		wantTau := Decompose(g)
-		gotTau := s.DecomposeInto(g)
-		for id := range wantTau {
-			if gotTau[id] != wantTau[id] {
-				t.Fatalf("graph %d: tau[%d] = %d, want %d", gi, id, gotTau[id], wantTau[id])
-			}
-		}
-		maxK := MaxTrussness(wantTau)
-		for k := int32(2); k <= maxK+1; k++ {
-			// A fresh Scratch per call is the allocate path by definition.
-			want := new(Scratch).Components(g, wantTau, k)
-			got := s.Components(g, gotTau, k)
-			if len(got) != len(want) {
-				t.Fatalf("graph %d k=%d: %d components, want %d", gi, k, len(got), len(want))
-			}
-			for ci := range want {
-				if len(got[ci]) != len(want[ci]) {
-					t.Fatalf("graph %d k=%d comp %d: size mismatch", gi, k, ci)
-				}
-				for vi := range want[ci] {
-					if got[ci][vi] != want[ci][vi] {
-						t.Fatalf("graph %d k=%d comp %d[%d]: %d want %d",
-							gi, k, ci, vi, got[ci][vi], want[ci][vi])
-					}
-				}
-			}
-			if n := s.CountComponents(g, gotTau, k); n != len(want) {
-				t.Fatalf("graph %d k=%d: CountComponents = %d, want %d", gi, k, n, len(want))
-			}
-		}
-	}
-}

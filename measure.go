@@ -153,7 +153,7 @@ func (s *Snapshot) ScorePFree(ctx context.Context, v int32, m Measure) (int, err
 	if err := s.pfreePointErr(ctx, v, &m); err != nil {
 		return 0, err
 	}
-	return pfree.ScoreAt(s.g, v, m), nil
+	return pfree.ScoreAt(s.cache.scorers[m], v), nil
 }
 
 // ContextsPFree returns SC(v) at v's discriminating level under measure
@@ -162,7 +162,7 @@ func (s *Snapshot) ContextsPFree(ctx context.Context, v int32, m Measure) ([][]i
 	if err := s.pfreePointErr(ctx, v, &m); err != nil {
 		return nil, err
 	}
-	return pfree.ContextsAt(s.g, v, m), nil
+	return pfree.ContextsAt(s.cache.scorers[m], v), nil
 }
 
 // pfreePointErr validates a parameter-free point query and normalizes

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,23 +20,30 @@ import (
 // models, while unqualified (truss) queries keep their pre-measure
 // behavior exactly.
 
-// measureReference computes the naive reference answer for measure m:
-// a cold DB's native engine with no rankings prepared, which is the
-// pre-measure baselineEngine scan over baseline.Search.
+// measureReference computes the naive reference answer for measure m
+// straight from the public baseline models (NewCompDiv / NewCoreDiv):
+// every vertex scored and fully sorted under the canonical order (score
+// descending, vertex ascending), contexts read off the model — no DB
+// engine involved.
 func measureReference(t *testing.T, g *trussdiv.Graph, m trussdiv.Measure, k int32, r int) *trussdiv.Result {
 	t.Helper()
-	db, err := trussdiv.Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := "comp"
+	model := trussdiv.NewCompDiv(g)
 	if m == trussdiv.MeasureCore {
-		name = "kcore"
+		model = trussdiv.NewCoreDiv(g)
 	}
-	res, _, err := db.TopR(context.Background(), trussdiv.NewQuery(k, r,
-		trussdiv.ViaEngine(name), trussdiv.WithContexts()))
-	if err != nil {
-		t.Fatal(err)
+	all := make([]trussdiv.VertexScore, g.N())
+	for v := range all {
+		all[v] = trussdiv.VertexScore{V: int32(v), Score: model.Score(int32(v), k)}
+	}
+	// Stable: ties keep ascending vertex order.
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Score > all[j].Score })
+	res := &trussdiv.Result{TopR: all[:min(r, len(all))], Contexts: map[int32][][]int32{}}
+	for _, e := range res.TopR {
+		c := model.Contexts(e.V, k)
+		if len(c) == 0 {
+			c = nil
+		}
+		res.Contexts[e.V] = c
 	}
 	return res
 }

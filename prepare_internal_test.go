@@ -11,8 +11,9 @@ import (
 
 // TestPrepareMultiUsesSharedPass pins the multi-structure Prepare
 // contract: when several ego-derived structures are missing at once,
-// Prepare builds them through one BuildAll sweep — the dedicated
-// per-structure builders are never entered — and the prepared engines
+// Prepare builds them through one BuildAll sweep — the dedicated TSD/GCT
+// builders are never entered and no ranking table takes a pass of its
+// own — and the prepared engines
 // answer byte-identically to a DB prepared one structure at a time.
 func TestPrepareMultiUsesSharedPass(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
@@ -33,13 +34,11 @@ func TestPrepareMultiUsesSharedPass(t *testing.T) {
 		t.Error("multi-name Prepare entered the dedicated GCT builder")
 		return core.BuildGCTIndex(g)
 	}
-	cache.buildHybrid = func(idx *core.GCTIndex) *core.Hybrid {
-		t.Error("multi-name Prepare entered the dedicated hybrid builder")
-		return core.BuildHybrid(idx)
-	}
-	cache.buildMRank = func(g *Graph, m core.Measure) [][]core.VertexScore {
-		t.Errorf("multi-name Prepare entered the dedicated %s rankings builder", m)
-		return core.BuildMeasureRankings(g, m)
+	passes := 0
+	buildAll := cache.buildAllIdx
+	cache.buildAllIdx = func(g *Graph, targets core.BuildTargets) *core.BuildProducts {
+		passes++
+		return buildAll(g, targets)
 	}
 	names := []string{"tsd", "gct", "hybrid", "comp", "kcore", "pfree"}
 	if err := db.Prepare(ctx, names...); err != nil {
@@ -49,6 +48,9 @@ func TestPrepareMultiUsesSharedPass(t *testing.T) {
 	// rankings then derive in O(table), uncounted like any derivation).
 	if cache.builds != 5 {
 		t.Fatalf("builds = %d after multi-name Prepare, want 5", cache.builds)
+	}
+	if passes != 1 {
+		t.Fatalf("multi-name Prepare ran %d BuildAll passes, want 1", passes)
 	}
 
 	// Answers match a DB prepared one name at a time.
@@ -98,9 +100,9 @@ func TestPrepareMultiUsesSharedPass(t *testing.T) {
 }
 
 // TestPrepareSingleKeepsDedicatedBuilder pins the complement: a Prepare
-// that needs only one structure never pays the multi-build driver — the
-// dedicated builder (and its damage-accounting semantics) still owns
-// the singleton case.
+// that needs only one index never pays the multi-build driver — the
+// dedicated TSD/GCT builder (and its damage-accounting semantics) still
+// owns the singleton case.
 func TestPrepareSingleKeepsDedicatedBuilder(t *testing.T) {
 	g := gen.Fig1Graph()
 	ctx := context.Background()

@@ -92,27 +92,33 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		forced: forced,
 	}
 	cache.setEpoch(epoch)
+	// One online searcher per snapshot, recovering contexts through the
+	// snapshot's shared scorers; the ranked engines scan with it while
+	// their tables are cold.
+	online := core.NewOnlineFrom(cache.scorers)
+	ranked := func(m Measure) *rankedEngine {
+		return &rankedEngine{name: rankedEngineName(m), measure: m,
+			coldBuild: m == MeasureTruss, online: online, cache: cache, w: s.w}
+	}
 	for _, reg := range []struct {
 		engine   Engine
 		routable bool
 	}{
-		{newOnlineEngine(g, s.w), true},
+		{&onlineEngine{eng: online, scorer: cache.scorers[MeasureTruss], w: s.w}, true},
 		{newBoundEngine(g, s.w, cache), true},
 		{&tsdEngine{cache: cache, w: s.w}, true},
 		{&gctEngine{cache: cache, w: s.w}, true},
-		{&hybridEngine{cache: cache, w: s.w}, true},
-		// The native measure engines are routable for their own measure
-		// only (they declare it via MeasureLister), so truss queries never
-		// see them — same reachability as when they were non-routable.
-		{&baselineEngine{name: "comp", measure: MeasureComponent,
-			model: NewCompDiv(g), g: g, w: s.w, cache: cache}, true},
-		{&baselineEngine{name: "kcore", measure: MeasureCore,
-			model: NewCoreDiv(g), g: g, w: s.w, cache: cache}, true},
+		// The ranked engines are routable for their own measure only (they
+		// declare it via MeasureLister): hybrid for truss, comp and kcore
+		// for the other two, so truss queries never see comp/kcore.
+		{ranked(MeasureTruss), true},
+		{ranked(MeasureComponent), true},
+		{ranked(MeasureCore), true},
 		// The parameter-free engine serves every measure but only the
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
 		// reachability is unchanged.
-		{&pfreeEngine{g: g, w: s.w, cache: cache}, true},
+		{&pfreeEngine{w: s.w, cache: cache}, true},
 	} {
 		if err := s.reg.add(reg.engine, reg.routable); err != nil {
 			return nil, err
@@ -387,14 +393,14 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 		case "gct":
 			s.cache.gctIndex()
 		case "hybrid":
-			s.cache.hybridEngine()
+			s.cache.rankedTable(MeasureTruss, true)
 		case "comp":
 			// The native measure engines precompute their per-k rankings
 			// (the hybrid strategy generalized), so prepared measures answer
 			// top-r in O(r).
-			s.cache.measureRankings(MeasureComponent, true)
+			s.cache.rankedTable(MeasureComponent, true)
 		case "kcore":
-			s.cache.measureRankings(MeasureCore, true)
+			s.cache.rankedTable(MeasureCore, true)
 		case "pfree":
 			// The parameter-free engine is prepared for every measure it
 			// serves: each pfree ranking derives in O(table) from the per-k
@@ -437,8 +443,9 @@ func (db *DB) Epoch() Epoch { return db.Snapshot().epoch }
 // edit batch (each edit moves trussness by at most one, so the change is
 // confined to a bottleneck-connected region around the edits — see
 // DESIGN.md), falling back to a parallel rebuild when the region exceeds
-// its budget; and the hybrid and per-measure rankings are patched by
-// re-scoring only the vertices in the edits' triangle neighborhoods.
+// its budget; and every per-measure ranking table (hybrid's included) is
+// patched by re-scoring only the vertices in the edits' triangle
+// neighborhoods.
 // ApplyStats on the new snapshot reports which path each structure took,
 // and cost routing prices whichever survivors exist.
 //
@@ -570,13 +577,13 @@ func (s *Snapshot) IndexStats() IndexStats {
 	st := IndexStats{
 		TSDReady:    c.tsd != nil,
 		GCTReady:    c.gct != nil,
-		HybridReady: c.hybrid != nil,
+		HybridReady: c.ranked[MeasureTruss] != nil,
 		TauReady:    c.tau != nil,
 		BuildTime:   c.buildTime,
 		LoadTime:    c.loadTime,
 	}
 	for _, m := range AllMeasures() {
-		if c.mrank[m] != nil {
+		if m != MeasureTruss && c.ranked[m] != nil {
 			st.MeasureRankings = append(st.MeasureRankings, m)
 		}
 	}

@@ -26,9 +26,10 @@
 //
 // A specific engine can be pinned with Open(g, WithEngine("gct")) or
 // fetched by name with db.Engine("tsd"); every engine satisfies the
-// context-aware Engine interface. The direct constructors further down
-// (NewOnline, NewBound, NewTSD, NewGCT, BuildHybrid) remain as deprecated
-// shims over the same internal implementations.
+// context-aware Engine interface. The DB is the only way to search: the
+// pre-DB constructors (NewOnline, NewBound, NewTSD, NewGCT, BuildHybrid)
+// have been removed — README.md's migration table maps each to its
+// replacement.
 //
 // The diversity definition itself is a query axis: WithMeasure selects
 // the paper's truss-based model (the default), the component-based
@@ -93,26 +94,6 @@ type Scorer = core.Scorer
 // NewScorer returns a Scorer over g.
 func NewScorer(g *Graph) *Scorer { return core.NewScorer(g) }
 
-// Online is the compute-everything baseline searcher (Algorithm 3).
-type Online = core.Online
-
-// NewOnline returns an Online searcher over g.
-//
-// Deprecated: use Open(g, WithEngine("online")) — or plain Open(g) for
-// cost routing. The direct constructor remains for one-off searches; its
-// TopR delegates to the same context-aware search the Engine interface
-// uses.
-func NewOnline(g *Graph) *Online { return core.NewOnline(g) }
-
-// Bound is the sparsification + upper-bound searcher (Algorithm 4).
-type Bound = core.Bound
-
-// NewBound returns a Bound searcher over g.
-//
-// Deprecated: use Open(g, WithEngine("bound")) — or plain Open(g) for
-// cost routing.
-func NewBound(g *Graph) *Bound { return core.NewBound(g) }
-
 // TSDIndex is the truss-based structural diversity index (Algorithm 5).
 type TSDIndex = core.TSDIndex
 
@@ -129,16 +110,6 @@ func BuildTSDIndexParallel(g *Graph, workers int) *TSDIndex {
 // binding it to the graph it was built from.
 func ReadTSDIndex(r io.Reader, g *Graph) (*TSDIndex, error) { return core.ReadTSDIndex(r, g) }
 
-// TSD is the TSD-index-based searcher (Algorithm 6 + s̃core pruning).
-type TSD = core.TSD
-
-// NewTSD returns a TSD searcher over a built index.
-//
-// Deprecated: use Open(g, WithTSDIndex(idx), WithEngine("tsd")) — the DB
-// additionally serializes TSD searches, whose scratch space is not safe
-// for concurrent use.
-func NewTSD(idx *TSDIndex) *TSD { return core.NewTSD(idx) }
-
 // GCTIndex is the compressed supernode/superedge index (Algorithms 7-8).
 type GCTIndex = core.GCTIndex
 
@@ -153,24 +124,6 @@ func BuildGCTIndexParallel(g *Graph, workers int) *GCTIndex {
 
 // ReadGCTIndex deserializes a GCT-index previously written with WriteTo.
 func ReadGCTIndex(r io.Reader, g *Graph) (*GCTIndex, error) { return core.ReadGCTIndex(r, g) }
-
-// GCT is the GCT-index-based searcher (score(v) = N_k - M_k, Lemma 3).
-type GCT = core.GCT
-
-// NewGCT returns a GCT searcher over a built index.
-//
-// Deprecated: use Open(g, WithGCTIndex(idx), WithEngine("gct")) — or
-// plain Open(g), which routes to gct whenever its index is ready.
-func NewGCT(idx *GCTIndex) *GCT { return core.NewGCT(idx) }
-
-// Hybrid precomputes per-k rankings but recovers contexts online.
-type Hybrid = core.Hybrid
-
-// BuildHybrid precomputes the per-k rankings from a GCT index.
-//
-// Deprecated: use Open(g, WithGCTIndex(idx), WithEngine("hybrid")); the
-// DB builds the per-k rankings lazily from its cached GCT index.
-func BuildHybrid(idx *GCTIndex) *Hybrid { return core.BuildHybrid(idx) }
 
 // UpdateStats reports the work of an incremental index update.
 type UpdateStats = core.UpdateStats

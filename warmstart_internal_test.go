@@ -60,9 +60,9 @@ func TestWarmOpenNeverBuilds(t *testing.T) {
 		t.Error("warm DB rebuilt the GCT index")
 		return core.BuildGCTIndex(g)
 	}
-	warm.Snapshot().cache.buildHybrid = func(idx *core.GCTIndex) *core.Hybrid {
-		t.Error("warm DB rebuilt the hybrid rankings")
-		return core.BuildHybrid(idx)
+	warm.Snapshot().cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
+		t.Error("warm DB rebuilt a ranking table")
+		return core.BuildAll(g, t2, 0)
 	}
 
 	if err := warm.Prepare(ctx); err != nil {
