@@ -89,5 +89,9 @@ cluster-smoke:
 cover:
 	$(GO) test -cover ./...
 
+# Each fuzz target runs for 15s from its seed corpus: the edge-list loader
+# (internal/graph/testdata/fuzz) and the index-file reader, seeded from the
+# store goldens. `go test -fuzz` takes one target per run.
 fuzz:
-	$(GO) test ./internal/graph -fuzz FuzzLoadEdgeList -fuzztime 30s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s

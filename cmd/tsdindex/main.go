@@ -9,8 +9,7 @@
 // rankings, fingerprinted against the exact graph they were built from;
 // a reader refuses the file for any other graph and rebuilds instead.
 // With -measures the file additionally carries the per-k rankings of the
-// component and core diversity measures (format v2 measure-tagged
-// sections) and the parameter-free pfree rankings of all three measures,
+// component and core diversity measures (measure-tagged sections) and the parameter-free pfree rankings of all three measures,
 // so a warm server answers every measure's top-r — fixed-k and k-less —
 // in O(r).
 //

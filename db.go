@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trussdiv/internal/core"
 	"trussdiv/internal/store"
 )
 
@@ -74,15 +73,17 @@ type StoreMode int
 const (
 	// StoreMmap maps the index file read-only and serves array sections as
 	// zero-copy views out of the page cache — warm starts touch O(1) bytes
-	// per section instead of decoding the file, and N replicas of one graph
-	// share a single physical copy of the index. Requires a format v3 file,
-	// a little-endian host, and OS mmap support; anything else silently
-	// degrades to decoding (StoreStatus.Mode reports what actually
-	// happened).
+	// per section instead of reading the file, and N replicas of one graph
+	// share a single physical copy of the index. Section checksums are left
+	// to an explicit verify pass. Requires a little-endian host and OS mmap
+	// support; anything else silently degrades to StoreDecode
+	// (StoreStatus.Mode reports what actually happened).
 	StoreMmap StoreMode = iota
-	// StoreDecode reads and decodes sections into freshly allocated memory,
-	// the pre-v3 behavior. Use it when the index file lives on storage that
-	// cannot back a long-lived mapping (e.g. some network filesystems).
+	// StoreDecode reads each section from disk into freshly allocated
+	// memory and checks its CRC on every read; the arrays are then parsed
+	// exactly as under StoreMmap. Use it when the index file lives on
+	// storage that cannot back a long-lived mapping (e.g. some network
+	// filesystems).
 	StoreDecode
 )
 
@@ -101,8 +102,8 @@ func WithEngine(name string) Option {
 	return func(c *dbConfig) { c.engine = name }
 }
 
-// WithTSDIndex seeds the DB with an already-built TSD index (e.g. one
-// deserialized with ReadTSDIndex), so the tsd engine is ready at once.
+// WithTSDIndex seeds the DB with an already-built TSD index, so the tsd
+// engine is ready at once.
 // The index must describe the graph being opened: Open validates it
 // structurally and fails with *IndexMismatchError (matching
 // errors.Is(err, ErrIndexMismatch)) when it was built from a different
@@ -527,7 +528,7 @@ type IndexStats struct {
 	TSDBytes, GCTBytes              int64 // 0 until the index is built
 	// MeasureRankings lists the non-truss measures whose per-k rankings
 	// are ready in memory (built by Prepare("comp"/"kcore") or loaded
-	// from a v2 index store).
+	// from the index store).
 	MeasureRankings []Measure
 	// PFreeRankings lists the measures whose parameter-free rankings are
 	// ready in memory (Prepare("pfree"), a derivation on the query path,
@@ -554,8 +555,9 @@ type StoreStatus struct {
 	// "rankings", "epoch", "graph").
 	Warm     bool
 	Sections []string
-	// FormatVersion is the on-disk format version of the warm file (1-3;
-	// 0 when no file is loaded), and Mode is how the file is actually
+	// FormatVersion is the on-disk format version of the warm file (3,
+	// the only one accepted; 0 when no file is loaded), and Mode is how
+	// the file is actually
 	// being read — StoreMmap only when the mapping is live, StoreDecode
 	// when the configured (or fallen-back-to) path decodes sections.
 	FormatVersion uint32
@@ -601,11 +603,3 @@ func (db *DB) SaveIndexes() (string, error) {
 	}
 	return store.PathIn(c.dir), nil
 }
-
-// TSDIndexHandle returns the current snapshot's TSD index, building it if
-// necessary — for callers that persist indexes with WriteTo.
-func (db *DB) TSDIndexHandle() *core.TSDIndex { return db.Snapshot().cache.tsdIndex() }
-
-// GCTIndexHandle returns the current snapshot's GCT index, building it if
-// necessary.
-func (db *DB) GCTIndexHandle() *core.GCTIndex { return db.Snapshot().cache.gctIndex() }

@@ -1,11 +1,11 @@
-// Indexserve: build the TSD and GCT indexes once, persist them to disk,
-// reload, and answer a stream of (k, r) queries through a trussdiv.DB
-// seeded with the reloaded indexes — the "index once, query many"
-// workflow both indexes were designed for (paper §5-§6). Prints the
-// per-query latency of TSD vs GCT (each sharded across a worker pool via
-// WithWorkers), the size of each artifact, where the DB's cost router
-// sends the same queries, and finally answers the whole workload in one
-// DB.Batch pass.
+// Indexserve: build the TSD and GCT indexes once, persist them to an
+// index store, reopen warm, and answer a stream of (k, r) queries through
+// the warm trussdiv.DB — the "index once, query many" workflow both
+// indexes were designed for (paper §5-§6). Prints the size of the index
+// file and the warm DB's store status, the per-query latency of TSD vs
+// GCT (each sharded across a worker pool via WithWorkers), where the DB's
+// cost router sends the same queries, and finally answers the whole
+// workload in one DB.Batch pass.
 //
 // Run with: go run ./examples/indexserve
 package main
@@ -13,10 +13,8 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -37,45 +35,39 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Build and persist both indexes.
+	// Build both indexes and persist them to the store.
+	cold, err := trussdiv.Open(g, trussdiv.WithIndexDir(dir))
+	if err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
-	tsdIdx := trussdiv.BuildTSDIndex(g)
-	fmt.Printf("TSD-index built in %v\n", time.Since(start).Round(time.Millisecond))
+	if err := cold.Prepare(ctx, "tsd", "gct"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("TSD and GCT indexes built in %v\n", time.Since(start).Round(time.Millisecond))
+	path, err := cold.SaveIndexes()
+	if err != nil {
+		log.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("persisted %s (%d bytes)\n", info.Name(), info.Size())
+
+	// Reopen — a fresh process would start here: both index engines are
+	// ready from the store with no rebuild.
 	start = time.Now()
-	gctIdx := trussdiv.BuildGCTIndex(g)
-	fmt.Printf("GCT-index built in %v\n", time.Since(start).Round(time.Millisecond))
-
-	tsdPath := filepath.Join(dir, "graph.tsd")
-	gctPath := filepath.Join(dir, "graph.gct")
-	persist(tsdPath, tsdIdx.WriteTo)
-	persist(gctPath, gctIdx.WriteTo)
-
-	// Reload from disk — a fresh process would start here — and seed a DB
-	// with the recovered indexes: both index engines are ready with no
-	// rebuild.
-	tsdFile, err := os.Open(tsdPath)
+	db, err := trussdiv.Open(g, trussdiv.WithIndexDir(dir))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer tsdFile.Close()
-	tsdLoaded, err := trussdiv.ReadTSDIndex(tsdFile, g)
-	if err != nil {
-		log.Fatal(err)
+	st := db.StoreStatus()
+	if !st.Warm || st.LoadErr != nil {
+		log.Fatalf("reopen was not warm: %+v", st)
 	}
-	gctFile, err := os.Open(gctPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer gctFile.Close()
-	gctLoaded, err := trussdiv.ReadGCTIndex(gctFile, g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := trussdiv.Open(g,
-		trussdiv.WithTSDIndex(tsdLoaded), trussdiv.WithGCTIndex(gctLoaded))
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("warm open in %v: format v%d, %s mode, sections %v\n",
+		time.Since(start).Round(time.Microsecond), st.FormatVersion, st.Mode, st.Sections)
 
 	// Serve a mixed query workload: the same DB answers every (k, r),
 	// each search sharded across the machine's cores.
@@ -135,17 +127,4 @@ func main() {
 		top := batched[i].TopR[0]
 		fmt.Printf("  k=%d r=%-3d -> vertex %d (score %d)\n", q.K, q.R, top.V, top.Score)
 	}
-}
-
-func persist(path string, writeTo func(w io.Writer) (int64, error)) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	n, err := writeTo(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("persisted %s (%d bytes)\n", filepath.Base(path), n)
 }

@@ -30,8 +30,7 @@ type StoreDatasetReport struct {
 	// every index is built from the graph and persisted.
 	ColdStartNS int64 `json:"cold_start_ns"`
 	// WarmStartNS is Open + Prepare against the directory the cold run
-	// populated, forced through the decode path (the pre-v3 behavior, kept
-	// under this name so the series stays comparable across format
+	// populated, forced through decode mode (kept under this name so the series stays comparable across format
 	// versions). Warm numbers are the best of warmRuns attempts so a stray
 	// GC pause in one run does not masquerade as startup cost.
 	WarmStartNS int64 `json:"warm_start_ns"`

@@ -63,9 +63,13 @@ func NewTSDIndexFromFlat(g *graph.Graph, f TSDFlat) (*TSDIndex, error) {
 		return nil, fmt.Errorf("core: tsd flat: table lengths %d/%d/%d for %d vertices",
 			len(f.Mv), len(f.ForestOff), len(f.CumOff), n)
 	}
-	if f.ForestOff[n] != int64(len(f.Forest)) || f.CumOff[n] != int64(len(f.Cum)) {
-		return nil, fmt.Errorf("core: tsd flat: offset totals %d/%d, want %d/%d",
-			f.ForestOff[n], f.CumOff[n], len(f.Forest), len(f.Cum))
+	// Tables that start at 0 and end at their array's length, and that
+	// never decrease or overshoot the array on the way (checked per vertex
+	// below, before each window is sliced), keep every window in range.
+	if f.ForestOff[0] != 0 || f.CumOff[0] != 0 ||
+		f.ForestOff[n] != int64(len(f.Forest)) || f.CumOff[n] != int64(len(f.Cum)) {
+		return nil, fmt.Errorf("core: tsd flat: offsets span [%d,%d]/[%d,%d], want [0,%d]/[0,%d]",
+			f.ForestOff[0], f.ForestOff[n], f.CumOff[0], f.CumOff[n], len(f.Forest), len(f.Cum))
 	}
 	idx := &TSDIndex{
 		g:     g,
@@ -76,8 +80,8 @@ func NewTSDIndexFromFlat(g *graph.Graph, f TSDFlat) (*TSDIndex, error) {
 	for v := 0; v < n; v++ {
 		flo, fhi := f.ForestOff[v], f.ForestOff[v+1]
 		clo, chi := f.CumOff[v], f.CumOff[v+1]
-		if flo > fhi || clo > chi {
-			return nil, fmt.Errorf("core: tsd flat: offsets decrease at vertex %d", v)
+		if flo > fhi || clo > chi || fhi > f.ForestOff[n] || chi > f.CumOff[n] {
+			return nil, fmt.Errorf("core: tsd flat: offsets out of order at vertex %d", v)
 		}
 		// A spanning forest of the ego-network has < deg(v) edges and the
 		// histogram at most deg(v)+1 levels; larger counts mean corruption.
@@ -149,16 +153,20 @@ func (idx *GCTIndex) Flatten() GCTFlat {
 
 // NewGCTIndexFromFlat reconstructs a GCTIndex whose per-vertex slices alias
 // the flat arrays in f, under the same contract as NewTSDIndexFromFlat.
+// Offset tables are validated like NewTSDIndexFromFlat's; the values
+// inside the arrays (supernode member lists, superedge endpoints, the
+// interior member bounds) are not.
 func NewGCTIndexFromFlat(g *graph.Graph, f GCTFlat) (*GCTIndex, error) {
 	n := g.N()
 	if len(f.NodeOff) != n+1 || len(f.BoundOff) != n+1 || len(f.MemberOff) != n+1 || len(f.EdgeOff) != n+1 {
 		return nil, fmt.Errorf("core: gct flat: offset tables sized %d/%d/%d/%d for %d vertices",
 			len(f.NodeOff), len(f.BoundOff), len(f.MemberOff), len(f.EdgeOff), n)
 	}
-	if f.NodeOff[n] != int64(len(f.NodeTau)) || f.BoundOff[n] != int64(len(f.Bounds)) ||
+	if f.NodeOff[0] != 0 || f.BoundOff[0] != 0 || f.MemberOff[0] != 0 || f.EdgeOff[0] != 0 ||
+		f.NodeOff[n] != int64(len(f.NodeTau)) || f.BoundOff[n] != int64(len(f.Bounds)) ||
 		f.MemberOff[n] != int64(len(f.Members)) || f.EdgeOff[n] != int64(len(f.Edges)) ||
 		len(f.EdgeW) != len(f.Edges) {
-		return nil, fmt.Errorf("core: gct flat: offset totals do not match array lengths")
+		return nil, fmt.Errorf("core: gct flat: offset tables do not span their arrays")
 	}
 	idx := &GCTIndex{g: g, verts: make([]gctVertex, n)}
 	for v := 0; v < n; v++ {
@@ -166,8 +174,9 @@ func NewGCTIndexFromFlat(g *graph.Graph, f GCTFlat) (*GCTIndex, error) {
 		blo, bhi := f.BoundOff[v], f.BoundOff[v+1]
 		mlo, mhi := f.MemberOff[v], f.MemberOff[v+1]
 		elo, ehi := f.EdgeOff[v], f.EdgeOff[v+1]
-		if nlo > nhi || blo > bhi || mlo > mhi || elo > ehi {
-			return nil, fmt.Errorf("core: gct flat: offsets decrease at vertex %d", v)
+		if nlo > nhi || blo > bhi || mlo > mhi || elo > ehi ||
+			nhi > f.NodeOff[n] || bhi > f.BoundOff[n] || mhi > f.MemberOff[n] || ehi > f.EdgeOff[n] {
+			return nil, fmt.Errorf("core: gct flat: offsets out of order at vertex %d", v)
 		}
 		nodes := nhi - nlo
 		switch {

@@ -90,6 +90,12 @@ func TestFromCSRValidates(t *testing.T) {
 			}
 		}
 	}
+	// An offset past the adjacency array, decreasing only after the vertex
+	// it overshoots, must be caught before that vertex is read: edge 0-1
+	// plus isolated vertex 2, whose vertex 1 claims one arc too many.
+	if _, err := FromCSR([]int64{0, 1, 3, 2}, []int32{1, 0}, []int32{0, 0}, []Edge{{U: 0, V: 1}}); err == nil {
+		t.Error("offset past the adjacency array accepted")
+	}
 	badAdj := append([]int32(nil), adj...)
 	badAdj[0] = int32(g.N()) + 5
 	if _, err := FromCSR(off, badAdj, eid, edges); err == nil {

@@ -132,8 +132,8 @@ func FromCSR(off []int64, adj, eid []int32, edges []Edge) (*Graph, error) {
 	}
 	for v := 0; v < n; v++ {
 		lo, hi := off[v], off[v+1]
-		if lo > hi {
-			return nil, fmt.Errorf("graph: FromCSR: offsets decrease at vertex %d", v)
+		if lo > hi || hi > off[n] {
+			return nil, fmt.Errorf("graph: FromCSR: offsets out of order at vertex %d", v)
 		}
 		for i := lo; i < hi; i++ {
 			if w := adj[i]; w < 0 || int(w) >= n {

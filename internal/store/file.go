@@ -1,13 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"sync/atomic"
+	"unsafe"
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/graph"
@@ -17,20 +17,20 @@ import (
 type Mode int
 
 const (
-	// ModeMmap (the default) maps the whole file read-only once and serves
-	// format-v3 sections as zero-copy views into the page cache. Integrity
-	// in this mode is structural: the header, fingerprint, and TOC are fully
-	// validated at open, and each section's layout is validated as it is
-	// parsed, but payload checksums are not recomputed on the warm path —
-	// that would fault every page of the mapping and erase the point of
-	// mmap. Call VerifySections to check every stored CRC on demand. Files
-	// in older formats — and any file on a platform without mmap or with
-	// big-endian byte order — transparently fall back to ModeDecode;
-	// File.Mode reports the mode actually in effect.
+	// ModeMmap (the default) maps the whole file read-only once and slices
+	// each requested section out of the mapping, so the slab views point
+	// straight into the page cache. Integrity in this mode is structural:
+	// the header, fingerprint, and TOC are validated at open, and each
+	// section's layout is validated as it is parsed, but payload checksums
+	// are not recomputed on the warm path — that would fault every page of
+	// the mapping and erase the point of mmap. Call VerifySections to check
+	// every stored CRC on demand. On a platform without mmap or with
+	// big-endian byte order the handle falls back to ModeDecode; File.Mode
+	// reports the mode actually in effect.
 	ModeMmap Mode = iota
-	// ModeDecode reads each requested section from disk, verifies its CRC,
-	// and decodes it into fresh heap memory, holding no mapping and no
-	// descriptor between calls.
+	// ModeDecode reads each requested section from disk into a fresh
+	// 8-byte-aligned buffer and verifies its CRC, holding no mapping and no
+	// descriptor between calls. The slab views then point into that buffer.
 	ModeDecode
 )
 
@@ -69,21 +69,20 @@ type tocEntry struct {
 // file, so the File holds no descriptor between calls. Both modes are safe
 // for concurrent use.
 type File struct {
-	path    string
-	g       *graph.Graph
-	version uint32
-	size    int64
-	toc     map[SectionRef]tocEntry
-	data    []byte // the mapping; nil in decode mode
-	refs    atomic.Int64
-	reads   atomic.Int64 // decode-path payload reads, a test tripwire
+	path  string
+	g     *graph.Graph
+	toc   map[SectionRef]tocEntry
+	data  []byte // the mapping; nil in decode mode
+	refs  atomic.Int64
+	reads atomic.Int64 // decode-path payload reads, a test tripwire
 }
 
 // OpenFile validates the file at path against g — magic, format version,
 // graph fingerprint, TOC sanity — and returns a handle whose sections load
 // on demand. A missing file surfaces as fs.ErrNotExist; a file built from
-// a different graph fails with *FingerprintError (ErrStaleIndex). All
-// format versions 1..3 are accepted; see Mode for how payloads are served.
+// a different graph fails with *FingerprintError (ErrStaleIndex), and a
+// file in any format other than Version with *VersionError (ErrVersion).
+// See Mode for how payloads are served.
 //
 // Opening is O(header + TOC) in mmap mode: no payload byte is read or
 // checksummed until a section accessor asks for it, and a section that then
@@ -98,7 +97,7 @@ func OpenFile(path string, g *graph.Graph, opts ...OpenOption) (*File, error) {
 }
 
 // OpenGraph opens an index file standalone — no pre-loaded graph — by
-// materializing the graph from the file's own CSR section (format v3+) and
+// materializing the graph from the file's own CSR section and
 // verifying the header fingerprint against it. The returned handle serves
 // the graph via Graph() and every other section exactly like OpenFile.
 func OpenGraph(path string, opts ...OpenOption) (*File, error) {
@@ -132,7 +131,7 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 		return nil, &CorruptError{Reason: "truncated header", Err: readErr}
 	}
 	version := binary.LittleEndian.Uint32(hdr[4:8])
-	if version < minVersion || version > Version {
+	if version != Version {
 		return nil, &VersionError{Got: version, Want: Version}
 	}
 	var fp [32]byte
@@ -146,27 +145,19 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 	if count > maxSections {
 		return nil, &CorruptError{Reason: fmt.Sprintf("implausible section count %d", count)}
 	}
-	entrySize := tocEntrySize
-	if version == 1 {
-		entrySize = tocEntrySizeV1
-	}
-	tocBytes := make([]byte, entrySize*int(count))
+	tocBytes := make([]byte, tocEntrySize*int(count))
 	if _, err := io.ReadFull(fd, tocBytes); err != nil {
 		return nil, &CorruptError{Reason: "truncated table of contents", Err: err}
 	}
 	toc := make(map[SectionRef]tocEntry, count)
 	for i := 0; i < int(count); i++ {
-		e := tocBytes[entrySize*i:]
+		e := tocBytes[tocEntrySize*i:]
 		id := Section(binary.LittleEndian.Uint32(e[0:4]))
-		mcode := measureCodeTruss // v1 entries carry no tag: truss by definition
-		if version >= 2 {
-			mcode = binary.LittleEndian.Uint32(e[4:8])
-			e = e[4:] // the remaining fields line up with the v1 layout
-		}
+		mcode := binary.LittleEndian.Uint32(e[4:8])
 		entry := tocEntry{
-			crc:    binary.LittleEndian.Uint32(e[4:8]),
-			offset: binary.LittleEndian.Uint64(e[8:16]),
-			length: binary.LittleEndian.Uint64(e[16:24]),
+			crc:    binary.LittleEndian.Uint32(e[8:12]),
+			offset: binary.LittleEndian.Uint64(e[12:20]),
+			length: binary.LittleEndian.Uint64(e[20:28]),
 		}
 		// Compare without summing: offset+length can wrap in uint64, and a
 		// wrapped sum would wave a huge length through to make([]byte, n).
@@ -176,10 +167,9 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 				Reason: fmt.Sprintf("section extends beyond the file (offset %d, length %d, file %d)",
 					entry.offset, entry.length, st.Size())}
 		}
-		if version >= 3 && entry.offset%8 != 0 {
-			// Alignment is a v3 format invariant; an unaligned offset means
-			// a corrupt TOC, and views built over it would fault on
-			// alignment-sensitive hosts.
+		if entry.offset%8 != 0 {
+			// Alignment is a format invariant; an unaligned offset means a
+			// corrupt TOC, and views built over it would be misaligned.
 			return nil, &CorruptError{Section: id,
 				Reason: fmt.Sprintf("section offset %d not 8-byte aligned", entry.offset)}
 		}
@@ -197,18 +187,17 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 			}
 			toc[ref] = entry
 		default:
-			// Unknown sections within a known version are additions from a
-			// newer writer; skip them rather than failing the whole file.
+			// Unknown sections within the current version are additions
+			// from a newer writer; skip them rather than failing the file.
 		}
 	}
 
-	f := &File{path: path, g: g, version: version, size: st.Size(), toc: toc}
+	f := &File{path: path, g: g, toc: toc}
 	f.refs.Store(1)
 
-	// Map. Only v3 files have mmap-able payloads; older formats and mmap
-	// failures fall back to the decode path silently — the mode is an
-	// optimization, not a contract about file contents.
-	if cfg.mode == ModeMmap && version >= 3 && mmapSupported && hostLittleEndian && st.Size() > 0 {
+	// Map. A mmap failure falls back to the decode path silently — the
+	// mode is an optimization, not a contract about file contents.
+	if cfg.mode == ModeMmap && mmapSupported && hostLittleEndian && st.Size() > 0 {
 		if data, err := mmapFile(fd, st.Size()); err == nil {
 			f.data = data
 		}
@@ -219,7 +208,7 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 		// the trust loop by recomputing the fingerprint over it.
 		gv, err := f.Graph()
 		if err == nil && gv == nil {
-			err = &CorruptError{Section: SecGraph, Reason: "file has no graph section (format v3+ required)"}
+			err = &CorruptError{Section: SecGraph, Reason: "file has no graph section"}
 		}
 		if err == nil && Fingerprint(gv) != fp {
 			err = &CorruptError{Section: SecGraph, Reason: "graph section does not match the header fingerprint"}
@@ -233,15 +222,11 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 	return f, nil
 }
 
-// Version reports the format version the file was written with.
-func (f *File) Version() uint32 { return f.version }
-
 // Path returns the file's location on disk.
 func (f *File) Path() string { return f.path }
 
 // Mode reports how this handle serves sections: ModeMmap only when a
-// mapping is actually live (requested mmap opens of v1/v2 files report
-// ModeDecode).
+// mapping is actually live.
 func (f *File) Mode() Mode {
 	if f.data != nil {
 		return ModeMmap
@@ -283,8 +268,8 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Has reports whether the file contains the truss-measure section s
-// (the v1 notion of presence); use HasMeasure for tagged sections.
+// Has reports whether the file contains the truss-measure section s; use
+// HasMeasure for sections tagged with another measure.
 func (f *File) Has(s Section) bool {
 	return f.HasMeasure(s, core.MeasureTruss)
 }
@@ -297,8 +282,8 @@ func (f *File) HasMeasure(s Section, m core.Measure) bool {
 }
 
 // Sections lists the recognized section instances present in the file:
-// truss sections in canonical order first (the v1 listing), then the
-// tagged sections of the other measures in measure order.
+// truss sections in canonical order first, then the tagged sections of the
+// other measures in measure order.
 func (f *File) Sections() []SectionRef {
 	var out []SectionRef
 	for _, m := range core.AllMeasures() {
@@ -316,8 +301,7 @@ func (f *File) Sections() []SectionRef {
 // (valid while the caller's reference is held, never modify); in decode
 // mode they are a fresh checksummed copy.
 func (f *File) Section(s Section, m core.Measure) ([]byte, error) {
-	payload, _, err := f.payload(s, m)
-	return payload, err
+	return f.payload(s, m)
 }
 
 // VerifySections recomputes every section's CRC against the value stored
@@ -328,61 +312,59 @@ func (f *File) Section(s Section, m core.Measure) ([]byte, error) {
 // too (each section is read back once).
 func (f *File) VerifySections() error {
 	for _, ref := range f.Sections() {
-		entry := f.toc[SectionRef{Section: ref.Section, Measure: ref.Measure.Normalize()}]
-		var payload []byte
-		if f.data != nil {
-			payload = f.data[entry.offset : entry.offset+entry.length]
-		} else {
-			fd, err := os.Open(f.path)
-			if err != nil {
-				return err
-			}
-			payload = make([]byte, entry.length)
-			_, err = fd.ReadAt(payload, int64(entry.offset))
-			fd.Close()
-			if err != nil {
-				return &CorruptError{Section: ref.Section, Reason: "truncated payload", Err: err}
-			}
+		payload, err := f.payload(ref.Section, ref.Measure)
+		if err != nil {
+			return err
 		}
-		if crc := crc32.Checksum(payload, crcTable); crc != entry.crc {
-			return &CorruptError{Section: ref.Section,
-				Reason: fmt.Sprintf("checksum mismatch (file %#x, computed %#x)", entry.crc, crc)}
+		if err := checkCRC(ref.Section, payload, f.toc[ref].crc); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// payload fetches one section's verified bytes; zeroCopy reports that the
-// bytes alias the mapping (little-endian, 8-byte aligned — safe to view in
-// place).
-func (f *File) payload(s Section, m core.Measure) (payload []byte, zeroCopy bool, err error) {
+// payload fetches one section's bytes, or nil when absent. This is the
+// only place the two modes differ: mmap mode slices the mapping and
+// defers the CRC to VerifySections; decode mode reads the one section from
+// disk into a fresh buffer, allocated as []uint64 so it is 8-byte aligned,
+// and checks its CRC. Either way the bytes start 8-byte aligned, so every
+// slab decoder views them in place.
+func (f *File) payload(s Section, m core.Measure) ([]byte, error) {
 	entry, ok := f.toc[SectionRef{Section: s, Measure: m.Normalize()}]
 	if !ok {
-		return nil, false, nil
+		return nil, nil
 	}
 	if f.data != nil {
-		return f.data[entry.offset : entry.offset+entry.length], true, nil
+		return f.data[entry.offset : entry.offset+entry.length], nil
 	}
+	f.reads.Add(1)
+	words := make([]uint64, (entry.length+7)/8)
+	payload := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), entry.length)
 	fd, err := os.Open(f.path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer fd.Close()
-	f.reads.Add(1)
-	payload = make([]byte, entry.length)
 	if _, err := fd.ReadAt(payload, int64(entry.offset)); err != nil {
-		return nil, false, &CorruptError{Section: s, Reason: "truncated payload", Err: err}
+		return nil, &CorruptError{Section: s, Reason: "truncated payload", Err: err}
 	}
-	if crc := crc32.Checksum(payload, crcTable); crc != entry.crc {
-		return nil, false, &CorruptError{Section: s,
-			Reason: fmt.Sprintf("checksum mismatch (file %#x, computed %#x)", entry.crc, crc)}
+	if err := checkCRC(s, payload, entry.crc); err != nil {
+		return nil, err
 	}
-	return payload, false, nil
+	return payload, nil
+}
+
+func checkCRC(s Section, payload []byte, want uint32) error {
+	if crc := crc32.Checksum(payload, crcTable); crc != want {
+		return &CorruptError{Section: s,
+			Reason: fmt.Sprintf("checksum mismatch (file %#x, computed %#x)", want, crc)}
+	}
+	return nil
 }
 
 // edgeArray loads a 4-bytes-per-edge int32 section (tau, supports).
 func (f *File) edgeArray(s Section) ([]int32, error) {
-	payload, zeroCopy, err := f.payload(s, core.MeasureTruss)
+	payload, err := f.payload(s, core.MeasureTruss)
 	if payload == nil || err != nil {
 		return nil, err
 	}
@@ -390,64 +372,49 @@ func (f *File) edgeArray(s Section) ([]int32, error) {
 		return nil, &CorruptError{Section: s,
 			Reason: fmt.Sprintf("%d payload bytes for %d edges", len(payload), f.g.M())}
 	}
-	return i32sFromPayload(payload, zeroCopy), nil
+	return i32Array[int32](&slabR{sec: s, b: payload}, f.g.M()), nil
 }
 
 // Tau loads the global truss decomposition, or (nil, nil) when absent.
 func (f *File) Tau() ([]int32, error) { return f.edgeArray(SecTruss) }
 
-// Sup loads the global edge support array, or (nil, nil) when absent
-// (always absent in v1/v2 files).
+// Sup loads the global edge support array, or (nil, nil) when absent.
 func (f *File) Sup() ([]int32, error) { return f.edgeArray(SecSupports) }
 
 // TSD loads the TSD index bound to the file's graph, or (nil, nil) when
 // absent.
 func (f *File) TSD() (*core.TSDIndex, error) {
-	payload, zeroCopy, err := f.payload(SecTSD, core.MeasureTruss)
+	payload, err := f.payload(SecTSD, core.MeasureTruss)
 	if payload == nil || err != nil {
 		return nil, err
 	}
-	if f.version >= 3 {
-		return decodeTSDSlab(payload, f.g, zeroCopy)
-	}
-	idx, err := core.ReadTSDIndex(bytes.NewReader(payload), f.g)
-	if err != nil {
-		return nil, &CorruptError{Section: SecTSD, Reason: "decode failed", Err: err}
-	}
-	return idx, nil
+	return decodeTSDSlab(payload, f.g)
 }
 
 // GCT loads the GCT index bound to the file's graph, or (nil, nil) when
 // absent.
 func (f *File) GCT() (*core.GCTIndex, error) {
-	payload, zeroCopy, err := f.payload(SecGCT, core.MeasureTruss)
+	payload, err := f.payload(SecGCT, core.MeasureTruss)
 	if payload == nil || err != nil {
 		return nil, err
 	}
-	if f.version >= 3 {
-		return decodeGCTSlab(payload, f.g, zeroCopy)
-	}
-	idx, err := core.ReadGCTIndex(bytes.NewReader(payload), f.g)
-	if err != nil {
-		return nil, &CorruptError{Section: SecGCT, Reason: "decode failed", Err: err}
-	}
-	return idx, nil
+	return decodeGCTSlab(payload, f.g)
 }
 
 // Graph materializes the graph recorded in the file's CSR section, or
-// (nil, nil) when the file predates it. In mmap mode all four arrays are
-// views into the mapping.
+// (nil, nil) when the file has none. All four arrays are views into the
+// section's bytes.
 func (f *File) Graph() (*graph.Graph, error) {
-	payload, zeroCopy, err := f.payload(SecGraph, core.MeasureTruss)
+	payload, err := f.payload(SecGraph, core.MeasureTruss)
 	if payload == nil || err != nil {
 		return nil, err
 	}
-	return decodeGraphSlab(payload, zeroCopy)
+	return decodeGraphSlab(payload)
 }
 
 // Epoch loads the recorded snapshot epoch, or (0, nil) when absent.
 func (f *File) Epoch() (uint64, error) {
-	payload, _, err := f.payload(SecEpoch, core.MeasureTruss)
+	payload, err := f.payload(SecEpoch, core.MeasureTruss)
 	if payload == nil || err != nil {
 		return 0, err
 	}
@@ -461,17 +428,14 @@ func (f *File) Epoch() (uint64, error) {
 // MeasureRankings loads the per-k rankings of measure m, or (nil, nil)
 // when the file has no rankings section tagged with m. Rankings always
 // materialize on the heap — scores are platform-width — so both modes pay
-// one widening pass here; every other array-shaped section stays zero-copy
-// in mmap mode.
+// one widening pass here; every other array-shaped section is served as
+// views.
 func (f *File) MeasureRankings(m core.Measure) ([][]core.VertexScore, error) {
-	payload, _, err := f.payload(SecRankings, m)
+	payload, err := f.payload(SecRankings, m)
 	if payload == nil || err != nil {
 		return nil, err
 	}
-	if f.version >= 3 {
-		return decodeRankingsSlab(payload, f.g.N())
-	}
-	return decodeRankings(payload, f.g.N())
+	return decodeRankingsSlab(payload, f.g.N())
 }
 
 // PFreeRanking loads the parameter-free engine's ranking for measure m,
@@ -480,7 +444,7 @@ func (f *File) MeasureRankings(m core.Measure) ([][]core.VertexScore, error) {
 // scores) with one widening pass; a present-but-empty ranking loads as
 // an empty non-nil slice.
 func (f *File) PFreeRanking(m core.Measure) ([]core.VertexScore, error) {
-	payload, _, err := f.payload(SecPFree, m)
+	payload, err := f.payload(SecPFree, m)
 	if payload == nil || err != nil {
 		return nil, err
 	}

@@ -22,21 +22,21 @@
 // *FingerprintError (errors.Is(err, ErrStaleIndex)) so callers can fall
 // back to a rebuild.
 //
-// Format v3 payloads are flat slabs of fixed-width little-endian arrays
-// (see v3.go): section offsets and every array inside a section are 8-byte
-// aligned, so a reader can syscall.Mmap the file once and serve
-// []int32/[]int64 views straight out of the page cache with zero decode —
-// that is what OpenFile does by default on supported platforms. Format v2
-// tagged every TOC entry with the diversity measure the section belongs to
-// (0 = truss, 1 = component, 2 = core); v3 keeps the tagged TOC and adds
-// the supports and graph sections. v1 and v2 files still load, through the
-// decode path only.
+// Payloads are flat slabs of fixed-width little-endian arrays (see v3.go):
+// section offsets and every array inside a section are 8-byte aligned, so
+// the one slab reader views each array in place. The two read modes differ
+// only in how a section's bytes arrive — sliced from a read-only mapping
+// (the default), or read from disk into a fresh aligned buffer and
+// CRC-checked — never in how they are parsed. Every TOC entry is tagged
+// with the diversity measure its section belongs to (0 = truss,
+// 1 = component, 2 = core).
 //
-// Compatibility policy: the format version is bumped on any layout change;
-// readers accept exactly the versions they know (currently 1 through 3)
-// and reject the rest with *VersionError rather than guessing. Unknown
-// section IDs (or measure tags) inside a known version are skipped, so
-// minor additions do not force a version bump.
+// Compatibility policy: the format version is bumped on any layout change,
+// and the reader accepts exactly the current version, rejecting every
+// other with *VersionError. The file is a cache of derivable data, so an
+// older file costs one rebuild, after which the DB persists it anew.
+// Unknown section IDs (or measure tags) inside the current version are
+// skipped, so minor additions do not force a version bump.
 package store
 
 import (
@@ -55,19 +55,14 @@ import (
 const (
 	// Magic identifies a trussdiv index store file ("TDIX" on disk).
 	Magic = uint32(0x58494454)
-	// Version is the current format version; see the package comment for
-	// the compatibility policy. Version 1 files (no measure tags in the
-	// TOC) and version 2 files (no supports/graph sections, non-slab
-	// payloads) are still read through the decode path.
+	// Version is the format version this package writes and the only one
+	// it reads; see the package comment for the compatibility policy.
 	Version = uint32(3)
-	// minVersion is the oldest format this reader still accepts.
-	minVersion = uint32(1)
 	// FileName is the conventional file name inside an index directory.
 	FileName = "indexes.tdx"
 
-	headerSize     = 44
-	tocEntrySize   = 28 // v2+: {id, measure, crc, offset, length}
-	tocEntrySizeV1 = 24 // v1: {id, crc, offset, length}, measure implied truss
+	headerSize   = 44
+	tocEntrySize = 28 // {id, measure, crc, offset, length}
 	// maxSections bounds the TOC a reader will accept; the format defines
 	// seven section IDs across three measures, so anything much larger is a
 	// corrupt header.
@@ -81,8 +76,7 @@ const (
 	// SecTruss is the global truss decomposition: one int32 trussness per
 	// edge, indexed by edge ID.
 	SecTruss Section = 1
-	// SecTSD is the TSD index: a core stream serialization in v1/v2 files,
-	// a flat slab (v3.go) since v3.
+	// SecTSD is the TSD index as a flat slab (v3.go).
 	SecTSD Section = 2
 	// SecGCT is the GCT index, serialized like SecTSD.
 	SecGCT Section = 3
@@ -94,14 +88,13 @@ const (
 	// numbering of an updated graph instead of restarting at 1.
 	SecEpoch Section = 5
 	// SecSupports is the global edge support array: one int32 per edge,
-	// parallel to SecTruss. Persisting it (since v3) lets a warm-started DB
-	// repair the decomposition incrementally on the first Apply instead of
-	// rebuilding. Readers that predate it skip it as an unknown section.
+	// parallel to SecTruss. Persisting it lets a warm-started DB repair the
+	// decomposition incrementally on the first Apply instead of rebuilding.
 	SecSupports Section = 6
 	// SecGraph is the graph's own CSR arrays (off/adj/eid/edges) as a flat
-	// slab (since v3): replicas can mmap the topology itself instead of
-	// each materializing a heap copy, and OpenGraph can boot from the store
-	// alone.
+	// slab, always written: replicas can mmap the topology itself instead
+	// of each materializing a heap copy, and OpenGraph can boot from the
+	// store alone.
 	SecGraph Section = 7
 	// SecPFree is the parameter-free engine's ranking for one measure (the
 	// measure tag says which, truss included): the canonical pfree score
@@ -111,8 +104,7 @@ const (
 )
 
 // Measure tags on TOC entries, binding a section to the diversity
-// measure it accelerates. Truss is tag 0, so a v1 file's untagged
-// sections are exactly the truss sections a v1 writer meant.
+// measure it accelerates.
 const (
 	measureCodeTruss     = uint32(0)
 	measureCodeComponent = uint32(1)
@@ -153,8 +145,8 @@ type SectionRef struct {
 }
 
 // String names the section instance for error messages and status
-// listings: truss-measure sections keep their bare v1 names ("tsd"),
-// other measures are suffixed ("rankings@component").
+// listings: truss-measure sections keep their bare names ("tsd"), other
+// measures are suffixed ("rankings@component").
 func (r SectionRef) String() string {
 	if r.Measure.Normalize() == core.MeasureTruss {
 		return r.Section.String()
@@ -213,8 +205,8 @@ type VersionError struct {
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("store: index format version %d, this reader supports %d through %d",
-		e.Got, minVersion, e.Want)
+	return fmt.Sprintf("store: index format version %d, this reader supports only version %d",
+		e.Got, e.Want)
 }
 
 // Is makes errors.Is(err, ErrVersion) match.
@@ -278,8 +270,8 @@ func PathIn(dir string) string { return filepath.Join(dir, FileName) }
 type Indexes struct {
 	// Tau is the global truss decomposition, indexed by edge ID.
 	Tau []int32
-	// Sup is the global edge support array, parallel to Tau. Persisted
-	// since v3 so a warm start can repair incrementally.
+	// Sup is the global edge support array, parallel to Tau, persisted so
+	// a warm start can repair incrementally.
 	Sup []int32
 	// TSD is the per-vertex maximum-spanning-forest index (paper §5).
 	TSD *core.TSDIndex
@@ -432,71 +424,4 @@ func Save(path string, g *graph.Graph, ix Indexes) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// --- legacy (v1/v2) payload codecs, still used by the decode read path ---
-
-func encodeInt32s(vs []int32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-	}
-	return out
-}
-
-func decodeInt32s(payload []byte) []int32 {
-	out := make([]int32, len(payload)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return out
-}
-
-// decodeRankings reads the v1/v2 rankings payload: maxK u32, then for each
-// k in [2, maxK] a u32 count followed by count {vertex i32, score i32}
-// pairs in ranking order.
-func decodeRankings(payload []byte, n int) ([][]core.VertexScore, error) {
-	corrupt := func(reason string) error {
-		return &CorruptError{Section: SecRankings, Reason: reason}
-	}
-	if len(payload) < 4 {
-		return nil, corrupt("missing maxK")
-	}
-	pos := 0
-	nextU32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(payload[pos:])
-		pos += 4
-		return v
-	}
-	maxK := int(nextU32())
-	if maxK < 2 || maxK > n+2 {
-		return nil, corrupt(fmt.Sprintf("implausible maxK %d for %d vertices", maxK, n))
-	}
-	perK := make([][]core.VertexScore, maxK+1)
-	for k := 2; k <= maxK; k++ {
-		if pos+4 > len(payload) {
-			return nil, corrupt(fmt.Sprintf("truncated before ranking k=%d", k))
-		}
-		count := int(nextU32())
-		if count > n {
-			return nil, corrupt(fmt.Sprintf("ranking k=%d claims %d entries for %d vertices", k, count, n))
-		}
-		if pos+8*count > len(payload) {
-			return nil, corrupt(fmt.Sprintf("truncated inside ranking k=%d", k))
-		}
-		list := make([]core.VertexScore, count)
-		for i := range list {
-			v := int32(nextU32())
-			score := int32(nextU32())
-			if v < 0 || int(v) >= n {
-				return nil, corrupt(fmt.Sprintf("ranking k=%d entry %d: vertex %d out of range", k, i, v))
-			}
-			list[i] = core.VertexScore{V: v, Score: int(score)}
-		}
-		perK[k] = list
-	}
-	if pos != len(payload) {
-		return nil, corrupt(fmt.Sprintf("%d trailing bytes", len(payload)-pos))
-	}
-	return perK, nil
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/gen"
@@ -72,24 +73,6 @@ func saveTo(t *testing.T, g *graph.Graph, ix Indexes) string {
 	return path
 }
 
-func tsdBytes(t *testing.T, idx *core.TSDIndex) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func gctBytes(t *testing.T, idx *core.GCTIndex) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestRoundTripAllSections(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
@@ -132,19 +115,19 @@ func TestRoundTripAllSections(t *testing.T) {
 			t.Errorf("rankings changed across the round trip")
 		}
 		// The index structures have unexported scratch; compare through
-		// their serialized forms, which cover every searchable field.
+		// their flat forms, which cover every searchable field.
 		tsd, err := f.TSD()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(tsdBytes(t, tsd), tsdBytes(t, ix.TSD)) {
+		if !reflect.DeepEqual(tsd.Flatten(), ix.TSD.Flatten()) {
 			t.Errorf("TSD index changed across the round trip")
 		}
 		gct, err := f.GCT()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(gctBytes(t, gct), gctBytes(t, ix.GCT)) {
+		if !reflect.DeepEqual(gct.Flatten(), ix.GCT.Flatten()) {
 			t.Errorf("GCT index changed across the round trip")
 		}
 		gg, err := f.Graph()
@@ -297,97 +280,39 @@ func TestGoldenFormatPFree(t *testing.T) {
 	}
 }
 
-// TestV1GoldenStillLoads is the backward-compatibility gate: the
-// checked-in golden_fig1.tdx was written by the version-1 writer (before
-// the measure axis existed) and must keep loading — every section
-// interpreted as measure=truss — for as long as minVersion stays 1. It
-// is deliberately never regenerated.
-func TestV1GoldenStillLoads(t *testing.T) {
-	g := testGraph(t)
-	f, err := OpenFile(filepath.Join("testdata", "golden_fig1.tdx"), g)
-	if err != nil {
-		t.Fatalf("v1 golden no longer opens: %v", err)
-	}
-	defer f.Close()
-	if f.Version() != 1 {
-		t.Fatalf("golden_fig1.tdx reports version %d, want 1 (file overwritten?)", f.Version())
-	}
-	if f.Mode() != ModeDecode {
-		t.Fatalf("v1 file served in %v mode; pre-v3 files must decode", f.Mode())
-	}
-	for _, s := range []Section{SecTruss, SecTSD, SecGCT, SecRankings} {
-		if !f.Has(s) {
-			t.Fatalf("v1 golden lost section %v", s)
-		}
-		if !f.HasMeasure(s, core.MeasureTruss) {
-			t.Fatalf("v1 section %v not visible under measure=truss", s)
-		}
-	}
-	if f.HasMeasure(SecRankings, core.MeasureComponent) || f.HasMeasure(SecRankings, core.MeasureCore) {
-		t.Fatal("v1 file claims measure-tagged sections it cannot contain")
-	}
-	// The payloads must decode to exactly what a fresh build produces.
-	ix := buildIndexes(g)
-	tau, err := f.Tau()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tau, ix.Tau) {
-		t.Fatal("v1 truss section decodes differently from a fresh build")
-	}
-	rankings, err := f.MeasureRankings(core.MeasureTruss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rankings, ix.MeasureRankings[core.MeasureTruss]) {
-		t.Fatal("v1 rankings section decodes differently from a fresh build")
-	}
+// TestV1GoldenRejected and TestV2GoldenRejected pin the compatibility
+// policy: the checked-in v1 and v2 goldens (never regenerated) are refused
+// with a typed *VersionError naming their version — through OpenFile in
+// both modes and through OpenGraph — so a DB rebuilds and persists v3 in
+// their place instead of misreading them.
+func TestV1GoldenRejected(t *testing.T) {
+	checkOldGoldenRejected(t, "golden_fig1.tdx", 1)
 }
 
-// TestV2GoldenStillLoads is the same gate for format v2: the checked-in
-// golden_fig1_v2.tdx (measure-tagged TOC, stream-serialized payloads) must
-// keep loading through the decode path. It is deliberately never
-// regenerated.
-func TestV2GoldenStillLoads(t *testing.T) {
+func TestV2GoldenRejected(t *testing.T) {
+	checkOldGoldenRejected(t, "golden_fig1_v2.tdx", 2)
+}
+
+func checkOldGoldenRejected(t *testing.T, file string, version uint32) {
 	g := testGraph(t)
-	path := filepath.Join("testdata", "golden_fig1_v2.tdx")
-	f, err := OpenFile(path, g)
-	if err != nil {
-		t.Fatalf("v2 golden no longer opens: %v", err)
-	}
-	defer f.Close()
-	if f.Version() != 2 {
-		t.Fatalf("golden_fig1_v2.tdx reports version %d, want 2 (file overwritten?)", f.Version())
-	}
-	if f.Mode() != ModeDecode {
-		t.Fatalf("v2 file served in %v mode; pre-v3 files must decode", f.Mode())
-	}
-	ix := buildIndexes(g)
-	addMeasureRankings(g, &ix)
-	back, err := ReadAll(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Tau, ix.Tau) {
-		t.Fatal("v2 truss section decodes differently from a fresh build")
-	}
-	if back.Sup != nil {
-		t.Fatal("v2 file cannot contain a supports section")
-	}
-	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
-		t.Fatal("v2 rankings section decodes differently from a fresh build")
-	}
-	for _, m := range []core.Measure{core.MeasureComponent, core.MeasureCore} {
-		if !reflect.DeepEqual(back.MeasureRankings[m], ix.MeasureRankings[m]) {
-			t.Fatalf("v2 %s rankings decode differently from a fresh build", m)
+	path := filepath.Join("testdata", file)
+	want := &VersionError{Got: version, Want: Version}
+	check := func(what string, f *File, err error) {
+		t.Helper()
+		if f != nil {
+			f.Close()
+		}
+		var ve *VersionError
+		if !errors.As(err, &ve) || *ve != *want || !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: err = %v, want %v", what, err, want)
 		}
 	}
-	if !bytes.Equal(tsdBytes(t, back.TSD), tsdBytes(t, ix.TSD)) {
-		t.Fatal("v2 TSD section decodes differently from a fresh build")
-	}
-	if !bytes.Equal(gctBytes(t, back.GCT), gctBytes(t, ix.GCT)) {
-		t.Fatal("v2 GCT section decodes differently from a fresh build")
-	}
+	bothModes(t, func(t *testing.T, mode Mode) {
+		f, err := OpenFile(path, g, WithMode(mode))
+		check("OpenFile", f, err)
+	})
+	f, err := OpenGraph(path)
+	check("OpenGraph", f, err)
 }
 
 // TestMeasureRankingsRoundTrip exercises the measure-tagged sections:
@@ -543,8 +468,8 @@ func TestPFreeSlabRejectsCorruption(t *testing.T) {
 }
 
 // TestMmapMatchesDecode is the mode-equivalence gate: every section of a
-// fully populated file must deserialize to identical values through the
-// zero-copy mmap views and the classic decode path.
+// fully populated file must deserialize to identical values whether its
+// bytes arrive through the mapping or through a checksummed read.
 func TestMmapMatchesDecode(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
@@ -589,7 +514,7 @@ func TestMmapMatchesDecode(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if !bytes.Equal(tsdBytes(t, tsdM), tsdBytes(t, tsdD)) {
+	if !reflect.DeepEqual(tsdM.Flatten(), tsdD.Flatten()) {
 		t.Error("TSD differs between modes")
 	}
 	gctM, err1 := mm.GCT()
@@ -597,7 +522,7 @@ func TestMmapMatchesDecode(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if !bytes.Equal(gctBytes(t, gctM), gctBytes(t, gctD)) {
+	if !reflect.DeepEqual(gctM.Flatten(), gctD.Flatten()) {
 		t.Error("GCT differs between modes")
 	}
 	rkM, err1 := mm.MeasureRankings(core.MeasureTruss)
@@ -635,6 +560,81 @@ func TestMmapMatchesDecode(t *testing.T) {
 	}
 }
 
+// TestPortableDecoderMatchesViews forces the big-endian copy path on a
+// little-endian host: every slab array must decode to the same values the
+// in-place views hold, in fresh memory rather than over the payload.
+func TestPortableDecoderMatchesViews(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian host: the copy path is the only path")
+	}
+	g := testGraph(t)
+	ix := buildIndexes(g)
+	addMeasureRankings(g, &ix)
+	path := saveTo(t, g, ix)
+
+	type loaded struct {
+		tau      []int32
+		tsd      core.TSDFlat
+		gct      core.GCTFlat
+		csr      [4]any
+		rankings [][]core.VertexScore
+	}
+	load := func(t *testing.T, f *File) loaded {
+		t.Helper()
+		var l loaded
+		var err error
+		if l.tau, err = f.Tau(); err != nil {
+			t.Fatal(err)
+		}
+		tsd, err := f.TSD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gct, err := f.GCT()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gg, err := f.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.rankings, err = f.MeasureRankings(core.MeasureComponent); err != nil {
+			t.Fatal(err)
+		}
+		off, adj, eid, edges := gg.CSR()
+		l.tsd, l.gct, l.csr = tsd.Flatten(), gct.Flatten(), [4]any{off, adj, eid, edges}
+		return l
+	}
+
+	bothModes(t, func(t *testing.T, mode Mode) {
+		f, err := OpenFile(path, g, WithMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		viewed := load(t, f)
+		hostLittleEndian = false
+		defer func() { hostLittleEndian = true }()
+		copied := load(t, f)
+
+		if !reflect.DeepEqual(viewed, copied) {
+			t.Fatal("portable decoder disagrees with the in-place views")
+		}
+		if &copied.tau[0] == &viewed.tau[0] || &copied.tsd.Forest[0] == &viewed.tsd.Forest[0] {
+			t.Fatal("portable decoder returned views, not copies")
+		}
+		if mode == ModeMmap && f.Mode() == ModeMmap {
+			payload, err := f.Section(SecTruss, core.MeasureTruss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if unsafe.Pointer(&viewed.tau[0]) != unsafe.Pointer(&payload[0]) {
+				t.Fatal("mmap tau is not a view of the mapping")
+			}
+		}
+	})
+}
+
 // TestOpenGraph boots from the store alone: no prior graph needed, the
 // CSR section materializes one, and the fingerprint self-check binds the
 // remaining sections to it.
@@ -665,8 +665,24 @@ func TestOpenGraph(t *testing.T) {
 		}
 	})
 
-	// A file without a graph section (v2 and earlier) cannot self-boot.
-	if _, err := OpenGraph(filepath.Join("testdata", "golden_fig1_v2.tdx")); !errors.Is(err, ErrCorrupt) {
+	// A file without a graph section cannot self-boot: retag the graph
+	// section with an ID this reader skips.
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := int(binary.LittleEndian.Uint32(blob[40:44]))
+	for i := 0; i < count; i++ {
+		e := blob[headerSize+tocEntrySize*i:]
+		if Section(binary.LittleEndian.Uint32(e[0:4])) == SecGraph {
+			binary.LittleEndian.PutUint32(e[0:4], 99)
+		}
+	}
+	graphless := filepath.Join(t.TempDir(), FileName)
+	if err := os.WriteFile(graphless, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenGraph(graphless); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenGraph on a graphless file: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // Format v3 section payloads are "slabs": sequences of fixed-width
 // little-endian arrays, each starting on an 8-byte boundary relative to the
-// payload start (the writer places every payload 8-byte aligned in the
-// file, so slab alignment composes with file alignment). A reader that has
-// mmap'd the file can therefore reinterpret each array in place as
-// []int32/[]int64/[]struct-of-int32 with no decode; a portable reader
-// walks the same layout and copies instead.
+// payload start. The writer places every payload 8-byte aligned in the
+// file, and decode mode reads each payload into an 8-byte-aligned buffer,
+// so slab alignment composes with buffer alignment in both read modes and
+// the reader views every array in place as []int32/[]int64/[]struct-of-
+// int32 with no decode.
 //
 // The element types viewed in place are pinned to their on-disk width at
 // compile time; a struct gaining padding or a field would silently corrupt
@@ -30,28 +30,15 @@ const (
 	_ = uint(8 - unsafe.Sizeof(graph.Edge{}))
 )
 
-// hostLittleEndian gates the zero-copy views: on a big-endian host the
-// raw bytes do not match the in-memory representation, so every access
-// falls back to the portable copying decoder.
+// hostLittleEndian gates the in-place views: on a big-endian host the raw
+// bytes do not match the in-memory representation, so every array is
+// decoded into a fresh copy instead.
 var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
 func align8(n int) int { return (n + 7) &^ 7 }
-
-// i32sFromPayload returns a raw int32-array payload (tau, supports) as a
-// zero-copy view when the bytes alias an aligned little-endian mapping, or
-// as a decoded copy otherwise.
-func i32sFromPayload(payload []byte, zeroCopy bool) []int32 {
-	if len(payload) == 0 {
-		return nil
-	}
-	if zeroCopy && hostLittleEndian {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&payload[0])), len(payload)/4)
-	}
-	return decodeInt32s(payload)
-}
 
 // --- slab writer ---
 
@@ -108,22 +95,24 @@ func (s *slabW) edges(vs []graph.Edge) {
 	}
 }
 
-// --- slab reader ---
-
-// slabR walks a slab payload mirroring the writer's layout. With zeroCopy
-// set (mmap'd little-endian data) the array readers return views that alias
-// the payload; otherwise they decode into fresh heap arrays. Errors latch:
-// after the first failure every reader returns nil.
-type slabR struct {
-	sec      Section
-	b        []byte
-	pos      int
-	zeroCopy bool
-	err      error
+// encodeInt32s is the payload of a bare per-edge int32 section (tau,
+// supports).
+func encodeInt32s(vs []int32) []byte {
+	var s slabW
+	s.i32s(vs)
+	return s.buf
 }
 
-func newSlabR(sec Section, payload []byte, zeroCopy bool) *slabR {
-	return &slabR{sec: sec, b: payload, zeroCopy: zeroCopy && hostLittleEndian}
+// --- slab reader ---
+
+// slabR walks a slab payload mirroring the writer's layout; its arrays
+// alias the payload, which must be 8-byte aligned. Errors latch: after the
+// first failure every reader returns nil.
+type slabR struct {
+	sec Section
+	b   []byte
+	pos int
+	err error
 }
 
 func (r *slabR) fail(format string, args ...any) {
@@ -169,90 +158,40 @@ func (r *slabR) count() int {
 	return int(v)
 }
 
-func (r *slabR) i32s(count int) []int32 {
-	w := r.window(count, 4)
-	if w == nil || count == 0 {
+// i32Array reads the next array of count T, where T is int32 or a struct
+// of int32 fields (every record type the slabs hold), as a view of the
+// payload — or, on a big-endian host, of its decoded int32 words.
+func i32Array[T any](r *slabR, count int) []T {
+	w := r.window(count, int(unsafe.Sizeof(*new(T))))
+	if len(w) == 0 {
 		return nil
 	}
-	if r.zeroCopy {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&w[0])), count)
+	p := unsafe.Pointer(&w[0])
+	if !hostLittleEndian {
+		words := make([]int32, len(w)/4)
+		for i := range words {
+			words[i] = int32(binary.LittleEndian.Uint32(w[4*i:]))
+		}
+		p = unsafe.Pointer(&words[0])
 	}
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(w[4*i:]))
-	}
-	return out
+	return unsafe.Slice((*T)(p), count)
 }
 
+// i64s reads the next array of count int64 (the offset tables), viewed in
+// place like i32Array.
 func (r *slabR) i64s(count int) []int64 {
 	w := r.window(count, 8)
-	if w == nil || count == 0 {
+	if len(w) == 0 {
 		return nil
 	}
-	if r.zeroCopy {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&w[0])), count)
-	}
-	out := make([]int64, count)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(w[8*i:]))
-	}
-	return out
-}
-
-func (r *slabR) tsdEdges(count int) []core.TSDEdge {
-	w := r.window(count, 12)
-	if w == nil || count == 0 {
-		return nil
-	}
-	if r.zeroCopy {
-		return unsafe.Slice((*core.TSDEdge)(unsafe.Pointer(&w[0])), count)
-	}
-	out := make([]core.TSDEdge, count)
-	for i := range out {
-		out[i] = core.TSDEdge{
-			U: int32(binary.LittleEndian.Uint32(w[12*i:])),
-			W: int32(binary.LittleEndian.Uint32(w[12*i+4:])),
-			T: int32(binary.LittleEndian.Uint32(w[12*i+8:])),
+	if !hostLittleEndian {
+		out := make([]int64, count)
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(w[8*i:]))
 		}
+		return out
 	}
-	return out
-}
-
-func (r *slabR) gctEdges(count int) []core.GCTSuperEdge {
-	w := r.window(count, 12)
-	if w == nil || count == 0 {
-		return nil
-	}
-	if r.zeroCopy {
-		return unsafe.Slice((*core.GCTSuperEdge)(unsafe.Pointer(&w[0])), count)
-	}
-	out := make([]core.GCTSuperEdge, count)
-	for i := range out {
-		out[i] = core.GCTSuperEdge{
-			A: int32(binary.LittleEndian.Uint32(w[12*i:])),
-			B: int32(binary.LittleEndian.Uint32(w[12*i+4:])),
-			W: int32(binary.LittleEndian.Uint32(w[12*i+8:])),
-		}
-	}
-	return out
-}
-
-func (r *slabR) edges(count int) []graph.Edge {
-	w := r.window(count, 8)
-	if w == nil || count == 0 {
-		return nil
-	}
-	if r.zeroCopy {
-		return unsafe.Slice((*graph.Edge)(unsafe.Pointer(&w[0])), count)
-	}
-	out := make([]graph.Edge, count)
-	for i := range out {
-		out[i] = graph.Edge{
-			U: int32(binary.LittleEndian.Uint32(w[8*i:])),
-			V: int32(binary.LittleEndian.Uint32(w[8*i+4:])),
-		}
-	}
-	return out
+	return unsafe.Slice((*int64)(unsafe.Pointer(&w[0])), count)
 }
 
 // done reports any latched error; trailing bytes beyond the final array
@@ -285,15 +224,15 @@ func encodeTSDSlab(idx *core.TSDIndex) []byte {
 	return s.buf
 }
 
-func decodeTSDSlab(payload []byte, g *graph.Graph, zeroCopy bool) (*core.TSDIndex, error) {
-	r := newSlabR(SecTSD, payload, zeroCopy)
+func decodeTSDSlab(payload []byte, g *graph.Graph) (*core.TSDIndex, error) {
+	r := &slabR{sec: SecTSD, b: payload}
 	n, nForest, nCum := r.count(), r.count(), r.count()
 	var f core.TSDFlat
-	f.Mv = r.i32s(n)
+	f.Mv = i32Array[int32](r, n)
 	f.ForestOff = r.i64s(n + 1)
-	f.Forest = r.tsdEdges(nForest)
+	f.Forest = i32Array[core.TSDEdge](r, nForest)
 	f.CumOff = r.i64s(n + 1)
-	f.Cum = r.i32s(nCum)
+	f.Cum = i32Array[int32](r, nCum)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -328,19 +267,19 @@ func encodeGCTSlab(idx *core.GCTIndex) []byte {
 	return s.buf
 }
 
-func decodeGCTSlab(payload []byte, g *graph.Graph, zeroCopy bool) (*core.GCTIndex, error) {
-	r := newSlabR(SecGCT, payload, zeroCopy)
+func decodeGCTSlab(payload []byte, g *graph.Graph) (*core.GCTIndex, error) {
+	r := &slabR{sec: SecGCT, b: payload}
 	n, nNode, nBound, nMember, nEdge := r.count(), r.count(), r.count(), r.count(), r.count()
 	var f core.GCTFlat
 	f.NodeOff = r.i64s(n + 1)
-	f.NodeTau = r.i32s(nNode)
+	f.NodeTau = i32Array[int32](r, nNode)
 	f.BoundOff = r.i64s(n + 1)
-	f.Bounds = r.i32s(nBound)
+	f.Bounds = i32Array[int32](r, nBound)
 	f.MemberOff = r.i64s(n + 1)
-	f.Members = r.i32s(nMember)
+	f.Members = i32Array[int32](r, nMember)
 	f.EdgeOff = r.i64s(n + 1)
-	f.Edges = r.gctEdges(nEdge)
-	f.EdgeW = r.i32s(nEdge)
+	f.Edges = i32Array[core.GCTSuperEdge](r, nEdge)
+	f.EdgeW = i32Array[int32](r, nEdge)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -354,10 +293,9 @@ func decodeGCTSlab(payload []byte, g *graph.Graph, zeroCopy bool) (*core.GCTInde
 // --- rankings slab: maxK, koff[maxK+2], pairs[2*nPairs] (interleaved
 //     vertex, score) ---
 //
-// Rankings are the one section that cannot be served zero-copy:
+// Rankings are the one section that cannot be served in place:
 // core.VertexScore holds a platform-width score, so both modes widen the
-// int32 pairs into fresh []core.VertexScore — a single branch-free pass,
-// not a per-element decode.
+// viewed int32 pairs into fresh []core.VertexScore in one pass.
 
 func encodeRankingsSlab(perK [][]core.VertexScore, n int) ([]byte, error) {
 	maxK := len(perK) - 1
@@ -391,9 +329,7 @@ func encodeRankingsSlab(perK [][]core.VertexScore, n int) ([]byte, error) {
 }
 
 func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
-	// Zero-copy never applies here (see above), but reading the koff table
-	// and pair array as views avoids an intermediate copy of the slab.
-	r := newSlabR(SecRankings, payload, true)
+	r := &slabR{sec: SecRankings, b: payload}
 	maxK := r.count()
 	if r.err == nil && (maxK < 2 || maxK > n+2) {
 		r.fail("implausible maxK %d for %d vertices", maxK, n)
@@ -406,7 +342,7 @@ func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
 		return nil, r.err
 	}
 	total := koff[maxK+1]
-	pairs := r.i32s(2 * int(total))
+	pairs := i32Array[int32](r, 2*int(total))
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -439,7 +375,7 @@ func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
 // The parameter-free engine's ranking for one measure: the canonical
 // score list (score descending, vertex ascending), zero scores omitted.
 // Like the rankings slab it is widened into []core.VertexScore on read
-// (platform-width scores), so both modes share one branch-free pass.
+// (platform-width scores).
 
 func encodePFreeSlab(ranked []core.VertexScore, n int) ([]byte, error) {
 	if len(ranked) > n {
@@ -457,12 +393,12 @@ func encodePFreeSlab(ranked []core.VertexScore, n int) ([]byte, error) {
 }
 
 func decodePFreeSlab(payload []byte, n int) ([]core.VertexScore, error) {
-	r := newSlabR(SecPFree, payload, true)
+	r := &slabR{sec: SecPFree, b: payload}
 	count := r.count()
 	if r.err == nil && count > n {
 		r.fail("pfree ranking of %d entries for %d vertices", count, n)
 	}
-	pairs := r.i32s(2 * count)
+	pairs := i32Array[int32](r, 2*count)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -495,13 +431,13 @@ func encodeGraphSlab(g *graph.Graph) []byte {
 	return s.buf
 }
 
-func decodeGraphSlab(payload []byte, zeroCopy bool) (*graph.Graph, error) {
-	r := newSlabR(SecGraph, payload, zeroCopy)
+func decodeGraphSlab(payload []byte) (*graph.Graph, error) {
+	r := &slabR{sec: SecGraph, b: payload}
 	n, m := r.count(), r.count()
 	off := r.i64s(n + 1)
-	adj := r.i32s(2 * m)
-	eid := r.i32s(2 * m)
-	edges := r.edges(m)
+	adj := i32Array[int32](r, 2*m)
+	eid := i32Array[int32](r, 2*m)
+	edges := i32Array[graph.Edge](r, m)
 	if err := r.done(); err != nil {
 		return nil, err
 	}

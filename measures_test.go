@@ -3,8 +3,6 @@ package trussdiv_test
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -199,7 +197,7 @@ func TestMeasureEnginePinMismatch(t *testing.T) {
 }
 
 // TestMeasureRankingsStoreRoundTrip: Prepare builds the per-measure
-// rankings, SaveIndexes persists them as v2 measure-tagged sections, and
+// rankings, SaveIndexes persists them as measure-tagged sections, and
 // a fresh DB over the same directory serves the measures from disk
 // without rebuilding anything.
 func TestMeasureRankingsStoreRoundTrip(t *testing.T) {
@@ -267,40 +265,6 @@ func TestMeasureRankingsStoreRoundTrip(t *testing.T) {
 	}
 	if idx.BuildTime != 0 {
 		t.Fatalf("warm DB built for %v; wanted pure loads", idx.BuildTime)
-	}
-}
-
-// TestV1IndexFileStillWarmLoads: a file written by the version-1 store
-// (the checked-in golden) must still warm-start a DB — the acceptance
-// gate for the v2 format bump.
-func TestV1IndexFileStillWarmLoads(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "golden_fig1.tdx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, trussdiv.IndexFileName), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g := trussdiv.PaperExampleGraph()
-	db, err := trussdiv.Open(g, trussdiv.WithIndexDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := db.StoreStatus()
-	if !st.Warm || st.LoadErr != nil {
-		t.Fatalf("v1 file did not warm-load: %+v", st)
-	}
-	ctx := context.Background()
-	if err := db.Prepare(ctx, "tsd", "gct", "hybrid"); err != nil {
-		t.Fatal(err)
-	}
-	idx := db.IndexStats()
-	if idx.BuildTime != 0 {
-		t.Fatalf("v1 warm start built for %v; wanted pure loads", idx.BuildTime)
-	}
-	if _, _, err := db.TopR(ctx, trussdiv.NewQuery(3, 5, trussdiv.ViaEngine("tsd"))); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -618,7 +618,7 @@ func (s *Snapshot) StoreStatus() StoreStatus {
 	st.Mode = StoreDecode
 	if c.file != nil {
 		st.Warm = true
-		st.FormatVersion = c.file.Version()
+		st.FormatVersion = store.Version // the only format OpenFile accepts
 		if c.file.Mode() == store.ModeMmap {
 			st.Mode = StoreMmap
 		}

@@ -106,10 +106,6 @@ func BuildTSDIndexParallel(g *Graph, workers int) *TSDIndex {
 	return core.BuildTSDIndexParallel(g, workers)
 }
 
-// ReadTSDIndex deserializes a TSD-index previously written with WriteTo,
-// binding it to the graph it was built from.
-func ReadTSDIndex(r io.Reader, g *Graph) (*TSDIndex, error) { return core.ReadTSDIndex(r, g) }
-
 // GCTIndex is the compressed supernode/superedge index (Algorithms 7-8).
 type GCTIndex = core.GCTIndex
 
@@ -121,9 +117,6 @@ func BuildGCTIndex(g *Graph) *GCTIndex { return core.BuildGCTIndex(g) }
 func BuildGCTIndexParallel(g *Graph, workers int) *GCTIndex {
 	return core.BuildGCTIndexParallel(g, workers)
 }
-
-// ReadGCTIndex deserializes a GCT-index previously written with WriteTo.
-func ReadGCTIndex(r io.Reader, g *Graph) (*GCTIndex, error) { return core.ReadGCTIndex(r, g) }
 
 // UpdateStats reports the work of an incremental index update.
 type UpdateStats = core.UpdateStats

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,76 @@ func TestWarmOpenNeverBuilds(t *testing.T) {
 	}
 }
 
+// TestOldFormatIndexFileRejectedAndHealed: an index file in a retired
+// format — the never-regenerated v1 and v2 goldens — is rejected with
+// ErrIndexVersion, Prepare builds in its place and persists a v3 file,
+// and the next open is warm, builds nothing, and answers like a cold DB.
+func TestOldFormatIndexFileRejectedAndHealed(t *testing.T) {
+	g := gen.Fig1Graph()
+	ctx := context.Background()
+	engines := []string{"tsd", "gct", "hybrid"}
+	cold, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*Result{}
+	for _, e := range engines {
+		if want[e], _, err = cold.TopR(ctx, NewQuery(3, 5, ViaEngine(e), WithContexts())); err != nil {
+			t.Fatalf("cold %s: %v", e, err)
+		}
+	}
+
+	for _, golden := range []string{"golden_fig1.tdx", "golden_fig1_v2.tdx"} {
+		t.Run(golden, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(store.PathIn(dir), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(g, WithIndexDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := db.StoreStatus(); st.Warm || !errors.Is(st.LoadErr, ErrIndexVersion) {
+				t.Fatalf("old-format store: %+v, want cold with LoadErr matching ErrIndexVersion", st)
+			}
+			if err := db.Prepare(ctx, engines...); err != nil {
+				t.Fatal(err)
+			}
+			if db.Snapshot().cache.builds == 0 {
+				t.Fatal("Prepare over a rejected store built nothing")
+			}
+			if st := db.StoreStatus(); st.SaveErr != nil {
+				t.Fatalf("persist failed: %v", st.SaveErr)
+			}
+
+			warm, err := Open(g, WithIndexDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := warm.StoreStatus()
+			if !st.Warm || st.LoadErr != nil || st.FormatVersion != store.Version {
+				t.Fatalf("reopen: %+v, want warm at format v%d", st, store.Version)
+			}
+			for _, e := range engines {
+				got, _, err := warm.TopR(ctx, NewQuery(3, 5, ViaEngine(e), WithContexts()))
+				if err != nil {
+					t.Fatalf("warm %s: %v", e, err)
+				}
+				if !reflect.DeepEqual(got, want[e]) {
+					t.Fatalf("warm %s answer %+v, cold %+v", e, got, want[e])
+				}
+			}
+			if n := warm.Snapshot().cache.builds; n != 0 {
+				t.Fatalf("healed open built %d times; want 0", n)
+			}
+		})
+	}
+}
+
 // TestWarmOpenDecodeMode pins the WithStoreMode(StoreDecode) escape hatch:
 // the same warm start works with the mapping disabled, reads sections the
 // classic way, and reports the mode it actually used.
@@ -162,7 +233,7 @@ func TestDamagedSectionKeepsSiblings(t *testing.T) {
 	path := store.PathIn(dir)
 
 	// Flip one byte inside the TSD section's payload, located via the TOC
-	// (header: 44 bytes; v2 entries: {id u32, measure u32, crc u32,
+	// (header: 44 bytes; TOC entries: {id u32, measure u32, crc u32,
 	// off u64, len u64}).
 	blob, err := os.ReadFile(path)
 	if err != nil {
