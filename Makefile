@@ -90,8 +90,11 @@ cover:
 	$(GO) test -cover ./...
 
 # Each fuzz target runs for 15s from its seed corpus: the edge-list loader
-# (internal/graph/testdata/fuzz) and the index-file reader, seeded from the
-# store goldens. `go test -fuzz` takes one target per run.
+# (internal/graph/testdata/fuzz), the index-file reader, seeded from the
+# store goldens, and the POST /edges and /batch bodies
+# (internal/server/testdata/fuzz). `go test -fuzz` takes one target per run.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s

@@ -72,13 +72,13 @@ type indexCache struct {
 	// never builds; builds counts the from-scratch constructions. buildTau
 	// returns the supports alongside the decomposition — the incremental
 	// repair consumes them on the next Apply. buildAllIdx is the
-	// single-pass multi-structure driver: every ranking table is built
-	// through it, and Prepare routes through it whenever two or more
-	// ego-derived structures are missing at once.
+	// per-vertex driver (core.BuildAll): every TSD, GCT and ranking-table
+	// build goes through it, one pass per Prepare. patchAllIdx is the same
+	// driver's patch entry (core.PatchAll): Apply repairs every
+	// ego-derived structure in one pass over the affected vertices.
 	buildTau    func(*Graph) (tau, sup []int32)
-	buildTSD    func(*Graph) *core.TSDIndex
-	buildGCT    func(*Graph) *core.GCTIndex
 	buildAllIdx func(*Graph, core.BuildTargets) *core.BuildProducts
+	patchAllIdx func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts
 	builds      int
 }
 
@@ -107,10 +107,11 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 		buildTau: func(g *Graph) ([]int32, []int32) {
 			return truss.DecomposeFull(g, workers)
 		},
-		buildTSD: core.BuildTSDIndex,
-		buildGCT: core.BuildGCTIndex,
 		buildAllIdx: func(g *Graph, t core.BuildTargets) *core.BuildProducts {
 			return core.BuildAll(g, t, workers)
+		},
+		patchAllIdx: func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts {
+			return core.PatchAll(g, old, t, affected, workers)
 		},
 	}
 	if cfg.storeMode == StoreDecode {
@@ -166,24 +167,32 @@ func (c *indexCache) storedEpoch() Epoch {
 // advance derives the next snapshot's cache from this one after an update
 // batch: every index in memory is repaired incrementally against the
 // shared edited graph (copy-on-write, so this cache keeps answering for
-// in-flight readers). The TSD and GCT indexes rebuild only the affected
-// ego-networks; the global truss decomposition is repaired by the bounded
-// region descent of truss.Repair (falling back to invalidation — and a
-// lazy parallel rebuild — when the affected region exceeds its budget or
-// the supports were not retained); every ranking table (truss included)
-// is patched in place by re-scoring only the affected vertices. The
-// repairs run outside the lock (they only read the old, now-immutable
-// structures) so readers of this snapshot never block on an Apply. The
-// index store connection moves to the new cache: its next persist
-// re-derives the fingerprint from the edited graph. This cache stops
-// persisting — a late lazy build on a superseded snapshot must not
-// clobber newer state.
+// in-flight readers). One patch pass over the affected ego-networks
+// re-derives the TSD and GCT entries and every ranking table (truss
+// included) and hands the pfree rankings their fresh all-k vectors; the
+// global truss decomposition is repaired by the bounded region descent
+// of truss.Repair (falling back to invalidation — and a lazy parallel
+// rebuild — when the affected region exceeds its budget or the supports
+// were not retained). The repairs run outside the lock (they only read
+// the old, now-immutable structures) so readers of this snapshot never
+// block on an Apply. The index store connection moves to the new cache:
+// its next persist re-derives the fingerprint from the edited graph.
+// This cache stops persisting — a late lazy build on a superseded
+// snapshot must not clobber newer state.
 func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.UpdateStats) {
 	c.mu.Lock()
 	oldG := c.g
-	tsd, gct := c.tsd, c.gct
 	tau, sup := c.tau, c.sup
-	ranked := maps.Clone(c.ranked)
+	old := &core.BuildProducts{TSD: c.tsd, GCT: c.gct, MeasureRanks: map[Measure][][]core.VertexScore{}}
+	t := core.BuildTargets{TSD: c.tsd != nil, GCT: c.gct != nil}
+	for _, m := range AllMeasures() {
+		if r := c.ranked[m]; r != nil {
+			old.MeasureRanks[m] = r.Rankings()
+		}
+		if c.ranked[m] != nil || c.pfrank[m] != nil {
+			t.Measures = append(t.Measures, m)
+		}
+	}
 	pfrank := maps.Clone(c.pfrank)
 	next := &indexCache{
 		g:           newG,
@@ -191,9 +200,8 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 		dir:         c.dir,
 		mode:        c.mode,
 		buildTau:    c.buildTau,
-		buildTSD:    c.buildTSD,
-		buildGCT:    c.buildGCT,
 		buildAllIdx: c.buildAllIdx,
+		patchAllIdx: c.patchAllIdx,
 	}
 	// The repaired indexes below share every untouched per-vertex slice
 	// with this cache's structures — which may be zero-copy views into a
@@ -208,18 +216,24 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	c.mu.Unlock()
 
 	var stats *core.UpdateStats
-	if tsd != nil {
-		next.tsd, stats = tsd.UpdateOnto(newG, ins, del)
-	}
-	if gct != nil {
-		next.gct, stats = gct.UpdateOnto(newG, ins, del)
-	}
 
-	ensureStats := func() *core.UpdateStats {
-		if stats == nil {
-			stats = &core.UpdateStats{Inserted: len(ins), Removed: len(del)}
+	// Ego-derived structures: one patch pass over the vertices whose
+	// ego-networks the batch touched, for every structure and measure
+	// alike — so a truss table loaded from the store without its GCT
+	// index survives too. next is not shared yet: no lock needed.
+	if t.TSD || t.GCT || len(t.Measures) > 0 {
+		affected := core.AffectedVertices(oldG, newG, ins, del)
+		p := c.patchAllIdx(newG, old, t, affected)
+		stats = &core.UpdateStats{Inserted: len(ins), Removed: len(del), Affected: len(affected)}
+		next.tsd, next.gct = p.TSD, p.GCT
+		for m, perK := range p.MeasureRanks {
+			next.setRankedLocked(m, perK)
+			stats.RankingsPatched++
 		}
-		return stats
+		for m, ranked := range pfrank {
+			next.setPFreeRankLocked(m, pfree.PatchRanking(ranked, affected, p.AllK[m]))
+			stats.RankingsPatched++
+		}
 	}
 
 	// Global truss decomposition: bounded incremental repair. Repair
@@ -230,28 +244,11 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	if tau != nil && sup != nil {
 		if rr, ok := truss.Repair(oldG, newG, tau, sup, ins, del, 0); ok {
 			next.tau, next.sup = rr.Tau, rr.Sup
-			st := ensureStats()
-			st.TrussRepaired = true
-			st.TrussRegion = rr.Region
-		}
-	}
-
-	// Ranking tables: patch in place by re-scoring only the vertices whose
-	// ego-networks the batch touched — for every measure alike, so a truss
-	// table loaded from the store without its GCT index survives too.
-	if len(ranked) > 0 || len(pfrank) > 0 {
-		affected := core.AffectedVertices(oldG, newG, ins, del)
-		st := ensureStats()
-		for m, r := range ranked {
-			// next is not shared yet: no lock needed.
-			next.setRankedLocked(m, core.PatchMeasureRankings(newG, m, r.Rankings(), affected))
-			st.RankingsPatched++
-		}
-		for m, ranked := range pfrank {
-			// The parameter-free ranking splices the same affected set:
-			// re-score only those vertices' all-k vectors, merge canonically.
-			next.setPFreeRankLocked(m, pfree.PatchRanking(newG, m, ranked, affected))
-			st.RankingsPatched++
+			if stats == nil {
+				stats = &core.UpdateStats{Inserted: len(ins), Removed: len(del)}
+			}
+			stats.TrussRepaired = true
+			stats.TrussRegion = rr.Region
 		}
 	}
 	return next, stats
@@ -327,11 +324,7 @@ func (c *indexCache) tsdIndexLocked() *core.TSDIndex {
 		c.tsd = idx
 		return c.tsd
 	}
-	start := time.Now()
-	c.tsd = c.buildTSD(c.g)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
+	c.buildLocked(core.BuildTargets{TSD: true})
 	return c.tsd
 }
 
@@ -349,11 +342,7 @@ func (c *indexCache) gctIndexLocked() *core.GCTIndex {
 		c.gct = idx
 		return c.gct
 	}
-	start := time.Now()
-	c.gct = c.buildGCT(c.g)
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
+	c.buildLocked(core.BuildTargets{GCT: true})
 	return c.gct
 }
 
@@ -382,13 +371,8 @@ func (c *indexCache) rankedLocked(m Measure, build bool) *core.Ranked {
 	if !build {
 		return nil
 	}
-	start := time.Now()
-	perK := c.buildAllIdx(c.g, core.BuildTargets{Measures: []Measure{m}}).MeasureRanks[m]
-	c.buildTime += time.Since(start)
-	c.builds++
-	r := c.setRankedLocked(m, perK)
-	c.persistAfterBuildLocked()
-	return r
+	c.buildLocked(core.BuildTargets{Measures: []Measure{m}})
+	return c.ranked[m]
 }
 
 // setRankedLocked adopts perK as measure m's table, bound to the cache's
@@ -489,16 +473,13 @@ func (c *indexCache) onDiskPFreeRank(m Measure) bool {
 	return c.availLocked(store.SectionRef{Section: store.SecPFree, Measure: m.Normalize()})
 }
 
-// prepareShared is Prepare's fast path: it collects every ego-derived
+// prepareShared is Prepare's build step: it collects every ego-derived
 // structure the requested names will need that is in neither memory nor
-// the warm-start file, and — when two or more would each pay their own
-// per-vertex extraction pass — builds them all in one BuildAll sweep
-// (one ego extraction and one truss decomposition per vertex, shared by
-// every consumer). Structures found in memory or on disk are left for
-// the per-name loaders, so the warm-open contract (builds == 0) and the
-// per-section damage accounting are untouched. With fewer than two
-// missing structures it does nothing: the per-name loaders build the
-// singleton (TSD and GCT through their dedicated builders).
+// the warm-start file, and builds them all in one BuildAll sweep (one
+// ego extraction and one truss decomposition per vertex, shared by every
+// consumer). Structures found in memory or on disk are left for the
+// per-name loaders, so the warm-open contract (builds == 0) and the
+// per-section damage accounting are untouched.
 func (c *indexCache) prepareShared(names []string) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -524,27 +505,29 @@ func (c *indexCache) prepareShared(names []string) {
 			t.Measures = append(t.Measures, m)
 		}
 	}
-	missing := len(t.Measures)
-	for _, b := range []bool{t.TSD, t.GCT} {
-		if b {
-			missing++
-		}
+	if t.TSD || t.GCT || len(t.Measures) > 0 {
+		c.buildLocked(t)
 	}
-	if missing < 2 {
-		return
-	}
+}
+
+// buildLocked builds targets t from scratch in one BuildAll pass, adopts
+// the products (each counted as one build) and persists them. It is the
+// only TSD, GCT and ranking-table build path. Callers must hold c.mu.
+func (c *indexCache) buildLocked(t core.BuildTargets) {
 	start := time.Now()
 	p := c.buildAllIdx(c.g, t)
 	c.buildTime += time.Since(start)
-	c.builds += missing
 	if t.TSD {
 		c.tsd = p.TSD
+		c.builds++
 	}
 	if t.GCT {
 		c.gct = p.GCT
+		c.builds++
 	}
 	for _, m := range t.Measures {
 		c.setRankedLocked(m, p.MeasureRanks[m])
+		c.builds++
 	}
 	c.persistAfterBuildLocked()
 }

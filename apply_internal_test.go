@@ -12,9 +12,9 @@ import (
 
 // TestApplyRepairsWithoutRebuilding pins the incremental-maintenance
 // contract of the snapshot transition: after an Apply, EVERY prepared
-// structure survives repaired in place — the ego-network indexes via
-// UpdateOnto, the truss decomposition via truss.Repair, and the hybrid
-// rankings via the affected-vertex patch. No builder is ever re-entered;
+// structure survives repaired in place — the ego-network indexes and the
+// hybrid rankings via the affected-vertex patch pass, the truss
+// decomposition via truss.Repair. No builder is ever re-entered;
 // a small edit batch must not pay O(graph) anywhere.
 func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
@@ -59,16 +59,8 @@ func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 		t.Error("apply-repaired truss decomposition was rebuilt from scratch")
 		return truss.DecomposeFull(g, 1)
 	}
-	cache.buildTSD = func(*Graph) *core.TSDIndex {
-		t.Error("apply-repaired TSD index was rebuilt from scratch")
-		return core.BuildTSDIndex(db.Graph())
-	}
-	cache.buildGCT = func(*Graph) *core.GCTIndex {
-		t.Error("apply-repaired GCT index was rebuilt from scratch")
-		return core.BuildGCTIndex(db.Graph())
-	}
 	cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
-		t.Error("apply-patched ranking tables were rebuilt from scratch")
+		t.Errorf("apply-patched structures %+v were rebuilt from scratch", t2)
 		return core.BuildAll(g, t2, 0)
 	}
 	for _, engine := range []string{"online", "bound", "tsd", "gct", "hybrid"} {

@@ -613,3 +613,38 @@ func TestApplyStatsAndIndexSurvival(t *testing.T) {
 		t.Fatalf("cold snapshot ApplyStats = %+v, want nil", ast)
 	}
 }
+
+// TestApplyStatsAffectedWithRankingsOnly: Affected counts the patch
+// pass's vertices whenever one runs — also on a DB holding only ranking
+// tables, whose Apply re-derives exactly the ego-networks a TSD-holding
+// DB's does.
+func TestApplyStatsAffectedWithRankingsOnly(t *testing.T) {
+	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
+		N: 200, Attach: 3, Cliques: 40, MinSize: 4, MaxSize: 6, Seed: 42,
+	})
+	u := randomUpdates(t, g, rand.New(rand.NewSource(12)), 3, 3)
+	affected := func(names ...string) int {
+		t.Helper()
+		db, err := trussdiv.Open(g, trussdiv.WithPreparedIndexes(names...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Apply(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+		st := db.Snapshot().ApplyStats()
+		if st == nil {
+			t.Fatalf("Prepare(%v): Apply recorded no stats", names)
+		}
+		return st.Affected
+	}
+	want := affected("tsd")
+	if want == 0 {
+		t.Fatal("TSD-holding DB reports no affected vertices")
+	}
+	for _, name := range []string{"comp", "kcore", "hybrid", "pfree"} {
+		if got := affected(name); got != want {
+			t.Errorf("Prepare(%s): Affected = %d, want %d (as with the TSD index in memory)", name, got, want)
+		}
+	}
+}

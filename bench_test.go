@@ -265,7 +265,7 @@ func BenchmarkTSDIndexBuildParallel(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildTSDIndexParallel(g, 0)
+		core.BuildAll(g, core.BuildTargets{TSD: true}, 0)
 	}
 }
 
@@ -273,15 +273,18 @@ func BenchmarkGCTIndexBuildParallel(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BuildGCTIndexParallel(g, 0)
+		core.BuildAll(g, core.BuildTargets{GCT: true}, 0)
 	}
 }
 
 // BenchmarkDynamicUpdate measures the incremental repair of a 10-edge
-// batch against BenchmarkTSDIndexBuild (the full-rebuild alternative).
+// batch — the graph edit plus one PatchAll pass over the affected
+// ego-networks — against BenchmarkTSDIndexBuild (the full-rebuild
+// alternative).
 func BenchmarkDynamicUpdate(b *testing.B) {
 	g := benchGraph()
-	base := core.BuildTSDIndex(g)
+	targets := core.BuildTargets{TSD: true}
+	base := core.BuildAll(g, targets, 1)
 	var ins []graph.Edge
 	for u := int32(0); len(ins) < 10; u++ {
 		v := u + int32(g.N()/2)
@@ -291,14 +294,12 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		updated, _, err := base.Update(ins, nil)
+		newG, err := core.ApplyEdits(g, ins, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Revert so every iteration applies the same batch.
-		base, _, err = updated.Update(nil, ins)
-		if err != nil {
-			b.Fatal(err)
-		}
+		// Copy-on-write: base is never modified, so every iteration
+		// repairs the same batch.
+		core.PatchAll(newG, base, targets, core.AffectedVertices(g, newG, ins, nil), 1)
 	}
 }

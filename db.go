@@ -120,11 +120,13 @@ func WithGCTIndex(idx *GCTIndex) Option {
 }
 
 // WithBuildWorkers sets the worker-pool size for parallel index
-// construction — today the global truss decomposition, which cold builds
-// and Prepare run as an h-index peeling sharded across the pool (the
-// result is byte-identical to the serial peeling). 0 (the default) means
-// GOMAXPROCS; 1 forces the serial bin-sort peeling. Query-time
-// parallelism is per-query (Query.Workers), not this.
+// construction and repair: the global truss decomposition, which cold
+// builds and Prepare run as an h-index peeling sharded across the pool,
+// and the per-vertex pass that builds the TSD, GCT and ranking
+// structures (and that Apply runs over the affected vertices). Results
+// are byte-identical for every pool size. 0 (the default) means
+// GOMAXPROCS; 1 forces the serial paths. Query-time parallelism is
+// per-query (Query.Workers), not this.
 func WithBuildWorkers(n int) Option {
 	return func(c *dbConfig) { c.buildWorkers = n }
 }

@@ -101,8 +101,7 @@ func runParallel(w io.Writer, cfg Config) error {
 		if !slices.Equal(serialTau, parallelTau) {
 			return fmt.Errorf("%s: parallel decomposition diverges from serial tau", name)
 		}
-		tsdIdx := core.BuildTSDIndexParallel(g, workers)
-		gctIdx := core.BuildGCTIndexParallel(g, workers)
+		idx := core.BuildAll(g, core.BuildTargets{TSD: true, GCT: true}, workers)
 		searchers := []struct {
 			name string
 			s    interface {
@@ -111,8 +110,8 @@ func runParallel(w io.Writer, cfg Config) error {
 		}{
 			{"online", core.NewOnline(g)},
 			{"bound", core.NewBound(g)},
-			{"tsd", core.NewTSD(tsdIdx)},
-			{"gct", core.NewGCT(gctIdx)},
+			{"tsd", core.NewTSD(idx.TSD)},
+			{"gct", core.NewGCT(idx.GCT)},
 			{"hybrid", hybridSearcher(g, workers)},
 		}
 		ds := ParallelDatasetReport{

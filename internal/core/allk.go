@@ -19,7 +19,7 @@ func SortCanonical(entries []VertexScore) { sortAnswer(entries) }
 // MergeRanked merges the surviving old entries (old minus the affected
 // vertices, already canonical) with the freshly re-scored ones (also
 // canonical) into one canonically ordered list — the splice primitive of
-// the ranking patch path (PatchMeasureRankings and the pfree ranking
+// the ranking patch path (PatchAll's per-k tables and the pfree ranking
 // patch). The result never aliases either input.
 func MergeRanked(oldList, fresh []VertexScore, affected map[int32]bool) []VertexScore {
 	return mergeRanked(oldList, fresh, affected)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
-	"trussdiv/internal/truss"
 )
 
 // Dynamic index maintenance (paper §5.3 Remarks): an edge change touches
@@ -21,13 +19,16 @@ import (
 //     gains/loses the edge (u,v)).
 //
 // No other ego-network contains both endpoints of the changed edge, so
-// rebuilding the per-vertex structures of that affected set — against the
-// edited graph — restores the exact index.
+// re-deriving the per-vertex structures of that affected set — against
+// the edited graph, in one PatchAll pass — restores the exact index.
 
 // UpdateStats reports the work an incremental update performed.
 type UpdateStats struct {
 	Inserted, Removed int // edges actually changed
-	Affected          int // vertices whose ego-networks were rebuilt
+	// Affected is the number of vertices whose ego-networks the patch pass
+	// re-derived (0 when no ego-derived structure — TSD, GCT, or a ranking
+	// table — was in memory, so no patch pass ran).
+	Affected int
 	// TrussRepaired reports that the global truss decomposition was
 	// repaired in place rather than invalidated; TrussRegion is the number
 	// of edges whose trussness the repair re-derived (the arXiv:1806.05523
@@ -44,33 +45,24 @@ type UpdateStats struct {
 // neighbors taken in the graph where the edge exists (the new graph for
 // insertions, the old one for deletions). No other vertex's ego-network
 // contains both endpoints of a changed edge, so this is exactly the set
-// whose per-vertex scores — and therefore ranking entries — can change.
+// whose per-vertex structures — and therefore ranking entries — can
+// change.
 func AffectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) []int32 {
-	return affectedVertices(oldG, newG, inserted, removed)
-}
-
-// affectedVertices collects {u, v} ∪ (N(u) ∩ N(v)) for each edit, taking
-// common neighbors in the graph where the edge exists (the new graph for
-// insertions, the old one for deletions).
-func affectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) []int32 {
 	seen := map[int32]struct{}{}
-	mark := func(v int32) { seen[v] = struct{}{} }
 	var buf []int32
-	for _, e := range inserted {
-		mark(e.U)
-		mark(e.V)
-		buf = newG.CommonNeighbors(buf[:0], e.U, e.V)
+	mark := func(g *graph.Graph, e graph.Edge) {
+		seen[e.U] = struct{}{}
+		seen[e.V] = struct{}{}
+		buf = g.CommonNeighbors(buf[:0], e.U, e.V)
 		for _, w := range buf {
-			mark(w)
+			seen[w] = struct{}{}
 		}
 	}
+	for _, e := range inserted {
+		mark(newG, e)
+	}
 	for _, e := range removed {
-		mark(e.U)
-		mark(e.V)
-		buf = oldG.CommonNeighbors(buf[:0], e.U, e.V)
-		for _, w := range buf {
-			mark(w)
-		}
+		mark(oldG, e)
 	}
 	out := make([]int32, 0, len(seen))
 	for v := range seen {
@@ -84,9 +76,9 @@ func affectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) [
 // vertices are not supported: add them by rebuilding). Inserting an
 // existing edge or removing a missing one is an error, so update stats
 // stay meaningful. Given the same inputs, the result is deterministic —
-// callers applying one batch to several indexes should build the edited
-// graph once and hand it to the UpdateOnto variants, so every repaired
-// index shares one canonical graph (and its edge-ID assignment).
+// callers applying one batch to several structures build the edited
+// graph once and hand it to PatchAll and truss.Repair, so every repaired
+// structure shares one canonical graph (and its edge-ID assignment).
 func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
 	drop := make(map[graph.Edge]bool, len(remove))
 	for _, e := range remove {
@@ -114,91 +106,4 @@ func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, erro
 		b.AddEdge(e.U, e.V)
 	}
 	return b.Build(), nil
-}
-
-// Update applies edge insertions and deletions and repairs the TSD index
-// incrementally, rebuilding only the affected ego-network forests. The
-// repair is copy-on-write: the returned index shares unaffected per-vertex
-// storage with the receiver, and the receiver stays fully usable — readers
-// holding the old index keep seeing the pre-update answers.
-func (idx *TSDIndex) Update(insert, remove []graph.Edge) (*TSDIndex, *UpdateStats, error) {
-	newG, err := ApplyEdits(idx.g, insert, remove)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, stats := idx.UpdateOnto(newG, insert, remove)
-	return out, stats, nil
-}
-
-// UpdateOnto repairs the index against a pre-built edited graph (the
-// result of ApplyEdits over the same insert/remove batch — UpdateOnto
-// itself performs no validation). It exists so one batch applied to
-// several indexes shares a single canonical new graph. Copy-on-write like
-// Update: the receiver stays valid.
-func (idx *TSDIndex) UpdateOnto(newG *graph.Graph, insert, remove []graph.Edge) (*TSDIndex, *UpdateStats) {
-	oldG := idx.g
-	affected := affectedVertices(oldG, newG, insert, remove)
-	out := &TSDIndex{
-		g: newG,
-		// Fresh top-level slices, sharing unaffected per-vertex storage:
-		// writes below never touch the receiver's view.
-		edges: append([][]TSDEdge(nil), idx.edges...),
-		mv:    append([]int32(nil), idx.mv...),
-		vtCum: append([][]int32(nil), idx.vtCum...),
-	}
-	var es ego.Scratch // one scratch reused across the affected set
-	var ts truss.Scratch
-	for _, v := range affected {
-		net := ego.ExtractOneInto(&es, newG, v)
-		out.mv[v] = int32(net.G.M())
-		if net.G.M() == 0 {
-			out.edges[v] = nil
-			out.vtCum[v] = nil
-			continue
-		}
-		tau := ts.DecomposeInto(net.G)
-		out.edges[v] = maxSpanningForest(net.G, tau)
-		out.vtCum[v] = cumulativeVertexTrussness(net.G, tau)
-	}
-	return out, &UpdateStats{
-		Inserted: len(insert),
-		Removed:  len(remove),
-		Affected: len(affected),
-	}
-}
-
-// Update applies edge insertions and deletions and repairs the GCT index
-// incrementally, rebuilding only the affected per-vertex structures.
-// Copy-on-write: the receiver stays fully usable.
-func (idx *GCTIndex) Update(insert, remove []graph.Edge) (*GCTIndex, *UpdateStats, error) {
-	newG, err := ApplyEdits(idx.g, insert, remove)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, stats := idx.UpdateOnto(newG, insert, remove)
-	return out, stats, nil
-}
-
-// UpdateOnto repairs the GCT index against a pre-built edited graph; see
-// TSDIndex.UpdateOnto for the contract.
-func (idx *GCTIndex) UpdateOnto(newG *graph.Graph, insert, remove []graph.Edge) (*GCTIndex, *UpdateStats) {
-	oldG := idx.g
-	affected := affectedVertices(oldG, newG, insert, remove)
-	out := &GCTIndex{g: newG, verts: append([]gctVertex(nil), idx.verts...)}
-	var es ego.Scratch // one scratch reused across the affected set
-	var decomposer truss.BitmapDecomposer
-	for _, v := range affected {
-		net := ego.ExtractOneInto(&es, newG, v)
-		if net.G.M() == 0 {
-			out.verts[v] = gctVertex{}
-			continue
-		}
-		tau := decomposer.Decompose(net.G)
-		out.verts[v] = buildGCTVertex(net.G, tau)
-	}
-	return out, &UpdateStats{
-		Inserted: len(insert),
-		Removed:  len(remove),
-		Affected: len(affected),
-	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"trussdiv/internal/gen"
@@ -41,51 +44,98 @@ func randomEdits(tb testing.TB, g *graph.Graph, nIns, nDel int, seed int64) (ins
 	return ins, del
 }
 
-func TestTSDUpdateMatchesRebuild(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(t, 35, 170, seed+300)
-		idx := BuildTSDIndex(g)
-		ins, del := randomEdits(t, g, 6, 6, seed+301)
-		updated, stats, err := idx.Update(ins, del)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Inserted != len(ins) || stats.Removed != len(del) {
-			t.Fatalf("stats %+v", stats)
-		}
-		if stats.Affected == 0 {
-			t.Fatal("no affected vertices reported")
-		}
-		fresh := BuildTSDIndex(updated.Graph())
-		for k := int32(2); k <= 6; k++ {
-			for v := int32(0); int(v) < g.N(); v++ {
-				if updated.Score(v, k) != fresh.Score(v, k) {
-					t.Fatalf("seed %d k=%d v=%d: incremental %d != rebuild %d",
-						seed, k, v, updated.Score(v, k), fresh.Score(v, k))
-				}
-				if updated.ScoreUpperBound(v, k) != fresh.ScoreUpperBound(v, k) {
-					t.Fatalf("seed %d k=%d v=%d: bounds diverge", seed, k, v)
-				}
-			}
-		}
+// TestPatchMatchesBuildAll is the maintenance contract of the one
+// per-vertex driver: PatchAll over the affected vertices of a random
+// insert/delete batch deep-equals BuildAll over the edited graph — for
+// every target and measure, at every worker count — its all-k vectors
+// equal the online scorer's, and the previous products are untouched
+// (copy-on-write).
+func TestPatchMatchesBuildAll(t *testing.T) {
+	graphs := []struct {
+		name     string
+		g        func(seed int64) *graph.Graph
+		ins, del int
+	}{
+		{"sparse", func(s int64) *graph.Graph { return randomGraph(t, 35, 170, s) }, 6, 6},
+		{"dense", func(s int64) *graph.Graph { return randomGraph(t, 30, 260, s) }, 4, 4},
+		{"insert-only", func(s int64) *graph.Graph { return randomGraph(t, 40, 200, s) }, 8, 0},
+		{"delete-only", func(s int64) *graph.Graph { return randomGraph(t, 40, 200, s) }, 0, 8},
+		{"overlay", func(s int64) *graph.Graph {
+			return gen.CommunityOverlay(gen.OverlayConfig{
+				N: 120, Attach: 3, Cliques: 30, MinSize: 4, MaxSize: 7, Seed: s,
+			})
+		}, 5, 5},
 	}
-}
-
-func TestGCTUpdateMatchesRebuild(t *testing.T) {
-	for seed := int64(10); seed < 18; seed++ {
-		g := randomGraph(t, 35, 170, seed+400)
-		idx := BuildGCTIndex(g)
-		ins, del := randomEdits(t, g, 5, 5, seed+401)
-		updated, _, err := idx.Update(ins, del)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := BuildGCTIndex(updated.Graph())
-		for k := int32(2); k <= 6; k++ {
-			for v := int32(0); int(v) < g.N(); v++ {
-				if updated.Score(v, k) != fresh.Score(v, k) {
-					t.Fatalf("seed %d k=%d v=%d: incremental %d != rebuild %d",
-						seed, k, v, updated.Score(v, k), fresh.Score(v, k))
+	targets := []struct {
+		name   string
+		t      BuildTargets
+		tables []Measure // measures whose per-k table the old products hold
+	}{
+		{"everything", BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}, AllMeasures()},
+		{"tsd", BuildTargets{TSD: true}, nil},
+		{"gct", BuildTargets{GCT: true}, nil},
+		{"truss-table", BuildTargets{Measures: []Measure{MeasureTruss}}, []Measure{MeasureTruss}},
+		// A DB holding only pfree rankings: vectors, no table to splice.
+		{"vectors-only", BuildTargets{Measures: AllMeasures()}, nil},
+	}
+	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	rng := testutil.Rand(t, 900)
+	for _, gc := range graphs {
+		for trial := 0; trial < 3; trial++ {
+			g := gc.g(rng.Int63())
+			ins, del := randomEdits(t, g, gc.ins, gc.del, rng.Int63())
+			newG, err := ApplyEdits(g, ins, del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			affected := AffectedVertices(g, newG, ins, del)
+			all := BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}
+			before := BuildAll(g, all, 1)
+			want := BuildAll(newG, all, 1)
+			for _, tc := range targets {
+				label := gc.name + "/" + tc.name
+				old := BuildAll(g, all, 1)
+				for m := range old.MeasureRanks {
+					if !slices.Contains(tc.tables, m) {
+						delete(old.MeasureRanks, m)
+					}
+				}
+				for _, w := range workerCounts {
+					p := PatchAll(newG, old, tc.t, affected, w)
+					if tc.t.TSD != (p.TSD != nil) || tc.t.GCT != (p.GCT != nil) {
+						t.Fatalf("%s/w=%d: products %+v do not match targets %+v", label, w, p, tc.t)
+					}
+					if tc.t.TSD && !reflect.DeepEqual(p.TSD, want.TSD) {
+						t.Fatalf("%s/w=%d: patched TSD index diverges from BuildAll", label, w)
+					}
+					if tc.t.GCT && !reflect.DeepEqual(p.GCT, want.GCT) {
+						t.Fatalf("%s/w=%d: patched GCT index diverges from BuildAll", label, w)
+					}
+					if len(p.MeasureRanks) != len(tc.tables) {
+						t.Fatalf("%s/w=%d: patched %d tables, want %d", label, w, len(p.MeasureRanks), len(tc.tables))
+					}
+					for _, m := range tc.tables {
+						if !reflect.DeepEqual(p.MeasureRanks[m], want.MeasureRanks[m]) {
+							t.Fatalf("%s/w=%d: patched %s table diverges from BuildAll\n got %v\nwant %v",
+								label, w, m, p.MeasureRanks[m], want.MeasureRanks[m])
+						}
+					}
+					for _, m := range tc.t.Measures {
+						vs := NewVertexScorer(newG, m)
+						for i, v := range affected {
+							if got, want := p.AllK[m][i], copyAllK(vs.ScoresAllK(v)); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s/w=%d: %s all-k vector of %d = %v, want %v", label, w, m, v, got, want)
+							}
+						}
+					}
+				}
+				for m := range old.MeasureRanks {
+					if !reflect.DeepEqual(old.MeasureRanks[m], before.MeasureRanks[m]) {
+						t.Fatalf("%s: the patch mutated the old %s table", label, m)
+					}
+				}
+				if !reflect.DeepEqual(old.TSD, before.TSD) || !reflect.DeepEqual(old.GCT, before.GCT) {
+					t.Fatalf("%s: the patch mutated the old indexes", label)
 				}
 			}
 		}
@@ -94,22 +144,20 @@ func TestGCTUpdateMatchesRebuild(t *testing.T) {
 
 func TestUpdateValidation(t *testing.T) {
 	g := gen.Clique(4)
-	idx := BuildTSDIndex(g)
 	// Inserting an existing edge fails.
-	if _, _, err := idx.Update([]graph.Edge{{U: 0, V: 1}}, nil); err == nil {
+	if _, err := ApplyEdits(g, []graph.Edge{{U: 0, V: 1}}, nil); err == nil {
 		t.Fatal("want error inserting existing edge")
 	}
 	// Removing a missing edge fails.
-	if _, _, err := idx.Update(nil, []graph.Edge{{U: 0, V: 9}}); err == nil {
+	if _, err := ApplyEdits(g, nil, []graph.Edge{{U: 0, V: 9}}); err == nil {
 		t.Fatal("want error removing out-of-range edge")
 	}
 	g2 := gen.Cycle(5)
-	idx2 := BuildTSDIndex(g2)
-	if _, _, err := idx2.Update(nil, []graph.Edge{{U: 0, V: 2}}); err == nil {
+	if _, err := ApplyEdits(g2, nil, []graph.Edge{{U: 0, V: 2}}); err == nil {
 		t.Fatal("want error removing absent edge")
 	}
 	// Out-of-range insertion fails.
-	if _, _, err := idx2.Update([]graph.Edge{{U: 0, V: 99}}, nil); err == nil {
+	if _, err := ApplyEdits(g2, []graph.Edge{{U: 0, V: 99}}, nil); err == nil {
 		t.Fatal("want error inserting out-of-range edge")
 	}
 }
@@ -117,16 +165,17 @@ func TestUpdateValidation(t *testing.T) {
 func TestUpdateAffectedSetIsLocal(t *testing.T) {
 	// Two far-apart cliques: editing inside one must not touch the other.
 	g := gen.DisjointUnion(gen.Clique(6), gen.Clique(6))
-	idx := BuildTSDIndex(g)
-	// Delete one edge inside the first clique.
-	updated, stats, err := idx.Update(nil, []graph.Edge{{U: 0, V: 1}})
+	del := []graph.Edge{{U: 0, V: 1}} // one edge inside the first clique
+	newG, err := ApplyEdits(g, nil, del)
 	if err != nil {
 		t.Fatal(err)
 	}
+	affected := AffectedVertices(g, newG, nil, del)
 	// Affected = endpoints + their 4 common neighbors = 6 (first clique).
-	if stats.Affected != 6 {
-		t.Fatalf("affected = %d, want 6", stats.Affected)
+	if !reflect.DeepEqual(affected, []int32{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("affected = %v, want the first clique", affected)
 	}
+	updated := PatchAll(newG, BuildAll(g, BuildTargets{TSD: true}, 1), BuildTargets{TSD: true}, affected, 0).TSD
 	// Second clique untouched: each vertex's ego is K5, one 5-truss.
 	for v := int32(6); v < 12; v++ {
 		if got := updated.Score(v, 5); got != 1 {
@@ -146,27 +195,5 @@ func TestUpdateAffectedSetIsLocal(t *testing.T) {
 	// The deleted edge's endpoint keeps a K4 ego: one 4-truss.
 	if got := updated.Score(0, 4); got != 1 {
 		t.Fatalf("endpoint score@4 = %d, want 1", got)
-	}
-}
-
-func TestParallelBuildsMatchSerial(t *testing.T) {
-	g := gen.CommunityOverlay(gen.OverlayConfig{
-		N: 1200, Attach: 4, Cliques: 250, MinSize: 4, MaxSize: 10, Diffuse: 20, Seed: 77,
-	})
-	serialTSD := BuildTSDIndex(g)
-	serialGCT := BuildGCTIndex(g)
-	for _, workers := range []int{1, 2, 4, 0} {
-		parTSD := BuildTSDIndexParallel(g, workers)
-		parGCT := BuildGCTIndexParallel(g, workers)
-		for k := int32(2); k <= 6; k++ {
-			for v := int32(0); int(v) < g.N(); v++ {
-				if parTSD.Score(v, k) != serialTSD.Score(v, k) {
-					t.Fatalf("workers=%d k=%d v=%d: parallel TSD diverges", workers, k, v)
-				}
-				if parGCT.Score(v, k) != serialGCT.Score(v, k) {
-					t.Fatalf("workers=%d k=%d v=%d: parallel GCT diverges", workers, k, v)
-				}
-			}
-		}
 	}
 }

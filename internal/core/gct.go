@@ -40,7 +40,10 @@ type GCTIndex struct {
 // BuildGCTIndex runs Algorithm 7: one-shot global triangle listing to
 // extract every ego-network, bitmap-based truss decomposition per
 // ego-network, then Algorithm 8 to compress each into supernodes and
-// superedges.
+// superedges. It is kept as the paper's reference construction — Table 3
+// times it, and the parity tests use it as an oracle independent of
+// BuildAll, which builds the identical index from the per-vertex pass
+// every other structure shares.
 func BuildGCTIndex(g *graph.Graph) *GCTIndex {
 	n := g.N()
 	idx := &GCTIndex{g: g, verts: make([]gctVertex, n)}

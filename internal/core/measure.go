@@ -119,7 +119,7 @@ type Ranked struct {
 
 // NewRanked returns a rankings-backed searcher for scorer's measure over
 // scorer's graph. perK must come from BuildAll for that measure (or an
-// index store that persisted it, or PatchMeasureRankings): perK[k]
+// index store that persisted it, or PatchAll): perK[k]
 // sorted by score descending, vertex ascending, zero scores omitted. The
 // rankings are adopted, not copied; the scorer recovers contexts.
 func NewRanked(scorer *Scorer, perK [][]VertexScore) *Ranked {

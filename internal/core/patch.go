@@ -1,66 +1,51 @@
 package core
 
-import "trussdiv/internal/graph"
-
 // In-place repair of the per-k ranking tables after an edit batch. The
 // rankings are global orderings, but every entry is a per-vertex score
 // computed from that vertex's ego-network alone — so an edit batch can
-// only move the vertices in AffectedVertices. Patching removes those
-// vertices from each ranking, re-scores them against the edited graph,
-// and merges them back in canonical order. The result is byte-identical
-// to a fresh BuildAll over the edited graph at a cost proportional to
-// copying the tables plus re-scoring the affected set, instead of
-// re-scoring every vertex.
+// only move the vertices in AffectedVertices. PatchAll re-scores those
+// vertices in its one per-vertex pass; splicing removes them from each
+// ranking and merges their fresh scores back in canonical order. The
+// result is identical to a fresh BuildAll over the edited graph at a
+// cost proportional to copying the tables plus re-scoring the affected
+// set, instead of re-scoring every vertex.
 
-// PatchMeasureRankings derives measure m's per-k rankings for the edited
-// graph g from the previous snapshot's rankings, re-scoring only the
-// affected vertices (sorted, from AffectedVertices; one ego decomposition
-// each). It is the ranking patcher of every measure, the hybrid engine's
-// truss table included. The output matches BuildAll's table for m over g
-// exactly: zero scores omitted, perK[k] in canonical order, nil for
-// entries below k=2 and for empty lists, and the table trimmed to the
-// true maximum k. old stays fully usable (copy-on-write).
-func PatchMeasureRankings(g *graph.Graph, m Measure, old [][]VertexScore, affected []int32) [][]VertexScore {
+// spliceRankings derives one measure's per-k rankings for the edited
+// graph from the previous table old and the affected vertices' fresh
+// all-k vectors (aligned with affected). The output matches BuildAll's
+// table exactly: zero scores omitted, perK[k] in canonical order, nil
+// for entries below k=2 and for empty lists, and the table trimmed to
+// the true maximum k. old stays fully usable (copy-on-write).
+func spliceRankings(old [][]VertexScore, affected []int32, fresh [][]int32) [][]VertexScore {
 	aff := make(map[int32]bool, len(affected))
-	freshScores := make(map[int32][]int, len(affected))
-	maxK := int32(len(old)) - 1
-	if maxK < 2 {
-		maxK = 2
-	}
-	scorer := NewVertexScorer(g, m)
-	for _, v := range affected {
+	maxK := max(len(old)-1, 2)
+	for i, v := range affected {
 		aff[v] = true
-		// ScoresAllK hands back scratch-owned storage; copy before the
-		// next iteration reuses it.
-		s := append([]int(nil), scorer.ScoresAllK(v)...)
-		freshScores[v] = s
-		if top := int32(len(s)) - 1; top > maxK {
-			maxK = top
-		}
+		maxK = max(maxK, len(fresh[i])-1)
 	}
 	perK := make([][]VertexScore, maxK+1)
-	for k := int32(2); k <= maxK; k++ {
+	for k := 2; k <= maxK; k++ {
 		var oldList []VertexScore
-		if int(k) < len(old) {
+		if k < len(old) {
 			oldList = old[k]
 		}
-		var fresh []VertexScore
-		for _, v := range affected {
-			if s := freshScores[v]; int(k) < len(s) && s[k] > 0 {
-				fresh = append(fresh, VertexScore{V: v, Score: s[k]})
+		var scored []VertexScore
+		for i, v := range affected {
+			if s := fresh[i]; k < len(s) && s[k] > 0 {
+				scored = append(scored, VertexScore{V: v, Score: int(s[k])})
 			}
 		}
-		sortAnswer(fresh)
+		sortAnswer(scored)
 		// BuildAll leaves empty lists nil; mirror that so patched tables
 		// are indistinguishable from built ones.
-		if merged := mergeRanked(oldList, fresh, aff); len(merged) > 0 {
+		if merged := mergeRanked(oldList, scored, aff); len(merged) > 0 {
 			perK[k] = merged
 		}
 	}
 	// An affected vertex may have held the only entries at the top ks;
 	// trim the table to the true maximum exactly as a fresh build sizes it.
-	top := int32(2)
-	for k := int32(2); k <= maxK; k++ {
+	top := 2
+	for k := 2; k <= maxK; k++ {
 		if len(perK[k]) > 0 {
 			top = k
 		}

@@ -8,30 +8,27 @@ import (
 // TestPatchHybridMatchesRebuild: the hybrid engine's table is the truss
 // row of the per-measure rankings, patched like every other row. The
 // patched table must equal a fresh build over the edited graph and agree
-// with the incrementally repaired GCT index score for score (Lemma 3).
+// score for score (Lemma 3) with the paper's own GCT construction over
+// the edited graph — an oracle independent of the per-vertex pass.
 func TestPatchHybridMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomGraph(t, 30, 140, seed+700)
-		idx := BuildGCTIndex(g)
-		old := buildRanked(g, MeasureTruss).Rankings()
-		oldCopy := make([][]VertexScore, len(old))
-		for k := range old {
-			oldCopy[k] = append([]VertexScore(nil), old[k]...)
-		}
-
+		targets := BuildTargets{GCT: true, Measures: []Measure{MeasureTruss}}
+		old := BuildAll(g, targets, 1)
 		ins, del := randomEdits(t, g, 4, 4, seed+701)
 		newG, err := ApplyEdits(g, ins, del)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newIdx, _ := idx.UpdateOnto(newG, ins, del)
-		affected := AffectedVertices(g, newG, ins, del)
-
-		patched := PatchMeasureRankings(newG, MeasureTruss, old, affected)
-		fresh := buildRanked(newG, MeasureTruss).Rankings()
-		if !reflect.DeepEqual(patched, fresh) {
+		p := PatchAll(newG, old, targets, AffectedVertices(g, newG, ins, del), 0)
+		patched := p.MeasureRanks[MeasureTruss]
+		if fresh := buildRanked(newG, MeasureTruss).Rankings(); !reflect.DeepEqual(patched, fresh) {
 			t.Fatalf("seed %d: patched hybrid rankings diverge from rebuild\npatched: %v\nfresh:   %v",
 				seed, patched, fresh)
+		}
+		oracle := BuildGCTIndex(newG)
+		if !reflect.DeepEqual(p.GCT, oracle) {
+			t.Fatalf("seed %d: patched GCT index diverges from BuildGCTIndex", seed)
 		}
 		for k := int32(2); int(k) < len(patched)+1; k++ {
 			dense := make([]int, newG.N())
@@ -41,16 +38,10 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 				}
 			}
 			for v := int32(0); int(v) < newG.N(); v++ {
-				if got, want := dense[v], newIdx.Score(v, k); got != want {
-					t.Fatalf("seed %d: patched score(%d, %d) = %d, repaired GCT index says %d",
+				if got, want := dense[v], oracle.Score(v, k); got != want {
+					t.Fatalf("seed %d: patched score(%d, %d) = %d, BuildGCTIndex says %d",
 						seed, v, k, got, want)
 				}
-			}
-		}
-		// Copy-on-write contract: the previous snapshot's rankings survive.
-		for k := range oldCopy {
-			if !reflect.DeepEqual(old[k], oldCopy[k]) {
-				t.Fatalf("seed %d k=%d: the patch mutated the old rankings", seed, k)
 			}
 		}
 	}
@@ -58,43 +49,10 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 
 func TestPatchHybridNoAffected(t *testing.T) {
 	g := randomGraph(t, 20, 80, 31)
-	old := buildRanked(g, MeasureTruss).Rankings()
-	patched := PatchMeasureRankings(g, MeasureTruss, old, nil)
-	if !reflect.DeepEqual(patched, old) {
+	targets := BuildTargets{Measures: []Measure{MeasureTruss}}
+	old := BuildAll(g, targets, 1)
+	patched := PatchAll(g, old, targets, nil, 0).MeasureRanks[MeasureTruss]
+	if !reflect.DeepEqual(patched, old.MeasureRanks[MeasureTruss]) {
 		t.Fatal("empty affected set must reproduce the rankings unchanged")
-	}
-}
-
-func TestPatchMeasureRankingsMatchesRebuild(t *testing.T) {
-	// The truss row is pinned against the GCT index above; the other two
-	// measures' tables patch through the same function.
-	for _, m := range []Measure{MeasureComponent, MeasureCore} {
-		for seed := int64(0); seed < 5; seed++ {
-			g := randomGraph(t, 28, 130, seed+800)
-			old := buildRanked(g, m).Rankings()
-			oldCopy := make([][]VertexScore, len(old))
-			for k := range old {
-				oldCopy[k] = append([]VertexScore(nil), old[k]...)
-			}
-
-			ins, del := randomEdits(t, g, 3, 4, seed+801)
-			newG, err := ApplyEdits(g, ins, del)
-			if err != nil {
-				t.Fatal(err)
-			}
-			affected := AffectedVertices(g, newG, ins, del)
-
-			patched := PatchMeasureRankings(newG, m, old, affected)
-			fresh := buildRanked(newG, m).Rankings()
-			if !reflect.DeepEqual(patched, fresh) {
-				t.Fatalf("measure %q seed %d: patched rankings diverge from rebuild\npatched: %v\nfresh:   %v",
-					m, seed, patched, fresh)
-			}
-			for k := range oldCopy {
-				if !reflect.DeepEqual(old[k], oldCopy[k]) {
-					t.Fatalf("measure %q seed %d k=%d: patch mutated the old rankings", m, seed, k)
-				}
-			}
-		}
 	}
 }

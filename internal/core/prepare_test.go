@@ -35,8 +35,10 @@ func referenceRankings(n int, score func(v, k int32) int) [][]VertexScore {
 }
 
 // TestBuildAllMatchesDedicatedBuilders pins the single-pass driver's
-// contract: every product of one BuildAll pass is deep-equal to the
-// structure the dedicated builder produces, across worker counts. The
+// contract: every product of one all-target BuildAll pass is deep-equal
+// to the structure the reference builder produces, across worker counts
+// — the paper's own GCT construction, and the serial one-target TSD
+// pass behind BuildTSDIndex. The
 // truss rankings in particular must match the scores a GCT index reads
 // via Lemma 3 (the hybrid engine's original derivation) even though
 // BuildAll reads the component counts straight off the shared

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"trussdiv/internal/dsu"
-	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
 	"trussdiv/internal/truss"
 )
@@ -41,33 +40,11 @@ type TSDIndex struct {
 	scratch TSDScorer
 }
 
-// BuildTSDIndex runs Algorithm 5: per-vertex ego-network extraction, truss
-// decomposition, then Kruskal's maximum spanning forest over the
-// trussness-weighted ego-network. One extraction and one decomposition
-// scratch serve every vertex, so the build allocates only the index
-// storage itself.
-func BuildTSDIndex(g *graph.Graph) *TSDIndex {
-	n := g.N()
-	idx := &TSDIndex{
-		g:     g,
-		edges: make([][]TSDEdge, n),
-		mv:    make([]int32, n),
-		vtCum: make([][]int32, n),
-	}
-	var es ego.Scratch
-	var ts truss.Scratch
-	for v := int32(0); int(v) < n; v++ {
-		net := ego.ExtractOneInto(&es, g, v)
-		idx.mv[v] = int32(net.G.M())
-		if net.G.M() == 0 {
-			continue
-		}
-		tau := ts.DecomposeInto(net.G)
-		idx.edges[v] = maxSpanningForest(net.G, tau)
-		idx.vtCum[v] = cumulativeVertexTrussness(net.G, tau)
-	}
-	return idx
-}
+// BuildTSDIndex runs Algorithm 5 serially: per-vertex ego-network
+// extraction, truss decomposition, then Kruskal's maximum spanning forest
+// over the trussness-weighted ego-network — the TSD branch of BuildAll's
+// per-vertex pass.
+func BuildTSDIndex(g *graph.Graph) *TSDIndex { return BuildAll(g, BuildTargets{TSD: true}, 1).TSD }
 
 // cumulativeVertexTrussness returns cum[w-2] = |{u : vt(u) >= w}| for
 // w = 2..maxTrussness over the ego-network's vertex trussnesses.

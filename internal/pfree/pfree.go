@@ -38,36 +38,33 @@ import (
 	"context"
 
 	"trussdiv/internal/core"
-	"trussdiv/internal/graph"
 )
 
 // Score aggregates one vertex's per-k score vector (as returned by
-// core.VertexScorer.ScoresAllK: indexed by k, entries 0 and 1 unused,
-// nil when the vertex has no contexts at any level) into its
-// parameter-free diversity score. Per level: k == 2 witnesses
-// h = min(s, 2); a level k >= 3 witnesses h = k iff s >= k. The score is
-// the maximum witnessed h over all levels, 0 when none qualifies.
-func Score(allK []int) int {
+// core.VertexScorer.ScoresAllK or core.PatchAll: indexed by k, entries 0
+// and 1 unused, nil when the vertex has no contexts at any level) into
+// its parameter-free diversity score: the maximum h any level witnesses,
+// 0 when none qualifies.
+func Score[S ~int | ~int32](allK []S) int {
 	best := 0
 	for k := 2; k < len(allK); k++ {
-		s := allK[k]
-		if s <= 0 {
-			continue
-		}
-		h := 0
-		switch {
-		case k == 2 && s >= 2:
-			h = 2
-		case k == 2:
-			h = 1
-		case s >= k:
-			h = k
-		}
-		if h > best {
-			best = h
-		}
+		best = max(best, witness(k, int(allK[k])))
 	}
 	return best
+}
+
+// witness is the h that s contexts at level k witness: level 2 witnesses
+// h = min(s, 2), a level k >= 3 witnesses h = k iff s >= k.
+func witness(k, s int) int {
+	switch {
+	case s <= 0:
+		return 0
+	case k == 2:
+		return min(s, 2)
+	case s >= k:
+		return k
+	}
+	return 0
 }
 
 // Level returns the discriminating level k*(v) = max(Score, 2) — the
@@ -105,45 +102,18 @@ func ContextsAt(s *core.Scorer, v int32) (contexts [][]int32) {
 	return contexts
 }
 
-// BuildRanking scores every vertex online and returns the canonical
-// pfree ranking under measure m: sorted score descending / id
-// ascending, zero scores omitted. The result is always non-nil (an
-// empty ranking is still a prepared ranking — "nobody scores" is an
-// answer, not an absence).
-func BuildRanking(g *graph.Graph, m core.Measure) []core.VertexScore {
-	scorer := core.NewVertexScorer(g, m)
-	list := make([]core.VertexScore, 0)
-	for v := int32(0); int(v) < g.N(); v++ {
-		// ScoresAllK hands back scratch-owned storage; Score reads it
-		// before the next iteration overwrites it.
-		if s := Score(scorer.ScoresAllK(v)); s > 0 {
-			list = append(list, core.VertexScore{V: v, Score: s})
-		}
-	}
-	core.SortCanonical(list)
-	return list
-}
-
-// RankingFromPerK derives the pfree ranking from the per-k ranking table
-// a fixed-k engine already holds (core.BuildAll's table of the measure,
-// truss included): perK[k] lists the vertices with s(v, k) > 0
-// canonically. Because every listed (v, k, s) entry witnesses exactly
-// the per-level h of Score, one O(total entries) sweep replaces a full
-// per-vertex ego pass — the prepared fast path. Byte-identical to BuildRanking on the same graph.
+// RankingFromPerK derives the canonical pfree ranking (score descending,
+// id ascending, zero scores omitted, never nil) from the per-k ranking
+// table a fixed-k engine already holds (core.BuildAll's table of the
+// measure, truss included): perK[k] lists the vertices with s(v, k) > 0
+// canonically. Every listed (v, k, s) entry witnesses exactly the
+// per-level h of Score, so one O(total entries) sweep replaces a full
+// per-vertex ego pass — the prepared fast path.
 func RankingFromPerK(perK [][]core.VertexScore) []core.VertexScore {
 	best := make(map[int32]int)
 	for k := 2; k < len(perK); k++ {
 		for _, e := range perK[k] {
-			h := 0
-			switch {
-			case k == 2 && e.Score >= 2:
-				h = 2
-			case k == 2 && e.Score >= 1:
-				h = 1
-			case k >= 3 && e.Score >= k:
-				h = k
-			}
-			if h > best[e.V] {
+			if h := witness(k, e.Score); h > best[e.V] {
 				best[e.V] = h
 			}
 		}
@@ -156,21 +126,18 @@ func RankingFromPerK(perK [][]core.VertexScore) []core.VertexScore {
 	return list
 }
 
-// PatchRanking splices the affected vertices of an edge-update batch
-// into an existing pfree ranking: re-score exactly the affected set
-// online, merge canonically with the unaffected survivors. O(affected)
-// ego decompositions instead of a full rebuild; byte-identical to
-// BuildRanking on the new graph. Never aliases old.
-func PatchRanking(g *graph.Graph, m core.Measure, old []core.VertexScore, affected []int32) []core.VertexScore {
-	scorer := core.NewVertexScorer(g, m)
+// PatchRanking splices the affected vertices of an edit batch into an
+// existing pfree ranking: their fresh all-k vectors (aligned with
+// affected, from core.PatchAll's pass) are aggregated and merged
+// canonically with the unaffected survivors — no re-scoring. The result
+// equals RankingFromPerK over the edited graph's tables and never
+// aliases old.
+func PatchRanking(old []core.VertexScore, affected []int32, allK [][]int32) []core.VertexScore {
 	aff := make(map[int32]bool, len(affected))
 	fresh := make([]core.VertexScore, 0, len(affected))
-	for _, v := range affected {
-		if aff[v] {
-			continue
-		}
+	for i, v := range affected {
 		aff[v] = true
-		if s := Score(scorer.ScoresAllK(v)); s > 0 {
+		if s := Score(allK[i]); s > 0 {
 			fresh = append(fresh, core.VertexScore{V: v, Score: s})
 		}
 	}
@@ -189,8 +156,8 @@ type Searcher struct {
 
 // NewSearcher builds a Searcher for scorer's measure over scorer's
 // graph; the shared scorer recovers answer contexts. ranked, when
-// non-nil, is a prepared canonical pfree ranking (BuildRanking /
-// RankingFromPerK / a store slab) enabling the O(r) fast path; nil
+// non-nil, is a prepared canonical pfree ranking (RankingFromPerK /
+// PatchRanking / a store slab) enabling the O(r) fast path; nil
 // selects the online fallback.
 func NewSearcher(scorer *core.Scorer, ranked []core.VertexScore) *Searcher {
 	return &Searcher{scorer: scorer, ranked: ranked}

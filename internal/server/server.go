@@ -595,8 +595,10 @@ type edgesResponse struct {
 	Vertices int    `json:"vertices"`
 	Edges    int    `json:"edges"`
 	TookUS   int64  `json:"took_us"`
-	// Repaired counts the ego-network structures the incremental index
-	// maintenance rebuilt (0 when no repairable index was in memory).
+	// Repaired counts the vertices whose ego-networks the incremental
+	// maintenance re-derived: one patch pass repairs the TSD and GCT
+	// indexes and every ranking table in memory (0 when the DB held none
+	// of them).
 	Repaired int `json:"repaired"`
 }
 

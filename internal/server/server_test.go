@@ -678,3 +678,36 @@ func TestPprofOptIn(t *testing.T) {
 		t.Fatalf("pprof on: /debug/pprof/heap status %d, want 200", code)
 	}
 }
+
+// TestEdgesRepairedWithRankingsOnly: "repaired" reports the ego-networks
+// the patch pass re-derived even when the DB holds only ranking tables
+// (no TSD or GCT index) — the same count a fully prepared server reports
+// for the same batch.
+func TestEdgesRepairedWithRankingsOnly(t *testing.T) {
+	const batch = `{"insert":[{"u":0,"v":15}],"delete":[{"u":0,"v":1}]}`
+	repaired := func(srv *Server) int {
+		t.Helper()
+		accepted, resp := post(t, srv.Handler(), "/edges", []byte(batch))
+		if !accepted {
+			t.Fatalf("batch rejected: %s", resp)
+		}
+		var out edgesResponse
+		if err := json.Unmarshal(resp, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Repaired
+	}
+	want := repaired(New(gen.Fig1Graph()))
+	if want <= 0 {
+		t.Fatalf("prepared server repaired %d ego-networks, want > 0", want)
+	}
+	for _, name := range []string{"comp", "pfree"} {
+		db, err := trussdiv.Open(gen.Fig1Graph(), trussdiv.WithPreparedIndexes(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := repaired(&Server{db: db, metrics: metrics.New()}); got != want {
+			t.Errorf("Prepare(%s): repaired = %d, want %d", name, got, want)
+		}
+	}
+}

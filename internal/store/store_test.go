@@ -242,7 +242,7 @@ func TestGoldenFormatPFree(t *testing.T) {
 	addMeasureRankings(g, &ix)
 	ix.PFree = map[core.Measure][]core.VertexScore{}
 	for _, m := range core.AllMeasures() {
-		ix.PFree[m] = pfree.BuildRanking(g, m)
+		ix.PFree[m] = pfree.RankingFromPerK(rankingsOf(g, m))
 	}
 	var buf bytes.Buffer
 	if _, err := Write(&buf, g, ix); err != nil {
@@ -364,8 +364,8 @@ func TestPFreeRankingRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
 	ix.PFree = map[core.Measure][]core.VertexScore{
-		core.MeasureTruss:     pfree.BuildRanking(g, core.MeasureTruss),
-		core.MeasureComponent: pfree.BuildRanking(g, core.MeasureComponent),
+		core.MeasureTruss:     pfree.RankingFromPerK(rankingsOf(g, core.MeasureTruss)),
+		core.MeasureComponent: pfree.RankingFromPerK(rankingsOf(g, core.MeasureComponent)),
 		core.MeasureCore:      {},
 	}
 	path := saveTo(t, g, ix)
@@ -413,7 +413,7 @@ func TestPFreeSlabRejectsCorruption(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
 	ix.PFree = map[core.Measure][]core.VertexScore{
-		core.MeasureTruss: pfree.BuildRanking(g, core.MeasureTruss),
+		core.MeasureTruss: pfree.RankingFromPerK(rankingsOf(g, core.MeasureTruss)),
 	}
 	path := saveTo(t, g, ix)
 	blob, err := os.ReadFile(path)

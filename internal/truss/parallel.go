@@ -22,7 +22,7 @@ import (
 // re-evaluated in the next round.
 
 // hBlock is the work-stealing granularity of a parallel evaluation round,
-// matching the per-vertex builders' sharding (core.BuildTSDIndexParallel).
+// matching the per-vertex builders' full-build sharding (core.BuildAll).
 const hBlock = 256
 
 // DecomposeParallel returns the same tau array as Decompose, computed by

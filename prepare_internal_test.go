@@ -11,10 +11,9 @@ import (
 
 // TestPrepareMultiUsesSharedPass pins the multi-structure Prepare
 // contract: when several ego-derived structures are missing at once,
-// Prepare builds them through one BuildAll sweep — the dedicated TSD/GCT
-// builders are never entered and no ranking table takes a pass of its
-// own — and the prepared engines
-// answer byte-identically to a DB prepared one structure at a time.
+// Prepare builds them through one BuildAll sweep — no structure takes a
+// pass of its own — and the prepared engines answer byte-identically to
+// a DB prepared one structure at a time.
 func TestPrepareMultiUsesSharedPass(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 17,
@@ -26,14 +25,6 @@ func TestPrepareMultiUsesSharedPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := db.Snapshot().cache
-	cache.buildTSD = func(*Graph) *core.TSDIndex {
-		t.Error("multi-name Prepare entered the dedicated TSD builder")
-		return core.BuildTSDIndex(g)
-	}
-	cache.buildGCT = func(*Graph) *core.GCTIndex {
-		t.Error("multi-name Prepare entered the dedicated GCT builder")
-		return core.BuildGCTIndex(g)
-	}
 	passes := 0
 	buildAll := cache.buildAllIdx
 	cache.buildAllIdx = func(g *Graph, targets core.BuildTargets) *core.BuildProducts {
@@ -99,11 +90,11 @@ func TestPrepareMultiUsesSharedPass(t *testing.T) {
 	}
 }
 
-// TestPrepareSingleKeepsDedicatedBuilder pins the complement: a Prepare
-// that needs only one index never pays the multi-build driver — the
-// dedicated TSD/GCT builder (and its damage-accounting semantics) still
-// owns the singleton case.
-func TestPrepareSingleKeepsDedicatedBuilder(t *testing.T) {
+// TestPrepareSingleUsesBuildAll pins the one build path: a singleton —
+// prepared by name or built lazily by the first query that needs it —
+// is a one-target pass of the same per-vertex driver, never a builder of
+// its own.
+func TestPrepareSingleUsesBuildAll(t *testing.T) {
 	g := gen.Fig1Graph()
 	ctx := context.Background()
 	db, err := Open(g)
@@ -111,22 +102,96 @@ func TestPrepareSingleKeepsDedicatedBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := db.Snapshot().cache
-	cache.buildAllIdx = func(*Graph, core.BuildTargets) *core.BuildProducts {
-		t.Error("single-name Prepare entered the shared multi-build driver")
-		return &core.BuildProducts{}
+	var passes []core.BuildTargets
+	buildAll := cache.buildAllIdx
+	cache.buildAllIdx = func(g *Graph, targets core.BuildTargets) *core.BuildProducts {
+		passes = append(passes, targets)
+		return buildAll(g, targets)
 	}
 	if err := db.Prepare(ctx, "tsd"); err != nil {
 		t.Fatal(err)
 	}
-	if cache.builds != 1 {
-		t.Fatalf("builds = %d after Prepare(tsd), want 1", cache.builds)
-	}
 	// A second multi-name Prepare with everything but one structure in
-	// memory is still a singleton build.
+	// memory builds only that one.
 	if err := db.Prepare(ctx, "tsd", "gct"); err != nil {
 		t.Fatal(err)
 	}
-	if cache.builds != 2 {
-		t.Fatalf("builds = %d after Prepare(tsd, gct), want 2", cache.builds)
+	// A cold comp query builds nothing (it scans); a cold hybrid query
+	// builds the truss table on first use.
+	for _, q := range []Query{
+		NewQuery(3, 5, ViaEngine("comp"), WithMeasure(MeasureComponent)),
+		NewQuery(3, 5, ViaEngine("hybrid")),
+	} {
+		if _, _, err := db.TopR(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []core.BuildTargets{
+		{TSD: true},
+		{GCT: true},
+		{Measures: []Measure{MeasureTruss}},
+	}
+	if !reflect.DeepEqual(passes, want) {
+		t.Fatalf("BuildAll passes = %+v, want %+v", passes, want)
+	}
+	if cache.builds != len(want) {
+		t.Fatalf("builds = %d, want %d", cache.builds, len(want))
+	}
+}
+
+// TestApplyMakesOnePatchPass pins the maintenance side of the one
+// driver: with every ego-derived structure in memory, an Apply repairs
+// the TSD and GCT indexes, every per-k table and every pfree ranking
+// from one PatchAll pass over the affected vertices — one extraction and
+// one decomposition per vertex, not one per structure — and never enters
+// the build path.
+func TestApplyMakesOnePatchPass(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 41,
+	})
+	ctx := context.Background()
+	db, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(ctx, "bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree"); err != nil {
+		t.Fatal(err)
+	}
+	cache := db.Snapshot().cache
+	cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
+		t.Errorf("Apply entered the build path for %+v", t2)
+		return core.BuildAll(g, t2, 0)
+	}
+	var passes []core.BuildTargets
+	var patched []int32
+	patchAll := cache.patchAllIdx
+	cache.patchAllIdx = func(g *Graph, old *core.BuildProducts, t2 core.BuildTargets, affected []int32) *core.BuildProducts {
+		passes = append(passes, t2)
+		patched = affected
+		return patchAll(g, old, t2, affected)
+	}
+
+	u := Updates{Insert: []Edge{{U: 0, V: 299}}, Delete: []Edge{g.Edge(7)}}
+	if g.HasEdge(0, 299) {
+		t.Fatal("fixture: edge (0,299) already present")
+	}
+	if _, err := db.Apply(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	want := []core.BuildTargets{{TSD: true, GCT: true, Measures: AllMeasures()}}
+	if !reflect.DeepEqual(passes, want) {
+		t.Fatalf("Apply patch passes = %+v, want exactly %+v", passes, want)
+	}
+	affected := core.AffectedVertices(g, db.Graph(), u.Insert, u.Delete)
+	if !reflect.DeepEqual(patched, affected) {
+		t.Fatalf("patch pass walked %v, want the affected set %v", patched, affected)
+	}
+	st := db.Snapshot().ApplyStats()
+	if st == nil || st.Affected != len(affected) || !st.TrussRepaired {
+		t.Fatalf("ApplyStats = %+v, want Affected = %d and a repaired truss decomposition", st, len(affected))
+	}
+	// Three per-k tables plus three pfree rankings.
+	if st.RankingsPatched != 6 {
+		t.Fatalf("RankingsPatched = %d, want 6", st.RankingsPatched)
 	}
 }

@@ -375,9 +375,9 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// When several of the requested structures are missing, build them in
-	// one shared per-vertex extraction pass instead of one pass each; the
-	// loop below then finds them in memory. See indexCache.prepareShared.
+	// Build every missing ego-derived structure the names need in one
+	// shared per-vertex extraction pass instead of one pass each; the loop
+	// below then finds them in memory. See indexCache.prepareShared.
 	s.cache.prepareShared(names)
 	for _, name := range names {
 		if err := ctx.Err(); err != nil {
@@ -436,16 +436,16 @@ func (db *DB) Epoch() Epoch { return db.Snapshot().epoch }
 // never observe a half-applied batch — the new snapshot becomes visible in
 // one pointer swap after it is fully built.
 //
-// Indexes are maintained incrementally instead of rebuilt: an in-memory
-// TSD or GCT index is repaired by rebuilding only the ego-network
-// structures the batch touched (the paper's §5.3 locality argument); the
+// Indexes are maintained incrementally instead of rebuilt: one pass over
+// the vertices in the edits' triangle neighborhoods — the only
+// ego-networks the batch touched (the paper's §5.3 locality argument) —
+// repairs the in-memory TSD and GCT indexes and patches every
+// per-measure ranking table (hybrid's included) and pfree ranking; the
 // global truss decomposition is repaired inside the locality bound of the
 // edit batch (each edit moves trussness by at most one, so the change is
 // confined to a bottleneck-connected region around the edits — see
 // DESIGN.md), falling back to a parallel rebuild when the region exceeds
-// its budget; and every per-measure ranking table (hybrid's included) is
-// patched by re-scoring only the vertices in the edits' triangle
-// neighborhoods.
+// its budget.
 // ApplyStats on the new snapshot reports which path each structure took,
 // and cost routing prices whichever survivors exist.
 //

@@ -97,25 +97,17 @@ func NewScorer(g *Graph) *Scorer { return core.NewScorer(g) }
 // TSDIndex is the truss-based structural diversity index (Algorithm 5).
 type TSDIndex = core.TSDIndex
 
-// BuildTSDIndex constructs the TSD-index of g.
+// BuildTSDIndex constructs the TSD-index of g on one goroutine. For a
+// parallel build, Open the graph WithBuildWorkers and Prepare "tsd".
 func BuildTSDIndex(g *Graph) *TSDIndex { return core.BuildTSDIndex(g) }
-
-// BuildTSDIndexParallel constructs the TSD-index with worker goroutines
-// (0 = GOMAXPROCS).
-func BuildTSDIndexParallel(g *Graph, workers int) *TSDIndex {
-	return core.BuildTSDIndexParallel(g, workers)
-}
 
 // GCTIndex is the compressed supernode/superedge index (Algorithms 7-8).
 type GCTIndex = core.GCTIndex
 
-// BuildGCTIndex constructs the GCT-index of g.
-func BuildGCTIndex(g *Graph) *GCTIndex { return core.BuildGCTIndex(g) }
-
-// BuildGCTIndexParallel constructs the GCT-index with worker goroutines
-// (0 = GOMAXPROCS).
-func BuildGCTIndexParallel(g *Graph, workers int) *GCTIndex {
-	return core.BuildGCTIndexParallel(g, workers)
+// BuildGCTIndex constructs the GCT-index of g on one goroutine. For a
+// parallel build, Open the graph WithBuildWorkers and Prepare "gct".
+func BuildGCTIndex(g *Graph) *GCTIndex {
+	return core.BuildAll(g, core.BuildTargets{GCT: true}, 1).GCT
 }
 
 // UpdateStats reports the work of an incremental index update.
