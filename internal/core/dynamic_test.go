@@ -44,13 +44,79 @@ func randomEdits(tb testing.TB, g *graph.Graph, nIns, nDel int, seed int64) (ins
 	return ins, del
 }
 
+// patchTarget is one row of the patch-parity table: the targets PatchAll
+// is asked for, and the measures whose per-k table the old products hold.
+type patchTarget struct {
+	name   string
+	t      BuildTargets
+	tables []Measure
+}
+
 // TestPatchMatchesBuildAll is the maintenance contract of the one
 // per-vertex driver: PatchAll over the affected vertices of a random
 // insert/delete batch deep-equals BuildAll over the edited graph — for
 // every target and measure, at every worker count — its all-k vectors
 // equal the online scorer's, and the previous products are untouched
-// (copy-on-write).
+// (copy-on-write). The single-structure rows run under their own tests
+// below.
 func TestPatchMatchesBuildAll(t *testing.T) {
+	checkPatchMatchesBuildAll(t, 900, []patchTarget{
+		{"everything", BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}, AllMeasures()},
+		// A DB holding only pfree rankings: vectors, no table to splice.
+		{"vectors-only", BuildTargets{Measures: AllMeasures()}, nil},
+	})
+}
+
+// TestTSDUpdateMatchesRebuild: a TSD-only patch pass equals a TSD-only
+// BuildAll over the edited graph.
+func TestTSDUpdateMatchesRebuild(t *testing.T) {
+	checkPatchMatchesBuildAll(t, 300, []patchTarget{{"tsd", BuildTargets{TSD: true}, nil}})
+}
+
+// TestGCTUpdateMatchesRebuild: a GCT-only patch pass equals a GCT-only
+// BuildAll over the edited graph.
+func TestGCTUpdateMatchesRebuild(t *testing.T) {
+	checkPatchMatchesBuildAll(t, 400, []patchTarget{{"gct", BuildTargets{GCT: true}, nil}})
+}
+
+// TestPatchMeasureRankingsMatchesRebuild: each measure's per-k table,
+// spliced alone by the patch pass, equals a fresh BuildAll table.
+func TestPatchMeasureRankingsMatchesRebuild(t *testing.T) {
+	var rows []patchTarget
+	for _, m := range AllMeasures() {
+		rows = append(rows, patchTarget{string(m) + "-table", BuildTargets{Measures: []Measure{m}}, []Measure{m}})
+	}
+	checkPatchMatchesBuildAll(t, 800, rows)
+}
+
+// TestParallelBuildsMatchSerial: the driver's products do not depend on
+// its worker count, and the one-target passes equal the reference
+// builders — the serial TSD pass and the paper's GCT construction.
+func TestParallelBuildsMatchSerial(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 1200, Attach: 4, Cliques: 250, MinSize: 4, MaxSize: 10, Diffuse: 20, Seed: 77,
+	})
+	serialTSD := BuildTSDIndex(g)
+	serialGCT := BuildGCTIndex(g)
+	all := BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}
+	serialAll := BuildAll(g, all, 1)
+	for _, workers := range []int{1, 2, 4, 0} {
+		if p := BuildAll(g, BuildTargets{TSD: true}, workers); !reflect.DeepEqual(p.TSD, serialTSD) {
+			t.Fatalf("workers=%d: TSD pass diverges from BuildTSDIndex", workers)
+		}
+		if p := BuildAll(g, BuildTargets{GCT: true}, workers); !reflect.DeepEqual(p.GCT, serialGCT) {
+			t.Fatalf("workers=%d: GCT pass diverges from BuildGCTIndex", workers)
+		}
+		if p := BuildAll(g, all, workers); !reflect.DeepEqual(p, serialAll) {
+			t.Fatalf("workers=%d: all-target pass diverges from the serial pass", workers)
+		}
+	}
+}
+
+// checkPatchMatchesBuildAll runs the patch-parity table for the given
+// target rows over seeded random graphs and edit batches.
+func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) {
+	t.Helper()
 	graphs := []struct {
 		name     string
 		g        func(seed int64) *graph.Graph
@@ -66,20 +132,8 @@ func TestPatchMatchesBuildAll(t *testing.T) {
 			})
 		}, 5, 5},
 	}
-	targets := []struct {
-		name   string
-		t      BuildTargets
-		tables []Measure // measures whose per-k table the old products hold
-	}{
-		{"everything", BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}, AllMeasures()},
-		{"tsd", BuildTargets{TSD: true}, nil},
-		{"gct", BuildTargets{GCT: true}, nil},
-		{"truss-table", BuildTargets{Measures: []Measure{MeasureTruss}}, []Measure{MeasureTruss}},
-		// A DB holding only pfree rankings: vectors, no table to splice.
-		{"vectors-only", BuildTargets{Measures: AllMeasures()}, nil},
-	}
 	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	rng := testutil.Rand(t, 900)
+	rng := testutil.Rand(t, seed)
 	for _, gc := range graphs {
 		for trial := 0; trial < 3; trial++ {
 			g := gc.g(rng.Int63())
