@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -56,9 +57,9 @@ type patchTarget struct {
 // per-vertex driver: PatchAll over the affected vertices of a random
 // insert/delete batch deep-equals BuildAll over the edited graph — for
 // every target and measure, at every worker count — its all-k vectors
-// equal the online scorer's, and the previous products are untouched
-// (copy-on-write). The single-structure rows run under their own tests
-// below.
+// and its TSD scores equal the online scorer's, and the previous
+// products are untouched (copy-on-write). The single-structure rows run
+// under their own tests below.
 func TestPatchMatchesBuildAll(t *testing.T) {
 	checkPatchMatchesBuildAll(t, 900, []patchTarget{
 		{"everything", BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}, AllMeasures()},
@@ -90,8 +91,10 @@ func TestPatchMeasureRankingsMatchesRebuild(t *testing.T) {
 }
 
 // TestParallelBuildsMatchSerial: the driver's products do not depend on
-// its worker count, and the one-target passes equal the reference
-// builders — the serial TSD pass and the paper's GCT construction.
+// its worker count. The one-target TSD pass equals the serial pass
+// (BuildTSDIndex is that pass; the online scorer is the independent TSD
+// oracle, see checkTSDScores), and the one-target GCT pass equals the
+// paper's GCT construction.
 func TestParallelBuildsMatchSerial(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 1200, Attach: 4, Cliques: 250, MinSize: 4, MaxSize: 10, Diffuse: 20, Seed: 77,
@@ -102,7 +105,7 @@ func TestParallelBuildsMatchSerial(t *testing.T) {
 	serialAll := BuildAll(g, all, 1)
 	for _, workers := range []int{1, 2, 4, 0} {
 		if p := BuildAll(g, BuildTargets{TSD: true}, workers); !reflect.DeepEqual(p.TSD, serialTSD) {
-			t.Fatalf("workers=%d: TSD pass diverges from BuildTSDIndex", workers)
+			t.Fatalf("workers=%d: TSD pass diverges from the serial pass", workers)
 		}
 		if p := BuildAll(g, BuildTargets{GCT: true}, workers); !reflect.DeepEqual(p.GCT, serialGCT) {
 			t.Fatalf("workers=%d: GCT pass diverges from BuildGCTIndex", workers)
@@ -146,6 +149,7 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 			all := BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}
 			before := BuildAll(g, all, 1)
 			want := BuildAll(newG, all, 1)
+			var online [][]int // computed on the first TSD row
 			for _, tc := range targets {
 				label := gc.name + "/" + tc.name
 				old := BuildAll(g, all, 1)
@@ -159,8 +163,14 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 					if tc.t.TSD != (p.TSD != nil) || tc.t.GCT != (p.GCT != nil) {
 						t.Fatalf("%s/w=%d: products %+v do not match targets %+v", label, w, p, tc.t)
 					}
-					if tc.t.TSD && !reflect.DeepEqual(p.TSD, want.TSD) {
-						t.Fatalf("%s/w=%d: patched TSD index diverges from BuildAll", label, w)
+					if tc.t.TSD {
+						if !reflect.DeepEqual(p.TSD, want.TSD) {
+							t.Fatalf("%s/w=%d: patched TSD index diverges from BuildAll", label, w)
+						}
+						if online == nil {
+							online = onlineTrussScores(newG)
+						}
+						checkTSDScores(t, fmt.Sprintf("%s/w=%d: patched", label, w), p.TSD, online)
 					}
 					if tc.t.GCT && !reflect.DeepEqual(p.GCT, want.GCT) {
 						t.Fatalf("%s/w=%d: patched GCT index diverges from BuildAll", label, w)
@@ -191,6 +201,36 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 				if !reflect.DeepEqual(old.TSD, before.TSD) || !reflect.DeepEqual(old.GCT, before.GCT) {
 					t.Fatalf("%s: the patch mutated the old indexes", label)
 				}
+			}
+		}
+	}
+}
+
+// onlineTrussScores scores every vertex v of g at every k from 2 to
+// deg(v)+1 with the online scorer, as out[v][k]: a TSD oracle that shares
+// no code with the forest construction (Algorithm 5) or its readers.
+func onlineTrussScores(g *graph.Graph) [][]int {
+	vs := NewVertexScorer(g, MeasureTruss)
+	out := make([][]int, g.N())
+	for v := int32(0); int(v) < g.N(); v++ {
+		out[v] = make([]int, g.Degree(v)+2)
+		for k := int32(2); int(k) < len(out[v]); k++ {
+			out[v][k] = vs.Score(v, k)
+		}
+	}
+	return out
+}
+
+// checkTSDScores checks a TSD index's exact score and score upper bound
+// at every vertex and k against scores from onlineTrussScores.
+func checkTSDScores(t *testing.T, label string, idx *TSDIndex, online [][]int) {
+	t.Helper()
+	for v, scores := range online {
+		for k := int32(2); int(k) < len(scores); k++ {
+			got, ub := idx.Score(int32(v), k), idx.ScoreUpperBound(int32(v), k)
+			if got != scores[k] || ub < scores[k] {
+				t.Fatalf("%s TSD score(%d, %d) = %d (upper bound %d), online scorer says %d",
+					label, v, k, got, ub, scores[k])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -35,10 +36,11 @@ func referenceRankings(n int, score func(v, k int32) int) [][]VertexScore {
 }
 
 // TestBuildAllMatchesDedicatedBuilders pins the single-pass driver's
-// contract: every product of one all-target BuildAll pass is deep-equal
-// to the structure the reference builder produces, across worker counts
-// — the paper's own GCT construction, and the serial one-target TSD
-// pass behind BuildTSDIndex. The
+// contract: every product of one all-target BuildAll pass matches an
+// independent reference, across worker counts. The GCT index deep-equals
+// the paper's own GCT construction; the TSD index deep-equals the serial
+// one-target pass behind BuildTSDIndex, and its scores equal the online
+// scorer's (BuildTSDIndex is itself a BuildAll pass). The
 // truss rankings in particular must match the scores a GCT index reads
 // via Lemma 3 (the hybrid engine's original derivation) even though
 // BuildAll reads the component counts straight off the shared
@@ -63,6 +65,7 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 	for _, tc := range graphs {
 		g := tc.g
 		wantTSD := BuildTSDIndex(g)
+		online := onlineTrussScores(g)
 		wantGCT := BuildGCTIndex(g)
 		wantHybrid := referenceRankings(g.N(), wantGCT.Score)
 		wantComp := referenceRankings(g.N(), baselineModel(g, MeasureComponent).Score)
@@ -70,8 +73,9 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			p := BuildAll(g, targets, workers)
 			if !reflect.DeepEqual(p.TSD, wantTSD) {
-				t.Fatalf("%s/w=%d: BuildAll TSD index diverges from BuildTSDIndex", tc.name, workers)
+				t.Fatalf("%s/w=%d: BuildAll TSD index diverges from the serial pass", tc.name, workers)
 			}
+			checkTSDScores(t, fmt.Sprintf("%s/w=%d: BuildAll", tc.name, workers), p.TSD, online)
 			if !reflect.DeepEqual(p.GCT, wantGCT) {
 				t.Fatalf("%s/w=%d: BuildAll GCT index diverges from BuildGCTIndex", tc.name, workers)
 			}
