@@ -56,10 +56,12 @@ bench:
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
 # path — ego extraction, per-vertex scoring under every measure, and the
-# DB's component/core point Score — at zero steady-state allocations.
+# DB's component/core point Score — at zero steady-state allocations, and
+# the truss repair tripwire holds an 8-insertion Repair to 1.5x the bytes
+# of a 1-insertion one (no per-insertion graph or graph-sized scratch).
 # Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree' -count=1 -v . ./internal/ego ./internal/core
+	$(GO) test -run 'AllocFree|RepairAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:

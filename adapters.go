@@ -175,11 +175,13 @@ func (c *indexCache) storedEpoch() Epoch {
 // rebuild — when the affected region exceeds its budget or the supports
 // were not retained). The repairs run outside the lock (they only read
 // the old, now-immutable structures) so readers of this snapshot never
-// block on an Apply. The index store connection moves to the new cache:
+// block on an Apply. ctx is checked between the patch pass and the truss
+// repair; a cancelled advance returns ctx.Err() and leaves this cache as
+// it was. On success the index store connection moves to the new cache:
 // its next persist re-derives the fingerprint from the edited graph.
 // This cache stops persisting — a late lazy build on a superseded
 // snapshot must not clobber newer state.
-func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.UpdateStats) {
+func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) (*indexCache, *core.UpdateStats, error) {
 	c.mu.Lock()
 	oldG := c.g
 	tau, sup := c.tau, c.sup
@@ -212,7 +214,6 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 	for _, f := range c.retained {
 		next.adoptFile(f.Retain())
 	}
-	c.dir = ""
 	c.mu.Unlock()
 
 	var stats *core.UpdateStats
@@ -236,6 +237,10 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 		}
 	}
 
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+
 	// Global truss decomposition: bounded incremental repair. Repair
 	// declines (and the decomposition is invalidated, to be rebuilt by the
 	// parallel peeling on next use) when the region the batch can influence
@@ -251,7 +256,10 @@ func (c *indexCache) advance(newG *Graph, ins, del []Edge) (*indexCache, *core.U
 			stats.TrussRegion = rr.Region
 		}
 	}
-	return next, stats
+	c.mu.Lock()
+	c.dir = ""
+	c.mu.Unlock()
+	return next, stats, nil
 }
 
 // loadSection reads one section instance (section kind + measure tag)

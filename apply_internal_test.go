@@ -2,7 +2,9 @@ package trussdiv
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"trussdiv/internal/core"
@@ -232,5 +234,99 @@ func TestApplyPatchesPFreeRankings(t *testing.T) {
 	}
 	if cache.builds != 0 {
 		t.Fatalf("builds = %d after post-Apply pfree queries, want 0", cache.builds)
+	}
+}
+
+// trippingContext reports itself cancelled from its (trip+1)-th Err call
+// on, which makes a cancellation land deterministically at one chosen
+// check of Apply.
+type trippingContext struct {
+	context.Context
+	polls atomic.Int64
+	trip  int64
+}
+
+func (c *trippingContext) Err() error {
+	if c.polls.Add(1) > c.trip {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestApplyObservesCtxBetweenRepairPhases cancels one Apply at each of its
+// ctx checks in turn — before validation, after the graph edit, and
+// between the patch pass and the truss repair. Every cancelled attempt
+// returns context.Canceled and leaves the epoch, the snapshot and the
+// index store connection as they were; the first attempt that passes
+// every check repairs the truss decomposition and answers like a cold DB.
+func TestApplyObservesCtxBetweenRepairPhases(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 41,
+	})
+	dir := t.TempDir()
+	db, err := Open(g, WithIndexDir(dir), WithPreparedIndexes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var u Updates
+	for a := int32(0); a < int32(g.N()) && u.Insert == nil; a++ {
+		for b := a + 1; b < int32(g.N()); b++ {
+			if !g.HasEdge(a, b) {
+				u.Insert = []Edge{{U: a, V: b}}
+				break
+			}
+		}
+	}
+	u.Delete = []Edge{g.Edge(0)}
+
+	before := db.Snapshot()
+	cancelled := 0
+	for trip := int64(0); ; trip++ {
+		ctx := &trippingContext{Context: context.Background(), trip: trip}
+		_, err := db.Apply(ctx, u)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("trip %d: err = %v, want context.Canceled", trip, err)
+		}
+		cancelled++
+		if db.Snapshot() != before || db.Epoch() != before.Epoch() {
+			t.Fatalf("trip %d: a cancelled Apply installed epoch %d", trip, db.Epoch())
+		}
+		before.cache.mu.Lock()
+		storeDir := before.cache.dir
+		before.cache.mu.Unlock()
+		if storeDir != dir {
+			t.Fatalf("trip %d: a cancelled Apply took the index store from the live snapshot", trip)
+		}
+	}
+	if cancelled < 3 {
+		t.Fatalf("Apply observed ctx %d times, want 3 (the last between the patch pass and the truss repair)", cancelled)
+	}
+	if db.Epoch() != before.Epoch()+1 {
+		t.Fatalf("epoch %d after the successful Apply, want %d", db.Epoch(), before.Epoch()+1)
+	}
+	if st := db.Snapshot().ApplyStats(); st == nil || !st.TrussRepaired {
+		t.Fatalf("ApplyStats = %+v, want the truss decomposition repaired", st)
+	}
+	cold, err := Open(db.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, engine := range []string{"bound", "tsd", "gct", "hybrid"} {
+		q := NewQuery(4, 10, ViaEngine(engine), WithContexts())
+		got, _, err := db.TopR(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		want, _, err := cold.TopR(ctx, q)
+		if err != nil {
+			t.Fatalf("%s (cold): %v", engine, err)
+		}
+		if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
+			t.Fatalf("%s: answer after the cancelled attempts diverges from a cold DB", engine)
+		}
 	}
 }

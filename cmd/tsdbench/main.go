@@ -7,7 +7,8 @@
 //	tsdbench -exp all -quick              # everything, small datasets
 //	tsdbench -exp all -timeout 5m         # bound the whole run
 //	tsdbench -exp parallel -workers 8     # serial vs parallel engine timings
-//	tsdbench -exp dynamic -updates 32     # incremental Apply vs cold rebuild
+//	tsdbench -exp dynamic                 # incremental Apply vs cold rebuild, batches of 1/16/256
+//	tsdbench -exp dynamic -updates 32     # the same at one batch size
 //	tsdbench -exp measures                # per-measure serving cost (BENCH_measures.json)
 //	tsdbench -exp measures -measure core  # one measure only
 //	tsdbench -list                        # show available experiment IDs
@@ -16,7 +17,7 @@
 // The parallel experiment writes BENCH_parallel.json (serial vs -workers
 // wall times per engine) into -outdir, recording the perf trajectory of
 // the worker-pool search layer; the dynamic experiment likewise writes
-// BENCH_dynamic.json (DB.Apply vs rebuild under -updates-edge batches),
+// BENCH_dynamic.json (DB.Apply vs rebuild per dataset and batch size),
 // recording the perf trajectory of the mutable-graph write path.
 package main
 
@@ -41,7 +42,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		timeout = flag.Duration("timeout", 0, "abort the whole run after this long (0 = none)")
 		workers = flag.Int("workers", 0, "worker-pool size for parallel search experiments (0 = GOMAXPROCS)")
-		updates = flag.Int("updates", 0, "edits per Apply batch for the dynamic experiment (0 = default of 16)")
+		updates = flag.Int("updates", 0, "edits per Apply batch for the dynamic experiment (0 = sweep 1, 16 and 256)")
 		measure = flag.String("measure", "", "restrict the measures experiment to one diversity measure: truss|component|core (default: all)")
 		outDir  = flag.String("outdir", "", "directory for machine-readable artifacts like BENCH_parallel.json (default: working dir)")
 		force   = flag.Bool("force", false, "overwrite guarded baselines (a GOMAXPROCS=1 run refuses to replace an existing BENCH_parallel.json without this)")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -407,8 +408,9 @@ func TestDynamicExperimentEmitsJSON(t *testing.T) {
 	if err := json.Unmarshal(blob, &report); err != nil {
 		t.Fatalf("BENCH_dynamic.json is not valid JSON: %v", err)
 	}
-	if report.BatchEdges != 8 {
-		t.Fatalf("batch_edges = %d, want the -updates override of 8", report.BatchEdges)
+	if !slices.Equal(report.BatchSizes, []int{8}) || report.GOMAXPROCS < 1 {
+		t.Fatalf("batch_sizes = %v (gomaxprocs %d), want only the -updates override of 8",
+			report.BatchSizes, report.GOMAXPROCS)
 	}
 	if len(report.Datasets) != 1 || report.Datasets[0].Name != "wiki-sim" {
 		t.Fatalf("report datasets = %+v", report.Datasets)

@@ -16,7 +16,7 @@ type Config struct {
 	MCRuns   int      // Monte-Carlo cascades (0 = default)
 	Datasets []string // override the per-figure dataset choice (tests)
 	Workers  int      // worker-pool size for the parallel experiment (0 = GOMAXPROCS)
-	Updates  int      // edits per Apply batch for the dynamic experiment (0 = default)
+	Updates  int      // edits per Apply batch for the dynamic experiment (0 = sweep 1, 16, 256)
 	Measure  string   // restrict the measures experiment to one measure ("" = all)
 	OutDir   string   // where machine-readable artifacts land ("" = working dir)
 	Force    bool     // overwrite guarded baselines (e.g. a single-core BENCH_parallel.json)

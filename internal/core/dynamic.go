@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"trussdiv/internal/graph"
@@ -75,34 +76,59 @@ func AffectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) [
 // ApplyEdits builds the edited graph. The vertex count is preserved (new
 // vertices are not supported: add them by rebuilding). Inserting an
 // existing edge or removing a missing one is an error, so update stats
-// stay meaningful. Given the same inputs, the result is deterministic —
-// callers applying one batch to several structures build the edited
-// graph once and hand it to PatchAll and truss.Repair, so every repaired
-// structure shares one canonical graph (and its edge-ID assignment).
+// stay meaningful; either batch may list an edge in either orientation or
+// more than once, and a self-loop insertion adds nothing. Given the same
+// inputs, the result is deterministic — callers applying one batch to
+// several structures build the edited graph once and hand it to PatchAll
+// and truss.Repair, so every repaired structure shares one canonical
+// graph (and its edge-ID assignment). g's edge list is already in that
+// canonical order, so the edit is one merge of it with the sorted
+// insertions, skipping the sorted deletions.
 func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
-	drop := make(map[graph.Edge]bool, len(remove))
+	n := int32(g.N())
+	del := make([]graph.Edge, 0, len(remove))
 	for _, e := range remove {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		if e.U < 0 || e.V >= int32(g.N()) || g.EdgeID(e.U, e.V) < 0 {
+		if e.U < 0 || e.V >= n || g.EdgeID(e.U, e.V) < 0 {
 			return nil, fmt.Errorf("core: cannot remove missing edge (%d,%d)", e.U, e.V)
 		}
-		drop[e] = true
+		del = append(del, e)
 	}
-	b := graph.NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		if !drop[e] {
-			b.AddEdge(e.U, e.V)
-		}
-	}
+	ins := make([]graph.Edge, 0, len(insert))
 	for _, e := range insert {
-		if e.U >= int32(g.N()) || e.V >= int32(g.N()) || e.U < 0 || e.V < 0 {
-			return nil, fmt.Errorf("core: insert (%d,%d) out of range [0,%d)", e.U, e.V, g.N())
+		if e.U >= n || e.V >= n || e.U < 0 || e.V < 0 {
+			return nil, fmt.Errorf("core: insert (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
 		if g.EdgeID(e.U, e.V) >= 0 {
 			return nil, fmt.Errorf("core: edge (%d,%d) already present", e.U, e.V)
 		}
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		if e.U != e.V {
+			ins = append(ins, e)
+		}
+	}
+	slices.SortFunc(ins, graph.CompareEdges)
+	ins = slices.Compact(ins)
+	slices.SortFunc(del, graph.CompareEdges)
+	del = slices.Compact(del)
+
+	b := graph.NewBuilder(g.N())
+	i := 0
+	for _, e := range g.Edges() {
+		for ; i < len(ins) && graph.CompareEdges(ins[i], e) < 0; i++ {
+			b.AddEdge(ins[i].U, ins[i].V)
+		}
+		if len(del) > 0 && del[0] == e {
+			del = del[1:]
+			continue
+		}
+		b.AddEdge(e.U, e.V)
+	}
+	for _, e := range ins[i:] {
 		b.AddEdge(e.U, e.V)
 	}
 	return b.Build(), nil

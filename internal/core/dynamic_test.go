@@ -256,6 +256,93 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
+// rebuildEdited is the edit as plain edge-set operations — drop every
+// removal, add every insertion, let the Builder sort and deduplicate —
+// with ApplyEdits' validation and error text: the oracle for its merge.
+func rebuildEdited(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
+	drop := make(map[graph.Edge]bool, len(remove))
+	for _, e := range remove {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		if e.U < 0 || e.V >= int32(g.N()) || g.EdgeID(e.U, e.V) < 0 {
+			return nil, fmt.Errorf("core: cannot remove missing edge (%d,%d)", e.U, e.V)
+		}
+		drop[e] = true
+	}
+	b := graph.NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		if !drop[e] {
+			b.AddEdge(e.U, e.V)
+		}
+	}
+	for _, e := range insert {
+		if e.U >= int32(g.N()) || e.V >= int32(g.N()) || e.U < 0 || e.V < 0 {
+			return nil, fmt.Errorf("core: insert (%d,%d) out of range [0,%d)", e.U, e.V, g.N())
+		}
+		if g.EdgeID(e.U, e.V) >= 0 {
+			return nil, fmt.Errorf("core: edge (%d,%d) already present", e.U, e.V)
+		}
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build(), nil
+}
+
+// ApplyEdits merges the sorted batches into the edge list instead of
+// rebuilding: the graph (by Fingerprint and CSR) and every error must be
+// those of the plain edge-set rebuild, for batches in any orientation and
+// order, with repeats, self-loop insertions and invalid edits.
+func TestApplyEditsMatchesRebuild(t *testing.T) {
+	rng := testutil.Rand(t, 71)
+	for trial := 0; trial < 200; trial++ {
+		n := 6 + rng.Intn(30)
+		g := randomGraph(t, n, rng.Intn(4*n), int64(trial))
+		pick := func() graph.Edge {
+			return graph.Edge{U: rng.Int31n(int32(n)+1) - rng.Int31n(2), V: rng.Int31n(int32(n) + 1)}
+		}
+		var ins, del []graph.Edge
+		for i := rng.Intn(6); i > 0; i-- {
+			e := pick()
+			if rng.Intn(4) > 0 && (e.U < 0 || e.U >= int32(n) || e.V >= int32(n) || g.HasEdge(e.U, e.V)) {
+				continue // keep most batches valid
+			}
+			ins = append(ins, e)
+			if rng.Intn(5) == 0 {
+				ins = append(ins, graph.Edge{U: e.V, V: e.U})
+			}
+		}
+		for i := rng.Intn(6); i > 0 && g.M() > 0; i-- {
+			e := g.Edge(rng.Int31n(int32(g.M())))
+			if rng.Intn(6) == 0 {
+				e = pick()
+			}
+			if rng.Intn(2) == 0 {
+				e.U, e.V = e.V, e.U
+			}
+			del = append(del, e)
+			if rng.Intn(5) == 0 {
+				del = append(del, e)
+			}
+		}
+		got, gotErr := ApplyEdits(g, ins, del)
+		want, wantErr := rebuildEdited(g, ins, del)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d (ins %v del %v): err %v, want %v", trial, ins, del, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if got.Fingerprint() != want.Fingerprint() || got.N() != want.N() {
+			t.Fatalf("trial %d (ins %v del %v): edited graph differs from the rebuild", trial, ins, del)
+		}
+		gotOff, gotAdj, gotEid, _ := got.CSR()
+		wantOff, wantAdj, wantEid, _ := want.CSR()
+		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) || !slices.Equal(gotEid, wantEid) {
+			t.Fatalf("trial %d: CSR arrays differ from the rebuild", trial)
+		}
+	}
+}
+
 func TestUpdateAffectedSetIsLocal(t *testing.T) {
 	// Two far-apart cliques: editing inside one must not touch the other.
 	g := gen.DisjointUnion(gen.Clique(6), gen.Clique(6))

@@ -10,6 +10,7 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -20,6 +21,15 @@ import (
 // Edge is an undirected edge with canonical orientation U < V.
 type Edge struct {
 	U, V int32
+}
+
+// CompareEdges orders edges by (U, V) — the edge-ID order of every
+// Graph — returning -1, 0 or +1, for slices.SortFunc and sorted merges.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // Graph is an immutable undirected simple graph in CSR form.

@@ -2,6 +2,7 @@ package truss
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"trussdiv/internal/graph"
@@ -50,7 +51,8 @@ func DecomposeFull(g *graph.Graph, workers int) (tau, sup []int32) {
 		return DecomposeWithSupports(g, sup), sup
 	}
 	h := append([]int32(nil), sup...)
-	hIndexDescent(g, h, nil, nil, workers, 0)
+	d := newHDescent(g, h, nil, workers)
+	d.run(nil, 0)
 	for e := range h {
 		h[e] += 2
 	}
@@ -61,12 +63,18 @@ func DecomposeFull(g *graph.Graph, workers int) (tau, sup []int32) {
 // t <= h[e] such that at least t triangles through e have both partner
 // edges valued >= t. Capping at the current value loses nothing (the
 // uncapped h-index can only confirm the cap) and bounds the counting
-// buffer. cnt needs length >= h[e]+1.
-func hEval(g *graph.Graph, h []int32, e int32, cnt []int32) int32 {
+// buffer, which hEval grows to h[e]+1 on demand. A triangle with a
+// partner valued below 1 counts for nothing — which is how the repair's
+// masked edges (negative values) drop out of every triangle.
+func hEval(g *graph.Graph, h []int32, e int32, cntp *[]int32) int32 {
 	c := h[e]
 	if c <= 0 {
 		return 0
 	}
+	if int(c) >= len(*cntp) {
+		*cntp = make([]int32, max(int(c)+1, 2*len(*cntp)))
+	}
+	cnt := *cntp
 	for i := int32(1); i <= c; i++ {
 		cnt[i] = 0
 	}
@@ -96,48 +104,67 @@ func hEval(g *graph.Graph, h []int32, e int32, cnt []int32) int32 {
 // hChange stages one staged value drop of a synchronous round.
 type hChange struct{ e, v int32 }
 
-// hIndexDescent runs the h-index iteration to its fixpoint, mutating h in
-// place. frontier is the initial set of edges to evaluate (nil = every
-// edge); when region is non-nil, only edges marked in it are ever
-// re-evaluated — the containment guarantee the incremental repair relies
-// on. maxEvals > 0 aborts the descent (returning ok=false, h partially
-// lowered) once that many evaluations have run; the evaluation count is
-// returned either way.
-func hIndexDescent(g *graph.Graph, h []int32, frontier []int32, region []bool, workers, maxEvals int) (evals int, ok bool) {
-	m := g.M()
-	if frontier == nil {
-		frontier = make([]int32, m)
-		for i := range frontier {
-			frontier[i] = int32(i)
-		}
-	}
+// hDescent is the h-index iteration over one value array h, with the
+// scratch its runs share. The cold decomposition makes one run over every
+// edge; the incremental repair makes one run per stage over that stage's
+// region, so nothing here is sized by more than the graph once.
+type hDescent struct {
+	g       *graph.Graph
+	h       []int32
+	region  []bool // nil = any edge may be re-evaluated
+	workers int
+
+	// queued holds generation stamps that dedupe each next frontier;
+	// round, the last stamp issued, keeps rising across runs, so stale
+	// stamps never need clearing.
+	queued  []int32
+	round   int32
+	cnt     [][]int32 // per-worker counting buffers, grown by hEval
+	cur     []int32
+	next    []int32
+	changes []hChange
+}
+
+// newHDescent prepares runs over h. When region is non-nil, only edges
+// marked in it are ever re-evaluated — the containment guarantee the
+// incremental repair relies on; the caller may change the marks between
+// runs. workers <= 0 means GOMAXPROCS.
+func newHDescent(g *graph.Graph, h []int32, region []bool, workers int) *hDescent {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	maxH := int32(0)
-	for _, v := range h {
-		if v > maxH {
-			maxH = v
+	return &hDescent{g: g, h: h, region: region, workers: workers,
+		queued: make([]int32, g.M()), cnt: make([][]int32, workers)}
+}
+
+// run iterates to the fixpoint, mutating h in place. frontier is the
+// initial set of edges to evaluate (nil = every edge); it is copied, not
+// kept. maxEvals > 0 aborts the descent (returning ok=false, h partially
+// lowered) once that many evaluations have run; the evaluation count is
+// returned either way.
+func (d *hDescent) run(frontier []int32, maxEvals int) (evals int, ok bool) {
+	g, h, region, workers, queued := d.g, d.h, d.region, d.workers, d.queued
+	if frontier == nil {
+		frontier = slices.Grow(d.cur[:0], g.M())
+		for e := range int32(g.M()) {
+			frontier = append(frontier, e)
 		}
+	} else {
+		frontier = append(d.cur[:0], frontier...)
 	}
-	scratch := make([][]int32, workers)
-	for w := range scratch {
-		scratch[w] = make([]int32, maxH+1)
-	}
-	queued := make([]int32, m) // generation stamps dedupe the next frontier
-	round := int32(0)
-	next := make([]int32, 0, len(frontier))
+	next := slices.Grow(d.next[:0], len(frontier))
+	defer func() { d.cur, d.next = frontier, next }()
 	for len(frontier) > 0 {
-		round++
+		d.round++
+		round := d.round
 		evals += len(frontier)
 		if maxEvals > 0 && evals > maxEvals {
 			return evals, false
 		}
-		var changes []hChange
+		changes := d.changes[:0]
 		if workers == 1 || len(frontier) < 2*hBlock {
-			cnt := scratch[0]
 			for _, e := range frontier {
-				if nv := hEval(g, h, e, cnt); nv < h[e] {
+				if nv := hEval(g, h, e, &d.cnt[0]); nv < h[e] {
 					changes = append(changes, hChange{e, nv})
 				}
 			}
@@ -152,12 +179,11 @@ func hIndexDescent(g *graph.Graph, h []int32, frontier []int32, region []bool, w
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					cnt := scratch[w]
 					var out []hChange
 					for start := range blocks {
 						end := min(start+hBlock, len(frontier))
 						for _, e := range frontier[start:end] {
-							if nv := hEval(g, h, e, cnt); nv < h[e] {
+							if nv := hEval(g, h, e, &d.cnt[w]); nv < h[e] {
 								out = append(out, hChange{e, nv})
 							}
 						}
@@ -174,6 +200,7 @@ func hIndexDescent(g *graph.Graph, h []int32, frontier []int32, region []bool, w
 				changes = append(changes, out...)
 			}
 		}
+		d.changes = changes
 		next = next[:0]
 		for _, ch := range changes {
 			h[ch.e] = ch.v

@@ -480,7 +480,10 @@ func (db *DB) Apply(ctx context.Context, u Updates) (Epoch, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	nextCache, stats := cur.cache.advance(newG, ins, del)
+	nextCache, stats, err := cur.cache.advance(ctx, newG, ins, del)
+	if err != nil {
+		return 0, err
+	}
 	next, err := newSnapshot(cur.epoch+1, newG, nextCache, db.forced)
 	if err != nil {
 		return 0, err // unreachable: built-ins always register cleanly
