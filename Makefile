@@ -8,7 +8,7 @@
 # plus the tier-1 checks.
 GO ?= go
 
-.PHONY: ci check check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cluster-smoke cover fuzz
+.PHONY: ci check check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cover fuzz
 
 ci: fmt-check lint check
 
@@ -30,8 +30,6 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Includes internal/cluster: the coordinator's hedged/retried fan-out and
-# the worker's epoch catch-up are concurrency-heavy by design.
 check-race:
 	$(GO) test -race ./...
 
@@ -74,7 +72,6 @@ bench-artifacts:
 	$(GO) run ./cmd/tsdbench -exp store -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp dynamic -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp measures -quick -outdir bench-out
-	$(GO) run ./cmd/tsdbench -exp cluster -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp pfree -quick -outdir bench-out
 
 # Fails when bench-out/BENCH_parallel.json came from a GOMAXPROCS=1 run —
@@ -82,11 +79,6 @@ bench-artifacts:
 # baseline can never be published as the perf trajectory.
 check-parallel-baseline:
 	bash scripts/check_parallel_baseline.sh bench-out/BENCH_parallel.json
-
-# End-to-end cluster parity: 2 shard workers + coordinator vs a single
-# node on the same dataset, answers diffed through tsdsearch -server.
-cluster-smoke:
-	bash scripts/cluster_smoke.sh
 
 cover:
 	$(GO) test -cover ./...

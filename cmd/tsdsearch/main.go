@@ -27,9 +27,8 @@
 //	tsdsearch -dataset wiki-sim -algo pfree -r 10
 //	tsdsearch -dataset wiki-sim -k 0 -r 10   # same: k-less queries route to pfree
 //
-// With -server the query runs against a running tsdserve instance —
-// single-node or cluster coordinator, both speak the same /topr shape —
-// instead of loading a graph locally:
+// With -server the query runs against a running tsdserve instance over
+// its /topr endpoint instead of loading a graph locally:
 //
 //	tsdsearch -server http://localhost:8080 -k 4 -r 10
 package main
@@ -86,8 +85,8 @@ func main() {
 	}
 }
 
-// remoteResponse covers the fields shared by the single-node and cluster
-// /topr response shapes.
+// remoteResponse covers the fields of tsdserve's /topr response that
+// runRemote prints.
 type remoteResponse struct {
 	Engine  string `json:"engine"`
 	Measure string `json:"measure"`
@@ -101,8 +100,7 @@ type remoteResponse struct {
 	} `json:"results"`
 }
 
-// runRemote answers the query through a running tsdserve (single node or
-// cluster coordinator — the /topr shapes agree on everything printed).
+// runRemote answers the query through a running tsdserve's /topr.
 func runRemote(base, algo, measure string, k, r int, showContexts bool, timeout time.Duration) error {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -146,11 +144,8 @@ func runRemote(base, algo, measure string, k, r int, showContexts bool, timeout 
 	if err := json.Unmarshal(blob, &body); err != nil {
 		return fmt.Errorf("%s: HTTP %d: %s", base, resp.StatusCode, strings.TrimSpace(string(blob)))
 	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
+	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: HTTP %d: %s", base, resp.StatusCode, body.Error)
-	}
-	if resp.StatusCode == http.StatusPartialContent {
-		fmt.Fprintf(os.Stderr, "tsdsearch: WARNING: partial result: %s\n", body.Error)
 	}
 	fmt.Printf("engine=%s measure=%s k=%d r=%d epoch=%d  total=%v (server %v)\n",
 		body.Engine, body.Measure, k, r, body.Epoch,

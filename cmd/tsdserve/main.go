@@ -32,44 +32,24 @@
 // with k=0, including per /batch query) is parameter-free and routes to
 // the pfree engine, which scores each vertex at its own discriminating
 // level; /score and /contexts without k answer the parameter-free point
-// query. This holds in cluster mode too — the coordinator forwards
-// k-less queries and merges the shards' pfree answers byte-identically
-// to a single node.
+// query.
 //
-// # Cluster modes
+// The server shuts down gracefully: SIGINT/SIGTERM stops accepting
+// connections and drains in-flight requests for up to -drain. -pprof
+// additionally exposes Go's net/http/pprof endpoints under /debug/pprof/
+// on the serving mux (off by default).
 //
-// The same binary runs the distributed serving tier. A shard worker owns
-// one contiguous vertex id range of the shared graph and answers partial
-// queries; a coordinator fans queries out to the shards and merges their
-// answers byte-identically to a single node (see internal/cluster):
-//
-//	tsdserve -shard -dataset gowalla-sim -range 0:500 -addr :7001
-//	tsdserve -shard -dataset gowalla-sim -range 500:1000 -addr :7002
-//	tsdserve -coordinator -shards localhost:7001,localhost:7002 -addr :8080
-//
-// Shard groups in -shards are comma-separated; replicas of one shard are
-// separated by '|' ("a:7001|a:7101,b:7002" = two shards, the first
-// replicated). The coordinator serves /topr, /score, /contexts, /edges
-// with the single-node shapes plus GET /cluster for shard health.
-//
-// All modes shut down gracefully: SIGINT/SIGTERM stops accepting
-// connections and drains in-flight requests for up to -drain. In every
-// mode -pprof additionally exposes Go's net/http/pprof endpoints under
-// /debug/pprof/ on the serving mux (off by default).
-//
-// Endpoints (single node): /healthz, /stats, /metrics, /engines,
-// /measures, /topr?k=&r=&engine=&measure=&contexts=&candidates=,
-// POST /batch, POST /edges, /score?v=&k=&measure=, /contexts?v=&k=&measure=.
+// Endpoints: /healthz, /stats, /metrics, /engines, /measures,
+// /topr?k=&r=&engine=&measure=&contexts=&candidates=, POST /batch,
+// POST /edges, /score?v=&k=&measure=, /contexts?v=&k=&measure=.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -77,7 +57,6 @@ import (
 
 	"trussdiv"
 	"trussdiv/internal/bench"
-	"trussdiv/internal/cluster"
 	"trussdiv/internal/graph"
 	"trussdiv/internal/server"
 )
@@ -93,11 +72,6 @@ func main() {
 		readOnly  = flag.Bool("readonly", false, "disable POST /edges live updates")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-
-		coordMode = flag.Bool("coordinator", false, "run as cluster coordinator (requires -shards)")
-		shardsArg = flag.String("shards", "", "coordinator: shard groups, comma-separated; replicas '|'-separated (host:port|host:port,...)")
-		shardMode = flag.Bool("shard", false, "run as shard worker (requires -range)")
-		rangeArg  = flag.String("range", "", "shard: owned vertex id range lo:hi (hi exclusive)")
 	)
 	flag.Parse()
 
@@ -110,9 +84,7 @@ func main() {
 	if err := run(options{
 		input: *input, dataset: *dataset, addr: *addr, timeout: *timeout,
 		indexDir: *indexDir, storeMode: mode, readOnly: *readOnly, drain: *drain,
-		pprof:     *pprofOn,
-		coordMode: *coordMode, shards: *shardsArg,
-		shardMode: *shardMode, rangeSpec: *rangeArg,
+		pprof: *pprofOn,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tsdserve:", err)
 		os.Exit(1)
@@ -126,10 +98,6 @@ type options struct {
 	storeMode            trussdiv.StoreMode
 	readOnly             bool
 	pprof                bool
-	coordMode            bool
-	shards               string
-	shardMode            bool
-	rangeSpec            string
 }
 
 func parseStoreMode(s string) (trussdiv.StoreMode, error) {
@@ -140,33 +108,6 @@ func parseStoreMode(s string) (trussdiv.StoreMode, error) {
 		return trussdiv.StoreDecode, nil
 	}
 	return 0, fmt.Errorf("-storemode %q: want mmap or decode", s)
-}
-
-func run(o options) error {
-	switch {
-	case o.coordMode && o.shardMode:
-		return errors.New("give either -coordinator or -shard, not both")
-	case o.coordMode:
-		return runCoordinator(o)
-	case o.shardMode:
-		return runShard(o)
-	default:
-		return runSingle(o)
-	}
-}
-
-// withPprof mounts the net/http/pprof handlers in front of h for the
-// cluster modes, whose handlers come from internal/cluster rather than
-// the single-node server (which registers pprof on its own mux).
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
 }
 
 // serve runs handler on addr until SIGINT/SIGTERM, then drains in-flight
@@ -194,7 +135,7 @@ func serve(addr string, handler http.Handler, drain time.Duration) error {
 	return nil
 }
 
-func runSingle(o options) error {
+func run(o options) error {
 	g, err := loadGraph(o.input, o.dataset)
 	if err != nil {
 		return err
@@ -233,67 +174,6 @@ func runSingle(o options) error {
 	log.Printf("indexes ready in %v; engines %v; epoch %d (%s); serving on %s",
 		time.Since(start).Round(time.Millisecond), srv.DB().Engines(), srv.DB().Epoch(), mode, o.addr)
 	return serve(o.addr, srv.Handler(), o.drain)
-}
-
-func runShard(o options) error {
-	if o.rangeSpec == "" {
-		return errors.New("-shard requires -range lo:hi")
-	}
-	lo, hi, err := cluster.ParseRange(o.rangeSpec)
-	if err != nil {
-		return err
-	}
-	g, err := loadGraph(o.input, o.dataset)
-	if err != nil {
-		return err
-	}
-	log.Printf("shard graph loaded: %d vertices, %d edges; preparing indexes...", g.N(), g.M())
-	start := time.Now()
-	var dbOpts []trussdiv.Option
-	if o.indexDir != "" {
-		dbOpts = append(dbOpts, trussdiv.WithIndexDir(o.indexDir),
-			trussdiv.WithStoreMode(o.storeMode))
-	}
-	db, err := trussdiv.Open(g, dbOpts...)
-	if err != nil {
-		return err
-	}
-	if err := db.Prepare(context.Background()); err != nil {
-		return err
-	}
-	w, err := cluster.NewWorker(db, lo, hi)
-	if err != nil {
-		return err
-	}
-	log.Printf("shard ready in %v: range [%d,%d) of %d vertices, epoch %d; serving on %s",
-		time.Since(start).Round(time.Millisecond), lo, hi, g.N(), db.Epoch(), o.addr)
-	h := http.Handler(w.Handler())
-	if o.pprof {
-		h = withPprof(h)
-	}
-	return serve(o.addr, h, o.drain)
-}
-
-func runCoordinator(o options) error {
-	if o.input != "" || o.dataset != "" {
-		return errors.New("-coordinator takes no graph: the shard workers own it")
-	}
-	groups, err := cluster.ParseShards(o.shards)
-	if err != nil {
-		return fmt.Errorf("-shards: %w", err)
-	}
-	coord, err := cluster.NewCoordinator(context.Background(), groups)
-	if err != nil {
-		return err
-	}
-	srv := cluster.NewCoordinatorServer(coord, o.timeout)
-	log.Printf("coordinator ready: %d shards, epoch %d; serving on %s",
-		coord.Shards(), coord.Epoch(), o.addr)
-	h := http.Handler(srv.Handler())
-	if o.pprof {
-		h = withPprof(h)
-	}
-	return serve(o.addr, h, o.drain)
 }
 
 func loadGraph(input, dataset string) (*graph.Graph, error) {

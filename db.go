@@ -35,12 +35,6 @@ type DB struct {
 	applyMu sync.Mutex
 	custom  []customEngine // Register'd backends, re-added to every snapshot
 	forced  string
-
-	// epochMu guards epochCh, the broadcast channel WaitEpoch sleeps on:
-	// every snapshot install closes the current channel (waking every
-	// waiter to re-check the epoch) and replaces it with a fresh one.
-	epochMu sync.Mutex
-	epochCh chan struct{}
 }
 
 // customEngine remembers a DB.Register call so Apply can carry the
@@ -280,7 +274,7 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{forced: cfg.engine, epochCh: make(chan struct{})}
+	db := &DB{forced: cfg.engine}
 	resultCap := resultCacheDefaultCap
 	if cfg.resultCapSet {
 		resultCap = cfg.resultCap
@@ -339,41 +333,6 @@ func (db *DB) Route(q Query) Engine { return db.Snapshot().Route(q) }
 // Stats, when requested, name the engine that answered.
 func (db *DB) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	return db.Snapshot().TopR(ctx, q)
-}
-
-// broadcastEpoch wakes every WaitEpoch sleeper after a snapshot install.
-func (db *DB) broadcastEpoch() {
-	db.epochMu.Lock()
-	close(db.epochCh)
-	db.epochCh = make(chan struct{})
-	db.epochMu.Unlock()
-}
-
-// WaitEpoch blocks until the DB's current snapshot has reached at least
-// the target epoch, returning that snapshot. It is the replication hook
-// of the cluster tier: a shard worker that receives a query tagged with
-// an epoch it has not applied yet parks here until the corresponding
-// Apply lands (or ctx expires, in which case WaitEpoch returns ctx's
-// error and the caller reports a typed stale-epoch failure). A target at
-// or below the current epoch returns immediately — the returned
-// snapshot's epoch may exceed the target when applies raced ahead.
-func (db *DB) WaitEpoch(ctx context.Context, target Epoch) (*Snapshot, error) {
-	for {
-		// Grab the broadcast channel before checking the epoch: an Apply
-		// that lands between the check and the wait closes the channel we
-		// already hold, so the wakeup cannot be missed.
-		db.epochMu.Lock()
-		ch := db.epochCh
-		db.epochMu.Unlock()
-		if snap := db.Snapshot(); snap.epoch >= target {
-			return snap, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-ch:
-		}
-	}
 }
 
 // Batch answers many queries in one pass against a single snapshot: every

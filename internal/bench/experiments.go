@@ -90,7 +90,6 @@ var experiments = []Experiment{
 	{"store", "extension", "cold build vs warm index-store load at startup; writes BENCH_store.json", runStore},
 	{"dynamic", "extension", "incremental DB.Apply vs cold rebuild under edge updates; writes BENCH_dynamic.json", runDynamic},
 	{"measures", "extension", "per-measure top-r serving: online vs bound vs prepared rankings; writes BENCH_measures.json", runMeasures},
-	{"cluster", "extension", "sharded scatter-gather vs single node (1/2/4 local shards); writes BENCH_cluster.json", runCluster},
 	{"pfree", "extension", "parameter-free top-r: online fallback vs prepared ranking; writes BENCH_pfree.json", runPFree},
 }
 

@@ -1,10 +1,10 @@
-// Package metrics is the lightweight serving-telemetry layer shared by
-// the single-node HTTP server and the cluster tier: per-route request
-// counters and latency histograms, cheap enough to sit on every request
-// path, exposed as JSON (GET /metrics) rather than a wire format that
-// would pull in a dependency. Buckets are fixed log-spaced microsecond
-// bounds so histograms from different processes (coordinator, shards)
-// line up when compared side by side.
+// Package metrics is the lightweight serving-telemetry layer of the HTTP
+// server: per-route request counters and latency histograms, cheap
+// enough to sit on every request path, exposed as JSON (GET /metrics)
+// rather than a wire format that would pull in a dependency. Buckets are
+// fixed log-spaced microsecond bounds starting at 1 µs, so prepared
+// answers that take tens of microseconds still spread over several
+// cells.
 package metrics
 
 import (
@@ -16,11 +16,11 @@ import (
 )
 
 // bucketBoundsUS are the histogram upper bounds, in microseconds. The
-// final implicit bucket is +Inf. Log-spaced 100µs..5s: index lookups land
-// in the first buckets, online scans and fan-outs in the middle, and
-// anything in the tail is a timeout candidate.
-var bucketBoundsUS = []int64{100, 250, 500, 1000, 2500, 5000, 10_000, 25_000,
-	50_000, 100_000, 250_000, 500_000, 1_000_000, 5_000_000}
+// final implicit bucket is +Inf. Log-spaced 1µs..5s: prepared lookups land
+// in the first buckets, online scans in the middle, and anything in the
+// tail is a timeout candidate.
+var bucketBoundsUS = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
+	5000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 5_000_000}
 
 // endpoint accumulates one route's counters. Guarded by the Registry
 // mutex — the critical section is a few integer adds, so a single mutex

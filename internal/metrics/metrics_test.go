@@ -11,6 +11,7 @@ import (
 
 func TestObserveAndSnapshot(t *testing.T) {
 	r := New()
+	r.Observe("/topr", 200, 15*time.Microsecond)
 	r.Observe("/topr", 200, 90*time.Microsecond)
 	r.Observe("/topr", 200, 200*time.Microsecond)
 	r.Observe("/topr", 504, 2*time.Second)
@@ -18,15 +19,15 @@ func TestObserveAndSnapshot(t *testing.T) {
 	r.Observe("/edges", 200, 10*time.Millisecond)
 
 	rep := r.Snapshot()
-	if rep.Requests != 5 {
-		t.Fatalf("requests = %d, want 5", rep.Requests)
+	if rep.Requests != 6 {
+		t.Fatalf("requests = %d, want 6", rep.Requests)
 	}
 	if len(rep.Endpoints) != 2 {
 		t.Fatalf("endpoints = %d, want 2", len(rep.Endpoints))
 	}
 	// Sorted by route: /edges first.
 	topr := rep.Endpoints[1]
-	if topr.Route != "/topr" || topr.Count != 4 || topr.Errors != 1 || topr.ClientErrors != 1 {
+	if topr.Route != "/topr" || topr.Count != 5 || topr.Errors != 1 || topr.ClientErrors != 1 {
 		t.Fatalf("topr stats = %+v", topr)
 	}
 	if topr.MaxUS < 2_000_000 {
@@ -36,12 +37,19 @@ func TestObserveAndSnapshot(t *testing.T) {
 	for _, b := range topr.Latency {
 		total += b.Count
 	}
-	if total != 4 {
-		t.Fatalf("histogram total = %d, want 4", total)
+	if total != 5 {
+		t.Fatalf("histogram total = %d, want 5", total)
 	}
-	// 90µs lands in the first bucket (le 100).
-	if topr.Latency[0].LEUS != 100 || topr.Latency[0].Count != 1 {
-		t.Fatalf("first bucket = %+v", topr.Latency[0])
+	// The buckets start at 1µs: 15µs lands in le 25, the first non-empty
+	// cell, and 90µs in le 100, the next one.
+	if len(topr.Latency) < 2 {
+		t.Fatalf("latency cells = %+v, want at least 2", topr.Latency)
+	}
+	if got := topr.Latency[0]; got.LEUS != 25 || got.Count != 1 {
+		t.Fatalf("first non-empty cell = %+v, want le 25 count 1", got)
+	}
+	if got := topr.Latency[1]; got.LEUS != 100 || got.Count != 1 {
+		t.Fatalf("second non-empty cell = %+v, want le 100 count 1", got)
 	}
 }
 

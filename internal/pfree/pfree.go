@@ -24,8 +24,8 @@
 // that witnesses the score; the pfree contexts of v are the measure's
 // contexts at k*(v). Like every engine in this repository, answers are
 // produced under the canonical total order (score descending, vertex id
-// ascending), so serial, parallel, Batch, and cluster scatter-gather
-// executions are byte-identical.
+// ascending), so serial, parallel, and Batch executions are
+// byte-identical.
 //
 // Two execution paths produce identical bytes: a prepared path that
 // reads a precomputed pfree ranking (derived in O(table) from the per-k

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -150,6 +152,7 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 		return nil, &CorruptError{Reason: "truncated table of contents", Err: err}
 	}
 	toc := make(map[SectionRef]tocEntry, count)
+	accepted := make([]SectionRef, 0, count) // TOC order, for checkNoOverlap
 	for i := 0; i < int(count); i++ {
 		e := tocBytes[tocEntrySize*i:]
 		id := Section(binary.LittleEndian.Uint32(e[0:4]))
@@ -186,10 +189,14 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 				return nil, &CorruptError{Section: id, Reason: "duplicate section"}
 			}
 			toc[ref] = entry
+			accepted = append(accepted, ref)
 		default:
 			// Unknown sections within the current version are additions
 			// from a newer writer; skip them rather than failing the file.
 		}
+	}
+	if err := checkNoOverlap(toc, accepted, headerSize+tocEntrySize*uint64(count)); err != nil {
+		return nil, err
 	}
 
 	f := &File{path: path, g: g, toc: toc}
@@ -220,6 +227,34 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 		f.g = gv
 	}
 	return f, nil
+}
+
+// checkNoOverlap rejects a TOC whose accepted sections share bytes with
+// each other or with the header and TOC, which end at tocEnd. The writer
+// lays payloads out back to back in TOC order from align8(tocEnd), so
+// every valid file passes. It runs after the per-entry bounds check, so
+// offset+length cannot wrap. O(count log count): sort by offset, then
+// each section must start at or after the end of the one before it.
+func checkNoOverlap(toc map[SectionRef]tocEntry, accepted []SectionRef, tocEnd uint64) error {
+	slices.SortStableFunc(accepted, func(a, b SectionRef) int {
+		ea, eb := toc[a], toc[b]
+		return cmp.Or(cmp.Compare(ea.offset, eb.offset), cmp.Compare(ea.length, eb.length))
+	})
+	end := tocEnd
+	for i, ref := range accepted {
+		e := toc[ref]
+		if e.offset < end {
+			reason := fmt.Sprintf("section at offset %d starts inside the header and table of contents (end %d)",
+				e.offset, tocEnd)
+			if i > 0 {
+				reason = fmt.Sprintf("section at offset %d overlaps the %v section (end %d)",
+					e.offset, accepted[i-1].Section, end)
+			}
+			return &CorruptError{Section: ref.Section, Reason: reason}
+		}
+		end = e.offset + e.length
+	}
+	return nil
 }
 
 // Path returns the file's location on disk.

@@ -941,6 +941,56 @@ func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
 	})
 }
 
+// TestOpenRejectsOverlappingSections: a TOC whose sections share bytes
+// with each other, or with the header and TOC, is corrupt at open in both
+// modes and through both entry points. Each case stays 8-byte aligned and
+// inside the file, so only the overlap check can catch it.
+func TestOpenRejectsOverlappingSections(t *testing.T) {
+	g := testGraph(t)
+	pristine, err := os.ReadFile(saveTo(t, g, buildIndexes(g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TOC entry i: offset at +12, length at +20.
+	offsetField := func(blob []byte, i int) []byte { return blob[headerSize+tocEntrySize*i+12:] }
+	if first := binary.LittleEndian.Uint64(pristine[headerSize+20:]); first <= 8 {
+		t.Fatalf("first section is %d bytes; the shared-bytes case needs more than 8", first)
+	}
+	cases := []struct {
+		name   string
+		damage func(blob []byte)
+	}{
+		{"sections share bytes", func(blob []byte) {
+			// Point the second section 8 bytes into the first.
+			first := binary.LittleEndian.Uint64(offsetField(blob, 0))
+			binary.LittleEndian.PutUint64(offsetField(blob, 1), first+8)
+		}},
+		{"section starts inside the TOC", func(blob []byte) {
+			binary.LittleEndian.PutUint64(offsetField(blob, 0), uint64(align8(headerSize)))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := bytes.Clone(pristine)
+			tc.damage(blob)
+			path := filepath.Join(t.TempDir(), FileName)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bothModes(t, func(t *testing.T, mode Mode) {
+				_, errFile := OpenFile(path, g, WithMode(mode))
+				_, errGraph := OpenGraph(path, WithMode(mode))
+				for entry, err := range map[string]error{"OpenFile": errFile, "OpenGraph": errGraph} {
+					var ce *CorruptError
+					if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
+						t.Fatalf("%s err = %v, want a *CorruptError", entry, err)
+					}
+				}
+			})
+		})
+	}
+}
+
 func TestSaveIsAtomicAndCreatesDirs(t *testing.T) {
 	g := testGraph(t)
 	dir := filepath.Join(t.TempDir(), "a", "b")

@@ -282,8 +282,8 @@ func (s *Snapshot) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 
 // cachedTopR runs q through an already-resolved engine with the result
 // cache consulted first — the single execution point shared by TopR,
-// Batch, and (via TopR) the server and cluster tiers, so every serving
-// path sees the same cache.
+// Batch, and (via TopR) the server, so every serving path sees the same
+// cache.
 func (s *Snapshot) cachedTopR(ctx context.Context, eng Engine, q Query) (*Result, *Stats, error) {
 	var key resultKey
 	if s.results != nil {
@@ -303,34 +303,6 @@ func (s *Snapshot) cachedTopR(ctx context.Context, eng Engine, q Query) (*Result
 		s.results.put(key, q.Candidates, res, stats)
 	}
 	return res, stats, err
-}
-
-// TopRRange answers q restricted to the contiguous vertex range [lo, hi)
-// — the partition primitive of the cluster tier, where each shard worker
-// owns one id range of the shared graph. The answer is exactly what TopR
-// would return for q with Candidates set to lo..hi-1: canonical order
-// (score desc, id asc) with zero-score padding from the smallest unused
-// ids in range, so per-shard answers merge byte-identically into the
-// whole-graph answer. q must not carry its own Candidates.
-func (s *Snapshot) TopRRange(ctx context.Context, q Query, lo, hi int32) (*Result, *Stats, error) {
-	if q.Candidates != nil {
-		return nil, nil, errors.New("trussdiv: TopRRange: query already carries Candidates")
-	}
-	if lo < 0 || int(hi) > s.g.N() || lo > hi {
-		return nil, nil, fmt.Errorf("trussdiv: TopRRange: range [%d,%d) outside [0,%d)", lo, hi, s.g.N())
-	}
-	cands := make([]int32, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		cands = append(cands, v)
-	}
-	q.Candidates = cands
-	return s.TopR(ctx, q)
-}
-
-// TopRRange answers q restricted to the vertex range [lo, hi) on the
-// current snapshot; see Snapshot.TopRRange.
-func (db *DB) TopRRange(ctx context.Context, q Query, lo, hi int32) (*Result, *Stats, error) {
-	return db.Snapshot().TopRRange(ctx, q, lo, hi)
 }
 
 // Score returns score(v) at threshold k, reading the GCT index when one
@@ -516,7 +488,6 @@ func (db *DB) Apply(ctx context.Context, u Updates) (Epoch, error) {
 		// purge just frees the retired graph's entries from the LRU.
 		db.results.invalidateBelow(next.epoch)
 	}
-	db.broadcastEpoch()
 	return next.epoch, nil
 }
 
