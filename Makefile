@@ -5,12 +5,12 @@
 # mutable-graph write path (the root-package apply/snapshot tests,
 # e.g. TestConcurrentReadersDuringApply, run under it).
 # `make ci` is the umbrella the GitHub workflow runs: formatting gate
-# plus the tier-1 checks.
+# plus the tier-1 checks, plus vet and tests of the loadbench module.
 GO ?= go
 
-.PHONY: ci check check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cover fuzz
+.PHONY: ci check loadbench-check check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cover fuzz
 
-ci: fmt-check lint check
+ci: fmt-check lint check loadbench-check
 
 check: vet build test test-1cpu
 
@@ -29,6 +29,12 @@ lint: vet
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loadbench is its own module (it imports internal packages through a
+# replace directive), so `./...` above never builds it; vet and test it
+# here so an internal API change cannot break the benchmark unnoticed.
+loadbench-check:
+	cd loadbench && $(GO) vet ./... && $(GO) test ./...
 
 check-race:
 	$(GO) test -race ./...

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"maps"
 	"runtime"
 	"sync"
 	"time"
 
 	"trussdiv/internal/core"
-	"trussdiv/internal/pfree"
 	"trussdiv/internal/store"
 	"trussdiv/internal/truss"
 )
@@ -38,8 +36,7 @@ type indexCache struct {
 	sup       []int32 // pristine edge supports matching tau (nil when tau was store-loaded)
 	tsd       *core.TSDIndex
 	gct       *core.GCTIndex
-	ranked    map[core.Measure]*core.Ranked       // per-k ranking tables (truss = hybrid)
-	pfrank    map[core.Measure][]core.VertexScore // parameter-free rankings (all measures)
+	ranked    map[core.Measure]*core.Ranked // per-k ranking tables (truss = hybrid; k = 0 is pfree)
 	buildTime time.Duration
 	loadTime  time.Duration
 
@@ -169,7 +166,7 @@ func (c *indexCache) storedEpoch() Epoch {
 // shared edited graph (copy-on-write, so this cache keeps answering for
 // in-flight readers). One patch pass over the affected ego-networks
 // re-derives the TSD and GCT entries and every ranking table (truss
-// included) and hands the pfree rankings their fresh all-k vectors; the
+// included; each new table derives its pfree row on first use); the
 // global truss decomposition is repaired by the bounded region descent
 // of truss.Repair (falling back to invalidation — and a lazy parallel
 // rebuild — when the affected region exceeds its budget or the supports
@@ -190,12 +187,9 @@ func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) 
 	for _, m := range AllMeasures() {
 		if r := c.ranked[m]; r != nil {
 			old.MeasureRanks[m] = r.Rankings()
-		}
-		if c.ranked[m] != nil || c.pfrank[m] != nil {
 			t.Measures = append(t.Measures, m)
 		}
 	}
-	pfrank := maps.Clone(c.pfrank)
 	next := &indexCache{
 		g:           newG,
 		scorers:     core.NewScorers(newG),
@@ -229,10 +223,6 @@ func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) 
 		next.tsd, next.gct = p.TSD, p.GCT
 		for m, perK := range p.MeasureRanks {
 			next.setRankedLocked(m, perK)
-			stats.RankingsPatched++
-		}
-		for m, ranked := range pfrank {
-			next.setPFreeRankLocked(m, pfree.PatchRanking(ranked, affected, p.AllK[m]))
 			stats.RankingsPatched++
 		}
 	}
@@ -414,73 +404,6 @@ func (c *indexCache) availLocked(ref store.SectionRef) bool {
 	return c.file != nil && c.file.HasMeasure(ref.Section, ref.Measure) && !c.bad[ref]
 }
 
-// pfreeRanking returns the parameter-free engine's canonical ranking for
-// measure m: from memory, else loaded from the store's measure-tagged
-// pfree slab, else derived in O(table) from the measure's per-k ranking
-// table when that is already at hand (in memory or on disk). Only when
-// build is set does a fully cold cache pay for the per-k table (one ego
-// decomposition per vertex); without it the caller falls back to the
-// online scan. Derivations and builds persist, so the next boot
-// warm-starts the slab.
-func (c *indexCache) pfreeRanking(m Measure, build bool) []core.VertexScore {
-	m = m.Normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pfreeRankingLocked(m, build)
-}
-
-func (c *indexCache) pfreeRankingLocked(m Measure, build bool) []core.VertexScore {
-	if ranked := c.pfrank[m]; ranked != nil {
-		return ranked
-	}
-	ref := store.SectionRef{Section: store.SecPFree, Measure: m}
-	if ranked := loadSection(c, ref, func(f *store.File) ([]core.VertexScore, error) {
-		return f.PFreeRanking(m)
-	}); ranked != nil {
-		c.setPFreeRankLocked(m, ranked)
-		return ranked
-	}
-	if r := c.rankedLocked(m, false); r != nil {
-		// O(table) slice surgery, cheap enough for the query path; persist
-		// so the next boot loads the slab instead of re-deriving.
-		ranked := pfree.RankingFromPerK(r.Rankings())
-		c.setPFreeRankLocked(m, ranked)
-		c.persistAfterBuildLocked()
-		return ranked
-	}
-	if !build {
-		return nil
-	}
-	start := time.Now()
-	ranked := pfree.RankingFromPerK(c.rankedLocked(m, true).Rankings())
-	c.buildTime += time.Since(start)
-	c.builds++
-	c.setPFreeRankLocked(m, ranked)
-	c.persistAfterBuildLocked()
-	return ranked
-}
-
-func (c *indexCache) setPFreeRankLocked(m Measure, ranked []core.VertexScore) {
-	if c.pfrank == nil {
-		c.pfrank = make(map[core.Measure][]core.VertexScore, 3)
-	}
-	c.pfrank[m] = ranked
-}
-
-func (c *indexCache) hasPFreeRank(m Measure) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pfrank[m.Normalize()] != nil
-}
-
-// onDiskPFreeRank reports whether measure m's pfree ranking can be
-// loaded from the warm-start file.
-func (c *indexCache) onDiskPFreeRank(m Measure) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.availLocked(store.SectionRef{Section: store.SecPFree, Measure: m.Normalize()})
-}
-
 // prepareShared is Prepare's build step: it collects every ego-derived
 // structure the requested names will need that is in neither memory nor
 // the warm-start file, and builds them all in one BuildAll sweep (one
@@ -503,12 +426,8 @@ func (c *indexCache) prepareShared(names []string) {
 		t.GCT = true
 	}
 	for _, m := range AllMeasures() {
-		// pfree rankings derive in O(table) from the per-k tables, so
-		// "pfree" needs a table built only for measures whose pfree slab
-		// AND per-k table are both missing everywhere.
-		pfreeNeeds := want["pfree"] && c.pfrank[m] == nil &&
-			!c.availLocked(store.SectionRef{Section: store.SecPFree, Measure: m})
-		if (want[rankedEngineName(m)] || pfreeNeeds) && c.ranked[m] == nil &&
+		// pfree answers from every measure's table (its k = 0 row).
+		if (want[rankedEngineName(m)] || want["pfree"]) && c.ranked[m] == nil &&
 			!c.availLocked(store.SectionRef{Section: store.SecRankings, Measure: m}) {
 			t.Measures = append(t.Measures, m)
 		}
@@ -596,15 +515,6 @@ func (c *indexCache) persistLocked() {
 		}
 		for _, m := range core.AllMeasures() {
 			c.rankedLocked(m, false)
-			if c.pfrank[m] != nil {
-				continue
-			}
-			ref := store.SectionRef{Section: store.SecPFree, Measure: m}
-			if ranked := loadSection(c, ref, func(f *store.File) ([]core.VertexScore, error) {
-				return f.PFreeRanking(m)
-			}); ranked != nil {
-				c.setPFreeRankLocked(m, ranked)
-			}
 		}
 	}
 	ix := store.Indexes{Tau: c.tau, Sup: c.sup, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
@@ -613,9 +523,6 @@ func (c *indexCache) persistLocked() {
 		for m, r := range c.ranked {
 			ix.MeasureRankings[m] = r.Rankings()
 		}
-	}
-	if len(c.pfrank) > 0 {
-		ix.PFree = c.pfrank
 	}
 	path := store.PathIn(c.dir)
 	if err := store.Save(path, c.g, ix); err != nil {
@@ -680,7 +587,12 @@ func (e *onlineEngine) Name() string { return "online" }
 // scorer the query's measure names.
 func (e *onlineEngine) Measures() []Measure { return AllMeasures() }
 
+// TopR keeps the fixed-k contract: core.Online's k = 0 scan is served
+// through the pfree engine.
 func (e *onlineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
+	if err := core.CheckThreshold(q.K); err != nil {
+		return nil, nil, err
+	}
 	return e.eng.Search(ctx, q.params())
 }
 
@@ -908,6 +820,10 @@ func (e *rankedEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 	if m := q.Measure.Normalize(); q.Measure != "" && m != e.measure {
 		return nil, nil, &UnsupportedMeasureError{Engine: e.name, Measure: m}
 	}
+	// The table's k = 0 row is served through the pfree engine.
+	if err := core.CheckThreshold(q.K); err != nil {
+		return nil, nil, err
+	}
 	p := q.params()
 	p.Measure = e.measure
 	if r := e.cache.rankedTable(e.measure, e.coldBuild); r != nil {
@@ -987,17 +903,19 @@ func singleVertexErr(ctx context.Context, g *Graph, v, k int32) error {
 
 // --- pfree (parameter-free diversity, arXiv:1908.11612) ---
 
-// pfreeEngine adapts internal/pfree into the registry: the only engine
-// that serves queries without a K, and the only one k-less queries route
-// to. It serves every measure (it declares all three via MeasureLister),
-// and it is prepared per measure: once the pfree ranking is derived
-// (Prepare("pfree"), a Batch that routes to it, a query that finds the
-// per-k tables already built, or a store holding the pfree slab), a
-// k-less top-r query is an O(r) prefix read; cold, it falls back to the
-// online all-k scan.
+// pfreeEngine serves the parameter-free query: the only engine that
+// serves queries without a K, and the only one k-less queries route to.
+// It serves every measure (it declares all three via MeasureLister) from
+// the measure's per-k ranking table, whose k = 0 row is the pfree ranking
+// (derived once per table on first use): once the table is in memory
+// (Prepare("pfree") or the measure's own engine, an Apply that patched
+// it) or in the index store, a k-less top-r query is an O(r) prefix
+// read; cold, it falls back to the online all-k scan. Same shape as
+// rankedEngine, byte-identical answers either way.
 type pfreeEngine struct {
-	w     workload
-	cache *indexCache
+	w      workload
+	online *core.Online
+	cache  *indexCache
 }
 
 func (e *pfreeEngine) Name() string { return "pfree" }
@@ -1015,69 +933,77 @@ func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 		return nil, nil, err
 	}
 	if q.K != 0 {
-		return nil, nil, &BadQueryError{Engine: "pfree", K: q.K,
-			Reason: "engine is parameter-free: leave k unset (0)"}
+		return nil, nil, pfreeKErr(q.K)
 	}
-	m := q.Measure.Normalize()
 	p := q.params()
-	p.Measure = m
-	// The prepared/online split lives in the Searcher; both paths answer
-	// byte-identically, the ranking only removes the scan.
-	ranked := e.cache.pfreeRanking(m, false)
-	return pfree.NewSearcher(e.cache.scorers[m], ranked).Search(ctx, p)
+	p.Measure = q.Measure.Normalize()
+	if r := e.cache.rankedTable(p.Measure, false); r != nil {
+		return r.Search(ctx, p)
+	}
+	return e.online.Search(ctx, p)
 }
 
-// pointErr validates a single-vertex pfree query: the vertex must be in
-// range and k must be left at 0 — the objective chooses the level.
-func (e *pfreeEngine) pointErr(ctx context.Context, v, k int32) error {
+// pfreeKErr rejects a threshold given to the parameter-free engine.
+func pfreeKErr(k int32) error {
+	return &BadQueryError{Engine: "pfree", K: k,
+		Reason: "engine is parameter-free: leave k unset (0)"}
+}
+
+// pfreeScorer validates a parameter-free point query — a known measure,
+// v in range, k left at 0 — and returns the snapshot's shared scorer of
+// the measure, whose threshold 0 is the parameter-free score.
+func pfreeScorer(ctx context.Context, c *indexCache, v, k int32, m Measure) (*core.Scorer, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if v < 0 || int(v) >= e.cache.g.N() {
-		return fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, e.cache.g.N())
+	if !m.Valid() {
+		_, err := ParseMeasure(string(m))
+		return nil, err
+	}
+	if v < 0 || int(v) >= c.g.N() {
+		return nil, fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, c.g.N())
 	}
 	if k != 0 {
-		return &BadQueryError{Engine: "pfree", K: k,
-			Reason: "engine is parameter-free: leave k unset (0)"}
+		return nil, pfreeKErr(k)
 	}
-	return nil
+	return c.scorers[m.Normalize()], nil
 }
 
 // Score returns the parameter-free diversity of one vertex under the
 // truss measure (the default measure, as on every point path); k must
 // be 0.
 func (e *pfreeEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := e.pointErr(ctx, v, k); err != nil {
+	s, err := pfreeScorer(ctx, e.cache, v, k, MeasureTruss)
+	if err != nil {
 		return 0, err
 	}
-	return pfree.ScoreAt(e.cache.scorers[MeasureTruss], v), nil
+	return s.Score(v, 0), nil
 }
 
 // Contexts returns the vertex's contexts at its discriminating level
 // k* = max(score, 2) under the truss measure; k must be 0.
 func (e *pfreeEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := e.pointErr(ctx, v, k); err != nil {
+	s, err := pfreeScorer(ctx, e.cache, v, k, MeasureTruss)
+	if err != nil {
 		return nil, err
 	}
-	return pfree.ContextsAt(e.cache.scorers[MeasureTruss], v), nil
+	return s.Contexts(v, 0), nil
 }
 
 func (e *pfreeEngine) Cost(q Query) Estimate {
 	// Ready: an O(r) prefix read plus context recovery — contexts cost two
-	// ego decompositions per answer vertex (level probe + recovery). On
-	// disk: one cheap sequential slab load. Derivable from per-k tables
-	// that already exist: O(table) surgery, priced like a store load. Cold:
+	// ego decompositions per answer vertex (level probe + recovery). A
+	// table in memory needs no build (its pfree row is an O(n + table)
+	// pass on first use); one on disk is a cheap sequential load. Cold:
 	// the per-k table must be built first (all-k scoring, slightly above
 	// one online scan), amortized by Batch exactly like comp/kcore.
 	m := q.Measure.Normalize()
 	est := Estimate{Query: float64(q.R) + 2*e.w.contextWork(q)}
 	switch {
-	case e.cache.hasPFreeRank(m):
+	case e.cache.hasRanked(m):
 		// ready: nothing to build
-	case e.cache.onDiskPFreeRank(m):
+	case e.cache.onDiskRanked(m):
 		est.Build = e.w.n
-	case e.cache.hasRanked(m) || e.cache.onDiskRanked(m):
-		est.Build = 2 * e.w.n
 	default:
 		factor := 1.25
 		if m == MeasureCore {

@@ -151,30 +151,21 @@ func TestApplyPatchesStoreLoadedTrussRankings(t *testing.T) {
 }
 
 // TestApplyPatchesPFreeRankings pins the parameter-free repair
-// contract: prepared pfree rankings survive a small Apply patched in
-// place — they are present in the new epoch's cache before any query
-// touches them, ApplyStats counts exactly one extra patch per measure
-// relative to an otherwise-identical DB without pfree, and the patched
-// answers are byte-equal to a cold DB on the edited graph.
+// contract: the pfree ranking is the k = 0 row of each measure's table,
+// so a small Apply patches the tables alone — ApplyStats counts one patch
+// per table — and the k-less answers at the new epoch, derived from the
+// patched tables without a build, are byte-equal to a cold DB on the
+// edited graph.
 func TestApplyPatchesPFreeRankings(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 39,
 	})
 	ctx := context.Background()
-	withPFree, err := Open(g, WithPreparedIndexes())
+	db, err := Open(g, WithPreparedIndexes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := withPFree.Prepare(ctx, "comp", "kcore", "pfree"); err != nil {
-		t.Fatal(err)
-	}
-	// The control DB holds the same per-k tables but no pfree rankings,
-	// so the RankingsPatched delta isolates the pfree patches.
-	control, err := Open(g, WithPreparedIndexes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := control.Prepare(ctx, "comp", "kcore"); err != nil {
+	if err := db.Prepare(ctx, "pfree"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,39 +178,25 @@ func TestApplyPatchesPFreeRankings(t *testing.T) {
 			}
 		}
 	}
-	if _, err := withPFree.Apply(ctx, u); err != nil {
+	if _, err := db.Apply(ctx, u); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := control.Apply(ctx, u); err != nil {
-		t.Fatal(err)
-	}
-	st, ctl := withPFree.Snapshot().ApplyStats(), control.Snapshot().ApplyStats()
+	st := db.Snapshot().ApplyStats()
 	if st == nil || !st.TrussRepaired {
 		t.Fatalf("Apply fell back to a rebuild: %+v", st)
 	}
-	if want := ctl.RankingsPatched + len(AllMeasures()); st.RankingsPatched != want {
-		t.Fatalf("RankingsPatched = %d, want %d (control %d + one pfree patch per measure)",
-			st.RankingsPatched, want, ctl.RankingsPatched)
+	if want := len(AllMeasures()); st.RankingsPatched != want {
+		t.Fatalf("RankingsPatched = %d, want %d (one per table)", st.RankingsPatched, want)
 	}
-	// The patched rankings are already in the new cache — Apply carried
-	// them forward; a query must not have to re-derive them.
-	cache := withPFree.Snapshot().cache
-	cache.mu.Lock()
-	for _, m := range AllMeasures() {
-		if cache.pfrank[m] == nil {
-			cache.mu.Unlock()
-			t.Fatalf("pfree ranking for %s missing after Apply; patch dropped it", m)
-		}
-	}
-	cache.mu.Unlock()
 
-	cold, err := Open(withPFree.Graph())
+	cache := db.Snapshot().cache
+	cold, err := Open(db.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range AllMeasures() {
 		q := NewQuery(0, 12, ViaEngine("pfree"), WithMeasure(m), WithContexts())
-		got, _, err := withPFree.TopR(ctx, q)
+		got, _, err := db.TopR(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}

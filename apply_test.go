@@ -367,7 +367,7 @@ func TestConcurrentReadersDuringApply(t *testing.T) {
 		dir := t.TempDir()
 		seed, err := trussdiv.Open(trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 			N: 250, Attach: 3, Cliques: 50, MinSize: 4, MaxSize: 6, Seed: 35,
-		}), trussdiv.WithIndexDir(dir), trussdiv.WithPreparedIndexes("tsd", "gct"))
+		}), trussdiv.WithIndexDir(dir), trussdiv.WithPreparedIndexes("tsd", "gct", "pfree"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func concurrentReadersDuringApply(t *testing.T, extra []trussdiv.Option) {
 	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 		N: 250, Attach: 3, Cliques: 50, MinSize: 4, MaxSize: 6, Seed: 35,
 	})
-	opts := append([]trussdiv.Option{trussdiv.WithPreparedIndexes("tsd", "gct")}, extra...)
+	opts := append([]trussdiv.Option{trussdiv.WithPreparedIndexes("tsd", "gct", "pfree")}, extra...)
 	db, err := trussdiv.Open(g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -428,29 +428,35 @@ func concurrentReadersDuringApply(t *testing.T, extra []trussdiv.Option) {
 			}
 		}(w)
 	}
-	// A parameter-free reader: the k-less cell of the matrix, hammering
-	// the pfree ranking while Apply patches it copy-on-write.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	// Parameter-free readers: the k-less cell of the matrix, every
+	// measure, two readers at once. Each Apply installs freshly patched
+	// tables whose pfree rows derive on first use, so the readers race to
+	// derive them while Apply patches the next epoch copy-on-write.
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// A fresh r per call keeps the result cache from answering.
+				m := trussdiv.AllMeasures()[i%3]
+				res, _, err := db.TopR(ctx, trussdiv.NewQuery(0, 1+i%200, trussdiv.WithMeasure(m),
+					trussdiv.ViaEngine("pfree"), trussdiv.WithoutStats()))
+				if err != nil {
+					t.Errorf("pfree reader: %v", err)
+					return
+				}
+				if res.Epoch < 1 || res.Epoch > batches+1 {
+					t.Errorf("pfree reader saw epoch %d outside [1,%d]", res.Epoch, batches+1)
+					return
+				}
 			}
-			res, _, err := db.TopR(ctx, trussdiv.NewQuery(0, 5,
-				trussdiv.ViaEngine("pfree"), trussdiv.WithoutStats()))
-			if err != nil {
-				t.Errorf("pfree reader: %v", err)
-				return
-			}
-			if res.Epoch < 1 || res.Epoch > batches+1 {
-				t.Errorf("pfree reader saw epoch %d outside [1,%d]", res.Epoch, batches+1)
-				return
-			}
-		}
-	}()
+		}()
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -9,9 +9,9 @@
 // rankings, fingerprinted against the exact graph they were built from;
 // a reader refuses the file for any other graph and rebuilds instead.
 // With -measures the file additionally carries the per-k rankings of the
-// component and core diversity measures (measure-tagged sections) and the parameter-free pfree rankings of all three measures,
-// so a warm server answers every measure's top-r — fixed-k and k-less —
-// in O(r).
+// component and core diversity measures (measure-tagged sections), so a
+// warm server answers every measure's top-r in O(r) — fixed-k, and
+// k-less from the pfree row each table derives on first use.
 //
 // Usage:
 //
@@ -40,7 +40,7 @@ func main() {
 		dataset  = flag.String("dataset", "", "built-in synthetic dataset name")
 		out      = flag.String("out", ".", "directory the index store is written to")
 		verify   = flag.Bool("verify", false, "validate the existing store against the graph instead of building")
-		measures = flag.Bool("measures", false, "also build the component/core and parameter-free rankings into the store")
+		measures = flag.Bool("measures", false, "also build the component/core rankings (which serve parameter-free queries too) into the store")
 	)
 	flag.Parse()
 
@@ -74,9 +74,9 @@ func run(input, dataset, out string, verify, measures bool) error {
 	// so the store file is serialized once, not once per Prepare.
 	names := []string(nil) // default set: bound, tsd, gct, hybrid
 	if measures {
-		// Plus the native measure engines' per-k rankings and the
-		// parameter-free rankings, landing in the same file as
-		// measure-tagged sections.
+		// Plus the native measure engines' per-k rankings, landing in the
+		// same file as measure-tagged sections; pfree needs no section of
+		// its own (it reads every measure's table).
 		names = []string{"bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree"}
 	}
 	start := time.Now()

@@ -492,8 +492,8 @@ type IndexStats struct {
 	// from the index store).
 	MeasureRankings []Measure
 	// PFreeRankings lists the measures whose parameter-free rankings are
-	// ready in memory (Prepare("pfree"), a derivation on the query path,
-	// or a store pfree section).
+	// ready: those whose per-k table is in memory, since the pfree
+	// ranking is the table's k = 0 row (derived on first use).
 	PFreeRankings []Measure
 	BuildTime     time.Duration
 	LoadTime      time.Duration // time spent reading the index store

@@ -37,8 +37,8 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n\n", g.N(), g.M())
 
-	// Prepare the pfree rankings once; afterwards every k-less top-r is
-	// an O(r) prefix read. (Skipping this works too — the engine falls
+	// Prepare pfree once (every measure's per-k table and its derived
+	// pfree row); afterwards every k-less top-r is an O(r) prefix read. (Skipping this works too — the engine falls
 	// back to scoring all-k vectors online, same answers.)
 	if err := db.Prepare(ctx, "pfree"); err != nil {
 		log.Fatal(err)

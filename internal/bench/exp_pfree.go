@@ -14,7 +14,7 @@ import (
 // (the ISSUE-9 extension): for every dataset and measure it times the
 // online fallback (a cold pfree query scores each candidate's full all-k
 // vector on the fly) against the prepared path (an O(r) prefix read of
-// the pfree ranking after one Prepare), and verifies both answer
+// the pfree row of the measure's table after one Prepare), and verifies both answer
 // byte-identically. The DB runs with the result cache disabled so the
 // numbers measure execution, not cache hits. Results land in
 // BENCH_pfree.json, tracking the k-less serving cost from PR to PR.
@@ -140,7 +140,7 @@ func runPFree(w io.Writer, cfg Config) error {
 		if len(measures) == len(trussdiv.AllMeasures()) {
 			// Prepare("pfree") needs every measure's tables, so one call is
 			// the shared pass; the split path builds the same end state one
-			// structure at a time before the O(table) pfree derivation.
+			// structure at a time before the O(n + table) pfree row derivation.
 			row, err := timePrepareAll(ctx, g,
 				[]string{"pfree"}, []string{"hybrid", "comp", "kcore", "pfree"})
 			if err != nil {

@@ -23,21 +23,24 @@ func allocTestGraph(t *testing.T) *graph.Graph {
 	})
 }
 
+// k = 3 is a fixed threshold, k = 0 the parameter-free score.
 func TestVertexScorerScoreAllocFree(t *testing.T) {
 	g := allocTestGraph(t)
 	n := int32(g.N())
 	for _, m := range AllMeasures() {
-		s := NewVertexScorer(g, m)
-		// One full sweep grows every scratch slab to its high-water mark.
-		for v := int32(0); v < n; v++ {
-			s.Score(v, 3)
-		}
-		var v int32
-		if got := testing.AllocsPerRun(300, func() {
-			s.Score(v%n, 3)
-			v++
-		}); got != 0 {
-			t.Errorf("%s: Score allocates %.1f/op in steady state, want 0", m, got)
+		for _, k := range []int32{3, 0} {
+			s := NewVertexScorer(g, m)
+			// One full sweep grows every scratch slab to its high-water mark.
+			for v := int32(0); v < n; v++ {
+				s.Score(v, k)
+			}
+			var v int32
+			if got := testing.AllocsPerRun(300, func() {
+				s.Score(v%n, k)
+				v++
+			}); got != 0 {
+				t.Errorf("%s: Score(v, %d) allocates %.1f/op in steady state, want 0", m, k, got)
+			}
 		}
 	}
 }
@@ -70,7 +73,7 @@ func TestVertexScorerMatchesOneShot(t *testing.T) {
 		for _, m := range AllMeasures() {
 			reused := NewVertexScorer(tc.g, m)
 			for v := int32(0); int(v) < tc.g.N(); v++ {
-				for _, k := range []int32{2, 3, 4} {
+				for _, k := range []int32{2, 3, 4, 0} {
 					if got, want := reused.Score(v, k), NewVertexScorer(tc.g, m).Score(v, k); got != want {
 						t.Fatalf("%s/%s: Score(%d, %d) = %d via reused scratch, %d one-shot",
 							tc.name, m, v, k, got, want)

@@ -138,17 +138,32 @@ func TestEngineConformance(t *testing.T) {
 }
 
 // TestEngineConformanceEdgeCases pins the shared precondition behavior:
-// k below 2 and r below 1 fail identically everywhere (including k=0),
-// r beyond n clamps, and an empty candidate subset yields an empty
-// answer rather than an error.
+// k = 1 and r below 1 fail identically everywhere, k = 0 fails on the
+// fixed-k engines and selects the parameter-free query on online and
+// hybrid (which then agree), r beyond n clamps, and an empty candidate
+// subset yields an empty answer rather than an error.
 func TestEngineConformanceEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	g := gen.Fig1Graph()
 	engines := conformanceEngines(g)
+	pfree, _, err := engines["online"].Search(ctx, Params{R: 5, Workers: 1})
+	if err != nil {
+		t.Fatalf("online K=0: %v", err)
+	}
 	for name, s := range engines {
 		for _, workers := range conformanceWorkerCounts() {
+			res, _, err := s.Search(ctx, Params{R: 5, Workers: workers})
+			switch name {
+			case "online", "hybrid":
+				if err != nil || !reflect.DeepEqual(res, pfree) {
+					t.Fatalf("%s w=%d: K=0 answered %+v, %v; want %+v", name, workers, res, err, pfree)
+				}
+			default:
+				if err == nil {
+					t.Fatalf("%s w=%d: K=0 accepted, want error", name, workers)
+				}
+			}
 			for _, bad := range []Params{
-				{K: 0, R: 5, Workers: workers},
 				{K: 1, R: 5, Workers: workers},
 				{K: 3, R: 0, Workers: workers},
 				{K: 3, R: -2, Workers: workers},
@@ -159,7 +174,7 @@ func TestEngineConformanceEdgeCases(t *testing.T) {
 				}
 			}
 			// r > n clamps to n for the full range.
-			res, _, err := s.Search(ctx, Params{K: 3, R: 10 * g.N(), Workers: workers})
+			res, _, err = s.Search(ctx, Params{K: 3, R: 10 * g.N(), Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", name, workers, err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -56,15 +57,14 @@ type patchTarget struct {
 // TestPatchMatchesBuildAll is the maintenance contract of the one
 // per-vertex driver: PatchAll over the affected vertices of a random
 // insert/delete batch deep-equals BuildAll over the edited graph — for
-// every target and measure, at every worker count — its all-k vectors
-// and its TSD scores equal the online scorer's, and the previous
-// products are untouched (copy-on-write). The single-structure rows run
-// under their own tests below.
+// every target and measure, at every worker count — its TSD scores equal
+// the online scorer's, the pfree row each built and patched table
+// derives equals a brute-force ranking, and the previous products are
+// untouched (copy-on-write). The single-structure rows run under their
+// own tests below.
 func TestPatchMatchesBuildAll(t *testing.T) {
 	checkPatchMatchesBuildAll(t, 900, []patchTarget{
 		{"everything", BuildTargets{TSD: true, GCT: true, Measures: AllMeasures()}, AllMeasures()},
-		// A DB holding only pfree rankings: vectors, no table to splice.
-		{"vectors-only", BuildTargets{Measures: AllMeasures()}, nil},
 	})
 }
 
@@ -150,6 +150,8 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 			before := BuildAll(g, all, 1)
 			want := BuildAll(newG, all, 1)
 			var online [][]int // computed on the first TSD row
+			// Brute-force pfree rankings, per measure on its first table row.
+			pfreeWant := map[Measure][]VertexScore{}
 			for _, tc := range targets {
 				label := gc.name + "/" + tc.name
 				old := BuildAll(g, all, 1)
@@ -184,13 +186,13 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 								label, w, m, p.MeasureRanks[m], want.MeasureRanks[m])
 						}
 					}
-					for _, m := range tc.t.Measures {
-						vs := NewVertexScorer(newG, m)
-						for i, v := range affected {
-							if got, want := p.AllK[m][i], copyAllK(vs.ScoresAllK(v)); !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s/w=%d: %s all-k vector of %d = %v, want %v", label, w, m, v, got, want)
-							}
+					for _, m := range tc.tables {
+						if pfreeWant[m] == nil {
+							pfreeWant[m] = brutePFreeRanking(newG, m)
+							checkPFreeRow(t, label+": built "+string(m), newG, m, want.MeasureRanks[m], pfreeWant[m])
 						}
+						checkPFreeRow(t, fmt.Sprintf("%s/w=%d: patched %s", label, w, m),
+							newG, m, p.MeasureRanks[m], pfreeWant[m])
 					}
 				}
 				for m := range old.MeasureRanks {
@@ -203,6 +205,40 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 				}
 			}
 		}
+	}
+}
+
+// brutePFreeRanking ranks every vertex of g by its parameter-free score
+// under measure m, straight from the definition — the largest h with
+// s(v, max(h, 2)) >= h over ScoresAllK's vector — in canonical order, with
+// the zero-score vertices after the scored ones by ascending ID: what a
+// K = 0 search with r = n answers. It shares no code with the pfree row.
+func brutePFreeRanking(g *graph.Graph, m Measure) []VertexScore {
+	vs := NewVertexScorer(g, m)
+	out := make([]VertexScore, g.N())
+	for v := range out {
+		allK := vs.ScoresAllK(int32(v))
+		h := max(len(allK)-1, 0)
+		for h > 0 && allK[max(h, 2)] < h {
+			h--
+		}
+		out[v] = VertexScore{V: int32(v), Score: h}
+	}
+	slices.SortStableFunc(out, func(a, b VertexScore) int { return b.Score - a.Score })
+	return out
+}
+
+// checkPFreeRow answers the parameter-free query (K = 0, r = n) from a
+// Ranked table over perK and compares it with the brute-force ranking.
+func checkPFreeRow(t *testing.T, label string, g *graph.Graph, m Measure, perK [][]VertexScore, want []VertexScore) {
+	t.Helper()
+	res, _, err := NewRanked(NewMeasureScorer(g, m), perK).Search(context.Background(),
+		Params{R: g.N(), SkipContexts: true, Measure: m})
+	if err != nil {
+		t.Fatalf("%s: K=0 search: %v", label, err)
+	}
+	if !reflect.DeepEqual(res.TopR, want) {
+		t.Fatalf("%s: pfree row diverges from brute force\n got %v\nwant %v", label, res.TopR, want)
 	}
 }
 

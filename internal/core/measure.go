@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Measure names one structural diversity definition — the axis the
@@ -111,10 +112,13 @@ func MeasureUpperBound(m Measure, degree int, egoEdges int32, k int32) int {
 // ranking is an O(r) prefix scan; the social contexts of the answer
 // vertices are recovered online with the measure's shared Scorer (sharded
 // across p.Workers), which is what makes the strategy lose to GCT as r
-// grows.
+// grows. The same table answers the parameter-free query (K = 0) from a
+// pfree row it derives from its per-k rows on first use (pfreeRow).
 type Ranked struct {
 	scorer *Scorer
 	perK   [][]VertexScore
+	pfOnce sync.Once
+	pf     []VertexScore // the pfree row, set by pfreeRow
 }
 
 // NewRanked returns a rankings-backed searcher for scorer's measure over
@@ -134,8 +138,13 @@ func (r *Ranked) Measure() Measure { return r.scorer.m }
 func (r *Ranked) Rankings() [][]VertexScore { return r.perK }
 
 // Ranking returns the full precomputed ranking for k (sorted by score
-// descending), nil outside the table. The slice aliases internal storage.
+// descending), nil outside the table; k = 0 returns the parameter-free
+// ranking, derived from the per-k rows on the first such call. The slice
+// aliases internal storage.
 func (r *Ranked) Ranking(k int32) []VertexScore {
+	if k == 0 {
+		return r.pfreeRow()
+	}
 	if k < 0 || int(k) >= len(r.perK) {
 		return nil
 	}
@@ -148,15 +157,15 @@ func (r *Ranked) TopR(k int32, rr int) (*Result, *Stats, error) {
 	return r.Search(context.Background(), Params{K: k, R: rr})
 }
 
-// Search answers a top-r query of r.Measure() from the rankings; a
-// Params.Measure naming any other measure is rejected with an
-// *UnsupportedMeasureError. Reading the ranking is nearly free; the
-// expensive part is the per-answer online context recovery, which
-// finishResult polls on every vertex — so a Search with SkipContexts set
-// is the cheapest query in the library.
+// Search answers a top-r query of r.Measure() from the rankings — the
+// parameter-free query at K = 0 — and a Params.Measure naming any other
+// measure is rejected with an *UnsupportedMeasureError. Reading the
+// ranking is nearly free; the expensive part is the per-answer online
+// context recovery, which finishResult polls on every vertex — so a
+// Search with SkipContexts set is the cheapest query in the library.
 func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	g := r.scorer.g
-	p, err := p.normalized(g.N())
+	p, err := p.normalizedOrPFree(g.N())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -40,10 +40,12 @@ func (o *Online) TopR(k int32, r int) (*Result, *Stats, error) {
 // order. Each candidate costs one ego-network decomposition, so
 // cancellation is checked before every score computation. The search is
 // measure-generic: p.Measure swaps the truss scorer for the
-// component-based or core-based one, same scan either way.
+// component-based or core-based one, same scan either way. K = 0 scans
+// for the parameter-free objective: each candidate costs one all-k
+// decomposition, and each recovered answer one more (its level probe).
 func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	g := o.g
-	p, err := p.normalized(g.N())
+	p, err := p.normalizedOrPFree(g.N())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,9 +58,13 @@ func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 	if err != nil {
 		return nil, nil, err
 	}
+	answer := heap.Answer()
 	stats := &Stats{ScoreComputations: scored, Candidates: scored}
+	if p.K == 0 && !p.SkipContexts {
+		stats.ScoreComputations += len(answer)
+	}
 	scorer := o.scorers[m]
-	res, err := finishResult(ctx, heap.Answer(), p, func(v int32) [][]int32 {
+	res, err := finishResult(ctx, answer, p, func(v int32) [][]int32 {
 		return scorer.Contexts(v, p.K)
 	})
 	if err != nil {

@@ -1,10 +1,10 @@
-package pfree
+package core
 
 import "testing"
 
 // The aggregation is a pure function of the all-k vector; pin its edge
 // semantics directly. Vectors are indexed by k with entries 0 and 1
-// unused, matching core.VertexScorer.ScoresAllK.
+// unused, matching VertexScorer.ScoresAllK.
 func TestScoreAndLevel(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -24,11 +24,11 @@ func TestScoreAndLevel(t *testing.T) {
 		{"negative entries are ignored", []int{0, 0, -1, -3}, 0, 0},
 	}
 	for _, tc := range cases {
-		if got := Score(tc.allK); got != tc.score {
-			t.Errorf("%s: Score = %d, want %d", tc.name, got, tc.score)
+		if got := pfreeScore(tc.allK); got != tc.score {
+			t.Errorf("%s: pfreeScore = %d, want %d", tc.name, got, tc.score)
 		}
-		if got := Level(tc.allK); got != tc.level {
-			t.Errorf("%s: Level = %d, want %d", tc.name, got, tc.level)
+		if got := pfreeLevel(tc.allK); got != tc.level {
+			t.Errorf("%s: pfreeLevel = %d, want %d", tc.name, got, tc.level)
 		}
 	}
 }

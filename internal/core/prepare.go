@@ -49,11 +49,6 @@ type BuildProducts struct {
 	// the table trimmed to the largest k any vertex scores at (minimum
 	// length 3).
 	MeasureRanks map[Measure][][]VertexScore
-	// AllK is set by PatchAll only: each requested measure's fresh all-k
-	// score vectors of the patched vertices, aligned with the affected
-	// slice (indexed by k, entries 0 and 1 unused, nil when the vertex
-	// scores at no k) — what parameter-free rankings aggregate.
-	AllK map[Measure][][]int32
 }
 
 // BuildAll builds every requested structure in one pass over the
@@ -91,9 +86,9 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 // per-vertex pass, run over only the affected vertices (sorted, from
 // AffectedVertices) of the edited graph g — no other vertex's
 // ego-network changed. t.TSD and t.GCT re-derive those vertices' entries
-// of old.TSD and old.GCT (both must then be set); every measure in
-// t.Measures gets its fresh all-k vectors in AllK, and its per-k table
-// patched in MeasureRanks when old holds one. Every product is
+// of old.TSD and old.GCT (both must then be set), and every measure in
+// t.Measures gets its per-k table in old.MeasureRanks (which must hold
+// one) patched into MeasureRanks. Every product is
 // copy-on-write — fresh top-level storage sharing the untouched
 // per-vertex entries with old, which stays fully usable — and identical
 // to a BuildAll over g.
@@ -112,14 +107,12 @@ func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int
 	}
 	p.run(len(affected), workers, func(slot int) int32 { return affected[slot] })
 
-	out := &BuildProducts{TSD: p.tsd, GCT: p.gct, AllK: p.vecs}
+	out := &BuildProducts{TSD: p.tsd, GCT: p.gct}
 	for m, vecs := range p.vecs {
-		if prev := old.MeasureRanks[m]; prev != nil {
-			if out.MeasureRanks == nil {
-				out.MeasureRanks = make(map[Measure][][]VertexScore, len(p.vecs))
-			}
-			out.MeasureRanks[m] = spliceRankings(prev, affected, vecs)
+		if out.MeasureRanks == nil {
+			out.MeasureRanks = make(map[Measure][][]VertexScore, len(p.vecs))
 		}
+		out.MeasureRanks[m] = spliceRankings(old.MeasureRanks[m], affected, vecs)
 	}
 	return out
 }

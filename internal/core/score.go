@@ -53,17 +53,8 @@ func (s *Scorer) Graph() *graph.Graph { return s.g }
 // Measure returns the measure this scorer computes.
 func (s *Scorer) Measure() Measure { return s.m }
 
-// Do lends f one pooled VertexScorer for the duration of the call, for
-// callers that chain several scratch-backed calls on one vertex (the
-// slices a VertexScorer returns are only valid until f returns).
-func (s *Scorer) Do(f func(vs *VertexScorer)) {
-	vs := s.pool.Get().(*VertexScorer)
-	f(vs)
-	s.pool.Put(vs)
-}
-
 // Score returns score(v) w.r.t. threshold k (paper Def. 3 for the truss
-// measure). k must be >= 2.
+// measure). k must be >= 2, or 0 for the parameter-free score.
 func (s *Scorer) Score(v int32, k int32) int {
 	vs := s.pool.Get().(*VertexScorer)
 	score := vs.Score(v, k)
@@ -73,8 +64,9 @@ func (s *Scorer) Score(v int32, k int32) int {
 
 // Contexts returns the social contexts SC(v): the vertex sets (global IDs,
 // each sorted) of the measure's contexts in v's ego-network — for the
-// truss measure the maximal connected k-trusses (paper Def. 2). Nil when
-// no context qualifies.
+// truss measure the maximal connected k-trusses (paper Def. 2); k = 0
+// recovers them at v's parameter-free discriminating level. Nil when no
+// context qualifies.
 func (s *Scorer) Contexts(v int32, k int32) [][]int32 {
 	vs := s.pool.Get().(*VertexScorer)
 	out := vs.Contexts(v, k)

@@ -11,7 +11,9 @@ import (
 // R carry the paper's preconditions (k >= 2, r >= 1). The remaining
 // fields tune what the engines compute beyond the ranked answer.
 type Params struct {
-	// K is the trussness threshold of the social contexts (>= 2).
+	// K is the trussness threshold of the social contexts (>= 2). The
+	// engines that also serve the parameter-free objective (Online,
+	// Ranked) take K = 0 to select it; Bound, TSD and GCT reject it.
 	K int32
 	// R is the answer size (>= 1; capped at the candidate count).
 	R int
@@ -63,17 +65,27 @@ func (p Params) workers() int {
 // normalized validates p against an n-vertex graph and caps R at the
 // candidate count, mirroring the paper's §2.3 preconditions.
 func (p Params) normalized(n int) (Params, error) {
-	if p.K < 2 {
-		return p, fmt.Errorf("core: trussness threshold k = %d, must be >= 2", p.K)
+	if err := CheckThreshold(p.K); err != nil {
+		return p, err
 	}
 	return p.normalizedNoK(n)
 }
 
-// NormalizedNoK validates p for a parameter-free search: identical to
-// the fixed-k engines' validation except that K is ignored — the
-// parameter-free objective has no trussness threshold.
-func (p Params) NormalizedNoK(n int) (Params, error) {
-	return p.normalizedNoK(n)
+// CheckThreshold is the fixed-k precondition on a threshold: k >= 2.
+func CheckThreshold(k int32) error {
+	if k < 2 {
+		return fmt.Errorf("core: trussness threshold k = %d, must be >= 2", k)
+	}
+	return nil
+}
+
+// normalizedOrPFree is normalized for the engines that also answer the
+// parameter-free query: K = 0 selects it and skips the threshold check.
+func (p Params) normalizedOrPFree(n int) (Params, error) {
+	if p.K == 0 {
+		return p.normalizedNoK(n)
+	}
+	return p.normalized(n)
 }
 
 // normalizedNoK is the K-independent part of parameter validation: R,

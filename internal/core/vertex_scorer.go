@@ -41,8 +41,13 @@ func (s *VertexScorer) Graph() *graph.Graph { return s.g }
 // Measure returns the measure this scorer computes.
 func (s *VertexScorer) Measure() Measure { return s.m }
 
-// Score returns score(v) w.r.t. threshold k under the scorer's measure.
+// Score returns score(v) w.r.t. threshold k under the scorer's measure;
+// k = 0 returns the parameter-free score, from the same scratch
+// ScoresAllK fills.
 func (s *VertexScorer) Score(v int32, k int32) int {
+	if k == 0 {
+		return pfreeScore(s.ScoresAllK(v))
+	}
 	net := ego.ExtractOneInto(&s.ego, s.g, v)
 	switch s.m {
 	case MeasureComponent:
@@ -75,9 +80,16 @@ func (s *VertexScorer) Score(v int32, k int32) int {
 // Contexts returns the social contexts of v w.r.t. k as global vertex
 // sets: canonical group order (by first member), members ascending. Nil
 // when no context qualifies — even when the ego-network has edges — the
-// same "no contexts" every index engine reports. The returned groups are
-// freshly allocated (they escape the scratch); the transients are not.
+// same "no contexts" every index engine reports. k = 0 returns the
+// parameter-free contexts: those at v's discriminating level, found by one
+// all-k probe first. The returned groups are freshly allocated (they
+// escape the scratch); the transients are not.
 func (s *VertexScorer) Contexts(v int32, k int32) [][]int32 {
+	if k == 0 {
+		if k = pfreeLevel(s.ScoresAllK(v)); k == 0 {
+			return nil
+		}
+	}
 	net := ego.ExtractOneInto(&s.ego, s.g, v)
 	var local [][]int32
 	switch s.m {

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -294,38 +295,37 @@ func (s *Server) handleMeasures(w http.ResponseWriter, _ *http.Request) {
 }
 
 // measureParam parses the optional measure= query parameter ("" = truss).
-func measureParam(r *http.Request) (trussdiv.Measure, error) {
-	raw := r.URL.Query().Get("measure")
+func measureParam(params url.Values) (trussdiv.Measure, error) {
+	raw := params.Get("measure")
 	if raw == "" {
 		return "", nil
 	}
 	return trussdiv.ParseMeasure(raw)
 }
 
-// intParam parses a required integer query parameter.
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
+// intParam parses a required integer query parameter; see
+// optionalIntParam.
+func intParam(params url.Values, name string, bits int) (int, error) {
+	if params.Get(name) == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
+	return optionalIntParam(params, name, bits)
 }
 
-// optionalIntParam parses an integer query parameter, 0 when absent.
-func optionalIntParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+// optionalIntParam parses an integer query parameter, 0 when absent. It
+// must fit a signed integer of the given bit size (0 = int): k and v are
+// int32 in the library, so a wider value fails here instead of wrapping
+// into a different query.
+func optionalIntParam(params url.Values, name string, bits int) (int, error) {
+	raw := params.Get(name)
 	if raw == "" {
 		return 0, nil
 	}
-	v, err := strconv.Atoi(raw)
+	v, err := strconv.ParseInt(raw, 10, bits)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q: %v", name, err)
 	}
-	return v, nil
+	return int(v), nil
 }
 
 // clampWorkers bounds a client-supplied worker count: non-positive falls
@@ -340,8 +340,8 @@ func clampWorkers(n int) int {
 }
 
 // candidatesParam parses the optional comma-separated vertex subset.
-func candidatesParam(r *http.Request) ([]int32, error) {
-	raw := r.URL.Query().Get("candidates")
+func candidatesParam(params url.Values) ([]int32, error) {
+	raw := params.Get("candidates")
 	if raw == "" {
 		return nil, nil
 	}
@@ -378,27 +378,28 @@ type topRResult struct {
 func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 	// k is optional: absent (or 0) builds a parameter-free query, which
 	// routes to the pfree engine — the objective picks each vertex's level.
-	k, err := optionalIntParam(r, "k")
+	params := r.URL.Query()
+	k, err := optionalIntParam(params, "k", 32)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	rr, err := intParam(r, "r")
+	rr, err := intParam(params, "r", 0)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	cands, err := candidatesParam(r)
+	cands, err := candidatesParam(params)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	workers, err := optionalIntParam(r, "workers")
+	workers, err := optionalIntParam(params, "workers", 0)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	measure, err := measureParam(r)
+	measure, err := measureParam(params)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -406,7 +407,7 @@ func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 	q := trussdiv.Query{
 		K:               int32(k),
 		R:               rr,
-		IncludeContexts: r.URL.Query().Get("contexts") == "true",
+		IncludeContexts: params.Get("contexts") == "true",
 		Candidates:      cands,
 		Workers:         clampWorkers(workers),
 		Measure:         measure,
@@ -419,7 +420,7 @@ func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 	// serving the query's measure; a named engine is checked against the
 	// measure (tsd cannot answer measure=component).
 	snap := s.db.Snapshot()
-	q.Engine = r.URL.Query().Get("engine")
+	q.Engine = params.Get("engine")
 	routed := q.Engine == ""
 	eng, err := snap.ResolveEngine(q)
 	if err != nil {
@@ -685,16 +686,17 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 // — absent or 0 means pfree semantics (the objective chooses the
 // level), matching /topr; engine=pfree makes that explicit and rejects
 // a non-zero k with 400, mirroring the library's BadQueryError.
-func (s *Server) vertexParam(r *http.Request) (v, k int32, pf bool, err error) {
-	vi, err := intParam(r, "v")
+func (s *Server) vertexParam(params url.Values) (v, k int32, pf bool, err error) {
+	vi, err := intParam(params, "v", 32)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	ki, err := optionalIntParam(r, "k")
+	ki, err := optionalIntParam(params, "k", 32)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	switch eng := r.URL.Query().Get("engine"); eng {
+	eng := params.Get("engine")
+	switch eng {
 	case "", "pfree":
 		// pfree is the only engine with point semantics of its own; any
 		// other name would silently answer with default-path semantics, so
@@ -703,19 +705,20 @@ func (s *Server) vertexParam(r *http.Request) (v, k int32, pf bool, err error) {
 		return 0, 0, false, fmt.Errorf("parameter \"engine\": point queries accept only engine=pfree, got %q", eng)
 	}
 	pf = ki == 0
-	if r.URL.Query().Get("engine") == "pfree" && ki != 0 {
+	if eng == "pfree" && ki != 0 {
 		return 0, 0, false, fmt.Errorf("engine \"pfree\" is parameter-free: leave k unset, got k=%d", ki)
 	}
 	return int32(vi), int32(ki), pf, nil
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	v, k, pf, err := s.vertexParam(r)
+	params := r.URL.Query()
+	v, k, pf, err := s.vertexParam(params)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	measure, err := measureParam(r)
+	measure, err := measureParam(params)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -741,12 +744,13 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleContexts(w http.ResponseWriter, r *http.Request) {
-	v, k, pf, err := s.vertexParam(r)
+	params := r.URL.Query()
+	v, k, pf, err := s.vertexParam(params)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
-	measure, err := measureParam(r)
+	measure, err := measureParam(params)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return

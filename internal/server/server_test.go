@@ -142,16 +142,18 @@ func TestEmptyContextsAreNullEverywhere(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	ts := newTestServer(t)
 	for _, url := range []string{
-		"/topr?k=4",                    // missing r
-		"/topr?k=4&r=1&engine=x",       // unknown engine
-		"/topr?k=1&r=1",                // k too small (and not parameter-free)
-		"/topr?r=1&engine=gct",         // fixed-k engine pinned without k
-		"/topr?k=4&r=1&engine=pfree",   // parameter-free engine pinned with k
-		"/score?v=99&k=4",              // vertex out of range
-		"/score?v=0&k=1",               // k too small
-		"/score?v=0&k=4&engine=online", // only pfree has point semantics
-		"/score?v=0&k=4&engine=pfree",  // pfree forbids a threshold
-		"/contexts?v=abc&k=4",          // non-integer
+		"/topr?k=4",                        // missing r
+		"/topr?k=4&r=1&engine=x",           // unknown engine
+		"/topr?k=1&r=1",                    // k too small (and not parameter-free)
+		"/topr?r=1&engine=gct",             // fixed-k engine pinned without k
+		"/topr?k=4&r=1&engine=pfree",       // parameter-free engine pinned with k
+		"/score?v=99&k=4",                  // vertex out of range
+		"/score?v=0&k=1",                   // k too small
+		"/score?v=0&k=4&engine=online",     // only pfree has point semantics
+		"/score?v=0&k=4&engine=pfree",      // pfree forbids a threshold
+		"/contexts?v=abc&k=4",              // non-integer
+		"/topr?k=4294967300&r=3",           // k beyond int32 (must not wrap to k=4)
+		"/score?v=4294967296&k=4294967300", // v and k beyond int32 (must not wrap to v=0, k=4)
 	} {
 		body := getJSON(t, ts.URL+url, http.StatusBadRequest)
 		if body["error"] == "" {

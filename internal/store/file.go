@@ -183,7 +183,7 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 			continue
 		}
 		switch id {
-		case SecTruss, SecTSD, SecGCT, SecRankings, SecEpoch, SecSupports, SecGraph, SecPFree:
+		case SecTruss, SecTSD, SecGCT, SecRankings, SecEpoch, SecSupports, SecGraph:
 			ref := SectionRef{Section: id, Measure: measure}
 			if _, dup := toc[ref]; dup {
 				return nil, &CorruptError{Section: id, Reason: "duplicate section"}
@@ -473,19 +473,6 @@ func (f *File) MeasureRankings(m core.Measure) ([][]core.VertexScore, error) {
 	return decodeRankingsSlab(payload, f.g.N())
 }
 
-// PFreeRanking loads the parameter-free engine's ranking for measure m,
-// or (nil, nil) when the file has no pfree section tagged with m. Like
-// the per-k rankings it materializes on the heap (platform-width
-// scores) with one widening pass; a present-but-empty ranking loads as
-// an empty non-nil slice.
-func (f *File) PFreeRanking(m core.Measure) ([]core.VertexScore, error) {
-	payload, err := f.payload(SecPFree, m)
-	if payload == nil || err != nil {
-		return nil, err
-	}
-	return decodePFreeSlab(payload, f.g.N())
-}
-
 // ReadAll opens path against g through the decode path and loads every
 // section it contains; the thin whole-file wrapper around the File handle
 // API for callers that want plain heap-backed structures and no lifecycle.
@@ -520,19 +507,6 @@ func ReadAll(path string, g *graph.Graph) (*Indexes, error) {
 			ix.MeasureRankings = make(map[core.Measure][][]core.VertexScore)
 		}
 		ix.MeasureRankings[m] = perK
-	}
-	for _, m := range core.AllMeasures() {
-		if !f.HasMeasure(SecPFree, m) {
-			continue
-		}
-		ranked, err := f.PFreeRanking(m)
-		if err != nil {
-			return nil, err
-		}
-		if ix.PFree == nil {
-			ix.PFree = make(map[core.Measure][]core.VertexScore)
-		}
-		ix.PFree[m] = ranked
 	}
 	if ix.Epoch, err = f.Epoch(); err != nil {
 		return nil, err

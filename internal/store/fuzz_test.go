@@ -76,8 +76,6 @@ func exerciseFile(t *testing.T, f *File, err error) {
 	for _, m := range core.AllMeasures() {
 		_, err = f.MeasureRankings(m)
 		requireTyped(t, "MeasureRankings", err)
-		_, err = f.PFreeRanking(m)
-		requireTyped(t, "PFreeRanking", err)
 		for _, s := range knownSections {
 			_, err = f.Section(s, m)
 			requireTyped(t, "Section", err)

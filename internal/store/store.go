@@ -96,11 +96,10 @@ const (
 	// of each materializing a heap copy, and OpenGraph can boot from the
 	// store alone.
 	SecGraph Section = 7
-	// SecPFree is the parameter-free engine's ranking for one measure (the
-	// measure tag says which, truss included): the canonical pfree score
-	// list as a flat slab, zero scores omitted. Readers that predate it
-	// skip it as an unknown section.
-	SecPFree Section = 8
+	// Section ID 8 is retired: earlier v3 writers stored a parameter-free
+	// ranking there, which readers now derive from the rankings section.
+	// Files that carry it still open — the section is skipped like any
+	// unknown ID — and no writer may reuse the ID.
 )
 
 // Measure tags on TOC entries, binding a section to the diversity
@@ -171,15 +170,13 @@ func (s Section) String() string {
 		return "supports"
 	case SecGraph:
 		return "graph"
-	case SecPFree:
-		return "pfree"
 	}
 	return fmt.Sprintf("section(%d)", uint32(s))
 }
 
 // knownSections lists every section ID this reader understands, in the
 // canonical listing order.
-var knownSections = []Section{SecTruss, SecSupports, SecTSD, SecGCT, SecRankings, SecPFree, SecEpoch, SecGraph}
+var knownSections = []Section{SecTruss, SecSupports, SecTSD, SecGCT, SecRankings, SecEpoch, SecGraph}
 
 // Sentinel errors, each matched by errors.Is against the typed error that
 // carries the details.
@@ -282,11 +279,6 @@ type Indexes struct {
 	// present measure becomes one measure-tagged rankings section. The
 	// truss-tagged one is the hybrid engine's table.
 	MeasureRankings map[core.Measure][][]core.VertexScore
-	// PFree holds the parameter-free engine's canonical ranking per
-	// measure (all three measures, truss included); each present measure
-	// becomes one measure-tagged pfree section. An empty non-nil ranking
-	// is persisted too — "nobody scores" is a prepared answer.
-	PFree map[core.Measure][]core.VertexScore
 	// Epoch is the snapshot version the indexes describe; 0 means "not
 	// recorded" and writes no section.
 	Epoch uint64
@@ -335,20 +327,6 @@ func Write(w io.Writer, g *graph.Graph, ix Indexes) (int64, error) {
 			return 0, err
 		}
 		secs = append(secs, section{SecRankings, measureCode(m), payload})
-	}
-	// Parameter-free ranking sections, one per present measure (truss
-	// included here — pfree's truss ranking has no other home), again in
-	// fixed measure order.
-	for _, m := range core.AllMeasures() {
-		ranked, ok := ix.PFree[m]
-		if !ok || ranked == nil {
-			continue
-		}
-		payload, err := encodePFreeSlab(ranked, g.N())
-		if err != nil {
-			return 0, err
-		}
-		secs = append(secs, section{SecPFree, measureCode(m), payload})
 	}
 	if ix.Epoch != 0 {
 		payload := make([]byte, 8)

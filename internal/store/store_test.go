@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -9,13 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/gen"
 	"trussdiv/internal/graph"
-	"trussdiv/internal/pfree"
 	"trussdiv/internal/truss"
 )
 
@@ -230,54 +231,75 @@ func TestGoldenFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenFormatPFree pins the byte-exact layout of a v3 file that
-// additionally carries the parameter-free rankings (one measure-tagged
-// pfree section per measure). The plain-v3 golden above is untouched —
-// pfree sections are only emitted when present, so pre-pfree files stay
-// byte-identical. Regenerate deliberately with
-// `go test ./internal/store -run TestGoldenFormatPFree -update`.
+// TestGoldenFormatPFree pins compatibility with v3 files written while
+// the parameter-free ranking had a section of its own (ID 8, now
+// retired). The checked-in golden_fig1_v3_pfree.tdx carries one pfree
+// section per measure and is never regenerated. It must open in both
+// modes, leave the retired section out of Sections(), and decode every
+// other section equal to a fresh build.
 func TestGoldenFormatPFree(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
 	addMeasureRankings(g, &ix)
-	ix.PFree = map[core.Measure][]core.VertexScore{}
-	for _, m := range core.AllMeasures() {
-		ix.PFree[m] = pfree.RankingFromPerK(rankingsOf(g, m))
-	}
-	var buf bytes.Buffer
-	if _, err := Write(&buf, g, ix); err != nil {
+	golden := filepath.Join("testdata", "golden_fig1_v3_pfree.tdx")
+	raw, err := os.ReadFile(golden)
+	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden_fig1_v3_pfree.tdx")
-	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+	pfreeEntries := 0
+	for i := 0; i < int(binary.LittleEndian.Uint32(raw[40:44])); i++ {
+		if binary.LittleEndian.Uint32(raw[headerSize+tocEntrySize*i:]) == 8 {
+			pfreeEntries++
+		}
+	}
+	if pfreeEntries != 3 {
+		t.Fatalf("fixture holds %d section-8 entries, want 3 (one per measure)", pfreeEntries)
+	}
+	bothModes(t, func(t *testing.T, mode Mode) {
+		f, err := OpenFile(golden, g, WithMode(mode))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("serialized store (%d bytes) differs from golden file (%d bytes); "+
-			"a pfree slab layout change needs a Version bump and -update", buf.Len(), len(want))
-	}
-	// And the golden keeps loading: every pfree section decodes to what
-	// a fresh build produces.
-	f, err := OpenFile(golden, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for _, m := range core.AllMeasures() {
-		ranked, err := f.PFreeRanking(m)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
+		defer f.Close()
+		want := []SectionRef{
+			{SecTruss, core.MeasureTruss}, {SecSupports, core.MeasureTruss},
+			{SecTSD, core.MeasureTruss}, {SecGCT, core.MeasureTruss},
+			{SecRankings, core.MeasureTruss}, {SecGraph, core.MeasureTruss},
+			{SecRankings, core.MeasureComponent}, {SecRankings, core.MeasureCore},
 		}
-		if !reflect.DeepEqual(ranked, ix.PFree[m]) {
-			t.Fatalf("%s pfree ranking in the golden diverges from a fresh build", m)
+		if got := f.Sections(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sections = %v, want %v", got, want)
 		}
-	}
+		if err := f.VerifySections(); err != nil {
+			t.Fatal(err)
+		}
+		tau, err1 := f.Tau()
+		sup, err2 := f.Sup()
+		tsd, err3 := f.TSD()
+		gct, err4 := f.GCT()
+		gg, err5 := f.Graph()
+		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tau, ix.Tau) || !reflect.DeepEqual(sup, ix.Sup) {
+			t.Error("truss arrays in the fixture diverge from a fresh build")
+		}
+		if !reflect.DeepEqual(tsd.Flatten(), ix.TSD.Flatten()) || !reflect.DeepEqual(gct.Flatten(), ix.GCT.Flatten()) {
+			t.Error("TSD/GCT in the fixture diverge from a fresh build")
+		}
+		if !reflect.DeepEqual(gg.Edges(), g.Edges()) {
+			t.Error("graph section in the fixture diverges from the graph")
+		}
+		for _, m := range core.AllMeasures() {
+			perK, err := f.MeasureRankings(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(perK, ix.MeasureRankings[m]) {
+				t.Errorf("%s rankings in the fixture diverge from a fresh build", m)
+			}
+		}
+	})
 }
 
 // TestV1GoldenRejected and TestV2GoldenRejected pin the compatibility
@@ -356,34 +378,15 @@ func TestMeasureRankingsRoundTrip(t *testing.T) {
 	})
 }
 
-// TestPFreeRankingRoundTrip pins the parameter-free slab: one
-// measure-tagged pfree section per measure survives the round trip
-// intact through both read modes, without polluting the truss sections,
-// and an empty-but-present ranking stays non-nil (present ≠ absent).
+// TestPFreeRankingRoundTrip: the parameter-free ranking has no section
+// of its own; a Ranked table over each measure's rankings, loaded through
+// either read mode, answers the K = 0 query with r = n exactly as a
+// brute-force ranking of every vertex does.
 func TestPFreeRankingRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
-	ix.PFree = map[core.Measure][]core.VertexScore{
-		core.MeasureTruss:     pfree.RankingFromPerK(rankingsOf(g, core.MeasureTruss)),
-		core.MeasureComponent: pfree.RankingFromPerK(rankingsOf(g, core.MeasureComponent)),
-		core.MeasureCore:      {},
-	}
+	addMeasureRankings(g, &ix)
 	path := saveTo(t, g, ix)
-	back, err := ReadAll(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range core.AllMeasures() {
-		if !reflect.DeepEqual(back.PFree[m], ix.PFree[m]) {
-			t.Errorf("%s pfree ranking changed across the round trip", m)
-		}
-	}
-	if back.PFree[core.MeasureCore] == nil {
-		t.Error("empty pfree ranking decoded to nil; empty must stay distinct from absent")
-	}
-	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
-		t.Error("truss rankings polluted by pfree sections")
-	}
 	bothModes(t, func(t *testing.T, mode Mode) {
 		f, err := OpenFile(path, g, WithMode(mode))
 		if err != nil {
@@ -391,80 +394,39 @@ func TestPFreeRankingRoundTrip(t *testing.T) {
 		}
 		defer f.Close()
 		for _, m := range core.AllMeasures() {
-			if !f.HasMeasure(SecPFree, m) {
-				t.Fatalf("%s pfree section missing from the TOC", m)
-			}
-			ranked, err := f.PFreeRanking(m)
+			perK, err := f.MeasureRankings(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ranked, ix.PFree[m]) {
-				t.Errorf("%s pfree ranking changed through the %v handle", m, mode)
+			res, _, err := core.NewRanked(core.NewMeasureScorer(g, m), perK).Search(context.Background(),
+				core.Params{R: g.N(), SkipContexts: true, Measure: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := brutePFreeRanking(g, m); !reflect.DeepEqual(res.TopR, want) {
+				t.Errorf("%s: K=0 answer from the loaded table\n got %v\nwant %v", m, res.TopR, want)
 			}
 		}
 	})
 }
 
-// TestPFreeSlabRejectsCorruption walks the pfree slab's structural
-// validation: a count above the vertex budget and an out-of-range
-// vertex id both surface as ErrCorrupt (the mmap path relies on these
-// checks, its CRC pass being deferred).
-func TestPFreeSlabRejectsCorruption(t *testing.T) {
-	g := testGraph(t)
-	ix := buildIndexes(g)
-	ix.PFree = map[core.Measure][]core.VertexScore{
-		core.MeasureTruss: pfree.RankingFromPerK(rankingsOf(g, core.MeasureTruss)),
-	}
-	path := saveTo(t, g, ix)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfreeOffset := func(b []byte) uint64 {
-		count := int(binary.LittleEndian.Uint32(b[40:44]))
-		for i := 0; i < count; i++ {
-			e := b[headerSize+tocEntrySize*i:]
-			if Section(binary.LittleEndian.Uint32(e[0:4])) == SecPFree {
-				return binary.LittleEndian.Uint64(e[12:20])
-			}
+// brutePFreeRanking ranks every vertex of g by its parameter-free score
+// under m, straight from the definition — the largest h with
+// s(v, max(h, 2)) >= h over the scorer's all-k vector — in canonical
+// order, zero-score vertices last by ascending ID.
+func brutePFreeRanking(g *graph.Graph, m core.Measure) []core.VertexScore {
+	vs := core.NewVertexScorer(g, m)
+	out := make([]core.VertexScore, g.N())
+	for v := range out {
+		allK := vs.ScoresAllK(int32(v))
+		h := max(len(allK)-1, 0)
+		for h > 0 && allK[max(h, 2)] < h {
+			h--
 		}
-		t.Fatal("no pfree section in the file")
-		return 0
+		out[v] = core.VertexScore{V: int32(v), Score: h}
 	}
-	damage := []struct {
-		name string
-		mut  func(payload []byte)
-	}{
-		{"count above budget", func(p []byte) {
-			binary.LittleEndian.PutUint64(p, uint64(g.N())+1)
-		}},
-		{"vertex out of range", func(p []byte) {
-			binary.LittleEndian.PutUint32(p[8:], uint32(g.N())) // first pair's vertex
-		}},
-	}
-	for _, d := range damage {
-		t.Run(d.name, func(t *testing.T) {
-			bad := append([]byte(nil), blob...)
-			d.mut(bad[pfreeOffset(bad):])
-			badPath := filepath.Join(t.TempDir(), FileName)
-			if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			bothModes(t, func(t *testing.T, mode Mode) {
-				f, err := OpenFile(badPath, g, WithMode(mode))
-				if err != nil {
-					if errors.Is(err, ErrCorrupt) {
-						return // decode mode may reject at open via the CRC pass
-					}
-					t.Fatal(err)
-				}
-				defer f.Close()
-				if _, err := f.PFreeRanking(core.MeasureTruss); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("err = %v, want ErrCorrupt", err)
-				}
-			})
-		})
-	}
+	slices.SortStableFunc(out, func(a, b core.VertexScore) int { return b.Score - a.Score })
+	return out
 }
 
 // TestMmapMatchesDecode is the mode-equivalence gate: every section of a

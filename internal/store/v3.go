@@ -370,53 +370,6 @@ func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
 	return perK, nil
 }
 
-// --- pfree slab: count, interleaved (vertex, score) pairs[2*count] ---
-//
-// The parameter-free engine's ranking for one measure: the canonical
-// score list (score descending, vertex ascending), zero scores omitted.
-// Like the rankings slab it is widened into []core.VertexScore on read
-// (platform-width scores).
-
-func encodePFreeSlab(ranked []core.VertexScore, n int) ([]byte, error) {
-	if len(ranked) > n {
-		return nil, fmt.Errorf("store: pfree ranking has %d entries, graph has %d vertices",
-			len(ranked), n)
-	}
-	pairs := make([]int32, 0, 2*len(ranked))
-	for _, e := range ranked {
-		pairs = append(pairs, e.V, int32(e.Score))
-	}
-	var s slabW
-	s.u64(uint64(len(ranked)))
-	s.i32s(pairs)
-	return s.buf, nil
-}
-
-func decodePFreeSlab(payload []byte, n int) ([]core.VertexScore, error) {
-	r := &slabR{sec: SecPFree, b: payload}
-	count := r.count()
-	if r.err == nil && count > n {
-		r.fail("pfree ranking of %d entries for %d vertices", count, n)
-	}
-	pairs := i32Array[int32](r, 2*count)
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	// Non-nil even when empty: an empty ranking is still a prepared
-	// ranking, and readers distinguish "prepared, nobody scores" from
-	// "section absent" by nilness.
-	ranked := make([]core.VertexScore, count)
-	for i := range ranked {
-		v := pairs[2*i]
-		if v < 0 || int(v) >= n {
-			return nil, &CorruptError{Section: SecPFree,
-				Reason: fmt.Sprintf("pfree entry %d: vertex %d out of range", i, v)}
-		}
-		ranked[i] = core.VertexScore{V: v, Score: int(pairs[2*i+1])}
-	}
-	return ranked, nil
-}
-
 // --- graph slab: n, m, off[n+1], adj[2m], eid[2m], edges[m] ---
 
 func encodeGraphSlab(g *graph.Graph) []byte {

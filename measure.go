@@ -2,10 +2,8 @@ package trussdiv
 
 import (
 	"context"
-	"fmt"
 
 	"trussdiv/internal/core"
-	"trussdiv/internal/pfree"
 )
 
 // Measure names one structural diversity definition — the axis the DB
@@ -107,18 +105,6 @@ func EffectiveMeasure(q Query, e Engine) Measure {
 	return MeasureTruss
 }
 
-// nativeMeasureEngine names the engine that computes measure m directly
-// (the point-query backend for the non-truss measures).
-func nativeMeasureEngine(m Measure) string {
-	switch m.Normalize() {
-	case MeasureComponent:
-		return "comp"
-	case MeasureCore:
-		return "kcore"
-	}
-	return ""
-}
-
 // ScoreMeasure returns score(v) at threshold k under measure m on the
 // current snapshot. MeasureTruss (and the empty measure) behaves exactly
 // like Score; the other measures answer through their native models.
@@ -150,36 +136,21 @@ func (db *DB) ContextsPFree(ctx context.Context, v int32, m Measure) ([][]int32,
 // ScorePFree returns the parameter-free score of v under measure m; see
 // DB.ScorePFree.
 func (s *Snapshot) ScorePFree(ctx context.Context, v int32, m Measure) (int, error) {
-	if err := s.pfreePointErr(ctx, v, &m); err != nil {
+	sc, err := pfreeScorer(ctx, s.cache, v, 0, m)
+	if err != nil {
 		return 0, err
 	}
-	return pfree.ScoreAt(s.cache.scorers[m], v), nil
+	return sc.Score(v, 0), nil
 }
 
 // ContextsPFree returns SC(v) at v's discriminating level under measure
 // m; see DB.ContextsPFree.
 func (s *Snapshot) ContextsPFree(ctx context.Context, v int32, m Measure) ([][]int32, error) {
-	if err := s.pfreePointErr(ctx, v, &m); err != nil {
+	sc, err := pfreeScorer(ctx, s.cache, v, 0, m)
+	if err != nil {
 		return nil, err
 	}
-	return pfree.ContextsAt(s.cache.scorers[m], v), nil
-}
-
-// pfreePointErr validates a parameter-free point query and normalizes
-// the measure in place.
-func (s *Snapshot) pfreePointErr(ctx context.Context, v int32, m *Measure) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !m.Valid() {
-		_, err := ParseMeasure(string(*m))
-		return err
-	}
-	*m = m.Normalize()
-	if v < 0 || int(v) >= s.g.N() {
-		return fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, s.g.N())
-	}
-	return nil
+	return sc.Contexts(v, 0), nil
 }
 
 // ScoreMeasure returns score(v) at threshold k under measure m; see
@@ -189,8 +160,8 @@ func (s *Snapshot) ScoreMeasure(ctx context.Context, v, k int32, m Measure) (int
 		_, err := ParseMeasure(string(m))
 		return 0, err
 	}
-	if name := nativeMeasureEngine(m); name != "" {
-		e, err := s.reg.lookup(name)
+	if m.Normalize() != MeasureTruss {
+		e, err := s.reg.lookup(rankedEngineName(m))
 		if err != nil {
 			return 0, err
 		}
@@ -206,8 +177,8 @@ func (s *Snapshot) ContextsMeasure(ctx context.Context, v, k int32, m Measure) (
 		_, err := ParseMeasure(string(m))
 		return nil, err
 	}
-	if name := nativeMeasureEngine(m); name != "" {
-		e, err := s.reg.lookup(name)
+	if m.Normalize() != MeasureTruss {
+		e, err := s.reg.lookup(rankedEngineName(m))
 		if err != nil {
 			return nil, err
 		}

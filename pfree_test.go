@@ -15,7 +15,7 @@ import (
 // or parallel, routed or pinned, single query or Batch — must be
 // byte-identical to a brute-force aggregator that restates the
 // definition through the fixed-k point API. The brute force never
-// touches internal/pfree: it probes db.ScoreMeasure level by level and
+// touches the pfree code path: it probes db.ScoreMeasure level by level and
 // applies pfree(v) = max{h >= 1 : s_m(v, max(h, 2)) >= h} by hand.
 
 // naivePFreeScore computes the parameter-free score of one vertex from

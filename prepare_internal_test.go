@@ -35,8 +35,8 @@ func TestPrepareMultiUsesSharedPass(t *testing.T) {
 	if err := db.Prepare(ctx, names...); err != nil {
 		t.Fatal(err)
 	}
-	// One shared pass built all five ego-derived structures (the pfree
-	// rankings then derive in O(table), uncounted like any derivation).
+	// One shared pass built all five ego-derived structures (pfree reads
+	// the three tables' k = 0 rows, derived in O(n + table) and uncounted).
 	if cache.builds != 5 {
 		t.Fatalf("builds = %d after multi-name Prepare, want 5", cache.builds)
 	}
@@ -141,8 +141,8 @@ func TestPrepareSingleUsesBuildAll(t *testing.T) {
 
 // TestApplyMakesOnePatchPass pins the maintenance side of the one
 // driver: with every ego-derived structure in memory, an Apply repairs
-// the TSD and GCT indexes, every per-k table and every pfree ranking
-// from one PatchAll pass over the affected vertices — one extraction and
+// the TSD and GCT indexes and every per-k table (whose k = 0 rows are the
+// pfree rankings) from one PatchAll pass over the affected vertices — one extraction and
 // one decomposition per vertex, not one per structure — and never enters
 // the build path.
 func TestApplyMakesOnePatchPass(t *testing.T) {
@@ -190,8 +190,8 @@ func TestApplyMakesOnePatchPass(t *testing.T) {
 	if st == nil || st.Affected != len(affected) || !st.TrussRepaired {
 		t.Fatalf("ApplyStats = %+v, want Affected = %d and a repaired truss decomposition", st, len(affected))
 	}
-	// Three per-k tables plus three pfree rankings.
-	if st.RankingsPatched != 6 {
-		t.Fatalf("RankingsPatched = %d, want 6", st.RankingsPatched)
+	// Three per-k tables; the pfree rankings are their k = 0 rows.
+	if st.RankingsPatched != 3 {
+		t.Fatalf("RankingsPatched = %d, want 3", st.RankingsPatched)
 	}
 }

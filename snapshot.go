@@ -118,7 +118,7 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
 		// reachability is unchanged.
-		{&pfreeEngine{w: s.w, cache: cache}, true},
+		{&pfreeEngine{w: s.w, online: online, cache: cache}, true},
 	} {
 		if err := s.reg.add(reg.engine, reg.routable); err != nil {
 			return nil, err
@@ -169,13 +169,23 @@ func (s *Snapshot) Route(q Query) Engine {
 	if !q.Measure.Valid() {
 		return nil
 	}
+	return s.cheapest(q, 1)
+}
+
+// cheapest returns the routable engine serving q.Measure, on q's side of
+// the K axis (parameter-free for q.K == 0, fixed-k otherwise), with the
+// lowest cost when its build cost is divided across batchSize queries;
+// nil when no such engine is registered. Ties keep the earliest
+// registered engine.
+func (s *Snapshot) cheapest(q Query, batchSize int) Engine {
 	var best Engine
 	bestCost := 0.0
 	for _, e := range s.reg.routableFor(q.Measure) {
 		if isParameterFree(e) != (q.K == 0) {
 			continue
 		}
-		if c := e.Cost(q).Total(); best == nil || c < bestCost {
+		est := e.Cost(q)
+		if c := est.Build/float64(batchSize) + est.Query; best == nil || c < bestCost {
 			best, bestCost = e, c
 		}
 	}
@@ -204,21 +214,9 @@ func (s *Snapshot) routeAmortized(q Query, batchSize int) (Engine, error) {
 		return nil, &BadQueryError{K: q.K,
 			Reason: "k must be >= 2, or 0 for parameter-free search"}
 	}
-	wantPF := q.K == 0
-	var best Engine
-	bestCost := 0.0
-	for _, e := range s.reg.routableFor(q.Measure) {
-		if isParameterFree(e) != wantPF {
-			continue
-		}
-		est := e.Cost(q)
-		c := est.Build/float64(batchSize) + est.Query
-		if best == nil || c < bestCost {
-			best, bestCost = e, c
-		}
-	}
+	best := s.cheapest(q, batchSize)
 	if best == nil {
-		if wantPF {
+		if q.K == 0 {
 			return nil, &BadQueryError{K: 0, Reason: fmt.Sprintf(
 				"no parameter-free engine is routable for measure %q; set k >= 2",
 				q.Measure.Normalize())}
@@ -375,11 +373,11 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 			s.cache.rankedTable(MeasureCore, true)
 		case "pfree":
 			// The parameter-free engine is prepared for every measure it
-			// serves: each pfree ranking derives in O(table) from the per-k
-			// rankings (built here if missing), so a prepared pfree answers
+			// serves: each measure's table (built here if missing) derives
+			// its pfree row — Ranking(0) — once, so a prepared pfree answers
 			// any measure's k-less top-r in O(r).
 			for _, m := range AllMeasures() {
-				s.cache.pfreeRanking(m, true)
+				s.cache.rankedTable(m, true).Ranking(0)
 			}
 		case "online":
 			// stateless engine: nothing to prepare
@@ -412,7 +410,8 @@ func (db *DB) Epoch() Epoch { return db.Snapshot().epoch }
 // the vertices in the edits' triangle neighborhoods — the only
 // ego-networks the batch touched (the paper's §5.3 locality argument) —
 // repairs the in-memory TSD and GCT indexes and patches every
-// per-measure ranking table (hybrid's included) and pfree ranking; the
+// per-measure ranking table (hybrid's included, and with it the pfree
+// rows derived from them); the
 // global truss decomposition is repaired inside the locality bound of the
 // edit batch (each edit moves trussness by at most one, so the change is
 // confined to a bottleneck-connected region around the edits — see
@@ -557,14 +556,13 @@ func (s *Snapshot) IndexStats() IndexStats {
 		LoadTime:    c.loadTime,
 	}
 	for _, m := range AllMeasures() {
-		if m != MeasureTruss && c.ranked[m] != nil {
+		if c.ranked[m] == nil {
+			continue
+		}
+		if m != MeasureTruss {
 			st.MeasureRankings = append(st.MeasureRankings, m)
 		}
-	}
-	for _, m := range AllMeasures() {
-		if c.pfrank[m] != nil {
-			st.PFreeRankings = append(st.PFreeRankings, m)
-		}
+		st.PFreeRankings = append(st.PFreeRankings, m)
 	}
 	if c.tsd != nil {
 		st.TSDBytes = c.tsd.SizeBytes()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"trussdiv/internal/core"
@@ -30,8 +31,8 @@ func TestWarmOpenNeverBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The default set plus pfree, so the store also carries the
-	// parameter-free rankings of every measure.
+	// The default set plus pfree, so the store also carries every
+	// measure's table, whose k = 0 row is the parameter-free ranking.
 	if err := seed.Prepare(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestWarmOpenNeverBuilds(t *testing.T) {
 		}
 	}
 	// The k-less cell warm starts too: every measure's pfree ranking is
-	// served from the store slab, never re-derived.
+	// derived from the table loaded from the store, never built.
 	for _, m := range AllMeasures() {
 		if _, _, err := warm.TopR(ctx, NewQuery(0, 10, ViaEngine("pfree"), WithMeasure(m))); err != nil {
 			t.Fatalf("pfree/%s: %v", m, err)
@@ -288,112 +289,63 @@ func TestDamagedSectionKeepsSiblings(t *testing.T) {
 	}
 }
 
-// TestDamagedPFreeSectionRebuildsAlone extends the corruption taxonomy
-// to the parameter-free slab, in both read modes: with one measure's
-// pfree section damaged (its count word inflated, so the decode CRC and
-// the mmap structural validation both reject it), the k-less query for
-// that measure still answers correctly — re-derived from the intact
-// per-k sections, without entering a builder — while the sibling pfree
-// sections keep loading from disk, and the rebuild's persist heals the
-// file for the next open.
-func TestDamagedPFreeSectionRebuildsAlone(t *testing.T) {
+// TestLegacyPFreeStoreWarmStart: a v3 store written while the
+// parameter-free ranking had a section of its own (the checked-in
+// golden_fig1_v3_pfree.tdx, never regenerated) still warm-starts a DB in
+// both read modes. The retired section is skipped, and the k-less answers
+// — derived from the stored tables without a build — are byte-equal to a
+// cold DB's.
+func TestLegacyPFreeStoreWarmStart(t *testing.T) {
+	g := gen.Fig1Graph()
+	ctx := context.Background()
+	blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "golden_fig1_v3_pfree.tdx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []StoreMode{StoreMmap, StoreDecode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			g := gen.CommunityOverlay(gen.OverlayConfig{
-				N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 11,
-			})
 			dir := t.TempDir()
-			ctx := context.Background()
-
-			seed, err := Open(g, WithIndexDir(dir))
-			if err != nil {
+			if err := os.WriteFile(filepath.Join(dir, IndexFileName), blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := seed.Prepare(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if err := seed.Prepare(ctx, "pfree"); err != nil {
-				t.Fatal(err)
-			}
-			if st := seed.StoreStatus(); st.SaveErr != nil {
-				t.Fatal(st.SaveErr)
-			}
-			want := map[Measure]*Result{}
-			for _, m := range AllMeasures() {
-				res, _, err := seed.TopR(ctx, NewQuery(0, 10, ViaEngine("pfree"), WithMeasure(m)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[m] = res
-			}
-			path := store.PathIn(dir)
-
-			// Inflate the count word of the truss-measure pfree section: the
-			// decode CRC fails on the flipped bytes and the mmap validation
-			// rejects count > n, so both modes classify it corrupt.
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			count := int(binary.LittleEndian.Uint32(blob[40:44]))
-			found := false
-			for i := 0; i < count; i++ {
-				e := blob[44+28*i:]
-				if store.Section(binary.LittleEndian.Uint32(e[0:4])) == store.SecPFree &&
-					binary.LittleEndian.Uint32(e[4:8]) == 0 { // measure tag: truss
-					off := binary.LittleEndian.Uint64(e[12:20])
-					binary.LittleEndian.PutUint64(blob[off:], ^uint64(0))
-					found = true
-				}
-			}
-			if !found {
-				t.Fatal("no truss-measure pfree section in the persisted file")
-			}
-			if err := os.WriteFile(path, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
 			db, err := Open(g, WithIndexDir(dir), WithStoreMode(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := db.StoreStatus()
+			if !st.Warm || st.LoadErr != nil {
+				t.Fatalf("legacy store did not open warm: %+v", st)
+			}
+			for _, sec := range st.Sections {
+				if strings.HasPrefix(sec, "pfree") || strings.HasPrefix(sec, "section(") {
+					t.Fatalf("retired section listed: %v", st.Sections)
+				}
+			}
 			for _, m := range AllMeasures() {
-				got, _, err := db.TopR(ctx, NewQuery(0, 10, ViaEngine("pfree"), WithMeasure(m)))
-				if err != nil {
-					t.Fatalf("%s: %v", m, err)
-				}
-				if !reflect.DeepEqual(got.TopR, want[m].TopR) {
-					t.Fatalf("%s: answer over the damaged store diverges from the seed", m)
+				for _, r := range []int{3, g.N()} {
+					q := NewQuery(0, r, WithMeasure(m), WithContexts())
+					got, gotStats, err := db.TopR(ctx, q)
+					if err != nil {
+						t.Fatalf("%s r=%d: %v", m, r, err)
+					}
+					want, _, err := cold.TopR(ctx, q)
+					if err != nil {
+						t.Fatalf("%s r=%d (cold): %v", m, r, err)
+					}
+					if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
+						t.Fatalf("%s r=%d: warm answer diverges from cold\n got %v\nwant %v", m, r, got.TopR, want.TopR)
+					}
+					if gotStats.ScoreComputations != len(got.TopR) {
+						t.Fatalf("%s r=%d: stats %+v, want a prefix read (one recovery per answer)", m, r, gotStats)
+					}
 				}
 			}
-			if !errors.Is(db.StoreStatus().LoadErr, ErrIndexCorrupt) {
-				t.Fatalf("LoadErr = %v, want ErrIndexCorrupt", db.StoreStatus().LoadErr)
-			}
-			// The damaged slab was re-derived from the intact per-k sections
-			// in O(table) — no builder ran for it or for its siblings.
 			if n := db.Snapshot().cache.builds; n != 0 {
-				t.Fatalf("builds = %d, want 0 (pfree re-derives from per-k tables)", n)
-			}
-
-			// The re-derivation persisted: a fresh open is fully warm again.
-			healed, err := Open(g, WithIndexDir(dir), WithStoreMode(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := healed.StoreStatus(); st.LoadErr != nil {
-				t.Fatalf("healed store still rejects a section: %v", st.LoadErr)
-			}
-			for _, m := range AllMeasures() {
-				got, _, err := healed.TopR(ctx, NewQuery(0, 10, ViaEngine("pfree"), WithMeasure(m)))
-				if err != nil {
-					t.Fatalf("healed %s: %v", m, err)
-				}
-				if !reflect.DeepEqual(got.TopR, want[m].TopR) {
-					t.Fatalf("healed %s: answer diverges from the seed", m)
-				}
-			}
-			if n := healed.Snapshot().cache.builds; n != 0 {
-				t.Fatalf("healed open built %d times; want 0", n)
+				t.Fatalf("builds = %d, want 0", n)
 			}
 		})
 	}
