@@ -5,12 +5,13 @@
 # mutable-graph write path (the root-package apply/snapshot tests,
 # e.g. TestConcurrentReadersDuringApply, run under it).
 # `make ci` is the umbrella the GitHub workflow runs: formatting gate
-# plus the tier-1 checks, plus vet and tests of the loadbench module.
+# plus the tier-1 checks, plus vet and tests of the loadbench module,
+# plus one run of every example program.
 GO ?= go
 
-.PHONY: ci check loadbench-check check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cover fuzz
+.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cover fuzz
 
-ci: fmt-check lint check loadbench-check
+ci: fmt-check lint check loadbench-check examples
 
 check: vet build test test-1cpu
 
@@ -36,6 +37,15 @@ fmt-check:
 loadbench-check:
 	cd loadbench && $(GO) vet ./... && $(GO) test ./...
 
+# Runs every program under examples/ once; each checks its own output and
+# exits non-zero on a mismatch. The index-store demos write only to
+# os.MkdirTemp directories.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		out="$$($(GO) run ./$$d 2>&1)" || { echo "$$out"; exit 1; }; \
+	done
+
 check-race:
 	$(GO) test -race ./...
 
@@ -59,8 +69,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
-# path — ego extraction, per-vertex scoring under every measure, and the
-# DB's component/core point Score — at zero steady-state allocations, and
+# path — ego extraction, per-vertex scoring under every measure, the
+# DB's component/core point Score, and query routing (Route and
+# ResolveEngine) — at zero steady-state allocations, and
 # the truss repair tripwire holds an 8-insertion Repair to 1.5x the bytes
 # of a 1-insertion one (no per-insertion graph or graph-sized scratch).
 # Fast enough to run on every change.

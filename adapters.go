@@ -95,8 +95,6 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 	c := &indexCache{
 		g:       g,
 		scorers: core.NewScorers(g),
-		tsd:     cfg.tsdIdx,
-		gct:     cfg.gctIdx,
 		dir:     cfg.indexDir,
 		// Cold decompositions run the parallel h-index peeling; the tau
 		// array is byte-identical to the serial Decompose, and the supports
@@ -788,10 +786,10 @@ func (e *gctEngine) Cost(q Query) Estimate {
 
 // --- hybrid / comp / kcore: the per-measure ranking tables ---
 
-// rankedEngine serves one measure's per-k ranking table: registered as
+// rankedEngine serves one measure's per-k ranking table: catalogued as
 // hybrid (truss — the paper's Exp-4 competitor, whose table is by Lemma 3
 // the truss row of the per-measure rankings), comp (component), and kcore
-// (core). It is routable for its measure only. Once the table is ready
+// (core). It serves its own measure only. Once the table is ready
 // (Prepare, a Batch that routes here, or an index store holding the
 // measure's rankings section) a top-r query is an O(r) prefix read plus
 // online context recovery; point queries borrow the snapshot's scorer of
@@ -842,27 +840,31 @@ func (e *rankedEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, err
 
 func (e *rankedEngine) Cost(q Query) Estimate {
 	// With the table ready the query is an O(r) prefix read plus
-	// per-answer context recovery; on disk it is one cheap sequential
-	// load. Cold, the build is one BuildAll pass — slightly more than one
-	// online scan (it scores every k, not one), so a single cold query
-	// routes to online/bound while batches amortize the build here —
+	// per-answer context recovery. A cold table build is slightly more
+	// than one online scan (it scores every k, not one), so a single cold
+	// query routes to online/bound while batches amortize the build here —
 	// Batch prepares the table before running when it picks this engine.
-	est := Estimate{Query: float64(q.R) + e.w.contextWork(q)}
-	switch {
-	case e.cache.hasRanked(e.measure):
-		// ready: nothing to build
-	case e.cache.onDiskRanked(e.measure):
-		est.Build = e.w.n
-	default:
-		// Truss and core tables need a decomposition plus one component
-		// count per k; the component table one labelling.
-		factor := 1.5
-		if e.measure == MeasureComponent {
-			factor = 1.25
-		}
-		est.Build = factor * e.w.egoWork
+	return Estimate{
+		Build: rankedBuildCost(e.cache, e.w, e.measure),
+		Query: float64(q.R) + e.w.contextWork(q),
 	}
-	return est
+}
+
+// rankedBuildCost prices readying measure m's per-k ranking table, the
+// one build the ranked engines and pfree share: nothing once it is in
+// memory, one cheap sequential load when the index store holds it, else
+// one BuildAll pass — truss and core tables need a decomposition plus one
+// component count per k, the component table one labelling.
+func rankedBuildCost(c *indexCache, w workload, m Measure) float64 {
+	switch {
+	case c.hasRanked(m):
+		return 0
+	case c.onDiskRanked(m):
+		return w.n
+	case m.Normalize() == MeasureComponent:
+		return 1.25 * w.egoWork
+	}
+	return 1.5 * w.egoWork
 }
 
 // rankedEngineName names the ranked engine serving measure m's table.
@@ -905,13 +907,13 @@ func singleVertexErr(ctx context.Context, g *Graph, v, k int32) error {
 
 // pfreeEngine serves the parameter-free query: the only engine that
 // serves queries without a K, and the only one k-less queries route to.
-// It serves every measure (it declares all three via MeasureLister) from
-// the measure's per-k ranking table, whose k = 0 row is the pfree ranking
-// (derived once per table on first use): once the table is in memory
-// (Prepare("pfree") or the measure's own engine, an Apply that patched
-// it) or in the index store, a k-less top-r query is an O(r) prefix
-// read; cold, it falls back to the online all-k scan. Same shape as
-// rankedEngine, byte-identical answers either way.
+// It serves every measure from the measure's per-k ranking table, whose
+// k = 0 row is the pfree ranking (derived once per table on first use):
+// once the table is in memory (Prepare("pfree") or the measure's own
+// engine, an Apply that patched it) or in the index store, a k-less
+// top-r query is an O(r) prefix read; cold, it falls back to the online
+// all-k scan. Same shape as rankedEngine, byte-identical answers either
+// way.
 type pfreeEngine struct {
 	w      workload
 	online *core.Online
@@ -923,10 +925,6 @@ func (e *pfreeEngine) Name() string { return "pfree" }
 // Measures: the parameter-free objective aggregates any measure's per-k
 // score vector, so all three qualify.
 func (e *pfreeEngine) Measures() []Measure { return AllMeasures() }
-
-// ParameterFree declares the k-less contract to the router and
-// validators.
-func (e *pfreeEngine) ParameterFree() bool { return true }
 
 func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
@@ -994,22 +992,10 @@ func (e *pfreeEngine) Cost(q Query) Estimate {
 	// Ready: an O(r) prefix read plus context recovery — contexts cost two
 	// ego decompositions per answer vertex (level probe + recovery). A
 	// table in memory needs no build (its pfree row is an O(n + table)
-	// pass on first use); one on disk is a cheap sequential load. Cold:
-	// the per-k table must be built first (all-k scoring, slightly above
-	// one online scan), amortized by Batch exactly like comp/kcore.
-	m := q.Measure.Normalize()
-	est := Estimate{Query: float64(q.R) + 2*e.w.contextWork(q)}
-	switch {
-	case e.cache.hasRanked(m):
-		// ready: nothing to build
-	case e.cache.onDiskRanked(m):
-		est.Build = e.w.n
-	default:
-		factor := 1.25
-		if m == MeasureCore {
-			factor = 1.5
-		}
-		est.Build = factor * e.w.egoWork
+	// pass on first use); otherwise the measure's table is readied exactly
+	// as its own ranked engine would, amortized by Batch the same way.
+	return Estimate{
+		Build: rankedBuildCost(e.cache, e.w, q.Measure),
+		Query: float64(q.R) + 2*e.w.contextWork(q),
 	}
-	return est
 }

@@ -45,3 +45,36 @@ func TestMeasurePointScoreAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteAllocFree pins routing at zero allocations: ResolveEngine and
+// Route walk the snapshot's fixed engine catalogue and price each
+// candidate in place, for fixed-k queries under every measure and for
+// the k-less query alike.
+func TestRouteAllocFree(t *testing.T) {
+	db, err := trussdiv.Open(overlayGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Snapshot()
+	for _, q := range []trussdiv.Query{
+		trussdiv.NewQuery(4, 10),
+		trussdiv.NewQuery(4, 10, trussdiv.WithMeasure(trussdiv.MeasureComponent)),
+		trussdiv.NewQuery(4, 10, trussdiv.WithMeasure(trussdiv.MeasureCore)),
+		trussdiv.NewQuery(0, 10),
+	} {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := snap.ResolveEngine(q); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("k=%d measure=%q: ResolveEngine allocates %.1f/op, want 0", q.K, q.Measure, got)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if snap.Route(q) == nil {
+				t.Fatal("Route returned nil")
+			}
+		}); got != 0 {
+			t.Errorf("k=%d measure=%q: Route allocates %.1f/op, want 0", q.K, q.Measure, got)
+		}
+	}
+}

@@ -23,8 +23,11 @@ func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 38,
 	})
 	ctx := context.Background()
-	db, err := Open(g, WithPreparedIndexes())
+	db, err := Open(g)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// One insertion between existing non-adjacent vertices.
@@ -161,8 +164,11 @@ func TestApplyPatchesPFreeRankings(t *testing.T) {
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 39,
 	})
 	ctx := context.Background()
-	db, err := Open(g, WithPreparedIndexes())
+	db, err := Open(g)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Prepare(ctx, "pfree"); err != nil {
@@ -241,8 +247,11 @@ func TestApplyObservesCtxBetweenRepairPhases(t *testing.T) {
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 41,
 	})
 	dir := t.TempDir()
-	db, err := Open(g, WithIndexDir(dir), WithPreparedIndexes())
+	db, err := Open(g, WithIndexDir(dir))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var u Updates

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"trussdiv"
@@ -57,15 +56,16 @@ func TestApplyMatchesRebuildAllEngines(t *testing.T) {
 			g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 				N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 31,
 			})
-			var opts []trussdiv.Option
-			if tc.prepare {
-				opts = append(opts, trussdiv.WithPreparedIndexes())
-			}
-			db, err := trussdiv.Open(g, opts...)
+			db, err := trussdiv.Open(g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
+			if tc.prepare {
+				if err := db.Prepare(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
 			rng := rand.New(rand.NewSource(7))
 			for batch := 0; batch < 3; batch++ {
 				u := randomUpdates(t, db.Graph(), rng, 6, 6)
@@ -111,10 +111,7 @@ func TestSnapshotPinning(t *testing.T) {
 	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 32,
 	})
-	db, err := trussdiv.Open(g, trussdiv.WithPreparedIndexes("tsd", "gct"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openPrepared(t, g, nil, "tsd", "gct")
 	ctx := context.Background()
 	q := trussdiv.NewQuery(4, 10, trussdiv.WithContexts(), trussdiv.ViaEngine("tsd"))
 	pinned := db.Snapshot()
@@ -229,127 +226,6 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-// TestInjectedIndexValidation pins the WithTSDIndex/WithGCTIndex
-// contract: structural validation at Open, typed error on mismatch, and
-// acceptance of an index over an equal-but-distinct graph (the
-// deserialize-elsewhere case pointer identity used to reject).
-func TestInjectedIndexValidation(t *testing.T) {
-	mk := func() *trussdiv.Graph {
-		return trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
-			N: 200, Attach: 3, Cliques: 40, MinSize: 4, MaxSize: 7, Seed: 33,
-		})
-	}
-	g, twin := mk(), mk()
-	other := trussdiv.PaperExampleGraph()
-
-	tsdIdx := trussdiv.BuildTSDIndex(g)
-	gctIdx := trussdiv.BuildGCTIndex(g)
-
-	// Same structure, different pointer: accepted.
-	if _, err := trussdiv.Open(twin, trussdiv.WithTSDIndex(tsdIdx), trussdiv.WithGCTIndex(gctIdx)); err != nil {
-		t.Fatalf("structurally equal graph rejected: %v", err)
-	}
-
-	// Different graph: typed rejection at Open, for each injector.
-	for _, tc := range []struct {
-		name string
-		opt  trussdiv.Option
-	}{
-		{"tsd", trussdiv.WithTSDIndex(tsdIdx)},
-		{"gct", trussdiv.WithGCTIndex(gctIdx)},
-	} {
-		_, err := trussdiv.Open(other, tc.opt)
-		if err == nil {
-			t.Fatalf("%s: want error for index over a different graph", tc.name)
-		}
-		if !errors.Is(err, trussdiv.ErrIndexMismatch) {
-			t.Fatalf("%s: errors.Is(err, ErrIndexMismatch) = false for %v", tc.name, err)
-		}
-		var me *trussdiv.IndexMismatchError
-		if !errors.As(err, &me) {
-			t.Fatalf("%s: err %T is not *IndexMismatchError", tc.name, err)
-		}
-		if me.Index != tc.name {
-			t.Fatalf("mismatch names index %q, want %q", me.Index, tc.name)
-		}
-	}
-
-	// Same vertex count and edge count but different wiring is still
-	// caught (the fingerprint check behind the cheap count checks).
-	b1 := trussdiv.NewBuilder(4)
-	b1.AddEdge(0, 1)
-	b1.AddEdge(2, 3)
-	gA := b1.Build()
-	b2 := trussdiv.NewBuilder(4)
-	b2.AddEdge(0, 2)
-	b2.AddEdge(1, 3)
-	gB := b2.Build()
-	if _, err := trussdiv.Open(gB, trussdiv.WithTSDIndex(trussdiv.BuildTSDIndex(gA))); !errors.Is(err, trussdiv.ErrIndexMismatch) {
-		t.Fatalf("rewired graph not caught: %v", err)
-	}
-}
-
-// reboundEngine is a Register'd backend that implements Rebinder: each
-// Apply hands it the edited graph.
-type reboundEngine struct {
-	name    string
-	g       *trussdiv.Graph
-	rebinds *atomic.Int32
-}
-
-func (e *reboundEngine) Name() string { return e.name }
-func (e *reboundEngine) TopR(ctx context.Context, q trussdiv.Query) (*trussdiv.Result, *trussdiv.Stats, error) {
-	return &trussdiv.Result{}, nil, nil
-}
-func (e *reboundEngine) Score(ctx context.Context, v, k int32) (int, error) { return e.g.M(), nil }
-func (e *reboundEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	return nil, nil
-}
-func (e *reboundEngine) Cost(q trussdiv.Query) trussdiv.Estimate {
-	return trussdiv.Estimate{Query: 1e18}
-}
-func (e *reboundEngine) Rebind(g *trussdiv.Graph) (trussdiv.Engine, error) {
-	e.rebinds.Add(1)
-	return &reboundEngine{name: e.name, g: g, rebinds: e.rebinds}, nil
-}
-
-// TestRegisterSurvivesApply: custom engines are carried into every
-// snapshot an Apply produces, rebound to the edited graph when they
-// implement Rebinder.
-func TestRegisterSurvivesApply(t *testing.T) {
-	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
-		N: 150, Attach: 3, Cliques: 30, MinSize: 4, MaxSize: 6, Seed: 34,
-	})
-	db, err := trussdiv.Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebinds atomic.Int32
-	if err := db.Register(&reboundEngine{name: "custom", g: g, rebinds: &rebinds}, false); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(9))
-	if _, err := db.Apply(ctx, randomUpdates(t, db.Graph(), rng, 3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if rebinds.Load() != 1 {
-		t.Fatalf("rebinds = %d, want 1", rebinds.Load())
-	}
-	eng, err := db.Engine("custom")
-	if err != nil {
-		t.Fatalf("custom engine lost across Apply: %v", err)
-	}
-	// The rebound engine sees the edited graph (3 more edges).
-	m, err := eng.Score(ctx, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != db.Graph().M() || m != g.M()+3 {
-		t.Fatalf("rebound engine sees %d edges, want %d", m, g.M()+3)
-	}
-}
-
 // TestConcurrentReadersDuringApply is the -race target of the snapshot
 // transition: readers hammer TopR (and a pinned snapshot) while Apply
 // streams update batches. Every result must carry an epoch the DB
@@ -365,12 +241,9 @@ func TestConcurrentReadersDuringApply(t *testing.T) {
 		// Seed the store first so the DB under test warm starts from the
 		// mapping instead of building in memory.
 		dir := t.TempDir()
-		seed, err := trussdiv.Open(trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
+		seed := openPrepared(t, trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 			N: 250, Attach: 3, Cliques: 50, MinSize: 4, MaxSize: 6, Seed: 35,
-		}), trussdiv.WithIndexDir(dir), trussdiv.WithPreparedIndexes("tsd", "gct", "pfree"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		}), []trussdiv.Option{trussdiv.WithIndexDir(dir)}, "tsd", "gct", "pfree")
 		if st := seed.StoreStatus(); st.SaveErr != nil {
 			t.Fatal(st.SaveErr)
 		}
@@ -382,11 +255,7 @@ func concurrentReadersDuringApply(t *testing.T, extra []trussdiv.Option) {
 	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 		N: 250, Attach: 3, Cliques: 50, MinSize: 4, MaxSize: 6, Seed: 35,
 	})
-	opts := append([]trussdiv.Option{trussdiv.WithPreparedIndexes("tsd", "gct", "pfree")}, extra...)
-	db, err := trussdiv.Open(g, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openPrepared(t, g, extra, "tsd", "gct", "pfree")
 	if extra != nil {
 		st := db.StoreStatus()
 		if !st.Warm {
@@ -582,10 +451,7 @@ func TestApplyStatsAndIndexSurvival(t *testing.T) {
 	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 		N: 200, Attach: 3, Cliques: 40, MinSize: 4, MaxSize: 6, Seed: 36,
 	})
-	db, err := trussdiv.Open(g, trussdiv.WithPreparedIndexes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openPrepared(t, g, nil)
 	st := db.IndexStats()
 	if !st.TSDReady || !st.GCTReady || !st.HybridReady || !st.TauReady {
 		t.Fatalf("prepare left indexes unready: %+v", st)
@@ -631,10 +497,7 @@ func TestApplyStatsAffectedWithRankingsOnly(t *testing.T) {
 	u := randomUpdates(t, g, rand.New(rand.NewSource(12)), 3, 3)
 	affected := func(names ...string) int {
 		t.Helper()
-		db, err := trussdiv.Open(g, trussdiv.WithPreparedIndexes(names...))
-		if err != nil {
-			t.Fatal(err)
-		}
+		db := openPrepared(t, g, nil, names...)
 		if _, err := db.Apply(context.Background(), u); err != nil {
 			t.Fatal(err)
 		}

@@ -56,8 +56,11 @@ func TestApplyStreamRepairMatchesColdRebuild(t *testing.T) {
 		N: 240, Attach: 3, Cliques: 48, MinSize: 4, MaxSize: 7, Seed: 77,
 	})
 	ctx := context.Background()
-	db, err := Open(g, WithPreparedIndexes())
+	db, err := Open(g)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Prepare(ctx, "comp", "kcore"); err != nil {

@@ -36,22 +36,21 @@ func (e *BadQueryError) Error() string {
 func (e *BadQueryError) Is(target error) bool { return target == ErrBadQuery }
 
 // validateQueryK enforces the engine-aware K contract for a selected
-// engine: parameter-free engines take no threshold (K must stay 0),
-// every other engine requires K >= 2.
-func validateQueryK(eng Engine, q Query) error {
-	if isParameterFree(eng) {
+// catalogue entry: the parameter-free engine takes no threshold (K must
+// stay 0), every other engine requires K >= 2.
+func validateQueryK(e *catalogueEntry, q Query) error {
+	if e.kless {
 		if q.K != 0 {
-			return &BadQueryError{Engine: eng.Name(), K: q.K,
-				Reason: "engine is parameter-free: leave k unset (0)"}
+			return pfreeKErr(q.K)
 		}
 		return nil
 	}
 	switch {
 	case q.K == 0:
-		return &BadQueryError{Engine: eng.Name(), K: q.K,
+		return &BadQueryError{Engine: e.name, K: q.K,
 			Reason: "k is required (only parameter-free engines accept queries without k)"}
 	case q.K < 2:
-		return &BadQueryError{Engine: eng.Name(), K: q.K, Reason: "k must be >= 2"}
+		return &BadQueryError{Engine: e.name, K: q.K, Reason: "k must be >= 2"}
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package trussdiv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,11 +15,11 @@ import (
 // against a consistent, epoch-numbered Snapshot (db.Snapshot() pins one
 // explicitly; every query method grabs the current snapshot once per
 // call), and Apply installs the next snapshot copy-on-write with the
-// search indexes repaired incrementally. Within a snapshot the DB owns
-// the engine registry, lazily builds and caches the search indexes, and
-// routes each query to the engine whose cost estimate is lowest (unless
-// the caller pinned one with WithEngine). A DB is safe for concurrent
-// use, including queries concurrent with Apply.
+// search indexes repaired incrementally. Within a snapshot the DB holds
+// the fixed catalogue of eight engines, lazily builds and caches the
+// search indexes, and routes each query to the engine whose cost estimate
+// is lowest (unless the query pinned one with ViaEngine). A DB is safe
+// for concurrent use, including queries concurrent with Apply.
 type DB struct {
 	snap atomic.Pointer[Snapshot]
 
@@ -30,29 +29,14 @@ type DB struct {
 	// invalidation.
 	results *resultCache
 
-	// applyMu serializes the writers: Apply and Register both swap or
-	// extend snapshot state. Readers never take it.
+	// applyMu serializes Apply calls. Readers never take it.
 	applyMu sync.Mutex
-	custom  []customEngine // Register'd backends, re-added to every snapshot
-	forced  string
-}
-
-// customEngine remembers a DB.Register call so Apply can carry the
-// backend into the next snapshot (rebinding it when it implements
-// Rebinder).
-type customEngine struct {
-	engine   Engine
-	routable bool
 }
 
 // Option configures Open.
 type Option func(*dbConfig)
 
 type dbConfig struct {
-	engine       string
-	tsdIdx       *TSDIndex
-	gctIdx       *GCTIndex
-	prepare      []string
 	indexDir     string
 	storeMode    StoreMode
 	buildWorkers int
@@ -87,30 +71,6 @@ func (m StoreMode) String() string {
 		return "decode"
 	}
 	return "mmap"
-}
-
-// WithEngine pins every DB query to the named engine instead of cost
-// routing. Open fails with *UnknownEngineError when no such engine is
-// registered.
-func WithEngine(name string) Option {
-	return func(c *dbConfig) { c.engine = name }
-}
-
-// WithTSDIndex seeds the DB with an already-built TSD index, so the tsd
-// engine is ready at once.
-// The index must describe the graph being opened: Open validates it
-// structurally and fails with *IndexMismatchError (matching
-// errors.Is(err, ErrIndexMismatch)) when it was built from a different
-// graph.
-func WithTSDIndex(idx *TSDIndex) Option {
-	return func(c *dbConfig) { c.tsdIdx = idx }
-}
-
-// WithGCTIndex seeds the DB with an already-built GCT index, so the gct
-// engine is ready at once. Validated against the graph like
-// WithTSDIndex.
-func WithGCTIndex(idx *GCTIndex) Option {
-	return func(c *dbConfig) { c.gctIdx = idx }
 }
 
 // WithBuildWorkers sets the worker-pool size for parallel index
@@ -170,80 +130,22 @@ func WithStoreMode(m StoreMode) Option {
 	return func(c *dbConfig) { c.storeMode = m }
 }
 
-// WithPreparedIndexes builds the named engines' indexes during Open
-// instead of on first query; no names means everything Prepare covers
-// (bound's truss decomposition plus the tsd, gct, and hybrid indexes).
-// Use it in servers that prefer slow startup over a slow first request.
-func WithPreparedIndexes(names ...string) Option {
-	return func(c *dbConfig) {
-		if len(names) == 0 {
-			names = prepareAll
-		}
-		c.prepare = names
-	}
-}
-
 // prepareAll is the default Prepare set: every truss engine whose
 // readiness the index cache (and therefore the index store) manages. The
 // native measure engines are prepared by explicit name ("comp", "kcore")
 // so the default stays byte-compatible with pre-measure DBs.
 var prepareAll = []string{"bound", "tsd", "gct", "hybrid"}
 
-// batchPrepare is every name Batch may need to ready up front, in
-// Prepare order.
+// batchPrepare is every engine with state for Prepare to ready (all but
+// the stateless online engine), in Prepare order; Batch readies the ones
+// its queries route to.
 var batchPrepare = []string{"bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree"}
 
-// ErrIndexMismatch is the sentinel matched by errors.Is when an injected
-// index (WithTSDIndex, WithGCTIndex) was built from a different graph
-// than the one being opened; the concrete error is *IndexMismatchError.
-var ErrIndexMismatch = errors.New("trussdiv: index does not match the graph")
-
-// IndexMismatchError reports an injected index whose graph differs from
-// the one Open was given — caught structurally at Open time (vertex and
-// edge counts, then the graph fingerprint) rather than surfacing as a
-// wrong answer at query time.
-type IndexMismatchError struct {
-	Index  string // "tsd" or "gct"
-	Reason string
-}
-
-func (e *IndexMismatchError) Error() string {
-	return fmt.Sprintf("trussdiv: injected %s index was built over a different graph: %s",
-		e.Index, e.Reason)
-}
-
-// Is makes errors.Is(err, ErrIndexMismatch) match.
-func (e *IndexMismatchError) Is(target error) bool { return target == ErrIndexMismatch }
-
-// validateInjected checks an injected index's graph against g: pointer
-// identity first (the common case, free), then vertex/edge counts, then
-// the SHA-256 structure fingerprint — so a deserialized-elsewhere index
-// over an equal graph is accepted while any structural difference is a
-// typed error at Open.
-func validateInjected(name string, idxG, g *Graph) error {
-	if idxG == g {
-		return nil
-	}
-	if idxG.N() != g.N() {
-		return &IndexMismatchError{Index: name,
-			Reason: fmt.Sprintf("index graph has %d vertices, opened graph has %d", idxG.N(), g.N())}
-	}
-	if idxG.M() != g.M() {
-		return &IndexMismatchError{Index: name,
-			Reason: fmt.Sprintf("index graph has %d edges, opened graph has %d", idxG.M(), g.M())}
-	}
-	if store.Fingerprint(idxG) != store.Fingerprint(g) {
-		return &IndexMismatchError{Index: name,
-			Reason: "graph fingerprints differ (same size, different edges)"}
-	}
-	return nil
-}
-
-// Open wraps g in a DB with the eight built-in engines registered:
-// online, bound, tsd, gct, and hybrid for the truss measure, comp and
-// kcore for their own measures, and pfree for k-less queries. Indexes are
-// built lazily on first use unless provided (WithTSDIndex, WithGCTIndex)
-// or prebuilt (WithPreparedIndexes).
+// Open wraps g in a DB serving the eight built-in engines: online,
+// bound, tsd, gct, and hybrid for the truss measure, comp and kcore for
+// their own measures, and pfree for k-less queries. Indexes are loaded
+// from the index store (WithIndexDir) or built lazily on first use; call
+// Prepare to build them up front.
 // The DB starts at epoch 1 (or the epoch a warm index store recorded);
 // Apply advances it.
 func Open(g *Graph, opts ...Option) (*DB, error) {
@@ -254,78 +156,37 @@ func Open(g *Graph, opts ...Option) (*DB, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.tsdIdx != nil {
-		if err := validateInjected("tsd", cfg.tsdIdx.Graph(), g); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.gctIdx != nil {
-		if err := validateInjected("gct", cfg.gctIdx.Graph(), g); err != nil {
-			return nil, err
-		}
-	}
-
 	cache := newIndexCache(g, cfg)
 	epoch := Epoch(1)
 	if stored := cache.storedEpoch(); stored > Epoch(0) {
 		epoch = stored
 	}
-	snap, err := newSnapshot(epoch, g, cache, cfg.engine)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{forced: cfg.engine}
 	resultCap := resultCacheDefaultCap
 	if cfg.resultCapSet {
 		resultCap = cfg.resultCap
 	}
-	db.results = newResultCache(resultCap)
+	db := &DB{results: newResultCache(resultCap)}
+	snap := newSnapshot(epoch, g, cache)
 	snap.results = db.results
 	db.snap.Store(snap)
-	if cfg.engine != "" {
-		if _, err := snap.reg.lookup(cfg.engine); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.prepare != nil {
-		if err := snap.Prepare(context.Background(), cfg.prepare...); err != nil {
-			return nil, err
-		}
-	}
 	return db, nil
 }
 
 // Graph returns the graph of the DB's current snapshot.
 func (db *DB) Graph() *Graph { return db.Snapshot().g }
 
-// Engines lists the registered engine names in registration order.
+// Engines lists the engine names in catalogue order.
 func (db *DB) Engines() []string { return db.Snapshot().Engines() }
 
 // Engine returns the named engine bound to the current snapshot; the
 // error is a *UnknownEngineError (matching errors.Is(err,
-// ErrUnknownEngine)) for unregistered names. The returned engine keeps
-// serving its snapshot's graph across later Apply calls — re-fetch after
-// applying updates to follow the newest graph.
+// ErrUnknownEngine)) for names outside the catalogue. The returned
+// engine keeps serving its snapshot's graph across later Apply calls —
+// re-fetch after applying updates to follow the newest graph.
 func (db *DB) Engine(name string) (Engine, error) { return db.Snapshot().Engine(name) }
 
-// Register adds a custom backend to the DB under e.Name(). Routable
-// engines participate in cost routing and must compute the paper's
-// truss-based diversity; non-routable ones answer only explicit-name
-// queries (e.g. alternative diversity models). Registered engines are
-// carried into every snapshot a later Apply produces; implement Rebinder
-// to receive the edited graph at each transition.
-func (db *DB) Register(e Engine, routable bool) error {
-	db.applyMu.Lock()
-	defer db.applyMu.Unlock()
-	if err := db.snap.Load().reg.add(e, routable); err != nil {
-		return err
-	}
-	db.custom = append(db.custom, customEngine{engine: e, routable: routable})
-	return nil
-}
-
-// Route returns the routable engine of the current snapshot with the
-// lowest cost estimate for q; see Snapshot.Route.
+// Route returns the engine of the current snapshot with the lowest cost
+// estimate for q; see Snapshot.Route.
 func (db *DB) Route(q Query) Engine { return db.Snapshot().Route(q) }
 
 // TopR answers a top-r query through the cheapest (or pinned) engine of
@@ -347,8 +208,7 @@ func (db *DB) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 // Routing is batch-aware: an index build amortizes over the whole batch,
 // so a batch of queries may route to an index engine where the same
 // queries one at a time would have stayed on an index-free one. Per-query
-// ViaEngine pins and the DB-level WithEngine default are honored as in
-// TopR.
+// ViaEngine pins are honored as in TopR.
 //
 // Batch is all-or-nothing: the first error cancels the remaining queries
 // and is returned with a nil slice. An empty batch returns (nil, nil).
@@ -372,23 +232,20 @@ func (s *Snapshot) Batch(ctx context.Context, qs []Query) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prepare := make(map[string]bool)
+	// Batch-aware routing may pick an engine on the strength of an
+	// amortized index build, so every chosen engine's index is readied
+	// before the queries run.
+	used := make(map[string]bool)
 	for _, eng := range engines {
-		switch name := eng.Name(); name {
-		case "bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree":
-			// comp/kcore: batch-aware routing may pick the native measure
-			// engines on the strength of their amortized rankings build, so
-			// the rankings must actually be built before the queries run.
-			prepare[name] = true
+		used[eng.Name()] = true
+	}
+	var names []string
+	for _, name := range batchPrepare {
+		if used[name] {
+			names = append(names, name)
 		}
 	}
-	if len(prepare) > 0 {
-		names := make([]string, 0, len(prepare))
-		for _, name := range batchPrepare {
-			if prepare[name] {
-				names = append(names, name)
-			}
-		}
+	if len(names) > 0 {
 		if err := s.Prepare(ctx, names...); err != nil {
 			return nil, err
 		}

@@ -18,6 +18,20 @@ func overlayGraph(tb testing.TB) *trussdiv.Graph {
 	})
 }
 
+// openPrepared opens g with opts and readies the named engines
+// (Prepare's default set when none are named).
+func openPrepared(tb testing.TB, g *trussdiv.Graph, opts []trussdiv.Option, names ...string) *trussdiv.DB {
+	tb.Helper()
+	db, err := trussdiv.Open(g, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Prepare(context.Background(), names...); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
 func TestEngineRegistryUnknownName(t *testing.T) {
 	db, err := trussdiv.Open(trussdiv.PaperExampleGraph())
 	if err != nil {
@@ -39,12 +53,6 @@ func TestEngineRegistryUnknownName(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "gct") {
 		t.Fatalf("error does not list known engines: %v", err)
-	}
-
-	// The same typed error surfaces at Open time for a pinned engine.
-	_, err = trussdiv.Open(trussdiv.PaperExampleGraph(), trussdiv.WithEngine("nope"))
-	if !errors.Is(err, trussdiv.ErrUnknownEngine) {
-		t.Fatalf("Open(WithEngine) err = %v, want ErrUnknownEngine", err)
 	}
 }
 
@@ -120,11 +128,7 @@ func TestRoutingIndexAbsentVsPresent(t *testing.T) {
 }
 
 func TestDBTopRReportsEngineAndAgreesWithPinned(t *testing.T) {
-	g := overlayGraph(t)
-	db, err := trussdiv.Open(g, trussdiv.WithPreparedIndexes("gct"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openPrepared(t, overlayGraph(t), nil, "gct")
 	ctx := context.Background()
 	q := trussdiv.NewQuery(4, 10, trussdiv.WithContexts())
 	res, stats, err := db.TopR(ctx, q)
@@ -144,20 +148,6 @@ func TestDBTopRReportsEngineAndAgreesWithPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.ScoreMultiset(), want.ScoreMultiset()) {
 		t.Fatalf("routed scores %v != gct scores %v", res.ScoreMultiset(), want.ScoreMultiset())
-	}
-}
-
-func TestWithEnginePinsRouting(t *testing.T) {
-	db, err := trussdiv.Open(overlayGraph(t), trussdiv.WithEngine("online"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := db.TopR(context.Background(), trussdiv.NewQuery(4, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Engine != "online" {
-		t.Fatalf("engine = %q, want online (pinned)", stats.Engine)
 	}
 }
 
@@ -283,41 +273,6 @@ func TestBaselineEnginesValidateUniformly(t *testing.T) {
 	}
 }
 
-// staticEngine is a minimal custom backend for registry tests.
-type staticEngine struct{ name string }
-
-func (e *staticEngine) Name() string { return e.name }
-func (e *staticEngine) TopR(ctx context.Context, q trussdiv.Query) (*trussdiv.Result, *trussdiv.Stats, error) {
-	return &trussdiv.Result{TopR: []trussdiv.VertexScore{{V: 0, Score: 42}}}, nil, nil
-}
-func (e *staticEngine) Score(ctx context.Context, v, k int32) (int, error) { return 42, nil }
-func (e *staticEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	return nil, nil
-}
-func (e *staticEngine) Cost(q trussdiv.Query) trussdiv.Estimate { return trussdiv.Estimate{} }
-
-func TestRegisterCustomEngine(t *testing.T) {
-	db, err := trussdiv.Open(trussdiv.PaperExampleGraph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Register(&staticEngine{name: "static"}, false); err != nil {
-		t.Fatal(err)
-	}
-	e, err := db.Engine("static")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := e.TopR(context.Background(), trussdiv.NewQuery(4, 1))
-	if err != nil || res.TopR[0].Score != 42 {
-		t.Fatalf("custom engine answer = %+v, %v", res, err)
-	}
-	// Duplicate names are rejected.
-	if err := db.Register(&staticEngine{name: "gct"}, false); err == nil {
-		t.Fatal("want error registering duplicate name")
-	}
-}
-
 func TestBatchMatchesIndividualQueries(t *testing.T) {
 	g := overlayGraph(t)
 	db, err := trussdiv.Open(g)
@@ -417,10 +372,7 @@ func TestBatchErrors(t *testing.T) {
 // goroutines issue individual queries — the race-detector target for the
 // facade's fan-out path.
 func TestBatchConcurrentWithQueries(t *testing.T) {
-	db, err := trussdiv.Open(overlayGraph(t), trussdiv.WithPreparedIndexes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openPrepared(t, overlayGraph(t), nil)
 	ctx := context.Background()
 	qs := make([]trussdiv.Query, 16)
 	for i := range qs {
@@ -449,10 +401,16 @@ func TestBatchConcurrentWithQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// TestViaEngineOverridesDBPin: a per-query pin wins over the DB's own
+// cost routing, which sends this query to bound on a cold DB.
 func TestViaEngineOverridesDBPin(t *testing.T) {
-	db, err := trussdiv.Open(overlayGraph(t), trussdiv.WithEngine("online"))
+	db, err := trussdiv.Open(overlayGraph(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	q := trussdiv.NewQuery(4, 5)
+	if name := db.Route(q).Name(); name != "bound" {
+		t.Fatalf("cold route = %q, want bound", name)
 	}
 	_, stats, err := db.TopR(context.Background(), trussdiv.NewQuery(4, 5, trussdiv.ViaEngine("gct")))
 	if err != nil {
@@ -460,27 +418,5 @@ func TestViaEngineOverridesDBPin(t *testing.T) {
 	}
 	if stats.Engine != "gct" {
 		t.Fatalf("engine = %q, want gct (per-query pin wins)", stats.Engine)
-	}
-}
-
-func TestOpenWithPrebuiltIndexes(t *testing.T) {
-	g := overlayGraph(t)
-	tsdIdx := trussdiv.BuildTSDIndex(g)
-	gctIdx := trussdiv.BuildGCTIndex(g)
-	db, err := trussdiv.Open(g, trussdiv.WithTSDIndex(tsdIdx), trussdiv.WithGCTIndex(gctIdx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := db.IndexStats()
-	if !st.TSDReady || !st.GCTReady {
-		t.Fatalf("IndexStats = %+v, want both indexes ready", st)
-	}
-	if st.TSDBytes <= 0 || st.GCTBytes <= 0 {
-		t.Fatalf("IndexStats sizes = %+v", st)
-	}
-	// An index from a different graph is rejected.
-	other := trussdiv.PaperExampleGraph()
-	if _, err := trussdiv.Open(other, trussdiv.WithTSDIndex(tsdIdx)); err == nil {
-		t.Fatal("want error for index over a different graph")
 	}
 }

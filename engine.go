@@ -6,24 +6,26 @@ import (
 )
 
 // Engine is the uniform face of every top-r structural diversity
-// searcher. The library ships eight implementations — online (Alg. 3),
+// searcher. The DB serves a fixed catalogue of eight — online (Alg. 3),
 // bound (Alg. 4), tsd (Alg. 5-6), gct (Alg. 7-8), hybrid (Exp-4), the
-// comp/kcore native measure engines, and the parameter-free pfree
-// engine — and new backends plug in through DB.Register without
-// touching the callers.
+// comp/kcore native measure engines, and the parameter-free pfree engine
+// — fetched by name with DB.Engine or pinned per query with ViaEngine.
 //
-// An engine serves one or more diversity measures: implement the
-// optional MeasureLister interface to declare them (engines without it
-// are treated as truss-only). A query whose Measure falls outside the
-// engine's set fails with an *UnsupportedMeasureError.
+// An engine serves one or more diversity measures (Measures); a query
+// whose Measure falls outside that set fails with an
+// *UnsupportedMeasureError.
 //
 // All methods honor context cancellation: a search observes ctx inside
 // its hot loops and returns ctx.Err() promptly, including when ctx is
 // already cancelled on entry.
 type Engine interface {
-	// Name is the registry key ("online", "bound", "tsd", "gct",
-	// "hybrid", "comp", "kcore", ...).
+	// Name is the catalogue key ("online", "bound", "tsd", "gct",
+	// "hybrid", "comp", "kcore", "pfree").
 	Name() string
+	// Measures lists the diversity measures the engine serves; an engine
+	// serving exactly one answers under it when a query leaves Measure
+	// empty.
+	Measures() []Measure
 	// TopR answers a top-r query.
 	TopR(ctx context.Context, q Query) (*Result, *Stats, error)
 	// Score returns the structural diversity of one vertex at threshold
@@ -35,23 +37,6 @@ type Engine interface {
 	// relative, not wall-clock: only comparisons between engines over the
 	// same graph are meaningful.
 	Cost(q Query) Estimate
-}
-
-// ParameterFree is the optional interface an Engine implements to
-// declare that it takes no trussness threshold: queries routed to it
-// must leave Query.K at 0, and a query with K == 0 can only be served
-// by such an engine. For parameter-free engines the k argument of
-// Score/Contexts must be 0 as well. Engines without the interface (or
-// returning false) keep the classic contract: K >= 2 required.
-type ParameterFree interface {
-	ParameterFree() bool
-}
-
-// isParameterFree reports whether eng declares the parameter-free
-// contract.
-func isParameterFree(eng Engine) bool {
-	pf, ok := eng.(ParameterFree)
-	return ok && pf.ParameterFree()
 }
 
 // Estimate is an engine's predicted effort for one query, in abstract

@@ -17,15 +17,19 @@ func Example() {
 }
 
 // ExampleGCT shows the index-once, query-many workflow: the GCT index is
-// built during Open and every query is answered from it.
+// built up front by Prepare and every query is answered from it.
 func ExampleGCT() {
 	g := trussdiv.PaperExampleGraph()
-	db, err := trussdiv.Open(g, trussdiv.WithEngine("gct"), trussdiv.WithPreparedIndexes("gct"))
+	db, err := trussdiv.Open(g)
 	if err != nil {
 		panic(err)
 	}
+	ctx := context.Background()
+	if err := db.Prepare(ctx, "gct"); err != nil {
+		panic(err)
+	}
 	for _, k := range []int32{3, 4, 5} {
-		res, _, err := db.TopR(context.Background(), trussdiv.NewQuery(k, 1))
+		res, _, err := db.TopR(ctx, trussdiv.NewQuery(k, 1, trussdiv.ViaEngine("gct")))
 		if err != nil {
 			panic(err)
 		}
@@ -85,11 +89,11 @@ func ExampleTrussDecompose() {
 // by cost routing, queries built with functional options.
 func ExampleOpen() {
 	g := trussdiv.PaperExampleGraph()
-	db, err := trussdiv.Open(g, trussdiv.WithEngine("gct"))
+	db, err := trussdiv.Open(g)
 	if err != nil {
 		panic(err)
 	}
-	q := trussdiv.NewQuery(4, 1, trussdiv.WithContexts())
+	q := trussdiv.NewQuery(4, 1, trussdiv.WithContexts(), trussdiv.ViaEngine("gct"))
 	res, stats, err := db.TopR(context.Background(), q)
 	if err != nil {
 		panic(err)

@@ -2,14 +2,14 @@
 // JSON HTTP service on top of the trussdiv.DB facade: indexes are built
 // once at startup, every request runs under its own (optionally
 // deadline-bounded) context, and the engine query parameter resolves
-// through the DB's engine registry — omitted, the DB cost-routes.
+// through the DB's engine catalogue — omitted, the DB cost-routes.
 //
 // Endpoints:
 //
 //	GET  /healthz                        liveness probe
 //	GET  /stats                          graph, index, and epoch statistics
 //	GET  /metrics                        per-endpoint request counts + latency histograms
-//	GET  /engines                        registered engine names
+//	GET  /engines                        the engine catalogue
 //	GET  /measures                       measure axis: each measure with its engines
 //	GET  /topr?k=4&r=10&engine=gct       top-r search (engine optional: cost-routed)
 //	POST /batch                          many top-r searches in one DB.Batch pass
@@ -413,34 +413,33 @@ func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 		Measure:         measure,
 	}
 
-	// Resolve the engine through one snapshot's registry and run the query
-	// against that same snapshot, so routing and execution agree on the
-	// graph version even when an update lands mid-request. An absent
-	// parameter means the snapshot routes by cost among the engines
-	// serving the query's measure; a named engine is checked against the
-	// measure (tsd cannot answer measure=component).
+	// Route and run the query against one snapshot, so routing and
+	// execution agree on the graph version even when an update lands
+	// mid-request. An absent parameter means the snapshot routes by cost
+	// among the engines serving the query's measure; a named engine is
+	// checked against the measure (tsd cannot answer measure=component),
+	// and a routing error answers 400 through searchError. The response
+	// names the engine that answered (stats.Engine), so a concurrent
+	// request that readies an index cannot make the label disagree.
 	snap := s.db.Snapshot()
 	q.Engine = params.Get("engine")
 	routed := q.Engine == ""
-	eng, err := snap.ResolveEngine(q)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	start := time.Now()
-	// snap.TopR re-resolves to the same engine (routing is deterministic
-	// on one snapshot) and consults the result cache — eng is kept only
-	// to label the response.
 	res, stats, err := snap.TopR(ctx, q)
 	if err != nil {
 		searchError(w, err)
 		return
 	}
+	eng, err := snap.Engine(stats.Engine)
+	if err != nil {
+		searchError(w, err)
+		return
+	}
 	body := topRResponse{
-		Engine: eng.Name(),
+		Engine: stats.Engine,
 		Routed: routed,
 		// A pinned comp/kcore engine with no measure param answers under
 		// its native definition; echo that, not the truss default.
@@ -450,9 +449,7 @@ func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 		R:       rr,
 		TookUS:  time.Since(start).Microseconds(),
 	}
-	if stats != nil {
-		body.Searched = stats.ScoreComputations
-	}
+	body.Searched = stats.ScoreComputations
 	for _, e := range res.TopR {
 		out := topRResult{Vertex: e.V, Score: e.Score}
 		if q.IncludeContexts {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -101,8 +102,9 @@ func TestScoreAndContextsEndpoints(t *testing.T) {
 // contexts": at k=15 the paper vertex's ego-network has edges but no
 // context qualifies under any measure, and /contexts must answer
 // byte-identically whether the point query runs through the online
-// scorer, the GCT index, or the TSD index, and the same "contexts" value
-// under every measure.
+// scorer (cold DB) or the GCT index (prepared), and the same "contexts"
+// value under every measure. The TSD index's point path, reachable
+// through db.Engine, yields the same empty value.
 func TestEmptyContextsAreNullEverywhere(t *testing.T) {
 	g := gen.Fig1Graph()
 	get := func(h http.Handler, url string) []byte {
@@ -115,9 +117,12 @@ func TestEmptyContextsAreNullEverywhere(t *testing.T) {
 		return rec.Body.Bytes()
 	}
 	var want []byte
-	for _, engine := range []string{"online", "gct", "tsd"} {
-		db, err := trussdiv.Open(g, trussdiv.WithEngine(engine))
+	for _, engine := range []string{"online", "gct"} {
+		db, err := trussdiv.Open(g)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Prepare(context.Background(), engine); err != nil {
 			t.Fatal(err)
 		}
 		h := (&Server{db: db, metrics: metrics.New()}).Handler()
@@ -136,6 +141,21 @@ func TestEmptyContextsAreNullEverywhere(t *testing.T) {
 				t.Fatalf("engine=%s measure=%s: contexts = %s, want null", engine, measure, c)
 			}
 		}
+	}
+	db, err := trussdiv.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsd, err := db.Engine("tsd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tsd.Contexts(context.Background(), 0, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := json.Marshal(got); string(b) != "null" {
+		t.Fatalf("engine=tsd: contexts = %s, want null", b)
 	}
 }
 
@@ -704,8 +724,11 @@ func TestEdgesRepairedWithRankingsOnly(t *testing.T) {
 		t.Fatalf("prepared server repaired %d ego-networks, want > 0", want)
 	}
 	for _, name := range []string{"comp", "pfree"} {
-		db, err := trussdiv.Open(gen.Fig1Graph(), trussdiv.WithPreparedIndexes(name))
+		db, err := trussdiv.Open(gen.Fig1Graph())
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Prepare(context.Background(), name); err != nil {
 			t.Fatal(err)
 		}
 		if got := repaired(&Server{db: db, metrics: metrics.New()}); got != want {

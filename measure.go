@@ -48,16 +48,8 @@ var ErrUnsupportedMeasure = core.ErrUnsupportedMeasure
 // routing matrix.
 type UnsupportedMeasureError = core.UnsupportedMeasureError
 
-// MeasureLister is the optional interface an Engine implements to
-// declare which measures it serves. Engines without it are assumed to
-// compute the truss measure only — the right default for pre-measure
-// custom backends registered through DB.Register.
-type MeasureLister interface {
-	Measures() []Measure
-}
-
 // MeasureInfo describes one measure the DB serves: the engines that can
-// answer queries under it (in registration order) and whether it is the
+// answer queries under it (in catalogue order) and whether it is the
 // default for unqualified queries.
 type MeasureInfo struct {
 	Measure Measure  `json:"measure"`
@@ -66,11 +58,9 @@ type MeasureInfo struct {
 }
 
 // Measures reports the DB's measure axis: every supported measure with
-// the engines that serve it. With the built-in registry that is truss →
-// {online, bound, tsd, gct, hybrid}, component → {online, bound, comp},
-// core → {online, bound, kcore}; engines added through DB.Register
-// appear under the measures their MeasureLister declares (truss only
-// when they do not implement it).
+// the engines that serve it — truss → {online, bound, tsd, gct, hybrid,
+// pfree}, component → {online, bound, comp, pfree}, core → {online,
+// bound, kcore, pfree}.
 func (db *DB) Measures() []MeasureInfo { return db.Snapshot().Measures() }
 
 // Measures reports the measure axis of this snapshot; see DB.Measures.
@@ -79,7 +69,7 @@ func (s *Snapshot) Measures() []MeasureInfo {
 	for _, m := range core.AllMeasures() {
 		out = append(out, MeasureInfo{
 			Measure: m,
-			Engines: s.reg.enginesFor(m),
+			Engines: s.engines.enginesFor(m),
 			Default: m == MeasureTruss,
 		})
 	}
@@ -88,19 +78,16 @@ func (s *Snapshot) Measures() []MeasureInfo {
 
 // EffectiveMeasure reports the measure a query's answer was computed
 // under: the query's own Measure when set, else the engine's native
-// definition — the single measure a MeasureLister declares, or truss
-// (the multi-measure engines' default and the assumption for engines
-// predating the measure axis). Response labelers (the HTTP server,
-// tsdsearch) use it so an explicitly pinned comp/kcore engine is not
-// reported as answering with truss semantics.
+// definition — the single measure it serves, or truss (the multi-measure
+// engines' default). Response labelers (the HTTP server, tsdsearch) use
+// it so an explicitly pinned comp/kcore engine is not reported as
+// answering with truss semantics.
 func EffectiveMeasure(q Query, e Engine) Measure {
 	if q.Measure != "" {
 		return q.Measure.Normalize()
 	}
-	if ml, ok := e.(MeasureLister); ok {
-		if ms := ml.Measures(); len(ms) == 1 {
-			return ms[0].Normalize()
-		}
+	if ms := e.Measures(); len(ms) == 1 {
+		return ms[0]
 	}
 	return MeasureTruss
 }
@@ -161,11 +148,7 @@ func (s *Snapshot) ScoreMeasure(ctx context.Context, v, k int32, m Measure) (int
 		return 0, err
 	}
 	if m.Normalize() != MeasureTruss {
-		e, err := s.reg.lookup(rankedEngineName(m))
-		if err != nil {
-			return 0, err
-		}
-		return e.Score(ctx, v, k)
+		return s.builtin(rankedEngineName(m)).Score(ctx, v, k)
 	}
 	return s.Score(ctx, v, k)
 }
@@ -178,11 +161,7 @@ func (s *Snapshot) ContextsMeasure(ctx context.Context, v, k int32, m Measure) (
 		return nil, err
 	}
 	if m.Normalize() != MeasureTruss {
-		e, err := s.reg.lookup(rankedEngineName(m))
-		if err != nil {
-			return nil, err
-		}
-		return e.Contexts(ctx, v, k)
+		return s.builtin(rankedEngineName(m)).Contexts(ctx, v, k)
 	}
 	return s.Contexts(ctx, v, k)
 }

@@ -246,3 +246,42 @@ func TestPFreeBadQueryContract(t *testing.T) {
 		t.Fatalf("Batch with a k=1 member: err = %v, want ErrBadQuery", err)
 	}
 }
+
+// TestPFreeBuildCostMatchesTable: pfree readies a measure by building
+// that measure's ranked table, so on a cold DB it prices the build
+// exactly as the table's own engine does, for every measure; once the
+// tables are ready both price them at zero.
+func TestPFreeBuildCostMatchesTable(t *testing.T) {
+	db, err := trussdiv.Open(overlayGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfree, err := db.Engine("pfree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[trussdiv.Measure]string{
+		trussdiv.MeasureTruss:     "hybrid",
+		trussdiv.MeasureComponent: "comp",
+		trussdiv.MeasureCore:      "kcore",
+	}
+	check := func(state string, cold bool) {
+		t.Helper()
+		for _, m := range trussdiv.AllMeasures() {
+			table, err := db.Engine(tables[m])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pfree.Cost(trussdiv.NewQuery(0, 10, trussdiv.WithMeasure(m))).Build
+			want := table.Cost(trussdiv.NewQuery(4, 10, trussdiv.WithMeasure(m))).Build
+			if got != want || (want > 0) != cold {
+				t.Errorf("%s %s: pfree build cost %v, %s build cost %v", state, m, got, tables[m], want)
+			}
+		}
+	}
+	check("cold", true)
+	if err := db.Prepare(context.Background(), "pfree"); err != nil {
+		t.Fatal(err)
+	}
+	check("prepared", false)
+}

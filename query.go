@@ -29,9 +29,9 @@ type Query struct {
 	// 1 forces serial execution. The answer is byte-identical for every
 	// worker count (ties resolve by vertex ID).
 	Workers int
-	// Engine pins this query to the named engine, overriding cost routing
-	// and the DB-level WithEngine default. Empty means no pin. Unknown
-	// names fail with a *UnknownEngineError.
+	// Engine pins this query to the named engine, overriding cost
+	// routing. Empty means no pin. Unknown names fail with a
+	// *UnknownEngineError.
 	Engine string
 	// Measure selects the structural diversity definition: MeasureTruss
 	// (the default; "" means the same), MeasureComponent, or MeasureCore.
@@ -81,9 +81,8 @@ func WithWorkers(n int) QueryOption {
 	return func(q *Query) { q.Workers = n }
 }
 
-// ViaEngine pins the query to the named engine, bypassing cost routing.
-// It also overrides a DB-level WithEngine default, so one batch can mix
-// pinned and routed queries.
+// ViaEngine pins the query to the named engine, bypassing cost routing;
+// pins are per query, so one batch can mix pinned and routed queries.
 func ViaEngine(name string) QueryOption {
 	return func(q *Query) { q.Engine = name }
 }

@@ -3,16 +3,17 @@ package trussdiv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // ErrUnknownEngine is the sentinel matched by errors.Is when an engine
-// name is not registered; the concrete error is *UnknownEngineError.
+// name is not in the catalogue; the concrete error is
+// *UnknownEngineError.
 var ErrUnknownEngine = errors.New("trussdiv: unknown engine")
 
-// UnknownEngineError reports a registry lookup for a name that is not
-// registered, together with the names that are.
+// UnknownEngineError reports a lookup for an engine name that does not
+// exist, together with the names that do.
 type UnknownEngineError struct {
 	Name  string
 	Known []string
@@ -26,120 +27,83 @@ func (e *UnknownEngineError) Error() string {
 // Is makes errors.Is(err, ErrUnknownEngine) match.
 func (e *UnknownEngineError) Is(target error) bool { return target == ErrUnknownEngine }
 
-// registration pairs an engine with its routing eligibility and the
-// measures it serves. The registry is effectively keyed by (engine,
-// measure): lookups that carry a measure verify support, and routing
-// considers only the engines declaring the query's measure. Engines
-// without a MeasureLister serve the truss measure only — so a routable
-// pre-measure custom backend keeps exactly its old routing behavior.
-type registration struct {
+// catalogue is one snapshot's table of the eight built-in engines, in
+// listing order. It is fixed when the snapshot is built, so routing,
+// pinned lookups and the listings read it without locks or allocations.
+// The table is effectively keyed by (engine, measure): lookups that carry
+// a measure verify support, and routing considers only the entries
+// serving the query's measure on the query's side of the K axis.
+type catalogue []catalogueEntry
+
+// catalogueEntry is one engine with the measures it serves (its
+// Measures, read once) and whether it is the parameter-free engine — the
+// only one that takes queries without a K, and the only one such queries
+// route to.
+type catalogueEntry struct {
+	name     string
 	engine   Engine
-	routable bool
-	measures map[Measure]bool
+	measures []Measure
+	kless    bool
 }
 
-// registry is the name-keyed engine catalogue of one DB. Lookups and
-// registrations may race (a server answering queries while the embedding
-// app plugs in a backend), so all access is mutex-guarded.
-type registry struct {
-	mu     sync.RWMutex
-	byName map[string]registration
-	order  []string // registration order, for stable listings and tie-breaks
-}
-
-func newRegistry() *registry {
-	return &registry{byName: make(map[string]registration)}
-}
-
-func (r *registry) add(e Engine, routable bool) error {
-	name := e.Name()
-	if name == "" {
-		return errors.New("trussdiv: engine name must not be empty")
+func newCatalogue(engines ...Engine) catalogue {
+	c := make(catalogue, len(engines))
+	for i, e := range engines {
+		_, kless := e.(*pfreeEngine)
+		c[i] = catalogueEntry{name: e.Name(), engine: e, measures: e.Measures(), kless: kless}
 	}
-	measures := map[Measure]bool{MeasureTruss: true}
-	if ml, ok := e.(MeasureLister); ok {
-		measures = make(map[Measure]bool, len(ml.Measures()))
-		for _, m := range ml.Measures() {
-			measures[m.Normalize()] = true
+	return c
+}
+
+// serves reports whether the entry's engine computes normalized measure m.
+func (e *catalogueEntry) serves(m Measure) bool { return slices.Contains(e.measures, m) }
+
+func (c catalogue) lookup(name string) (*catalogueEntry, error) {
+	for i := range c {
+		if c[i].name == name {
+			return &c[i], nil
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("trussdiv: engine %q already registered", name)
-	}
-	r.byName[name] = registration{engine: e, routable: routable, measures: measures}
-	r.order = append(r.order, name)
-	return nil
+	return nil, &UnknownEngineError{Name: name, Known: c.names()}
 }
 
-func (r *registry) lookup(name string) (Engine, error) {
-	r.mu.RLock()
-	reg, ok := r.byName[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, &UnknownEngineError{Name: name, Known: r.names()}
+func (c catalogue) names() []string {
+	out := make([]string, len(c))
+	for i := range c {
+		out[i] = c[i].name
 	}
-	return reg.engine, nil
-}
-
-func (r *registry) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
 	return out
 }
 
 // lookupFor is the (engine, measure)-keyed lookup: the named engine must
-// exist and, when a measure is given explicitly, declare it. An empty
+// exist and, when a measure is given explicitly, serve it. An empty
 // measure imposes no constraint — an explicitly pinned engine then
 // answers under its native definition, which is what pre-measure callers
 // of engine=comp/kcore meant. A measure name that does not exist at all
 // is a parse error, not an *UnsupportedMeasureError — the same category
 // the unpinned routing path reports.
-func (r *registry) lookupFor(name string, m Measure) (Engine, error) {
+func (c catalogue) lookupFor(name string, m Measure) (*catalogueEntry, error) {
 	if !m.Valid() {
 		_, err := ParseMeasure(string(m))
 		return nil, err
 	}
-	r.mu.RLock()
-	reg, ok := r.byName[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, &UnknownEngineError{Name: name, Known: r.names()}
+	e, err := c.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	if m != "" && !reg.measures[m.Normalize()] {
+	if m != "" && !e.serves(m.Normalize()) {
 		return nil, &UnsupportedMeasureError{Engine: name, Measure: m.Normalize()}
 	}
-	return reg.engine, nil
+	return e, nil
 }
 
-// routableFor lists the routable engines serving measure m, in
-// registration order.
-func (r *registry) routableFor(m Measure) []Engine {
+// enginesFor lists every engine serving measure m, in listing order.
+func (c catalogue) enginesFor(m Measure) []string {
 	m = m.Normalize()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Engine
-	for _, name := range r.order {
-		if reg := r.byName[name]; reg.routable && reg.measures[m] {
-			out = append(out, reg.engine)
-		}
-	}
-	return out
-}
-
-// enginesFor lists every engine (routable or not) serving measure m, in
-// registration order.
-func (r *registry) enginesFor(m Measure) []string {
-	m = m.Normalize()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []string
-	for _, name := range r.order {
-		if r.byName[name].measures[m] {
-			out = append(out, name)
+	for i := range c {
+		if c[i].serves(m) {
+			out = append(out, c[i].name)
 		}
 	}
 	return out

@@ -45,18 +45,8 @@ var ErrBadUpdate = errors.New("trussdiv: invalid update batch")
 // Is makes errors.Is(err, ErrBadUpdate) match.
 func (e *UpdateError) Is(target error) bool { return target == ErrBadUpdate }
 
-// Rebinder is an optional interface for engines plugged in through
-// DB.Register: when the DB applies an update batch, a custom engine
-// implementing Rebinder is asked for a replacement bound to the edited
-// graph, which serves in the next snapshot. Custom engines without it are
-// carried into the next snapshot unchanged — correct only for engines
-// that read the graph through the DB rather than holding their own copy.
-type Rebinder interface {
-	Rebind(g *Graph) (Engine, error)
-}
-
 // Snapshot is one immutable version of the DB: a graph, the index cache
-// built over it, and the engine registry bound to both, all stamped with
+// built over it, and the engine catalogue bound to both, all stamped with
 // an epoch. Queries against a Snapshot are guaranteed consistent — a
 // concurrent Apply builds the next snapshot on the side and never touches
 // this one, so a reader that grabbed a Snapshot keeps its epoch (and its
@@ -64,12 +54,11 @@ type Rebinder interface {
 // the current snapshot once per call; hold one explicitly (db.Snapshot())
 // to pin a multi-query read to a single graph version.
 type Snapshot struct {
-	epoch  Epoch
-	g      *Graph
-	w      workload
-	cache  *indexCache
-	reg    *registry
-	forced string
+	epoch   Epoch
+	g       *Graph
+	w       workload
+	cache   *indexCache
+	engines catalogue
 	// applied records the incremental-repair work of the update batch that
 	// produced this snapshot (nil for the Open snapshot and for snapshots
 	// whose caches held nothing repairable).
@@ -82,15 +71,8 @@ type Snapshot struct {
 
 // newSnapshot binds the built-in engines to one graph + cache pair. The
 // cache's epoch is aligned so persisted state names this snapshot.
-func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snapshot, error) {
-	s := &Snapshot{
-		epoch:  epoch,
-		g:      g,
-		w:      measure(g),
-		cache:  cache,
-		reg:    newRegistry(),
-		forced: forced,
-	}
+func newSnapshot(epoch Epoch, g *Graph, cache *indexCache) *Snapshot {
+	s := &Snapshot{epoch: epoch, g: g, w: measure(g), cache: cache}
 	cache.setEpoch(epoch)
 	// One online searcher per snapshot, recovering contexts through the
 	// snapshot's shared scorers; the ranked engines scan with it while
@@ -100,31 +82,24 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache, forced string) (*Snap
 		return &rankedEngine{name: rankedEngineName(m), measure: m,
 			coldBuild: m == MeasureTruss, online: online, cache: cache, w: s.w}
 	}
-	for _, reg := range []struct {
-		engine   Engine
-		routable bool
-	}{
-		{&onlineEngine{eng: online, scorer: cache.scorers[MeasureTruss], w: s.w}, true},
-		{newBoundEngine(g, s.w, cache), true},
-		{&tsdEngine{cache: cache, w: s.w}, true},
-		{&gctEngine{cache: cache, w: s.w}, true},
-		// The ranked engines are routable for their own measure only (they
-		// declare it via MeasureLister): hybrid for truss, comp and kcore
-		// for the other two, so truss queries never see comp/kcore.
-		{ranked(MeasureTruss), true},
-		{ranked(MeasureComponent), true},
-		{ranked(MeasureCore), true},
+	s.engines = newCatalogue(
+		&onlineEngine{eng: online, scorer: cache.scorers[MeasureTruss], w: s.w},
+		newBoundEngine(g, s.w, cache),
+		&tsdEngine{cache: cache, w: s.w},
+		&gctEngine{cache: cache, w: s.w},
+		// The ranked engines serve their own measure only: hybrid for
+		// truss, comp and kcore for the other two, so truss queries never
+		// see comp/kcore.
+		ranked(MeasureTruss),
+		ranked(MeasureComponent),
+		ranked(MeasureCore),
 		// The parameter-free engine serves every measure but only the
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
 		// reachability is unchanged.
-		{&pfreeEngine{w: s.w, online: online, cache: cache}, true},
-	} {
-		if err := s.reg.add(reg.engine, reg.routable); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+		&pfreeEngine{w: s.w, online: online, cache: cache},
+	)
+	return s
 }
 
 // Epoch returns the snapshot's version number.
@@ -145,26 +120,40 @@ func (s *Snapshot) ApplyStats() *UpdateStats {
 	return &cp
 }
 
-// Engines lists the snapshot's registered engine names in registration
-// order.
-func (s *Snapshot) Engines() []string { return s.reg.names() }
+// Engines lists the snapshot's engine names in catalogue order.
+func (s *Snapshot) Engines() []string { return s.engines.names() }
 
 // Engine returns the named engine bound to this snapshot; the error is a
 // *UnknownEngineError (matching errors.Is(err, ErrUnknownEngine)) for
-// unregistered names.
-func (s *Snapshot) Engine(name string) (Engine, error) { return s.reg.lookup(name) }
+// names outside the catalogue.
+func (s *Snapshot) Engine(name string) (Engine, error) {
+	e, err := s.engines.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.engine, nil
+}
 
-// Route returns the routable engine with the lowest cost estimate for q
-// among those serving q.Measure, counting any index the engine would
-// still have to build. Ties keep the earliest registered engine. Routing
-// is snapshot-aware: an index that survived the last Apply repaired or
-// patched (TSD, GCT, the truss decomposition, the rankings) keeps its
-// zero build cost, while one whose repair declined (region over budget)
-// prices its lazy rebuild back in. Routing is also K-aware: q.K == 0
-// selects among the parameter-free engines only, any other K among the
-// fixed-k engines only. Route returns nil when no routable engine
-// serves the measure (or the measure name is unknown); the query paths
-// report that as an error.
+// builtin returns the named engine of the catalogue; the names are
+// fixed, so a miss is a programming error.
+func (s *Snapshot) builtin(name string) Engine {
+	e, err := s.engines.lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return e.engine
+}
+
+// Route returns the engine with the lowest cost estimate for q among
+// those serving q.Measure, counting any index the engine would still
+// have to build. Ties keep the earliest engine in catalogue order.
+// Routing is snapshot-aware: an index that survived the last Apply
+// repaired or patched (TSD, GCT, the truss decomposition, the rankings)
+// keeps its zero build cost, while one whose repair declined (region
+// over budget) prices its lazy rebuild back in. Routing is also K-aware:
+// q.K == 0 selects the parameter-free engine, any other K selects among
+// the fixed-k engines. Route returns nil when the measure name is
+// unknown; the query paths report that as an error.
 func (s *Snapshot) Route(q Query) Engine {
 	if !q.Measure.Valid() {
 		return nil
@@ -172,39 +161,43 @@ func (s *Snapshot) Route(q Query) Engine {
 	return s.cheapest(q, 1)
 }
 
-// cheapest returns the routable engine serving q.Measure, on q's side of
-// the K axis (parameter-free for q.K == 0, fixed-k otherwise), with the
-// lowest cost when its build cost is divided across batchSize queries;
-// nil when no such engine is registered. Ties keep the earliest
-// registered engine.
+// cheapest returns the engine serving q.Measure, on q's side of the K
+// axis (parameter-free for q.K == 0, fixed-k otherwise), with the lowest
+// cost when its build cost is divided across batchSize queries. Ties
+// keep the earliest engine in catalogue order.
 func (s *Snapshot) cheapest(q Query, batchSize int) Engine {
+	m := q.Measure.Normalize()
 	var best Engine
 	bestCost := 0.0
-	for _, e := range s.reg.routableFor(q.Measure) {
-		if isParameterFree(e) != (q.K == 0) {
+	for i := range s.engines {
+		e := &s.engines[i]
+		if e.kless != (q.K == 0) || !e.serves(m) {
 			continue
 		}
-		est := e.Cost(q)
+		est := e.engine.Cost(q)
 		if c := est.Build/float64(batchSize) + est.Query; best == nil || c < bestCost {
-			best, bestCost = e, c
+			best, bestCost = e.engine, c
 		}
 	}
 	return best
 }
 
-// routeAmortized is the single routing policy: per-query pin, then the
-// DB-level pin (both checked against the query's measure and the
-// engine-aware K contract), then the cheapest routable engine serving
-// the measure with the index build cost divided across batchSize
-// queries (1 = the TopR single-query case, where the division is a
-// no-op). Queries without a K (q.K == 0) route among the
-// parameter-free engines only; fixed-k queries never see those.
+// routeAmortized is the single routing policy: the per-query pin
+// (checked against the query's measure and the engine-aware K contract),
+// else the cheapest engine serving the measure with the index build cost
+// divided across batchSize queries (1 = the TopR single-query case,
+// where the division is a no-op). Queries without a K (q.K == 0) route
+// to the parameter-free engine; fixed-k queries never see it.
 func (s *Snapshot) routeAmortized(q Query, batchSize int) (Engine, error) {
 	if q.Engine != "" {
-		return s.lookupValidated(q.Engine, q)
-	}
-	if s.forced != "" {
-		return s.lookupValidated(s.forced, q)
+		e, err := s.engines.lookupFor(q.Engine, q.Measure)
+		if err != nil {
+			return nil, err
+		}
+		if err := validateQueryK(e, q); err != nil {
+			return nil, err
+		}
+		return e.engine, nil
 	}
 	if !q.Measure.Valid() {
 		_, err := ParseMeasure(string(q.Measure))
@@ -214,38 +207,14 @@ func (s *Snapshot) routeAmortized(q Query, batchSize int) (Engine, error) {
 		return nil, &BadQueryError{K: q.K,
 			Reason: "k must be >= 2, or 0 for parameter-free search"}
 	}
-	best := s.cheapest(q, batchSize)
-	if best == nil {
-		if q.K == 0 {
-			return nil, &BadQueryError{K: 0, Reason: fmt.Sprintf(
-				"no parameter-free engine is routable for measure %q; set k >= 2",
-				q.Measure.Normalize())}
-		}
-		return nil, fmt.Errorf("trussdiv: no routable engine registered for measure %q",
-			q.Measure.Normalize())
-	}
-	return best, nil
-}
-
-// lookupValidated resolves a pinned engine name and checks the query's
-// K against the engine's contract.
-func (s *Snapshot) lookupValidated(name string, q Query) (Engine, error) {
-	eng, err := s.reg.lookupFor(name, q.Measure)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateQueryK(eng, q); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return s.cheapest(q, batchSize), nil
 }
 
 // ResolveEngine resolves the engine that would answer q exactly as TopR
 // does: the per-query Engine pin (checked against q.Measure), else the
-// DB-level WithEngine default, else the cheapest routable engine serving
-// q.Measure. The error is an *UnknownEngineError for unregistered pins
-// and an *UnsupportedMeasureError for pins outside the measure's row of
-// the routing matrix.
+// cheapest engine serving q.Measure. The error is an *UnknownEngineError
+// for unknown pins and an *UnsupportedMeasureError for pins outside the
+// measure's row of the routing matrix.
 func (s *Snapshot) ResolveEngine(q Query) (Engine, error) {
 	return s.routeAmortized(q, 1)
 }
@@ -315,22 +284,13 @@ func (s *Snapshot) Contexts(ctx context.Context, v, k int32) ([][]int32, error) 
 	return s.pointEngine().Contexts(ctx, v, k)
 }
 
-// pointEngine picks the engine for single-vertex queries: the pinned one,
-// else gct once its index exists, else the online scorer.
+// pointEngine picks the engine for single-vertex queries: gct once its
+// index exists, else the online scorer.
 func (s *Snapshot) pointEngine() Engine {
-	name := s.forced
-	if name == "" {
-		if s.cache.hasGCT() {
-			name = "gct"
-		} else {
-			name = "online"
-		}
+	if s.cache.hasGCT() {
+		return s.builtin("gct")
 	}
-	e, err := s.reg.lookup(name)
-	if err != nil { // unreachable: built-ins are always registered
-		panic(err)
-	}
-	return e
+	return s.builtin("online")
 }
 
 // Prepare eagerly readies the named engines of this snapshot; see
@@ -382,10 +342,7 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 		case "online":
 			// stateless engine: nothing to prepare
 		default:
-			if _, err := s.reg.lookup(name); err != nil {
-				return err
-			}
-			return fmt.Errorf("trussdiv: Prepare: engine %q manages its own state", name)
+			return &UnknownEngineError{Name: name, Known: s.Engines()}
 		}
 	}
 	return nil
@@ -455,32 +412,9 @@ func (db *DB) Apply(ctx context.Context, u Updates) (Epoch, error) {
 	if err != nil {
 		return 0, err
 	}
-	next, err := newSnapshot(cur.epoch+1, newG, nextCache, db.forced)
-	if err != nil {
-		return 0, err // unreachable: built-ins always register cleanly
-	}
+	next := newSnapshot(cur.epoch+1, newG, nextCache)
 	next.applied = stats
 	next.results = db.results
-	// Rebind custom engines into a scratch list first: a failure anywhere
-	// must leave db.custom untouched, or an engine could end up bound to a
-	// graph the DB never adopted.
-	rebound := make([]customEngine, len(db.custom))
-	copy(rebound, db.custom)
-	for i := range rebound {
-		e := rebound[i].engine
-		if rb, ok := e.(Rebinder); ok {
-			re, err := rb.Rebind(newG)
-			if err != nil {
-				return 0, fmt.Errorf("trussdiv: Apply: rebind engine %q: %w", e.Name(), err)
-			}
-			e = re
-			rebound[i].engine = re
-		}
-		if err := next.reg.add(e, rebound[i].routable); err != nil {
-			return 0, err
-		}
-	}
-	db.custom = rebound
 	db.snap.Store(next)
 	if db.results != nil {
 		// The epoch in every key already guarantees no stale hit; the

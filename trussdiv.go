@@ -24,12 +24,14 @@
 //
 //	epoch, _ := db.Apply(ctx, trussdiv.Updates{Insert: []trussdiv.Edge{{U: 1, V: 9}}})
 //
-// A specific engine can be pinned with Open(g, WithEngine("gct")) or
-// fetched by name with db.Engine("tsd"); every engine satisfies the
-// context-aware Engine interface. The DB is the only way to search: the
-// pre-DB constructors (NewOnline, NewBound, NewTSD, NewGCT, BuildHybrid)
-// have been removed — README.md's migration table maps each to its
-// replacement.
+// A query can be pinned to one of the eight engines with
+// ViaEngine("gct"), or an engine fetched by name with db.Engine("tsd");
+// every engine satisfies the context-aware Engine interface. Indexes
+// build lazily on first use, up front with db.Prepare, or load from a
+// persistent index store (WithIndexDir). The DB is the only way to
+// search: the pre-DB constructors (NewOnline, NewBound, NewTSD, NewGCT,
+// BuildHybrid) have been removed — README.md's migration table maps each
+// to its replacement.
 //
 // The diversity definition itself is a query axis: WithMeasure selects
 // the paper's truss-based model (the default), the component-based
@@ -93,22 +95,6 @@ type Scorer = core.Scorer
 
 // NewScorer returns a Scorer over g.
 func NewScorer(g *Graph) *Scorer { return core.NewScorer(g) }
-
-// TSDIndex is the truss-based structural diversity index (Algorithm 5).
-type TSDIndex = core.TSDIndex
-
-// BuildTSDIndex constructs the TSD-index of g on one goroutine. For a
-// parallel build, Open the graph WithBuildWorkers and Prepare "tsd".
-func BuildTSDIndex(g *Graph) *TSDIndex { return core.BuildTSDIndex(g) }
-
-// GCTIndex is the compressed supernode/superedge index (Algorithms 7-8).
-type GCTIndex = core.GCTIndex
-
-// BuildGCTIndex constructs the GCT-index of g on one goroutine. For a
-// parallel build, Open the graph WithBuildWorkers and Prepare "gct".
-func BuildGCTIndex(g *Graph) *GCTIndex {
-	return core.BuildAll(g, core.BuildTargets{GCT: true}, 1).GCT
-}
 
 // UpdateStats reports the work of an incremental index update.
 type UpdateStats = core.UpdateStats
