@@ -69,8 +69,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
-# path — ego extraction, per-vertex scoring under every measure, the
-# DB's component/core point Score, and query routing (Route and
+# path — ego extraction, per-vertex scoring under every measure, every
+# DB point query (the GCT index, the shared scorer, and the
+# parameter-free branches), and query routing (Route and
 # ResolveEngine) — at zero steady-state allocations, and
 # the truss repair tripwire holds an 8-insertion Repair to 1.5x the bytes
 # of a 1-insertion one (no per-insertion graph or graph-sized scratch).

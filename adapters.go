@@ -3,7 +3,6 @@ package trussdiv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io/fs"
 	"runtime"
 	"sync"
@@ -44,18 +43,14 @@ type indexCache struct {
 	// cold start); bad marks sections whose payload failed its checksum
 	// (decode mode) or structural validation (mmap mode) — sections fail
 	// independently, so one damaged section does not discredit the rest of
-	// the file. loadErr records why
-	// an on-disk index (or section) was rejected, saveErr the last persist
-	// failure. deferPersist batches the per-build writes of a Prepare into
-	// one (dirty remembers that something was built meanwhile).
-	dir          string
-	mode         store.Mode
-	file         *store.File
-	bad          map[store.SectionRef]bool
-	loadErr      error
-	saveErr      error
-	deferPersist bool
-	dirty        bool
+	// the file. loadErr records why an on-disk index (or section) was
+	// rejected, saveErr the last persist failure.
+	dir     string
+	mode    store.Mode
+	file    *store.File
+	bad     map[store.SectionRef]bool
+	loadErr error
+	saveErr error
 
 	// retained pins every mmap-backed store.File whose views this cache's
 	// structures may alias — including files inherited through advance,
@@ -70,9 +65,11 @@ type indexCache struct {
 	// returns the supports alongside the decomposition — the incremental
 	// repair consumes them on the next Apply. buildAllIdx is the
 	// per-vertex driver (core.BuildAll): every TSD, GCT and ranking-table
-	// build goes through it, one pass per Prepare. patchAllIdx is the same
+	// build goes through it, one pass per readyLocked. patchAllIdx is the same
 	// driver's patch entry (core.PatchAll): Apply repairs every
-	// ego-derived structure in one pass over the affected vertices.
+	// ego-derived structure in one pass over the affected vertices. All
+	// three use GOMAXPROCS workers; their products are byte-identical for
+	// every worker count.
 	buildTau    func(*Graph) (tau, sup []int32)
 	buildAllIdx func(*Graph, core.BuildTargets) *core.BuildProducts
 	patchAllIdx func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts
@@ -85,13 +82,36 @@ func trussSec(s store.Section) store.SectionRef {
 	return store.SectionRef{Section: s, Measure: core.MeasureTruss}
 }
 
+// rankSec addresses measure m's per-k ranking table.
+func rankSec(m Measure) store.SectionRef {
+	return store.SectionRef{Section: store.SecRankings, Measure: m}
+}
+
+// cacheSections lists every section the cache holds in memory, in the
+// order Prepare readies them (so a shared build names its measures in
+// AllMeasures order). The supports ride along with the truss section.
+var cacheSections = []store.SectionRef{
+	trussSec(store.SecTruss), trussSec(store.SecTSD), trussSec(store.SecGCT),
+	rankSec(MeasureTruss), rankSec(MeasureComponent), rankSec(MeasureCore),
+}
+
+// readiness is where one section of the cache stands — the one input of
+// every engine's build-cost estimate.
+type readiness int
+
+const (
+	secCold   readiness = iota // neither in memory nor loadable: it must be built
+	secDecode                  // in the warm-start file, read and decoded on load
+	secMmap                    // in the warm-start file, served as views over the mapping
+	secMemory                  // in memory
+)
+
 // newIndexCache wires a cache to its builders and, when cfg names an
 // index directory, validates any index file found there. A missing file
 // is a normal cold start; a file that fails validation (stale
 // fingerprint, wrong version, corruption) is recorded in loadErr — the
 // typed error StoreStatus exposes — and the cache falls back to building.
 func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
-	workers := cfg.buildWorkers
 	c := &indexCache{
 		g:       g,
 		scorers: core.NewScorers(g),
@@ -100,13 +120,13 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 		// array is byte-identical to the serial Decompose, and the supports
 		// come back pristine so the next Apply can repair incrementally.
 		buildTau: func(g *Graph) ([]int32, []int32) {
-			return truss.DecomposeFull(g, workers)
+			return truss.DecomposeFull(g, 0)
 		},
 		buildAllIdx: func(g *Graph, t core.BuildTargets) *core.BuildProducts {
-			return core.BuildAll(g, t, workers)
+			return core.BuildAll(g, t, 0)
 		},
 		patchAllIdx: func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts {
-			return core.PatchAll(g, old, t, affected, workers)
+			return core.PatchAll(g, old, t, affected, 0)
 		},
 	}
 	if cfg.storeMode == StoreDecode {
@@ -275,100 +295,177 @@ func loadSection[T any](c *indexCache, ref store.SectionRef, read func(*store.Fi
 	return v
 }
 
-// trussTau returns the global truss decomposition, loading or computing
-// (and then persisting) it on first use. The bound engine's searches read
-// it through this cache, so sparsification costs one edge filter instead
-// of a fresh decomposition per query.
-func (c *indexCache) trussTau() []int32 {
+// state reports where section ref stands. A section that failed to load
+// is cold: it will be rebuilt.
+func (c *indexCache) state(ref store.SectionRef) readiness {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.trussTauLocked()
+	switch {
+	case c.inMemoryLocked(ref):
+		return secMemory
+	case c.file == nil || !c.file.HasMeasure(ref.Section, ref.Measure) || c.bad[ref]:
+		return secCold
+	case c.file.Mode() == store.ModeMmap:
+		return secMmap
+	}
+	return secDecode
 }
 
-func (c *indexCache) trussTauLocked() []int32 {
-	if c.tau != nil {
-		return c.tau
+func (c *indexCache) inMemoryLocked(ref store.SectionRef) bool {
+	switch ref.Section {
+	case store.SecTruss:
+		return c.tau != nil
+	case store.SecTSD:
+		return c.tsd != nil
+	case store.SecGCT:
+		return c.gct != nil
 	}
-	if tau := loadSection(c, trussSec(store.SecTruss), (*store.File).Tau); tau != nil {
+	return c.ranked[ref.Measure] != nil
+}
+
+// loadLocked reports whether section ref is in memory, loading it from
+// the warm-start file first when it is not. It is the only code that
+// knows which store.File accessor fills which field. Callers must hold
+// c.mu.
+func (c *indexCache) loadLocked(ref store.SectionRef) bool {
+	if c.inMemoryLocked(ref) {
+		return true
+	}
+	switch ref.Section {
+	case store.SecTruss:
 		// Format v3 persists the supports next to the decomposition, so a
 		// warm start repairs incrementally on the very first Apply. Older
 		// files lack the section (sup stays nil) and the first Apply
 		// rebuilds; the rebuild re-derives both and repair resumes.
-		c.tau = tau
-		c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
-		return c.tau
+		if c.tau = loadSection(c, ref, (*store.File).Tau); c.tau != nil {
+			c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
+		}
+		return c.tau != nil
+	case store.SecTSD:
+		c.tsd = loadSection(c, ref, (*store.File).TSD)
+		return c.tsd != nil
+	case store.SecGCT:
+		c.gct = loadSection(c, ref, (*store.File).GCT)
+		return c.gct != nil
+	}
+	perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
+		return f.MeasureRankings(ref.Measure)
+	})
+	if perK == nil {
+		return false
+	}
+	c.setRankedLocked(ref.Measure, perK)
+	return true
+}
+
+// readyLocked brings every section of refs into memory: loaded from the
+// warm-start file where it can be, else built — the truss decomposition
+// by its parallel peeling, every ego-derived structure in one shared
+// BuildAll pass (one ego extraction and one decomposition per vertex,
+// shared by every consumer). Each product counts as one build, and the
+// store is rewritten once if anything was built. It is the only build
+// path. Callers must hold c.mu.
+func (c *indexCache) readyLocked(refs ...store.SectionRef) {
+	var t core.BuildTargets
+	tau := false
+	for _, ref := range refs {
+		if c.loadLocked(ref) {
+			continue
+		}
+		switch ref.Section {
+		case store.SecTruss:
+			tau = true
+		case store.SecTSD:
+			t.TSD = true
+		case store.SecGCT:
+			t.GCT = true
+		default:
+			t.Measures = append(t.Measures, ref.Measure)
+		}
+	}
+	ego := t.TSD || t.GCT || len(t.Measures) > 0
+	if !tau && !ego {
+		return
 	}
 	start := time.Now()
-	c.tau, c.sup = c.buildTau(c.g)
+	if tau {
+		c.tau, c.sup = c.buildTau(c.g)
+		c.builds++
+	}
+	if ego {
+		p := c.buildAllIdx(c.g, t)
+		if t.TSD {
+			c.tsd = p.TSD
+			c.builds++
+		}
+		if t.GCT {
+			c.gct = p.GCT
+			c.builds++
+		}
+		for _, m := range t.Measures {
+			c.setRankedLocked(m, p.MeasureRanks[m])
+			c.builds++
+		}
+	}
 	c.buildTime += time.Since(start)
-	c.builds++
-	c.persistAfterBuildLocked()
+	c.persistLocked()
+}
+
+// ready readies refs under one lock; see readyLocked.
+func (c *indexCache) ready(refs []store.SectionRef) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.readyLocked(refs...)
+}
+
+// trussTau returns the global truss decomposition, readying it on first
+// use. The bound engine's searches read it through this cache, so
+// sparsification costs one edge filter instead of a fresh decomposition
+// per query.
+func (c *indexCache) trussTau() []int32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.readyLocked(trussSec(store.SecTruss))
 	return c.tau
 }
 
 func (c *indexCache) tsdIndex() *core.TSDIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.tsdIndexLocked()
-}
-
-func (c *indexCache) tsdIndexLocked() *core.TSDIndex {
-	if c.tsd != nil {
-		return c.tsd
-	}
-	if idx := loadSection(c, trussSec(store.SecTSD), (*store.File).TSD); idx != nil {
-		c.tsd = idx
-		return c.tsd
-	}
-	c.buildLocked(core.BuildTargets{TSD: true})
+	c.readyLocked(trussSec(store.SecTSD))
 	return c.tsd
 }
 
 func (c *indexCache) gctIndex() *core.GCTIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.gctIndexLocked()
+	c.readyLocked(trussSec(store.SecGCT))
+	return c.gct
 }
 
-func (c *indexCache) gctIndexLocked() *core.GCTIndex {
-	if c.gct != nil {
-		return c.gct
-	}
-	if idx := loadSection(c, trussSec(store.SecGCT), (*store.File).GCT); idx != nil {
-		c.gct = idx
-		return c.gct
-	}
-	c.buildLocked(core.BuildTargets{GCT: true})
+// builtGCT returns the GCT index when it is in memory; it never loads or
+// builds.
+func (c *indexCache) builtGCT() *core.GCTIndex {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.gct
 }
 
 // rankedTable returns measure m's per-k ranking table (the hybrid
 // engine's for the truss measure): from memory, else loaded from the
 // index store's measure-tagged rankings section, else — only when build
-// is set — built from the graph (one BuildAll pass) and persisted.
-// Without build, a cold cache returns nil and the caller falls back to
-// scanning.
+// is set — built from the graph and persisted. Without build, a cold
+// cache returns nil and the caller falls back to scanning.
 func (c *indexCache) rankedTable(m Measure, build bool) *core.Ranked {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rankedLocked(m.Normalize(), build)
-}
-
-func (c *indexCache) rankedLocked(m Measure, build bool) *core.Ranked {
-	if r := c.ranked[m]; r != nil {
-		return r
+	ref := rankSec(m.Normalize())
+	if build {
+		c.readyLocked(ref)
+	} else {
+		c.loadLocked(ref)
 	}
-	ref := store.SectionRef{Section: store.SecRankings, Measure: m}
-	if perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
-		return f.MeasureRankings(m)
-	}); perK != nil {
-		return c.setRankedLocked(m, perK)
-	}
-	if !build {
-		return nil
-	}
-	c.buildLocked(core.BuildTargets{Measures: []Measure{m}})
-	return c.ranked[m]
+	return c.ranked[ref.Measure]
 }
 
 // setRankedLocked adopts perK as measure m's table, bound to the cache's
@@ -382,115 +479,8 @@ func (c *indexCache) setRankedLocked(m Measure, perK [][]core.VertexScore) *core
 	return r
 }
 
-func (c *indexCache) hasRanked(m Measure) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ranked[m.Normalize()] != nil
-}
-
-// onDiskRanked reports whether measure m's ranking table can be loaded
-// from the warm-start file.
-func (c *indexCache) onDiskRanked(m Measure) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.availLocked(store.SectionRef{Section: store.SecRankings, Measure: m.Normalize()})
-}
-
-// availLocked reports whether section ref can be loaded from the
-// warm-start file: present and not marked damaged.
-func (c *indexCache) availLocked(ref store.SectionRef) bool {
-	return c.file != nil && c.file.HasMeasure(ref.Section, ref.Measure) && !c.bad[ref]
-}
-
-// prepareShared is Prepare's build step: it collects every ego-derived
-// structure the requested names will need that is in neither memory nor
-// the warm-start file, and builds them all in one BuildAll sweep (one
-// ego extraction and one truss decomposition per vertex, shared by every
-// consumer). Structures found in memory or on disk are left for the
-// per-name loaders, so the warm-open contract (builds == 0) and the
-// per-section damage accounting are untouched.
-func (c *indexCache) prepareShared(names []string) {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t core.BuildTargets
-	if want["tsd"] && c.tsd == nil && !c.availLocked(trussSec(store.SecTSD)) {
-		t.TSD = true
-	}
-	if want["gct"] && c.gct == nil && !c.availLocked(trussSec(store.SecGCT)) {
-		t.GCT = true
-	}
-	for _, m := range AllMeasures() {
-		// pfree answers from every measure's table (its k = 0 row).
-		if (want[rankedEngineName(m)] || want["pfree"]) && c.ranked[m] == nil &&
-			!c.availLocked(store.SectionRef{Section: store.SecRankings, Measure: m}) {
-			t.Measures = append(t.Measures, m)
-		}
-	}
-	if t.TSD || t.GCT || len(t.Measures) > 0 {
-		c.buildLocked(t)
-	}
-}
-
-// buildLocked builds targets t from scratch in one BuildAll pass, adopts
-// the products (each counted as one build) and persists them. It is the
-// only TSD, GCT and ranking-table build path. Callers must hold c.mu.
-func (c *indexCache) buildLocked(t core.BuildTargets) {
-	start := time.Now()
-	p := c.buildAllIdx(c.g, t)
-	c.buildTime += time.Since(start)
-	if t.TSD {
-		c.tsd = p.TSD
-		c.builds++
-	}
-	if t.GCT {
-		c.gct = p.GCT
-		c.builds++
-	}
-	for _, m := range t.Measures {
-		c.setRankedLocked(m, p.MeasureRanks[m])
-		c.builds++
-	}
-	c.persistAfterBuildLocked()
-}
-
-// persistAfterBuildLocked is the write path of every from-scratch build:
-// it persists immediately, unless a surrounding Prepare deferred the
-// writes to batch them into one file rewrite at its end.
-func (c *indexCache) persistAfterBuildLocked() {
-	if c.deferPersist {
-		c.dirty = true
-		return
-	}
-	c.persistLocked()
-}
-
-// beginDeferredPersist suspends the per-build persists (Prepare builds up
-// to four accelerators; rewriting the file after each would serialize the
-// whole store four times); endDeferredPersist flushes once if anything
-// was built in between.
-func (c *indexCache) beginDeferredPersist() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deferPersist = true
-	c.dirty = false
-}
-
-func (c *indexCache) endDeferredPersist() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deferPersist = false
-	if c.dirty {
-		c.dirty = false
-		c.persistLocked()
-	}
-}
-
 // persistLocked rewrites the index file with every section currently in
-// memory, first hydrating sections that exist only on disk so a partial
+// memory, first loading sections that exist only on disk so a partial
 // rebuild never sheds them. Persist failures are recorded for StoreStatus
 // but do not fail the query whose build triggered the write. Callers must
 // hold c.mu.
@@ -498,22 +488,8 @@ func (c *indexCache) persistLocked() {
 	if c.dir == "" {
 		return
 	}
-	if c.file != nil {
-		if c.tau == nil {
-			c.tau = loadSection(c, trussSec(store.SecTruss), (*store.File).Tau)
-			if c.sup == nil {
-				c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
-			}
-		}
-		if c.tsd == nil {
-			c.tsd = loadSection(c, trussSec(store.SecTSD), (*store.File).TSD)
-		}
-		if c.gct == nil {
-			c.gct = loadSection(c, trussSec(store.SecGCT), (*store.File).GCT)
-		}
-		for _, m := range core.AllMeasures() {
-			c.rankedLocked(m, false)
-		}
+	for _, ref := range cacheSections {
+		c.loadLocked(ref)
 	}
 	ix := store.Indexes{Tau: c.tau, Sup: c.sup, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
 	if len(c.ranked) > 0 {
@@ -535,48 +511,11 @@ func (c *indexCache) persistLocked() {
 	}
 }
 
-func (c *indexCache) hasTau() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tau != nil
-}
-
-func (c *indexCache) hasTSD() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tsd != nil
-}
-
-func (c *indexCache) hasGCT() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gct != nil
-}
-
-// onDisk reports whether truss section s can be loaded from the
-// warm-start file — the "cheap to have" signal the cost estimates use. A
-// section that failed to load is not cheap: it will be rebuilt.
-func (c *indexCache) onDisk(s store.Section) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.availLocked(trussSec(s))
-}
-
-// storeMmap reports whether the warm-start file serves zero-copy views; a
-// "load" is then O(n) slice-header surgery over the mapping instead of an
-// O(m) read-and-decode, and the cost estimates price it accordingly.
-func (c *indexCache) storeMmap() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.file != nil && c.file.Mode() == store.ModeMmap
-}
-
 // --- online (Algorithm 3) ---
 
 type onlineEngine struct {
-	eng    *core.Online
-	scorer *core.Scorer // the snapshot's truss scorer (point queries)
-	w      workload
+	eng *core.Online
+	w   workload
 }
 
 func (e *onlineEngine) Name() string { return "online" }
@@ -594,14 +533,6 @@ func (e *onlineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 	return e.eng.Search(ctx, q.params())
 }
 
-func (e *onlineEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	return scorePoint(ctx, e.scorer, v, k)
-}
-
-func (e *onlineEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	return contextsPoint(ctx, e.scorer, v, k)
-}
-
 func (e *onlineEngine) Cost(q Query) Estimate {
 	return Estimate{Query: e.w.searchWork(e.w.egoWork, q) + e.w.contextWork(q)}
 }
@@ -609,22 +540,9 @@ func (e *onlineEngine) Cost(q Query) Estimate {
 // --- bound (Algorithm 4) ---
 
 type boundEngine struct {
-	eng    *core.Bound
-	scorer *core.Scorer // the snapshot's truss scorer (point queries)
-	cache  *indexCache
-	w      workload
-}
-
-func newBoundEngine(g *Graph, w workload, cache *indexCache) *boundEngine {
-	// The searcher reads the global truss decomposition through the DB
-	// cache, so the per-query sparsification cost is one edge filter once
-	// the decomposition is cached (or loaded from the index store).
-	return &boundEngine{
-		eng:    core.NewBoundWithTau(g, cache.trussTau),
-		scorer: cache.scorers[MeasureTruss],
-		cache:  cache,
-		w:      w,
-	}
+	eng   *core.Bound
+	cache *indexCache
+	w     workload
 }
 
 func (e *boundEngine) Name() string { return "bound" }
@@ -637,14 +555,6 @@ func (e *boundEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 	return e.eng.Search(ctx, q.params())
 }
 
-func (e *boundEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	return scorePoint(ctx, e.scorer, v, k)
-}
-
-func (e *boundEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	return contextsPoint(ctx, e.scorer, v, k)
-}
-
 func (e *boundEngine) Cost(q Query) Estimate {
 	if m := q.Measure.Normalize(); m != MeasureTruss {
 		// The non-truss bound pass replaces sparsification with one
@@ -654,18 +564,15 @@ func (e *boundEngine) Cost(q Query) Estimate {
 		return Estimate{Query: triangles + e.w.searchWork(e.w.egoWork, q)/8 + e.w.contextWork(q)}
 	}
 	// Sparsification needs the global truss decomposition: a fresh
-	// decomposition when nothing is cached, a sequential O(m) load when
-	// the index store has it, and only the edge filter once in memory.
-	sparsify := e.w.m * e.w.avgDeg / 2
-	if e.cache.hasTau() {
-		sparsify = e.w.m
-	} else if e.cache.onDisk(store.SecTruss) {
+	// decomposition when it is cold, a sequential O(m) load when the index
+	// store has it, and only the edge filter once in memory — or under
+	// mmap, where the decomposition is an O(1) view into the mapping.
+	sparsify := e.w.m
+	switch e.cache.state(trussSec(store.SecTruss)) {
+	case secCold:
+		sparsify = e.w.m * e.w.avgDeg / 2
+	case secDecode:
 		sparsify = 2 * e.w.m
-		if e.cache.storeMmap() {
-			// The decomposition is an O(1) view into the mapping; only the
-			// per-query edge filter remains.
-			sparsify = e.w.m
-		}
 	}
 	return Estimate{Query: sparsify + e.w.searchWork(e.w.egoWork, q)/8 + e.w.contextWork(q)}
 }
@@ -691,39 +598,21 @@ func (e *tsdEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) 
 	return core.NewTSD(e.cache.tsdIndex()).Search(ctx, q.params())
 }
 
-func (e *tsdEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return 0, err
-	}
-	// A fresh scorer per point query keeps this path concurrency-safe
-	// (TSDIndex.Score itself shares scratch across calls).
-	return e.cache.tsdIndex().Scorer().Score(v, k), nil
-}
-
-func (e *tsdEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return nil, err
-	}
-	return e.cache.tsdIndex().Contexts(v, k), nil
-}
-
 func (e *tsdEngine) Cost(q Query) Estimate {
 	est := Estimate{Query: e.w.searchWork(e.w.m, q)}
 	if q.IncludeContexts {
 		est.Query += float64(q.R) * e.w.avgDeg
 	}
-	if !e.cache.hasTSD() {
-		if e.cache.onDisk(store.SecTSD) {
-			// Deserializing is a sequential O(m) read — or O(n) slice-header
-			// surgery under mmap — far below the Σd² build, so routing
-			// treats a persisted index as nearly ready.
-			est.Build = e.w.m
-			if e.cache.storeMmap() {
-				est.Build = e.w.n
-			}
-		} else {
-			est.Build = e.w.egoWork
-		}
+	// Deserializing is a sequential O(m) read — or O(n) slice-header
+	// surgery under mmap — far below the Σd² build, so routing treats a
+	// persisted index as nearly ready.
+	switch e.cache.state(trussSec(store.SecTSD)) {
+	case secCold:
+		est.Build = e.w.egoWork
+	case secDecode:
+		est.Build = e.w.m
+	case secMmap:
+		est.Build = e.w.n
 	}
 	return est
 }
@@ -747,39 +636,22 @@ func (e *gctEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) 
 	return core.NewGCT(e.cache.gctIndex()).Search(ctx, q.params())
 }
 
-func (e *gctEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return 0, err
-	}
-	return e.cache.gctIndex().Score(v, k), nil
-}
-
-func (e *gctEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, e.cache.g, v, k); err != nil {
-		return nil, err
-	}
-	return e.cache.gctIndex().Contexts(v, k), nil
-}
-
 func (e *gctEngine) Cost(q Query) Estimate {
 	// Exact scores are O(log d(v)) reads, so a query is ~n work.
 	est := Estimate{Query: e.w.searchWork(e.w.n, q)}
 	if q.IncludeContexts {
 		est.Query += float64(q.R) * e.w.avgDeg
 	}
-	if !e.cache.hasGCT() {
-		if e.cache.onDisk(store.SecGCT) {
-			// A persisted index loads in one O(m) sequential read, or O(n)
-			// view construction under mmap.
-			est.Build = e.w.m
-			if e.cache.storeMmap() {
-				est.Build = e.w.n
-			}
-		} else {
-			// The GCT build does slightly more work than TSD's
-			// (compression on top of the same per-ego decompositions).
-			est.Build = 1.2 * e.w.egoWork
-		}
+	// A persisted index loads in one O(m) sequential read, or O(n) view
+	// construction under mmap. The build does slightly more work than
+	// TSD's (compression on top of the same per-ego decompositions).
+	switch e.cache.state(trussSec(store.SecGCT)) {
+	case secCold:
+		est.Build = 1.2 * e.w.egoWork
+	case secDecode:
+		est.Build = e.w.m
+	case secMmap:
+		est.Build = e.w.n
 	}
 	return est
 }
@@ -792,10 +664,9 @@ func (e *gctEngine) Cost(q Query) Estimate {
 // (core). It serves its own measure only. Once the table is ready
 // (Prepare, a Batch that routes here, or an index store holding the
 // measure's rankings section) a top-r query is an O(r) prefix read plus
-// online context recovery; point queries borrow the snapshot's scorer of
-// the measure. Without a table, hybrid builds it on first use, while
-// comp/kcore answer by the online scan — byte-identical answers either
-// way.
+// online context recovery. Without a table, hybrid builds it on first
+// use, while comp/kcore answer by the online scan — byte-identical
+// answers either way.
 type rankedEngine struct {
 	name      string
 	measure   Measure
@@ -830,14 +701,6 @@ func (e *rankedEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, erro
 	return e.online.Search(ctx, p)
 }
 
-func (e *rankedEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	return scorePoint(ctx, e.cache.scorers[e.measure], v, k)
-}
-
-func (e *rankedEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	return contextsPoint(ctx, e.cache.scorers[e.measure], v, k)
-}
-
 func (e *rankedEngine) Cost(q Query) Estimate {
 	// With the table ready the query is an O(r) prefix read plus
 	// per-answer context recovery. A cold table build is slightly more
@@ -856,51 +719,17 @@ func (e *rankedEngine) Cost(q Query) Estimate {
 // one BuildAll pass — truss and core tables need a decomposition plus one
 // component count per k, the component table one labelling.
 func rankedBuildCost(c *indexCache, w workload, m Measure) float64 {
-	switch {
-	case c.hasRanked(m):
+	m = m.Normalize()
+	switch c.state(rankSec(m)) {
+	case secMemory:
 		return 0
-	case c.onDiskRanked(m):
+	case secDecode, secMmap:
 		return w.n
-	case m.Normalize() == MeasureComponent:
+	}
+	if m == MeasureComponent {
 		return 1.25 * w.egoWork
 	}
 	return 1.5 * w.egoWork
-}
-
-// rankedEngineName names the ranked engine serving measure m's table.
-func rankedEngineName(m Measure) string {
-	switch m.Normalize() {
-	case MeasureComponent:
-		return "comp"
-	case MeasureCore:
-		return "kcore"
-	}
-	return "hybrid"
-}
-
-// scorePoint answers a single-vertex score through a shared scorer.
-func scorePoint(ctx context.Context, s *core.Scorer, v, k int32) (int, error) {
-	if err := singleVertexErr(ctx, s.Graph(), v, k); err != nil {
-		return 0, err
-	}
-	return s.Score(v, k), nil
-}
-
-// contextsPoint answers a single-vertex contexts query through a shared
-// scorer.
-func contextsPoint(ctx context.Context, s *core.Scorer, v, k int32) ([][]int32, error) {
-	if err := singleVertexErr(ctx, s.Graph(), v, k); err != nil {
-		return nil, err
-	}
-	return s.Contexts(v, k), nil
-}
-
-// singleVertexErr folds the context check into single-vertex validation.
-func singleVertexErr(ctx context.Context, g *Graph, v, k int32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return checkVertex(g, v, k)
 }
 
 // --- pfree (parameter-free diversity, arXiv:1908.11612) ---
@@ -945,47 +774,6 @@ func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error
 func pfreeKErr(k int32) error {
 	return &BadQueryError{Engine: "pfree", K: k,
 		Reason: "engine is parameter-free: leave k unset (0)"}
-}
-
-// pfreeScorer validates a parameter-free point query — a known measure,
-// v in range, k left at 0 — and returns the snapshot's shared scorer of
-// the measure, whose threshold 0 is the parameter-free score.
-func pfreeScorer(ctx context.Context, c *indexCache, v, k int32, m Measure) (*core.Scorer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !m.Valid() {
-		_, err := ParseMeasure(string(m))
-		return nil, err
-	}
-	if v < 0 || int(v) >= c.g.N() {
-		return nil, fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, c.g.N())
-	}
-	if k != 0 {
-		return nil, pfreeKErr(k)
-	}
-	return c.scorers[m.Normalize()], nil
-}
-
-// Score returns the parameter-free diversity of one vertex under the
-// truss measure (the default measure, as on every point path); k must
-// be 0.
-func (e *pfreeEngine) Score(ctx context.Context, v, k int32) (int, error) {
-	s, err := pfreeScorer(ctx, e.cache, v, k, MeasureTruss)
-	if err != nil {
-		return 0, err
-	}
-	return s.Score(v, 0), nil
-}
-
-// Contexts returns the vertex's contexts at its discriminating level
-// k* = max(score, 2) under the truss measure; k must be 0.
-func (e *pfreeEngine) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	s, err := pfreeScorer(ctx, e.cache, v, k, MeasureTruss)
-	if err != nil {
-		return nil, err
-	}
-	return s.Contexts(v, 0), nil
 }
 
 func (e *pfreeEngine) Cost(q Query) Estimate {

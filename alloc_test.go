@@ -9,21 +9,41 @@ import (
 	"trussdiv"
 )
 
-// TestMeasurePointScoreAllocFree pins the serving path of a component or
-// core point query at zero steady-state allocations: DB.ScoreMeasure
-// resolves the measure's ranked engine, which borrows a pooled scorer
-// from the snapshot instead of building an ego-network per call. (The
-// race detector makes sync.Pool drop items at random, hence !race.)
+// TestMeasurePointScoreAllocFree pins every branch of the DB's point
+// path at zero steady-state allocations: a truss Score through the
+// shared scorer (cold DB) and through the GCT index (prepared), a
+// component or core ScoreMeasure, and ScorePFree under every measure.
+// The scorers are pooled per snapshot, so no call builds an ego-network
+// of its own. (The race detector makes sync.Pool drop items at random,
+// hence !race.)
 func TestMeasurePointScoreAllocFree(t *testing.T) {
-	db, err := trussdiv.Open(overlayGraph(t))
+	g := overlayGraph(t)
+	cold, err := trussdiv.Open(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	indexed := openPrepared(t, g, nil, "gct")
 	ctx := context.Background()
-	n := int32(db.Graph().N())
-	for _, m := range []trussdiv.Measure{trussdiv.MeasureComponent, trussdiv.MeasureCore} {
+	n := int32(g.N())
+	type pointCase struct {
+		name  string
+		score func(v int32) (int, error)
+	}
+	cases := []pointCase{
+		{"Score/scorer", func(v int32) (int, error) { return cold.Score(ctx, v, 3) }},
+		{"Score/gct", func(v int32) (int, error) { return indexed.Score(ctx, v, 3) }},
+	}
+	for _, m := range trussdiv.AllMeasures() {
+		if m != trussdiv.MeasureTruss {
+			cases = append(cases, pointCase{"ScoreMeasure/" + string(m),
+				func(v int32) (int, error) { return cold.ScoreMeasure(ctx, v, 3, m) }})
+		}
+		cases = append(cases, pointCase{"ScorePFree/" + string(m),
+			func(v int32) (int, error) { return cold.ScorePFree(ctx, v, m) }})
+	}
+	for _, c := range cases {
 		score := func(v int32) {
-			if _, err := db.ScoreMeasure(ctx, v, 3, m); err != nil {
+			if _, err := c.score(v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -41,7 +61,7 @@ func TestMeasurePointScoreAllocFree(t *testing.T) {
 			score(v % n)
 			v++
 		}); got != 0 {
-			t.Errorf("%s: ScoreMeasure allocates %.1f/op in steady state, want 0", m, got)
+			t.Errorf("%s allocates %.1f/op in steady state, want 0", c.name, got)
 		}
 	}
 }

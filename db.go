@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +40,6 @@ type Option func(*dbConfig)
 type dbConfig struct {
 	indexDir     string
 	storeMode    StoreMode
-	buildWorkers int
 	resultCap    int
 	resultCapSet bool
 }
@@ -71,18 +71,6 @@ func (m StoreMode) String() string {
 		return "decode"
 	}
 	return "mmap"
-}
-
-// WithBuildWorkers sets the worker-pool size for parallel index
-// construction and repair: the global truss decomposition, which cold
-// builds and Prepare run as an h-index peeling sharded across the pool,
-// and the per-vertex pass that builds the TSD, GCT and ranking
-// structures (and that Apply runs over the affected vertices). Results
-// are byte-identical for every pool size. 0 (the default) means
-// GOMAXPROCS; 1 forces the serial paths. Query-time parallelism is
-// per-query (Query.Workers), not this.
-func WithBuildWorkers(n int) Option {
-	return func(c *dbConfig) { c.buildWorkers = n }
 }
 
 // WithResultCache sets the capacity of the serving-side result cache,
@@ -135,11 +123,6 @@ func WithStoreMode(m StoreMode) Option {
 // native measure engines are prepared by explicit name ("comp", "kcore")
 // so the default stays byte-compatible with pre-measure DBs.
 var prepareAll = []string{"bound", "tsd", "gct", "hybrid"}
-
-// batchPrepare is every engine with state for Prepare to ready (all but
-// the stateless online engine), in Prepare order; Batch readies the ones
-// its queries route to.
-var batchPrepare = []string{"bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree"}
 
 // Open wraps g in a DB serving the eight built-in engines: online,
 // bound, tsd, gct, and hybrid for the truss measure, comp and kcore for
@@ -233,22 +216,16 @@ func (s *Snapshot) Batch(ctx context.Context, qs []Query) ([]*Result, error) {
 		return nil, err
 	}
 	// Batch-aware routing may pick an engine on the strength of an
-	// amortized index build, so every chosen engine's index is readied
-	// before the queries run.
-	used := make(map[string]bool)
-	for _, eng := range engines {
-		used[eng.Name()] = true
-	}
+	// amortized index build, so every chosen engine's sections are
+	// readied before the queries run.
 	var names []string
-	for _, name := range batchPrepare {
-		if used[name] {
-			names = append(names, name)
+	for _, eng := range engines {
+		if !slices.Contains(names, eng.Name()) {
+			names = append(names, eng.Name())
 		}
 	}
-	if len(names) > 0 {
-		if err := s.Prepare(ctx, names...); err != nil {
-			return nil, err
-		}
+	if err := s.Prepare(ctx, names...); err != nil {
+		return nil, err
 	}
 	queries := make([]Query, len(qs))
 	copy(queries, qs)
@@ -333,8 +310,10 @@ func (db *DB) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
 // Prepare eagerly readies the named engines (default: bound, tsd, gct,
 // hybrid) of the current snapshot: it loads each engine's accelerator
 // from the index store when one is configured and holds it, and builds
-// (then persists) otherwise. It observes ctx between builds — an
-// individual build is not interruptible.
+// the rest in one shared pass (then persists once) otherwise. Every name
+// is looked up first: an unknown one fails with *UnknownEngineError
+// before anything is readied. ctx is observed before the builds start —
+// a build is not interruptible.
 func (db *DB) Prepare(ctx context.Context, names ...string) error {
 	return db.Snapshot().Prepare(ctx, names...)
 }

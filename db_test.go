@@ -171,15 +171,35 @@ func TestCancelledContextAbortsTopR(t *testing.T) {
 		if res != nil || stats != nil {
 			t.Fatalf("%s: non-nil result after cancellation", name)
 		}
-		if _, err := e.Score(ctx, 0, 4); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: Score err = %v, want context.Canceled", name, err)
-		}
 	}
 	if _, _, err := db.TopR(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DB.TopR err = %v, want context.Canceled", err)
 	}
+	// Every point query observes the cancelled context before choosing
+	// between index and scorer.
+	canceled := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s err = %v, want context.Canceled", what, err)
+		}
+	}
+	_, err = db.Score(ctx, 0, 4)
+	canceled("Score", err)
+	_, err = db.Contexts(ctx, 0, 4)
+	canceled("Contexts", err)
+	for _, m := range trussdiv.AllMeasures() {
+		_, err = db.ScoreMeasure(ctx, 0, 4, m)
+		canceled("ScoreMeasure/"+string(m), err)
+		_, err = db.ContextsMeasure(ctx, 0, 4, m)
+		canceled("ContextsMeasure/"+string(m), err)
+		_, err = db.ScorePFree(ctx, 0, m)
+		canceled("ScorePFree/"+string(m), err)
+		_, err = db.ContextsPFree(ctx, 0, m)
+		canceled("ContextsPFree/"+string(m), err)
+	}
 	// The cancelled queries must not have triggered any index build.
-	if st := db.IndexStats(); st.TSDReady || st.GCTReady || st.HybridReady {
+	if st := db.IndexStats(); st.TSDReady || st.GCTReady || st.HybridReady || st.TauReady ||
+		len(st.PFreeRankings) > 0 {
 		t.Fatalf("index built despite cancelled context: %+v", st)
 	}
 }

@@ -1,15 +1,15 @@
 package trussdiv
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Engine is the uniform face of every top-r structural diversity
 // searcher. The DB serves a fixed catalogue of eight — online (Alg. 3),
 // bound (Alg. 4), tsd (Alg. 5-6), gct (Alg. 7-8), hybrid (Exp-4), the
 // comp/kcore native measure engines, and the parameter-free pfree engine
 // — fetched by name with DB.Engine or pinned per query with ViaEngine.
+// Engines only search: point queries (DB.Score, DB.ScoreMeasure,
+// DB.ScorePFree and their Contexts twins) are answered by the snapshot,
+// from the GCT index or the shared scorer of the measure.
 //
 // An engine serves one or more diversity measures (Measures); a query
 // whose Measure falls outside that set fails with an
@@ -28,11 +28,6 @@ type Engine interface {
 	Measures() []Measure
 	// TopR answers a top-r query.
 	TopR(ctx context.Context, q Query) (*Result, *Stats, error)
-	// Score returns the structural diversity of one vertex at threshold
-	// k, under this engine's diversity model.
-	Score(ctx context.Context, v, k int32) (int, error)
-	// Contexts returns the social contexts of one vertex at threshold k.
-	Contexts(ctx context.Context, v, k int32) ([][]int32, error)
 	// Cost estimates the work q requires, for routing. Estimates are
 	// relative, not wall-clock: only comparisons between engines over the
 	// same graph are meaningful.
@@ -42,15 +37,12 @@ type Engine interface {
 // Estimate is an engine's predicted effort for one query, in abstract
 // work units (roughly: edge visits). Build is the one-time cost to make
 // the engine ready — zero once its index is built — and Query is the
-// per-query cost afterwards.
+// per-query cost afterwards. Routing picks the engine minimizing
+// Build/batchSize + Query (batchSize 1 for a single query).
 type Estimate struct {
 	Build float64
 	Query float64
 }
-
-// Total is the effort to answer one query starting from the engine's
-// current state; DB routing minimizes it.
-func (e Estimate) Total() float64 { return e.Build + e.Query }
 
 // workload caches the graph quantities the cost model needs. egoWork is
 // Σ_v d(v)², a proxy for the total cost of decomposing every ego-network
@@ -89,15 +81,4 @@ func (w workload) contextWork(q Query) float64 {
 		return 0
 	}
 	return float64(q.R) * w.avgDeg * w.avgDeg
-}
-
-// checkVertex validates the (v, k) pair of a single-vertex query.
-func checkVertex(g *Graph, v, k int32) error {
-	if v < 0 || int(v) >= g.N() {
-		return fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, g.N())
-	}
-	if k < 2 {
-		return fmt.Errorf("trussdiv: k = %d, must be >= 2", k)
-	}
-	return nil
 }

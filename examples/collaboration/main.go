@@ -44,25 +44,17 @@ func main() {
 		fmt.Printf("  community %d: %d collaborators %v\n", i+1, len(members), members)
 	}
 
-	// The same ego-network under the competing models, which are
-	// registered as explicit-name engines of the same DB.
-	comp, err := db.Engine("comp")
-	if err != nil {
-		log.Fatal(err)
-	}
-	kcore, err := db.Engine("kcore")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The same ego-network under the competing models, scored by the
+	// same DB.
 	net := ego.ExtractOne(g, winner.V)
 	_, comps := net.G.ConnectedComponents()
 	fmt.Printf("\nego-network of author %d: %d collaborators, %d ties, %d connected component(s)\n",
 		winner.V, len(net.Verts), net.G.M(), comps)
-	compScore, err := comp.Score(ctx, winner.V, k)
+	compScore, err := db.ScoreMeasure(ctx, winner.V, k, trussdiv.MeasureComponent)
 	if err != nil {
 		log.Fatal(err)
 	}
-	coreScore, err := kcore.Score(ctx, winner.V, k)
+	coreScore, err := db.ScoreMeasure(ctx, winner.V, k, trussdiv.MeasureCore)
 	if err != nil {
 		log.Fatal(err)
 	}

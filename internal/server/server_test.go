@@ -103,8 +103,8 @@ func TestScoreAndContextsEndpoints(t *testing.T) {
 // context qualifies under any measure, and /contexts must answer
 // byte-identically whether the point query runs through the online
 // scorer (cold DB) or the GCT index (prepared), and the same "contexts"
-// value under every measure. The TSD index's point path, reachable
-// through db.Engine, yields the same empty value.
+// value under every measure. A top-r answer recovering contexts through
+// the TSD index carries the same empty value.
 func TestEmptyContextsAreNullEverywhere(t *testing.T) {
 	g := gen.Fig1Graph()
 	get := func(h http.Handler, url string) []byte {
@@ -142,20 +142,35 @@ func TestEmptyContextsAreNullEverywhere(t *testing.T) {
 			}
 		}
 	}
+	// The TSD index recovers contexts of its own. Its top-r answer at the
+	// same threshold holds the same nil value for the vertex, which /topr
+	// encodes the way it encodes every empty context list: by omitting
+	// the field.
 	db, err := trussdiv.Open(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsd, err := db.Engine("tsd")
+	res, _, err := db.TopR(context.Background(), trussdiv.NewQuery(15, 1,
+		trussdiv.ViaEngine("tsd"), trussdiv.WithCandidates(0), trussdiv.WithContexts()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tsd.Contexts(context.Background(), 0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := json.Marshal(got); string(b) != "null" {
+	if b, _ := json.Marshal(res.Contexts[0]); string(b) != "null" {
 		t.Fatalf("engine=tsd: contexts = %s, want null", b)
+	}
+	h := (&Server{db: db, metrics: metrics.New()}).Handler()
+	var body struct {
+		Engine  string                       `json:"engine"`
+		Results []map[string]json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(get(h, "/topr?k=15&r=1&candidates=0&engine=tsd&contexts=true"), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Engine != "tsd" || len(body.Results) != 1 || string(body.Results[0]["vertex"]) != "0" {
+		t.Fatalf("engine=tsd: /topr answered %+v, want vertex 0 from tsd", body)
+	}
+	if c, ok := body.Results[0]["contexts"]; ok {
+		t.Fatalf("engine=tsd: /topr contexts = %s, want the field omitted", c)
 	}
 }
 

@@ -123,45 +123,39 @@ func (db *DB) ContextsPFree(ctx context.Context, v int32, m Measure) ([][]int32,
 // ScorePFree returns the parameter-free score of v under measure m; see
 // DB.ScorePFree.
 func (s *Snapshot) ScorePFree(ctx context.Context, v int32, m Measure) (int, error) {
-	sc, err := pfreeScorer(ctx, s.cache, v, 0, m)
+	p, err := s.point(ctx, v, 0, m, true)
 	if err != nil {
 		return 0, err
 	}
-	return sc.Score(v, 0), nil
+	return p.Score(v, 0), nil
 }
 
 // ContextsPFree returns SC(v) at v's discriminating level under measure
 // m; see DB.ContextsPFree.
 func (s *Snapshot) ContextsPFree(ctx context.Context, v int32, m Measure) ([][]int32, error) {
-	sc, err := pfreeScorer(ctx, s.cache, v, 0, m)
+	p, err := s.point(ctx, v, 0, m, true)
 	if err != nil {
 		return nil, err
 	}
-	return sc.Contexts(v, 0), nil
+	return p.Contexts(v, 0), nil
 }
 
 // ScoreMeasure returns score(v) at threshold k under measure m; see
 // DB.ScoreMeasure.
 func (s *Snapshot) ScoreMeasure(ctx context.Context, v, k int32, m Measure) (int, error) {
-	if !m.Valid() {
-		_, err := ParseMeasure(string(m))
+	p, err := s.point(ctx, v, k, m, false)
+	if err != nil {
 		return 0, err
 	}
-	if m.Normalize() != MeasureTruss {
-		return s.builtin(rankedEngineName(m)).Score(ctx, v, k)
-	}
-	return s.Score(ctx, v, k)
+	return p.Score(v, k), nil
 }
 
 // ContextsMeasure returns SC(v) at threshold k under measure m; see
 // DB.ContextsMeasure.
 func (s *Snapshot) ContextsMeasure(ctx context.Context, v, k int32, m Measure) ([][]int32, error) {
-	if !m.Valid() {
-		_, err := ParseMeasure(string(m))
+	p, err := s.point(ctx, v, k, m, false)
+	if err != nil {
 		return nil, err
 	}
-	if m.Normalize() != MeasureTruss {
-		return s.builtin(rankedEngineName(m)).Contexts(ctx, v, k)
-	}
-	return s.Contexts(ctx, v, k)
+	return p.Contexts(v, k), nil
 }

@@ -2,11 +2,15 @@ package trussdiv
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"os"
 	"reflect"
 	"testing"
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/gen"
+	"trussdiv/internal/store"
 )
 
 // TestPrepareMultiUsesSharedPass pins the multi-structure Prepare
@@ -193,5 +197,40 @@ func TestApplyMakesOnePatchPass(t *testing.T) {
 	// Three per-k tables; the pfree rankings are their k = 0 rows.
 	if st.RankingsPatched != 3 {
 		t.Fatalf("RankingsPatched = %d, want 3", st.RankingsPatched)
+	}
+}
+
+// TestPrepareUnknownNameBuildsNothing: Prepare looks up every name before
+// readying anything, so a list with one unknown name fails with
+// *UnknownEngineError and leaves the cache cold — no build, nothing in
+// memory, and no store written.
+func TestPrepareUnknownNameBuildsNothing(t *testing.T) {
+	g := gen.Fig1Graph()
+	ctx := context.Background()
+	db, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unknown *UnknownEngineError
+	if err := db.Prepare(ctx, "tsd", "gct", "nope"); !errors.As(err, &unknown) {
+		t.Fatalf("err = %v, want *UnknownEngineError", err)
+	}
+	if st := db.IndexStats(); !reflect.DeepEqual(st, IndexStats{}) {
+		t.Fatalf("IndexStats = %+v after a failed Prepare, want nothing ready", st)
+	}
+	if n := db.Snapshot().cache.builds; n != 0 {
+		t.Fatalf("builds = %d after a failed Prepare, want 0", n)
+	}
+
+	dir := t.TempDir()
+	stored, err := Open(g, WithIndexDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stored.Prepare(ctx, "hybrid", "nope"); !errors.As(err, &unknown) {
+		t.Fatalf("err = %v, want *UnknownEngineError", err)
+	}
+	if _, err := os.Stat(store.PathIn(dir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed Prepare wrote the index store (stat err = %v)", err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"trussdiv/internal/store"
 )
 
 // ErrUnknownEngine is the sentinel matched by errors.Is when an engine
@@ -36,23 +38,22 @@ func (e *UnknownEngineError) Is(target error) bool { return target == ErrUnknown
 type catalogue []catalogueEntry
 
 // catalogueEntry is one engine with the measures it serves (its
-// Measures, read once) and whether it is the parameter-free engine — the
+// Measures, read once), whether it is the parameter-free engine — the
 // only one that takes queries without a K, and the only one such queries
-// route to.
+// route to — and the index cache sections it reads, which Prepare and
+// Batch ready.
 type catalogueEntry struct {
 	name     string
 	engine   Engine
 	measures []Measure
 	kless    bool
+	needs    []store.SectionRef
 }
 
-func newCatalogue(engines ...Engine) catalogue {
-	c := make(catalogue, len(engines))
-	for i, e := range engines {
-		_, kless := e.(*pfreeEngine)
-		c[i] = catalogueEntry{name: e.Name(), engine: e, measures: e.Measures(), kless: kless}
-	}
-	return c
+// entry catalogues engine e, which reads the cache sections needs.
+func entry(e Engine, needs ...store.SectionRef) catalogueEntry {
+	_, kless := e.(*pfreeEngine)
+	return catalogueEntry{name: e.Name(), engine: e, measures: e.Measures(), kless: kless, needs: needs}
 }
 
 // serves reports whether the entry's engine computes normalized measure m.

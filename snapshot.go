@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/store"
@@ -78,27 +79,33 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache) *Snapshot {
 	// snapshot's shared scorers; the ranked engines scan with it while
 	// their tables are cold.
 	online := core.NewOnlineFrom(cache.scorers)
-	ranked := func(m Measure) *rankedEngine {
-		return &rankedEngine{name: rankedEngineName(m), measure: m,
-			coldBuild: m == MeasureTruss, online: online, cache: cache, w: s.w}
+	ranked := func(name string, m Measure) catalogueEntry {
+		return entry(&rankedEngine{name: name, measure: m, coldBuild: m == MeasureTruss,
+			online: online, cache: cache, w: s.w}, rankSec(m))
 	}
-	s.engines = newCatalogue(
-		&onlineEngine{eng: online, scorer: cache.scorers[MeasureTruss], w: s.w},
-		newBoundEngine(g, s.w, cache),
-		&tsdEngine{cache: cache, w: s.w},
-		&gctEngine{cache: cache, w: s.w},
+	s.engines = catalogue{
+		entry(&onlineEngine{eng: online, w: s.w}),
+		// The bound searcher reads the global truss decomposition through
+		// the cache, so the per-query sparsification cost is one edge
+		// filter once the decomposition is cached (or loaded from the
+		// index store).
+		entry(&boundEngine{eng: core.NewBoundWithTau(g, cache.trussTau), cache: cache, w: s.w},
+			trussSec(store.SecTruss)),
+		entry(&tsdEngine{cache: cache, w: s.w}, trussSec(store.SecTSD)),
+		entry(&gctEngine{cache: cache, w: s.w}, trussSec(store.SecGCT)),
 		// The ranked engines serve their own measure only: hybrid for
 		// truss, comp and kcore for the other two, so truss queries never
 		// see comp/kcore.
-		ranked(MeasureTruss),
-		ranked(MeasureComponent),
-		ranked(MeasureCore),
+		ranked("hybrid", MeasureTruss),
+		ranked("comp", MeasureComponent),
+		ranked("kcore", MeasureCore),
 		// The parameter-free engine serves every measure but only the
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
-		// reachability is unchanged.
-		&pfreeEngine{w: s.w, online: online, cache: cache},
-	)
+		// reachability is unchanged. It reads every measure's table.
+		entry(&pfreeEngine{w: s.w, online: online, cache: cache},
+			rankSec(MeasureTruss), rankSec(MeasureComponent), rankSec(MeasureCore)),
+	}
 	return s
 }
 
@@ -132,16 +139,6 @@ func (s *Snapshot) Engine(name string) (Engine, error) {
 		return nil, err
 	}
 	return e.engine, nil
-}
-
-// builtin returns the named engine of the catalogue; the names are
-// fixed, so a miss is a programming error.
-func (s *Snapshot) builtin(name string) Engine {
-	e, err := s.engines.lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return e.engine
 }
 
 // Route returns the engine with the lowest cost estimate for q among
@@ -275,22 +272,50 @@ func (s *Snapshot) cachedTopR(ctx context.Context, eng Engine, q Query) (*Result
 // Score returns score(v) at threshold k, reading the GCT index when one
 // is built (O(log) per query) and computing online otherwise.
 func (s *Snapshot) Score(ctx context.Context, v, k int32) (int, error) {
-	return s.pointEngine().Score(ctx, v, k)
+	return s.ScoreMeasure(ctx, v, k, MeasureTruss)
 }
 
 // Contexts returns the social contexts SC(v) at threshold k, using the
 // same index-if-available strategy as Score.
 func (s *Snapshot) Contexts(ctx context.Context, v, k int32) ([][]int32, error) {
-	return s.pointEngine().Contexts(ctx, v, k)
+	return s.ContextsMeasure(ctx, v, k, MeasureTruss)
 }
 
-// pointEngine picks the engine for single-vertex queries: gct once its
-// index exists, else the online scorer.
-func (s *Snapshot) pointEngine() Engine {
-	if s.cache.hasGCT() {
-		return s.builtin("gct")
+// pointScorer answers single-vertex queries; the GCT index and the
+// shared measure scorers both have this shape.
+type pointScorer interface {
+	Score(v, k int32) int
+	Contexts(v, k int32) [][]int32
+}
+
+// point validates a single-vertex query — ctx live, m known, v in range,
+// k >= 2 (k = 0 for the parameter-free query, pfree) — and returns what
+// answers it: for the truss measure at k >= 2 the GCT index when it is in
+// memory (O(log) per query), else the snapshot's shared scorer of m,
+// whose threshold 0 is the parameter-free score.
+func (s *Snapshot) point(ctx context.Context, v, k int32, m Measure, pfree bool) (pointScorer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return s.builtin("online")
+	if !m.Valid() {
+		_, err := ParseMeasure(string(m))
+		return nil, err
+	}
+	if v < 0 || int(v) >= s.g.N() {
+		return nil, fmt.Errorf("trussdiv: vertex %d out of range [0,%d)", v, s.g.N())
+	}
+	if pfree {
+		return s.cache.scorers[m.Normalize()], nil
+	}
+	if k < 2 {
+		return nil, fmt.Errorf("trussdiv: k = %d, must be >= 2", k)
+	}
+	if m.Normalize() == MeasureTruss {
+		if gct := s.cache.builtGCT(); gct != nil {
+			return gct, nil
+		}
+	}
+	return s.cache.scorers[m.Normalize()], nil
 }
 
 // Prepare eagerly readies the named engines of this snapshot; see
@@ -299,50 +324,34 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 	if len(names) == 0 {
 		names = prepareAll
 	}
-	// One store rewrite at the end instead of one per built accelerator.
-	s.cache.beginDeferredPersist()
-	defer s.cache.endDeferredPersist()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Build every missing ego-derived structure the names need in one
-	// shared per-vertex extraction pass instead of one pass each; the loop
-	// below then finds them in memory. See indexCache.prepareShared.
-	s.cache.prepareShared(names)
-	for _, name := range names {
-		if err := ctx.Err(); err != nil {
+	entries := make([]*catalogueEntry, len(names))
+	for i, name := range names {
+		e, err := s.engines.lookup(name)
+		if err != nil {
 			return err
 		}
-		switch name {
-		case "bound":
-			// The bound engine's per-query sparsification reads the cached
-			// global truss decomposition.
-			s.cache.trussTau()
-		case "tsd":
-			s.cache.tsdIndex()
-		case "gct":
-			s.cache.gctIndex()
-		case "hybrid":
-			s.cache.rankedTable(MeasureTruss, true)
-		case "comp":
-			// The native measure engines precompute their per-k rankings
-			// (the hybrid strategy generalized), so prepared measures answer
-			// top-r in O(r).
-			s.cache.rankedTable(MeasureComponent, true)
-		case "kcore":
-			s.cache.rankedTable(MeasureCore, true)
-		case "pfree":
-			// The parameter-free engine is prepared for every measure it
-			// serves: each measure's table (built here if missing) derives
-			// its pfree row — Ranking(0) — once, so a prepared pfree answers
-			// any measure's k-less top-r in O(r).
-			for _, m := range AllMeasures() {
-				s.cache.rankedTable(m, true).Ranking(0)
+		entries[i] = e
+	}
+	var refs []store.SectionRef
+	for _, ref := range cacheSections {
+		for _, e := range entries {
+			if slices.Contains(e.needs, ref) {
+				refs = append(refs, ref)
+				break
 			}
-		case "online":
-			// stateless engine: nothing to prepare
-		default:
-			return &UnknownEngineError{Name: name, Known: s.Engines()}
+		}
+	}
+	s.cache.ready(refs)
+	// The parameter-free engine reads each table's k = 0 row: derive it
+	// now rather than on the first k-less query.
+	for _, e := range entries {
+		if e.kless {
+			for _, ref := range e.needs {
+				s.cache.rankedTable(ref.Measure, false).Ranking(0)
+			}
 		}
 	}
 	return nil

@@ -26,7 +26,9 @@
 //
 // A query can be pinned to one of the eight engines with
 // ViaEngine("gct"), or an engine fetched by name with db.Engine("tsd");
-// every engine satisfies the context-aware Engine interface. Indexes
+// every engine satisfies the context-aware Engine interface, which only
+// searches. Point queries (db.Score, db.ScoreMeasure, db.ScorePFree and
+// their Contexts twins) go through the DB. Indexes
 // build lazily on first use, up front with db.Prepare, or load from a
 // persistent index store (WithIndexDir). The DB is the only way to
 // search: the pre-DB constructors (NewOnline, NewBound, NewTSD, NewGCT,
