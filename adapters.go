@@ -311,6 +311,8 @@ func (c *indexCache) state(ref store.SectionRef) readiness {
 	return secDecode
 }
 
+// inMemoryLocked reports whether section ref, one of cacheSections, is
+// in memory. Callers must hold c.mu.
 func (c *indexCache) inMemoryLocked(ref store.SectionRef) bool {
 	switch ref.Section {
 	case store.SecTruss:
