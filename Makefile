@@ -9,7 +9,7 @@
 # plus one run of every example program.
 GO ?= go
 
-.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-artifacts check-parallel-baseline cover fuzz
+.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-dynamic bench-artifacts check-parallel-baseline cover fuzz
 
 ci: fmt-check lint check loadbench-check examples
 
@@ -72,16 +72,21 @@ bench:
 # path — ego extraction, per-vertex scoring under every measure, every
 # DB point query (the GCT index, the shared scorer, and the
 # parameter-free branches), and query routing (Route and
-# ResolveEngine) — at zero steady-state allocations, and
-# the truss repair tripwire holds an 8-insertion Repair to 1.5x the bytes
-# of a 1-insertion one (no per-insertion graph or graph-sized scratch).
-# Fast enough to run on every change.
+# ResolveEngine) — at zero steady-state allocations. The truss repair
+# tripwire holds an 8-insertion Repair to 1.5x the bytes of a 1-insertion
+# one; Apply no longer calls Repair, so it guards only the subject of the
+# loadbench replay. Fast enough to run on every change.
 bench-allocs:
 	$(GO) test -run 'AllocFree|RepairAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:
 	$(GO) run ./cmd/tsdbench -exp parallel -quick
+
+# Incremental Apply vs cold rebuild, plus the first bound query after each
+# apply; writes BENCH_dynamic.json.
+bench-dynamic:
+	$(GO) run ./cmd/tsdbench -exp dynamic -quick
 
 # Quick-mode machine-readable benchmarks; CI uploads bench-out/BENCH_*.json
 # as a build artifact so the perf trajectory is tracked per commit.

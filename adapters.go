@@ -32,7 +32,7 @@ type indexCache struct {
 	mu        sync.Mutex
 	epoch     Epoch   // the snapshot this cache belongs to; recorded on persist
 	tau       []int32 // global truss decomposition, indexed by edge ID
-	sup       []int32 // pristine edge supports matching tau (nil when tau was store-loaded)
+	sup       []int32 // pristine edge supports matching tau (nil when a pre-v3 store supplied tau)
 	tsd       *core.TSDIndex
 	gct       *core.GCTIndex
 	ranked    map[core.Measure]*core.Ranked // per-k ranking tables (truss = hybrid; k = 0 is pfree)
@@ -62,8 +62,8 @@ type indexCache struct {
 
 	// Build entry points, swappable by tests that assert a warm open
 	// never builds; builds counts the from-scratch constructions. buildTau
-	// returns the supports alongside the decomposition — the incremental
-	// repair consumes them on the next Apply. buildAllIdx is the
+	// returns the supports alongside the decomposition, which persist
+	// next to it in the store's supports section. buildAllIdx is the
 	// per-vertex driver (core.BuildAll): every TSD, GCT and ranking-table
 	// build goes through it, one pass per readyLocked. patchAllIdx is the same
 	// driver's patch entry (core.PatchAll): Apply repairs every
@@ -118,7 +118,7 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 		dir:     cfg.indexDir,
 		// Cold decompositions run the parallel h-index peeling; the tau
 		// array is byte-identical to the serial Decompose, and the supports
-		// come back pristine so the next Apply can repair incrementally.
+		// come back pristine.
 		buildTau: func(g *Graph) ([]int32, []int32) {
 			return truss.DecomposeFull(g, 0)
 		},
@@ -180,26 +180,23 @@ func (c *indexCache) storedEpoch() Epoch {
 }
 
 // advance derives the next snapshot's cache from this one after an update
-// batch: every index in memory is repaired incrementally against the
-// shared edited graph (copy-on-write, so this cache keeps answering for
-// in-flight readers). One patch pass over the affected ego-networks
-// re-derives the TSD and GCT entries and every ranking table (truss
-// included; each new table derives its pfree row on first use); the
-// global truss decomposition is repaired by the bounded region descent
-// of truss.Repair (falling back to invalidation — and a lazy parallel
-// rebuild — when the affected region exceeds its budget or the supports
-// were not retained). The repairs run outside the lock (they only read
-// the old, now-immutable structures) so readers of this snapshot never
-// block on an Apply. ctx is checked between the patch pass and the truss
-// repair; a cancelled advance returns ctx.Err() and leaves this cache as
-// it was. On success the index store connection moves to the new cache:
-// its next persist re-derives the fingerprint from the edited graph.
-// This cache stops persisting — a late lazy build on a superseded
-// snapshot must not clobber newer state.
+// batch. One patch pass over the affected ego-networks re-derives the TSD
+// and GCT entries and every ranking table in memory (truss included; each
+// new table derives its pfree row on first use), copy-on-write against the
+// shared edited graph, so this cache keeps answering for in-flight
+// readers. The global truss decomposition and its supports are never
+// carried over: the next cache starts with them cold, and the first bound
+// query of the new epoch rebuilds them once with the parallel peeling
+// (truss.DecomposeFull), a cost the router prices into bound's estimate. The patch pass runs outside the lock (it only reads the old,
+// now-immutable structures) so readers of this snapshot never block on an
+// Apply. ctx is checked after the patch pass; a cancelled advance returns
+// ctx.Err() and leaves this cache as it was. On success the index store
+// connection moves to the new cache: its next persist re-derives the
+// fingerprint from the edited graph. This cache stops persisting — a late
+// lazy build on a superseded snapshot must not clobber newer state.
 func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) (*indexCache, *core.UpdateStats, error) {
 	c.mu.Lock()
 	oldG := c.g
-	tau, sup := c.tau, c.sup
 	old := &core.BuildProducts{TSD: c.tsd, GCT: c.gct, MeasureRanks: map[Measure][][]core.VertexScore{}}
 	t := core.BuildTargets{TSD: c.tsd != nil, GCT: c.gct != nil}
 	for _, m := range AllMeasures() {
@@ -249,21 +246,6 @@ func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) 
 		return nil, nil, err
 	}
 
-	// Global truss decomposition: bounded incremental repair. Repair
-	// declines (and the decomposition is invalidated, to be rebuilt by the
-	// parallel peeling on next use) when the region the batch can influence
-	// exceeds the size cutoff — the cost router then prices the rebuild
-	// back into the bound engine's estimate.
-	if tau != nil && sup != nil {
-		if rr, ok := truss.Repair(oldG, newG, tau, sup, ins, del, 0); ok {
-			next.tau, next.sup = rr.Tau, rr.Sup
-			if stats == nil {
-				stats = &core.UpdateStats{Inserted: len(ins), Removed: len(del)}
-			}
-			stats.TrussRepaired = true
-			stats.TrussRegion = rr.Region
-		}
-	}
 	c.mu.Lock()
 	c.dir = ""
 	c.mu.Unlock()
@@ -335,10 +317,9 @@ func (c *indexCache) loadLocked(ref store.SectionRef) bool {
 	}
 	switch ref.Section {
 	case store.SecTruss:
-		// Format v3 persists the supports next to the decomposition, so a
-		// warm start repairs incrementally on the very first Apply. Older
-		// files lack the section (sup stays nil) and the first Apply
-		// rebuilds; the rebuild re-derives both and repair resumes.
+		// Format v3 persists the supports next to the decomposition;
+		// loading them keeps a re-persist from shedding the section. Older
+		// files lack it (sup stays nil).
 		if c.tau = loadSection(c, ref, (*store.File).Tau); c.tau != nil {
 			c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
 		}

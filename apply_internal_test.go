@@ -3,7 +3,9 @@ package trussdiv
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,11 +15,13 @@ import (
 )
 
 // TestApplyRepairsWithoutRebuilding pins the incremental-maintenance
-// contract of the snapshot transition: after an Apply, EVERY prepared
-// structure survives repaired in place — the ego-network indexes and the
-// hybrid rankings via the affected-vertex patch pass, the truss
-// decomposition via truss.Repair. No builder is ever re-entered;
-// a small edit batch must not pay O(graph) anywhere.
+// contract of the snapshot transition: after an Apply, every prepared
+// ego-derived structure — the TSD and GCT indexes and the hybrid
+// rankings — survives patched in place by the affected-vertex pass, and
+// no ego builder is ever re-entered. The truss decomposition is left
+// cold; querying every cell rebuilds it exactly once (for bound), the
+// rebuild is byte-equal to a fresh decomposition, and every cell answers
+// like a cold DB.
 func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 38,
@@ -47,34 +51,29 @@ func TestApplyRepairsWithoutRebuilding(t *testing.T) {
 	if stats == nil {
 		t.Fatal("Apply onto a prepared DB recorded no repair stats")
 	}
-	if !stats.TrussRepaired {
-		t.Fatalf("single-edge Apply fell back to a full decomposition: %+v", stats)
-	}
-	if stats.TrussRegion <= 0 || stats.TrussRegion >= db.Graph().M()/2 {
-		t.Fatalf("repair region %d edges is not local (m = %d)", stats.TrussRegion, db.Graph().M())
+	if stats.TrussRepaired || stats.TrussRegion != 0 {
+		t.Fatalf("Apply reported a truss repair: %+v", stats)
 	}
 	if stats.RankingsPatched == 0 {
 		t.Fatalf("hybrid rankings were not patched: %+v", stats)
 	}
 
-	// Tripwire every builder: any engine that re-derives a global
-	// structure after the repair fails loudly.
+	// Tripwire the ego builder: any engine that re-derives a patched
+	// structure fails loudly.
 	cache := db.Snapshot().cache
-	cache.buildTau = func(g *Graph) ([]int32, []int32) {
-		t.Error("apply-repaired truss decomposition was rebuilt from scratch")
-		return truss.DecomposeFull(g, 1)
-	}
 	cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
 		t.Errorf("apply-patched structures %+v were rebuilt from scratch", t2)
 		return core.BuildAll(g, t2, 0)
 	}
+	checkTauColdThenRebuiltOnce(t, db, "after Apply")
 	for _, engine := range []string{"online", "bound", "tsd", "gct", "hybrid"} {
 		if _, _, err := db.TopR(ctx, NewQuery(4, 5, ViaEngine(engine))); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
 	}
-	if cache.builds != 0 {
-		t.Fatalf("builds = %d after querying every engine post-Apply, want 0", cache.builds)
+	checkCellsMatchCold(t, db, "after Apply", 4, 5)
+	if cache.builds != 1 {
+		t.Fatalf("builds = %d after querying every cell post-Apply, want 1 (the truss decomposition)", cache.builds)
 	}
 }
 
@@ -188,8 +187,8 @@ func TestApplyPatchesPFreeRankings(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := db.Snapshot().ApplyStats()
-	if st == nil || !st.TrussRepaired {
-		t.Fatalf("Apply fell back to a rebuild: %+v", st)
+	if st == nil {
+		t.Fatal("Apply onto a prepared DB recorded no repair stats")
 	}
 	if want := len(AllMeasures()); st.RankingsPatched != want {
 		t.Fatalf("RankingsPatched = %d, want %d (one per table)", st.RankingsPatched, want)
@@ -238,10 +237,12 @@ func (c *trippingContext) Err() error {
 
 // TestApplyObservesCtxBetweenRepairPhases cancels one Apply at each of its
 // ctx checks in turn — before validation, after the graph edit, and
-// between the patch pass and the truss repair. Every cancelled attempt
-// returns context.Canceled and leaves the epoch, the snapshot and the
-// index store connection as they were; the first attempt that passes
-// every check repairs the truss decomposition and answers like a cold DB.
+// between the patch pass and the snapshot install. Every cancelled
+// attempt returns context.Canceled and leaves the epoch, the snapshot and
+// the index store connection as they were; the first attempt that passes
+// every check installs a snapshot whose truss decomposition is cold until
+// the first bound query rebuilds it, and every cell answers like a cold
+// DB.
 func TestApplyObservesCtxBetweenRepairPhases(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 41,
@@ -288,31 +289,148 @@ func TestApplyObservesCtxBetweenRepairPhases(t *testing.T) {
 		}
 	}
 	if cancelled < 3 {
-		t.Fatalf("Apply observed ctx %d times, want 3 (the last between the patch pass and the truss repair)", cancelled)
+		t.Fatalf("Apply observed ctx %d times, want 3 (the last between the patch pass and the snapshot install)", cancelled)
 	}
 	if db.Epoch() != before.Epoch()+1 {
 		t.Fatalf("epoch %d after the successful Apply, want %d", db.Epoch(), before.Epoch()+1)
 	}
-	if st := db.Snapshot().ApplyStats(); st == nil || !st.TrussRepaired {
-		t.Fatalf("ApplyStats = %+v, want the truss decomposition repaired", st)
+	if st := db.Snapshot().ApplyStats(); st == nil || st.Affected == 0 || st.TrussRepaired {
+		t.Fatalf("ApplyStats = %+v, want a patch pass and no truss repair", st)
 	}
-	cold, err := Open(db.Graph())
+	checkTauColdThenRebuiltOnce(t, db, "after the cancelled attempts")
+	checkCellsMatchCold(t, db, "after the cancelled attempts", 4, 10)
+}
+
+// TestApplyNeverBuildsTau: Apply neither builds nor carries the global
+// truss decomposition. Across a stream of batches on a fully prepared DB
+// that serves no bound query, the tau builder never runs and no new
+// snapshot holds a decomposition or supports. Each epoch rebuilds it at
+// most once: concurrent bound queries after the next Apply share one
+// build. Until then bound's estimate equals its estimate on a fresh Open
+// of the edited graph, and SaveIndexes persists no truss section; a warm
+// reopen from that store answers bound queries byte-equal to the applied
+// DB.
+func TestApplyNeverBuildsTau(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 43,
+	})
+	ctx := context.Background()
+	dir := t.TempDir()
+	db, err := Open(g, WithIndexDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for _, engine := range []string{"bound", "tsd", "gct", "hybrid"} {
-		q := NewQuery(4, 10, ViaEngine(engine), WithContexts())
-		got, _, err := db.TopR(ctx, q)
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
+	if err := db.Prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(ctx, "comp", "kcore", "pfree"); err != nil {
+		t.Fatal(err)
+	}
+	// Apply hands its builders to every snapshot it derives, so one
+	// tripwire covers the whole stream.
+	db.Snapshot().cache.buildTau = func(g *Graph) ([]int32, []int32) {
+		t.Error("Apply built the truss decomposition")
+		return truss.DecomposeFull(g, 0)
+	}
+	rng := rand.New(rand.NewSource(4343))
+	for step := 0; step < 6; step++ {
+		if _, err := db.Apply(ctx, streamUpdates(db.Graph(), rng, 3, 3)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
-		want, _, err := cold.TopR(ctx, q)
-		if err != nil {
-			t.Fatalf("%s (cold): %v", engine, err)
+		c := db.Snapshot().cache
+		c.mu.Lock()
+		carried := c.tau != nil || c.sup != nil
+		c.mu.Unlock()
+		if carried {
+			t.Fatalf("step %d: Apply carried the truss decomposition into the new snapshot", step)
 		}
-		if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
-			t.Fatalf("%s: answer after the cancelled attempts diverges from a cold DB", engine)
+	}
+
+	if _, err := db.Apply(ctx, streamUpdates(db.Graph(), rng, 3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Snapshot()
+	cache := snap.cache
+	cache.buildTau = func(g *Graph) ([]int32, []int32) { return truss.DecomposeFull(g, 0) }
+
+	// The router prices the cold decomposition exactly as on a fresh DB.
+	fresh, err := Open(snap.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := snap.Engine("bound")
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshBound, err := fresh.Snapshot().Engine("bound")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{
+		NewQuery(3, 10),
+		NewQuery(4, 50, WithContexts()),
+		NewQuery(3, 10, WithMeasure(MeasureComponent)),
+	} {
+		if got, want := bound.Cost(q), freshBound.Cost(q); got != want {
+			t.Fatalf("bound Cost(%+v) after Apply = %+v, want %+v as on a fresh Open", q, got, want)
+		}
+	}
+
+	// SaveIndexes builds nothing, so the store holds no truss section.
+	if _, err := db.SaveIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range db.StoreStatus().Sections {
+		if sec == "truss" || sec == "supports" {
+			t.Fatalf("SaveIndexes after Apply persisted section %q; sections %v", sec, db.StoreStatus().Sections)
+		}
+	}
+	if cache.builds != 0 {
+		t.Fatalf("builds = %d after SaveIndexes, want 0", cache.builds)
+	}
+	warm, err := Open(snap.Graph(), WithIndexDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.StoreStatus(); !st.Warm || st.LoadErr != nil {
+		t.Fatalf("warm reopen rejected the post-Apply store: %+v", st)
+	}
+
+	// Four concurrent bound queries (distinct r, so none is a result cache
+	// hit) share one rebuild.
+	qs := make([]Query, 4)
+	got := make([]*Result, len(qs))
+	var wg sync.WaitGroup
+	for i := range qs {
+		qs[i] = NewQuery(3, 5+i, ViaEngine("bound"), WithContexts())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _, err := db.TopR(ctx, qs[i])
+			if err != nil {
+				t.Errorf("bound query %d: %v", i, err)
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	cache.mu.Lock()
+	builds := cache.builds
+	cache.mu.Unlock()
+	if builds != 1 {
+		t.Fatalf("builds = %d after 4 concurrent bound queries, want 1", builds)
+	}
+	for i, q := range qs {
+		want, _, err := warm.TopR(ctx, q)
+		if err != nil {
+			t.Fatalf("warm bound query %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i].TopR, want.TopR) || !reflect.DeepEqual(got[i].Contexts, want.Contexts) {
+			t.Fatalf("bound query %d: warm reopen diverges from the applied DB\n   warm %v\napplied %v",
+				i, want.TopR, got[i].TopR)
 		}
 	}
 }

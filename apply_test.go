@@ -443,10 +443,10 @@ func TestStoreEpochAcrossApply(t *testing.T) {
 }
 
 // TestApplyStatsAndIndexSurvival: the snapshot after an Apply reports the
-// repair stats, and every prepared structure survives — the TSD/GCT
-// indexes via ego-network repair, the truss decomposition via the
-// incremental locality-bounded repair, and the hybrid rankings via the
-// affected-vertex patch.
+// repair stats, and every prepared ego-derived structure survives — the
+// TSD/GCT indexes via ego-network repair and the hybrid rankings via the
+// affected-vertex patch. The truss decomposition does not: it is cold
+// until the first bound query rebuilds it, whose answer matches a cold DB.
 func TestApplyStatsAndIndexSurvival(t *testing.T) {
 	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
 		N: 200, Attach: 3, Cliques: 40, MinSize: 4, MaxSize: 6, Seed: 36,
@@ -466,16 +466,36 @@ func TestApplyStatsAndIndexSurvival(t *testing.T) {
 	if ast == nil || ast.Inserted != 4 || ast.Removed != 4 || ast.Affected == 0 {
 		t.Fatalf("ApplyStats = %+v", ast)
 	}
-	if !ast.TrussRepaired || ast.TrussRegion <= 0 {
-		t.Fatalf("truss decomposition was not repaired incrementally: %+v", ast)
+	if ast.TrussRepaired || ast.TrussRegion != 0 {
+		t.Fatalf("Apply reported a truss repair: %+v", ast)
 	}
 	if ast.RankingsPatched == 0 {
 		t.Fatalf("hybrid rankings were not patched: %+v", ast)
 	}
 	st = snap.IndexStats()
-	if !st.TSDReady || !st.GCTReady || !st.TauReady || !st.HybridReady {
+	if !st.TSDReady || !st.GCTReady || !st.HybridReady {
 		t.Fatalf("prepared structures did not survive the apply repaired: %+v", st)
 	}
+	if st.TauReady {
+		t.Fatalf("Apply carried the truss decomposition into the new snapshot: %+v", st)
+	}
+	q := trussdiv.NewQuery(4, 10, trussdiv.WithContexts(), trussdiv.ViaEngine("bound"))
+	got, _, err := snap.TopR(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snap.IndexStats().TauReady {
+		t.Fatal("the first bound query after Apply did not ready the truss decomposition")
+	}
+	rebuilt, err := trussdiv.Open(snap.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := rebuilt.TopR(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "bound after Apply vs cold", got, want)
 	// A snapshot of a cold DB reports no apply stats.
 	cold, err := trussdiv.Open(g)
 	if err != nil {

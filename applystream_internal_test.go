@@ -2,6 +2,7 @@ package trussdiv
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,13 +45,83 @@ func streamUpdates(g *Graph, rng *rand.Rand, nIns, nDel int) Updates {
 	return u
 }
 
+// checkTauColdThenRebuiltOnce pins the truss half of the Apply contract
+// on db's current snapshot: Apply left the global truss decomposition and
+// its supports cold; one bound query readies them with exactly one build;
+// and both are then byte-equal to a fresh decomposition and support count
+// of the edited graph.
+func checkTauColdThenRebuiltOnce(t *testing.T, db *DB, label string) {
+	t.Helper()
+	cache := db.Snapshot().cache
+	cache.mu.Lock()
+	carried := cache.tau != nil || cache.sup != nil
+	builds := cache.builds
+	cache.mu.Unlock()
+	if carried {
+		t.Fatalf("%s: Apply carried the truss decomposition into the new snapshot", label)
+	}
+	if _, _, err := db.TopR(context.Background(), NewQuery(3, 5, ViaEngine("bound"))); err != nil {
+		t.Fatalf("%s: bound: %v", label, err)
+	}
+	cache.mu.Lock()
+	tau, sup := cache.tau, cache.sup
+	built := cache.builds - builds
+	cache.mu.Unlock()
+	if built != 1 {
+		t.Fatalf("%s: the bound query made %d builds, want 1 (the truss decomposition)", label, built)
+	}
+	if want := truss.Decompose(db.Graph()); !reflect.DeepEqual(tau, want) {
+		t.Fatalf("%s: rebuilt tau diverges from a cold decomposition", label)
+	}
+	if want := db.Graph().Supports(); !reflect.DeepEqual(sup, want) {
+		t.Fatalf("%s: rebuilt supports diverge from a fresh count", label)
+	}
+}
+
+// checkCellsMatchCold asserts that every (engine, measure) cell of db's
+// routing matrix answers a top-r query at threshold k (k-less for pfree),
+// contexts included, exactly like a cold DB opened on db's graph.
+func checkCellsMatchCold(t *testing.T, db *DB, label string, k int32, r int) {
+	t.Helper()
+	ctx := context.Background()
+	cold, err := Open(db.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mi := range db.Measures() {
+		for _, name := range mi.Engines {
+			k := k
+			if name == "pfree" {
+				k = 0 // the parameter-free engine forbids a threshold
+			}
+			q := NewQuery(k, r, ViaEngine(name), WithMeasure(mi.Measure), WithContexts())
+			got, _, err := db.TopR(ctx, q)
+			if err != nil {
+				t.Fatalf("%s %s/%s: %v", label, name, mi.Measure, err)
+			}
+			want, _, err := cold.TopR(ctx, q)
+			if err != nil {
+				t.Fatalf("%s %s/%s (cold): %v", label, name, mi.Measure, err)
+			}
+			if !reflect.DeepEqual(got.TopR, want.TopR) {
+				t.Fatalf("%s %s/%s: applied answer diverges from a cold DB\n got %v\nwant %v",
+					label, name, mi.Measure, got.TopR, want.TopR)
+			}
+			if !reflect.DeepEqual(got.Contexts, want.Contexts) {
+				t.Fatalf("%s %s/%s: contexts diverge from a cold DB", label, name, mi.Measure)
+			}
+		}
+	}
+}
+
 // TestApplyStreamRepairMatchesColdRebuild drives a randomized update
 // stream through a fully prepared DB and, after every batch, pins the
-// incremental repair byte-equal to a cold rebuild: the repaired tau and
-// support arrays match a fresh decomposition of the edited graph, and
-// every (engine, measure) cell of the routing matrix answers exactly
-// like a cold DB opened on that graph. The DB never falls back to a full
-// rebuild for these small batches — the whole point of the repair path.
+// result byte-equal to a cold rebuild: the patch pass re-derived the
+// ego-derived structures without a build, the truss decomposition was
+// left cold and the first bound query rebuilt it once, byte-equal to a
+// fresh decomposition (supports included), and every (engine, measure)
+// cell of the routing matrix answers exactly like a cold DB opened on
+// the edited graph.
 func TestApplyStreamRepairMatchesColdRebuild(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 240, Attach: 3, Cliques: 48, MinSize: 4, MaxSize: 7, Seed: 77,
@@ -77,52 +148,15 @@ func TestApplyStreamRepairMatchesColdRebuild(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		ast := db.Snapshot().ApplyStats()
-		if ast == nil || !ast.TrussRepaired {
-			t.Fatalf("step %d (+%d/-%d): repair fell back to a rebuild: %+v",
+		if ast == nil || ast.RankingsPatched != len(AllMeasures()) || ast.TrussRepaired || ast.TrussRegion != 0 {
+			t.Fatalf("step %d (+%d/-%d): ApplyStats = %+v, want every table patched and no truss repair",
 				step, b.ins, b.del, ast)
 		}
-
-		// The repaired decomposition is byte-equal to a cold one.
-		cache := db.Snapshot().cache
-		cache.mu.Lock()
-		tau := append([]int32(nil), cache.tau...)
-		sup := append([]int32(nil), cache.sup...)
-		cache.mu.Unlock()
-		if want := truss.Decompose(db.Graph()); !reflect.DeepEqual(tau, want) {
-			t.Fatalf("step %d: repaired tau diverges from cold decomposition", step)
+		if n := db.Snapshot().cache.builds; n != 0 {
+			t.Fatalf("step %d: Apply left %d builds on the new snapshot, want 0", step, n)
 		}
-		if want := db.Graph().Supports(); !reflect.DeepEqual(sup, want) {
-			t.Fatalf("step %d: repaired supports diverge from a fresh count", step)
-		}
-
-		// Every engine × measure cell answers like a cold DB on this graph.
-		cold, err := Open(db.Graph())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mi := range db.Measures() {
-			for _, name := range mi.Engines {
-				k := int32(3)
-				if name == "pfree" {
-					k = 0 // the parameter-free engine forbids a threshold
-				}
-				q := NewQuery(k, 12, ViaEngine(name), WithMeasure(mi.Measure), WithContexts())
-				got, _, err := db.TopR(ctx, q)
-				if err != nil {
-					t.Fatalf("step %d %s/%s: %v", step, name, mi.Measure, err)
-				}
-				want, _, err := cold.TopR(ctx, q)
-				if err != nil {
-					t.Fatalf("step %d %s/%s (cold): %v", step, name, mi.Measure, err)
-				}
-				if !reflect.DeepEqual(got.TopR, want.TopR) {
-					t.Fatalf("step %d %s/%s: repaired answer diverges from cold rebuild\n got %v\nwant %v",
-						step, name, mi.Measure, got.TopR, want.TopR)
-				}
-				if !reflect.DeepEqual(got.Contexts, want.Contexts) {
-					t.Fatalf("step %d %s/%s: contexts diverge from cold rebuild", step, name, mi.Measure)
-				}
-			}
-		}
+		label := fmt.Sprintf("step %d", step)
+		checkTauColdThenRebuiltOnce(t, db, label)
+		checkCellsMatchCold(t, db, label, 3, 12)
 	}
 }

@@ -338,8 +338,9 @@ type IndexStats struct {
 // IndexStats reports which indexes of the current snapshot are ready,
 // their sizes, and the time spent building them (from the graph) and
 // loading them (from the index store). After an Apply every in-memory
-// structure normally survives repaired; one whose repair declined
-// (region over budget) reports not-ready until its lazy rebuild.
+// ego-derived structure survives patched; the truss decomposition
+// (TauReady) reports not-ready until the epoch's first bound query
+// rebuilds it.
 func (db *DB) IndexStats() IndexStats { return db.Snapshot().IndexStats() }
 
 // StoreStatus describes the DB's connection to its persistent index

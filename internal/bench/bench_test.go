@@ -386,9 +386,10 @@ func TestStoreExperimentEmitsJSON(t *testing.T) {
 
 // TestDynamicExperimentEmitsJSON runs the quick-mode dynamic experiment
 // on one small dataset and checks the BENCH_dynamic.json artifact: every
-// apply-vs-rebuild sample must have been measured (and implicitly, the
-// five engines verified against a cold rebuild after every batch — the
-// experiment fails otherwise).
+// apply-vs-rebuild sample and the first bound query after each apply must
+// have been measured (and implicitly, every engine × measure cell verified
+// against a cold rebuild after every batch — the experiment fails
+// otherwise).
 func TestDynamicExperimentEmitsJSON(t *testing.T) {
 	e, ok := ByID("dynamic")
 	if !ok {
@@ -416,7 +417,7 @@ func TestDynamicExperimentEmitsJSON(t *testing.T) {
 		t.Fatalf("report datasets = %+v", report.Datasets)
 	}
 	ds := report.Datasets[0]
-	if ds.Batches <= 0 || ds.ApplyNS <= 0 || ds.RebuildNS <= 0 || ds.Repaired <= 0 {
+	if ds.Batches <= 0 || ds.ApplyNS <= 0 || ds.RebuildNS <= 0 || ds.FirstBoundNS <= 0 || ds.Repaired <= 0 {
 		t.Fatalf("implausible sample %+v", ds)
 	}
 	if ds.Speedup <= 0 {

@@ -30,10 +30,11 @@ type UpdateStats struct {
 	// re-derived (0 when no ego-derived structure — TSD, GCT, or a ranking
 	// table — was in memory, so no patch pass ran).
 	Affected int
-	// TrussRepaired reports that the global truss decomposition was
-	// repaired in place rather than invalidated; TrussRegion is the number
-	// of edges whose trussness the repair re-derived (the arXiv:1806.05523
-	// locality bound realized — everything else was provably unchanged).
+	// TrussRepaired and TrussRegion are always false and 0: Apply no
+	// longer repairs the global truss decomposition (the first bound query
+	// of the next epoch rebuilds it). They are kept for the loadbench
+	// traced run, which replays the incremental truss repair and reads
+	// them, until the benchmark drops that replay.
 	TrussRepaired bool
 	TrussRegion   int
 	// RankingsPatched counts per-k ranking tables (hybrid plus per-measure)
@@ -79,11 +80,11 @@ func AffectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) [
 // stay meaningful; either batch may list an edge in either orientation or
 // more than once, and a self-loop insertion adds nothing. Given the same
 // inputs, the result is deterministic — callers applying one batch to
-// several structures build the edited graph once and hand it to PatchAll
-// and truss.Repair, so every repaired structure shares one canonical
-// graph (and its edge-ID assignment). g's edge list is already in that
-// canonical order, so the edit is one merge of it with the sorted
-// insertions, skipping the sorted deletions.
+// several structures build the edited graph once and hand it to every
+// repair (PatchAll, the truss repair), so every repaired structure shares
+// one canonical graph (and its edge-ID assignment). g's edge list is
+// already in that canonical order, so the edit is one merge of it with the
+// sorted insertions, skipping the sorted deletions.
 func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
 	n := int32(g.N())
 	del := make([]graph.Edge, 0, len(remove))

@@ -88,8 +88,8 @@ const (
 	// numbering of an updated graph instead of restarting at 1.
 	SecEpoch Section = 5
 	// SecSupports is the global edge support array: one int32 per edge,
-	// parallel to SecTruss. Persisting it lets a warm-started DB repair the
-	// decomposition incrementally on the first Apply instead of rebuilding.
+	// parallel to SecTruss. A DB persists and reloads it with SecTruss;
+	// the incremental truss repair takes it as input.
 	SecSupports Section = 6
 	// SecGraph is the graph's own CSR arrays (off/adj/eid/edges) as a flat
 	// slab, always written: replicas can mmap the topology itself instead
@@ -267,8 +267,7 @@ func PathIn(dir string) string { return filepath.Join(dir, FileName) }
 type Indexes struct {
 	// Tau is the global truss decomposition, indexed by edge ID.
 	Tau []int32
-	// Sup is the global edge support array, parallel to Tau, persisted so
-	// a warm start can repair incrementally.
+	// Sup is the global edge support array, parallel to Tau.
 	Sup []int32
 	// TSD is the per-vertex maximum-spanning-forest index (paper §5).
 	TSD *core.TSDIndex

@@ -148,7 +148,8 @@ func TestPrepareSingleUsesBuildAll(t *testing.T) {
 // the TSD and GCT indexes and every per-k table (whose k = 0 rows are the
 // pfree rankings) from one PatchAll pass over the affected vertices — one extraction and
 // one decomposition per vertex, not one per structure — and never enters
-// the build path.
+// the ego build path. The truss decomposition is left for the first
+// bound query to rebuild; afterwards every cell answers like a cold DB.
 func TestApplyMakesOnePatchPass(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 41,
@@ -191,9 +192,11 @@ func TestApplyMakesOnePatchPass(t *testing.T) {
 		t.Fatalf("patch pass walked %v, want the affected set %v", patched, affected)
 	}
 	st := db.Snapshot().ApplyStats()
-	if st == nil || st.Affected != len(affected) || !st.TrussRepaired {
-		t.Fatalf("ApplyStats = %+v, want Affected = %d and a repaired truss decomposition", st, len(affected))
+	if st == nil || st.Affected != len(affected) || st.TrussRepaired {
+		t.Fatalf("ApplyStats = %+v, want Affected = %d and no truss repair", st, len(affected))
 	}
+	checkTauColdThenRebuiltOnce(t, db, "after Apply")
+	checkCellsMatchCold(t, db, "after Apply", 4, 10)
 	// Three per-k tables; the pfree rankings are their k = 0 rows.
 	if st.RankingsPatched != 3 {
 		t.Fatalf("RankingsPatched = %d, want 3", st.RankingsPatched)

@@ -116,9 +116,10 @@ func (s *Snapshot) Epoch() Epoch { return s.epoch }
 func (s *Snapshot) Graph() *Graph { return s.g }
 
 // ApplyStats reports the incremental-repair work of the Apply that
-// produced this snapshot: how many edges changed and how many ego-network
-// structures were rebuilt rather than rebuilt-from-scratch. Nil for the
-// Open snapshot, and for applies that found no repairable index in memory.
+// produced this snapshot: how many edges changed, how many vertices' ego-
+// network structures the patch pass re-derived, and how many ranking
+// tables it patched. Nil for the Open snapshot, and for applies that found
+// no ego-derived index in memory.
 func (s *Snapshot) ApplyStats() *UpdateStats {
 	if s.applied == nil {
 		return nil
@@ -145,11 +146,11 @@ func (s *Snapshot) Engine(name string) (Engine, error) {
 // those serving q.Measure, counting any index the engine would still
 // have to build. Ties keep the earliest engine in catalogue order.
 // Routing is snapshot-aware: an index that survived the last Apply
-// repaired or patched (TSD, GCT, the truss decomposition, the rankings)
-// keeps its zero build cost, while one whose repair declined (region
-// over budget) prices its lazy rebuild back in. Routing is also K-aware:
-// q.K == 0 selects the parameter-free engine, any other K selects among
-// the fixed-k engines. Route returns nil when the measure name is
+// patched (TSD, GCT, the rankings) keeps its zero build cost, while the
+// truss decomposition, which Apply leaves cold, prices its lazy rebuild
+// into bound's estimate until the epoch's first bound query readies it.
+// Routing is also K-aware: q.K == 0 selects the parameter-free engine, any
+// other K selects among the fixed-k engines. Route returns nil when the measure name is
 // unknown; the query paths report that as an error.
 func (s *Snapshot) Route(q Query) Engine {
 	if !q.Measure.Valid() {
@@ -372,25 +373,24 @@ func (db *DB) Epoch() Epoch { return db.Snapshot().epoch }
 // never observe a half-applied batch — the new snapshot becomes visible in
 // one pointer swap after it is fully built.
 //
-// Indexes are maintained incrementally instead of rebuilt: one pass over
-// the vertices in the edits' triangle neighborhoods — the only
-// ego-networks the batch touched (the paper's §5.3 locality argument) —
-// repairs the in-memory TSD and GCT indexes and patches every
+// Ego-derived indexes are maintained incrementally instead of rebuilt:
+// one pass over the vertices in the edits' triangle neighborhoods — the
+// only ego-networks the batch touched (the paper's §5.3 locality
+// argument) — repairs the in-memory TSD and GCT indexes and patches every
 // per-measure ranking table (hybrid's included, and with it the pfree
-// rows derived from them); the
-// global truss decomposition is repaired inside the locality bound of the
-// edit batch (each edit moves trussness by at most one, so the change is
-// confined to a bottleneck-connected region around the edits — see
-// DESIGN.md), falling back to a parallel rebuild when the region exceeds
-// its budget.
-// ApplyStats on the new snapshot reports which path each structure took,
-// and cost routing prices whichever survivors exist.
+// rows derived from them). The global truss decomposition, read only by
+// the bound engine, is not maintained: the new snapshot starts with it
+// cold, and the first bound query of the epoch rebuilds it once with the
+// parallel peeling — cost routing prices that rebuild into bound's
+// estimate until it is done. ApplyStats on the new snapshot reports the
+// patch pass's work.
 //
 // A batch that fails validation (errors.Is(err, ErrBadUpdate)) is rejected
 // whole: the epoch does not advance and the DB keeps serving its current
 // snapshot. An empty batch is a no-op returning the current epoch. Apply
-// calls serialize with each other; ctx is observed between repair phases
-// (an individual repair is not interruptible).
+// calls serialize with each other; ctx is observed before validation,
+// after the graph edit, and after the patch pass (the pass itself is not
+// interruptible).
 //
 // The persistent index store, when configured, is not rewritten by Apply —
 // call SaveIndexes to persist the post-update state (the file is
