@@ -187,7 +187,8 @@ func (c *indexCache) storedEpoch() Epoch {
 // readers. The global truss decomposition and its supports are never
 // carried over: the next cache starts with them cold, and the first bound
 // query of the new epoch rebuilds them once with the parallel peeling
-// (truss.DecomposeFull), a cost the router prices into bound's estimate. The patch pass runs outside the lock (it only reads the old,
+// (truss.DecomposeFull), a cost the router prices into bound's estimate.
+// The patch pass runs outside the lock (it only reads the old,
 // now-immutable structures) so readers of this snapshot never block on an
 // Apply. ctx is checked after the patch pass; a cancelled advance returns
 // ctx.Err() and leaves this cache as it was. On success the index store

@@ -3,12 +3,12 @@ package trussdiv
 import (
 	"context"
 	"errors"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"trussdiv/internal/par"
 	"trussdiv/internal/store"
 )
 
@@ -239,36 +239,26 @@ func (s *Snapshot) Batch(ctx context.Context, qs []Query) ([]*Result, error) {
 	defer cancel()
 	results := make([]*Result, len(qs))
 	var (
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	next := make(chan int)
-	workers := min(runtime.GOMAXPROCS(0), len(queries))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				// cachedTopR consults the result cache; Workers is not part
-				// of the key (answers are byte-identical across worker
-				// counts), so batch and single-query traffic share entries.
-				res, _, err := s.cachedTopR(ctx, engines[i], queries[i])
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	err = par.For(ctx, len(queries), 0, 1, func(_, i, _ int) {
+		// cachedTopR consults the result cache; Workers is not part of the
+		// key (answers are byte-identical across worker counts), so batch
+		// and single-query traffic share entries.
+		res, _, err := s.cachedTopR(ctx, engines[i], queries[i])
+		if err != nil {
+			errOnce.Do(func() { firstErr = err; cancel() })
+			return
+		}
+		results[i] = res
+	})
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	if err != nil {
+		// Cancelled between queries: the unclaimed slots are still nil.
+		return nil, err
 	}
 	return results, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"trussdiv"
@@ -386,6 +387,52 @@ func TestBatchErrors(t *testing.T) {
 	if _, err := db.Batch(cancelled, []trussdiv.Query{trussdiv.NewQuery(3, 5)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch err = %v, want context.Canceled", err)
 	}
+
+	// The failures above all happen before the fan-out. Routing does not
+	// check candidates, so an out-of-range one fails inside it, and the
+	// whole batch still fails with that error.
+	qs := make([]trussdiv.Query, 64)
+	for i := range qs {
+		qs[i] = trussdiv.NewQuery(int32(2+i%4), 5, trussdiv.WithContexts())
+	}
+	bad := append([]trussdiv.Query(nil), qs...)
+	bad[37] = trussdiv.NewQuery(3, 5, trussdiv.WithCandidates(0, int32(db.Graph().N())))
+	res, err = db.Batch(ctx, bad)
+	if err == nil || !strings.Contains(err.Error(), "out of range") || res != nil {
+		t.Fatalf("batch with an out-of-range candidate = (%d results, %v), want its error and nil results", len(res), err)
+	}
+
+	// A context cancelled once Prepare has polled it fails the fan-out
+	// even when no query would poll it again (every answer is cached):
+	// never a results slice with unanswered nil slots.
+	if _, err := db.Batch(ctx, qs); err != nil {
+		t.Fatal(err)
+	}
+	tripped := &cancelAfterPolls{trip: 1}
+	tripped.Context, tripped.cancel = context.WithCancel(ctx)
+	defer tripped.cancel()
+	res, err = db.Batch(tripped, qs)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("batch cancelled after Prepare = (%d results, %v), want context.Canceled and nil results", len(res), err)
+	}
+}
+
+// cancelAfterPolls is a real cancelable context that cancels itself
+// right after its trip-th Err poll (which still reports nil), so the
+// cancellation reaches contexts derived from it.
+type cancelAfterPolls struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+	trip   int64
+}
+
+func (c *cancelAfterPolls) Err() error {
+	err := c.Context.Err()
+	if c.polls.Add(1) == c.trip {
+		c.cancel()
+	}
+	return err
 }
 
 // TestBatchConcurrentWithQueries exercises Batch under load while other

@@ -3,7 +3,7 @@
 // the warm trussdiv.DB — the "index once, query many" workflow both
 // indexes were designed for (paper §5-§6). Prints the size of the index
 // file and the warm DB's store status, the per-query latency of TSD vs
-// GCT (each sharded across a worker pool via WithWorkers), where the DB's
+// GCT (each spread over a worker pool via WithWorkers), where the DB's
 // cost router sends the same queries, and finally answers the whole
 // workload in one DB.Batch pass.
 //
@@ -70,7 +70,7 @@ func main() {
 		time.Since(start).Round(time.Microsecond), st.FormatVersion, st.Mode, st.Sections)
 
 	// Serve a mixed query workload: the same DB answers every (k, r),
-	// each search sharded across the machine's cores.
+	// each search spread over the machine's cores.
 	workers := runtime.GOMAXPROCS(0)
 	fmt.Printf("\nquery workload (one index build, many queries, %d workers):\n", workers)
 	fmt.Printf("%4s %4s  %12s %12s  %-8s %s\n", "k", "r", "TSD", "GCT", "routed", "top-1 (score)")

@@ -306,6 +306,10 @@ func TestParallelExperimentEmitsJSON(t *testing.T) {
 		if s.SerialNS <= 0 || s.ParallelNS <= 0 || s.Speedup <= 0 {
 			t.Fatalf("sample %+v has non-positive timings", s)
 		}
+		if s.SerialMinNS > s.SerialNS || s.SerialNS > s.SerialMaxNS ||
+			s.ParallelMinNS > s.ParallelNS || s.ParallelNS > s.ParallelMaxNS {
+			t.Fatalf("sample %+v: a median lies outside its min/max", s)
+		}
 		engines[s.Engine] = true
 	}
 	for _, name := range []string{"online", "bound", "tsd", "gct", "hybrid"} {

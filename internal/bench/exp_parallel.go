@@ -16,37 +16,63 @@ import (
 
 // runParallel is the engineering extension behind the ROADMAP's "fast as
 // the hardware allows" axis: it times every engine's top-r search serial
-// (Workers=1) versus sharded across a worker pool, and records the
-// numbers in a machine-readable BENCH_parallel.json so the performance
+// (Workers=1) versus spread over a worker pool, and records the numbers
+// in a machine-readable BENCH_parallel.json so the performance
 // trajectory of the parallel execution layer is tracked from PR to PR.
 // Answers are asserted byte-equal between the two runs — the parallel
 // scan's determinism guarantee, measured rather than assumed.
 
+// parallelRuns is how many times each serial and each parallel cell is
+// timed; one wall-clock sample of a ~10 ms search is mostly noise.
+const parallelRuns = 5
+
+// ParallelTiming is one cell timed serial and parallel, parallelRuns
+// times each: the plain *_ns fields are the medians, the *_min_ns and
+// *_max_ns fields the extremes.
+type ParallelTiming struct {
+	SerialNS      int64   `json:"serial_ns"`
+	SerialMinNS   int64   `json:"serial_min_ns"`
+	SerialMaxNS   int64   `json:"serial_max_ns"`
+	ParallelNS    int64   `json:"parallel_ns"`
+	ParallelMinNS int64   `json:"parallel_min_ns"`
+	ParallelMaxNS int64   `json:"parallel_max_ns"`
+	Speedup       float64 `json:"speedup"` // median serial / median parallel wall time
+}
+
 // ParallelEngineSample is one engine's serial-vs-parallel measurement.
 type ParallelEngineSample struct {
-	Engine     string  `json:"engine"`
-	SerialNS   int64   `json:"serial_ns"`
-	ParallelNS int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"` // serial / parallel wall time
+	Engine string `json:"engine"`
+	ParallelTiming
 }
 
-// ParallelDecomposeSample times the cold truss decomposition serial
-// (Decompose) versus sharded h-index peeling (DecomposeParallel), the
-// build-time half of the parallel layer. Tau arrays are asserted
-// byte-equal before the sample is recorded.
-type ParallelDecomposeSample struct {
-	SerialNS   int64   `json:"serial_ns"`
-	ParallelNS int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"` // serial / parallel wall time
-}
-
-// ParallelDatasetReport groups the samples of one dataset.
+// ParallelDatasetReport groups the samples of one dataset. Decompose
+// times the cold truss decomposition serial (Decompose) versus h-index
+// iteration (DecomposeParallel), the build-time half of the parallel
+// layer; tau arrays are asserted byte-equal before it is recorded.
 type ParallelDatasetReport struct {
-	Name      string                  `json:"name"`
-	Vertices  int                     `json:"vertices"`
-	Edges     int                     `json:"edges"`
-	Decompose ParallelDecomposeSample `json:"decompose"`
-	Engines   []ParallelEngineSample  `json:"engines"`
+	Name      string                 `json:"name"`
+	Vertices  int                    `json:"vertices"`
+	Edges     int                    `json:"edges"`
+	Decompose ParallelTiming         `json:"decompose"`
+	Engines   []ParallelEngineSample `json:"engines"`
+}
+
+// timeParallel times serial and parallel parallelRuns times each,
+// alternating the two so drift in the machine's load hits both alike.
+func timeParallel(serial, parallel func()) ParallelTiming {
+	var s, p []time.Duration
+	for range parallelRuns {
+		s = append(s, Timed(serial))
+		p = append(p, Timed(parallel))
+	}
+	slices.Sort(s)
+	slices.Sort(p)
+	sMed, pMed := s[len(s)/2], p[len(p)/2]
+	return ParallelTiming{
+		SerialNS: sMed.Nanoseconds(), SerialMinNS: s[0].Nanoseconds(), SerialMaxNS: s[len(s)-1].Nanoseconds(),
+		ParallelNS: pMed.Nanoseconds(), ParallelMinNS: p[0].Nanoseconds(), ParallelMaxNS: p[len(p)-1].Nanoseconds(),
+		Speedup: float64(sMed) / float64(max(pMed, time.Nanosecond)),
+	}
 }
 
 // ParallelReport is the schema of BENCH_parallel.json.
@@ -90,14 +116,20 @@ func runParallel(w io.Writer, cfg Config) error {
 			"core count before reading anything into these numbers.\n\n")
 	}
 	t := &Table{
-		Title:   fmt.Sprintf("Serial vs parallel TopR, k=%d r=%d, %d workers (extension)", k, r, workers),
+		Title: fmt.Sprintf("Serial vs parallel TopR, k=%d r=%d, %d workers, median of %d (extension)",
+			k, r, workers, parallelRuns),
 		Headers: []string{"Network", "engine", "serial", "parallel", "speedup"},
+	}
+	addRow := func(name, cell string, pt ParallelTiming) {
+		t.AddRow(name, cell, time.Duration(pt.SerialNS), time.Duration(pt.ParallelNS),
+			fmt.Sprintf("%.2fx", pt.Speedup))
 	}
 	for _, name := range cfg.perfDatasets() {
 		g := MustLoad(name)
 		var serialTau, parallelTau []int32
-		decomposeSerial := Timed(func() { serialTau = truss.Decompose(g) })
-		decomposeParallel := Timed(func() { parallelTau = truss.DecomposeParallel(g, workers) })
+		decompose := timeParallel(
+			func() { serialTau = truss.Decompose(g) },
+			func() { parallelTau = truss.DecomposeParallel(g, workers) })
 		if !slices.Equal(serialTau, parallelTau) {
 			return fmt.Errorf("%s: parallel decomposition diverges from serial tau", name)
 		}
@@ -114,23 +146,14 @@ func runParallel(w io.Writer, cfg Config) error {
 			{"gct", core.NewGCT(idx.GCT)},
 			{"hybrid", hybridSearcher(g, workers)},
 		}
-		ds := ParallelDatasetReport{
-			Name: name, Vertices: g.N(), Edges: g.M(),
-			Decompose: ParallelDecomposeSample{
-				SerialNS:   decomposeSerial.Nanoseconds(),
-				ParallelNS: decomposeParallel.Nanoseconds(),
-				Speedup:    float64(decomposeSerial) / float64(max(decomposeParallel, time.Nanosecond)),
-			},
-		}
-		t.AddRow(name, "decompose", decomposeSerial, decomposeParallel,
-			fmt.Sprintf("%.2fx", ds.Decompose.Speedup))
+		ds := ParallelDatasetReport{Name: name, Vertices: g.N(), Edges: g.M(), Decompose: decompose}
+		addRow(name, "decompose", decompose)
 		for _, eng := range searchers {
 			var serialRes, parallelRes *core.Result
 			var serialErr, parallelErr error
-			serial := Timed(func() {
+			timing := timeParallel(func() {
 				serialRes, _, serialErr = eng.s.Search(ctx, core.Params{K: k, R: r, Workers: 1})
-			})
-			parallel := Timed(func() {
+			}, func() {
 				parallelRes, _, parallelErr = eng.s.Search(ctx, core.Params{K: k, R: r, Workers: workers})
 			})
 			if serialErr != nil || parallelErr != nil {
@@ -140,14 +163,8 @@ func runParallel(w io.Writer, cfg Config) error {
 			if err := sameAnswer(serialRes, parallelRes); err != nil {
 				return fmt.Errorf("%s/%s: serial and parallel answers differ: %w", name, eng.name, err)
 			}
-			speedup := float64(serial) / float64(max(parallel, time.Nanosecond))
-			ds.Engines = append(ds.Engines, ParallelEngineSample{
-				Engine:     eng.name,
-				SerialNS:   serial.Nanoseconds(),
-				ParallelNS: parallel.Nanoseconds(),
-				Speedup:    speedup,
-			})
-			t.AddRow(name, eng.name, serial, parallel, fmt.Sprintf("%.2fx", speedup))
+			ds.Engines = append(ds.Engines, ParallelEngineSample{Engine: eng.name, ParallelTiming: timing})
+			addRow(name, eng.name, timing)
 		}
 		report.Datasets = append(report.Datasets, ds)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"trussdiv/internal/graph"
+	"trussdiv/internal/par"
 	"trussdiv/internal/truss"
 )
 
@@ -91,7 +92,7 @@ func (b *Bound) TopR(k int32, r int) (*Result, *Stats, error) {
 // Search runs Algorithm 4: sparsify, compute the Lemma-2 upper bound for
 // every surviving candidate, visit candidates in decreasing bound order,
 // and stop as soon as the next bound cannot beat the current r-th best
-// score. The exact-score pass shards across p.Workers goroutines in
+// score. The exact-score pass spreads over p.Workers goroutines in
 // chunks (see scanRanked). The context is checked before the
 // sparsification and before every exact score computation.
 //
@@ -143,13 +144,17 @@ func (b *Bound) rankedSearch(ctx context.Context, p Params, candG *graph.Graph, 
 	scorer := NewMeasureScorer(candG, m)
 	stats := &Stats{}
 	cands := make([]rankedCand, 0, candG.N())
-	err := forEachCandidate(ctx, candG.N(), p.Candidates, false, func(v int32) {
-		d := candG.Degree(v)
-		if d == 0 {
-			return // no edges, no contexts: score is 0
-		}
-		if u := ub(v, d); u > 0 {
-			cands = append(cands, rankedCand{v, u})
+	count, at := candidateAt(candG.N(), p.Candidates)
+	err := par.For(ctx, count, 1, pollEvery, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := at(i)
+			d := candG.Degree(v)
+			if d == 0 {
+				continue // no edges, no contexts: score is 0
+			}
+			if u := ub(v, d); u > 0 {
+				cands = append(cands, rankedCand{v, u})
+			}
 		}
 	})
 	if err != nil {

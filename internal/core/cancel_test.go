@@ -50,32 +50,37 @@ func TestSearchAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// TestSearchCancelledMidLoop runs at the default worker count and at an
+// explicit 4 workers, so the parallel loops are cancelled even when
+// GOMAXPROCS is 1.
 func TestSearchCancelledMidLoop(t *testing.T) {
 	g := randomGraph(t, 500, 3000, 6)
 	gctIdx := BuildGCTIndex(g)
-	for name, s := range map[string]searcher{
-		"online": NewOnline(g),
-		"bound":  NewBound(g),
-		"tsd":    NewTSD(BuildTSDIndex(g)),
-		"gct":    NewGCT(gctIdx),
-		"hybrid": buildRanked(g, MeasureTruss),
-	} {
-		// Let a handful of polls pass, then trip: the search must stop at
-		// its next context check instead of finishing the scan.
-		ctx := &trippingContext{Context: context.Background(), trip: 3}
-		_, _, err := s.Search(ctx, Params{K: 3, R: 5, SkipContexts: name == "hybrid"})
-		if name == "hybrid" {
-			// Ranking reads poll once up front; with contexts skipped the
-			// remaining work is too cheap to guarantee another poll.
-			ctx2 := &trippingContext{Context: context.Background(), trip: 0}
-			_, _, err2 := s.Search(ctx2, Params{K: 3, R: 5})
-			if !errors.Is(err2, context.Canceled) {
-				t.Fatalf("hybrid: err = %v, want context.Canceled", err2)
+	for _, workers := range []int{0, 4} {
+		for name, s := range map[string]searcher{
+			"online": NewOnline(g),
+			"bound":  NewBound(g),
+			"tsd":    NewTSD(BuildTSDIndex(g)),
+			"gct":    NewGCT(gctIdx),
+			"hybrid": buildRanked(g, MeasureTruss),
+		} {
+			// Let a handful of polls pass, then trip: the search must stop
+			// at its next context check instead of finishing the scan.
+			ctx := &trippingContext{Context: context.Background(), trip: 3}
+			_, _, err := s.Search(ctx, Params{K: 3, R: 5, Workers: workers, SkipContexts: name == "hybrid"})
+			if name == "hybrid" {
+				// Ranking reads poll once up front; with contexts skipped
+				// the remaining work is too cheap to guarantee another poll.
+				ctx2 := &trippingContext{Context: context.Background(), trip: 0}
+				_, _, err2 := s.Search(ctx2, Params{K: 3, R: 5, Workers: workers})
+				if !errors.Is(err2, context.Canceled) {
+					t.Fatalf("hybrid workers=%d: err = %v, want context.Canceled", workers, err2)
+				}
+				continue
 			}
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s workers=%d: err = %v, want context.Canceled", name, workers, err)
+			}
 		}
 	}
 }

@@ -251,28 +251,3 @@ func TestCanonicalTieBreak(t *testing.T) {
 		}
 	}
 }
-
-// TestShardRange checks the contiguous shard split covers [0, count)
-// exactly once for awkward worker/count combinations.
-func TestShardRange(t *testing.T) {
-	for _, tc := range []struct{ count, workers int }{
-		{10, 3}, {3, 10}, {1, 1}, {7, 7}, {100, 16}, {5, 2},
-	} {
-		covered := 0
-		prevHi := 0
-		for w := 0; w < tc.workers; w++ {
-			lo, hi := shardRange(tc.count, tc.workers, w)
-			if lo != prevHi {
-				t.Fatalf("count=%d workers=%d shard %d: lo %d, want %d", tc.count, tc.workers, w, lo, prevHi)
-			}
-			if hi < lo || hi > tc.count {
-				t.Fatalf("count=%d workers=%d shard %d: bad range [%d,%d)", tc.count, tc.workers, w, lo, hi)
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		if covered != tc.count || prevHi != tc.count {
-			t.Fatalf("count=%d workers=%d: covered %d ending at %d", tc.count, tc.workers, covered, prevHi)
-		}
-	}
-}

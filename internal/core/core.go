@@ -83,7 +83,7 @@ func sortAnswer(entries []VertexScore) {
 // additionally replace on an equal score with a smaller vertex ID, which
 // makes the heap's final contents the r best entries under the total
 // order (score desc, vertex asc) regardless of offer order. That
-// order-independence is what lets a sharded parallel scan merge
+// order-independence is what lets a parallel scan merge
 // per-worker heaps into an answer byte-identical to the serial scan's,
 // and makes every engine's answer canonical on score ties.
 type topRHeap struct {

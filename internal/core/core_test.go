@@ -213,11 +213,12 @@ func TestAllEnginesAgreeOnScores(t *testing.T) {
 		g := randomGraph(t, 28, 130, seed)
 		scorer := NewScorer(g)
 		tsdIdx := BuildTSDIndex(g)
+		tsdScorer := tsdIdx.Scorer()
 		gctIdx := BuildGCTIndex(g)
 		for k := int32(2); k <= 6; k++ {
 			for v := int32(0); int(v) < g.N(); v++ {
 				online := scorer.Score(v, k)
-				tsd := tsdIdx.Score(v, k)
+				tsd := tsdScorer.Score(v, k)
 				gct := gctIdx.Score(v, k)
 				if online != tsd || online != gct {
 					t.Fatalf("seed %d k=%d v=%d: online=%d tsd=%d gct=%d",
@@ -427,7 +428,7 @@ func TestFlowerScores(t *testing.T) {
 		if got := BuildGCTIndex(g).Score(0, int32(tc.k)); got != tc.cliques {
 			t.Fatalf("flower GCT score = %d, want %d", got, tc.cliques)
 		}
-		if got := BuildTSDIndex(g).Score(0, int32(tc.k)); got != tc.cliques {
+		if got := BuildTSDIndex(g).Scorer().Score(0, int32(tc.k)); got != tc.cliques {
 			t.Fatalf("flower TSD score = %d, want %d", got, tc.cliques)
 		}
 	}

@@ -285,9 +285,9 @@ func (s *GCT) TopR(k int32, r int) (*Result, *Stats, error) {
 
 // Search answers the top-r query from the compressed index. Per-vertex
 // scores are O(log) binary searches over read-only arrays — safe from any
-// number of workers — so the candidate range shards directly across
-// p.Workers goroutines, each polling the context every few hundred
-// vertices rather than on every iteration.
+// number of workers — so p.Workers goroutines claim the candidates in
+// blocks of pollEvery, polling the context once per block rather than on
+// every iteration.
 func (s *GCT) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	g := s.idx.g
 	p, err := p.normalized(g.N())
@@ -299,7 +299,7 @@ func (s *GCT) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 		// it cannot answer the component or core measures.
 		return nil, nil, &UnsupportedMeasureError{Engine: "gct", Measure: m}
 	}
-	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), false,
+	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), pollEvery,
 		func() func(v int32) int {
 			return func(v int32) int { return s.idx.Score(v, p.K) }
 		})

@@ -110,8 +110,8 @@ func MeasureUpperBound(m Measure, degree int, egoEdges int32, k int32) int {
 // exactly the truss row of the per-measure table BuildAll produces — and
 // the same strategy serves the component and core measures. Reading the
 // ranking is an O(r) prefix scan; the social contexts of the answer
-// vertices are recovered online with the measure's shared Scorer (sharded
-// across p.Workers), which is what makes the strategy lose to GCT as r
+// vertices are recovered online with the measure's shared Scorer (spread
+// over p.Workers), which is what makes the strategy lose to GCT as r
 // grows. The same table answers the parameter-free query (K = 0) from a
 // pfree row it derives from its per-k rows on first use (pfreeRow).
 type Ranked struct {

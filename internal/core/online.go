@@ -34,8 +34,8 @@ func (o *Online) TopR(k int32, r int) (*Result, *Stats, error) {
 	return o.Search(context.Background(), Params{K: k, R: r})
 }
 
-// Search runs Algorithm 3 over the candidate set, sharded across
-// p.Workers goroutines; every worker owns one VertexScorer, so the scan
+// Search runs Algorithm 3 over the candidate set, spread over p.Workers
+// goroutines; every worker owns one VertexScorer, so the scan
 // is allocation-free in steady state and byte-identical to the serial
 // order. Each candidate costs one ego-network decomposition, so
 // cancellation is checked before every score computation. The search is
@@ -50,7 +50,7 @@ func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 		return nil, nil, err
 	}
 	m := p.Measure.Normalize()
-	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), true,
+	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), 1,
 		func() func(v int32) int {
 			vs := NewVertexScorer(g, m)
 			return func(v int32) int { return vs.Score(v, p.K) }

@@ -3,166 +3,78 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
+
+	"trussdiv/internal/par"
 )
 
 // Parallel query execution. The per-vertex score computations that
-// dominate every engine's search are independent, so the candidate range
-// is cut into contiguous shards handed to a worker pool — the same
-// vertex-sharding strategy the parallel index builders in parallel.go
-// use. Each worker scores its shard into a private top-r heap with its
-// own context polling; because the heap admits entries under the total
-// order (score desc, vertex asc), merging the private heaps in any order
-// reproduces exactly the serial answer, so parallel output is
-// byte-identical to serial for every worker count.
+// dominate every engine's search are independent, so the candidate
+// positions go to par.For, whose workers claim blocks of them from a
+// shared counter — the same pool the per-ego index pass (egoPass in
+// prepare.go) runs on. Each worker scores its blocks into a private top-r
+// heap; because the heap admits entries under the total order (score
+// desc, vertex asc), merging the private heaps in any order reproduces
+// exactly the serial answer, so parallel output is byte-identical to
+// serial for every worker count and every schedule.
 
-// shardRange returns the half-open range [lo, hi) of shard w when count
-// items are split into `workers` balanced contiguous shards.
-func shardRange(count, workers, w int) (lo, hi int) {
-	base, rem := count/workers, count%workers
-	lo = w*base + min(w, rem)
-	hi = lo + base
-	if w < rem {
-		hi++
+// candidateAt presents a candidate set in Params form — nil means every
+// vertex of [0, n) — as a count of positions and the vertex at each.
+func candidateAt(n int, cands []int32) (int, func(i int) int32) {
+	if cands == nil {
+		return n, func(i int) int32 { return int32(i) }
 	}
-	return lo, hi
+	return len(cands), func(i int) int32 { return cands[i] }
 }
 
-// forEachSharded runs f(i) for every i in [0, count) across `workers`
-// goroutines (1 = the caller's goroutine), polling ctx with the same
-// cadence as forEachCandidate. f must be safe for concurrent calls on
-// distinct indices. On cancellation the already-running iterations finish
-// and the first observed context error is returned.
-func forEachSharded(ctx context.Context, count, workers int, everyIter bool, f func(i int)) error {
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			if everyIter || i%pollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+// scanWith scores every candidate position in [0, count) — vertex IDs
+// come from at(i) — into one top-r heap, using up to len(scorers)
+// workers that claim `block` positions at a time (block 1 polls ctx
+// before every score; expensive scores want it). scorers[w] is worker
+// w's scoring function: nil entries are built by newScore on the
+// worker's first block and kept, so scorers that carry scratch state
+// stay goroutine-private and scanRanked reuses one set across its
+// chunks. The returned count is the number of score computations.
+func scanWith(ctx context.Context, count int, at func(i int) int32, r, block int, scorers []func(v int32) int, newScore func() func(v int32) int) (*topRHeap, int, error) {
+	heaps := make([]*topRHeap, len(scorers))
+	err := par.For(ctx, count, len(scorers), block, func(w, lo, hi int) {
+		if heaps[w] == nil {
+			heaps[w] = newTopRHeap(r)
+			if scorers[w] == nil {
+				scorers[w] = newScore()
 			}
-			f(i)
 		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := shardRange(count, workers, w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if everyIter || (i-lo)%pollEvery == 0 {
-					if err := ctx.Err(); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// scanAt scores every candidate position in [0, count) — vertex IDs come
-// from at(i) — into a merged top-r heap using `workers` goroutines.
-// newScore is called once per worker to produce that worker's scoring
-// function, so scorers that carry scratch state stay goroutine-private.
-// The returned count is the number of score computations (== count unless
-// cancelled).
-func scanAt(ctx context.Context, count int, at func(i int) int32, r, workers int, everyIter bool, newScore func() func(v int32) int) (*topRHeap, int, error) {
-	if workers > count {
-		workers = count
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scorers := make([]func(v int32) int, workers)
-	for i := range scorers {
-		scorers[i] = newScore()
-	}
-	return scanWith(ctx, count, at, r, everyIter, scorers)
-}
-
-// scanWith is scanAt over pre-built per-worker scoring functions
-// (len(scorers) bounds the pool size); scanRanked uses it to reuse one
-// scorer set across every chunk instead of rebuilding scratch state per
-// round.
-func scanWith(ctx context.Context, count int, at func(i int) int32, r int, everyIter bool, scorers []func(v int32) int) (*topRHeap, int, error) {
-	workers := len(scorers)
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		heap := newTopRHeap(r)
-		score := scorers[0]
-		for i := 0; i < count; i++ {
-			if everyIter || i%pollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
+		heap, score := heaps[w], scorers[w]
+		for i := lo; i < hi; i++ {
 			v := at(i)
 			heap.Offer(v, score(v))
 		}
-		return heap, count, nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	heaps := make([]*topRHeap, workers)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := shardRange(count, workers, w)
-		heaps[w] = newTopRHeap(r)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			score := scorers[w]
-			heap := heaps[w]
-			for i := lo; i < hi; i++ {
-				if everyIter || (i-lo)%pollEvery == 0 {
-					if err := ctx.Err(); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-				}
-				v := at(i)
-				heap.Offer(v, score(v))
+	var merged *topRHeap
+	for _, h := range heaps {
+		switch {
+		case h == nil: // the worker never claimed a block
+		case merged == nil:
+			merged = h
+		default:
+			for _, e := range h.entries {
+				merged.Offer(e.V, e.Score)
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, 0, firstErr
-	}
-	merged := heaps[0]
-	for _, h := range heaps[1:] {
-		for _, e := range h.entries {
-			merged.Offer(e.V, e.Score)
 		}
+	}
+	if merged == nil { // no candidates
+		merged = newTopRHeap(r)
 	}
 	return merged, count, nil
 }
 
-// scanTopR is scanAt over a candidate set in Params form: nil candidates
-// mean the whole vertex range [0, n).
-func scanTopR(ctx context.Context, n int, cands []int32, r, workers int, everyIter bool, newScore func() func(v int32) int) (*topRHeap, int, error) {
-	count, at := n, func(i int) int32 { return int32(i) }
-	if cands != nil {
-		count, at = len(cands), func(i int) int32 { return cands[i] }
-	}
-	return scanAt(ctx, count, at, r, workers, everyIter, newScore)
+// scanTopR scores a candidate set in Params form (see candidateAt) across
+// `workers` goroutines; see scanWith.
+func scanTopR(ctx context.Context, n int, cands []int32, r, workers, block int, newScore func() func(v int32) int) (*topRHeap, int, error) {
+	count, at := candidateAt(n, cands)
+	return scanWith(ctx, count, at, r, block, make([]func(v int32) int, workers), newScore)
 }
 
 // rankedCand pairs a candidate with its score upper bound; the bound and
@@ -217,9 +129,6 @@ func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScor
 	// One scorer per worker, reused across every chunk (scratch state like
 	// the TSD visit marks is built once, not once per round).
 	scorers := make([]func(v int32) int, workers)
-	for i := range scorers {
-		scorers[i] = newScore()
-	}
 	for lo := 0; lo < len(cands); lo, chunk = lo+chunk, min(2*chunk, maxChunk) {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
@@ -234,7 +143,7 @@ func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScor
 			// Bounds are descending: drop the tail that can no longer win.
 			part = part[:sort.Search(len(part), func(i int) bool { return part[i].ub < m })]
 		}
-		sub, n, err := scanWith(ctx, len(part), func(i int) int32 { return part[i].v }, r, true, scorers)
+		sub, n, err := scanWith(ctx, len(part), func(i int) int32 { return part[i].v }, r, 1, scorers, newScore)
 		if err != nil {
 			return nil, 0, err
 		}

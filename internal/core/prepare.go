@@ -1,13 +1,13 @@
 package core
 
 import (
-	"runtime"
+	"context"
 	"slices"
-	"sync"
 
 	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
 	"trussdiv/internal/kcore"
+	"trussdiv/internal/par"
 	"trussdiv/internal/truss"
 )
 
@@ -52,7 +52,7 @@ type BuildProducts struct {
 }
 
 // BuildAll builds every requested structure in one pass over the
-// vertices, sharded across `workers` goroutines (0 or negative =
+// vertices, spread over `workers` goroutines (0 or negative =
 // GOMAXPROCS). Each worker owns one extraction/decomposition scratch
 // set and writes per-vertex results into disjoint slots, so the
 // assembled products are identical for every worker count.
@@ -153,35 +153,21 @@ type passScratch struct {
 }
 
 // run walks slots 0..count-1 (vertexAt maps a slot to its vertex) in
-// blocks handed out to `workers` goroutines (0 or negative =
-// GOMAXPROCS). Workers write disjoint slots, so the result does not
-// depend on the schedule.
+// blocks claimed by `workers` goroutines (0 or negative = GOMAXPROCS),
+// each with its own scratch. Workers write disjoint slots, so the result
+// does not depend on the schedule.
 func (p *egoPass) run(count, workers int, vertexAt func(slot int) int32) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	// Blocks of 256 keep hand-off contention negligible on full builds;
 	// a short patch list is split evenly instead so every worker helps.
 	block := min(256, max(1, (count+workers-1)/workers))
-	blocks := make(chan int, workers) // one queued block per worker keeps the feeder ahead
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s passScratch
-			for lo := range blocks {
-				for slot := lo; slot < min(lo+block, count); slot++ {
-					p.vertex(&s, vertexAt(slot), slot)
-				}
-			}
-		}()
-	}
-	for lo := 0; lo < count; lo += block {
-		blocks <- lo
-	}
-	close(blocks)
-	wg.Wait()
+	scratch := make([]passScratch, workers)
+	// The background context never reports an error, so neither does For.
+	_ = par.For(context.Background(), count, workers, block, func(w, lo, hi int) {
+		for slot := lo; slot < hi; slot++ {
+			p.vertex(&scratch[w], vertexAt(slot), slot)
+		}
+	})
 }
 
 // vertex derives every requested structure of v from one extraction.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+
+	"trussdiv/internal/par"
 )
 
 // Params parameterizes one top-r search. The zero value is invalid: K and
@@ -29,14 +31,14 @@ type Params struct {
 	SkipStats bool
 	// Workers is the number of goroutines that score candidates (and
 	// recover answer contexts): 0 or negative means GOMAXPROCS, 1 forces
-	// the serial path. Candidates are sharded across the pool, each worker
-	// scores its shard into a private top-r heap, and the heaps merge into
-	// one answer; score ties always resolve to the smaller vertex ID, so
-	// the answer is byte-identical for every worker count. The bound and
-	// tsd engines process their pruned candidate order in growing chunks
-	// when parallel (the first holds exactly R candidates), so their
-	// Stats.ScoreComputations may exceed the serial count by up to one
-	// chunk (the answer is still identical).
+	// the serial path. The workers claim blocks of candidates from a
+	// shared counter, each scores its blocks into a private top-r heap,
+	// and the heaps merge into one answer; score ties always resolve to
+	// the smaller vertex ID, so the answer is byte-identical for every
+	// worker count. The bound and tsd engines process their pruned
+	// candidate order in growing chunks when parallel (the first holds
+	// exactly R candidates), so their Stats.ScoreComputations may exceed
+	// the serial count by up to one chunk (the answer is still identical).
 	Workers int
 	// Measure selects the structural diversity definition ("" or
 	// MeasureTruss = the paper's truss-based model). The Online and Bound
@@ -131,38 +133,10 @@ func (p Params) normalizedNoK(n int) (Params, error) {
 }
 
 // pollEvery is how many cheap loop iterations pass between context
-// checks. Expensive loops (one ego decomposition per iteration) check on
-// every iteration instead.
+// checks: the par.For block size of loops whose body is a cheap read.
+// Expensive loops (one ego decomposition per iteration) take block 1 and
+// check on every iteration instead.
 const pollEvery = 256
-
-// forEachCandidate iterates the candidate set (all n vertices when cands
-// is nil), polling ctx between iterations. everyIter selects per-iteration
-// polling for loops whose body is expensive; otherwise the context is
-// checked every pollEvery iterations.
-func forEachCandidate(ctx context.Context, n int, cands []int32, everyIter bool, f func(v int32)) error {
-	poll := func(i int) error {
-		if everyIter || i%pollEvery == 0 {
-			return ctx.Err()
-		}
-		return nil
-	}
-	if cands == nil {
-		for v := int32(0); int(v) < n; v++ {
-			if err := poll(int(v)); err != nil {
-				return err
-			}
-			f(v)
-		}
-		return nil
-	}
-	for i, v := range cands {
-		if err := poll(i); err != nil {
-			return err
-		}
-		f(v)
-	}
-	return nil
-}
 
 // padAnswer offers every unscored candidate to the heap at score 0 so the
 // answer stays canonical when pruning skipped part of the candidate set:
@@ -209,22 +183,24 @@ func padAnswer(heap *topRHeap, n int, cands []int32) {
 
 // finishResult assembles the Result, recovering the social contexts of
 // every answer vertex unless p.SkipContexts. Recovery is typically one ego
-// decomposition per vertex — the dominant per-answer cost — so it is
-// sharded across p.workers() goroutines (contexts must be safe for
-// concurrent calls, which every engine's recovery is) and the context is
-// polled on every iteration.
+// decomposition per vertex — the dominant per-answer cost — so the answer
+// vertices are handed one at a time to p.workers() goroutines (contexts
+// must be safe for concurrent calls, which every engine's recovery is)
+// and the context is polled before each.
 func finishResult(ctx context.Context, answer []VertexScore, p Params, contexts func(v int32) [][]int32) (*Result, error) {
 	res := &Result{TopR: answer}
 	if p.SkipContexts {
 		return res, nil
 	}
 	recovered := make([][][]int32, len(answer))
-	err := forEachSharded(ctx, len(answer), p.workers(), true, func(i int) {
-		c := contexts(answer[i].V)
-		if len(c) == 0 {
-			c = nil // normalize: every engine reports "no contexts" as nil
+	err := par.For(ctx, len(answer), p.workers(), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := contexts(answer[i].V)
+			if len(c) == 0 {
+				c = nil // normalize: every engine reports "no contexts" as nil
+			}
+			recovered[i] = c
 		}
-		recovered[i] = c
 	})
 	if err != nil {
 		return nil, err

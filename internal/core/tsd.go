@@ -6,6 +6,7 @@ import (
 
 	"trussdiv/internal/dsu"
 	"trussdiv/internal/graph"
+	"trussdiv/internal/par"
 	"trussdiv/internal/truss"
 )
 
@@ -34,10 +35,6 @@ type TSDIndex struct {
 	// number of vertices touched by the weight->=w forest prefix, giving
 	// the O(log) vertex-count bound ⌊t_k/k⌋ used alongside s̃core.
 	vtCum [][]int32
-
-	// scratch backing the convenience Score method; parallel searches use
-	// one private TSDScorer per worker instead (see Scorer).
-	scratch TSDScorer
 }
 
 // BuildTSDIndex runs Algorithm 5 serially: per-vertex ego-network
@@ -159,22 +156,10 @@ func (idx *TSDIndex) ScoreUpperBound(v int32, k int32) int {
 	return ub
 }
 
-// Score runs Algorithm 6: count the connected components formed by forest
-// edges with weight >= k. Because the stored forest is acyclic, the count
-// is (#touched vertices) - (#prefix edges); touched vertices are tracked
-// with a stamped mark array reused across calls.
-//
-// Score is not safe for concurrent use (shared scratch); use one Scorer
-// per goroutine instead.
-func (idx *TSDIndex) Score(v int32, k int32) int {
-	idx.scratch.idx = idx
-	return idx.scratch.Score(v, k)
-}
-
 // TSDScorer answers exact-score queries from a TSDIndex with private
 // visit-mark scratch. The index itself is read-only under query load, so
 // any number of Scorers may run concurrently over one index — that is how
-// parallel searches shard score computations across workers.
+// parallel searches spread score computations over their workers.
 type TSDScorer struct {
 	idx     *TSDIndex
 	stamp   []int32
@@ -184,8 +169,10 @@ type TSDScorer struct {
 // Scorer returns a new goroutine-private scorer over the index.
 func (idx *TSDIndex) Scorer() *TSDScorer { return &TSDScorer{idx: idx} }
 
-// Score is Algorithm 6 (identical to TSDIndex.Score) against this
-// scorer's private scratch.
+// Score runs Algorithm 6: count the connected components formed by forest
+// edges with weight >= k. Because the stored forest is acyclic, the count
+// is (#touched vertices) - (#prefix edges); touched vertices are tracked
+// with the scorer's stamped mark array, reused across calls.
 func (s *TSDScorer) Score(v int32, k int32) int {
 	idx := s.idx
 	p := idx.prefixLen(v, k)
@@ -286,7 +273,7 @@ func (t *TSD) TopR(k int32, r int) (*Result, *Stats, error) {
 // Search answers the top-r query from the index alone (paper §5.2):
 // candidates are ordered by the s̃core bound and pruned with early
 // termination; exact scores come from the forest prefix count, computed
-// by one private TSDScorer per worker when p.Workers shards the scan
+// by one private TSDScorer per worker when p.Workers spreads the scan
 // (Search itself is therefore safe for concurrent use). The bound pass
 // polls the context every few hundred vertices, the exact-score pass on
 // every candidate.
@@ -303,9 +290,13 @@ func (t *TSD) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	}
 	stats := &Stats{}
 	cands := make([]rankedCand, 0, g.N())
-	err = forEachCandidate(ctx, g.N(), p.Candidates, false, func(v int32) {
-		if ub := t.idx.ScoreUpperBound(v, p.K); ub > 0 {
-			cands = append(cands, rankedCand{v, ub})
+	count, at := candidateAt(g.N(), p.Candidates)
+	err = par.For(ctx, count, 1, pollEvery, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := at(i)
+			if ub := t.idx.ScoreUpperBound(v, p.K); ub > 0 {
+				cands = append(cands, rankedCand{v, ub})
+			}
 		}
 	})
 	if err != nil {

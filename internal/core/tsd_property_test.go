@@ -41,14 +41,14 @@ func TestQualifyingNeighborsMatchesPrefixTouch(t *testing.T) {
 func TestForestPrefixComponentIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(t, 26, 120, seed+500)
-		idx := BuildTSDIndex(g)
+		tsd := BuildTSDIndex(g).Scorer()
 		scorer := NewScorer(g)
 		for v := int32(0); int(v) < g.N(); v++ {
 			for k := int32(2); k <= 6; k++ {
-				if idx.Score(v, k) != scorer.Score(v, k) {
+				if tsd.Score(v, k) != scorer.Score(v, k) {
 					return false
 				}
-				if idx.Score(v, k) < 0 {
+				if tsd.Score(v, k) < 0 {
 					return false
 				}
 			}

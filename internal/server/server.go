@@ -23,7 +23,7 @@
 // taking a threshold; /score and /contexts without k (or with
 // engine=pfree) answer the parameter-free point query the same way.
 //
-// The topr endpoint accepts workers=N to shard the search across a
+// The topr endpoint accepts workers=N to spread the search over a
 // worker pool; /batch accepts the same per query. Answers are identical
 // for every worker count.
 //

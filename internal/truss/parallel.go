@@ -1,11 +1,11 @@
 package truss
 
 import (
-	"runtime"
+	"context"
 	"slices"
-	"sync"
 
 	"trussdiv/internal/graph"
+	"trussdiv/internal/par"
 )
 
 // Parallel truss decomposition by iterated triangle h-indexes ("Bounds and
@@ -22,12 +22,13 @@ import (
 // pass race-free; only edges with a changed triangle neighborhood are
 // re-evaluated in the next round.
 
-// hBlock is the work-stealing granularity of a parallel evaluation round,
-// matching the per-vertex builders' full-build sharding (core.BuildAll).
+// hBlock is how many frontier edges an evaluation round's workers claim
+// at a time, matching the per-vertex builders' full-build block
+// (core.BuildAll).
 const hBlock = 256
 
 // DecomposeParallel returns the same tau array as Decompose, computed by
-// h-index iteration sharded across the given number of workers (0 or
+// h-index iteration spread over the given number of workers (0 or
 // negative = GOMAXPROCS). With one worker it falls back to the serial
 // bin-sort peeling, which does strictly less work per edge.
 func DecomposeParallel(g *graph.Graph, workers int) []int32 {
@@ -44,10 +45,7 @@ func DecomposeFull(g *graph.Graph, workers int) (tau, sup []int32) {
 	if g.M() == 0 {
 		return []int32{}, sup
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
+	if par.Workers(workers) == 1 {
 		return DecomposeWithSupports(g, sup), sup
 	}
 	h := append([]int32(nil), sup...)
@@ -117,12 +115,12 @@ type hDescent struct {
 	// queued holds generation stamps that dedupe each next frontier;
 	// round, the last stamp issued, keeps rising across runs, so stale
 	// stamps never need clearing.
-	queued  []int32
-	round   int32
-	cnt     [][]int32 // per-worker counting buffers, grown by hEval
-	cur     []int32
-	next    []int32
-	changes []hChange
+	queued []int32
+	round  int32
+	cnt    [][]int32   // per-worker counting buffers, grown by hEval
+	staged [][]hChange // per-worker value drops of the current round
+	cur    []int32
+	next   []int32
 }
 
 // newHDescent prepares runs over h. When region is non-nil, only edges
@@ -130,11 +128,10 @@ type hDescent struct {
 // incremental repair relies on; the caller may change the marks between
 // runs. workers <= 0 means GOMAXPROCS.
 func newHDescent(g *graph.Graph, h []int32, region []bool, workers int) *hDescent {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	return &hDescent{g: g, h: h, region: region, workers: workers,
-		queued: make([]int32, g.M()), cnt: make([][]int32, workers)}
+		queued: make([]int32, g.M()), cnt: make([][]int32, workers),
+		staged: make([][]hChange, workers)}
 }
 
 // run iterates to the fixpoint, mutating h in place. frontier is the
@@ -143,7 +140,7 @@ func newHDescent(g *graph.Graph, h []int32, region []bool, workers int) *hDescen
 // lowered) once that many evaluations have run; the evaluation count is
 // returned either way.
 func (d *hDescent) run(frontier []int32, maxEvals int) (evals int, ok bool) {
-	g, h, region, workers, queued := d.g, d.h, d.region, d.workers, d.queued
+	g, h, region, queued, staged := d.g, d.h, d.region, d.queued, d.staged
 	if frontier == nil {
 		frontier = slices.Grow(d.cur[:0], g.M())
 		for e := range int32(g.M()) {
@@ -161,65 +158,43 @@ func (d *hDescent) run(frontier []int32, maxEvals int) (evals int, ok bool) {
 		if maxEvals > 0 && evals > maxEvals {
 			return evals, false
 		}
-		changes := d.changes[:0]
-		if workers == 1 || len(frontier) < 2*hBlock {
-			for _, e := range frontier {
-				if nv := hEval(g, h, e, &d.cnt[0]); nv < h[e] {
-					changes = append(changes, hChange{e, nv})
+		// Jacobi round: workers only read h and append to their own
+		// staged list, so concurrent evaluation needs no synchronization
+		// beyond the end-of-round barrier.
+		for w := range staged {
+			staged[w] = staged[w][:0]
+		}
+		// The background context never reports an error, so neither does For.
+		_ = par.For(context.Background(), len(frontier), d.workers, hBlock, func(w, lo, hi int) {
+			for _, e := range frontier[lo:hi] {
+				if nv := hEval(g, h, e, &d.cnt[w]); nv < h[e] {
+					staged[w] = append(staged[w], hChange{e, nv})
 				}
 			}
-		} else {
-			// Jacobi round: workers only read h and write private lists,
-			// so concurrent evaluation needs no synchronization beyond the
-			// end-of-round barrier.
-			staged := make([][]hChange, workers)
-			blocks := make(chan int, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var out []hChange
-					for start := range blocks {
-						end := min(start+hBlock, len(frontier))
-						for _, e := range frontier[start:end] {
-							if nv := hEval(g, h, e, &d.cnt[w]); nv < h[e] {
-								out = append(out, hChange{e, nv})
-							}
-						}
-					}
-					staged[w] = out
-				}(w)
-			}
-			for start := 0; start < len(frontier); start += hBlock {
-				blocks <- start
-			}
-			close(blocks)
-			wg.Wait()
-			for _, out := range staged {
-				changes = append(changes, out...)
-			}
-		}
-		d.changes = changes
+		})
 		next = next[:0]
-		for _, ch := range changes {
-			h[ch.e] = ch.v
+		for _, changes := range staged {
+			for _, ch := range changes {
+				h[ch.e] = ch.v
+			}
 		}
 		// An edge f needs re-evaluation only when some triangle partner
 		// dropped below f's current value: pairs whose min stays >= h[f]
 		// contribute to f's capped counts exactly as before.
-		for _, ch := range changes {
-			ed := g.Edge(ch.e)
-			forEachCommonArc(g, ed.U, ed.V, func(_, euw, evw int32) {
-				if h[euw] > ch.v && queued[euw] != round && (region == nil || region[euw]) {
-					queued[euw] = round
-					next = append(next, euw)
-				}
-				if h[evw] > ch.v && queued[evw] != round && (region == nil || region[evw]) {
-					queued[evw] = round
-					next = append(next, evw)
-				}
-			})
+		for _, changes := range staged {
+			for _, ch := range changes {
+				ed := g.Edge(ch.e)
+				forEachCommonArc(g, ed.U, ed.V, func(_, euw, evw int32) {
+					if h[euw] > ch.v && queued[euw] != round && (region == nil || region[euw]) {
+						queued[euw] = round
+						next = append(next, euw)
+					}
+					if h[evw] > ch.v && queued[evw] != round && (region == nil || region[evw]) {
+						queued[evw] = round
+						next = append(next, evw)
+					}
+				})
+			}
 		}
 		frontier, next = next, frontier
 	}

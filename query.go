@@ -74,8 +74,8 @@ func WithoutStats() QueryOption {
 	return func(q *Query) { q.SkipStats = true }
 }
 
-// WithWorkers sets the worker-pool size for this query: candidates are
-// sharded across n goroutines (0 or negative = GOMAXPROCS, 1 = serial).
+// WithWorkers sets the worker-pool size for this query: n goroutines
+// claim blocks of candidates (0 or negative = GOMAXPROCS, 1 = serial).
 // Results are byte-identical to serial execution for every n.
 func WithWorkers(n int) QueryOption {
 	return func(q *Query) { q.Workers = n }
