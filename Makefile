@@ -72,12 +72,14 @@ bench:
 # path — ego extraction, per-vertex scoring under every measure, every
 # DB point query (the GCT index, the shared scorer, and the
 # parameter-free branches), and query routing (Route and
-# ResolveEngine) — at zero steady-state allocations. The truss repair
+# ResolveEngine) — at zero steady-state allocations, and context
+# recovery under every measure at exactly its two output allocations
+# (the flat member array and the group headers). The truss repair
 # tripwire holds an 8-insertion Repair to 1.5x the bytes of a 1-insertion
 # one; Apply no longer calls Repair, so it guards only the subject of the
 # loadbench replay. Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree|RepairAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
+	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:

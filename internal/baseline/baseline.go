@@ -101,7 +101,7 @@ func (c *CoreDiv) Contexts(v int32, k int32) [][]int32 {
 		return nil
 	}
 	core := kcore.Decompose(net.G)
-	return net.GlobalSets(kcore.Components(net.G, core, k))
+	return new(kcore.Scratch).Components(net.G, core, k, net.Verts)
 }
 
 // TopR runs the generic online top-r search for any Model.

@@ -63,6 +63,34 @@ func TestVertexScorerScoresAllKAllocFree(t *testing.T) {
 	}
 }
 
+// TestVertexScorerContextsAllocs pins context recovery to its output: a
+// warm Contexts allocates exactly the flat member array and the group
+// headers, for every measure, whatever the number of groups.
+func TestVertexScorerContextsAllocs(t *testing.T) {
+	g := allocTestGraph(t)
+	for _, m := range AllMeasures() {
+		for _, k := range []int32{3, 0} {
+			s := NewVertexScorer(g, m)
+			var withContexts []int32
+			for v := int32(0); int(v) < g.N(); v++ {
+				if s.Contexts(v, k) != nil {
+					withContexts = append(withContexts, v)
+				}
+			}
+			if len(withContexts) == 0 {
+				t.Fatalf("%s: no vertex has contexts at k = %d", m, k)
+			}
+			i := 0
+			if got := testing.AllocsPerRun(300, func() {
+				s.Contexts(withContexts[i%len(withContexts)], k)
+				i++
+			}); got != 2 {
+				t.Errorf("%s: Contexts(v, %d) allocates %.1f/op in steady state, want 2", m, k, got)
+			}
+		}
+	}
+}
+
 // TestVertexScorerMatchesOneShot sweeps the scratch path against the
 // allocate path directly: a single VertexScorer reused across every
 // vertex of every graph must return exactly what a freshly allocated

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"trussdiv/internal/ego"
+	"trussdiv/internal/gen"
 )
 
 // Social contexts are, by Def. 2, vertex sets of maximal connected
@@ -114,5 +118,32 @@ func TestContextsAreKTrusses(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScoreAndContextsMatchesContexts pins ScoreAndContexts to the two
+// calls it fuses, nil included: a vertex whose ego-network has edges
+// but no qualifying k-truss has no contexts, not an empty list.
+func TestScoreAndContextsMatchesContexts(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 8, Seed: 7,
+	})
+	scorer := NewScorer(g)
+	edgesButNone := 0
+	for v := int32(0); int(v) < g.N(); v++ {
+		for _, k := range []int32{3, 5, 8} {
+			score, contexts := scorer.ScoreAndContexts(v, k)
+			want := scorer.Contexts(v, k)
+			if score != scorer.Score(v, k) || !reflect.DeepEqual(contexts, want) {
+				t.Fatalf("ScoreAndContexts(%d, %d) = %d, %#v; want %d, %#v",
+					v, k, score, contexts, scorer.Score(v, k), want)
+			}
+			if want == nil && ego.ExtractOne(g, v).G.M() > 0 {
+				edgesButNone++
+			}
+		}
+	}
+	if edgesButNone == 0 {
+		t.Fatal("no ego-network with edges but no contexts: the nil case went unexercised")
 	}
 }

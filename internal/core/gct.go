@@ -68,29 +68,9 @@ func BuildGCTIndex(g *graph.Graph) *GCTIndex {
 // enforced by a connectivity DSU (the result is the maximum spanning
 // forest of the TSD structure, compressed).
 func buildGCTVertex(local *graph.Graph, tau []int32) gctVertex {
-	nv, m := local.N(), local.M()
+	nv := local.N()
 	vt := truss.VertexTrussness(local, tau)
-
-	// Descending-trussness edge order via bin sort.
-	maxT := truss.MaxTrussness(tau)
-	count := make([]int32, maxT+1)
-	for _, t := range tau {
-		count[t]++
-	}
-	start := make([]int32, maxT+1)
-	acc := int32(0)
-	for t := maxT; t >= 0; t-- {
-		start[t] = acc
-		acc += count[t]
-	}
-	byDesc := make([]int32, m)
-	cursor := make([]int32, maxT+1)
-	copy(cursor, start)
-	for id := int32(0); int(id) < m; id++ {
-		t := tau[id]
-		byDesc[cursor[t]] = id
-		cursor[t]++
-	}
+	byDesc := edgesByTrussDesc(tau)
 
 	node := dsu.New(nv) // supernode membership
 	conn := dsu.New(nv) // forest connectivity (supernodes + superedges)
@@ -220,36 +200,34 @@ func (idx *GCTIndex) Score(v int32, k int32) int {
 }
 
 // Contexts reconstructs SC(v): union the qualifying supernodes across
-// qualifying superedges and emit each component's member vertices as
-// global IDs.
+// qualifying superedges and lay out each component's member vertices, as
+// global IDs, with a dsu.Grouper.
 func (idx *GCTIndex) Contexts(v int32, k int32) [][]int32 {
 	gv := &idx.verts[v]
 	nk := sort.Search(len(gv.nodeTau), func(i int) bool { return gv.nodeTau[i] < k })
 	if nk == 0 {
 		return nil
 	}
-	d := dsu.New(nk)
+	s := groupScratchPool.Get().(*groupScratch)
+	defer groupScratchPool.Put(s)
+	s.d.Init(nk)
 	for _, e := range gv.edges {
 		if e.W < k {
 			break
 		}
-		d.Union(e.A, e.B) // qualifying superedges always join qualifying nodes
+		s.d.Union(e.A, e.B) // qualifying superedges always join qualifying nodes
 	}
+	// Group local vertices by their supernode's component; a supernode
+	// index is below nk <= deg, so it serves as the class label.
 	verts := idx.g.Neighbors(v)
-	groups := map[int32][]int32{}
+	roots := s.gr.Roots(len(verts))
 	for si := int32(0); si < int32(nk); si++ {
-		r := d.Find(si)
+		r := s.d.Find(si)
 		for _, lv := range gv.members[gv.memberOff[si]:gv.memberOff[si+1]] {
-			groups[r] = append(groups[r], verts[lv])
+			roots[lv] = r
 		}
 	}
-	out := make([][]int32, 0, len(groups))
-	for _, members := range groups {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return s.gr.Groups(roots, verts)
 }
 
 // SizeBytes returns the in-memory footprint of the compressed structures

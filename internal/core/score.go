@@ -75,7 +75,8 @@ func (s *Scorer) Contexts(v int32, k int32) [][]int32 {
 }
 
 // ScoreAndContexts computes both in one truss decomposition of v's
-// ego-network.
+// ego-network. The contexts are nil when no k-truss qualifies, as
+// Contexts reports.
 func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
 	vs := s.pool.Get().(*VertexScorer)
 	defer s.pool.Put(vs)
@@ -84,8 +85,8 @@ func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
 		return 0, nil
 	}
 	tau := vs.tr.DecomposeInto(net.G)
-	comps := vs.tr.Components(net.G, tau, k)
-	return len(comps), net.GlobalSets(comps)
+	comps := vs.tr.Components(net.G, tau, k, net.Verts)
+	return len(comps), comps
 }
 
 // EgoTrussness returns the trussness of the edge (a,b) inside the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"trussdiv/internal/dsu"
 	"trussdiv/internal/graph"
@@ -63,33 +64,11 @@ func cumulativeVertexTrussness(local *graph.Graph, tau []int32) []int32 {
 	return cum
 }
 
-// maxSpanningForest runs Kruskal over the ego-network with edges binned by
-// trussness (weights are small integers, so the "sort" is a linear bin
-// pass in descending order). The returned forest edges are sorted by
-// weight descending, which Score exploits as a prefix filter.
+// maxSpanningForest runs Kruskal over the ego-network with edges in
+// descending trussness. The returned forest edges are sorted by weight
+// descending, which Score exploits as a prefix filter.
 func maxSpanningForest(local *graph.Graph, tau []int32) []TSDEdge {
-	m := local.M()
-	maxT := truss.MaxTrussness(tau)
-	// Bin edge IDs by trussness.
-	count := make([]int32, maxT+1)
-	for _, t := range tau {
-		count[t]++
-	}
-	start := make([]int32, maxT+2)
-	// Descending order: bin maxT first.
-	acc := int32(0)
-	for t := maxT; t >= 0; t-- {
-		start[t] = acc
-		acc += count[t]
-	}
-	byDesc := make([]int32, m)
-	cursor := make([]int32, maxT+1)
-	copy(cursor, start[:maxT+1])
-	for id := int32(0); int(id) < m; id++ {
-		t := tau[id]
-		byDesc[cursor[t]] = id
-		cursor[t]++
-	}
+	byDesc := edgesByTrussDesc(tau)
 	d := dsu.New(local.N())
 	forest := make([]TSDEdge, 0, local.N()-1)
 	for _, id := range byDesc {
@@ -102,6 +81,28 @@ func maxSpanningForest(local *graph.Graph, tau []int32) []TSDEdge {
 		}
 	}
 	return forest
+}
+
+// edgesByTrussDesc returns the edge IDs in descending trussness, ties in
+// ascending ID order. Trussness values are small integers, so the "sort"
+// is a linear bin pass.
+func edgesByTrussDesc(tau []int32) []int32 {
+	maxT := truss.MaxTrussness(tau)
+	start := make([]int32, maxT+1)
+	for _, t := range tau {
+		start[t]++
+	}
+	// Exclusive prefix sums, bin maxT first.
+	acc := int32(0)
+	for t := maxT; t >= 0; t-- {
+		start[t], acc = acc, acc+start[t]
+	}
+	byDesc := make([]int32, len(tau))
+	for id, t := range tau {
+		byDesc[start[t]] = int32(id)
+		start[t]++
+	}
+	return byDesc
 }
 
 // Graph returns the graph the index was built over.
@@ -201,45 +202,43 @@ func (s *TSDScorer) Score(v int32, k int32) int {
 }
 
 // Contexts reconstructs the social contexts SC(v) from the forest: the
-// components of the weight->=k prefix, mapped back to global vertex IDs.
-// Grouping walks the local vertex range in ascending order — which is
-// ascending global order, because neighbor lists are sorted — assigning
-// each touched vertex to its component's slice via a dense root->group
-// table. No map (so no nondeterministic iteration to sort away) and no
-// sort at all: members come out ascending and groups ordered by first
-// member by construction. See BenchmarkTSDContexts for the win over the
-// original map[root][]member grouping.
+// components of the weight->=k prefix, laid out by a dsu.Grouper over the
+// local vertex range and mapped back to global vertex IDs. Local order is
+// global order, because neighbor lists are sorted, so no map and no sort
+// is needed. See BenchmarkTSDContexts for the win over the original
+// map[root][]member grouping.
 func (idx *TSDIndex) Contexts(v int32, k int32) [][]int32 {
 	p := idx.prefixLen(v, k)
 	if p == 0 {
 		return nil
 	}
 	verts := idx.g.Neighbors(v)
-	deg := len(verts)
-	d := dsu.New(deg)
-	touched := make([]bool, deg)
+	s := groupScratchPool.Get().(*groupScratch)
+	defer groupScratchPool.Put(s)
+	s.d.Init(len(verts))
+	roots := s.gr.Roots(len(verts))
 	for _, e := range idx.edges[v][:p] {
-		d.Union(e.U, e.W)
-		touched[e.U] = true
-		touched[e.W] = true
+		s.d.Union(e.U, e.W)
+		roots[e.U], roots[e.W] = 0, 0
 	}
-	groupOf := make([]int32, deg) // DSU root -> 1-based group index
-	groups := make([][]int32, 0, 4)
-	for lv := 0; lv < deg; lv++ {
-		if !touched[lv] {
-			continue
+	for lv, r := range roots {
+		if r >= 0 {
+			roots[lv] = s.d.Find(int32(lv))
 		}
-		r := d.Find(int32(lv))
-		gi := groupOf[r]
-		if gi == 0 {
-			groups = append(groups, nil)
-			gi = int32(len(groups))
-			groupOf[r] = gi
-		}
-		groups[gi-1] = append(groups[gi-1], verts[lv])
 	}
-	return groups
+	return s.gr.Groups(roots, verts)
 }
+
+// groupScratch is the transient state of one index's context recovery:
+// a union-find and a grouper. Pooled, so the read-only indexes stay safe
+// for concurrent use while a warm Contexts allocates only the groups it
+// returns.
+type groupScratch struct {
+	d  dsu.DSU
+	gr dsu.Grouper
+}
+
+var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // SizeBytes returns the in-memory footprint of the stored forests (12
 // bytes per forest edge plus slice headers), the quantity reported as

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"trussdiv/internal/dsu"
 	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
 	"trussdiv/internal/kcore"
@@ -91,7 +92,6 @@ func (s *VertexScorer) Contexts(v int32, k int32) [][]int32 {
 		}
 	}
 	net := ego.ExtractOneInto(&s.ego, s.g, v)
-	var local [][]int32
 	switch s.m {
 	case MeasureComponent:
 		return s.compContexts(net, k)
@@ -99,17 +99,13 @@ func (s *VertexScorer) Contexts(v int32, k int32) [][]int32 {
 		if net.G.M() == 0 {
 			return nil
 		}
-		local = s.kc.Components(net.G, s.kc.DecomposeInto(net.G), k)
+		return s.kc.Components(net.G, s.kc.DecomposeInto(net.G), k, net.Verts)
 	default:
 		if net.G.M() == 0 {
 			return nil
 		}
-		local = s.tr.Components(net.G, s.tr.DecomposeInto(net.G), k)
+		return s.tr.Components(net.G, s.tr.DecomposeInto(net.G), k, net.Verts)
 	}
-	if len(local) == 0 {
-		return nil
-	}
-	return net.GlobalSets(local)
 }
 
 // compContexts is the component measure's contexts: the size->=k
@@ -119,36 +115,16 @@ func (s *VertexScorer) compContexts(net *ego.Network, k int32) [][]int32 {
 	if len(net.Verts) == 0 {
 		return nil
 	}
-	count := s.cc.label(net.G)
-	s.cc.qidx = growInt32(s.cc.qidx, count)
-	total, nq := 0, 0
-	for lbl, sz := range s.cc.sizes[:count] {
-		if sz >= k {
-			s.cc.qidx[lbl] = int32(nq)
-			nq++
-			total += int(sz)
-		} else {
-			s.cc.qidx[lbl] = -1
+	s.cc.label(net.G)
+	// The labels become the grouper's roots: members of sub-k components
+	// drop out as -1.
+	labels := s.cc.labels
+	for lv, lbl := range labels {
+		if s.cc.sizes[lbl] < k {
+			labels[lv] = -1
 		}
 	}
-	if nq == 0 {
-		return nil
-	}
-	flat := make([]int32, 0, total)
-	out := make([][]int32, 0, nq)
-	for lbl, sz := range s.cc.sizes[:count] {
-		if s.cc.qidx[lbl] >= 0 {
-			start := len(flat)
-			out = append(out, flat[start:start:start+int(sz)])
-			flat = flat[:start+int(sz)]
-		}
-	}
-	for lv, lbl := range s.cc.labels[:net.G.N()] {
-		if qi := s.cc.qidx[lbl]; qi >= 0 {
-			out[qi] = append(out[qi], net.Verts[lv])
-		}
-	}
-	return out
+	return s.cc.gr.Groups(labels, net.Verts)
 }
 
 // ScoresAllK computes score(v, k) for every k >= 2 from one ego
@@ -241,7 +217,7 @@ type compScratch struct {
 	labels []int32
 	sizes  []int32
 	stack  []int32
-	qidx   []int32
+	gr     dsu.Grouper
 }
 
 func (s *compScratch) label(lg *graph.Graph) int {

@@ -1,10 +1,14 @@
 // Package dsu implements a disjoint-set union (union-find) structure with
-// path halving and union by size.
+// path halving and union by size, and the Grouper that lays out the
+// classes of a partition as canonical groups.
 //
-// It is used for Kruskal's maximum-spanning-forest construction of the
-// TSD-index (paper §5.1), for supernode merging during GCT-index
-// construction (paper §6.3), and for connected-component identification
-// when counting social contexts.
+// The union-find is used for Kruskal's maximum-spanning-forest
+// construction of the TSD-index (paper §5.1), for supernode merging
+// during GCT-index construction (paper §6.3), and for connected-component
+// identification when counting social contexts. The Grouper writes every
+// engine's social contexts SC(v) (paper Def. 2), whether recovered online,
+// from the TSD forest or from the GCT supernodes, and the Comp-Div and
+// Core-Div contexts: groups ordered by first member, members ascending.
 package dsu
 
 // DSU is a disjoint-set forest over elements 0..n-1. The zero value is an

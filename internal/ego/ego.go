@@ -41,27 +41,6 @@ func (n *Network) Local(global int32) int32 {
 	return -1
 }
 
-// GlobalSets converts local vertex groups (e.g. social contexts) to global
-// vertex IDs. All groups share one flat backing array (each capped with a
-// three-index subslice), so the conversion costs two allocations total
-// instead of one per group.
-func (n *Network) GlobalSets(local [][]int32) [][]int32 {
-	total := 0
-	for _, grp := range local {
-		total += len(grp)
-	}
-	flat := make([]int32, 0, total)
-	out := make([][]int32, len(local))
-	for i, grp := range local {
-		start := len(flat)
-		for _, lv := range grp {
-			flat = append(flat, n.Verts[lv])
-		}
-		out[i] = flat[start:len(flat):len(flat)]
-	}
-	return out
-}
-
 // Scratch owns the reusable storage one worker needs to extract
 // ego-networks without allocating in steady state: the builder's edge
 // slab, the local graph's CSR slabs, and the Network header itself. The

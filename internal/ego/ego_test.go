@@ -100,17 +100,6 @@ func TestFig1EgoOfX1(t *testing.T) {
 	}
 }
 
-func TestGlobalSets(t *testing.T) {
-	g := gen.Fig1Graph()
-	net := ExtractOne(g, gen.Fig1V)
-	lx1 := net.Local(gen.Fig1X1)
-	ly1 := net.Local(gen.Fig1Y1)
-	out := net.GlobalSets([][]int32{{lx1, ly1}})
-	if len(out) != 1 || out[0][0] != gen.Fig1X1 || out[0][1] != gen.Fig1Y1 {
-		t.Fatalf("GlobalSets = %v", out)
-	}
-}
-
 func TestEgoOfIsolatedAndLeaf(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1) // 2, 3 isolated... 3 isolated
@@ -178,48 +167,6 @@ func TestNetworkIntoMatchesNetwork(t *testing.T) {
 			}
 			sameGraph(t, got.G, want.G, "NetworkInto")
 		}
-	}
-}
-
-// TestGlobalSetsFlatBacking pins the flat-buffer conversion: group
-// values identical to a per-group conversion, and writes into one
-// returned group can never bleed into a sibling (full-capacity
-// subslices).
-func TestGlobalSetsFlatBacking(t *testing.T) {
-	g := randomGraph(t, 25, 120, 7)
-	var v int32 = -1
-	for u := int32(0); int(u) < g.N(); u++ {
-		if g.Degree(u) >= 4 {
-			v = u
-			break
-		}
-	}
-	if v < 0 {
-		t.Skip("no vertex with degree >= 4")
-	}
-	net := ExtractOne(g, v)
-	n := int32(len(net.Verts))
-	local := [][]int32{{0, 1}, {2}, {n - 1, n - 2, 0}, {}}
-	out := net.GlobalSets(local)
-	if len(out) != len(local) {
-		t.Fatalf("len(out) = %d, want %d", len(out), len(local))
-	}
-	for i, grp := range local {
-		if len(out[i]) != len(grp) {
-			t.Fatalf("group %d: len %d, want %d", i, len(out[i]), len(grp))
-		}
-		for j, lv := range grp {
-			if out[i][j] != net.Verts[lv] {
-				t.Fatalf("group %d[%d] = %d, want %d", i, j, out[i][j], net.Verts[lv])
-			}
-		}
-	}
-	// Appending through one group must not overwrite the next group's
-	// first element (three-index subslices cap each group).
-	first := out[1][0]
-	_ = append(out[0], -1) //nolint:staticcheck // probing capacity on purpose
-	if out[1][0] != first {
-		t.Fatal("append to one group clobbered its sibling: groups share spare capacity")
 	}
 }
 

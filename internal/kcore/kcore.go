@@ -21,10 +21,11 @@ func Decompose(g *graph.Graph) []int32 {
 // number >= k, each sorted, ordered by first vertex. For k >= 1 vertices
 // with no qualifying neighbor still form singleton components only if
 // their core number qualifies (which for k >= 1 implies an edge, so
-// singletons appear only for k = 0). All groups share one flat backing
-// array; loops should reuse a Scratch via Scratch.Components instead.
+// singletons appear only for k = 0); nil when no vertex qualifies. All
+// groups share one flat backing array; loops should reuse a Scratch via
+// Scratch.Components instead.
 func Components(g *graph.Graph, core []int32, k int32) [][]int32 {
-	return new(Scratch).Components(g, core, k)
+	return new(Scratch).Components(g, core, k, nil)
 }
 
 // CountComponents returns the number of maximal connected k-cores without

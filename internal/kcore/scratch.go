@@ -1,8 +1,6 @@
 package kcore
 
 import (
-	"math"
-
 	"trussdiv/internal/dsu"
 	"trussdiv/internal/graph"
 )
@@ -21,11 +19,8 @@ type Scratch struct {
 	pos      []int32
 	cursor   []int32
 
-	d         dsu.DSU
-	rootGroup []int32
-	rootStamp []int32
-	groupLen  []int32
-	stamp     int32
+	d  dsu.DSU
+	gr dsu.Grouper
 }
 
 // DecomposeInto computes the core number of every vertex of g by the
@@ -115,71 +110,25 @@ func (s *Scratch) CountComponents(g *graph.Graph, core []int32, k int32) int {
 }
 
 // Components is the package-level Components with scratch-backed
-// transients: only the returned groups (one flat member array plus the
-// group headers) are allocated. Groups come out sorted by first member
-// with ascending members, identical to Components.
-func (s *Scratch) Components(g *graph.Graph, core []int32, k int32) [][]int32 {
+// transients, each member written as ids[v] (or v when ids is nil): only
+// the returned groups (one flat member array plus the group headers) are
+// allocated. Groups come out sorted by first member with ascending
+// members, identical to Components; nil when no vertex qualifies.
+func (s *Scratch) Components(g *graph.Graph, core []int32, k int32, ids []int32) [][]int32 {
 	n := g.N()
 	s.d.Init(n)
-	members := 0
-	for v := 0; v < n; v++ {
-		if core[v] >= k {
-			members++
-		}
-	}
 	for _, e := range g.Edges() {
 		if core[e.U] >= k && core[e.V] >= k {
 			s.d.Union(e.U, e.V)
 		}
 	}
-	stamp := s.nextStamp(n)
-	s.rootGroup = growI32(s.rootGroup, n)
-	s.groupLen = s.groupLen[:0]
-	for v := int32(0); int(v) < n; v++ {
-		if core[v] < k {
-			continue
+	roots := s.gr.Roots(n)
+	for v := range roots {
+		if core[v] >= k {
+			roots[v] = s.d.Find(int32(v))
 		}
-		r := s.d.Find(v)
-		if s.rootStamp[r] != stamp {
-			s.rootStamp[r] = stamp
-			s.rootGroup[r] = int32(len(s.groupLen))
-			s.groupLen = append(s.groupLen, 0)
-		}
-		s.groupLen[s.rootGroup[r]]++
 	}
-	flat := make([]int32, 0, members)
-	out := make([][]int32, 0, len(s.groupLen))
-	for _, l := range s.groupLen {
-		start := len(flat)
-		out = append(out, flat[start:start:start+int(l)])
-		flat = flat[:start+int(l)]
-	}
-	for v := int32(0); int(v) < n; v++ {
-		if core[v] < k {
-			continue
-		}
-		gi := s.rootGroup[s.d.Find(v)]
-		out[gi] = append(out[gi], v)
-	}
-	return out
-}
-
-// nextStamp sizes the stamped root-mark array for n vertices and returns
-// a fresh stamp; on (astronomically rare) wraparound the marks are
-// cleared for real.
-func (s *Scratch) nextStamp(n int) int32 {
-	if cap(s.rootStamp) < n {
-		s.rootStamp = make([]int32, n)
-	}
-	s.rootStamp = s.rootStamp[:n]
-	if s.stamp == math.MaxInt32 {
-		for i := range s.rootStamp {
-			s.rootStamp[i] = 0
-		}
-		s.stamp = 0
-	}
-	s.stamp++
-	return s.stamp
+	return s.gr.Groups(roots, ids)
 }
 
 func growI32(s []int32, n int) []int32 {

@@ -24,12 +24,10 @@ type Scratch struct {
 	removed  []bool
 
 	// component state (CountComponents / Components)
-	d         dsu.DSU
-	seen      []int32 // stamped membership marks
-	stamp     int32
-	rootGroup []int32 // stamped root vertex -> dense group index
-	rootStamp []int32
-	groupLen  []int32
+	d     dsu.DSU
+	seen  []int32 // stamped membership marks
+	stamp int32
+	gr    dsu.Grouper
 }
 
 // DecomposeInto is Decompose over s's recycled storage: supports are
@@ -166,88 +164,39 @@ func (s *Scratch) CountComponents(g *graph.Graph, tau []int32, k int32) int {
 }
 
 // Components is the package-level Components with scratch-backed
-// transients: only the returned groups (one flat member array plus the
-// group headers) are allocated. Groups come out sorted by first member
-// with ascending members, identical to Components.
-func (s *Scratch) Components(g *graph.Graph, tau []int32, k int32) [][]int32 {
+// transients, each member written as ids[v] (or v when ids is nil): only
+// the returned groups (one flat member array plus the group headers) are
+// allocated. Groups come out sorted by first member with ascending
+// members, identical to Components; nil when no edge qualifies.
+func (s *Scratch) Components(g *graph.Graph, tau []int32, k int32, ids []int32) [][]int32 {
 	n := g.N()
 	s.d.Init(n)
-	stamp := s.nextStamp(n)
-	members := 0
+	roots := s.gr.Roots(n)
 	for id, e := range g.Edges() {
-		if tau[id] < k {
-			continue
+		if tau[id] >= k {
+			roots[e.U], roots[e.V] = 0, 0
+			s.d.Union(e.U, e.V)
 		}
-		if s.seen[e.U] != stamp {
-			s.seen[e.U] = stamp
-			members++
-		}
-		if s.seen[e.V] != stamp {
-			s.seen[e.V] = stamp
-			members++
-		}
-		s.d.Union(e.U, e.V)
 	}
-	return s.groupMembers(n, members, stamp, func(v int32) bool { return s.seen[v] == stamp })
-}
-
-// groupMembers assembles the component groups of every vertex accepted
-// by member, scanning ascending so groups appear in order of their first
-// (smallest) member with members ascending — the canonical component
-// order. members is the accepted-vertex count; the union-find in s.d
-// must already reflect the qualifying edges.
-func (s *Scratch) groupMembers(n, members int, stamp int32, member func(v int32) bool) [][]int32 {
-	s.rootGroup = growI32(s.rootGroup, n)
-	s.rootStamp = growI32(s.rootStamp, n)
-	s.groupLen = s.groupLen[:0]
-	for v := int32(0); int(v) < n; v++ {
-		if !member(v) {
-			continue
+	for v, r := range roots {
+		if r >= 0 {
+			roots[v] = s.d.Find(int32(v))
 		}
-		r := s.d.Find(v)
-		if s.rootStamp[r] != stamp {
-			s.rootStamp[r] = stamp
-			s.rootGroup[r] = int32(len(s.groupLen))
-			s.groupLen = append(s.groupLen, 0)
-		}
-		s.groupLen[s.rootGroup[r]]++
 	}
-	flat := make([]int32, 0, members)
-	out := make([][]int32, 0, len(s.groupLen))
-	for _, l := range s.groupLen {
-		start := len(flat)
-		out = append(out, flat[start:start:start+int(l)])
-		flat = flat[:start+int(l)]
-	}
-	for v := int32(0); int(v) < n; v++ {
-		if !member(v) {
-			continue
-		}
-		gi := s.rootGroup[s.d.Find(v)]
-		out[gi] = append(out[gi], v)
-	}
-	return out
+	return s.gr.Groups(roots, ids)
 }
 
 // nextStamp sizes the stamped membership array for n vertices and
 // returns a fresh stamp value. The stamp trick replaces clearing the
-// array on every call; on (astronomically rare) wraparound the arrays
-// are cleared for real.
+// array on every call; on (astronomically rare) wraparound the array is
+// cleared for real.
 func (s *Scratch) nextStamp(n int) int32 {
 	if cap(s.seen) < n {
 		s.seen = make([]int32, n)
 	}
 	s.seen = s.seen[:n]
-	if cap(s.rootStamp) >= n {
-		s.rootStamp = s.rootStamp[:n]
-	}
 	if s.stamp == math.MaxInt32 {
-		for i := range s.seen {
-			s.seen[i] = 0
-		}
-		for i := range s.rootStamp {
-			s.rootStamp[i] = 0
-		}
+		clear(s.seen)
 		s.stamp = 0
 	}
 	s.stamp++

@@ -107,7 +107,8 @@ type UpdateStats = core.UpdateStats
 func TrussDecompose(g *Graph) []int32 { return truss.Decompose(g) }
 
 // KTrussComponents returns the vertex sets of the maximal connected
-// k-trusses of g.
+// k-trusses of g, ordered by first vertex with members ascending; nil
+// when no edge has trussness >= k.
 func KTrussComponents(g *Graph, tau []int32, k int32) [][]int32 {
 	return truss.Components(g, tau, k)
 }
