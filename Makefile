@@ -7,9 +7,11 @@
 # `make ci` is the umbrella the GitHub workflow runs: formatting gate
 # plus the tier-1 checks, plus vet and tests of the loadbench module,
 # plus one run of every example program.
+# `make lines` prints the ROADMAP's size metric: non-test Go lines outside
+# loadbench/ (informational, not a gate).
 GO ?= go
 
-.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-dynamic bench-artifacts check-parallel-baseline cover fuzz
+.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-dynamic bench-artifacts check-parallel-baseline cover fuzz lines
 
 ci: fmt-check lint check loadbench-check examples
 
@@ -63,6 +65,9 @@ test:
 # -count=1 because the test cache does not key on GOMAXPROCS.
 test-1cpu:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
+
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './loadbench/*' | xargs cat | wc -l
 
 # Quick-mode paper benchmarks (full versions: go run ./cmd/tsdbench).
 bench:

@@ -15,7 +15,7 @@ import (
 
 // indexCache lazily provides and shares the search accelerators — the
 // global truss decomposition, the TSD/GCT structures, and the per-measure
-// ranking tables — among the engine adapters of one DB snapshot, along
+// ranking tables — among the engines of one DB snapshot, along
 // with the per-measure shared scorers every point query and context
 // recovery borrows. With an index directory configured (WithIndexDir), a
 // cache miss first tries the on-disk store and only then builds from the
@@ -495,279 +495,138 @@ func (c *indexCache) persistLocked() {
 	}
 }
 
-// --- online (Algorithm 3) ---
+// The four engine constructors below fill in the catalogue: each
+// returns an entry that knows how to search and how to price a query;
+// the entry itself checks the query and the context.
 
-type onlineEngine struct {
-	eng *core.Online
-	w   workload
+// onlineEngine catalogues the online scan (Algorithm 3). It is
+// measure-generic: it plugs in whichever scorer the query's measure names.
+func (s *Snapshot) onlineEngine(online *core.Online) catalogueEntry {
+	w := s.w
+	return catalogueEntry{name: "online", measures: AllMeasures(), search: online.Search,
+		cost: func(q Query) Estimate {
+			return Estimate{Query: w.searchWork(w.egoWork, q) + w.contextWork(q)}
+		}}
 }
 
-func (e *onlineEngine) Name() string { return "online" }
-
-// Measures: the online scan is measure-generic — it plugs in whichever
-// scorer the query's measure names.
-func (e *onlineEngine) Measures() []Measure { return AllMeasures() }
-
-// TopR keeps the fixed-k contract: core.Online's k = 0 scan is served
-// through the pfree engine.
-func (e *onlineEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	if err := core.CheckThreshold(q.K); err != nil {
-		return nil, nil, err
-	}
-	return e.eng.Search(ctx, q.params())
+// boundEngine catalogues the pruned scan (Algorithm 4). It serves every
+// measure — each supplies its own upper bound (core.MeasureUpperBound) to
+// the same ranked scan — and reads the global truss decomposition through
+// the cache, so the per-query sparsification cost is one edge filter once
+// the decomposition is cached (or loaded from the index store).
+func (s *Snapshot) boundEngine() catalogueEntry {
+	c, w, ref := s.cache, s.w, trussSec(store.SecTruss)
+	return catalogueEntry{name: "bound", measures: AllMeasures(), needs: []store.SectionRef{ref},
+		search: core.NewBoundWithTau(s.g, c.trussTau).Search,
+		cost: func(q Query) Estimate {
+			if m := q.Measure.Normalize(); m != MeasureTruss {
+				// The non-truss bound pass replaces sparsification with one
+				// triangle count over the full graph (the per-vertex ego-edge
+				// input of the measure's upper bound), then prunes the same way.
+				triangles := w.m * w.avgDeg / 2
+				return Estimate{Query: triangles + w.searchWork(w.egoWork, q)/8 + w.contextWork(q)}
+			}
+			// Sparsification needs the global truss decomposition: a fresh
+			// decomposition when it is cold, a sequential O(m) load when the
+			// index store has it, and only the edge filter once in memory — or
+			// under mmap, where the decomposition is an O(1) view into the
+			// mapping.
+			sparsify := w.m
+			switch c.state(ref) {
+			case secCold:
+				sparsify = w.m * w.avgDeg / 2
+			case secDecode:
+				sparsify = 2 * w.m
+			}
+			return Estimate{Query: sparsify + w.searchWork(w.egoWork, q)/8 + w.contextWork(q)}
+		}}
 }
 
-func (e *onlineEngine) Cost(q Query) Estimate {
-	return Estimate{Query: e.w.searchWork(e.w.egoWork, q) + e.w.contextWork(q)}
+// indexEngine catalogues one of the paper's index engines, tsd
+// (Algorithms 5-6) or gct (Algorithms 7-8), over truss section sec. Both
+// encode trussness, so they serve the truss measure only. A query costs
+// perQuery work over the whole graph, scaled to its candidates, plus one
+// average neighborhood per answer for contexts. Readying the index costs
+// coldBuild from the graph; deserializing is a sequential O(m) read — or
+// O(n) slice-header surgery under mmap — far below the Σd² build, so
+// routing treats a persisted index as nearly ready.
+func (s *Snapshot) indexEngine(name string, sec store.Section, perQuery, coldBuild float64,
+	search func(context.Context, core.Params) (*Result, *Stats, error)) catalogueEntry {
+	c, w, ref := s.cache, s.w, trussSec(sec)
+	return catalogueEntry{name: name, measures: []Measure{MeasureTruss}, needs: []store.SectionRef{ref}, search: search,
+		cost: func(q Query) Estimate {
+			est := Estimate{Query: w.searchWork(perQuery, q)}
+			if q.IncludeContexts {
+				est.Query += float64(q.R) * w.avgDeg
+			}
+			switch c.state(ref) {
+			case secCold:
+				est.Build = coldBuild
+			case secDecode:
+				est.Build = w.m
+			case secMmap:
+				est.Build = w.n
+			}
+			return est
+		}}
 }
 
-// --- bound (Algorithm 4) ---
-
-type boundEngine struct {
-	eng   *core.Bound
-	cache *indexCache
-	w     workload
-}
-
-func (e *boundEngine) Name() string { return "bound" }
-
-// Measures: the bound framework serves every measure — each supplies its
-// own upper bound (core.MeasureUpperBound) to the same ranked scan.
-func (e *boundEngine) Measures() []Measure { return AllMeasures() }
-
-func (e *boundEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	return e.eng.Search(ctx, q.params())
-}
-
-func (e *boundEngine) Cost(q Query) Estimate {
-	if m := q.Measure.Normalize(); m != MeasureTruss {
-		// The non-truss bound pass replaces sparsification with one
-		// triangle count over the full graph (the per-vertex ego-edge
-		// input of the measure's upper bound), then prunes the same way.
-		triangles := e.w.m * e.w.avgDeg / 2
-		return Estimate{Query: triangles + e.w.searchWork(e.w.egoWork, q)/8 + e.w.contextWork(q)}
+// tableEngine catalogues an engine over the per-measure ranking tables
+// of ms. hybrid (truss — the paper's Exp-4 competitor, whose table is by
+// Lemma 3 the truss row of the per-measure rankings), comp (component)
+// and kcore (core) each serve their own measure at a fixed k. The kless
+// pfree engine (arXiv:1908.11612) serves every measure from the k = 0
+// row each table derives on first use. Once a table is ready (Prepare, a
+// Batch that routes here, an Apply that patched it, or an index store
+// holding the measure's rankings section) a query is an O(r) prefix read
+// plus online context recovery. Only hybrid builds a cold table on first
+// use; the others answer by the online scan — byte-identical answers
+// either way.
+func (s *Snapshot) tableEngine(name string, online *core.Online, kless bool, ms ...Measure) catalogueEntry {
+	c, w := s.cache, s.w
+	e := catalogueEntry{name: name, measures: ms, kless: kless}
+	for _, m := range ms {
+		e.needs = append(e.needs, rankSec(m))
 	}
-	// Sparsification needs the global truss decomposition: a fresh
-	// decomposition when it is cold, a sequential O(m) load when the index
-	// store has it, and only the edge filter once in memory — or under
-	// mmap, where the decomposition is an O(1) view into the mapping.
-	sparsify := e.w.m
-	switch e.cache.state(trussSec(store.SecTruss)) {
-	case secCold:
-		sparsify = e.w.m * e.w.avgDeg / 2
-	case secDecode:
-		sparsify = 2 * e.w.m
+	build := name == "hybrid"
+	e.search = func(ctx context.Context, p core.Params) (*Result, *Stats, error) {
+		if r := c.rankedTable(p.Measure, build); r != nil {
+			return r.Search(ctx, p)
+		}
+		return online.Search(ctx, p)
 	}
-	return Estimate{Query: sparsify + e.w.searchWork(e.w.egoWork, q)/8 + e.w.contextWork(q)}
-}
-
-// --- tsd (Algorithms 5-6) ---
-
-type tsdEngine struct {
-	cache *indexCache
-	w     workload
-}
-
-func (e *tsdEngine) Name() string { return "tsd" }
-
-// Measures: the TSD forest encodes trussness weights — truss only.
-func (e *tsdEngine) Measures() []Measure { return []Measure{MeasureTruss} }
-
-func (e *tsdEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	// Context recovery costs one ego decomposition per answer vertex, two
+	// for pfree (level probe + recovery).
+	recoveries := 1.0
+	if kless {
+		recoveries = 2
 	}
-	// TSD.Search scores through goroutine-private TSDScorers, so
-	// concurrent searches over the shared index need no serialization.
-	return core.NewTSD(e.cache.tsdIndex()).Search(ctx, q.params())
-}
-
-func (e *tsdEngine) Cost(q Query) Estimate {
-	est := Estimate{Query: e.w.searchWork(e.w.m, q)}
-	if q.IncludeContexts {
-		est.Query += float64(q.R) * e.w.avgDeg
+	e.cost = func(q Query) Estimate {
+		// An engine serving one measure prices its own table whatever the
+		// query asks; pfree prices the table of the query's measure.
+		m := q.Measure.Normalize()
+		if len(ms) == 1 {
+			m = ms[0]
+		}
+		// Readying the table costs nothing once it is in memory (pfree's
+		// row is then an O(n + table) pass on first use), one cheap
+		// sequential load when the index store holds it, else one BuildAll
+		// pass — slightly more than one online scan, since it scores every
+		// k, so a single cold query routes to online/bound while batches
+		// amortize the build here. Truss and core tables need a
+		// decomposition plus one component count per k, the component
+		// table one labelling.
+		est := Estimate{Query: float64(q.R) + recoveries*w.contextWork(q)}
+		switch c.state(rankSec(m)) {
+		case secDecode, secMmap:
+			est.Build = w.n
+		case secCold:
+			est.Build = 1.5 * w.egoWork
+			if m == MeasureComponent {
+				est.Build = 1.25 * w.egoWork
+			}
+		}
+		return est
 	}
-	// Deserializing is a sequential O(m) read — or O(n) slice-header
-	// surgery under mmap — far below the Σd² build, so routing treats a
-	// persisted index as nearly ready.
-	switch e.cache.state(trussSec(store.SecTSD)) {
-	case secCold:
-		est.Build = e.w.egoWork
-	case secDecode:
-		est.Build = e.w.m
-	case secMmap:
-		est.Build = e.w.n
-	}
-	return est
-}
-
-// --- gct (Algorithms 7-8) ---
-
-type gctEngine struct {
-	cache *indexCache
-	w     workload
-}
-
-func (e *gctEngine) Name() string { return "gct" }
-
-// Measures: the supernode compression encodes trussness — truss only.
-func (e *gctEngine) Measures() []Measure { return []Measure{MeasureTruss} }
-
-func (e *gctEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return core.NewGCT(e.cache.gctIndex()).Search(ctx, q.params())
-}
-
-func (e *gctEngine) Cost(q Query) Estimate {
-	// Exact scores are O(log d(v)) reads, so a query is ~n work.
-	est := Estimate{Query: e.w.searchWork(e.w.n, q)}
-	if q.IncludeContexts {
-		est.Query += float64(q.R) * e.w.avgDeg
-	}
-	// A persisted index loads in one O(m) sequential read, or O(n) view
-	// construction under mmap. The build does slightly more work than
-	// TSD's (compression on top of the same per-ego decompositions).
-	switch e.cache.state(trussSec(store.SecGCT)) {
-	case secCold:
-		est.Build = 1.2 * e.w.egoWork
-	case secDecode:
-		est.Build = e.w.m
-	case secMmap:
-		est.Build = e.w.n
-	}
-	return est
-}
-
-// --- hybrid / comp / kcore: the per-measure ranking tables ---
-
-// rankedEngine serves one measure's per-k ranking table: catalogued as
-// hybrid (truss — the paper's Exp-4 competitor, whose table is by Lemma 3
-// the truss row of the per-measure rankings), comp (component), and kcore
-// (core). It serves its own measure only. Once the table is ready
-// (Prepare, a Batch that routes here, or an index store holding the
-// measure's rankings section) a top-r query is an O(r) prefix read plus
-// online context recovery. Without a table, hybrid builds it on first
-// use, while comp/kcore answer by the online scan — byte-identical
-// answers either way.
-type rankedEngine struct {
-	name      string
-	measure   Measure
-	coldBuild bool // build the table on a cold query instead of scanning
-	online    *core.Online
-	cache     *indexCache
-	w         workload
-}
-
-func (e *rankedEngine) Name() string { return e.name }
-
-// Measures: exactly the one diversity definition the table ranks by.
-func (e *rankedEngine) Measures() []Measure { return []Measure{e.measure} }
-
-func (e *rankedEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	// An empty Measure means the engine's native one.
-	if m := q.Measure.Normalize(); q.Measure != "" && m != e.measure {
-		return nil, nil, &UnsupportedMeasureError{Engine: e.name, Measure: m}
-	}
-	// The table's k = 0 row is served through the pfree engine.
-	if err := core.CheckThreshold(q.K); err != nil {
-		return nil, nil, err
-	}
-	p := q.params()
-	p.Measure = e.measure
-	if r := e.cache.rankedTable(e.measure, e.coldBuild); r != nil {
-		return r.Search(ctx, p)
-	}
-	return e.online.Search(ctx, p)
-}
-
-func (e *rankedEngine) Cost(q Query) Estimate {
-	// With the table ready the query is an O(r) prefix read plus
-	// per-answer context recovery. A cold table build is slightly more
-	// than one online scan (it scores every k, not one), so a single cold
-	// query routes to online/bound while batches amortize the build here —
-	// Batch prepares the table before running when it picks this engine.
-	return Estimate{
-		Build: rankedBuildCost(e.cache, e.w, e.measure),
-		Query: float64(q.R) + e.w.contextWork(q),
-	}
-}
-
-// rankedBuildCost prices readying measure m's per-k ranking table, the
-// one build the ranked engines and pfree share: nothing once it is in
-// memory, one cheap sequential load when the index store holds it, else
-// one BuildAll pass — truss and core tables need a decomposition plus one
-// component count per k, the component table one labelling.
-func rankedBuildCost(c *indexCache, w workload, m Measure) float64 {
-	m = m.Normalize()
-	switch c.state(rankSec(m)) {
-	case secMemory:
-		return 0
-	case secDecode, secMmap:
-		return w.n
-	}
-	if m == MeasureComponent {
-		return 1.25 * w.egoWork
-	}
-	return 1.5 * w.egoWork
-}
-
-// --- pfree (parameter-free diversity, arXiv:1908.11612) ---
-
-// pfreeEngine serves the parameter-free query: the only engine that
-// serves queries without a K, and the only one k-less queries route to.
-// It serves every measure from the measure's per-k ranking table, whose
-// k = 0 row is the pfree ranking (derived once per table on first use):
-// once the table is in memory (Prepare("pfree") or the measure's own
-// engine, an Apply that patched it) or in the index store, a k-less
-// top-r query is an O(r) prefix read; cold, it falls back to the online
-// all-k scan. Same shape as rankedEngine, byte-identical answers either
-// way.
-type pfreeEngine struct {
-	w      workload
-	online *core.Online
-	cache  *indexCache
-}
-
-func (e *pfreeEngine) Name() string { return "pfree" }
-
-// Measures: the parameter-free objective aggregates any measure's per-k
-// score vector, so all three qualify.
-func (e *pfreeEngine) Measures() []Measure { return AllMeasures() }
-
-func (e *pfreeEngine) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if q.K != 0 {
-		return nil, nil, pfreeKErr(q.K)
-	}
-	p := q.params()
-	p.Measure = q.Measure.Normalize()
-	if r := e.cache.rankedTable(p.Measure, false); r != nil {
-		return r.Search(ctx, p)
-	}
-	return e.online.Search(ctx, p)
-}
-
-// pfreeKErr rejects a threshold given to the parameter-free engine.
-func pfreeKErr(k int32) error {
-	return &BadQueryError{Engine: "pfree", K: k,
-		Reason: "engine is parameter-free: leave k unset (0)"}
-}
-
-func (e *pfreeEngine) Cost(q Query) Estimate {
-	// Ready: an O(r) prefix read plus context recovery — contexts cost two
-	// ego decompositions per answer vertex (level probe + recovery). A
-	// table in memory needs no build (its pfree row is an O(n + table)
-	// pass on first use); otherwise the measure's table is readied exactly
-	// as its own ranked engine would, amortized by Batch the same way.
-	return Estimate{
-		Build: rankedBuildCost(e.cache, e.w, q.Measure),
-		Query: float64(q.R) + 2*e.w.contextWork(q),
-	}
+	return e
 }

@@ -34,23 +34,3 @@ func (e *BadQueryError) Error() string {
 
 // Is makes errors.Is(err, ErrBadQuery) match.
 func (e *BadQueryError) Is(target error) bool { return target == ErrBadQuery }
-
-// validateQueryK enforces the engine-aware K contract for a selected
-// catalogue entry: the parameter-free engine takes no threshold (K must
-// stay 0), every other engine requires K >= 2.
-func validateQueryK(e *catalogueEntry, q Query) error {
-	if e.kless {
-		if q.K != 0 {
-			return pfreeKErr(q.K)
-		}
-		return nil
-	}
-	switch {
-	case q.K == 0:
-		return &BadQueryError{Engine: e.name, K: q.K,
-			Reason: "k is required (only parameter-free engines accept queries without k)"}
-	case q.K < 2:
-		return &BadQueryError{Engine: e.name, K: q.K, Reason: "k must be >= 2"}
-	}
-	return nil
-}

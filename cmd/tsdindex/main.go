@@ -51,7 +51,7 @@ func main() {
 }
 
 func run(input, dataset, out string, verify, measures bool) error {
-	g, err := loadGraph(input, dataset)
+	g, err := bench.LoadGraph(input, dataset)
 	if err != nil {
 		return err
 	}
@@ -122,23 +122,4 @@ func verifyStore(path string, g *graph.Graph) error {
 	}
 	fmt.Printf("%s: valid (mode %s, sections: %v)\n", path, mode, sections)
 	return nil
-}
-
-func loadGraph(input, dataset string) (*graph.Graph, error) {
-	switch {
-	case input != "" && dataset != "":
-		return nil, fmt.Errorf("give either -input or -dataset, not both")
-	case input != "":
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, _, err := graph.ReadEdgeList(f)
-		return g, err
-	case dataset != "":
-		return bench.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -input FILE or -dataset NAME (known: %v)", bench.DatasetNames())
-	}
 }

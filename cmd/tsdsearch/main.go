@@ -47,7 +47,6 @@ import (
 
 	"trussdiv"
 	"trussdiv/internal/bench"
-	"trussdiv/internal/graph"
 )
 
 func main() {
@@ -163,7 +162,7 @@ func runRemote(base, algo, measure string, k, r int, showContexts bool, timeout 
 }
 
 func run(input, dataset, algo, measure string, k int32, r int, showContexts bool, timeout time.Duration) error {
-	g, err := loadGraph(input, dataset)
+	g, err := bench.LoadGraph(input, dataset)
 	if err != nil {
 		return err
 	}
@@ -226,23 +225,4 @@ func run(input, dataset, algo, measure string, k int32, r int, showContexts bool
 		}
 	}
 	return nil
-}
-
-func loadGraph(input, dataset string) (*graph.Graph, error) {
-	switch {
-	case input != "" && dataset != "":
-		return nil, fmt.Errorf("give either -input or -dataset, not both")
-	case input != "":
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, _, err := graph.ReadEdgeList(f)
-		return g, err
-	case dataset != "":
-		return bench.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -input FILE or -dataset NAME (known: %v)", bench.DatasetNames())
-	}
 }

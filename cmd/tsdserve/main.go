@@ -57,7 +57,6 @@ import (
 
 	"trussdiv"
 	"trussdiv/internal/bench"
-	"trussdiv/internal/graph"
 	"trussdiv/internal/server"
 )
 
@@ -136,7 +135,7 @@ func serve(addr string, handler http.Handler, drain time.Duration) error {
 }
 
 func run(o options) error {
-	g, err := loadGraph(o.input, o.dataset)
+	g, err := bench.LoadGraph(o.input, o.dataset)
 	if err != nil {
 		return err
 	}
@@ -174,23 +173,4 @@ func run(o options) error {
 	log.Printf("indexes ready in %v; engines %v; epoch %d (%s); serving on %s",
 		time.Since(start).Round(time.Millisecond), srv.DB().Engines(), srv.DB().Epoch(), mode, o.addr)
 	return serve(o.addr, srv.Handler(), o.drain)
-}
-
-func loadGraph(input, dataset string) (*graph.Graph, error) {
-	switch {
-	case input != "" && dataset != "":
-		return nil, fmt.Errorf("give either -input or -dataset, not both")
-	case input != "":
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, _, err := graph.ReadEdgeList(f)
-		return g, err
-	case dataset != "":
-		return bench.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -input FILE or -dataset NAME (known: %v)", bench.DatasetNames())
-	}
 }

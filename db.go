@@ -219,9 +219,9 @@ func (s *Snapshot) Batch(ctx context.Context, qs []Query) ([]*Result, error) {
 	// amortized index build, so every chosen engine's sections are
 	// readied before the queries run.
 	var names []string
-	for _, eng := range engines {
-		if !slices.Contains(names, eng.Name()) {
-			names = append(names, eng.Name())
+	for _, e := range engines {
+		if !slices.Contains(names, e.name) {
+			names = append(names, e.name)
 		}
 	}
 	if err := s.Prepare(ctx, names...); err != nil {
@@ -279,7 +279,7 @@ func (s *Snapshot) BatchEngines(qs []Query) ([]string, error) {
 	}
 	names := make([]string, len(engines))
 	for i, e := range engines {
-		names[i] = e.Name()
+		names[i] = e.name
 	}
 	return names, nil
 }

@@ -205,6 +205,59 @@ func TestCancelledContextAbortsTopR(t *testing.T) {
 	}
 }
 
+// TestDirectAndPinnedErrorsAgree holds every engine to one query
+// contract: a direct Engine.TopR call and the same query pinned with
+// ViaEngine fail with the same message and the same sentinel (or both
+// succeed), for every k on both sides of the K axis and every measure,
+// valid or not.
+func TestDirectAndPinnedErrorsAgree(t *testing.T) {
+	db, err := trussdiv.Open(overlayGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	class := func(err error) string {
+		switch {
+		case errors.Is(err, trussdiv.ErrBadQuery):
+			return "ErrBadQuery"
+		case errors.Is(err, trussdiv.ErrUnsupportedMeasure):
+			return "ErrUnsupportedMeasure"
+		}
+		return "neither"
+	}
+	text := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	measures := []trussdiv.Measure{"", "bogus",
+		trussdiv.MeasureTruss, trussdiv.MeasureComponent, trussdiv.MeasureCore}
+	cases := 0
+	for _, name := range db.Engines() {
+		e, err := db.Engine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int32{0, 1, 4} {
+			for _, m := range measures {
+				q := trussdiv.NewQuery(k, 3, trussdiv.WithMeasure(m), trussdiv.WithoutStats())
+				_, _, direct := e.TopR(ctx, q)
+				_, _, pinned := db.TopR(ctx, trussdiv.NewQuery(k, 3, trussdiv.WithMeasure(m),
+					trussdiv.WithoutStats(), trussdiv.ViaEngine(name)))
+				if text(direct) != text(pinned) || class(direct) != class(pinned) {
+					t.Errorf("%s k=%d measure=%q: direct %s %q, pinned %s %q", name, k, m,
+						class(direct), text(direct), class(pinned), text(pinned))
+				}
+				cases++
+			}
+		}
+	}
+	if cases != 120 {
+		t.Fatalf("ran %d cases, want 120", cases)
+	}
+}
+
 func TestQueryOptionsOnDB(t *testing.T) {
 	db, err := trussdiv.Open(trussdiv.PaperExampleGraph())
 	if err != nil {

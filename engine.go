@@ -11,20 +11,25 @@ import "context"
 // DB.ScorePFree and their Contexts twins) are answered by the snapshot,
 // from the GCT index or the shared scorer of the measure.
 //
-// An engine serves one or more diversity measures (Measures); a query
-// whose Measure falls outside that set fails with an
-// *UnsupportedMeasureError.
+// Every engine is one entry of the catalogue, and TopR holds a query to
+// the same contract as a ViaEngine pin to that engine, with the same
+// errors: a Measure that names no measure fails with the ParseMeasure
+// error, one outside the measures the engine serves (Measures) with an
+// *UnsupportedMeasureError, and a K the engine does not take (below 2
+// for the fixed-k engines, anything but 0 for pfree) with a
+// *BadQueryError.
 //
 // All methods honor context cancellation: a search observes ctx inside
 // its hot loops and returns ctx.Err() promptly, including when ctx is
-// already cancelled on entry.
+// already cancelled on entry — TopR reports a cancelled ctx before
+// checking the query.
 type Engine interface {
 	// Name is the catalogue key ("online", "bound", "tsd", "gct",
 	// "hybrid", "comp", "kcore", "pfree").
 	Name() string
 	// Measures lists the diversity measures the engine serves; an engine
 	// serving exactly one answers under it when a query leaves Measure
-	// empty.
+	// empty. The slice is shared: callers must not modify it.
 	Measures() []Measure
 	// TopR answers a top-r query.
 	TopR(ctx context.Context, q Query) (*Result, *Stats, error)

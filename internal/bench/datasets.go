@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 
@@ -113,6 +114,27 @@ func Load(name string) (*graph.Graph, error) {
 	known := DatasetNames()
 	sort.Strings(known)
 	return nil, fmt.Errorf("bench: unknown dataset %q (known: %v)", name, known)
+}
+
+// LoadGraph is the graph input of the command-line tools: an edge-list
+// file (input) or a registered dataset (dataset), exactly one of them.
+func LoadGraph(input, dataset string) (*graph.Graph, error) {
+	switch {
+	case input != "" && dataset != "":
+		return nil, fmt.Errorf("give either -input or -dataset, not both")
+	case input != "":
+		f, err := os.Open(input)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		g, _, err := graph.ReadEdgeList(f)
+		return g, err
+	case dataset != "":
+		return Load(dataset)
+	default:
+		return nil, fmt.Errorf("need -input FILE or -dataset NAME (known: %v)", DatasetNames())
+	}
 }
 
 // MustLoad is Load for the harness's own experiments, which only reference

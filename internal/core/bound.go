@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"trussdiv/internal/graph"
-	"trussdiv/internal/par"
 	"trussdiv/internal/truss"
 )
 
@@ -93,13 +91,13 @@ func (b *Bound) TopR(k int32, r int) (*Result, *Stats, error) {
 // every surviving candidate, visit candidates in decreasing bound order,
 // and stop as soon as the next bound cannot beat the current r-th best
 // score. The exact-score pass spreads over p.Workers goroutines in
-// chunks (see scanRanked). The context is checked before the
+// chunks (see prunedSearch). The context is checked before the
 // sparsification and before every exact score computation.
 //
 // The search is measure-generic: for a non-truss p.Measure, trussness
 // sparsification (Property 1 holds only for the truss model) is replaced
-// by the measure's own upper bound over the unsparsified graph — see
-// searchMeasure — while the ranked, early-terminating scan is shared.
+// by the measure's own upper bound over the unsparsified graph, while the
+// ranked, early-terminating scan is shared.
 func (b *Bound) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	p, err := p.normalized(b.g.N())
 	if err != nil {
@@ -108,83 +106,44 @@ func (b *Bound) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if m := p.Measure.Normalize(); m != MeasureTruss {
+	m := p.Measure.Normalize()
+	candG := b.g
+	var bound func(v int32, d int) int
+	if m != MeasureTruss {
 		// The trussness sparsification lemma (Property 1) does not transfer
 		// to the other models, so the non-truss bound pass prunes over the
 		// original graph with the measure's own upper bound and scorer.
 		mv := b.g.TrianglesPerVertex()
-		return b.rankedSearch(ctx, p, b.g, m,
-			func(v int32, d int) int { return MeasureUpperBound(m, d, mv[v], p.K) })
-	}
-	var sp *SparsifyResult
-	if b.tauFn != nil {
-		sp = SparsifyWithTau(b.g, b.tauFn(), p.K)
+		bound = func(v int32, d int) int { return MeasureUpperBound(m, d, mv[v], p.K) }
 	} else {
-		sp = Sparsify(b.g, p.K)
+		var sp *SparsifyResult
+		if b.tauFn != nil {
+			sp = SparsifyWithTau(b.g, b.tauFn(), p.K)
+		} else {
+			sp = Sparsify(b.g, p.K)
+		}
+		// Upper bounds on the sparsified graph (its ego-networks are
+		// subgraphs of the originals, so the bound is valid and tighter).
+		candG = sp.Graph
+		mv := candG.TrianglesPerVertex()
+		bound = func(v int32, d int) int { return UpperBound(d, mv[v], p.K) }
 	}
-	// Upper bounds on the sparsified graph (its ego-networks are subgraphs
-	// of the originals, so the bound is valid and tighter). A vertex
-	// isolated by the sparsification has score 0 and is skipped by the
-	// degree check inside rankedSearch.
-	sub := sp.Graph
-	mv := sub.TrianglesPerVertex()
-	return b.rankedSearch(ctx, p, sub, MeasureTruss,
-		func(v int32, d int) int { return UpperBound(d, mv[v], p.K) })
-}
-
-// rankedSearch is the bound framework's shared skeleton, identical for
-// every measure: collect each candidate's upper bound over candG (the
-// sparsified graph for truss, the original otherwise), visit candidates
-// in decreasing bound order with early termination (scanRanked, one
-// VertexScorer per worker), pad to the canonical answer, and recover
-// contexts with the measure's shared scorer over candG. Keeping one copy
-// is what pins the measure paths to the truss path's tie-break and
-// padding rules — the byte-parity contract.
-func (b *Bound) rankedSearch(ctx context.Context, p Params, candG *graph.Graph, m Measure, ub func(v int32, d int) int) (*Result, *Stats, error) {
+	// Candidates are scored, and contexts recovered, with the measure's
+	// scorers over candG: the sparsified graph for truss, the original
+	// otherwise.
 	scorer := NewMeasureScorer(candG, m)
-	stats := &Stats{}
-	cands := make([]rankedCand, 0, candG.N())
-	count, at := candidateAt(candG.N(), p.Candidates)
-	err := par.For(ctx, count, 1, pollEvery, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := at(i)
-			d := candG.Degree(v)
-			if d == 0 {
-				continue // no edges, no contexts: score is 0
+	return prunedSearch(ctx, p, b.g.N(),
+		func(v int32) int {
+			// A vertex without edges (for truss, one isolated by the
+			// sparsification) has no contexts: score 0.
+			if d := candG.Degree(v); d > 0 {
+				return bound(v, d)
 			}
-			if u := ub(v, d); u > 0 {
-				cands = append(cands, rankedCand{v, u})
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Candidates = len(cands)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ub != cands[j].ub {
-			return cands[i].ub > cands[j].ub
-		}
-		return cands[i].v < cands[j].v
-	})
-	heap, scored, err := scanRanked(ctx, cands, p.R, p.workers(),
+			return 0
+		},
 		func() func(v int32) int {
 			vs := NewVertexScorer(candG, m)
 			return func(v int32) int { return vs.Score(v, p.K) }
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.ScoreComputations = scored
-	// Vertices pruned away all have score 0 (or were dominated); if fewer
-	// than r candidates existed, pad with zero-score vertices for parity
-	// with the online answer size.
-	padAnswer(heap, b.g.N(), p.Candidates)
-	res, err := finishResult(ctx, heap.Answer(), p, func(v int32) [][]int32 {
-		return scorer.Contexts(v, p.K)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, exportStats(stats, p), nil
+		},
+		func(v int32) [][]int32 { return scorer.Contexts(v, p.K) })
 }

@@ -154,3 +154,50 @@ func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScor
 	}
 	return heap, scored, nil
 }
+
+// prunedSearch is the pruned scan the bound and tsd engines share:
+// collect every candidate's upper bound (ub is 0 for a candidate that
+// cannot score), visit the candidates in decreasing bound order with
+// early termination (scanRanked, one newScore scorer per worker), pad to
+// the canonical answer over the n-vertex graph, and recover the answer's
+// contexts. Keeping one copy is what pins both engines, under every
+// measure, to the same tie-break and padding rules — the byte-parity
+// contract.
+func prunedSearch(ctx context.Context, p Params, n int, ub func(v int32) int,
+	newScore func() func(v int32) int, contexts func(v int32) [][]int32) (*Result, *Stats, error) {
+	stats := &Stats{}
+	cands := make([]rankedCand, 0, n)
+	count, at := candidateAt(n, p.Candidates)
+	err := par.For(ctx, count, 1, pollEvery, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := at(i)
+			if u := ub(v); u > 0 {
+				cands = append(cands, rankedCand{v, u})
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.Candidates = len(cands)
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].ub != cands[j].ub {
+			return cands[i].ub > cands[j].ub
+		}
+		return cands[i].v < cands[j].v
+	})
+	heap, scored, err := scanRanked(ctx, cands, p.R, p.workers(), newScore)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.ScoreComputations = scored
+	// Vertices pruned away all have score 0 (or were dominated); if fewer
+	// than r candidates existed, pad with zero-score vertices for parity
+	// with the online answer size.
+	padAnswer(heap, n, p.Candidates)
+	res, err := finishResult(ctx, heap.Answer(), p, contexts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, exportStats(stats, p), nil
+}

@@ -67,18 +67,10 @@ func (p Params) workers() int {
 // normalized validates p against an n-vertex graph and caps R at the
 // candidate count, mirroring the paper's §2.3 preconditions.
 func (p Params) normalized(n int) (Params, error) {
-	if err := CheckThreshold(p.K); err != nil {
-		return p, err
+	if p.K < 2 {
+		return p, fmt.Errorf("core: trussness threshold k = %d, must be >= 2", p.K)
 	}
 	return p.normalizedNoK(n)
-}
-
-// CheckThreshold is the fixed-k precondition on a threshold: k >= 2.
-func CheckThreshold(k int32) error {
-	if k < 2 {
-		return fmt.Errorf("core: trussness threshold k = %d, must be >= 2", k)
-	}
-	return nil
 }
 
 // normalizedOrPFree is normalized for the engines that also answer the

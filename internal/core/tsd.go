@@ -7,7 +7,6 @@ import (
 
 	"trussdiv/internal/dsu"
 	"trussdiv/internal/graph"
-	"trussdiv/internal/par"
 	"trussdiv/internal/truss"
 )
 
@@ -287,42 +286,11 @@ func (t *TSD) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 		// component or core measures.
 		return nil, nil, &UnsupportedMeasureError{Engine: "tsd", Measure: m}
 	}
-	stats := &Stats{}
-	cands := make([]rankedCand, 0, g.N())
-	count, at := candidateAt(g.N(), p.Candidates)
-	err = par.For(ctx, count, 1, pollEvery, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := at(i)
-			if ub := t.idx.ScoreUpperBound(v, p.K); ub > 0 {
-				cands = append(cands, rankedCand{v, ub})
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Candidates = len(cands)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ub != cands[j].ub {
-			return cands[i].ub > cands[j].ub
-		}
-		return cands[i].v < cands[j].v
-	})
-	heap, scored, err := scanRanked(ctx, cands, p.R, p.workers(),
+	return prunedSearch(ctx, p, g.N(),
+		func(v int32) int { return t.idx.ScoreUpperBound(v, p.K) },
 		func() func(v int32) int {
 			sc := t.idx.Scorer()
 			return func(v int32) int { return sc.Score(v, p.K) }
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.ScoreComputations = scored
-	padAnswer(heap, g.N(), p.Candidates)
-	res, err := finishResult(ctx, heap.Answer(), p, func(v int32) [][]int32 {
-		return t.idx.Contexts(v, p.K)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, exportStats(stats, p), nil
+		},
+		func(v int32) [][]int32 { return t.idx.Contexts(v, p.K) })
 }

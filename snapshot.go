@@ -76,35 +76,36 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache) *Snapshot {
 	s := &Snapshot{epoch: epoch, g: g, w: measure(g), cache: cache}
 	cache.setEpoch(epoch)
 	// One online searcher per snapshot, recovering contexts through the
-	// snapshot's shared scorers; the ranked engines scan with it while
+	// snapshot's shared scorers; the table engines scan with it while
 	// their tables are cold.
 	online := core.NewOnlineFrom(cache.scorers)
-	ranked := func(name string, m Measure) catalogueEntry {
-		return entry(&rankedEngine{name: name, measure: m, coldBuild: m == MeasureTruss,
-			online: online, cache: cache, w: s.w}, rankSec(m))
-	}
 	s.engines = catalogue{
-		entry(&onlineEngine{eng: online, w: s.w}),
-		// The bound searcher reads the global truss decomposition through
-		// the cache, so the per-query sparsification cost is one edge
-		// filter once the decomposition is cached (or loaded from the
-		// index store).
-		entry(&boundEngine{eng: core.NewBoundWithTau(g, cache.trussTau), cache: cache, w: s.w},
-			trussSec(store.SecTruss)),
-		entry(&tsdEngine{cache: cache, w: s.w}, trussSec(store.SecTSD)),
-		entry(&gctEngine{cache: cache, w: s.w}, trussSec(store.SecGCT)),
-		// The ranked engines serve their own measure only: hybrid for
-		// truss, comp and kcore for the other two, so truss queries never
-		// see comp/kcore.
-		ranked("hybrid", MeasureTruss),
-		ranked("comp", MeasureComponent),
-		ranked("kcore", MeasureCore),
+		s.onlineEngine(online),
+		s.boundEngine(),
+		// TSD.Search scores through goroutine-private TSDScorers, so
+		// concurrent searches over the shared index need no serialization.
+		s.indexEngine("tsd", store.SecTSD, s.w.m, s.w.egoWork,
+			func(ctx context.Context, p core.Params) (*Result, *Stats, error) {
+				return core.NewTSD(cache.tsdIndex()).Search(ctx, p)
+			}),
+		// Exact GCT scores are O(log d(v)) reads, so a query is ~n work. The
+		// build does slightly more than TSD's (compression on top of the
+		// same per-ego decompositions).
+		s.indexEngine("gct", store.SecGCT, s.w.n, 1.2*s.w.egoWork,
+			func(ctx context.Context, p core.Params) (*Result, *Stats, error) {
+				return core.NewGCT(cache.gctIndex()).Search(ctx, p)
+			}),
+		// The fixed-k table engines serve their own measure only: hybrid
+		// for truss, comp and kcore for the other two, so truss queries
+		// never see comp/kcore.
+		s.tableEngine("hybrid", online, false, MeasureTruss),
+		s.tableEngine("comp", online, false, MeasureComponent),
+		s.tableEngine("kcore", online, false, MeasureCore),
 		// The parameter-free engine serves every measure but only the
 		// k-less queries (K == 0), which in turn route only to it — the
 		// K axis partitions the routing matrix, so the fixed-k engines'
 		// reachability is unchanged. It reads every measure's table.
-		entry(&pfreeEngine{w: s.w, online: online, cache: cache},
-			rankSec(MeasureTruss), rankSec(MeasureComponent), rankSec(MeasureCore)),
+		s.tableEngine("pfree", online, true, AllMeasures()...),
 	}
 	return s
 }
@@ -139,7 +140,7 @@ func (s *Snapshot) Engine(name string) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.engine, nil
+	return e, nil
 }
 
 // Route returns the engine with the lowest cost estimate for q among
@@ -159,47 +160,49 @@ func (s *Snapshot) Route(q Query) Engine {
 	return s.cheapest(q, 1)
 }
 
-// cheapest returns the engine serving q.Measure, on q's side of the K
+// cheapest returns the entry serving q.Measure, on q's side of the K
 // axis (parameter-free for q.K == 0, fixed-k otherwise), with the lowest
 // cost when its build cost is divided across batchSize queries. Ties
-// keep the earliest engine in catalogue order.
-func (s *Snapshot) cheapest(q Query, batchSize int) Engine {
+// keep the earliest entry in catalogue order. A valid measure always has
+// one, so the result is never nil.
+func (s *Snapshot) cheapest(q Query, batchSize int) *catalogueEntry {
 	m := q.Measure.Normalize()
-	var best Engine
+	var best *catalogueEntry
 	bestCost := 0.0
 	for i := range s.engines {
 		e := &s.engines[i]
 		if e.kless != (q.K == 0) || !e.serves(m) {
 			continue
 		}
-		est := e.engine.Cost(q)
+		est := e.cost(q)
 		if c := est.Build/float64(batchSize) + est.Query; best == nil || c < bestCost {
-			best, bestCost = e.engine, c
+			best, bestCost = e, c
 		}
 	}
 	return best
 }
 
 // routeAmortized is the single routing policy: the per-query pin
-// (checked against the query's measure and the engine-aware K contract),
-// else the cheapest engine serving the measure with the index build cost
-// divided across batchSize queries (1 = the TopR single-query case,
-// where the division is a no-op). Queries without a K (q.K == 0) route
-// to the parameter-free engine; fixed-k queries never see it.
-func (s *Snapshot) routeAmortized(q Query, batchSize int) (Engine, error) {
-	if q.Engine != "" {
-		e, err := s.engines.lookupFor(q.Engine, q.Measure)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateQueryK(e, q); err != nil {
-			return nil, err
-		}
-		return e.engine, nil
-	}
+// (held to the pinned entry's check), else the cheapest engine serving
+// the measure with the index build cost divided across batchSize queries
+// (1 = the TopR single-query case, where the division is a no-op).
+// Queries without a K (q.K == 0) route to the parameter-free engine;
+// fixed-k queries never see it. A measure name that does not exist is a
+// parse error on both paths, before the pin is looked up.
+func (s *Snapshot) routeAmortized(q Query, batchSize int) (*catalogueEntry, error) {
 	if !q.Measure.Valid() {
 		_, err := ParseMeasure(string(q.Measure))
 		return nil, err
+	}
+	if q.Engine != "" {
+		e, err := s.engines.lookup(q.Engine)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.check(q); err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
 	if q.K != 0 && q.K < 2 {
 		return nil, &BadQueryError{K: q.K,
@@ -214,19 +217,23 @@ func (s *Snapshot) routeAmortized(q Query, batchSize int) (Engine, error) {
 // for unknown pins and an *UnsupportedMeasureError for pins outside the
 // measure's row of the routing matrix.
 func (s *Snapshot) ResolveEngine(q Query) (Engine, error) {
-	return s.routeAmortized(q, 1)
+	e, err := s.routeAmortized(q, 1)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // resolveBatch resolves every query's engine with the index build cost
 // amortized over the batch size.
-func (s *Snapshot) resolveBatch(qs []Query) ([]Engine, error) {
-	engines := make([]Engine, len(qs))
+func (s *Snapshot) resolveBatch(qs []Query) ([]*catalogueEntry, error) {
+	engines := make([]*catalogueEntry, len(qs))
 	for i, q := range qs {
-		eng, err := s.routeAmortized(q, len(qs))
+		e, err := s.routeAmortized(q, len(qs))
 		if err != nil {
 			return nil, err
 		}
-		engines[i] = eng
+		engines[i] = e
 	}
 	return engines, nil
 }
@@ -238,31 +245,31 @@ func (s *Snapshot) resolveBatch(qs []Query) ([]Engine, error) {
 // the engine. The Result is stamped with the snapshot's epoch; the
 // Stats, when requested, name the engine that answered.
 func (s *Snapshot) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
-	eng, err := s.routeAmortized(q, 1)
+	e, err := s.routeAmortized(q, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.cachedTopR(ctx, eng, q)
+	return s.cachedTopR(ctx, e, q)
 }
 
-// cachedTopR runs q through an already-resolved engine with the result
-// cache consulted first — the single execution point shared by TopR,
-// Batch, and (via TopR) the server, so every serving path sees the same
-// cache.
-func (s *Snapshot) cachedTopR(ctx context.Context, eng Engine, q Query) (*Result, *Stats, error) {
+// cachedTopR runs q, already checked by routeAmortized, through its
+// resolved entry with the result cache consulted first — the single
+// execution point shared by TopR, Batch, and (via TopR) the server, so
+// every serving path sees the same cache.
+func (s *Snapshot) cachedTopR(ctx context.Context, e *catalogueEntry, q Query) (*Result, *Stats, error) {
 	var key resultKey
 	if s.results != nil {
-		key = resultCacheKey(s.epoch, eng.Name(), q)
+		key = resultCacheKey(s.epoch, e.name, q)
 		if res, stats, ok := s.results.get(key, q.Candidates); ok {
 			return res, stats, nil
 		}
 	}
-	res, stats, err := eng.TopR(ctx, q)
+	res, stats, err := e.run(ctx, q)
 	if res != nil {
 		res.Epoch = uint64(s.epoch)
 	}
 	if stats != nil {
-		stats.Engine = eng.Name()
+		stats.Engine = e.name
 	}
 	if err == nil && s.results != nil {
 		s.results.put(key, q.Candidates, res, stats)
