@@ -32,7 +32,6 @@ type indexCache struct {
 	mu        sync.Mutex
 	epoch     Epoch   // the snapshot this cache belongs to; recorded on persist
 	tau       []int32 // global truss decomposition, indexed by edge ID
-	sup       []int32 // pristine edge supports matching tau (nil when a pre-v3 store supplied tau)
 	tsd       *core.TSDIndex
 	gct       *core.GCTIndex
 	ranked    map[core.Measure]*core.Ranked // per-k ranking tables (truss = hybrid; k = 0 is pfree)
@@ -61,16 +60,14 @@ type indexCache struct {
 	retained []*store.File
 
 	// Build entry points, swappable by tests that assert a warm open
-	// never builds; builds counts the from-scratch constructions. buildTau
-	// returns the supports alongside the decomposition, which persist
-	// next to it in the store's supports section. buildAllIdx is the
-	// per-vertex driver (core.BuildAll): every TSD, GCT and ranking-table
-	// build goes through it, one pass per readyLocked. patchAllIdx is the same
-	// driver's patch entry (core.PatchAll): Apply repairs every
-	// ego-derived structure in one pass over the affected vertices. All
-	// three use GOMAXPROCS workers; their products are byte-identical for
-	// every worker count.
-	buildTau    func(*Graph) (tau, sup []int32)
+	// never builds; builds counts the from-scratch constructions.
+	// buildAllIdx is the per-vertex driver (core.BuildAll): every TSD, GCT
+	// and ranking-table build goes through it, one pass per readyLocked.
+	// patchAllIdx is the same driver's patch entry (core.PatchAll): Apply
+	// repairs every ego-derived structure in one pass over the affected
+	// vertices. All three use GOMAXPROCS workers; their products are
+	// byte-identical for every worker count.
+	buildTau    func(*Graph) []int32
 	buildAllIdx func(*Graph, core.BuildTargets) *core.BuildProducts
 	patchAllIdx func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts
 	builds      int
@@ -89,7 +86,7 @@ func rankSec(m Measure) store.SectionRef {
 
 // cacheSections lists every section the cache holds in memory, in the
 // order Prepare readies them (so a shared build names its measures in
-// AllMeasures order). The supports ride along with the truss section.
+// AllMeasures order).
 var cacheSections = []store.SectionRef{
 	trussSec(store.SecTruss), trussSec(store.SecTSD), trussSec(store.SecGCT),
 	rankSec(MeasureTruss), rankSec(MeasureComponent), rankSec(MeasureCore),
@@ -117,10 +114,9 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 		scorers: core.NewScorers(g),
 		dir:     cfg.indexDir,
 		// Cold decompositions run the parallel h-index peeling; the tau
-		// array is byte-identical to the serial Decompose, and the supports
-		// come back pristine.
-		buildTau: func(g *Graph) ([]int32, []int32) {
-			return truss.DecomposeFull(g, 0)
+		// array is byte-identical to the serial Decompose.
+		buildTau: func(g *Graph) []int32 {
+			return truss.DecomposeParallel(g, 0)
 		},
 		buildAllIdx: func(g *Graph, t core.BuildTargets) *core.BuildProducts {
 			return core.BuildAll(g, t, 0)
@@ -184,10 +180,11 @@ func (c *indexCache) storedEpoch() Epoch {
 // and GCT entries and every ranking table in memory (truss included; each
 // new table derives its pfree row on first use), copy-on-write against the
 // shared edited graph, so this cache keeps answering for in-flight
-// readers. The global truss decomposition and its supports are never
-// carried over: the next cache starts with them cold, and the first bound
-// query of the new epoch rebuilds them once with the parallel peeling
-// (truss.DecomposeFull), a cost the router prices into bound's estimate.
+// readers. The global truss decomposition is never carried over: the
+// next cache starts with it cold, and the first bound query of the new
+// epoch rebuilds it once with the parallel peeling
+// (truss.DecomposeParallel), a cost the router prices into bound's
+// estimate.
 // The patch pass runs outside the lock (it only reads the old,
 // now-immutable structures) so readers of this snapshot never block on an
 // Apply. ctx is checked after the patch pass; a cancelled advance returns
@@ -318,12 +315,7 @@ func (c *indexCache) loadLocked(ref store.SectionRef) bool {
 	}
 	switch ref.Section {
 	case store.SecTruss:
-		// Format v3 persists the supports next to the decomposition;
-		// loading them keeps a re-persist from shedding the section. Older
-		// files lack it (sup stays nil).
-		if c.tau = loadSection(c, ref, (*store.File).Tau); c.tau != nil {
-			c.sup = loadSection(c, trussSec(store.SecSupports), (*store.File).Sup)
-		}
+		c.tau = loadSection(c, ref, (*store.File).Tau)
 		return c.tau != nil
 	case store.SecTSD:
 		c.tsd = loadSection(c, ref, (*store.File).TSD)
@@ -373,7 +365,7 @@ func (c *indexCache) readyLocked(refs ...store.SectionRef) {
 	}
 	start := time.Now()
 	if tau {
-		c.tau, c.sup = c.buildTau(c.g)
+		c.tau = c.buildTau(c.g)
 		c.builds++
 	}
 	if ego {
@@ -475,7 +467,7 @@ func (c *indexCache) persistLocked() {
 	for _, ref := range cacheSections {
 		c.loadLocked(ref)
 	}
-	ix := store.Indexes{Tau: c.tau, Sup: c.sup, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
+	ix := store.Indexes{Tau: c.tau, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
 	if len(c.ranked) > 0 {
 		ix.MeasureRankings = make(map[core.Measure][][]core.VertexScore, len(c.ranked))
 		for m, r := range c.ranked {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -304,7 +305,7 @@ func TestApplyObservesCtxBetweenRepairPhases(t *testing.T) {
 // TestApplyNeverBuildsTau: Apply neither builds nor carries the global
 // truss decomposition. Across a stream of batches on a fully prepared DB
 // that serves no bound query, the tau builder never runs and no new
-// snapshot holds a decomposition or supports. Each epoch rebuilds it at
+// snapshot holds a decomposition. Each epoch rebuilds it at
 // most once: concurrent bound queries after the next Apply share one
 // build. Until then bound's estimate equals its estimate on a fresh Open
 // of the edited graph, and SaveIndexes persists no truss section; a warm
@@ -328,9 +329,9 @@ func TestApplyNeverBuildsTau(t *testing.T) {
 	}
 	// Apply hands its builders to every snapshot it derives, so one
 	// tripwire covers the whole stream.
-	db.Snapshot().cache.buildTau = func(g *Graph) ([]int32, []int32) {
+	db.Snapshot().cache.buildTau = func(g *Graph) []int32 {
 		t.Error("Apply built the truss decomposition")
-		return truss.DecomposeFull(g, 0)
+		return truss.DecomposeParallel(g, 0)
 	}
 	rng := rand.New(rand.NewSource(4343))
 	for step := 0; step < 6; step++ {
@@ -339,7 +340,7 @@ func TestApplyNeverBuildsTau(t *testing.T) {
 		}
 		c := db.Snapshot().cache
 		c.mu.Lock()
-		carried := c.tau != nil || c.sup != nil
+		carried := c.tau != nil
 		c.mu.Unlock()
 		if carried {
 			t.Fatalf("step %d: Apply carried the truss decomposition into the new snapshot", step)
@@ -351,7 +352,7 @@ func TestApplyNeverBuildsTau(t *testing.T) {
 	}
 	snap := db.Snapshot()
 	cache := snap.cache
-	cache.buildTau = func(g *Graph) ([]int32, []int32) { return truss.DecomposeFull(g, 0) }
+	cache.buildTau = func(g *Graph) []int32 { return truss.DecomposeParallel(g, 0) }
 
 	// The router prices the cold decomposition exactly as on a fresh DB.
 	fresh, err := Open(snap.Graph())
@@ -380,10 +381,8 @@ func TestApplyNeverBuildsTau(t *testing.T) {
 	if _, err := db.SaveIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range db.StoreStatus().Sections {
-		if sec == "truss" || sec == "supports" {
-			t.Fatalf("SaveIndexes after Apply persisted section %q; sections %v", sec, db.StoreStatus().Sections)
-		}
+	if secs := db.StoreStatus().Sections; slices.Contains(secs, "truss") {
+		t.Fatalf("SaveIndexes after Apply persisted the truss section; sections %v", secs)
 	}
 	if cache.builds != 0 {
 		t.Fatalf("builds = %d after SaveIndexes, want 0", cache.builds)

@@ -46,15 +46,14 @@ func streamUpdates(g *Graph, rng *rand.Rand, nIns, nDel int) Updates {
 }
 
 // checkTauColdThenRebuiltOnce pins the truss half of the Apply contract
-// on db's current snapshot: Apply left the global truss decomposition and
-// its supports cold; one bound query readies them with exactly one build;
-// and both are then byte-equal to a fresh decomposition and support count
-// of the edited graph.
+// on db's current snapshot: Apply left the global truss decomposition
+// cold; one bound query readies it with exactly one build; and it is then
+// byte-equal to a fresh decomposition of the edited graph.
 func checkTauColdThenRebuiltOnce(t *testing.T, db *DB, label string) {
 	t.Helper()
 	cache := db.Snapshot().cache
 	cache.mu.Lock()
-	carried := cache.tau != nil || cache.sup != nil
+	carried := cache.tau != nil
 	builds := cache.builds
 	cache.mu.Unlock()
 	if carried {
@@ -64,7 +63,7 @@ func checkTauColdThenRebuiltOnce(t *testing.T, db *DB, label string) {
 		t.Fatalf("%s: bound: %v", label, err)
 	}
 	cache.mu.Lock()
-	tau, sup := cache.tau, cache.sup
+	tau := cache.tau
 	built := cache.builds - builds
 	cache.mu.Unlock()
 	if built != 1 {
@@ -72,9 +71,6 @@ func checkTauColdThenRebuiltOnce(t *testing.T, db *DB, label string) {
 	}
 	if want := truss.Decompose(db.Graph()); !reflect.DeepEqual(tau, want) {
 		t.Fatalf("%s: rebuilt tau diverges from a cold decomposition", label)
-	}
-	if want := db.Graph().Supports(); !reflect.DeepEqual(sup, want) {
-		t.Fatalf("%s: rebuilt supports diverge from a fresh count", label)
 	}
 }
 
@@ -119,7 +115,7 @@ func checkCellsMatchCold(t *testing.T, db *DB, label string, k int32, r int) {
 // result byte-equal to a cold rebuild: the patch pass re-derived the
 // ego-derived structures without a build, the truss decomposition was
 // left cold and the first bound query rebuilt it once, byte-equal to a
-// fresh decomposition (supports included), and every (engine, measure)
+// fresh decomposition, and every (engine, measure)
 // cell of the routing matrix answers exactly like a cold DB opened on
 // the edited graph.
 func TestApplyStreamRepairMatchesColdRebuild(t *testing.T) {

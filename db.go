@@ -339,8 +339,8 @@ type StoreStatus struct {
 	// Dir is the configured index directory; Path the index file in it.
 	Dir, Path string
 	// Warm reports that a validated index file is available, and Sections
-	// names the parts it holds ("truss", "supports", "tsd", "gct",
-	// "rankings", "epoch", "graph").
+	// names the parts it holds ("truss", "tsd", "gct", "rankings",
+	// "epoch", and "rankings@component"/"rankings@core").
 	Warm     bool
 	Sections []string
 	// FormatVersion is the on-disk format version of the warm file (3,

@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -33,10 +32,9 @@ func CompareEdges(a, b Edge) int {
 }
 
 // Graph is an immutable undirected simple graph in CSR form.
-// Build one with a Builder, FromEdges, FromCSR, or the readers in this
-// package. All four CSR arrays use fixed-width element types so the layout
-// is identical on 32- and 64-bit builds and can be serialized (or mmap'd
-// back) as raw little-endian slabs.
+// Build one with a Builder, FromEdges, or the readers in this package.
+// All four CSR arrays use fixed-width element types, so the layout is
+// identical on 32- and 64-bit builds.
 type Graph struct {
 	off   []int64 // len N()+1; arc range of vertex v is adj[off[v]:off[v+1]]
 	adj   []int32 // len 2*M(); sorted neighbors per vertex
@@ -116,52 +114,9 @@ func (g *Graph) Fingerprint() [32]byte {
 // CSR returns the four raw CSR arrays: the arc offset table (len N()+1),
 // the sorted neighbor list and parallel edge-ID list (len 2*M() each), and
 // the canonical edge list (len M()). All returned slices alias internal
-// storage and must not be modified; they are exactly the slabs FromCSR
-// accepts, which is what lets a serialized graph round-trip with zero
-// re-encoding.
+// storage and must not be modified.
 func (g *Graph) CSR() (off []int64, adj, eid []int32, edges []Edge) {
 	return g.off, g.adj, g.eid, g.edges
-}
-
-// FromCSR adopts pre-built CSR arrays without copying them — the caller
-// promises the slices stay immutable for the life of the graph (they may be
-// views into a read-only mmap). The layout is validated structurally
-// (lengths, offset monotonicity, neighbor sort order, ID ranges) in O(n+m)
-// but edge IDs are trusted to match the canonical (U,V)-sorted assignment;
-// use Fingerprint-style checks upstream when the source is untrusted.
-func FromCSR(off []int64, adj, eid []int32, edges []Edge) (*Graph, error) {
-	if len(off) == 0 {
-		return nil, fmt.Errorf("graph: FromCSR: empty offset table")
-	}
-	n, m := len(off)-1, len(edges)
-	if len(adj) != 2*m || len(eid) != 2*m {
-		return nil, fmt.Errorf("graph: FromCSR: adj/eid length %d/%d, want %d", len(adj), len(eid), 2*m)
-	}
-	if off[0] != 0 || off[n] != int64(2*m) {
-		return nil, fmt.Errorf("graph: FromCSR: offset table spans [%d,%d], want [0,%d]", off[0], off[n], 2*m)
-	}
-	for v := 0; v < n; v++ {
-		lo, hi := off[v], off[v+1]
-		if lo > hi || hi > off[n] {
-			return nil, fmt.Errorf("graph: FromCSR: offsets out of order at vertex %d", v)
-		}
-		for i := lo; i < hi; i++ {
-			if w := adj[i]; w < 0 || int(w) >= n {
-				return nil, fmt.Errorf("graph: FromCSR: neighbor %d of vertex %d out of range", w, v)
-			} else if i > lo && adj[i-1] >= w {
-				return nil, fmt.Errorf("graph: FromCSR: neighbors of vertex %d not strictly sorted", v)
-			}
-			if id := eid[i]; id < 0 || int(id) >= m {
-				return nil, fmt.Errorf("graph: FromCSR: edge ID %d at vertex %d out of range", id, v)
-			}
-		}
-	}
-	for id, e := range edges {
-		if e.U >= e.V || e.U < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: FromCSR: edge %d (%d,%d) not canonical for %d vertices", id, e.U, e.V, n)
-		}
-	}
-	return &Graph{off: off, adj: adj, eid: eid, edges: edges}, nil
 }
 
 // HasEdge reports whether the undirected edge {u,v} exists.

@@ -9,7 +9,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -121,29 +123,13 @@ func (r *Registry) Gauge(name string, sample func() map[string]uint64) {
 }
 
 // Snapshot returns a consistent copy of every counter, routes sorted.
+// The gauges are sampled after the registry lock is released, so a slow
+// or re-entrant gauge callback never holds up Observe.
 func (r *Registry) Snapshot() Report {
 	r.mu.Lock()
-	var gauges map[string]func() map[string]uint64
-	if len(r.gauges) > 0 {
-		gauges = make(map[string]func() map[string]uint64, len(r.gauges))
-		for name, fn := range r.gauges {
-			gauges[name] = fn
-		}
-	}
-	defer r.mu.Unlock()
+	gauges := maps.Clone(r.gauges)
 	rep := Report{UptimeSeconds: time.Since(r.started).Seconds()}
-	if gauges != nil {
-		rep.Gauges = make(map[string]map[string]uint64, len(gauges))
-		for name, fn := range gauges {
-			rep.Gauges[name] = fn()
-		}
-	}
-	routes := make([]string, 0, len(r.endpoints))
-	for route := range r.endpoints {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-	for _, route := range routes {
+	for _, route := range slices.Sorted(maps.Keys(r.endpoints)) {
 		ep := r.endpoints[route]
 		st := EndpointStats{
 			Route:        route,
@@ -167,6 +153,13 @@ func (r *Registry) Snapshot() Report {
 		}
 		rep.Requests += ep.count
 		rep.Endpoints = append(rep.Endpoints, st)
+	}
+	r.mu.Unlock()
+	if gauges != nil {
+		rep.Gauges = make(map[string]map[string]uint64, len(gauges))
+		for name, fn := range gauges {
+			rep.Gauges[name] = fn()
+		}
 	}
 	return rep
 }

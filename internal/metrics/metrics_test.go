@@ -116,3 +116,29 @@ func TestNilRegistryIsInert(t *testing.T) {
 	h := r.Instrument("/x", func(w http.ResponseWriter, _ *http.Request) {})
 	h(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 }
+
+// TestGaugeSampledOutsideLock: Snapshot samples the gauges after it has
+// released the registry lock, so a gauge callback that records into the
+// same registry completes instead of deadlocking.
+func TestGaugeSampledOutsideLock(t *testing.T) {
+	r := New()
+	r.Gauge("reentrant", func() map[string]uint64 {
+		r.Observe("/gauge", 200, time.Microsecond)
+		return map[string]uint64{"ok": 1}
+	})
+	done := make(chan Report, 1)
+	go func() { done <- r.Snapshot() }()
+	select {
+	case rep := <-done:
+		if rep.Gauges["reentrant"]["ok"] != 1 {
+			t.Fatalf("gauges = %v, want reentrant.ok = 1", rep.Gauges)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Snapshot blocked: a gauge callback ran under the registry lock")
+	}
+	// The second report is built before its own gauge runs, so it counts
+	// only the first one's observation.
+	if got := r.Snapshot().Requests; got != 1 {
+		t.Fatalf("requests = %d, want 1", got)
+	}
+}

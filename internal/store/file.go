@@ -44,7 +44,7 @@ func (m Mode) String() string {
 	return "mmap"
 }
 
-// OpenOption configures OpenFile/OpenGraph.
+// OpenOption configures OpenFile.
 type OpenOption func(*openConfig)
 
 type openConfig struct {
@@ -63,13 +63,12 @@ type tocEntry struct {
 }
 
 // File is an opened, header-validated index file whose sections load on
-// demand; obtain one with OpenFile (or OpenGraph) and release it with
-// Close. In mmap mode the File owns a read-only mapping that section
-// accessors return views into, guarded by a reference count: Retain/Close
-// pair around every owner of such views, and the mapping is unmapped only
-// when the last reference closes. In decode mode section reads reopen the
-// file, so the File holds no descriptor between calls. Both modes are safe
-// for concurrent use.
+// demand; obtain one with OpenFile and release it with Close. In mmap mode
+// the File owns a read-only mapping that section accessors return views
+// into, guarded by a reference count: Retain/Close pair around every owner
+// of such views, and the mapping is unmapped only when the last reference
+// closes. In decode mode section reads reopen the file, so the File holds
+// no descriptor between calls. Both modes are safe for concurrent use.
 type File struct {
 	path  string
 	g     *graph.Graph
@@ -93,20 +92,8 @@ type File struct {
 // every read; in mmap mode use VerifySections for an explicit full check.
 func OpenFile(path string, g *graph.Graph, opts ...OpenOption) (*File, error) {
 	if g == nil {
-		return nil, fmt.Errorf("store: OpenFile requires a graph; use OpenGraph to boot from the file alone")
+		return nil, fmt.Errorf("store: OpenFile requires a graph")
 	}
-	return open(path, g, opts)
-}
-
-// OpenGraph opens an index file standalone — no pre-loaded graph — by
-// materializing the graph from the file's own CSR section and
-// verifying the header fingerprint against it. The returned handle serves
-// the graph via Graph() and every other section exactly like OpenFile.
-func OpenGraph(path string, opts ...OpenOption) (*File, error) {
-	return open(path, nil, opts)
-}
-
-func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -138,10 +125,8 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 	}
 	var fp [32]byte
 	copy(fp[:], hdr[8:40])
-	if g != nil {
-		if want := Fingerprint(g); fp != want {
-			return nil, &FingerprintError{Got: fp, Want: want}
-		}
+	if want := Fingerprint(g); fp != want {
+		return nil, &FingerprintError{Got: fp, Want: want}
 	}
 	count := binary.LittleEndian.Uint32(hdr[40:44])
 	if count > maxSections {
@@ -183,7 +168,7 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 			continue
 		}
 		switch id {
-		case SecTruss, SecTSD, SecGCT, SecRankings, SecEpoch, SecSupports, SecGraph:
+		case SecTruss, SecTSD, SecGCT, SecRankings, SecEpoch:
 			ref := SectionRef{Section: id, Measure: measure}
 			if _, dup := toc[ref]; dup {
 				return nil, &CorruptError{Section: id, Reason: "duplicate section"}
@@ -208,23 +193,6 @@ func open(path string, g *graph.Graph, opts []OpenOption) (*File, error) {
 		if data, err := mmapFile(fd, st.Size()); err == nil {
 			f.data = data
 		}
-	}
-
-	if g == nil {
-		// OpenGraph: materialize the graph from the file itself, then close
-		// the trust loop by recomputing the fingerprint over it.
-		gv, err := f.Graph()
-		if err == nil && gv == nil {
-			err = &CorruptError{Section: SecGraph, Reason: "file has no graph section"}
-		}
-		if err == nil && Fingerprint(gv) != fp {
-			err = &CorruptError{Section: SecGraph, Reason: "graph section does not match the header fingerprint"}
-		}
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.g = gv
 	}
 	return f, nil
 }
@@ -285,9 +253,9 @@ func (f *File) Refs() int64 { return f.refs.Load() }
 func (f *File) PayloadReads() int64 { return f.reads.Load() }
 
 // Close drops one reference; the last Close unmaps the file. Views served
-// from a mapped File (tau/support arrays, TSD/GCT structures, the graph)
-// alias the mapping and die with it: callers must not touch them after
-// their reference is gone.
+// from a mapped File (the tau array, TSD/GCT structures) alias the mapping
+// and die with it: callers must not touch them after their reference is
+// gone.
 func (f *File) Close() error {
 	switch n := f.refs.Add(-1); {
 	case n > 0:
@@ -397,24 +365,19 @@ func checkCRC(s Section, payload []byte, want uint32) error {
 	return nil
 }
 
-// edgeArray loads a 4-bytes-per-edge int32 section (tau, supports).
-func (f *File) edgeArray(s Section) ([]int32, error) {
-	payload, err := f.payload(s, core.MeasureTruss)
+// Tau loads the global truss decomposition (one int32 per edge), or
+// (nil, nil) when absent.
+func (f *File) Tau() ([]int32, error) {
+	payload, err := f.payload(SecTruss, core.MeasureTruss)
 	if payload == nil || err != nil {
 		return nil, err
 	}
 	if len(payload) != 4*f.g.M() {
-		return nil, &CorruptError{Section: s,
+		return nil, &CorruptError{Section: SecTruss,
 			Reason: fmt.Sprintf("%d payload bytes for %d edges", len(payload), f.g.M())}
 	}
-	return i32Array[int32](&slabR{sec: s, b: payload}, f.g.M()), nil
+	return i32Array[int32](&slabR{sec: SecTruss, b: payload}, f.g.M()), nil
 }
-
-// Tau loads the global truss decomposition, or (nil, nil) when absent.
-func (f *File) Tau() ([]int32, error) { return f.edgeArray(SecTruss) }
-
-// Sup loads the global edge support array, or (nil, nil) when absent.
-func (f *File) Sup() ([]int32, error) { return f.edgeArray(SecSupports) }
 
 // TSD loads the TSD index bound to the file's graph, or (nil, nil) when
 // absent.
@@ -434,17 +397,6 @@ func (f *File) GCT() (*core.GCTIndex, error) {
 		return nil, err
 	}
 	return decodeGCTSlab(payload, f.g)
-}
-
-// Graph materializes the graph recorded in the file's CSR section, or
-// (nil, nil) when the file has none. All four arrays are views into the
-// section's bytes.
-func (f *File) Graph() (*graph.Graph, error) {
-	payload, err := f.payload(SecGraph, core.MeasureTruss)
-	if payload == nil || err != nil {
-		return nil, err
-	}
-	return decodeGraphSlab(payload)
 }
 
 // Epoch loads the recorded snapshot epoch, or (0, nil) when absent.
@@ -484,9 +436,6 @@ func ReadAll(path string, g *graph.Graph) (*Indexes, error) {
 	defer f.Close()
 	var ix Indexes
 	if ix.Tau, err = f.Tau(); err != nil {
-		return nil, err
-	}
-	if ix.Sup, err = f.Sup(); err != nil {
 		return nil, err
 	}
 	if ix.TSD, err = f.TSD(); err != nil {

@@ -1,8 +1,7 @@
 // Package store persists the library's search accelerators — the truss
-// decomposition and edge supports, the TSD and GCT indexes, the per-k
-// rankings of every measure, and the graph's own CSR arrays — in one
-// versioned binary file, so a serving process can warm start from disk
-// instead of paying the full build cost on every boot.
+// decomposition, the TSD and GCT indexes and the per-k rankings of every
+// measure — in one versioned binary file, so a serving process can warm
+// start from disk instead of paying the full build cost on every boot.
 //
 // File layout (all integers little-endian):
 //
@@ -31,12 +30,13 @@
 // with the diversity measure its section belongs to (0 = truss,
 // 1 = component, 2 = core).
 //
-// Compatibility policy: the format version is bumped on any layout change,
-// and the reader accepts exactly the current version, rejecting every
-// other with *VersionError. The file is a cache of derivable data, so an
-// older file costs one rebuild, after which the DB persists it anew.
-// Unknown section IDs (or measure tags) inside the current version are
-// skipped, so minor additions do not force a version bump.
+// Compatibility policy: the format version is bumped on any change to the
+// header, the TOC or a slab codec, and the reader accepts exactly the
+// current version, rejecting every other with *VersionError. The file is a
+// cache of derivable data, so an older file costs one rebuild, after which
+// the DB persists it anew. Unknown section IDs (or measure tags) inside the
+// current version are skipped, so adding or retiring an optional section
+// does not force a version bump.
 package store
 
 import (
@@ -64,7 +64,7 @@ const (
 	headerSize   = 44
 	tocEntrySize = 28 // {id, measure, crc, offset, length}
 	// maxSections bounds the TOC a reader will accept; the format defines
-	// seven section IDs across three measures, so anything much larger is a
+	// five section IDs across three measures, so anything much larger is a
 	// corrupt header.
 	maxSections = 64
 )
@@ -87,19 +87,13 @@ const (
 	// from (8 bytes, little-endian), so a warm start resumes the version
 	// numbering of an updated graph instead of restarting at 1.
 	SecEpoch Section = 5
-	// SecSupports is the global edge support array: one int32 per edge,
-	// parallel to SecTruss. A DB persists and reloads it with SecTruss;
-	// the incremental truss repair takes it as input.
-	SecSupports Section = 6
-	// SecGraph is the graph's own CSR arrays (off/adj/eid/edges) as a flat
-	// slab, always written: replicas can mmap the topology itself instead
-	// of each materializing a heap copy, and OpenGraph can boot from the
-	// store alone.
-	SecGraph Section = 7
-	// Section ID 8 is retired: earlier v3 writers stored a parameter-free
-	// ranking there, which readers now derive from the rankings section.
-	// Files that carry it still open — the section is skipped like any
-	// unknown ID — and no writer may reuse the ID.
+	// Section IDs 6, 7 and 8 are retired. Earlier v3 writers stored the
+	// global edge supports (6), the graph's CSR arrays (7) and a
+	// parameter-free ranking (8) there; no reader needs them, since
+	// the DB recounts supports when it rebuilds τ, always holds the graph
+	// it opens a file against, and derives the parameter-free row from the
+	// rankings section. Files that carry them still open — the sections
+	// are skipped like any unknown ID — and no writer may reuse the IDs.
 )
 
 // Measure tags on TOC entries, binding a section to the diversity
@@ -166,17 +160,13 @@ func (s Section) String() string {
 		return "rankings"
 	case SecEpoch:
 		return "epoch"
-	case SecSupports:
-		return "supports"
-	case SecGraph:
-		return "graph"
 	}
 	return fmt.Sprintf("section(%d)", uint32(s))
 }
 
 // knownSections lists every section ID this reader understands, in the
 // canonical listing order.
-var knownSections = []Section{SecTruss, SecSupports, SecTSD, SecGCT, SecRankings, SecEpoch, SecGraph}
+var knownSections = []Section{SecTruss, SecTSD, SecGCT, SecRankings, SecEpoch}
 
 // Sentinel errors, each matched by errors.Is against the typed error that
 // carries the details.
@@ -262,13 +252,10 @@ func PathIn(dir string) string { return filepath.Join(dir, FileName) }
 
 // Indexes bundles the sections a file can hold. Nil fields are simply
 // absent: Write persists only what is present, and ReadAll returns nil for
-// sections the file does not contain. (The graph's CSR section is not part
-// of this bundle — Write derives it from the graph itself.)
+// sections the file does not contain.
 type Indexes struct {
 	// Tau is the global truss decomposition, indexed by edge ID.
 	Tau []int32
-	// Sup is the global edge support array, parallel to Tau.
-	Sup []int32
 	// TSD is the per-vertex maximum-spanning-forest index (paper §5).
 	TSD *core.TSDIndex
 	// GCT is the compressed supernode/superedge index (paper §6).
@@ -284,9 +271,8 @@ type Indexes struct {
 }
 
 // Write serializes the present sections of ix in format v3, fingerprinted
-// against g, and returns the bytes written. The graph's own CSR section is
-// always included; every payload starts on an 8-byte file offset so a
-// mmap reader can serve views in place.
+// against g, and returns the bytes written. Every payload starts on an
+// 8-byte file offset so a mmap reader can serve views in place.
 func Write(w io.Writer, g *graph.Graph, ix Indexes) (int64, error) {
 	type section struct {
 		id      Section
@@ -300,13 +286,6 @@ func Write(w io.Writer, g *graph.Graph, ix Indexes) (int64, error) {
 				len(ix.Tau), g.M())
 		}
 		secs = append(secs, section{SecTruss, measureCodeTruss, encodeInt32s(ix.Tau)})
-	}
-	if ix.Sup != nil {
-		if len(ix.Sup) != g.M() {
-			return 0, fmt.Errorf("store: support array has %d entries, graph has %d edges",
-				len(ix.Sup), g.M())
-		}
-		secs = append(secs, section{SecSupports, measureCodeTruss, encodeInt32s(ix.Sup)})
 	}
 	if ix.TSD != nil {
 		secs = append(secs, section{SecTSD, measureCodeTruss, encodeTSDSlab(ix.TSD)})
@@ -332,7 +311,6 @@ func Write(w io.Writer, g *graph.Graph, ix Indexes) (int64, error) {
 		binary.LittleEndian.PutUint64(payload, ix.Epoch)
 		secs = append(secs, section{SecEpoch, measureCodeTruss, payload})
 	}
-	secs = append(secs, section{SecGraph, measureCodeTruss, encodeGraphSlab(g)})
 
 	fp := Fingerprint(g)
 	header := make([]byte, headerSize+tocEntrySize*len(secs))

@@ -34,10 +34,8 @@ func bothModes(t *testing.T, f func(t *testing.T, mode Mode)) {
 // buildIndexes constructs every truss-measure section for g, the way
 // cmd/tsdindex does.
 func buildIndexes(g *graph.Graph) Indexes {
-	tau, sup := truss.DecomposeFull(g, 1)
 	return Indexes{
-		Tau: tau,
-		Sup: sup,
+		Tau: truss.Decompose(g),
 		TSD: core.BuildTSDIndex(g),
 		GCT: core.BuildGCTIndex(g),
 		MeasureRankings: map[core.Measure][][]core.VertexScore{
@@ -86,9 +84,8 @@ func TestRoundTripAllSections(t *testing.T) {
 		}
 		defer f.Close()
 		want := []SectionRef{
-			{SecTruss, core.MeasureTruss}, {SecSupports, core.MeasureTruss},
-			{SecTSD, core.MeasureTruss}, {SecGCT, core.MeasureTruss},
-			{SecRankings, core.MeasureTruss}, {SecGraph, core.MeasureTruss},
+			{SecTruss, core.MeasureTruss}, {SecTSD, core.MeasureTruss},
+			{SecGCT, core.MeasureTruss}, {SecRankings, core.MeasureTruss},
 		}
 		if got := f.Sections(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sections = %v, want %v", got, want)
@@ -100,13 +97,6 @@ func TestRoundTripAllSections(t *testing.T) {
 		}
 		if !reflect.DeepEqual(tau, ix.Tau) {
 			t.Errorf("truss decomposition changed across the round trip")
-		}
-		sup, err := f.Sup()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sup, ix.Sup) {
-			t.Errorf("supports changed across the round trip")
 		}
 		rankings, err := f.MeasureRankings(core.MeasureTruss)
 		if err != nil {
@@ -131,21 +121,14 @@ func TestRoundTripAllSections(t *testing.T) {
 		if !reflect.DeepEqual(gct.Flatten(), ix.GCT.Flatten()) {
 			t.Errorf("GCT index changed across the round trip")
 		}
-		gg, err := f.Graph()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gg.N() != g.N() || gg.M() != g.M() || !reflect.DeepEqual(gg.Edges(), g.Edges()) {
-			t.Errorf("graph section changed across the round trip")
-		}
 	})
 
 	back, err := ReadAll(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Tau, ix.Tau) || !reflect.DeepEqual(back.Sup, ix.Sup) {
-		t.Errorf("ReadAll lost the truss arrays")
+	if !reflect.DeepEqual(back.Tau, ix.Tau) {
+		t.Errorf("ReadAll lost the truss decomposition")
 	}
 	if !reflect.DeepEqual(back.MeasureRankings[core.MeasureTruss], ix.MeasureRankings[core.MeasureTruss]) {
 		t.Errorf("ReadAll lost the rankings")
@@ -160,7 +143,7 @@ func TestPartialFileOnlyHasWrittenSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Tau == nil || back.Sup != nil || back.TSD != nil || back.GCT != nil || back.MeasureRankings != nil {
+	if back.Tau == nil || back.TSD != nil || back.GCT != nil || back.MeasureRankings != nil {
 		t.Fatalf("partial file round-tripped to %+v", back)
 	}
 }
@@ -198,11 +181,12 @@ func TestV3OffsetsAligned(t *testing.T) {
 }
 
 // TestGoldenFormat pins the byte-exact on-disk layout of a fully
-// populated version-3 file (truss sections, supports, graph CSR, plus one
-// measure-tagged rankings section per alternative measure): any change to
-// the header, TOC, or a slab codec fails here and must come with a
-// format-version bump (see the package comment's compatibility policy).
-// Regenerate deliberately with
+// populated version-3 file (truss sections plus one measure-tagged
+// rankings section per alternative measure). A change to the header, the
+// TOC or a slab codec fails here and needs a format-version bump (see the
+// package comment's compatibility policy); retiring an optional section
+// needs only a regeneration and a retired-ID note on the Section
+// constants. Regenerate deliberately with
 // `go test ./internal/store -run TestGoldenFormat -update`.
 func TestGoldenFormat(t *testing.T) {
 	g := testGraph(t)
@@ -227,16 +211,18 @@ func TestGoldenFormat(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("serialized store (%d bytes) differs from golden file (%d bytes); "+
-			"a format change needs a Version bump and -update", buf.Len(), len(want))
+			"a header, TOC or slab codec change needs a Version bump and -update; "+
+			"retiring an optional section needs -update and a retired-ID note", buf.Len(), len(want))
 	}
 }
 
-// TestGoldenFormatPFree pins compatibility with v3 files written while
-// the parameter-free ranking had a section of its own (ID 8, now
-// retired). The checked-in golden_fig1_v3_pfree.tdx carries one pfree
-// section per measure and is never regenerated. It must open in both
-// modes, leave the retired section out of Sections(), and decode every
-// other section equal to a fresh build.
+// TestGoldenFormatPFree pins compatibility with v3 files that carry the
+// retired section IDs: the global supports (6), the graph's CSR arrays
+// (7) and the parameter-free ranking (8). The checked-in
+// golden_fig1_v3_pfree.tdx carries one supports and one graph section and
+// one pfree section per measure, and is never regenerated. It must open in
+// both modes, leave the retired sections out of Sections(), and decode
+// every other section equal to a fresh build.
 func TestGoldenFormatPFree(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
@@ -246,14 +232,14 @@ func TestGoldenFormatPFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfreeEntries := 0
+	retired := map[uint32]int{}
 	for i := 0; i < int(binary.LittleEndian.Uint32(raw[40:44])); i++ {
-		if binary.LittleEndian.Uint32(raw[headerSize+tocEntrySize*i:]) == 8 {
-			pfreeEntries++
+		if id := binary.LittleEndian.Uint32(raw[headerSize+tocEntrySize*i:]); id >= 6 {
+			retired[id]++
 		}
 	}
-	if pfreeEntries != 3 {
-		t.Fatalf("fixture holds %d section-8 entries, want 3 (one per measure)", pfreeEntries)
+	if want := map[uint32]int{6: 1, 7: 1, 8: 3}; !reflect.DeepEqual(retired, want) {
+		t.Fatalf("fixture holds retired entries %v, want %v", retired, want)
 	}
 	bothModes(t, func(t *testing.T, mode Mode) {
 		f, err := OpenFile(golden, g, WithMode(mode))
@@ -262,9 +248,8 @@ func TestGoldenFormatPFree(t *testing.T) {
 		}
 		defer f.Close()
 		want := []SectionRef{
-			{SecTruss, core.MeasureTruss}, {SecSupports, core.MeasureTruss},
-			{SecTSD, core.MeasureTruss}, {SecGCT, core.MeasureTruss},
-			{SecRankings, core.MeasureTruss}, {SecGraph, core.MeasureTruss},
+			{SecTruss, core.MeasureTruss}, {SecTSD, core.MeasureTruss},
+			{SecGCT, core.MeasureTruss}, {SecRankings, core.MeasureTruss},
 			{SecRankings, core.MeasureComponent}, {SecRankings, core.MeasureCore},
 		}
 		if got := f.Sections(); !reflect.DeepEqual(got, want) {
@@ -274,21 +259,16 @@ func TestGoldenFormatPFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		tau, err1 := f.Tau()
-		sup, err2 := f.Sup()
-		tsd, err3 := f.TSD()
-		gct, err4 := f.GCT()
-		gg, err5 := f.Graph()
-		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+		tsd, err2 := f.TSD()
+		gct, err3 := f.GCT()
+		if err := errors.Join(err1, err2, err3); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tau, ix.Tau) || !reflect.DeepEqual(sup, ix.Sup) {
-			t.Error("truss arrays in the fixture diverge from a fresh build")
+		if !reflect.DeepEqual(tau, ix.Tau) {
+			t.Error("truss decomposition in the fixture diverges from a fresh build")
 		}
 		if !reflect.DeepEqual(tsd.Flatten(), ix.TSD.Flatten()) || !reflect.DeepEqual(gct.Flatten(), ix.GCT.Flatten()) {
 			t.Error("TSD/GCT in the fixture diverge from a fresh build")
-		}
-		if !reflect.DeepEqual(gg.Edges(), g.Edges()) {
-			t.Error("graph section in the fixture diverges from the graph")
 		}
 		for _, m := range core.AllMeasures() {
 			perK, err := f.MeasureRankings(m)
@@ -305,8 +285,8 @@ func TestGoldenFormatPFree(t *testing.T) {
 // TestV1GoldenRejected and TestV2GoldenRejected pin the compatibility
 // policy: the checked-in v1 and v2 goldens (never regenerated) are refused
 // with a typed *VersionError naming their version — through OpenFile in
-// both modes and through OpenGraph — so a DB rebuilds and persists v3 in
-// their place instead of misreading them.
+// both modes — so a DB rebuilds and persists v3 in their place instead of
+// misreading them.
 func TestV1GoldenRejected(t *testing.T) {
 	checkOldGoldenRejected(t, "golden_fig1.tdx", 1)
 }
@@ -319,22 +299,16 @@ func checkOldGoldenRejected(t *testing.T, file string, version uint32) {
 	g := testGraph(t)
 	path := filepath.Join("testdata", file)
 	want := &VersionError{Got: version, Want: Version}
-	check := func(what string, f *File, err error) {
-		t.Helper()
+	bothModes(t, func(t *testing.T, mode Mode) {
+		f, err := OpenFile(path, g, WithMode(mode))
 		if f != nil {
 			f.Close()
 		}
 		var ve *VersionError
 		if !errors.As(err, &ve) || *ve != *want || !errors.Is(err, ErrVersion) {
-			t.Fatalf("%s: err = %v, want %v", what, err, want)
+			t.Fatalf("OpenFile: err = %v, want %v", err, want)
 		}
-	}
-	bothModes(t, func(t *testing.T, mode Mode) {
-		f, err := OpenFile(path, g, WithMode(mode))
-		check("OpenFile", f, err)
 	})
-	f, err := OpenGraph(path)
-	check("OpenGraph", f, err)
 }
 
 // TestMeasureRankingsRoundTrip exercises the measure-tagged sections:
@@ -363,8 +337,8 @@ func TestMeasureRankingsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if got := len(f.Sections()); got != 8 {
-			t.Fatalf("file holds %d sections, want 8 (6 truss + 2 measure rankings)", got)
+		if got := len(f.Sections()); got != 6 {
+			t.Fatalf("file holds %d sections, want 6 (4 truss + 2 measure rankings)", got)
 		}
 		for _, m := range []core.Measure{core.MeasureComponent, core.MeasureCore} {
 			perK, err := f.MeasureRankings(m)
@@ -463,14 +437,6 @@ func TestMmapMatchesDecode(t *testing.T) {
 	if !reflect.DeepEqual(tauM, tauD) {
 		t.Error("tau differs between modes")
 	}
-	supM, err1 := mm.Sup()
-	supD, err2 := dec.Sup()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(supM, supD) {
-		t.Error("supports differ between modes")
-	}
 	tsdM, err1 := mm.TSD()
 	tsdD, err2 := dec.TSD()
 	if err1 != nil || err2 != nil {
@@ -503,14 +469,6 @@ func TestMmapMatchesDecode(t *testing.T) {
 	if epM != 7 || epD != 7 {
 		t.Errorf("epochs = %d/%d, want 7/7", epM, epD)
 	}
-	gM, err1 := mm.Graph()
-	gD, err2 := dec.Graph()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(gM.Edges(), gD.Edges()) {
-		t.Error("graph section differs between modes")
-	}
 
 	// The mmap handle must not have decoded anything: all of the above were
 	// served as views over the mapping.
@@ -538,7 +496,6 @@ func TestPortableDecoderMatchesViews(t *testing.T) {
 		tau      []int32
 		tsd      core.TSDFlat
 		gct      core.GCTFlat
-		csr      [4]any
 		rankings [][]core.VertexScore
 	}
 	load := func(t *testing.T, f *File) loaded {
@@ -556,15 +513,10 @@ func TestPortableDecoderMatchesViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gg, err := f.Graph()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if l.rankings, err = f.MeasureRankings(core.MeasureComponent); err != nil {
 			t.Fatal(err)
 		}
-		off, adj, eid, edges := gg.CSR()
-		l.tsd, l.gct, l.csr = tsd.Flatten(), gct.Flatten(), [4]any{off, adj, eid, edges}
+		l.tsd, l.gct = tsd.Flatten(), gct.Flatten()
 		return l
 	}
 
@@ -595,58 +547,6 @@ func TestPortableDecoderMatchesViews(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestOpenGraph boots from the store alone: no prior graph needed, the
-// CSR section materializes one, and the fingerprint self-check binds the
-// remaining sections to it.
-func TestOpenGraph(t *testing.T) {
-	g := testGraph(t)
-	ix := buildIndexes(g)
-	path := saveTo(t, g, ix)
-
-	bothModes(t, func(t *testing.T, mode Mode) {
-		f, err := OpenGraph(path, WithMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		gg, err := f.Graph()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gg.N() != g.N() || gg.M() != g.M() || !reflect.DeepEqual(gg.Edges(), g.Edges()) {
-			t.Fatal("OpenGraph materialized a different graph")
-		}
-		tau, err := f.Tau()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tau, ix.Tau) {
-			t.Fatal("tau through OpenGraph differs from the build")
-		}
-	})
-
-	// A file without a graph section cannot self-boot: retag the graph
-	// section with an ID this reader skips.
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := int(binary.LittleEndian.Uint32(blob[40:44]))
-	for i := 0; i < count; i++ {
-		e := blob[headerSize+tocEntrySize*i:]
-		if Section(binary.LittleEndian.Uint32(e[0:4])) == SecGraph {
-			binary.LittleEndian.PutUint32(e[0:4], 99)
-		}
-	}
-	graphless := filepath.Join(t.TempDir(), FileName)
-	if err := os.WriteFile(graphless, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenGraph(graphless); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("OpenGraph on a graphless file: err = %v, want ErrCorrupt", err)
-	}
 }
 
 // TestFileRefcount pins the Retain/Close lifecycle that lets superseded
@@ -686,6 +586,17 @@ func TestOpenMissingFileIsNotExist(t *testing.T) {
 	_, err := OpenFile(filepath.Join(t.TempDir(), FileName), g)
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err = %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestOpenFileRequiresGraph: a file is always opened against the graph
+// it must describe; a nil graph is an error, not a fingerprint panic.
+func TestOpenFileRequiresGraph(t *testing.T) {
+	g := testGraph(t)
+	path := saveTo(t, g, Indexes{Tau: truss.Decompose(g)})
+	if f, err := OpenFile(path, nil); err == nil {
+		f.Close()
+		t.Fatal("OpenFile with a nil graph succeeded")
 	}
 }
 
@@ -805,8 +716,8 @@ func TestSectionChecksumDetectsCorruption(t *testing.T) {
 	if !f.Has(SecTruss) {
 		t.Fatal("damaged section vanished from the listing")
 	}
-	if _, err := f.Sup(); err != nil {
-		t.Fatalf("sibling supports section failed: %v", err)
+	if _, err := f.GCT(); err != nil {
+		t.Fatalf("sibling gct section failed: %v", err)
 	}
 	if _, err := f.TSD(); err != nil {
 		t.Fatalf("sibling tsd section failed: %v", err)
@@ -905,7 +816,7 @@ func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
 
 // TestOpenRejectsOverlappingSections: a TOC whose sections share bytes
 // with each other, or with the header and TOC, is corrupt at open in both
-// modes and through both entry points. Each case stays 8-byte aligned and
+// modes. Each case stays 8-byte aligned and
 // inside the file, so only the overlap check can catch it.
 func TestOpenRejectsOverlappingSections(t *testing.T) {
 	g := testGraph(t)
@@ -940,13 +851,10 @@ func TestOpenRejectsOverlappingSections(t *testing.T) {
 				t.Fatal(err)
 			}
 			bothModes(t, func(t *testing.T, mode Mode) {
-				_, errFile := OpenFile(path, g, WithMode(mode))
-				_, errGraph := OpenGraph(path, WithMode(mode))
-				for entry, err := range map[string]error{"OpenFile": errFile, "OpenGraph": errGraph} {
-					var ce *CorruptError
-					if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
-						t.Fatalf("%s err = %v, want a *CorruptError", entry, err)
-					}
+				_, err := OpenFile(path, g, WithMode(mode))
+				var ce *CorruptError
+				if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
+					t.Fatalf("OpenFile err = %v, want a *CorruptError", err)
 				}
 			})
 		})

@@ -26,8 +26,6 @@ const (
 	_ = uint(12 - unsafe.Sizeof(core.TSDEdge{}))
 	_ = uint(unsafe.Sizeof(core.GCTSuperEdge{}) - 12)
 	_ = uint(12 - unsafe.Sizeof(core.GCTSuperEdge{}))
-	_ = uint(unsafe.Sizeof(graph.Edge{}) - 8)
-	_ = uint(8 - unsafe.Sizeof(graph.Edge{}))
 )
 
 // hostLittleEndian gates the in-place views: on a big-endian host the raw
@@ -87,16 +85,7 @@ func (s *slabW) gctEdges(vs []core.GCTSuperEdge) {
 	}
 }
 
-func (s *slabW) edges(vs []graph.Edge) {
-	s.pad8()
-	for _, e := range vs {
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(e.U))
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(e.V))
-	}
-}
-
-// encodeInt32s is the payload of a bare per-edge int32 section (tau,
-// supports).
+// encodeInt32s is the payload of a bare per-edge int32 section (tau).
 func encodeInt32s(vs []int32) []byte {
 	var s slabW
 	s.i32s(vs)
@@ -368,35 +357,4 @@ func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
 		perK[k] = list
 	}
 	return perK, nil
-}
-
-// --- graph slab: n, m, off[n+1], adj[2m], eid[2m], edges[m] ---
-
-func encodeGraphSlab(g *graph.Graph) []byte {
-	off, adj, eid, edges := g.CSR()
-	var s slabW
-	s.u64(uint64(g.N()))
-	s.u64(uint64(g.M()))
-	s.i64s(off)
-	s.i32s(adj)
-	s.i32s(eid)
-	s.edges(edges)
-	return s.buf
-}
-
-func decodeGraphSlab(payload []byte) (*graph.Graph, error) {
-	r := &slabR{sec: SecGraph, b: payload}
-	n, m := r.count(), r.count()
-	off := r.i64s(n + 1)
-	adj := i32Array[int32](r, 2*m)
-	eid := i32Array[int32](r, 2*m)
-	edges := i32Array[graph.Edge](r, m)
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	g, err := graph.FromCSR(off, adj, eid, edges)
-	if err != nil {
-		return nil, &CorruptError{Section: SecGraph, Reason: "invalid CSR arrays", Err: err}
-	}
-	return g, nil
 }

@@ -2,6 +2,8 @@ package trussdiv
 
 import (
 	"container/list"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -34,18 +36,14 @@ type resultCache struct {
 // epoch, the resolved engine, and every answer-shaping Query field.
 // Workers is deliberately absent — answers are byte-identical for every
 // worker count. SkipStats is present because it decides whether a Stats
-// value was recorded alongside the Result. noK distinguishes a
-// parameter-free query (K left at 0, the objective spans all k) from
-// any fixed-k query: K = 0 and K = 1 are both unservable fixed-k values
-// that never reach the cache, but folding the k-less case into a plain
-// k field would make "no k" collide with a hypothetical k = 0 entry, so
-// the axis is explicit.
+// value was recorded alongside the Result. A parameter-free query keys
+// as k = 0: every fixed-k query that reaches the cache has k >= 2, so
+// the two never collide.
 type resultKey struct {
 	epoch     Epoch
 	engine    string
 	measure   Measure
 	k         int32
-	noK       bool
 	r         int
 	contexts  bool
 	skipStats bool
@@ -85,7 +83,6 @@ func resultCacheKey(epoch Epoch, engine string, q Query) resultKey {
 		engine:    engine,
 		measure:   q.Measure.Normalize(),
 		k:         q.K,
-		noK:       q.K == 0,
 		r:         q.R,
 		contexts:  q.IncludeContexts,
 		skipStats: q.SkipStats,
@@ -114,7 +111,7 @@ func (c *resultCache) get(key resultKey, cands []int32) (*Result, *Stats, bool) 
 	el, ok := c.entries[key]
 	if ok {
 		e := el.Value.(*resultEntry)
-		if sameCandidates(e.cands, cands) {
+		if slices.Equal(e.cands, cands) {
 			c.lru.MoveToFront(el)
 			c.hits++
 			c.countByEngine(&c.hitsByEngine, key.engine)
@@ -185,18 +182,6 @@ func (c *resultCache) invalidateBelow(epoch Epoch) {
 	}
 }
 
-func sameCandidates(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ResultCacheStats is a point-in-time view of the serving-side result
 // cache; see DB.ResultCacheStats.
 type ResultCacheStats struct {
@@ -224,20 +209,9 @@ func (c *resultCache) statsSnapshot() ResultCacheStats {
 		Hits:           c.hits,
 		Misses:         c.misses,
 		Invalidated:    c.invalidated,
-		HitsByEngine:   copyCounts(c.hitsByEngine),
-		MissesByEngine: copyCounts(c.missesByEngine),
+		HitsByEngine:   maps.Clone(c.hitsByEngine),
+		MissesByEngine: maps.Clone(c.missesByEngine),
 		Size:           c.lru.Len(),
 		Capacity:       c.cap,
 	}
-}
-
-func copyCounts(m map[string]uint64) map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	cp := make(map[string]uint64, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
 }

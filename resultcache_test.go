@@ -209,9 +209,10 @@ func TestWithResultCacheDisabled(t *testing.T) {
 
 // TestResultCacheNoKKeying is the k = 0 collision regression: a
 // parameter-free query (k absent, i.e. 0) and fixed-k queries at small
-// k must occupy distinct cache entries — the key carries an explicit
-// noK bit, so "no threshold" can never alias a real threshold. k = 1
-// fails validation and must leave the cache untouched entirely.
+// k must occupy distinct cache entries — the key's k is 0 only for the
+// parameter-free query, since every fixed k that reaches the cache is at
+// least 2. k = 1 fails validation and must leave the cache untouched
+// entirely.
 func TestResultCacheNoKKeying(t *testing.T) {
 	db, err := trussdiv.Open(overlayGraph(t))
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,9 +52,9 @@ func TestWarmOpenNeverBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm.Snapshot().cache.buildTau = func(*Graph) (tau, sup []int32) {
+	warm.Snapshot().cache.buildTau = func(*Graph) []int32 {
 		t.Error("warm DB rebuilt the truss decomposition")
-		return nil, nil
+		return nil
 	}
 	warm.Snapshot().cache.buildAllIdx = func(g *Graph, t2 core.BuildTargets) *core.BuildProducts {
 		t.Errorf("warm DB rebuilt ego-derived structures %+v", t2)
@@ -281,8 +283,8 @@ func TestDamagedSectionKeepsSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := healed.StoreStatus()
-	if !st.Warm || len(st.Sections) != 7 {
-		t.Fatalf("store after heal: %+v, want all 6 index sections plus the epoch", st)
+	if !st.Warm || len(st.Sections) != 5 {
+		t.Fatalf("store after heal: %+v, want all 4 index sections plus the epoch", st)
 	}
 	if healed.Snapshot().cache.builds != 0 {
 		t.Fatalf("healed open built %d times; want 0", healed.Snapshot().cache.builds)
@@ -346,6 +348,103 @@ func TestLegacyPFreeStoreWarmStart(t *testing.T) {
 			}
 			if n := db.Snapshot().cache.builds; n != 0 {
 				t.Fatalf("builds = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestRetiredSectionStoreUpgrade: a v3 store that carries the retired
+// section IDs 6 (supports), 7 (graph) and 8 (pfree) — the checked-in
+// golden_fig1_v3_pfree.tdx — readies every preparable engine without a
+// build and answers exactly like a cold DB. The next SaveIndexes rewrites
+// it without the retired sections, so the file shrinks.
+func TestRetiredSectionStoreUpgrade(t *testing.T) {
+	g := gen.Fig1Graph()
+	ctx := context.Background()
+	blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "golden_fig1_v3_pfree.tdx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tocIDs lists the section IDs in an index file's TOC (header: 44
+	// bytes, section count at 40; TOC entries: 28 bytes, ID first).
+	tocIDs := func(b []byte) []uint32 {
+		ids := make([]uint32, binary.LittleEndian.Uint32(b[40:44]))
+		for i := range ids {
+			ids[i] = binary.LittleEndian.Uint32(b[44+28*i:])
+		}
+		return ids
+	}
+	if ids := tocIDs(blob); !slices.Contains(ids, 6) || !slices.Contains(ids, 7) || !slices.Contains(ids, 8) {
+		t.Fatalf("fixture TOC %v lacks a retired ID", ids)
+	}
+	cold, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]Query{
+		"bound":  NewQuery(3, 5, WithContexts()),
+		"tsd":    NewQuery(3, 5, WithContexts()),
+		"gct":    NewQuery(3, 5, WithContexts()),
+		"hybrid": NewQuery(3, 5, WithContexts()),
+		"comp":   NewQuery(3, 5, WithMeasure(MeasureComponent), WithContexts()),
+		"kcore":  NewQuery(3, 5, WithMeasure(MeasureCore), WithContexts()),
+		"pfree":  NewQuery(0, 5, WithContexts()),
+	}
+	for _, mode := range []StoreMode{StoreMmap, StoreDecode} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, IndexFileName)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(g, WithIndexDir(dir), WithStoreMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Prepare(ctx, slices.Sorted(maps.Keys(queries))...); err != nil {
+				t.Fatal(err)
+			}
+			if n := db.Snapshot().cache.builds; n != 0 {
+				t.Fatalf("builds = %d, want 0", n)
+			}
+			st := db.StoreStatus()
+			if !st.Warm || st.LoadErr != nil {
+				t.Fatalf("store did not open warm: %+v", st)
+			}
+			for _, sec := range st.Sections {
+				if sec == "supports" || sec == "graph" || strings.HasPrefix(sec, "pfree") || strings.HasPrefix(sec, "section(") {
+					t.Fatalf("retired section listed: %v", st.Sections)
+				}
+			}
+			for name, q := range queries {
+				ViaEngine(name)(&q)
+				got, _, err := db.TopR(ctx, q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, _, err := cold.TopR(ctx, q)
+				if err != nil {
+					t.Fatalf("%s (cold): %v", name, err)
+				}
+				if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
+					t.Fatalf("%s: warm answer diverges from cold\n got %v\nwant %v", name, got.TopR, want.TopR)
+				}
+			}
+
+			if _, err := db.SaveIndexes(); err != nil {
+				t.Fatal(err)
+			}
+			saved, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range tocIDs(saved) {
+				if id >= 6 {
+					t.Fatalf("rewritten store carries retired section ID %d (TOC %v)", id, tocIDs(saved))
+				}
+			}
+			if len(saved) >= len(blob) {
+				t.Fatalf("rewritten store is %d bytes, want fewer than the fixture's %d", len(saved), len(blob))
 			}
 		})
 	}
