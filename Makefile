@@ -74,9 +74,11 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
-# path — ego extraction, per-vertex scoring under every measure, every
-# DB point query (the GCT index, the shared scorer, and the
-# parameter-free branches), and query routing (Route and
+# path — ego extraction, ego-network truss decomposition in both of the
+# peel's support modes (merge and bitmap, alternating on one scratch),
+# per-vertex scoring under every measure, every DB point query (the GCT
+# index, the shared scorer, and the parameter-free branches), and query
+# routing (Route and
 # ResolveEngine) — at zero steady-state allocations, and context
 # recovery under every measure at exactly its two output allocations
 # (the flat member array and the group headers). The truss repair
@@ -114,11 +116,13 @@ cover:
 	$(GO) test -cover ./...
 
 # Each fuzz target runs for 15s from its seed corpus: the edge-list loader
-# (internal/graph/testdata/fuzz), the index-file reader, seeded from the
-# store goldens, and the POST /edges and /batch bodies
-# (internal/server/testdata/fuzz). `go test -fuzz` takes one target per run.
+# (internal/graph/testdata/fuzz), the binary graph reader, the index-file
+# reader, seeded from the store goldens, and the POST /edges and /batch
+# bodies (internal/server/testdata/fuzz). `go test -fuzz` takes one target
+# per run.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadBinary -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s

@@ -121,16 +121,19 @@ func BenchmarkGCTIndexBuild(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// BenchmarkAblationPeelingMerge vs ...Bitmap: merge-intersection peeling
-// against bitmap peeling over every ego-network of the benchmark graph.
+// BenchmarkAblationPeelingMerge vs ...Bitmap: the two support-counting
+// modes of truss.Scratch's one peel, merged adjacency lists against
+// §6.2's bit rows, over every ego-network of the benchmark graph on one
+// warm scratch.
 func BenchmarkAblationPeelingMerge(b *testing.B) {
 	g := benchGraph()
 	all := ego.ExtractAll(g)
 	nets := materialize(g, all)
+	var ts truss.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, net := range nets {
-			truss.Decompose(net.G)
+			ts.DecomposeInto(net.G)
 		}
 	}
 }
@@ -139,11 +142,11 @@ func BenchmarkAblationPeelingBitmap(b *testing.B) {
 	g := benchGraph()
 	all := ego.ExtractAll(g)
 	nets := materialize(g, all)
-	var bd truss.BitmapDecomposer
+	var ts truss.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, net := range nets {
-			bd.Decompose(net.G)
+			ts.DecomposeBitmapInto(net.G)
 		}
 	}
 }

@@ -34,14 +34,15 @@ func runTable1(w io.Writer, cfg Config) error {
 // trussness inside the ego-network.
 func maxEgoTrussness(g *graph.Graph) int32 {
 	all := ego.ExtractAll(g)
-	var bd truss.BitmapDecomposer
+	var es ego.Scratch
+	var ts truss.Scratch
 	best := int32(0)
 	for v := int32(0); int(v) < g.N(); v++ {
 		if all.EdgeCount(v) == 0 {
 			continue
 		}
-		net := all.Network(v)
-		if t := truss.MaxTrussness(bd.Decompose(net.G)); t > best {
+		net := all.NetworkInto(&es, v)
+		if t := truss.MaxTrussness(ts.DecomposeBitmapInto(net.G)); t > best {
 			best = t
 		}
 	}
@@ -188,17 +189,20 @@ func runTable4(w io.Writer, cfg Config) error {
 		g := MustLoad(d.Name)
 		n := int32(g.N())
 
-		// TSD pipeline: per-vertex local triangle listing + peeling.
+		// TSD pipeline: per-vertex local triangle listing + merge peeling,
+		// the kernels every scan, build and patch runs.
+		var es ego.Scratch
+		var ts truss.Scratch
 		var tsdExtract, tsdDecompose time.Duration
 		for v := int32(0); v < n; v++ {
 			start := time.Now()
-			net := ego.ExtractOne(g, v)
+			net := ego.ExtractOneInto(&es, g, v)
 			tsdExtract += time.Since(start)
 			if net.G.M() == 0 {
 				continue
 			}
 			start = time.Now()
-			truss.Decompose(net.G)
+			ts.DecomposeInto(net.G)
 			tsdDecompose += time.Since(start)
 		}
 
@@ -206,16 +210,15 @@ func runTable4(w io.Writer, cfg Config) error {
 		var gctExtract, gctDecompose time.Duration
 		var all *ego.All
 		gctExtract = Timed(func() { all = ego.ExtractAll(g) })
-		var bd truss.BitmapDecomposer
 		for v := int32(0); v < n; v++ {
 			if all.EdgeCount(v) == 0 {
 				continue
 			}
 			start := time.Now()
-			net := all.Network(v)
+			net := all.NetworkInto(&es, v)
 			gctExtract += time.Since(start)
 			start = time.Now()
-			bd.Decompose(net.G)
+			ts.DecomposeBitmapInto(net.G)
 			gctDecompose += time.Since(start)
 		}
 		t.AddRow(d.Name, tsdExtract, gctExtract, tsdDecompose, gctDecompose)

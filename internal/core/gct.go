@@ -38,24 +38,24 @@ type GCTIndex struct {
 }
 
 // BuildGCTIndex runs Algorithm 7: one-shot global triangle listing to
-// extract every ego-network, bitmap-based truss decomposition per
-// ego-network, then Algorithm 8 to compress each into supernodes and
-// superedges. It is kept as the paper's reference construction — Table 3
-// times it, and the parity tests use it as an oracle independent of
-// BuildAll, which builds the identical index from the per-vertex pass
-// every other structure shares.
+// extract every ego-network, truss decomposition of each with §6.2's
+// bitmap supports (truss.Scratch.DecomposeBitmapInto), then Algorithm 8
+// to compress each into supernodes and superedges. It is kept as the
+// paper's reference construction — Table 3 times it, and the parity
+// tests use it as an oracle independent of BuildAll, which builds the
+// identical index from the per-vertex pass every other structure shares.
 func BuildGCTIndex(g *graph.Graph) *GCTIndex {
 	n := g.N()
 	idx := &GCTIndex{g: g, verts: make([]gctVertex, n)}
 	all := ego.ExtractAll(g)
 	var es ego.Scratch
-	var decomposer truss.BitmapDecomposer
+	var ts truss.Scratch
 	for v := int32(0); int(v) < n; v++ {
 		if all.EdgeCount(v) == 0 {
 			continue
 		}
 		net := all.NetworkInto(&es, v)
-		tau := decomposer.Decompose(net.G)
+		tau := ts.DecomposeBitmapInto(net.G)
 		idx.verts[v] = buildGCTVertex(net.G, tau)
 	}
 	return idx

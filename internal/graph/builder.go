@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -144,8 +145,12 @@ func growInt32(s []int32, n int) []int32 {
 
 // FromEdges builds a graph with n vertices from the given edge list.
 // Edges may appear in any orientation and may contain duplicates or
-// self-loops; the result is a simple graph. Endpoints must be < n.
+// self-loops; the result is a simple graph. n must fit a vertex ID
+// (0 ≤ n ≤ math.MaxInt32) and endpoints must be < n.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d out of range [0,%d]", n, math.MaxInt32)
+	}
 	b := NewBuilder(n)
 	for _, e := range edges {
 		if e.U >= int32(n) || e.V >= int32(n) || e.U < 0 || e.V < 0 {

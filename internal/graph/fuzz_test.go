@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 )
@@ -75,6 +77,79 @@ func FuzzLoadEdgeList(f *testing.F) {
 		}
 		if back.M() != g.M() {
 			t.Fatalf("round-trip edges %d, want %d", back.M(), g.M())
+		}
+	})
+}
+
+// fuzzMaxVertices caps the vertex count FuzzReadBinary lets through to the
+// CSR layout. A header may validly name up to math.MaxInt32 vertices, and
+// the layout costs O(n) memory whatever the edge count, so larger counts
+// that still fit an int32 are skipped to keep each fuzz run small; counts
+// beyond int32 still reach ReadBinary, which must reject them.
+const fuzzMaxVertices = 1 << 16
+
+// FuzzReadBinary hardens the binary graph reader, whose bytes come from
+// outside (trussdiv.ReadBinaryGraph): arbitrary input must either return
+// an error and a nil graph, or a graph whose edges are canonical, unique
+// and in range, and which survives a WriteBinary round trip.
+func FuzzReadBinary(f *testing.F) {
+	var valid bytes.Buffer
+	b := NewBuilder(7)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {4, 6}} {
+		b.AddEdge(e[0], e[1])
+	}
+	if err := b.Build().WriteBinary(&valid); err != nil {
+		f.Fatal(err)
+	}
+	header := func(magic, n, m uint32) []byte {
+		h := binary.LittleEndian.AppendUint32(nil, magic)
+		h = binary.LittleEndian.AppendUint32(h, n)
+		return binary.LittleEndian.AppendUint32(h, m)
+	}
+	for _, seed := range [][]byte{
+		valid.Bytes(),
+		{1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0}, // bad magic
+		valid.Bytes()[:6],                    // truncated header
+		header(binaryMagic, 0x80000000, 0),   // n beyond int32
+		header(binaryMagic, 0xFFFFFFFF, 0),
+		header(binaryMagic, 3, 0xFFFFFFFF), // edge count beyond the body
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 8 {
+			if n := binary.LittleEndian.Uint32(data[4:8]); n > fuzzMaxVertices && n <= math.MaxInt32 {
+				return
+			}
+		}
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			if g != nil {
+				t.Fatalf("non-nil graph alongside error %v", err)
+			}
+			return
+		}
+		seen := make(map[Edge]bool, g.M())
+		for id := int32(0); int(id) < g.M(); id++ {
+			e := g.Edge(id)
+			if e.U < 0 || e.U >= e.V || int(e.V) >= g.N() {
+				t.Fatalf("edge %d = (%d,%d) not canonical in [0,%d)", id, e.U, e.V, g.N())
+			}
+			if seen[e] {
+				t.Fatalf("duplicate edge (%d,%d)", e.U, e.V)
+			}
+			seen[e] = true
+		}
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("re-read: %v", err)
+		}
+		if back.N() != g.N() || back.M() != g.M() {
+			t.Fatalf("round trip N,M = %d,%d, want %d,%d", back.N(), back.M(), g.N(), g.M())
 		}
 	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -105,6 +106,25 @@ func TestReadBinaryCorruptEdgeCount(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupt edge count accepted")
+	}
+}
+
+// TestReadBinaryVertexCountOutOfRange: a header whose vertex count does
+// not fit an int32 vertex ID is an error, not a makeslice panic.
+func TestReadBinaryVertexCountOutOfRange(t *testing.T) {
+	for _, n := range []uint32{0x80000000, 0xFFFFFFFF} {
+		hdr := binary.LittleEndian.AppendUint32(nil, binaryMagic)
+		hdr = binary.LittleEndian.AppendUint32(hdr, n)
+		hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+		if g, err := ReadBinary(bytes.NewReader(hdr)); err == nil || g != nil {
+			t.Fatalf("n=%#x: got graph %v, err %v; want an error", n, g, err)
+		}
+	}
+	if g, err := FromEdges(1<<31, nil); err == nil || g != nil {
+		t.Fatalf("FromEdges(1<<31): got graph %v, err %v; want an error", g, err)
+	}
+	if g, err := FromEdges(-1, nil); err == nil || g != nil {
+		t.Fatalf("FromEdges(-1): got graph %v, err %v; want an error", g, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package truss
 
 import (
 	"math"
+	"math/bits"
 
 	"trussdiv/internal/dsu"
 	"trussdiv/internal/graph"
@@ -11,10 +12,11 @@ import (
 // to decompose and score ego-network-sized graphs without allocating in
 // steady state. The zero value is ready to use. A Scratch is not safe
 // for concurrent use — each worker owns exactly one — and the slices
-// returned by DecomposeInto are views over the Scratch, valid only
-// until its next use. See DESIGN.md "Scratch ownership contract".
+// returned by DecomposeInto and DecomposeBitmapInto are views over the
+// Scratch, valid only until its next use. See DESIGN.md "Scratch
+// ownership contract".
 type Scratch struct {
-	// peeling state (DecomposeInto)
+	// peeling state (DecomposeInto, DecomposeBitmapInto)
 	sup      []int32
 	tau      []int32
 	binStart []int32
@@ -22,6 +24,11 @@ type Scratch struct {
 	pos      []int32
 	cursor   []int32
 	removed  []bool
+
+	// bitmap mode (DecomposeBitmapInto): vertex v's adjacency row is
+	// rows[v*words : (v+1)*words]; words == 0 selects the merge mode.
+	rows  []uint64
+	words int
 
 	// component state (CountComponents / Components)
 	d     dsu.DSU
@@ -34,13 +41,11 @@ type Scratch struct {
 // counted by merging each edge's two sorted adjacency lists (the local
 // equivalent of the global triangle pass, suited to ego-network-sized
 // inputs) and the peel runs in the scratch bins. The returned tau is
-// owned by s and valid only until the next DecomposeInto.
+// owned by s and valid only until the next decomposition.
 func (s *Scratch) DecomposeInto(g *graph.Graph) []int32 {
 	m := g.M()
-	s.sup = growI32(s.sup, m)
-	for id := range s.sup {
-		s.sup[id] = 0
-	}
+	s.words = 0
+	s.sup = grow(s.sup, m)
 	for id, e := range g.Edges() {
 		c := int32(0)
 		forEachCommonArc(g, e.U, e.V, func(_, _, _ int32) { c++ })
@@ -49,12 +54,47 @@ func (s *Scratch) DecomposeInto(g *graph.Graph) []int32 {
 	return s.peel(g)
 }
 
+// DecomposeBitmapInto is DecomposeInto with paper §6.2's bitmap supports:
+// each vertex gets a row of n bits over s's storage, an edge's support is
+// the popcount of the AND of its endpoint rows, and the peel clears a
+// removed edge's two bits so the AND of the rows lists only the live
+// triangles through the next edge. It suits small, dense graphs such as
+// ego-networks, where the rows (n²/8 bytes) stay small. The returned tau
+// is owned by s and valid only until the next decomposition.
+func (s *Scratch) DecomposeBitmapInto(g *graph.Graph) []int32 {
+	n, m := g.N(), g.M()
+	s.words = (n + 63) / 64
+	s.rows = grow(s.rows, n*s.words)
+	clear(s.rows)
+	for _, e := range g.Edges() {
+		s.row(e.U)[e.V/64] |= 1 << (e.V % 64)
+		s.row(e.V)[e.U/64] |= 1 << (e.U % 64)
+	}
+	s.sup = grow(s.sup, m)
+	for id, e := range g.Edges() {
+		ru, rv := s.row(e.U), s.row(e.V)
+		c := 0
+		for i, w := range ru {
+			c += bits.OnesCount64(w & rv[i])
+		}
+		s.sup[id] = int32(c)
+	}
+	return s.peel(g)
+}
+
+// row is vertex v's adjacency bit row in bitmap mode.
+func (s *Scratch) row(v int32) []uint64 {
+	i := int(v) * s.words
+	return s.rows[i : i+s.words]
+}
+
 // peel is Algorithm 1 over scratch storage — the package's one peeler:
 // edges leave in ascending support order through a bin sort. It consumes
-// s.sup.
+// s.sup, and lists each peeled edge's live triangles from the bit rows in
+// bitmap mode (s.words > 0), by merging adjacency lists otherwise.
 func (s *Scratch) peel(g *graph.Graph) []int32 {
 	m := g.M()
-	s.tau = growI32(s.tau, m)
+	s.tau = grow(s.tau, m)
 	if m == 0 {
 		return s.tau
 	}
@@ -67,11 +107,9 @@ func (s *Scratch) peel(g *graph.Graph) []int32 {
 	}
 	// Bin sort edges by support: sorted is ascending by sup, pos[e] is the
 	// index of e in sorted, binStart[x] is the first index of support x.
-	s.binStart = growI32(s.binStart, int(maxSup)+2)
+	s.binStart = grow(s.binStart, int(maxSup)+2)
 	binStart := s.binStart
-	for i := range binStart {
-		binStart[i] = 0
-	}
+	clear(binStart)
 	for _, v := range sup {
 		binStart[v]++
 	}
@@ -82,9 +120,9 @@ func (s *Scratch) peel(g *graph.Graph) []int32 {
 		start += c
 	}
 	binStart[maxSup+1] = start
-	s.sorted = growI32(s.sorted, m)
-	s.pos = growI32(s.pos, m)
-	s.cursor = growI32(s.cursor, int(maxSup)+1)
+	s.sorted = grow(s.sorted, m)
+	s.pos = grow(s.pos, m)
+	s.cursor = grow(s.cursor, int(maxSup)+1)
 	sorted, pos, cursor := s.sorted, s.pos, s.cursor
 	copy(cursor, binStart[:maxSup+1])
 	for e := int32(0); int(e) < m; e++ {
@@ -94,11 +132,9 @@ func (s *Scratch) peel(g *graph.Graph) []int32 {
 		cursor[x]++
 	}
 
-	s.removed = growBool(s.removed, m)
+	s.removed = grow(s.removed, m)
 	removed := s.removed
-	for i := range removed {
-		removed[i] = false
-	}
+	clear(removed)
 	tau := s.tau
 	// dec moves edge e one support bin down, unless it is already at the
 	// current peeling floor.
@@ -126,6 +162,19 @@ func (s *Scratch) peel(g *graph.Graph) []int32 {
 		tau[e] = k
 		removed[e] = true
 		ed := g.Edge(e)
+		if s.words > 0 {
+			ru, rv := s.row(ed.U), s.row(ed.V)
+			ru[ed.V/64] &^= 1 << (ed.V % 64)
+			rv[ed.U/64] &^= 1 << (ed.U % 64)
+			for i, w := range ru {
+				for w &= rv[i]; w != 0; w &= w - 1 {
+					x := int32(i*64 + bits.TrailingZeros64(w))
+					dec(g.EdgeID(ed.U, x), k-2)
+					dec(g.EdgeID(ed.V, x), k-2)
+				}
+			}
+			continue
+		}
 		forEachCommonArc(g, ed.U, ed.V, func(_ int32, euw, evw int32) {
 			if removed[euw] || removed[evw] {
 				return
@@ -203,16 +252,11 @@ func (s *Scratch) nextStamp(n int) int32 {
 	return s.stamp
 }
 
-func growI32(s []int32, n int) []int32 {
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short; the contents are not cleared.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

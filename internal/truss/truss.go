@@ -1,6 +1,5 @@
 // Package truss implements truss decomposition and k-truss extraction
-// (paper §3.1, Algorithm 1), including the bitmap-based variant used for
-// fast ego-network decomposition (paper §6.2).
+// (paper §3.1, Algorithm 1).
 //
 // The k-truss of a graph G is the largest subgraph in which every edge is
 // contained in at least k-2 triangles. The trussness τ(e) of an edge is the
@@ -9,6 +8,14 @@
 // the edge of minimum support, updating the supports of the edges that
 // shared a triangle with it. Bin sorting by support keeps the whole
 // procedure at O(ρ·m) after triangle counting.
+//
+// Scratch.peel is the package's one such peel. Its callers differ only in
+// how supports are counted: by a global triangle pass (Decompose), by
+// merging adjacency lists (Scratch.DecomposeInto), or from per-vertex bit
+// rows (Scratch.DecomposeBitmapInto, paper §6.2's bitmap engine for
+// ego-networks), in which mode the peel also lists a peeled edge's live
+// triangles from the rows. The h-index descent that DecomposeParallel and
+// Repair share is a separate algorithm.
 package truss
 
 import (
@@ -26,8 +33,8 @@ func Decompose(g *graph.Graph) []int32 {
 
 // DecomposeWithSupports is Decompose for callers that already computed the
 // edge supports. sup is left untouched: the peeling works on a private
-// copy, so supports can be cached across calls (the incremental repair
-// path keeps them alive between applies).
+// copy, so DecomposeFull can hand the same supports back to its caller
+// (the loadbench replay of Repair seeds from them).
 func DecomposeWithSupports(g *graph.Graph, sup []int32) []int32 {
 	s := Scratch{sup: append([]int32(nil), sup...)}
 	return s.peel(g)

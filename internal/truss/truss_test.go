@@ -1,6 +1,7 @@
 package truss
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,11 +115,11 @@ func TestDecomposeMatchesNaive(t *testing.T) {
 }
 
 func TestBitmapDecomposeMatchesPeeling(t *testing.T) {
-	var bd BitmapDecomposer
+	var s Scratch
 	for seed := int64(0); seed < 25; seed++ {
 		g := randomGraph(t, 20+int(seed)*2, 60+5*int(seed), seed+100)
 		want := Decompose(g)
-		got := bd.Decompose(g) // reuse the same decomposer across graphs
+		got := s.DecomposeBitmapInto(g) // reuse the same scratch across graphs
 		for id := range want {
 			if got[id] != want[id] {
 				e := g.Edge(int32(id))
@@ -309,8 +310,87 @@ func TestEmptyGraph(t *testing.T) {
 	if MaxTrussness(tau) != 0 {
 		t.Fatal("MaxTrussness of empty should be 0")
 	}
-	var bd BitmapDecomposer
-	if got := bd.Decompose(g); len(got) != 0 {
+	var s Scratch
+	if got := s.DecomposeBitmapInto(g); len(got) != 0 {
 		t.Fatal("bitmap decompose of empty should be empty")
+	}
+}
+
+// egoNets returns the ego-network of every vertex of g that has an edge
+// in it, in vertex order.
+func egoNets(g *graph.Graph) []*graph.Graph {
+	var nets []*graph.Graph
+	for v := int32(0); int(v) < g.N(); v++ {
+		if h, _ := g.InducedSubgraph(g.Neighbors(v)); h.M() > 0 {
+			nets = append(nets, h)
+		}
+	}
+	return nets
+}
+
+func overlayGraph(tb testing.TB) *graph.Graph {
+	rng := testutil.Rand(tb, 27)
+	return gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 12, Seed: rng.Int63(),
+	})
+}
+
+// TestScratchModesMatchDecompose forces both support-counting modes of
+// the one peel on one reused Scratch: every ego-network of the Fig. 1
+// graph and of an overlay graph, forward and then backward so n both
+// grows and shrinks, with the empty graph in between. Each network runs
+// under both modes, the first one alternating, and every tau must be
+// byte-equal to Decompose's.
+func TestScratchModesMatchDecompose(t *testing.T) {
+	nets := append(egoNets(gen.Fig1Graph()), egoNets(overlayGraph(t))...)
+	for i := len(nets) - 1; i >= 0; i-- {
+		nets = append(nets, nets[i])
+	}
+	empty := gen.Path(1)
+	var s Scratch
+	modes := [2]func(*graph.Graph) []int32{s.DecomposeInto, s.DecomposeBitmapInto}
+	grew, shrank := false, false
+	for i, h := range nets {
+		if i > 0 {
+			grew = grew || h.N() > nets[i-1].N()
+			shrank = shrank || h.N() < nets[i-1].N()
+		}
+		want := Decompose(h)
+		for j := range modes {
+			if got := modes[(i+j)%2](h); !slices.Equal(got, want) {
+				t.Fatalf("net %d (n=%d, m=%d), mode %d: tau = %v, want %v",
+					i, h.N(), h.M(), (i+j)%2, got, want)
+			}
+		}
+		if i%5 == 0 {
+			if got := modes[i%2](empty); len(got) != 0 {
+				t.Fatalf("net %d: empty graph, mode %d: tau = %v", i, i%2, got)
+			}
+		}
+	}
+	if !grew || !shrank {
+		t.Fatalf("sequence never grew (%v) or never shrank (%v)", grew, shrank)
+	}
+}
+
+// TestDecomposeBitmapIntoAllocFree pins a warm Scratch at zero
+// allocations per call in both modes, alternating between them over the
+// ego-networks of an overlay graph.
+func TestDecomposeBitmapIntoAllocFree(t *testing.T) {
+	nets := egoNets(overlayGraph(t))
+	var s Scratch
+	// One sweep in each mode grows every slab to its high-water mark.
+	for _, h := range nets {
+		s.DecomposeBitmapInto(h)
+		s.DecomposeInto(h)
+	}
+	var i int
+	if got := testing.AllocsPerRun(300, func() {
+		h := nets[i%len(nets)]
+		s.DecomposeBitmapInto(h)
+		s.DecomposeInto(h)
+		i++
+	}); got != 0 {
+		t.Errorf("alternating DecomposeBitmapInto/DecomposeInto allocates %.1f per pair, want 0", got)
 	}
 }
