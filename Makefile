@@ -74,7 +74,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation regression gate: the AllocsPerRun suites pin the scoring hot
-# path — ego extraction, ego-network truss decomposition in both of the
+# path — ego extraction (its position marker grows once, to the largest N
+# the scratch serves; alternating between a larger and a smaller graph
+# after that allocates nothing), ego-network truss decomposition in both of the
 # peel's support modes (merge and bitmap, alternating on one scratch),
 # per-vertex scoring under every measure, every DB point query (the GCT
 # index, the shared scorer, and the parameter-free branches), and query
@@ -116,13 +118,16 @@ cover:
 	$(GO) test -cover ./...
 
 # Each fuzz target runs for 15s from its seed corpus: the edge-list loader
-# (internal/graph/testdata/fuzz), the binary graph reader, the index-file
-# reader, seeded from the store goldens, and the POST /edges and /batch
-# bodies (internal/server/testdata/fuzz). `go test -fuzz` takes one target
-# per run.
+# (internal/graph/testdata/fuzz), the binary graph reader, ego extraction
+# through one scratch across two graphs of different N (seeded with the
+# Fig. 1 graph and an empty graph), the index-file reader, seeded from the
+# store goldens, and the POST /edges and /batch bodies
+# (internal/server/testdata/fuzz). `go test -fuzz` takes one target per
+# run.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadBinary -fuzztime 15s
+	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzExtractOneInto -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s

@@ -163,25 +163,28 @@ func materialize(g *graph.Graph, all *ego.All) []*ego.Network {
 
 // BenchmarkAblationEgoPerVertex vs ...OneShot: the Table 4 contrast as a
 // tight loop — per-vertex local triangle listing vs one-shot global
-// listing for extracting every ego-network.
+// listing for extracting every ego-network, each into one reused
+// scratch as the scans and Table 4 run them.
 func BenchmarkAblationEgoPerVertex(b *testing.B) {
 	g := benchGraph()
+	var s ego.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v := int32(0); int(v) < g.N(); v++ {
-			ego.ExtractOne(g, v)
+			ego.ExtractOneInto(&s, g, v)
 		}
 	}
 }
 
 func BenchmarkAblationEgoOneShot(b *testing.B) {
 	g := benchGraph()
+	var s ego.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		all := ego.ExtractAll(g)
 		for v := int32(0); int(v) < g.N(); v++ {
 			if all.EdgeCount(v) > 0 {
-				all.Network(v)
+				all.NetworkInto(&s, v)
 			}
 		}
 	}

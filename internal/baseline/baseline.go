@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"trussdiv/internal/ego"
 	"trussdiv/internal/graph"
@@ -34,14 +35,24 @@ type Model interface {
 	Contexts(v int32, k int32) [][]int32
 }
 
+// The models lend ego-extraction scratches from a sync.Pool: a scratch
+// carries an O(n) marker, which a fresh one per call would zero each time,
+// and the pool keeps the models safe for concurrent use. Nothing a model
+// returns aliases the scratch, so it goes back before the method returns.
+func newScratch() any { return new(ego.Scratch) }
+
 // CompDiv is the component-based model: each connected component of the
 // ego-network with at least k vertices is one social context [7, 21].
+// It is safe for concurrent use.
 type CompDiv struct {
-	g *graph.Graph
+	g       *graph.Graph
+	scratch sync.Pool
 }
 
 // NewCompDiv returns the component-based model over g.
-func NewCompDiv(g *graph.Graph) *CompDiv { return &CompDiv{g: g} }
+func NewCompDiv(g *graph.Graph) *CompDiv {
+	return &CompDiv{g: g, scratch: sync.Pool{New: newScratch}}
+}
 
 // Name implements Model.
 func (c *CompDiv) Name() string { return "Comp-Div" }
@@ -53,7 +64,9 @@ func (c *CompDiv) Score(v int32, k int32) int {
 
 // Contexts returns the size->=k components of the ego-network.
 func (c *CompDiv) Contexts(v int32, k int32) [][]int32 {
-	net := ego.ExtractOne(c.g, v)
+	s := c.scratch.Get().(*ego.Scratch)
+	defer c.scratch.Put(s)
+	net := ego.ExtractOneInto(s, c.g, v)
 	if len(net.Verts) == 0 {
 		return nil
 	}
@@ -73,20 +86,25 @@ func (c *CompDiv) Contexts(v int32, k int32) [][]int32 {
 }
 
 // CoreDiv is the core-based model: each maximal connected k-core of the
-// ego-network is one social context [20].
+// ego-network is one social context [20]. It is safe for concurrent use.
 type CoreDiv struct {
-	g *graph.Graph
+	g       *graph.Graph
+	scratch sync.Pool
 }
 
 // NewCoreDiv returns the core-based model over g.
-func NewCoreDiv(g *graph.Graph) *CoreDiv { return &CoreDiv{g: g} }
+func NewCoreDiv(g *graph.Graph) *CoreDiv {
+	return &CoreDiv{g: g, scratch: sync.Pool{New: newScratch}}
+}
 
 // Name implements Model.
 func (c *CoreDiv) Name() string { return "Core-Div" }
 
 // Score counts the maximal connected k-cores of the ego-network.
 func (c *CoreDiv) Score(v int32, k int32) int {
-	net := ego.ExtractOne(c.g, v)
+	s := c.scratch.Get().(*ego.Scratch)
+	defer c.scratch.Put(s)
+	net := ego.ExtractOneInto(s, c.g, v)
 	if net.G.M() == 0 {
 		return 0
 	}
@@ -96,7 +114,9 @@ func (c *CoreDiv) Score(v int32, k int32) int {
 
 // Contexts returns the maximal connected k-cores as global vertex sets.
 func (c *CoreDiv) Contexts(v int32, k int32) [][]int32 {
-	net := ego.ExtractOne(c.g, v)
+	s := c.scratch.Get().(*ego.Scratch)
+	defer c.scratch.Put(s)
+	net := ego.ExtractOneInto(s, c.g, v)
 	if net.G.M() == 0 {
 		return nil
 	}

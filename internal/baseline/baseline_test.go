@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"trussdiv/internal/gen"
@@ -152,5 +154,51 @@ func TestCompDivMonotoneInK(t *testing.T) {
 				prev = s
 			}
 		}
+	}
+}
+
+// TestModelsConcurrentMatchSerial shares one CompDiv and one CoreDiv
+// between goroutines that call Score and Contexts at once: each answer
+// must equal a serial pass. The models lend pooled extraction scratches,
+// and trussdiv.DiversityModel exposes them to concurrent callers.
+func TestModelsConcurrentMatchSerial(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 9, Seed: 21,
+	})
+	ks := []int32{2, 3, 4}
+	type answer struct {
+		score    int
+		contexts [][]int32
+	}
+	for _, m := range []Model{NewCompDiv(g), NewCoreDiv(g)} {
+		serial := make([]answer, g.N()*len(ks))
+		for v := 0; v < g.N(); v++ {
+			for ki, k := range ks {
+				serial[v*len(ks)+ki] = answer{m.Score(int32(v), k), m.Contexts(int32(v), k)}
+			}
+		}
+		const workers = 4
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Each worker starts at a different vertex so the calls
+				// interleave over different ego-networks.
+				for i := 0; i < g.N(); i++ {
+					v := (i + w*g.N()/workers) % g.N()
+					for ki, k := range ks {
+						want := serial[v*len(ks)+ki]
+						if got := m.Score(int32(v), k); got != want.score {
+							t.Errorf("%s: Score(%d,%d) = %d concurrently, %d serially", m.Name(), v, k, got, want.score)
+						}
+						if got := m.Contexts(int32(v), k); !reflect.DeepEqual(got, want.contexts) {
+							t.Errorf("%s: Contexts(%d,%d) = %v concurrently, %v serially", m.Name(), v, k, got, want.contexts)
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

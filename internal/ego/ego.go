@@ -6,7 +6,12 @@
 //   - ExtractOne performs local triangle listing around a single vertex
 //     (the path used by the online algorithms and TSD-index construction,
 //     §3.2/§5.1). Each triangle through v is touched while building one
-//     ego-network.
+//     ego-network. A position marker over global IDs tests membership in
+//     N(v) in O(1), so one extraction costs Σ|N⁺(u)| over u ∈ N(v), where
+//     N⁺(u) is the part of N(u) above u. The marker is an O(n) int32
+//     array per Scratch, grown once to the largest graph it serves:
+//     reuse one Scratch per worker via ExtractOneInto, and never call the
+//     one-shot ExtractOne in a loop.
 //   - ExtractAll performs one-shot global triangle listing and distributes
 //     each triangle to the three ego-networks it belongs to (the GCT
 //     pipeline, §6.2). Each triangle is enumerated once instead of being
@@ -15,6 +20,7 @@
 package ego
 
 import (
+	"slices"
 	"sort"
 
 	"trussdiv/internal/graph"
@@ -43,7 +49,8 @@ func (n *Network) Local(global int32) int32 {
 
 // Scratch owns the reusable storage one worker needs to extract
 // ego-networks without allocating in steady state: the builder's edge
-// slab, the local graph's CSR slabs, and the Network header itself. The
+// slab, the local graph's CSR slabs, the Network header itself, and the
+// O(n) position marker of ExtractOneInto (all zero between calls). The
 // zero value is ready to use. A Scratch is not safe for concurrent use —
 // each worker owns exactly one — and the Network returned by
 // ExtractOneInto or All.NetworkInto (plus everything reachable from it)
@@ -53,30 +60,42 @@ type Scratch struct {
 	b   graph.Builder
 	csr graph.Scratch
 	net Network
+	pos []int32 // global ID -> local ID + 1 over N(center); all zero between calls
 }
 
 // ExtractOneInto is ExtractOne into recycled storage: the returned
 // Network aliases s and is invalidated by the next extraction into s.
+//
+// It lists the triangles through v with a position marker: pos[w] holds
+// w's local ID + 1 while w ∈ N(v), so each neighbor u tests the part of
+// N(u) above u (found by binary search) in O(1) per entry. That costs
+// Σ|N⁺(u)| over u ∈ N(v), against Σ(d(u) + d(v)) for a merge, whose
+// d(v)² term dominates at hubs. The marker is an int32 array over global
+// IDs, grown to g.N() on the first extraction that needs it and reused
+// afterwards; only the entries of N(v) are set and cleared again, so it
+// is all zero between calls and serves any graph, smaller ones included.
 func ExtractOneInto(s *Scratch, g *graph.Graph, v int32) *Network {
 	verts := g.Neighbors(v)
 	s.b.Reset(len(verts))
-	for lu, u := range verts {
-		// Merge N(u) with verts, tracking the local index of matches.
-		nu := g.Neighbors(u)
-		i, j := 0, 0
-		for i < len(nu) && j < len(verts) {
-			switch {
-			case nu[i] < verts[j]:
-				i++
-			case nu[i] > verts[j]:
-				j++
-			default:
-				if verts[j] > u { // count each ego edge once
-					s.b.AddEdge(int32(lu), int32(j))
+	if len(verts) > 1 { // fewer than two neighbors span no ego edge
+		if len(s.pos) < g.N() {
+			s.pos = make([]int32, g.N())
+		}
+		pos := s.pos
+		for j, w := range verts {
+			pos[w] = int32(j) + 1
+		}
+		for lu, u := range verts {
+			nu := g.Neighbors(u)
+			i, _ := slices.BinarySearch(nu, u+1) // N⁺(u): each ego edge once
+			for _, w := range nu[i:] {
+				if p := pos[w]; p != 0 {
+					s.b.AddEdge(int32(lu), p-1)
 				}
-				i++
-				j++
 			}
+		}
+		for _, w := range verts {
+			pos[w] = 0
 		}
 	}
 	s.net.Center = v
@@ -87,9 +106,10 @@ func ExtractOneInto(s *Scratch, g *graph.Graph, v int32) *Network {
 
 // ExtractOne builds the ego-network of v by local triangle listing: for
 // every neighbor u of v, the edge (u,w) is added for each w in
-// N(u) ∩ N(v) with w > u, via a merge of the sorted adjacency lists.
-// It extracts into a private one-shot Scratch, so the result is never
-// invalidated; loops over many vertices should reuse one Scratch via
+// N(u) ∩ N(v) with w > u. It extracts into a private one-shot Scratch,
+// so the result is never invalidated, but every call allocates and zeroes
+// that Scratch's O(n) marker (see ExtractOneInto): it is for one-off
+// callers only. Loops over many vertices must reuse one Scratch via
 // ExtractOneInto instead.
 func ExtractOne(g *graph.Graph, v int32) *Network {
 	return ExtractOneInto(new(Scratch), g, v)
