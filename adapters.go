@@ -395,9 +395,8 @@ func (c *indexCache) ready(refs []store.SectionRef) {
 }
 
 // trussTau returns the global truss decomposition, readying it on first
-// use. The bound engine's searches read it through this cache, so
-// sparsification costs one edge filter instead of a fresh decomposition
-// per query.
+// use. The snapshot's Bound reads it through this cache, so its levels
+// are filtered from one decomposition instead of a fresh one per level.
 func (c *indexCache) trussTau() []int32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -503,22 +502,28 @@ func (s *Snapshot) onlineEngine(online *core.Online) catalogueEntry {
 
 // boundEngine catalogues the pruned scan (Algorithm 4). It serves every
 // measure — each supplies its own upper bound (core.MeasureUpperBound) to
-// the same ranked scan — and reads the global truss decomposition through
-// the cache, so the per-query sparsification cost is one edge filter once
-// the decomposition is cached (or loaded from the index store).
+// the same ranked scan. The snapshot's Bound reads the global truss
+// decomposition through the cache and keeps each threshold's bound
+// inputs (degrees and triangle counts) from the first query that needs
+// them, so later queries at that k pay only the candidates' bounds and
+// the ranked scan.
 func (s *Snapshot) boundEngine() catalogueEntry {
 	c, w, ref := s.cache, s.w, trussSec(store.SecTruss)
 	return catalogueEntry{name: "bound", measures: AllMeasures(), needs: []store.SectionRef{ref},
-		search: core.NewBoundWithTau(s.g, c.trussTau).Search,
+		search: s.bound.Search,
+		// The estimate charges every query the build of its level, though
+		// only the first query at a k pays it: it does not yet see which
+		// levels are built, so routing is what it was before levels were
+		// kept.
 		cost: func(q Query) Estimate {
 			if m := q.Measure.Normalize(); m != MeasureTruss {
-				// The non-truss bound pass replaces sparsification with one
-				// triangle count over the full graph (the per-vertex ego-edge
-				// input of the measure's upper bound), then prunes the same way.
+				// The non-truss level is one triangle count over the full
+				// graph (the per-vertex ego-edge input of the measure's upper
+				// bound); the search then prunes the same way.
 				triangles := w.m * w.avgDeg / 2
 				return Estimate{Query: triangles + w.searchWork(w.egoWork, q)/8 + w.contextWork(q)}
 			}
-			// Sparsification needs the global truss decomposition: a fresh
+			// A truss level filters the global truss decomposition: a fresh
 			// decomposition when it is cold, a sequential O(m) load when the
 			// index store has it, and only the edge filter once in memory — or
 			// under mmap, where the decomposition is an O(1) view into the

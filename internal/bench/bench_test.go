@@ -459,7 +459,7 @@ func TestMeasuresExperimentEmitsJSON(t *testing.T) {
 		if row.Dataset != "wiki-sim" {
 			t.Fatalf("unexpected dataset %q", row.Dataset)
 		}
-		if row.OnlineNS <= 0 || row.BoundNS <= 0 || row.RankedNS <= 0 || row.PrepareNS <= 0 {
+		if row.OnlineNS <= 0 || row.BoundFirstNS <= 0 || row.BoundNS <= 0 || row.RankedNS <= 0 || row.PrepareNS <= 0 {
 			t.Fatalf("row %+v has non-positive timings", row)
 		}
 		if !row.Verified {

@@ -35,10 +35,11 @@ func (o *Online) TopR(k int32, r int) (*Result, *Stats, error) {
 }
 
 // Search runs Algorithm 3 over the candidate set, spread over p.Workers
-// goroutines; every worker owns one VertexScorer, so the scan
-// is allocation-free in steady state and byte-identical to the serial
-// order. Each candidate costs one ego-network decomposition, so
-// cancellation is checked before every score computation. The search is
+// goroutines; every worker borrows one VertexScorer from the measure's
+// shared Scorer for the whole scan, so a warm scan grows no scratch and
+// stays byte-identical to the serial order. Each candidate costs one
+// ego-network decomposition, so cancellation is checked before every
+// score computation. The search is
 // measure-generic: p.Measure swaps the truss scorer for the
 // component-based or core-based one, same scan either way. K = 0 scans
 // for the parameter-free objective: each candidate costs one all-k
@@ -49,12 +50,10 @@ func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	m := p.Measure.Normalize()
-	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), 1,
-		func() func(v int32) int {
-			vs := NewVertexScorer(g, m)
-			return func(v int32) int { return vs.Score(v, p.K) }
-		})
+	scorer := o.scorers[p.Measure.Normalize()]
+	newScore, release := scorer.workerScorers(p.K)
+	defer release()
+	heap, scored, err := scanTopR(ctx, g.N(), p.Candidates, p.R, p.workers(), 1, newScore)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -63,7 +62,6 @@ func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 	if p.K == 0 && !p.SkipContexts {
 		stats.ScoreComputations += len(answer)
 	}
-	scorer := o.scorers[m]
 	res, err := finishResult(ctx, answer, p, func(v int32) [][]int32 {
 		return scorer.Contexts(v, p.K)
 	})

@@ -166,8 +166,8 @@ func scanRanked(ctx context.Context, cands []rankedCand, r, workers int, newScor
 func prunedSearch(ctx context.Context, p Params, n int, ub func(v int32) int,
 	newScore func() func(v int32) int, contexts func(v int32) [][]int32) (*Result, *Stats, error) {
 	stats := &Stats{}
-	cands := make([]rankedCand, 0, n)
 	count, at := candidateAt(n, p.Candidates)
+	cands := make([]rankedCand, 0, count)
 	err := par.For(ctx, count, 1, pollEvery, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := at(i)

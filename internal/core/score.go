@@ -16,8 +16,8 @@ import (
 //
 // Calls borrow a per-worker VertexScorer from an internal pool, so
 // steady-state scoring stays allocation-free without giving up the
-// shared-scorer contract. Scan loops that own their workers should hold
-// a VertexScorer directly and skip the pool round-trip.
+// shared-scorer contract. Scan loops borrow one VertexScorer per worker
+// for the whole scan (workerScorers).
 type Scorer struct {
 	g    *graph.Graph
 	m    Measure
@@ -60,6 +60,29 @@ func (s *Scorer) Score(v int32, k int32) int {
 	score := vs.Score(v, k)
 	s.pool.Put(vs)
 	return score
+}
+
+// workerScorers lends a scan's workers VertexScorers from s's pool:
+// newScore is the per-worker factory the scans take (scanTopR,
+// prunedSearch), scoring at threshold k, and release returns every lent
+// scorer to the pool once the scan is over. A warm pool makes the scan
+// skip the O(n) extraction marker a fresh VertexScorer grows.
+func (s *Scorer) workerScorers(k int32) (newScore func() func(v int32) int, release func()) {
+	var mu sync.Mutex
+	var lent []*VertexScorer
+	newScore = func() func(v int32) int {
+		vs := s.pool.Get().(*VertexScorer)
+		mu.Lock()
+		lent = append(lent, vs)
+		mu.Unlock()
+		return func(v int32) int { return vs.Score(v, k) }
+	}
+	release = func() {
+		for _, vs := range lent {
+			s.pool.Put(vs)
+		}
+	}
+	return newScore, release
 }
 
 // Contexts returns the social contexts SC(v): the vertex sets (global IDs,

@@ -59,6 +59,7 @@ type Snapshot struct {
 	g       *Graph
 	w       workload
 	cache   *indexCache
+	bound   *core.Bound // Algorithm 4; keeps its levels while the snapshot lives
 	engines catalogue
 	// applied records the incremental-repair work of the update batch that
 	// produced this snapshot (nil for the Open snapshot and for snapshots
@@ -79,6 +80,7 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache) *Snapshot {
 	// snapshot's shared scorers; the table engines scan with it while
 	// their tables are cold.
 	online := core.NewOnlineFrom(cache.scorers)
+	s.bound = core.NewBoundFrom(cache.scorers, cache.trussTau)
 	s.engines = catalogue{
 		s.onlineEngine(online),
 		s.boundEngine(),
