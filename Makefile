@@ -83,12 +83,14 @@ bench:
 # routing (Route and
 # ResolveEngine) — at zero steady-state allocations, and context
 # recovery under every measure at exactly its two output allocations
-# (the flat member array and the group headers). The truss repair
+# (the flat member array and the group headers). The graph edit of one
+# 8+8 batch (core.ApplyEdits, the CSR splice) makes the same fixed number
+# of allocations on a small and a ten times larger graph. The truss repair
 # tripwire holds an 8-insertion Repair to 1.5x the bytes of a 1-insertion
 # one; Apply no longer calls Repair, so it guards only the subject of the
 # loadbench replay. Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
+	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:
@@ -121,9 +123,12 @@ cover:
 # (internal/graph/testdata/fuzz), the binary graph reader, ego extraction
 # through one scratch across two graphs of different N (seeded with the
 # Fig. 1 graph and an empty graph), the index-file reader, seeded from the
-# store goldens, and the POST /edges and /batch bodies
-# (internal/server/testdata/fuzz). `go test -fuzz` takes one target per
-# run.
+# store goldens, the POST /edges and /batch bodies
+# (internal/server/testdata/fuzz), and Apply parity (up to four edit
+# batches, bad edits included, on a DB with every engine prepared: each
+# accepted batch must answer every engine x measure x k like a cold Open
+# and a warm reopen in both store modes; seeded with the stream tests'
+# batch shapes). `go test -fuzz` takes one target per run.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadBinary -fuzztime 15s
@@ -131,3 +136,4 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s
+	$(GO) test . -run '^$$' -fuzz FuzzApplyParity -fuzztime 15s

@@ -1,0 +1,69 @@
+//go:build !race
+
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"trussdiv/internal/gen"
+)
+
+// applyEditsAllocs is the fixed allocation count of one ApplyEdits: the
+// two checked edit lists, and graph.Edit's new edge list, old→new edge-ID
+// table, edit arcs, offsets, adjacency, edge IDs and Graph header.
+const applyEditsAllocs = 9
+
+// TestApplyEditsAllocsIndependentOfM pins the CSR splice's allocations:
+// one 8+8 batch makes the same small, fixed number on a small and on a
+// ten times larger graph, so no per-edge or per-vertex allocation creeps
+// back into the graph edit.
+func TestApplyEditsAllocsIndependentOfM(t *testing.T) {
+	for _, n := range []int{500, 5000} {
+		g := gen.CommunityOverlay(gen.OverlayConfig{
+			N: n, Attach: 3, Cliques: n / 5, MinSize: 4, MaxSize: 8, Seed: 5,
+		})
+		ins, del := randomEdits(t, g, 8, 8, int64(n))
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ApplyEdits(g, ins, del); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != applyEditsAllocs {
+			t.Errorf("n = %d, m = %d: ApplyEdits of an 8+8 batch makes %v allocations, want %d",
+				n, g.M(), allocs, applyEditsAllocs)
+		}
+	}
+}
+
+// TestNormalizedCandidatesAllocs pins the candidate dedup's memory: a
+// warm normalized call over 3000 distinct candidates allocates the two
+// halves of its radix-sorted copy (24 KB) and nothing per candidate, where
+// a map over the candidates took 38 KB.
+func TestNormalizedCandidatesAllocs(t *testing.T) {
+	const n, count = 50000, 3000
+	const limit = 2*4*count + 1<<10
+	cands := rand.New(rand.NewSource(3)).Perm(n)[:count]
+	p := Params{K: 3, R: 10, Candidates: make([]int32, count)}
+	for i, v := range cands {
+		p.Candidates[i] = int32(v)
+	}
+	normalize := func() {
+		if _, err := p.normalized(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	normalize()
+	least := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		normalize()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= limit {
+		t.Errorf("normalized over %d candidates allocates %d bytes, want < %d", count, least, limit)
+	}
+}

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"trussdiv/internal/testutil"
 )
 
 // trippingContext reports itself cancelled after a fixed number of Err
@@ -159,6 +163,44 @@ func TestSearchDuplicateCandidatesDeduped(t *testing.T) {
 			}
 			seen[e.V] = true
 		}
+	}
+}
+
+// TestDedupCandidatesFirstOccurrenceWins pins the candidate dedup: the
+// first occurrence of each ID keeps its place, the radix-sorted copy
+// matches a comparison sort over all byte widths, a list without repeats
+// is returned as is, and the first out-of-range ID is the error.
+func TestDedupCandidatesFirstOccurrenceWins(t *testing.T) {
+	for _, tc := range []struct{ in, want []int32 }{
+		{[]int32{5, 5, 9, 9, 5, 13}, []int32{5, 9, 13}},
+		{[]int32{3, 1, 3, 2, 1, 0}, []int32{3, 1, 2, 0}},
+		{[]int32{7, 7, 7}, []int32{7}},
+		{[]int32{}, []int32{}},
+	} {
+		got, err := dedupCandidates(tc.in, 20)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Fatalf("dedupCandidates(%v) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	rng := testutil.Rand(t, 17)
+	for trial := 0; trial < 50; trial++ {
+		in := make([]int32, rng.Intn(300))
+		top := []int32{300, 1 << 12, 1 << 20, math.MaxInt32}[trial%4]
+		for i := range in {
+			in[i] = rng.Int31n(top)
+		}
+		want := slices.Sorted(slices.Values(in))
+		if got := radixSorted(in); !slices.Equal(got, want) {
+			t.Fatalf("radixSorted(%v) = %v, want %v", in, got, want)
+		}
+	}
+	distinct := []int32{4, 2, 8}
+	if got, _ := dedupCandidates(distinct, 20); &got[0] != &distinct[0] {
+		t.Fatal("a list without repeats was copied")
+	}
+	_, err := dedupCandidates([]int32{1, 1, 25, -1}, 20)
+	if want := "core: candidate vertex 25 out of range [0,20)"; err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
 	}
 }
 

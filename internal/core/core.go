@@ -22,7 +22,11 @@
 // same table serves it.
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // VertexScore pairs a vertex with its structural diversity score.
 type VertexScore struct {
@@ -66,14 +70,17 @@ func (r *Result) ScoreMultiset() []int {
 	return out
 }
 
-// sortAnswer orders entries by score descending, vertex ID ascending.
-func sortAnswer(entries []VertexScore) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Score != entries[j].Score {
-			return entries[i].Score > entries[j].Score
-		}
-		return entries[i].V < entries[j].V
-	})
+// sortAnswer orders entries canonically: score descending, vertex ID
+// ascending.
+func sortAnswer(entries []VertexScore) { slices.SortFunc(entries, compareRanked) }
+
+// compareRanked is the canonical order as a comparison: negative when a
+// ranks before b.
+func compareRanked(a, b VertexScore) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // topRHeap maintains the r best (score, vertex) pairs seen so far as a

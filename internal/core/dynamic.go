@@ -82,9 +82,9 @@ func AffectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) [
 // inputs, the result is deterministic — callers applying one batch to
 // several structures build the edited graph once and hand it to every
 // repair (PatchAll, the truss repair), so every repaired structure shares
-// one canonical graph (and its edge-ID assignment). g's edge list is
-// already in that canonical order, so the edit is one merge of it with the
-// sorted insertions, skipping the sorted deletions.
+// one canonical graph (and its edge-ID assignment). The checked, sorted
+// batches go to graph.Edit, which splices them into g's CSR arrays and
+// copies the untouched adjacency in bulk.
 func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
 	n := int32(g.N())
 	del := make([]graph.Edge, 0, len(remove))
@@ -117,20 +117,5 @@ func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, erro
 	slices.SortFunc(del, graph.CompareEdges)
 	del = slices.Compact(del)
 
-	b := graph.NewBuilder(g.N())
-	i := 0
-	for _, e := range g.Edges() {
-		for ; i < len(ins) && graph.CompareEdges(ins[i], e) < 0; i++ {
-			b.AddEdge(ins[i].U, ins[i].V)
-		}
-		if len(del) > 0 && del[0] == e {
-			del = del[1:]
-			continue
-		}
-		b.AddEdge(e.U, e.V)
-	}
-	for _, e := range ins[i:] {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build(), nil
+	return g.Edit(ins, del), nil
 }

@@ -90,8 +90,8 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 // t.Measures gets its per-k table in old.MeasureRanks (which must hold
 // one) patched into MeasureRanks. Every product is
 // copy-on-write — fresh top-level storage sharing the untouched
-// per-vertex entries with old, which stays fully usable — and identical
-// to a BuildAll over g.
+// per-vertex entries and ranking levels with old, which stays fully
+// usable — and identical to a BuildAll over g.
 func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int32, workers int) *BuildProducts {
 	p := newEgoPass(g, t, len(affected))
 	if t.TSD {
@@ -108,11 +108,16 @@ func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int
 	p.run(len(affected), workers, func(slot int) int32 { return affected[slot] })
 
 	out := &BuildProducts{TSD: p.tsd, GCT: p.gct}
+	var marked []bool
 	for m, vecs := range p.vecs {
 		if out.MeasureRanks == nil {
 			out.MeasureRanks = make(map[Measure][][]VertexScore, len(p.vecs))
+			marked = make([]bool, g.N())
+			for _, v := range affected {
+				marked[v] = true
+			}
 		}
-		out.MeasureRanks[m] = spliceRankings(old.MeasureRanks[m], affected, vecs)
+		out.MeasureRanks[m] = spliceRankings(old.MeasureRanks[m], affected, marked, vecs)
 	}
 	return out
 }

@@ -32,7 +32,8 @@ func CompareEdges(a, b Edge) int {
 }
 
 // Graph is an immutable undirected simple graph in CSR form.
-// Build one with a Builder, FromEdges, or the readers in this package.
+// Build one with a Builder, FromEdges, or the readers in this package;
+// Edit derives an edited copy.
 // All four CSR arrays use fixed-width element types, so the layout is
 // identical on 32- and 64-bit builds.
 type Graph struct {
