@@ -85,12 +85,16 @@ bench:
 # recovery under every measure at exactly its two output allocations
 # (the flat member array and the group headers). The graph edit of one
 # 8+8 batch (core.ApplyEdits, the CSR splice) makes the same fixed number
-# of allocations on a small and a ten times larger graph. The truss repair
+# of allocations on a small and a ten times larger graph, and PatchAll's
+# copy-on-write of the TSD and GCT entries of one 8+8 batch allocates
+# within 1.5x the bytes on a graph and on the same graph padded with ten
+# times as many isolated vertices: it copies the page table and the
+# pages the batch touches, never all n entries. The truss repair
 # tripwire holds an 8-insertion Repair to 1.5x the bytes of a 1-insertion
 # one; Apply no longer calls Repair, so it guards only the subject of the
 # loadbench replay. Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
+	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs|PatchAllAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trussdiv/internal/gen"
+	"trussdiv/internal/graph"
 )
 
 // applyEditsAllocs is the fixed allocation count of one ApplyEdits: the
@@ -65,5 +66,46 @@ func TestNormalizedCandidatesAllocs(t *testing.T) {
 	}
 	if least >= limit {
 		t.Errorf("normalized over %d candidates allocates %d bytes, want < %d", count, least, limit)
+	}
+}
+
+// TestPatchAllAllocsIndependentOfN pins PatchAll's copy-on-write: re-deriving
+// the TSD and GCT entries of one fixed 8+8 batch's affected vertices
+// allocates within 1.5x the bytes on a graph and on the same graph padded
+// with ten times as many isolated vertices. PatchAll copies the page tables
+// and the pages holding an affected vertex, never all n entries; the page
+// tables and the worker's ego position marker are what grows with n
+// (1.17x here, where a whole-array copy measured 5.2x).
+func TestPatchAllAllocsIndependentOfN(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 1000, Attach: 4, Cliques: 300, MinSize: 5, MaxSize: 10, Seed: 11,
+	})
+	ins, del := randomEdits(t, g, 8, 8, 12)
+	targets := BuildTargets{TSD: true, GCT: true}
+	patchBytes := func(n int) uint64 {
+		padded, err := graph.FromEdges(n, g.Edges())
+		if err != nil {
+			t.Fatal(err)
+		}
+		newG, err := ApplyEdits(padded, ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		affected := AffectedVertices(padded, newG, ins, del)
+		old := BuildAll(padded, targets, 1)
+		least := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			PatchAll(newG, old, targets, affected, 1)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := patchBytes(g.N()), patchBytes(11*g.N())
+	if 2*large > 3*small {
+		t.Errorf("PatchAll of an 8+8 batch allocates %d bytes on %d vertices, %d bytes with %d isolated ones added; want within 1.5x",
+			small, g.N(), large, 10*g.N())
 	}
 }

@@ -34,7 +34,7 @@ type gctVertex struct {
 // between blocks. Queries use Lemma 3: score(v) = N_k - M_k.
 type GCTIndex struct {
 	g     *graph.Graph
-	verts []gctVertex
+	verts paged[gctVertex]
 }
 
 // BuildGCTIndex runs Algorithm 7: one-shot global triangle listing to
@@ -46,7 +46,7 @@ type GCTIndex struct {
 // identical index from the per-vertex pass every other structure shares.
 func BuildGCTIndex(g *graph.Graph) *GCTIndex {
 	n := g.N()
-	idx := &GCTIndex{g: g, verts: make([]gctVertex, n)}
+	idx := &GCTIndex{g: g, verts: makePaged[gctVertex](n)}
 	all := ego.ExtractAll(g)
 	var es ego.Scratch
 	var ts truss.Scratch
@@ -56,7 +56,7 @@ func BuildGCTIndex(g *graph.Graph) *GCTIndex {
 		}
 		net := all.NetworkInto(&es, v)
 		tau := ts.DecomposeBitmapInto(net.G)
-		idx.verts[v] = buildGCTVertex(net.G, tau)
+		idx.verts.set(v, buildGCTVertex(net.G, tau))
 	}
 	return idx
 }
@@ -178,7 +178,7 @@ func (idx *GCTIndex) Graph() *graph.Graph { return idx.g }
 // Supernodes returns (trussness, member count) pairs of v's supernodes in
 // descending trussness order; used by analysis tools and tests.
 func (idx *GCTIndex) Supernodes(v int32) (taus []int32, sizes []int32) {
-	gv := &idx.verts[v]
+	gv := idx.verts.ref(v)
 	sizes = make([]int32, len(gv.nodeTau))
 	for i := range gv.nodeTau {
 		sizes[i] = gv.memberOff[i+1] - gv.memberOff[i]
@@ -187,13 +187,13 @@ func (idx *GCTIndex) Supernodes(v int32) (taus []int32, sizes []int32) {
 }
 
 // SuperEdges returns v's superedges (weight descending). Aliases storage.
-func (idx *GCTIndex) SuperEdges(v int32) []GCTSuperEdge { return idx.verts[v].edges }
+func (idx *GCTIndex) SuperEdges(v int32) []GCTSuperEdge { return idx.verts.ref(v).edges }
 
 // Score applies Lemma 3: score(v) = N_k - M_k, where N_k counts supernodes
 // with trussness >= k and M_k counts superedges with weight >= k. Both are
 // binary searches over descending arrays, so a query costs O(log d(v)).
 func (idx *GCTIndex) Score(v int32, k int32) int {
-	gv := &idx.verts[v]
+	gv := idx.verts.ref(v)
 	nk := sort.Search(len(gv.nodeTau), func(i int) bool { return gv.nodeTau[i] < k })
 	mk := sort.Search(len(gv.edgeW), func(i int) bool { return gv.edgeW[i] < k })
 	return nk - mk
@@ -203,7 +203,7 @@ func (idx *GCTIndex) Score(v int32, k int32) int {
 // qualifying superedges and lay out each component's member vertices, as
 // global IDs, with a dsu.Grouper.
 func (idx *GCTIndex) Contexts(v int32, k int32) [][]int32 {
-	gv := &idx.verts[v]
+	gv := idx.verts.ref(v)
 	nk := sort.Search(len(gv.nodeTau), func(i int) bool { return gv.nodeTau[i] < k })
 	if nk == 0 {
 		return nil
@@ -234,11 +234,13 @@ func (idx *GCTIndex) Contexts(v int32, k int32) [][]int32 {
 // (Table 3's "index size" for GCT).
 func (idx *GCTIndex) SizeBytes() int64 {
 	var b int64
-	for i := range idx.verts {
-		gv := &idx.verts[i]
-		b += int64(len(gv.nodeTau))*4 + int64(len(gv.memberOff))*4 +
-			int64(len(gv.members))*4 + int64(len(gv.edges))*12 +
-			int64(len(gv.edgeW))*4 + 5*24
+	for _, page := range idx.verts.pages {
+		for i := range page {
+			gv := &page[i]
+			b += int64(len(gv.nodeTau))*4 + int64(len(gv.memberOff))*4 +
+				int64(len(gv.members))*4 + int64(len(gv.edges))*12 +
+				int64(len(gv.edgeW))*4 + 5*24
+		}
 	}
 	return b
 }

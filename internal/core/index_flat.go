@@ -26,37 +26,39 @@ type TSDFlat struct {
 	Cum       []int32
 }
 
-// Flatten exports the index as flat slabs. Mv aliases index storage; the
-// ragged structures are concatenated into fresh arrays. Callers may
-// serialize the result without further copying but must not modify it.
+// Flatten exports the index as flat slabs, each a fresh array: Mv is the
+// pages of ego edge counts concatenated, and the ragged structures are
+// concatenated vertex by vertex. Callers may serialize or keep the result
+// without further copying.
 func (idx *TSDIndex) Flatten() TSDFlat {
-	n := len(idx.edges)
+	n := idx.edges.n
 	f := TSDFlat{
-		Mv:        idx.mv,
+		Mv:        idx.mv.flat(),
 		ForestOff: make([]int64, n+1),
 		CumOff:    make([]int64, n+1),
 	}
 	var nf, nc int64
-	for v := 0; v < n; v++ {
+	for v := int32(0); int(v) < n; v++ {
 		f.ForestOff[v] = nf
 		f.CumOff[v] = nc
-		nf += int64(len(idx.edges[v]))
-		nc += int64(len(idx.vtCum[v]))
+		nf += int64(len(idx.edges.at(v)))
+		nc += int64(len(idx.vtCum.at(v)))
 	}
 	f.ForestOff[n], f.CumOff[n] = nf, nc
 	f.Forest = make([]TSDEdge, 0, nf)
 	f.Cum = make([]int32, 0, nc)
-	for v := 0; v < n; v++ {
-		f.Forest = append(f.Forest, idx.edges[v]...)
-		f.Cum = append(f.Cum, idx.vtCum[v]...)
+	for v := int32(0); int(v) < n; v++ {
+		f.Forest = append(f.Forest, idx.edges.at(v)...)
+		f.Cum = append(f.Cum, idx.vtCum.at(v)...)
 	}
 	return f
 }
 
 // NewTSDIndexFromFlat reconstructs a TSDIndex whose per-vertex slices alias
-// the flat arrays in f. Offset tables and per-vertex counts are validated
-// structurally in O(n); element-level integrity is the storage layer's job
-// (checksums). The arrays must stay immutable while the index is in use.
+// the flat arrays in f, and whose pages of ego edge counts are cut out of
+// f.Mv. Offset tables and per-vertex counts are validated structurally in
+// O(n); element-level integrity is the storage layer's job (checksums).
+// The arrays must stay immutable while the index is in use.
 func NewTSDIndexFromFlat(g *graph.Graph, f TSDFlat) (*TSDIndex, error) {
 	n := g.N()
 	if len(f.Mv) != n || len(f.ForestOff) != n+1 || len(f.CumOff) != n+1 {
@@ -73,9 +75,9 @@ func NewTSDIndexFromFlat(g *graph.Graph, f TSDFlat) (*TSDIndex, error) {
 	}
 	idx := &TSDIndex{
 		g:     g,
-		edges: make([][]TSDEdge, n),
-		mv:    f.Mv,
-		vtCum: make([][]int32, n),
+		edges: makePaged[[]TSDEdge](n),
+		mv:    pagedOf(f.Mv),
+		vtCum: makePaged[[]int32](n),
 	}
 	for v := 0; v < n; v++ {
 		flo, fhi := f.ForestOff[v], f.ForestOff[v+1]
@@ -91,10 +93,10 @@ func NewTSDIndexFromFlat(g *graph.Graph, f TSDFlat) (*TSDIndex, error) {
 				v, fhi-flo, chi-clo, deg)
 		}
 		if fhi > flo {
-			idx.edges[v] = f.Forest[flo:fhi:fhi]
+			idx.edges.set(int32(v), f.Forest[flo:fhi:fhi])
 		}
 		if chi > clo {
-			idx.vtCum[v] = f.Cum[clo:chi:chi]
+			idx.vtCum.set(int32(v), f.Cum[clo:chi:chi])
 		}
 	}
 	return idx, nil
@@ -118,7 +120,7 @@ type GCTFlat struct {
 
 // Flatten exports the index as flat slabs.
 func (idx *GCTIndex) Flatten() GCTFlat {
-	n := len(idx.verts)
+	n := idx.verts.n
 	f := GCTFlat{
 		NodeOff:   make([]int64, n+1),
 		BoundOff:  make([]int64, n+1),
@@ -126,8 +128,8 @@ func (idx *GCTIndex) Flatten() GCTFlat {
 		EdgeOff:   make([]int64, n+1),
 	}
 	var nn, nb, nm, ne int64
-	for v := 0; v < n; v++ {
-		gv := &idx.verts[v]
+	for v := int32(0); int(v) < n; v++ {
+		gv := idx.verts.ref(v)
 		f.NodeOff[v], f.BoundOff[v], f.MemberOff[v], f.EdgeOff[v] = nn, nb, nm, ne
 		nn += int64(len(gv.nodeTau))
 		nb += int64(len(gv.memberOff))
@@ -140,8 +142,8 @@ func (idx *GCTIndex) Flatten() GCTFlat {
 	f.Members = make([]int32, 0, nm)
 	f.Edges = make([]GCTSuperEdge, 0, ne)
 	f.EdgeW = make([]int32, 0, ne)
-	for v := 0; v < n; v++ {
-		gv := &idx.verts[v]
+	for v := int32(0); int(v) < n; v++ {
+		gv := idx.verts.ref(v)
 		f.NodeTau = append(f.NodeTau, gv.nodeTau...)
 		f.Bounds = append(f.Bounds, gv.memberOff...)
 		f.Members = append(f.Members, gv.members...)
@@ -168,7 +170,7 @@ func NewGCTIndexFromFlat(g *graph.Graph, f GCTFlat) (*GCTIndex, error) {
 		len(f.EdgeW) != len(f.Edges) {
 		return nil, fmt.Errorf("core: gct flat: offset tables do not span their arrays")
 	}
-	idx := &GCTIndex{g: g, verts: make([]gctVertex, n)}
+	idx := &GCTIndex{g: g, verts: makePaged[gctVertex](n)}
 	for v := 0; v < n; v++ {
 		nlo, nhi := f.NodeOff[v], f.NodeOff[v+1]
 		blo, bhi := f.BoundOff[v], f.BoundOff[v+1]
@@ -197,7 +199,7 @@ func NewGCTIndexFromFlat(g *graph.Graph, f GCTFlat) (*GCTIndex, error) {
 			return nil, fmt.Errorf("core: gct flat: vertex %d member bounds span [%d,%d], want [0,%d]",
 				v, bounds[0], bounds[nodes], mhi-mlo)
 		}
-		gv := &idx.verts[v]
+		gv := idx.verts.ref(int32(v))
 		gv.nodeTau = f.NodeTau[nlo:nhi:nhi]
 		gv.memberOff = bounds
 		gv.members = f.Members[mlo:mhi:mhi]

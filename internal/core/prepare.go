@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"slices"
 
 	"trussdiv/internal/ego"
@@ -62,13 +63,13 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 	if t.TSD {
 		p.tsd = &TSDIndex{
 			g:     g,
-			edges: make([][]TSDEdge, n),
-			mv:    make([]int32, n),
-			vtCum: make([][]int32, n),
+			edges: makePaged[[]TSDEdge](n),
+			mv:    makePaged[int32](n),
+			vtCum: makePaged[[]int32](n),
 		}
 	}
 	if t.GCT {
-		p.gct = &GCTIndex{g: g, verts: make([]gctVertex, n)}
+		p.gct = &GCTIndex{g: g, verts: makePaged[gctVertex](n)}
 	}
 	p.run(n, workers, func(slot int) int32 { return int32(slot) })
 
@@ -88,36 +89,48 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 // ego-network changed. t.TSD and t.GCT re-derive those vertices' entries
 // of old.TSD and old.GCT (both must then be set), and every measure in
 // t.Measures gets its per-k table in old.MeasureRanks (which must hold
-// one) patched into MeasureRanks. Every product is
-// copy-on-write — fresh top-level storage sharing the untouched
-// per-vertex entries and ranking levels with old, which stays fully
+// one) patched into MeasureRanks; the tables are spliced side by side on
+// `workers` goroutines. Every product is copy-on-write — fresh pages for
+// the affected vertices' entries and fresh ranking levels where they
+// moved, sharing every other page and level with old, which stays fully
 // usable — and identical to a BuildAll over g.
 func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int32, workers int) *BuildProducts {
 	p := newEgoPass(g, t, len(affected))
 	if t.TSD {
 		p.tsd = &TSDIndex{
 			g:     g,
-			edges: slices.Clone(old.TSD.edges),
-			mv:    slices.Clone(old.TSD.mv),
-			vtCum: slices.Clone(old.TSD.vtCum),
+			edges: old.TSD.edges.cow(affected),
+			mv:    old.TSD.mv.cow(affected),
+			vtCum: old.TSD.vtCum.cow(affected),
 		}
 	}
 	if t.GCT {
-		p.gct = &GCTIndex{g: g, verts: slices.Clone(old.GCT.verts)}
+		p.gct = &GCTIndex{g: g, verts: old.GCT.verts.cow(affected)}
 	}
 	p.run(len(affected), workers, func(slot int) int32 { return affected[slot] })
 
 	out := &BuildProducts{TSD: p.tsd, GCT: p.gct}
-	var marked []bool
-	for m, vecs := range p.vecs {
-		if out.MeasureRanks == nil {
-			out.MeasureRanks = make(map[Measure][][]VertexScore, len(p.vecs))
-			marked = make([]bool, g.N())
-			for _, v := range affected {
-				marked[v] = true
-			}
+	if len(p.vecs) == 0 {
+		return out
+	}
+	marked := make([]bool, g.N())
+	for _, v := range affected {
+		marked[v] = true
+	}
+	measures := slices.Collect(maps.Keys(p.vecs))
+	tables := make([][][]VertexScore, len(measures))
+	// Each table is its own splice over read-only inputs, written to its
+	// own slot, so the products do not depend on the schedule. The
+	// background context never reports an error, so neither does For.
+	_ = par.For(context.Background(), len(measures), workers, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m := measures[i]
+			tables[i] = spliceRankings(old.MeasureRanks[m], affected, marked, p.vecs[m])
 		}
-		out.MeasureRanks[m] = spliceRankings(old.MeasureRanks[m], affected, marked, vecs)
+	})
+	out.MeasureRanks = make(map[Measure][][]VertexScore, len(measures))
+	for i, m := range measures {
+		out.MeasureRanks[m] = tables[i]
 	}
 	return out
 }
@@ -181,16 +194,17 @@ func (p *egoPass) run(count, workers int, vertexAt func(slot int) int32) {
 func (p *egoPass) vertex(s *passScratch, v int32, slot int) {
 	net := ego.ExtractOneInto(&s.es, p.g, v)
 	if p.tsd != nil {
-		p.tsd.mv[v] = int32(net.G.M())
+		p.tsd.mv.set(v, int32(net.G.M()))
 	}
 	if net.G.M() == 0 {
 		// No triangles through v: every consumer records "no structure"
 		// (the measure slots are fresh, hence already nil).
 		if p.tsd != nil {
-			p.tsd.edges[v], p.tsd.vtCum[v] = nil, nil
+			p.tsd.edges.set(v, nil)
+			p.tsd.vtCum.set(v, nil)
 		}
 		if p.gct != nil {
-			p.gct.verts[v] = gctVertex{}
+			p.gct.verts.set(v, gctVertex{})
 		}
 		return
 	}
@@ -198,11 +212,11 @@ func (p *egoPass) vertex(s *passScratch, v int32, slot int) {
 	if p.tsd != nil || p.gct != nil || trussVec != nil {
 		tau := s.ts.DecomposeInto(net.G)
 		if p.tsd != nil {
-			p.tsd.edges[v] = maxSpanningForest(net.G, tau)
-			p.tsd.vtCum[v] = cumulativeVertexTrussness(net.G, tau)
+			p.tsd.edges.set(v, maxSpanningForest(net.G, tau))
+			p.tsd.vtCum.set(v, cumulativeVertexTrussness(net.G, tau))
 		}
 		if p.gct != nil {
-			p.gct.verts[v] = buildGCTVertex(net.G, tau)
+			p.gct.verts.set(v, buildGCTVertex(net.G, tau))
 		}
 		if trussVec != nil {
 			s.allk = trussAllK(&s.ts, net.G, tau, s.allk)

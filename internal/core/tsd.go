@@ -28,13 +28,13 @@ type TSDEdge struct {
 // queries. Index size is O(Σ_v |N(v)|) = O(m).
 type TSDIndex struct {
 	g     *graph.Graph
-	edges [][]TSDEdge // per vertex, sorted by T descending
-	mv    []int32     // ego-network edge counts, recorded during the build
-	// vtCum[v][w-2] = number of neighbors of v whose ego vertex-trussness
+	edges paged[[]TSDEdge] // per vertex, sorted by T descending
+	mv    paged[int32]     // ego-network edge counts, recorded during the build
+	// vtCum.at(v)[w-2] = number of neighbors of v whose ego vertex-trussness
 	// is >= w. By the maximum-spanning-forest property this equals the
 	// number of vertices touched by the weight->=w forest prefix, giving
 	// the O(log) vertex-count bound ⌊t_k/k⌋ used alongside s̃core.
-	vtCum [][]int32
+	vtCum paged[[]int32]
 }
 
 // BuildTSDIndex runs Algorithm 5 serially: per-vertex ego-network
@@ -109,12 +109,12 @@ func (idx *TSDIndex) Graph() *graph.Graph { return idx.g }
 
 // Forest returns v's TSD forest edges (weight-descending). The slice
 // aliases index storage.
-func (idx *TSDIndex) Forest(v int32) []TSDEdge { return idx.edges[v] }
+func (idx *TSDIndex) Forest(v int32) []TSDEdge { return idx.edges.at(v) }
 
 // prefixLen returns the number of forest edges of v with weight >= k,
 // by binary search over the descending weight order.
 func (idx *TSDIndex) prefixLen(v int32, k int32) int {
-	edges := idx.edges[v]
+	edges := idx.edges.at(v)
 	return sort.Search(len(edges), func(i int) bool { return edges[i].T < k })
 }
 
@@ -129,7 +129,7 @@ func (idx *TSDIndex) ForestBound(v int32, k int32) int {
 // vertex-trussness >= k — exactly the vertices the weight->=k forest
 // prefix touches.
 func (idx *TSDIndex) QualifyingNeighbors(v int32, k int32) int {
-	cum := idx.vtCum[v]
+	cum := idx.vtCum.at(v)
 	if k < 2 {
 		k = 2
 	}
@@ -150,7 +150,7 @@ func (idx *TSDIndex) ScoreUpperBound(v int32, k int32) int {
 	if t := idx.QualifyingNeighbors(v, k) / int(k); t < ub {
 		ub = t
 	}
-	if l2 := UpperBound(idx.g.Degree(v), idx.mv[v], k); l2 < ub {
+	if l2 := UpperBound(idx.g.Degree(v), idx.mv.at(v), k); l2 < ub {
 		ub = l2
 	}
 	return ub
@@ -187,7 +187,7 @@ func (s *TSDScorer) Score(v int32, k int32) int {
 	s.stamp = s.stamp[:deg]
 	s.stampID++
 	touched := 0
-	for _, e := range idx.edges[v][:p] {
+	for _, e := range idx.edges.at(v)[:p] {
 		if s.stamp[e.U] != s.stampID {
 			s.stamp[e.U] = s.stampID
 			touched++
@@ -216,7 +216,7 @@ func (idx *TSDIndex) Contexts(v int32, k int32) [][]int32 {
 	defer groupScratchPool.Put(s)
 	s.d.Init(len(verts))
 	roots := s.gr.Roots(len(verts))
-	for _, e := range idx.edges[v][:p] {
+	for _, e := range idx.edges.at(v)[:p] {
 		s.d.Union(e.U, e.W)
 		roots[e.U], roots[e.W] = 0, 0
 	}
@@ -244,8 +244,10 @@ var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
 // "index size" in Table 3.
 func (idx *TSDIndex) SizeBytes() int64 {
 	var b int64
-	for _, edges := range idx.edges {
-		b += int64(len(edges))*12 + 24
+	for _, page := range idx.edges.pages {
+		for _, edges := range page {
+			b += int64(len(edges))*12 + 24
+		}
 	}
 	return b
 }

@@ -56,11 +56,11 @@ func contextsMapGrouping(idx *TSDIndex, v int32, k int32) [][]int32 {
 	}
 	verts := idx.g.Neighbors(v)
 	d := dsu.New(len(verts))
-	for _, e := range idx.edges[v][:p] {
+	for _, e := range idx.edges.at(v)[:p] {
 		d.Union(e.U, e.W)
 	}
 	groups := map[int32][]int32{}
-	for _, e := range idx.edges[v][:p] {
+	for _, e := range idx.edges.at(v)[:p] {
 		for _, lv := range [2]int32{e.U, e.W} {
 			r := d.Find(lv)
 			members := groups[r]
