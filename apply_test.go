@@ -3,6 +3,7 @@ package trussdiv_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -179,17 +180,27 @@ func TestApplyValidation(t *testing.T) {
 		}
 	}
 
+	outOfRange := fmt.Sprintf("endpoint out of range [0,%d) (the vertex set is fixed at Open; rebuild to grow it)", g.N())
 	for _, tc := range []struct {
-		name string
-		u    trussdiv.Updates
+		name   string
+		u      trussdiv.Updates
+		edge   trussdiv.Edge // the reported edge, canonical (U < V)
+		reason string
 	}{
-		{"insert-present", trussdiv.Updates{Insert: []trussdiv.Edge{present}}},
-		{"delete-absent", trussdiv.Updates{Delete: []trussdiv.Edge{absent}}},
-		{"duplicate-insert", trussdiv.Updates{Insert: []trussdiv.Edge{absent, {U: absent.V, V: absent.U}}}},
-		{"insert-and-delete", trussdiv.Updates{Insert: []trussdiv.Edge{present}, Delete: []trussdiv.Edge{present}}},
-		{"self-loop", trussdiv.Updates{Insert: []trussdiv.Edge{{U: 3, V: 3}}}},
-		{"out-of-range", trussdiv.Updates{Insert: []trussdiv.Edge{{U: 0, V: int32(g.N())}}}},
-		{"negative", trussdiv.Updates{Delete: []trussdiv.Edge{{U: -1, V: 2}}}},
+		{"insert-present", trussdiv.Updates{Insert: []trussdiv.Edge{present}},
+			present, "insert of an edge already present"},
+		{"delete-absent", trussdiv.Updates{Delete: []trussdiv.Edge{absent}},
+			absent, "delete of an edge not present"},
+		{"duplicate-insert", trussdiv.Updates{Insert: []trussdiv.Edge{absent, {U: absent.V, V: absent.U}}},
+			absent, "duplicate edit in batch"},
+		{"insert-and-delete", trussdiv.Updates{Insert: []trussdiv.Edge{absent}, Delete: []trussdiv.Edge{absent}},
+			absent, "edge appears in both Insert and Delete"},
+		{"self-loop", trussdiv.Updates{Insert: []trussdiv.Edge{{U: 3, V: 3}}},
+			trussdiv.Edge{U: 3, V: 3}, "self-loop"},
+		{"out-of-range", trussdiv.Updates{Insert: []trussdiv.Edge{{U: int32(g.N()), V: 0}}},
+			trussdiv.Edge{U: 0, V: int32(g.N())}, outOfRange},
+		{"negative", trussdiv.Updates{Delete: []trussdiv.Edge{{U: -1, V: 2}}},
+			trussdiv.Edge{U: -1, V: 2}, outOfRange},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := db.Apply(ctx, tc.u)
@@ -202,6 +213,10 @@ func TestApplyValidation(t *testing.T) {
 			var ue *trussdiv.UpdateError
 			if !errors.As(err, &ue) {
 				t.Fatalf("err %T is not *UpdateError", err)
+			}
+			if ue.Edge != tc.edge || ue.Reason != tc.reason {
+				t.Fatalf("rejected (%d,%d) %q, want (%d,%d) %q",
+					ue.Edge.U, ue.Edge.V, ue.Reason, tc.edge.U, tc.edge.V, tc.reason)
 			}
 			if db.Epoch() != 1 {
 				t.Fatalf("epoch advanced to %d on a rejected batch", db.Epoch())

@@ -17,11 +17,14 @@ import (
 // bytes, through a DB with every catalogue engine prepared and an index
 // directory. Batches may hold bad edits (self-loops, out-of-range
 // endpoints, repeats, insertions of present and deletions of absent
-// edges). A rejected batch must leave the epoch and the graph fingerprint
-// as they were. After an accepted one, every engine × measure cell at
-// every k in {0, 2, …, τ_max+1}, contexts included, must answer exactly
-// like a cold Open of the edited graph, and so must a warm reopen after
-// SaveIndexes in both store modes.
+// edges). The test judges each batch itself with a plain edge-set reading
+// of the Updates contract (editedEdges): Apply must accept exactly the
+// batches it finds valid, and a rejected batch must leave the epoch and
+// the graph fingerprint as they were. After an accepted one, the DB's
+// graph must be the previous edge set edited by that judge, and every
+// engine × measure cell at every k in {0, 2, …, τ_max+1}, contexts
+// included, must answer exactly like a cold Open of that edge set, and so
+// must a warm reopen after SaveIndexes in both store modes.
 //
 // Layout: byte 0 picks the graph (even: the Fig. 1 graph; odd: a
 // community overlay of 12-40 vertices), byte 1 how the DB starts (built
@@ -89,16 +92,25 @@ func FuzzApplyParity(f *testing.F) {
 			}
 			label := fmt.Sprintf("batch %d %+v", batch, u)
 			epoch, fp := db.Epoch(), db.Graph().Fingerprint()
-			if _, err := db.Apply(ctx, u); err != nil {
+			want, valid := editedEdges(db.Graph(), u)
+			_, err := db.Apply(ctx, u)
+			if !valid {
 				if !errors.Is(err, ErrBadUpdate) {
-					t.Fatalf("%s: rejected with %v, want an ErrBadUpdate", label, err)
+					t.Fatalf("%s: invalid batch gave %v, want an ErrBadUpdate", label, err)
 				}
 				if db.Epoch() != epoch || db.Graph().Fingerprint() != fp {
 					t.Fatalf("%s: rejected batch changed the DB", label)
 				}
 				continue
 			}
-			cold, err := Open(rebuilt(t, db.Graph()))
+			if err != nil {
+				t.Fatalf("%s: valid batch rejected: %v", label, err)
+			}
+			wantG, err := FromEdges(db.Graph().N(), want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Open(wantG)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,15 +211,37 @@ func decodeBatch(data []byte, g *Graph) (Updates, []byte) {
 	return u, data
 }
 
-// rebuilt lays g's edge list out afresh with FromEdges, so the cold side
-// of a parity check never shares the spliced CSR arrays.
-func rebuilt(t *testing.T, g *Graph) *Graph {
-	t.Helper()
-	out, err := FromEdges(g.N(), g.Edges())
-	if err != nil {
-		t.Fatal(err)
+// editedEdges is FuzzApplyParity's own judge of an edit batch, the
+// Updates contract read as plain edge-set operations: it reports whether
+// u is valid against g and, when it is, returns g's edge set with u
+// applied. Each edge may be edited once, so set holds g's state for every
+// edge the batch has not touched yet.
+func editedEdges(g *Graph, u Updates) ([]Edge, bool) {
+	set := map[Edge]bool{}
+	for _, e := range g.Edges() {
+		set[e] = true
 	}
-	return out
+	edited := map[Edge]bool{}
+	edit := func(edges []Edge, insert bool) bool {
+		for _, e := range edges {
+			e = Edge{U: min(e.U, e.V), V: max(e.U, e.V)}
+			if e.U == e.V || e.U < 0 || int(e.V) >= g.N() || edited[e] || set[e] == insert {
+				return false
+			}
+			edited[e], set[e] = true, insert
+		}
+		return true
+	}
+	if !edit(u.Insert, true) || !edit(u.Delete, false) {
+		return nil, false
+	}
+	var out []Edge
+	for e, in := range set {
+		if in {
+			out = append(out, e)
+		}
+	}
+	return out, true
 }
 
 // checkParity requires got's graph to have want's CSR arrays, and every

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"trussdiv"
@@ -28,7 +29,8 @@ import (
 // PR.
 
 // DynamicDatasetReport is one dataset's apply-vs-rebuild measurement at
-// one batch size, averaged over the update batches.
+// one batch size: the wall times are medians over the update batches, the
+// work counts means.
 type DynamicDatasetReport struct {
 	Name     string `json:"name"`
 	Vertices int    `json:"vertices"`
@@ -38,12 +40,12 @@ type DynamicDatasetReport struct {
 	// deletions).
 	Batches    int `json:"batches"`
 	BatchEdges int `json:"batch_edges"`
-	// ApplyNS is the mean DB.Apply wall time per batch; RebuildNS the
-	// mean cost of Open + Prepare of the same structures on the mutated
+	// ApplyNS is the median DB.Apply wall time per batch; RebuildNS the
+	// median cost of Open + Prepare of the same structures on the mutated
 	// graph. Neither includes the global truss decomposition.
 	ApplyNS   int64 `json:"apply_ns"`
 	RebuildNS int64 `json:"rebuild_ns"`
-	// FirstBoundNS is the mean wall time of the first bound query after
+	// FirstBoundNS is the median wall time of the first bound query after
 	// each apply, which rebuilds the truss decomposition Apply left cold.
 	FirstBoundNS int64 `json:"first_bound_ns"`
 	// Repaired is the mean number of ego-network structures rebuilt per
@@ -52,7 +54,7 @@ type DynamicDatasetReport struct {
 	// RankingsPatched is the mean number of per-k ranking tables (hybrid
 	// plus per-measure) patched in place per batch.
 	RankingsPatched float64 `json:"rankings_patched"`
-	// Speedup is rebuild / apply wall time.
+	// Speedup is median rebuild / median apply wall time.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -79,9 +81,11 @@ func runDynamic(w io.Writer, cfg Config) error {
 	if cfg.Updates > 0 {
 		sizes = []int{cfg.Updates}
 	}
-	batches := 5
+	// One apply of a small batch takes milliseconds, so a few samples
+	// move by tens of percent from run to run; the medians need more.
+	batches := 9
 	if cfg.Quick {
-		batches = 3
+		batches = 15
 	}
 	report := DynamicReport{BatchSizes: sizes, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	t := &Table{
@@ -124,20 +128,24 @@ func runDynamic(w io.Writer, cfg Config) error {
 }
 
 // dynamicRow applies batches update batches of batchEdges edits each to
-// db, continuing its edit stream, and measures them against rebuilds.
+// db, continuing its edit stream, and measures them against rebuilds,
+// reporting the median of each wall time.
 func dynamicRow(ctx context.Context, db *trussdiv.DB, name string, prepared []string, rng *rand.Rand,
 	batches, batchEdges int) (DynamicDatasetReport, error) {
 	const k, r = int32(4), 100
 	g := db.Graph()
-	var applyTotal, rebuildTotal, firstBoundTotal time.Duration
+	var applyNS, rebuildNS, firstBoundNS []time.Duration
 	var repairedTotal, rankingsTotal int
 	for batch := 0; batch < batches; batch++ {
 		u := RandomUpdates(db.Graph(), rng, batchEdges/2, batchEdges-batchEdges/2)
 		var epoch trussdiv.Epoch
 		var applyErr error
-		applyTotal += Timed(func() {
+		// Collect the previous rebuild's garbage first, so that its
+		// collection does not land inside the timed Apply.
+		runtime.GC()
+		applyNS = append(applyNS, Timed(func() {
 			epoch, applyErr = db.Apply(ctx, u)
-		})
+		}))
 		if applyErr != nil {
 			return DynamicDatasetReport{}, fmt.Errorf("%s: apply batch %d: %w", name, batch, applyErr)
 		}
@@ -150,21 +158,21 @@ func dynamicRow(ctx context.Context, db *trussdiv.DB, name string, prepared []st
 			rankingsTotal += st.RankingsPatched
 		}
 		var boundErr error
-		firstBoundTotal += Timed(func() {
+		firstBoundNS = append(firstBoundNS, Timed(func() {
 			_, _, boundErr = db.TopR(ctx, trussdiv.NewQuery(k, r, trussdiv.WithContexts(), trussdiv.ViaEngine("bound")))
-		})
+		}))
 		if boundErr != nil {
 			return DynamicDatasetReport{}, fmt.Errorf("%s: first bound query after batch %d: %w", name, batch, boundErr)
 		}
 
 		var rebuilt *trussdiv.DB
 		var rebuildErr error
-		rebuildTotal += Timed(func() {
+		rebuildNS = append(rebuildNS, Timed(func() {
 			rebuilt, rebuildErr = trussdiv.Open(db.Graph())
 			if rebuildErr == nil {
 				rebuildErr = rebuilt.Prepare(ctx, prepared...)
 			}
-		})
+		}))
 		if rebuildErr != nil {
 			return DynamicDatasetReport{}, fmt.Errorf("%s: rebuild batch %d: %w", name, batch, rebuildErr)
 		}
@@ -199,8 +207,7 @@ func dynamicRow(ctx context.Context, db *trussdiv.DB, name string, prepared []st
 			}
 		}
 	}
-	apply := applyTotal / time.Duration(batches)
-	rebuild := rebuildTotal / time.Duration(batches)
+	apply, rebuild := medianDuration(applyNS), medianDuration(rebuildNS)
 	return DynamicDatasetReport{
 		Name:            name,
 		Vertices:        g.N(),
@@ -209,11 +216,18 @@ func dynamicRow(ctx context.Context, db *trussdiv.DB, name string, prepared []st
 		BatchEdges:      batchEdges,
 		ApplyNS:         apply.Nanoseconds(),
 		RebuildNS:       rebuild.Nanoseconds(),
-		FirstBoundNS:    (firstBoundTotal / time.Duration(batches)).Nanoseconds(),
+		FirstBoundNS:    medianDuration(firstBoundNS).Nanoseconds(),
 		Repaired:        float64(repairedTotal) / float64(batches),
 		RankingsPatched: float64(rankingsTotal) / float64(batches),
 		Speedup:         float64(rebuild) / float64(max(apply, time.Nanosecond)),
 	}, nil
+}
+
+// medianDuration returns the median of ds (the upper one of an even
+// count), sorting ds in place.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // RandomUpdates picks a valid update batch for g: insertions among absent

@@ -9,42 +9,13 @@ import (
 	"trussdiv/internal/truss"
 )
 
-// SparsifyResult reports what graph sparsification removed.
-type SparsifyResult struct {
-	Graph         *graph.Graph // edge-filtered graph, vertex IDs preserved
-	EdgesRemoved  int
-	IsolatedVerts int // vertices that lost all incident edges
-	OriginalEdges int
-	OriginalVerts int
-}
-
-// Sparsify removes from g every edge whose global trussness is below k+1.
-// By Property 1 such edges belong to no maximal connected k-truss of any
-// ego-network, so every score(v) is preserved. Vertex IDs are kept;
-// vertices that become isolated are reported (and skipped by the search).
-func Sparsify(g *graph.Graph, k int32) *SparsifyResult {
-	return SparsifyWithTau(g, truss.Decompose(g), k)
-}
-
-// SparsifyWithTau is Sparsify with the global truss decomposition already
-// in hand (cached, or loaded from an index store), so the cost is one
-// O(m) edge filter. Bound runs it once per level, to count that level's
-// degrees and triangles, and drops the graph.
-func SparsifyWithTau(g *graph.Graph, tau []int32, k int32) *SparsifyResult {
-	sub := g.FilterEdges(func(id int32) bool { return tau[id] >= k+1 })
-	isolated := 0
-	for v := 0; v < sub.N(); v++ {
-		if sub.Degree(int32(v)) == 0 && g.Degree(int32(v)) > 0 {
-			isolated++
-		}
-	}
-	return &SparsifyResult{
-		Graph:         sub,
-		EdgesRemoved:  g.M() - sub.M(),
-		IsolatedVerts: isolated,
-		OriginalEdges: g.M(),
-		OriginalVerts: g.N(),
-	}
+// Sparsify removes from g every edge whose global trussness is below k+1,
+// leaving its (k+1)-truss. By Property 1 such edges belong to no maximal
+// connected k-truss of any ego-network, so every score(v) is preserved.
+// Vertex IDs are kept; vertices that become isolated are skipped by the
+// search.
+func Sparsify(g *graph.Graph, k int32) *graph.Graph {
+	return truss.KTruss(g, truss.Decompose(g), k+1)
 }
 
 // UpperBound is Lemma 2: score(v) <= min{⌊d(v)/k⌋, ⌊2·m_v/(k(k-1))⌋},
@@ -181,7 +152,7 @@ func (b *Bound) level(m Measure, k int32) *boundLevel {
 	})
 	key := min(k, int32(len(b.truss)-1))
 	lv := &b.truss[key]
-	lv.once.Do(func() { b.fill(lv, SparsifyWithTau(b.g, b.tau, key).Graph) })
+	lv.once.Do(func() { b.fill(lv, truss.KTruss(b.g, b.tau, key+1)) })
 	return lv
 }
 

@@ -35,7 +35,7 @@ func TestBoundLevelsMatchSparsify(t *testing.T) {
 		calls := 0
 		b := NewBoundFrom(NewScorers(g), func() []int32 { calls++; return tau })
 		for k := int32(2); k <= tauMax+1; k++ {
-			sp := SparsifyWithTau(g, tau, k).Graph
+			sp := truss.KTruss(g, tau, k+1)
 			checkLevel(t, tc.name, k, b.level(MeasureTruss, k), sp)
 		}
 		if calls != 1 {

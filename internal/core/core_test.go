@@ -303,15 +303,12 @@ func TestSparsifyPreservesScores(t *testing.T) {
 		for k := int32(3); k <= 5; k++ {
 			sp := Sparsify(g, k)
 			before := NewScorer(g)
-			after := NewScorer(sp.Graph)
+			after := NewScorer(sp)
 			for v := int32(0); int(v) < g.N(); v++ {
 				if b, a := before.Score(v, k), after.Score(v, k); b != a {
 					t.Fatalf("seed %d k=%d v=%d: score %d -> %d after sparsify",
 						seed, k, v, b, a)
 				}
-			}
-			if sp.OriginalEdges != g.M() || sp.Graph.M()+sp.EdgesRemoved != g.M() {
-				t.Fatal("sparsify accounting wrong")
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"trussdiv/internal/graph"
 )
@@ -50,72 +50,116 @@ type UpdateStats struct {
 // whose per-vertex structures — and therefore ranking entries — can
 // change.
 func AffectedVertices(oldG, newG *graph.Graph, inserted, removed []graph.Edge) []int32 {
-	seen := map[int32]struct{}{}
-	var buf []int32
-	mark := func(g *graph.Graph, e graph.Edge) {
-		seen[e.U] = struct{}{}
-		seen[e.V] = struct{}{}
-		buf = g.CommonNeighbors(buf[:0], e.U, e.V)
-		for _, w := range buf {
-			seen[w] = struct{}{}
-		}
-	}
+	var out []int32
 	for _, e := range inserted {
-		mark(newG, e)
+		out = newG.CommonNeighbors(append(out, e.U, e.V), e.U, e.V)
 	}
 	for _, e := range removed {
-		mark(oldG, e)
+		out = oldG.CommonNeighbors(append(out, e.U, e.V), e.U, e.V)
 	}
-	out := make([]int32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// ApplyEdits builds the edited graph. The vertex count is preserved (new
-// vertices are not supported: add them by rebuilding). Inserting an
-// existing edge or removing a missing one is an error, so update stats
-// stay meaningful; either batch may list an edge in either orientation or
-// more than once, and a self-loop insertion adds nothing. Given the same
-// inputs, the result is deterministic — callers applying one batch to
-// several structures build the edited graph once and hand it to every
-// repair (PatchAll, the truss repair), so every repaired structure shares
-// one canonical graph (and its edge-ID assignment). The checked, sorted
-// batches go to graph.Edit, which splices them into g's CSR arrays and
-// copies the untouched adjacency in bulk.
+// ErrBadUpdate is the sentinel matched by errors.Is when an edit batch is
+// rejected; the concrete error is *UpdateError.
+var ErrBadUpdate = errors.New("trussdiv: invalid update batch")
+
+// UpdateError reports a rejected edit batch: the offending edge, in
+// canonical orientation (U < V), and the reason. A rejected batch changes
+// nothing.
+type UpdateError struct {
+	Edge   graph.Edge
+	Reason string
+}
+
+func (e *UpdateError) Error() string {
+	return fmt.Sprintf("trussdiv: cannot apply edit (%d,%d): %s", e.Edge.U, e.Edge.V, e.Reason)
+}
+
+// Is makes errors.Is(err, ErrBadUpdate) match.
+func (e *UpdateError) Is(target error) bool { return target == ErrBadUpdate }
+
+// ApplyEdits builds the graph g with the edges of insert added and those
+// of remove deleted. The vertex count is preserved (new vertices are not
+// supported: add them by rebuilding). Edges may be given in either
+// orientation. This is the one check of an edit batch, and it rejects
+// the batch with an *UpdateError naming the first fault it finds, in
+// this order:
+//   - each edit in input order, insertions then deletions, for a
+//     self-loop or an endpoint outside [0, N);
+//   - the smallest edge listed twice or in both lists;
+//   - the smallest insertion of an edge already present, then the
+//     smallest deletion of an edge not present.
+//
+// A batch with one fault therefore reports that fault; a batch with
+// several reports the first in this order. Given the same inputs the
+// result is deterministic, so every structure repaired against it (the
+// PatchAll pass, a replayed truss repair) shares one canonical graph and
+// its edge-ID assignment. The checked, sorted batches go to graph.Edit,
+// which splices them into g's CSR arrays and copies the untouched
+// adjacency in bulk.
 func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
 	n := int32(g.N())
-	del := make([]graph.Edge, 0, len(remove))
-	for _, e := range remove {
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		if e.U < 0 || e.V >= n || g.EdgeID(e.U, e.V) < 0 {
-			return nil, fmt.Errorf("core: cannot remove missing edge (%d,%d)", e.U, e.V)
-		}
-		del = append(del, e)
+	ins, del := make([]graph.Edge, len(insert)), make([]graph.Edge, len(remove))
+	if err := canonicalEdits(ins, insert, n); err != nil {
+		return nil, err
 	}
-	ins := make([]graph.Edge, 0, len(insert))
-	for _, e := range insert {
-		if e.U >= n || e.V >= n || e.U < 0 || e.V < 0 {
-			return nil, fmt.Errorf("core: insert (%d,%d) out of range [0,%d)", e.U, e.V, n)
-		}
-		if g.EdgeID(e.U, e.V) >= 0 {
-			return nil, fmt.Errorf("core: edge (%d,%d) already present", e.U, e.V)
-		}
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		if e.U != e.V {
-			ins = append(ins, e)
-		}
+	if err := canonicalEdits(del, remove, n); err != nil {
+		return nil, err
 	}
 	slices.SortFunc(ins, graph.CompareEdges)
-	ins = slices.Compact(ins)
 	slices.SortFunc(del, graph.CompareEdges)
-	del = slices.Compact(del)
-
+	// Walk the two sorted lists as one merged list, insertions first on a
+	// tie: the first edge equal to its predecessor is the smallest one
+	// listed twice or in both lists.
+	var prev graph.Edge
+	prevIns := false
+	for i, j := 0, 0; i < len(ins) || j < len(del); {
+		var e graph.Edge
+		isIns := j == len(del) || i < len(ins) && graph.CompareEdges(ins[i], del[j]) <= 0
+		if isIns {
+			e, i = ins[i], i+1
+		} else {
+			e, j = del[j], j+1
+		}
+		if i+j > 1 && e == prev {
+			reason := "duplicate edit in batch"
+			if isIns != prevIns {
+				reason = "edge appears in both Insert and Delete"
+			}
+			return nil, &UpdateError{Edge: e, Reason: reason}
+		}
+		prev, prevIns = e, isIns
+	}
+	for _, e := range ins {
+		if g.EdgeID(e.U, e.V) >= 0 {
+			return nil, &UpdateError{Edge: e, Reason: "insert of an edge already present"}
+		}
+	}
+	for _, e := range del {
+		if g.EdgeID(e.U, e.V) < 0 {
+			return nil, &UpdateError{Edge: e, Reason: "delete of an edge not present"}
+		}
+	}
 	return g.Edit(ins, del), nil
+}
+
+// canonicalEdits writes src into dst with every edge oriented U < V,
+// rejecting the first self-loop or endpoint outside [0, n).
+func canonicalEdits(dst, src []graph.Edge, n int32) error {
+	for i, e := range src {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		if e.U == e.V {
+			return &UpdateError{Edge: e, Reason: "self-loop"}
+		}
+		if e.U < 0 || e.V >= n {
+			return &UpdateError{Edge: e,
+				Reason: fmt.Sprintf("endpoint out of range [0,%d) (the vertex set is fixed at Open; rebuild to grow it)", n)}
+		}
+		dst[i] = e
+	}
+	return nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"trussdiv/internal/gen"
@@ -294,44 +296,106 @@ func TestUpdateValidation(t *testing.T) {
 }
 
 // rebuildEdited is the edit as plain edge-set operations — drop every
-// removal, add every insertion, let the Builder sort and deduplicate —
-// with ApplyEdits' validation and error text: the oracle for its merge.
+// removal, add every insertion, let the Builder lay the graph out — after
+// checking the batch contract in ApplyEdits' order with maps and counts:
+// the oracle for its checks and its merge.
 func rebuildEdited(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
-	drop := make(map[graph.Edge]bool, len(remove))
-	for _, e := range remove {
+	n := int32(g.N())
+	canon := func(e graph.Edge) graph.Edge {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		if e.U < 0 || e.V >= int32(g.N()) || g.EdgeID(e.U, e.V) < 0 {
-			return nil, fmt.Errorf("core: cannot remove missing edge (%d,%d)", e.U, e.V)
+		return e
+	}
+	for _, e := range append(slices.Clone(insert), remove...) {
+		e = canon(e)
+		if e.U == e.V {
+			return nil, &UpdateError{Edge: e, Reason: "self-loop"}
 		}
-		drop[e] = true
+		if e.U < 0 || e.V >= n {
+			return nil, &UpdateError{Edge: e,
+				Reason: fmt.Sprintf("endpoint out of range [0,%d) (the vertex set is fixed at Open; rebuild to grow it)", n)}
+		}
+	}
+	// smallest returns the smallest edge of edges that fault names a
+	// reason for, as an *UpdateError, or nil.
+	smallest := func(edges []graph.Edge, fault func(graph.Edge) string) error {
+		var worst *UpdateError
+		for _, e := range edges {
+			e = canon(e)
+			if r := fault(e); r != "" && (worst == nil || graph.CompareEdges(e, worst.Edge) < 0) {
+				worst = &UpdateError{Edge: e, Reason: r}
+			}
+		}
+		if worst == nil {
+			return nil
+		}
+		return worst
+	}
+	ins, del := map[graph.Edge]int{}, map[graph.Edge]int{}
+	for _, e := range insert {
+		ins[canon(e)]++
+	}
+	for _, e := range remove {
+		del[canon(e)]++
+	}
+	if err := smallest(append(slices.Clone(insert), remove...), func(e graph.Edge) string {
+		// An edge that is both repeated and in both lists is reported
+		// as ApplyEdits meets it in the merged sorted lists, insertions
+		// first.
+		switch {
+		case ins[e] > 1:
+			return "duplicate edit in batch"
+		case ins[e] > 0 && del[e] > 0:
+			return "edge appears in both Insert and Delete"
+		case del[e] > 1:
+			return "duplicate edit in batch"
+		}
+		return ""
+	}); err != nil {
+		return nil, err
+	}
+	present := map[graph.Edge]bool{}
+	for _, e := range g.Edges() {
+		present[e] = true
+	}
+	if err := smallest(insert, func(e graph.Edge) string {
+		if present[e] {
+			return "insert of an edge already present"
+		}
+		return ""
+	}); err != nil {
+		return nil, err
+	}
+	if err := smallest(remove, func(e graph.Edge) string {
+		if !present[e] {
+			return "delete of an edge not present"
+		}
+		return ""
+	}); err != nil {
+		return nil, err
 	}
 	b := graph.NewBuilder(g.N())
 	for _, e := range g.Edges() {
-		if !drop[e] {
+		if del[e] == 0 {
 			b.AddEdge(e.U, e.V)
 		}
 	}
-	for _, e := range insert {
-		if e.U >= int32(g.N()) || e.V >= int32(g.N()) || e.U < 0 || e.V < 0 {
-			return nil, fmt.Errorf("core: insert (%d,%d) out of range [0,%d)", e.U, e.V, g.N())
-		}
-		if g.EdgeID(e.U, e.V) >= 0 {
-			return nil, fmt.Errorf("core: edge (%d,%d) already present", e.U, e.V)
-		}
+	for e := range ins {
 		b.AddEdge(e.U, e.V)
 	}
 	return b.Build(), nil
 }
 
 // ApplyEdits merges the sorted batches into the edge list instead of
-// rebuilding: the graph (by Fingerprint and CSR) and every error must be
-// those of the plain edge-set rebuild, for batches in any orientation and
-// order, with repeats, self-loop insertions and invalid edits.
+// rebuilding: for batches in any orientation and order, with repeats,
+// self-loops and invalid edits, every rejection must be the oracle's
+// (same edge, same reason), and every accepted batch must give the graph
+// (by Fingerprint and CSR) of the plain edge-set rebuild.
 func TestApplyEditsMatchesRebuild(t *testing.T) {
 	rng := testutil.Rand(t, 71)
-	for trial := 0; trial < 200; trial++ {
+	accepted, reasons := 0, map[string]int{}
+	for trial := 0; trial < 400; trial++ {
 		n := 6 + rng.Intn(30)
 		g := randomGraph(t, n, rng.Intn(4*n), int64(trial))
 		pick := func() graph.Edge {
@@ -340,11 +404,11 @@ func TestApplyEditsMatchesRebuild(t *testing.T) {
 		var ins, del []graph.Edge
 		for i := rng.Intn(6); i > 0; i-- {
 			e := pick()
-			if rng.Intn(4) > 0 && (e.U < 0 || e.U >= int32(n) || e.V >= int32(n) || g.HasEdge(e.U, e.V)) {
+			if rng.Intn(4) > 0 && (e.U == e.V || e.U < 0 || e.U >= int32(n) || e.V >= int32(n) || g.HasEdge(e.U, e.V)) {
 				continue // keep most batches valid
 			}
 			ins = append(ins, e)
-			if rng.Intn(5) == 0 {
+			if rng.Intn(12) == 0 {
 				ins = append(ins, graph.Edge{U: e.V, V: e.U})
 			}
 		}
@@ -357,7 +421,7 @@ func TestApplyEditsMatchesRebuild(t *testing.T) {
 				e.U, e.V = e.V, e.U
 			}
 			del = append(del, e)
-			if rng.Intn(5) == 0 {
+			if rng.Intn(12) == 0 {
 				del = append(del, e)
 			}
 		}
@@ -367,8 +431,14 @@ func TestApplyEditsMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d (ins %v del %v): err %v, want %v", trial, ins, del, gotErr, wantErr)
 		}
 		if wantErr != nil {
+			var ue *UpdateError
+			if !errors.As(gotErr, &ue) || !errors.Is(gotErr, ErrBadUpdate) {
+				t.Fatalf("trial %d: err %T is not an *UpdateError matching ErrBadUpdate", trial, gotErr)
+			}
+			reasons[strings.SplitN(ue.Reason, " [", 2)[0]]++
 			continue
 		}
+		accepted++
 		if got.Fingerprint() != want.Fingerprint() || got.N() != want.N() {
 			t.Fatalf("trial %d (ins %v del %v): edited graph differs from the rebuild", trial, ins, del)
 		}
@@ -378,6 +448,7 @@ func TestApplyEditsMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: CSR arrays differ from the rebuild", trial)
 		}
 	}
+	t.Logf("accepted %d, rejected %v", accepted, reasons)
 }
 
 func TestUpdateAffectedSetIsLocal(t *testing.T) {

@@ -611,9 +611,9 @@ const (
 // handleEdges applies one atomic edge-update batch through DB.Apply: the
 // response reports the new epoch, in-flight searches keep their snapshot,
 // and subsequent requests see the edited graph with its indexes repaired
-// incrementally. A batch the DB rejects (errors.Is ErrBadUpdate: duplicate
-// edits, inserting a present edge, deleting an absent one, out-of-range
-// endpoints) fails with 409 and leaves the graph untouched.
+// incrementally. A batch the DB rejects (errors.Is ErrBadUpdate: self-loops,
+// duplicate edits, inserting a present edge, deleting an absent one,
+// out-of-range endpoints) fails with 409 and leaves the graph untouched.
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if s.readOnly {
 		writeJSON(w, http.StatusForbidden, errorBody{Error: "server is read-only (started with -readonly)"})

@@ -2,7 +2,6 @@ package trussdiv
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -18,33 +17,30 @@ type Epoch uint64
 
 // Updates is one atomic batch of edge edits for DB.Apply. Edges may be
 // given in either orientation; the batch must be internally consistent:
-// no duplicate edits, no edge appearing in both lists, every insertion
-// absent from the current graph and every deletion present in it. The
-// vertex set is fixed at Open — edits naming vertices outside [0, N) are
-// rejected (grow the vertex set by rebuilding the graph).
+// no self-loops, no duplicate edits, no edge appearing in both lists,
+// every insertion absent from the current graph and every deletion
+// present in it. The vertex set is fixed at Open — edits naming vertices
+// outside [0, N) are rejected (grow the vertex set by rebuilding the
+// graph). A batch with one fault is rejected with that fault; one with
+// several reports the first of them in this order: a self-loop or an
+// out-of-range endpoint, in input order (insertions, then deletions);
+// the smallest edge listed twice or in both lists; the smallest
+// insertion of a present edge, then the smallest deletion of an absent
+// one.
 type Updates struct {
 	Insert []Edge
 	Delete []Edge
 }
 
-// UpdateError reports a rejected update batch: the offending edge and the
-// reason. Apply rejects the whole batch atomically — the DB keeps serving
-// its current snapshot and the epoch does not advance.
-type UpdateError struct {
-	Edge   Edge
-	Reason string
-}
-
-func (e *UpdateError) Error() string {
-	return fmt.Sprintf("trussdiv: cannot apply edit (%d,%d): %s", e.Edge.U, e.Edge.V, e.Reason)
-}
+// UpdateError reports a rejected update batch: the offending edge, in
+// canonical orientation (U < V), and the reason. Apply rejects the whole
+// batch atomically — the DB keeps serving its current snapshot and the
+// epoch does not advance.
+type UpdateError = core.UpdateError
 
 // ErrBadUpdate is the sentinel matched by errors.Is when an update batch
 // is rejected; the concrete error is *UpdateError.
-var ErrBadUpdate = errors.New("trussdiv: invalid update batch")
-
-// Is makes errors.Is(err, ErrBadUpdate) match.
-func (e *UpdateError) Is(target error) bool { return target == ErrBadUpdate }
+var ErrBadUpdate = core.ErrBadUpdate
 
 // Snapshot is one immutable version of the DB: a graph, the index cache
 // built over it, and the engine catalogue bound to both, all stamped with
@@ -394,9 +390,11 @@ func (db *DB) Epoch() Epoch { return db.Snapshot().epoch }
 // estimate until it is done. ApplyStats on the new snapshot reports the
 // patch pass's work.
 //
-// A batch that fails validation (errors.Is(err, ErrBadUpdate)) is rejected
-// whole: the epoch does not advance and the DB keeps serving its current
-// snapshot. An empty batch is a no-op returning the current epoch. Apply
+// A batch that breaks the Updates contract is rejected whole with an
+// *UpdateError (errors.Is(err, ErrBadUpdate)), found by the one check
+// that core.ApplyEdits makes while it builds the edited graph: the epoch
+// does not advance and the DB keeps serving its current snapshot. An
+// empty batch is a no-op returning the current epoch. Apply
 // calls serialize with each other; ctx is observed before validation,
 // after the graph edit, and after the patch pass (the pass itself is not
 // interruptible).
@@ -411,22 +409,17 @@ func (db *DB) Apply(ctx context.Context, u Updates) (Epoch, error) {
 		return 0, err
 	}
 	cur := db.snap.Load()
-	ins, del, err := u.normalize(cur.g)
-	if err != nil {
-		return 0, err
-	}
-	if len(ins) == 0 && len(del) == 0 {
+	if len(u.Insert) == 0 && len(u.Delete) == 0 {
 		return cur.epoch, nil
 	}
-	newG, err := core.ApplyEdits(cur.g, ins, del)
+	newG, err := core.ApplyEdits(cur.g, u.Insert, u.Delete)
 	if err != nil {
-		// unreachable after normalize, but a second line of defense
 		return 0, err
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	nextCache, stats, err := cur.cache.advance(ctx, newG, ins, del)
+	nextCache, stats, err := cur.cache.advance(ctx, newG, u.Insert, u.Delete)
 	if err != nil {
 		return 0, err
 	}
@@ -440,57 +433,6 @@ func (db *DB) Apply(ctx context.Context, u Updates) (Epoch, error) {
 		db.results.invalidateBelow(next.epoch)
 	}
 	return next.epoch, nil
-}
-
-// normalize canonicalizes and validates one update batch against g:
-// orientations are normalized to U < V, and the batch must contain no
-// duplicates, no insert∩delete overlap, only in-range endpoints, only
-// absent edges in Insert and present edges in Delete.
-func (u Updates) normalize(g *Graph) (ins, del []Edge, err error) {
-	n := int32(g.N())
-	seen := make(map[Edge]string, len(u.Insert)+len(u.Delete))
-	canon := func(e Edge, kind string) (Edge, error) {
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		if e.U == e.V {
-			return e, &UpdateError{Edge: e, Reason: "self-loop"}
-		}
-		if e.U < 0 || e.V >= n {
-			return e, &UpdateError{Edge: e,
-				Reason: fmt.Sprintf("endpoint out of range [0,%d) (the vertex set is fixed at Open; rebuild to grow it)", n)}
-		}
-		if prev, dup := seen[e]; dup {
-			reason := "duplicate edit in batch"
-			if prev != kind {
-				reason = "edge appears in both Insert and Delete"
-			}
-			return e, &UpdateError{Edge: e, Reason: reason}
-		}
-		seen[e] = kind
-		return e, nil
-	}
-	for _, e := range u.Insert {
-		e, err := canon(e, "insert")
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.HasEdge(e.U, e.V) {
-			return nil, nil, &UpdateError{Edge: e, Reason: "insert of an edge already present"}
-		}
-		ins = append(ins, e)
-	}
-	for _, e := range u.Delete {
-		e, err := canon(e, "delete")
-		if err != nil {
-			return nil, nil, err
-		}
-		if !g.HasEdge(e.U, e.V) {
-			return nil, nil, &UpdateError{Edge: e, Reason: "delete of an edge not present"}
-		}
-		del = append(del, e)
-	}
-	return ins, del, nil
 }
 
 // IndexStats reports which indexes of this snapshot are ready, their
