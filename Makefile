@@ -133,11 +133,14 @@ cover:
 # accepted batch must answer every engine x measure x k like a cold Open
 # and a warm reopen in both store modes; seeded with the stream tests'
 # batch shapes). `go test -fuzz` takes one target per run.
+# -fuzzminimizetime 5x caps the minimization of each new interesting
+# input at 5 runs: under the default 60 s, one slow FuzzApplyParity input
+# (tens of ms per run) is minimized for the whole 15 s budget.
 fuzz:
-	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s
-	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadBinary -fuzztime 15s
-	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzExtractOneInto -fuzztime 15s
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s
-	$(GO) test . -run '^$$' -fuzz FuzzApplyParity -fuzztime 15s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadBinary -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzExtractOneInto -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test . -run '^$$' -fuzz FuzzApplyParity -fuzztime 15s -fuzzminimizetime 5x

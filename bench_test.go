@@ -196,7 +196,7 @@ func BenchmarkAblationSparsify(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Sparsify(g, 4)
+		truss.KTruss(g, truss.Decompose(g), 4+1)
 	}
 }
 

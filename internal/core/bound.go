@@ -9,15 +9,6 @@ import (
 	"trussdiv/internal/truss"
 )
 
-// Sparsify removes from g every edge whose global trussness is below k+1,
-// leaving its (k+1)-truss. By Property 1 such edges belong to no maximal
-// connected k-truss of any ego-network, so every score(v) is preserved.
-// Vertex IDs are kept; vertices that become isolated are skipped by the
-// search.
-func Sparsify(g *graph.Graph, k int32) *graph.Graph {
-	return truss.KTruss(g, truss.Decompose(g), k+1)
-}
-
 // UpperBound is Lemma 2: score(v) <= min{⌊d(v)/k⌋, ⌊2·m_v/(k(k-1))⌋},
 // because every maximal connected k-truss has at least k vertices and at
 // least k(k-1)/2 edges.

@@ -9,6 +9,7 @@ import (
 	"trussdiv/internal/gen"
 	"trussdiv/internal/graph"
 	"trussdiv/internal/testutil"
+	"trussdiv/internal/truss"
 )
 
 func randomGraph(tb testing.TB, n, extra int, seed int64) *graph.Graph {
@@ -213,12 +214,11 @@ func TestAllEnginesAgreeOnScores(t *testing.T) {
 		g := randomGraph(t, 28, 130, seed)
 		scorer := NewScorer(g)
 		tsdIdx := BuildTSDIndex(g)
-		tsdScorer := tsdIdx.Scorer()
 		gctIdx := BuildGCTIndex(g)
 		for k := int32(2); k <= 6; k++ {
 			for v := int32(0); int(v) < g.N(); v++ {
 				online := scorer.Score(v, k)
-				tsd := tsdScorer.Score(v, k)
+				tsd := tsdIdx.Score(v, k)
 				gct := gctIdx.Score(v, k)
 				if online != tsd || online != gct {
 					t.Fatalf("seed %d k=%d v=%d: online=%d tsd=%d gct=%d",
@@ -297,11 +297,14 @@ func TestAllSearchersAgreeOnTopR(t *testing.T) {
 
 // --- Pruning machinery ---
 
+// TestSparsifyPreservesScores checks Property 1: an edge whose global
+// trussness is below k+1 lies in no maximal connected k-truss of any
+// ego-network, so the (k+1)-truss keeps every score(v) at k.
 func TestSparsifyPreservesScores(t *testing.T) {
 	for seed := int64(60); seed < 66; seed++ {
 		g := randomGraph(t, 30, 160, seed)
 		for k := int32(3); k <= 5; k++ {
-			sp := Sparsify(g, k)
+			sp := truss.KTruss(g, truss.Decompose(g), k+1)
 			before := NewScorer(g)
 			after := NewScorer(sp)
 			for v := int32(0); int(v) < g.N(); v++ {
@@ -425,7 +428,7 @@ func TestFlowerScores(t *testing.T) {
 		if got := BuildGCTIndex(g).Score(0, int32(tc.k)); got != tc.cliques {
 			t.Fatalf("flower GCT score = %d, want %d", got, tc.cliques)
 		}
-		if got := BuildTSDIndex(g).Scorer().Score(0, int32(tc.k)); got != tc.cliques {
+		if got := BuildTSDIndex(g).Score(0, int32(tc.k)); got != tc.cliques {
 			t.Fatalf("flower TSD score = %d, want %d", got, tc.cliques)
 		}
 	}

@@ -263,10 +263,9 @@ func onlineTrussScores(g *graph.Graph) [][]int {
 // at every vertex and k against scores from onlineTrussScores.
 func checkTSDScores(t *testing.T, label string, idx *TSDIndex, online [][]int) {
 	t.Helper()
-	scorer := idx.Scorer()
 	for v, scores := range online {
 		for k := int32(2); int(k) < len(scores); k++ {
-			got, ub := scorer.Score(int32(v), k), idx.ScoreUpperBound(int32(v), k)
+			got, ub := idx.Score(int32(v), k), idx.ScoreUpperBound(int32(v), k)
 			if got != scores[k] || ub < scores[k] {
 				t.Fatalf("%s TSD score(%d, %d) = %d (upper bound %d), online scorer says %d",
 					label, v, k, got, ub, scores[k])
@@ -464,7 +463,7 @@ func TestUpdateAffectedSetIsLocal(t *testing.T) {
 	if !reflect.DeepEqual(affected, []int32{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("affected = %v, want the first clique", affected)
 	}
-	updated := PatchAll(newG, BuildAll(g, BuildTargets{TSD: true}, 1), BuildTargets{TSD: true}, affected, 0).TSD.Scorer()
+	updated := PatchAll(newG, BuildAll(g, BuildTargets{TSD: true}, 1), BuildTargets{TSD: true}, affected, 0).TSD
 	// Second clique untouched: each vertex's ego is K5, one 5-truss.
 	for v := int32(6); v < 12; v++ {
 		if got := updated.Score(v, 5); got != 1 {

@@ -40,40 +40,39 @@ type GCTIndex struct {
 // BuildGCTIndex runs Algorithm 7: one-shot global triangle listing to
 // extract every ego-network, truss decomposition of each with §6.2's
 // bitmap supports (truss.Scratch.DecomposeBitmapInto), then Algorithm 8
-// to compress each into supernodes and superedges. It is kept as the
-// paper's reference construction — Table 3 times it, and the parity
-// tests use it as an oracle independent of BuildAll, which builds the
-// identical index from the per-vertex pass every other structure shares.
+// to compress each one's maximum spanning forest into supernodes and
+// superedges. It is kept as the paper's reference construction — Table 3
+// times it, and the parity tests use it as an oracle independent of
+// BuildAll, which builds the identical index from the per-vertex pass
+// every other structure shares.
 func BuildGCTIndex(g *graph.Graph) *GCTIndex {
 	n := g.N()
 	idx := &GCTIndex{g: g, verts: makePaged[gctVertex](n)}
 	all := ego.ExtractAll(g)
 	var es ego.Scratch
 	var ts truss.Scratch
+	var fs forestScratch
 	for v := int32(0); int(v) < n; v++ {
 		if all.EdgeCount(v) == 0 {
 			continue
 		}
 		net := all.NetworkInto(&es, v)
 		tau := ts.DecomposeBitmapInto(net.G)
-		idx.verts.set(v, buildGCTVertex(net.G, tau))
+		forest, vt := fs.span(net.G, tau)
+		idx.verts.set(v, buildGCTVertex(net.G, tau, forest, vt))
 	}
 	return idx
 }
 
 // buildGCTVertex is Algorithm 8 for one ego-network: initialize one
-// supernode per vertex with its vertex trussness, walk ego edges in
-// descending trussness, merge equal-trussness supernodes joined by an edge
-// of that same trussness, and record a superedge otherwise. Acyclicity is
-// enforced by a connectivity DSU (the result is the maximum spanning
-// forest of the TSD structure, compressed).
-func buildGCTVertex(local *graph.Graph, tau []int32) gctVertex {
+// supernode per vertex with its vertex trussness vt, walk the maximum
+// spanning forest's edges (forestScratch.span over tau) in descending
+// trussness, merge equal-trussness supernodes joined by an edge of that
+// same trussness, and record a superedge otherwise. The result is the
+// TSD forest, compressed.
+func buildGCTVertex(local *graph.Graph, tau, forest, vt []int32) gctVertex {
 	nv := local.N()
-	vt := truss.VertexTrussness(local, tau)
-	byDesc := edgesByTrussDesc(tau)
-
 	node := dsu.New(nv) // supernode membership
-	conn := dsu.New(nv) // forest connectivity (supernodes + superedges)
 	snTau := make([]int32, nv)
 	copy(snTau, vt)
 	type rawEdge struct {
@@ -81,11 +80,8 @@ func buildGCTVertex(local *graph.Graph, tau []int32) gctVertex {
 		t    int32
 	}
 	var raw []rawEdge
-	for _, id := range byDesc {
+	for _, id := range forest {
 		e := local.Edge(id)
-		if conn.Same(e.U, e.V) {
-			continue // already connected in the GCT forest
-		}
 		ru, rw := node.Find(e.U), node.Find(e.V)
 		t := tau[id]
 		if snTau[ru] == t && snTau[rw] == t {
@@ -96,7 +92,6 @@ func buildGCTVertex(local *graph.Graph, tau []int32) gctVertex {
 		} else {
 			raw = append(raw, rawEdge{e.U, e.V, t})
 		}
-		conn.Union(e.U, e.V)
 	}
 
 	// Finalize: index supernodes (skip isolated ego vertices, which belong

@@ -18,10 +18,9 @@ func TestTSDIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, backSc := idx.Scorer(), back.Scorer()
 	for k := int32(2); k <= 6; k++ {
 		for v := int32(0); int(v) < g.N(); v++ {
-			if sc.Score(v, k) != backSc.Score(v, k) {
+			if idx.Score(v, k) != back.Score(v, k) {
 				t.Fatalf("k=%d v=%d: score differs after round trip", k, v)
 			}
 			if idx.ScoreUpperBound(v, k) != back.ScoreUpperBound(v, k) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"trussdiv/internal/baseline"
@@ -173,6 +174,61 @@ func TestMeasureRankingsMatchScores(t *testing.T) {
 						t.Fatalf("%s/%s: ranking score(%d, %d) = %d, want %d",
 							tc.name, m, v, k, dense[v], want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestScoresAllKMatchesScore pins the all-k vectors, counted off one
+// spanning forest per ego-network, against the single-k component count
+// Score runs: ScoresAllK(v)[k] == Score(v, k) for every k from 2 to one
+// past the vector's end (a position past the end counts as 0), and the
+// vector is nil exactly when no k scores. The bridge graph gives vertex 0
+// an ego-network of two K4s joined through a vertex of core number 2,
+// which must not merge the two 3-cores.
+func TestScoresAllKMatchesScore(t *testing.T) {
+	b := graph.NewBuilder(10)
+	for _, q := range [][]int32{{1, 2, 3, 4}, {5, 6, 7, 8}} {
+		for i, u := range q {
+			for _, w := range q[i+1:] {
+				b.AddEdge(u, w)
+			}
+		}
+	}
+	b.AddEdge(9, 1)
+	b.AddEdge(9, 5)
+	for u := int32(1); u < 10; u++ {
+		b.AddEdge(0, u)
+	}
+	graphs := append(conformanceGraphs(t), measureParityGraphs(t)...)
+	graphs = append(graphs, conformanceGraph{"bridge", b.Build()})
+	for _, tc := range graphs {
+		for _, m := range AllMeasures() {
+			all, one := NewVertexScorer(tc.g, m), NewVertexScorer(tc.g, m)
+			for v := int32(0); int(v) < tc.g.N(); v++ {
+				vec := slices.Clone(all.ScoresAllK(v))
+				// No context outgrows the ego-network: k = d(v)+1 bounds
+				// every measure's scoring thresholds.
+				last := int32(len(vec))
+				if vec == nil {
+					last = int32(tc.g.Degree(v)) + 1
+				}
+				scored := false
+				for k := int32(2); k <= last; k++ {
+					want := one.Score(v, k)
+					got := 0
+					if int(k) < len(vec) {
+						got = vec[k]
+					}
+					if got != want {
+						t.Fatalf("%s/%s: ScoresAllK(%d)[%d] = %d, Score = %d", tc.name, m, v, k, got, want)
+					}
+					scored = scored || want > 0
+				}
+				if (vec == nil) == scored {
+					t.Fatalf("%s/%s: ScoresAllK(%d) = %v, some k scores = %v: want nil exactly when none does",
+						tc.name, m, v, vec, scored)
 				}
 			}
 		}

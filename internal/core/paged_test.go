@@ -152,9 +152,8 @@ func TestPatchAllSharesUntouchedPages(t *testing.T) {
 	for name, old := range map[string]*BuildProducts{"built": built, "flat": fromFlat} {
 		answers := func() (scores []int, contexts [][][]int32) {
 			for v := int32(0); int(v) < g.N(); v++ {
-				sc := old.TSD.Scorer()
 				for k := int32(2); k <= 6; k++ {
-					scores = append(scores, sc.Score(v, k), old.GCT.Score(v, k))
+					scores = append(scores, old.TSD.Score(v, k), old.GCT.Score(v, k))
 					contexts = append(contexts, old.TSD.Contexts(v, k), old.GCT.Contexts(v, k))
 				}
 			}

@@ -32,7 +32,7 @@ type BuildTargets struct {
 	// GCT requests the compressed supernode structures (Algorithms 7-8).
 	GCT bool
 	// Measures requests the per-k ranking table of each named measure.
-	// The truss table is read straight off the shared decomposition: by
+	// The truss table is read straight off the shared spanning forest: by
 	// Lemma 3 the supernode/superedge count N_k - M_k a GCT index scores
 	// with equals the k-truss component count, so it is exactly the
 	// hybrid engine's table.
@@ -136,9 +136,10 @@ func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int
 }
 
 // egoPass is the one per-vertex worker body behind BuildAll and PatchAll:
-// per vertex one ego extraction, at most one truss decomposition (shared
-// by the TSD, GCT and truss-measure consumers), at most one core
-// decomposition and one component labelling.
+// per vertex one ego extraction, at most one truss decomposition and one
+// maximum spanning forest over it (shared by the TSD, GCT and
+// truss-measure consumers), at most one core decomposition with its own
+// forest, and one component labelling.
 type egoPass struct {
 	g   *graph.Graph
 	tsd *TSDIndex // forests and ego edge counts, written at [v]
@@ -167,6 +168,7 @@ type passScratch struct {
 	ts   truss.Scratch
 	ks   kcore.Scratch
 	cs   compScratch
+	fs   forestScratch
 	allk []int
 }
 
@@ -211,15 +213,16 @@ func (p *egoPass) vertex(s *passScratch, v int32, slot int) {
 	trussVec := p.vecs[MeasureTruss]
 	if p.tsd != nil || p.gct != nil || trussVec != nil {
 		tau := s.ts.DecomposeInto(net.G)
+		forest, vt := s.fs.span(net.G, tau)
 		if p.tsd != nil {
-			p.tsd.edges.set(v, maxSpanningForest(net.G, tau))
-			p.tsd.vtCum.set(v, cumulativeVertexTrussness(net.G, tau))
+			p.tsd.edges.set(v, tsdForest(net.G, tau, forest))
+			p.tsd.vtCum.set(v, cumulativeVertexTrussness(vt))
 		}
 		if p.gct != nil {
-			p.gct.verts.set(v, buildGCTVertex(net.G, tau))
+			p.gct.verts.set(v, buildGCTVertex(net.G, tau, forest, vt))
 		}
 		if trussVec != nil {
-			s.allk = trussAllK(&s.ts, net.G, tau, s.allk)
+			s.allk = countAllK(forest, vt, tau, s.allk)
 			trussVec[slot] = copyAllK(s.allk)
 		}
 	}
@@ -228,7 +231,7 @@ func (p *egoPass) vertex(s *passScratch, v int32, slot int) {
 		compVec[slot] = copyAllK(s.allk)
 	}
 	if coreVec := p.vecs[MeasureCore]; coreVec != nil {
-		s.allk = coreAllK(&s.ks, net.G, s.allk)
+		s.allk = coreAllK(&s.ks, &s.fs, net.G, s.allk)
 		coreVec[slot] = copyAllK(s.allk)
 	}
 }

@@ -65,26 +65,24 @@ func TestParallelSearchRace(t *testing.T) {
 	}
 }
 
-// TestTSDScorersConcurrent drives many private scorers over one shared
-// TSD index — the exact access pattern of the sharded tsd search.
+// TestTSDScorersConcurrent drives many goroutines' Score calls over one
+// shared TSD index — the exact access pattern of the sharded tsd search.
 func TestTSDScorersConcurrent(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 8, Seed: 10,
 	})
 	idx := BuildTSDIndex(g)
 	want := make([]int, g.N())
-	ref := idx.Scorer()
 	for v := 0; v < g.N(); v++ {
-		want[v] = ref.Score(int32(v), 3)
+		want[v] = idx.Score(int32(v), 3)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(offset int) {
 			defer wg.Done()
-			sc := idx.Scorer()
 			for v := offset; v < g.N(); v += 8 {
-				if got := sc.Score(int32(v), 3); got != want[v] {
+				if got := idx.Score(int32(v), 3); got != want[v] {
 					t.Errorf("scorer %d: score(%d) = %d, want %d", offset, v, got, want[v])
 					return
 				}

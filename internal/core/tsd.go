@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
 	"trussdiv/internal/dsu"
 	"trussdiv/internal/graph"
-	"trussdiv/internal/truss"
 )
 
 // TSDEdge is one edge of a vertex's TSD forest: endpoints are local
@@ -39,15 +39,28 @@ type TSDIndex struct {
 
 // BuildTSDIndex runs Algorithm 5 serially: per-vertex ego-network
 // extraction, truss decomposition, then Kruskal's maximum spanning forest
-// over the trussness-weighted ego-network — the TSD branch of BuildAll's
-// per-vertex pass.
+// over the trussness-weighted ego-network (forestScratch.span) — the TSD
+// branch of BuildAll's per-vertex pass.
 func BuildTSDIndex(g *graph.Graph) *TSDIndex { return BuildAll(g, BuildTargets{TSD: true}, 1).TSD }
 
+// tsdForest copies a spanned forest (edge IDs from forestScratch.span
+// over tau) into the stored form: local endpoints and weights, in the
+// forest's weight-descending order, which Score exploits as a prefix
+// filter.
+func tsdForest(local *graph.Graph, tau, forest []int32) []TSDEdge {
+	out := make([]TSDEdge, len(forest))
+	for i, id := range forest {
+		e := local.Edge(id)
+		out[i] = TSDEdge{U: e.U, W: e.V, T: tau[id]}
+	}
+	return out
+}
+
 // cumulativeVertexTrussness returns cum[w-2] = |{u : vt(u) >= w}| for
-// w = 2..maxTrussness over the ego-network's vertex trussnesses.
-func cumulativeVertexTrussness(local *graph.Graph, tau []int32) []int32 {
-	vt := truss.VertexTrussness(local, tau)
-	maxT := truss.MaxTrussness(tau)
+// w = 2..max vt over the ego-network's vertex trussnesses (the largest
+// trussness of any incident edge, as forestScratch.span reports it).
+func cumulativeVertexTrussness(vt []int32) []int32 {
+	maxT := slices.Max(vt)
 	if maxT < 2 {
 		return nil
 	}
@@ -61,47 +74,6 @@ func cumulativeVertexTrussness(local *graph.Graph, tau []int32) []int32 {
 		cum[i] += cum[i+1]
 	}
 	return cum
-}
-
-// maxSpanningForest runs Kruskal over the ego-network with edges in
-// descending trussness. The returned forest edges are sorted by weight
-// descending, which Score exploits as a prefix filter.
-func maxSpanningForest(local *graph.Graph, tau []int32) []TSDEdge {
-	byDesc := edgesByTrussDesc(tau)
-	d := dsu.New(local.N())
-	forest := make([]TSDEdge, 0, local.N()-1)
-	for _, id := range byDesc {
-		e := local.Edge(id)
-		if d.Union(e.U, e.V) {
-			forest = append(forest, TSDEdge{U: e.U, W: e.V, T: tau[id]})
-			if len(forest) == local.N()-1 {
-				break
-			}
-		}
-	}
-	return forest
-}
-
-// edgesByTrussDesc returns the edge IDs in descending trussness, ties in
-// ascending ID order. Trussness values are small integers, so the "sort"
-// is a linear bin pass.
-func edgesByTrussDesc(tau []int32) []int32 {
-	maxT := truss.MaxTrussness(tau)
-	start := make([]int32, maxT+1)
-	for _, t := range tau {
-		start[t]++
-	}
-	// Exclusive prefix sums, bin maxT first.
-	acc := int32(0)
-	for t := maxT; t >= 0; t-- {
-		start[t], acc = acc, acc+start[t]
-	}
-	byDesc := make([]int32, len(tau))
-	for id, t := range tau {
-		byDesc[start[t]] = int32(id)
-		start[t]++
-	}
-	return byDesc
 }
 
 // Graph returns the graph the index was built over.
@@ -156,48 +128,13 @@ func (idx *TSDIndex) ScoreUpperBound(v int32, k int32) int {
 	return ub
 }
 
-// TSDScorer answers exact-score queries from a TSDIndex with private
-// visit-mark scratch. The index itself is read-only under query load, so
-// any number of Scorers may run concurrently over one index — that is how
-// parallel searches spread score computations over their workers.
-type TSDScorer struct {
-	idx     *TSDIndex
-	stamp   []int32
-	stampID int32
-}
-
-// Scorer returns a new goroutine-private scorer over the index.
-func (idx *TSDIndex) Scorer() *TSDScorer { return &TSDScorer{idx: idx} }
-
-// Score runs Algorithm 6: count the connected components formed by forest
-// edges with weight >= k. Because the stored forest is acyclic, the count
-// is (#touched vertices) - (#prefix edges); touched vertices are tracked
-// with the scorer's stamped mark array, reused across calls.
-func (s *TSDScorer) Score(v int32, k int32) int {
-	idx := s.idx
-	p := idx.prefixLen(v, k)
-	if p == 0 {
-		return 0
-	}
-	deg := idx.g.Degree(v)
-	if cap(s.stamp) < deg {
-		s.stamp = make([]int32, deg)
-		s.stampID = 0
-	}
-	s.stamp = s.stamp[:deg]
-	s.stampID++
-	touched := 0
-	for _, e := range idx.edges.at(v)[:p] {
-		if s.stamp[e.U] != s.stampID {
-			s.stamp[e.U] = s.stampID
-			touched++
-		}
-		if s.stamp[e.W] != s.stampID {
-			s.stamp[e.W] = s.stampID
-			touched++
-		}
-	}
-	return touched - p
+// Score runs Algorithm 6: count the connected components formed by
+// forest edges with weight >= k. The stored forest is acyclic, so the
+// count is the vertices the weight->=k prefix touches, which are exactly
+// t_k (QualifyingNeighbors), minus the prefix's edges: two O(log) reads,
+// safe from any number of goroutines.
+func (idx *TSDIndex) Score(v int32, k int32) int {
+	return idx.QualifyingNeighbors(v, k) - idx.prefixLen(v, k)
 }
 
 // Contexts reconstructs the social contexts SC(v) from the forest: the
@@ -254,7 +191,7 @@ func (idx *TSDIndex) SizeBytes() int64 {
 
 // TSD is the index-based searcher (paper §5.2): candidates are ordered by
 // the s̃core bound and pruned with early termination, and exact scores come
-// from the forest prefix count in O(|N(v)|).
+// from the forest prefix count in O(log |N(v)|).
 type TSD struct {
 	idx *TSDIndex
 }
@@ -272,11 +209,10 @@ func (t *TSD) TopR(k int32, r int) (*Result, *Stats, error) {
 
 // Search answers the top-r query from the index alone (paper §5.2):
 // candidates are ordered by the s̃core bound and pruned with early
-// termination; exact scores come from the forest prefix count, computed
-// by one private TSDScorer per worker when p.Workers spreads the scan
-// (Search itself is therefore safe for concurrent use). The bound pass
-// polls the context every few hundred vertices, the exact-score pass on
-// every candidate.
+// termination; exact scores are Score's two O(log) reads of the read-only
+// index, so p.Workers can spread the scan and Search itself is safe for
+// concurrent use. The bound pass polls the context every few hundred
+// vertices, the exact-score pass on every candidate.
 func (t *TSD) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	g := t.idx.g
 	p, err := p.normalized(g.N())
@@ -291,8 +227,7 @@ func (t *TSD) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	return prunedSearch(ctx, p, g.N(),
 		func(v int32) int { return t.idx.ScoreUpperBound(v, p.K) },
 		func() func(v int32) int {
-			sc := t.idx.Scorer()
-			return func(v int32) int { return sc.Score(v, p.K) }
+			return func(v int32) int { return t.idx.Score(v, p.K) }
 		},
 		func(v int32) [][]int32 { return t.idx.Contexts(v, p.K) })
 }

@@ -41,7 +41,7 @@ func TestQualifyingNeighborsMatchesPrefixTouch(t *testing.T) {
 func TestForestPrefixComponentIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(t, 26, 120, seed+500)
-		tsd := BuildTSDIndex(g).Scorer()
+		tsd := BuildTSDIndex(g)
 		scorer := NewScorer(g)
 		for v := int32(0); int(v) < g.N(); v++ {
 			for k := int32(2); k <= 6; k++ {

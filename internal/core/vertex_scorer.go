@@ -27,6 +27,7 @@ type VertexScorer struct {
 	tr   truss.Scratch
 	kc   kcore.Scratch
 	cc   compScratch
+	fs   forestScratch
 	allk []int
 }
 
@@ -140,32 +141,16 @@ func (s *VertexScorer) ScoresAllK(v int32) []int {
 	case MeasureComponent:
 		s.allk = compAllK(&s.cc, net.G, s.allk)
 	case MeasureCore:
-		s.allk = coreAllK(&s.kc, net.G, s.allk)
+		s.allk = coreAllK(&s.kc, &s.fs, net.G, s.allk)
 	default:
 		tau := s.tr.DecomposeInto(net.G)
-		s.allk = trussAllK(&s.tr, net.G, tau, s.allk)
+		forest, vt := s.fs.span(net.G, tau)
+		s.allk = countAllK(forest, vt, tau, s.allk)
 	}
 	if len(s.allk) == 0 {
 		return nil
 	}
 	return s.allk
-}
-
-// trussAllK fills dst[:0] with the truss measure's per-k score vector of
-// the (already decomposed) local graph: dst[k] = k-truss component
-// count, indexed 2..MaxTrussness. Empty when the decomposition reaches
-// no threshold.
-func trussAllK(ts *truss.Scratch, lg *graph.Graph, tau []int32, dst []int) []int {
-	maxK := truss.MaxTrussness(tau)
-	if maxK < 2 {
-		return dst[:0]
-	}
-	dst = growInts(dst, int(maxK)+1)
-	dst[0], dst[1] = 0, 0
-	for k := int32(2); k <= maxK; k++ {
-		dst[k] = ts.CountComponents(lg, tau, k)
-	}
-	return dst
 }
 
 // compAllK fills dst[:0] with the component measure's per-k vector: a
@@ -194,19 +179,12 @@ func compAllK(cs *compScratch, lg *graph.Graph, dst []int) []int {
 }
 
 // coreAllK fills dst[:0] with the core measure's per-k vector:
-// dst[k] = maximal connected k-core count, indexed 2..degeneracy.
-func coreAllK(ks *kcore.Scratch, lg *graph.Graph, dst []int) []int {
-	core := ks.DecomposeInto(lg)
-	maxC := kcore.Degeneracy(core)
-	if maxC < 2 {
-		return dst[:0]
-	}
-	dst = growInts(dst, int(maxC)+1)
-	dst[0], dst[1] = 0, 0
-	for k := int32(2); k <= maxC; k++ {
-		dst[k] = ks.CountComponents(lg, core, k)
-	}
-	return dst
+// dst[k] = maximal connected k-core count, indexed 2..degeneracy, counted
+// off one spanning forest weighted by the endpoints' smaller core number.
+func coreAllK(ks *kcore.Scratch, fs *forestScratch, lg *graph.Graph, dst []int) []int {
+	w := fs.coreWeights(lg, ks.DecomposeInto(lg))
+	forest, vw := fs.span(lg, w)
+	return countAllK(forest, vw, w, dst)
 }
 
 // compScratch labels the connected components of a local graph into

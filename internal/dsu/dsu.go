@@ -2,10 +2,12 @@
 // path halving and union by size, and the Grouper that lays out the
 // classes of a partition as canonical groups.
 //
-// The union-find is used for Kruskal's maximum-spanning-forest
-// construction of the TSD-index (paper §5.1), for supernode merging
-// during GCT-index construction (paper §6.3), and for connected-component
-// identification when counting social contexts. The Grouper writes every
+// The union-find runs the one Kruskal maximum-spanning-forest pass per
+// ego-network (paper §5.1), whose forest the TSD-index stores, the
+// GCT-index compresses by supernode merging (paper §6.3), and the all-k
+// context counts read; it also counts the components at a single
+// threshold (Algorithm 2 and the baselines) and groups the members of
+// each social context on recovery. The Grouper writes every
 // engine's social contexts SC(v) (paper Def. 2), whether recovered online,
 // from the TSD forest or from the GCT supernodes, and the Comp-Div and
 // Core-Div contexts: groups ordered by first member, members ascending.

@@ -34,15 +34,3 @@ func Components(g *graph.Graph, core []int32, k int32) [][]int32 {
 func CountComponents(g *graph.Graph, core []int32, k int32) int {
 	return new(Scratch).CountComponents(g, core, k)
 }
-
-// Degeneracy returns the maximum core number, a classical upper bound on
-// graph arboricity minus one and a common density measure.
-func Degeneracy(core []int32) int32 {
-	best := int32(0)
-	for _, c := range core {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}

@@ -30,8 +30,8 @@ type ForestEdge struct {
 }
 
 // Index is the TCP-index of a graph: per-vertex maximum spanning forests
-// over triangle weights, plus the global edge trussness used for
-// community reconstruction.
+// over triangle weights, plus the global edge trussness they are weighted
+// by.
 type Index struct {
 	g      *graph.Graph
 	tau    []int32        // global edge trussness
@@ -129,119 +129,3 @@ func (idx *Index) Trussness(u, v int32) int32 {
 
 // Forest returns v's TCP forest (weight-descending). Aliases storage.
 func (idx *Index) Forest(v int32) []ForestEdge { return idx.forest[v] }
-
-// CommunityCount returns the number of distinct k-truss communities that
-// contain vertex v. Forest components at level k seed the communities,
-// but two components can belong to ONE community when its triangle
-// connectivity routes through triangles outside N(v), so — exactly as in
-// Huang et al.'s query algorithm — seeds already covered by a
-// reconstructed community are skipped.
-func (idx *Index) CommunityCount(v int32, k int32) int {
-	return len(idx.CommunitiesOf(v, k))
-}
-
-// CommunitiesOf reconstructs the k-truss communities containing v as
-// sorted vertex sets: one triangle-connected BFS per still-uncovered
-// forest component seed.
-func (idx *Index) CommunitiesOf(v int32, k int32) [][]int32 {
-	forest := idx.forest[v]
-	p := sort.Search(len(forest), func(i int) bool { return forest[i].Wt < k })
-	if p == 0 {
-		return nil
-	}
-	nbr := idx.g.Neighbors(v)
-	local := func(global int32) int32 {
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] >= global })
-		return int32(i)
-	}
-	d := dsu.New(len(nbr))
-	for _, e := range forest[:p] {
-		d.Union(local(e.U), local(e.W))
-	}
-	seeds := map[int32]graph.Edge{} // component root -> a seed edge (v,u)
-	for _, e := range forest[:p] {
-		root := d.Find(local(e.U))
-		if _, ok := seeds[root]; !ok {
-			// (v, e.U) is an edge of the community: its trussness is >= k
-			// because the triangle weight through v is >= k.
-			seeds[root] = graph.Edge{U: v, V: e.U}
-		}
-	}
-	covered := map[int32]bool{} // edge IDs already claimed by a community
-	out := make([][]int32, 0, len(seeds))
-	for _, seed := range seeds {
-		seedID := idx.g.EdgeID(seed.U, seed.V)
-		if covered[seedID] {
-			continue // same community as an earlier seed
-		}
-		verts, edges := idx.communityFrom(seedID, k)
-		for _, id := range edges {
-			covered[id] = true
-		}
-		out = append(out, verts)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// TriangleConnectedCommunity returns the sorted vertex set of the k-truss
-// community containing the given edge: BFS over edges of trussness >= k
-// through shared triangles whose third edge also has trussness >= k.
-func (idx *Index) TriangleConnectedCommunity(seed graph.Edge, k int32) []int32 {
-	startID := idx.g.EdgeID(seed.U, seed.V)
-	if startID < 0 || idx.tau[startID] < k {
-		return nil
-	}
-	verts, _ := idx.communityFrom(startID, k)
-	return verts
-}
-
-// communityFrom runs the triangle-connectivity BFS from an edge known to
-// have trussness >= k, returning the community's sorted vertex set and
-// its member edge IDs.
-func (idx *Index) communityFrom(startID int32, k int32) ([]int32, []int32) {
-	g, tau := idx.g, idx.tau
-	visited := map[int32]bool{startID: true}
-	queue := []int32{startID}
-	edges := []int32{startID}
-	verts := map[int32]struct{}{}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		e := g.Edge(id)
-		verts[e.U] = struct{}{}
-		verts[e.V] = struct{}{}
-		// Expand through every triangle on this edge whose other two
-		// edges also sit in the k-truss.
-		an, ai := g.Arcs(e.U)
-		bn, bi := g.Arcs(e.V)
-		i, j := 0, 0
-		for i < len(an) && j < len(bn) {
-			switch {
-			case an[i] < bn[j]:
-				i++
-			case an[i] > bn[j]:
-				j++
-			default:
-				e1, e2 := ai[i], bi[j]
-				if tau[e1] >= k && tau[e2] >= k {
-					for _, y := range [2]int32{e1, e2} {
-						if !visited[y] {
-							visited[y] = true
-							queue = append(queue, y)
-							edges = append(edges, y)
-						}
-					}
-				}
-				i++
-				j++
-			}
-		}
-	}
-	out := make([]int32, 0, len(verts))
-	for v := range verts {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, edges
-}

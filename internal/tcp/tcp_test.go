@@ -1,13 +1,10 @@
 package tcp
 
 import (
-	"reflect"
 	"testing"
 
 	"trussdiv/internal/core"
 	"trussdiv/internal/gen"
-	"trussdiv/internal/graph"
-	"trussdiv/internal/testutil"
 )
 
 func TestFig18Contrast(t *testing.T) {
@@ -48,168 +45,5 @@ func TestFig18Contrast(t *testing.T) {
 	scorer := core.NewScorer(g)
 	if got := scorer.EgoTrussness(gen.Fig18Q1, gen.Fig18Q2, gen.Fig18Q3); got != 2 {
 		t.Fatalf("tau_ego(q1)(q2,q3) = %d, want 2", got)
-	}
-}
-
-func TestFig18Communities(t *testing.T) {
-	g := gen.Fig18Graph()
-	idx := Build(g)
-	// At k=4, q1 belongs to ONE triangle-connected 4-truss community
-	// (the two K4s through q1 share edge (q1,q2)-(q1,q3)? they connect
-	// through q2-q3? Verify against the reconstruction.)
-	count := idx.CommunityCount(gen.Fig18Q1, 4)
-	comms := idx.CommunitiesOf(gen.Fig18Q1, 4)
-	if count != len(comms) {
-		t.Fatalf("CommunityCount %d != reconstructed %d", count, len(comms))
-	}
-	for _, c := range comms {
-		if len(c) < 4 {
-			t.Fatalf("4-truss community too small: %v", c)
-		}
-	}
-	// k above the max trussness: nothing.
-	if idx.CommunityCount(gen.Fig18Q1, 9) != 0 {
-		t.Fatal("no 9-truss community should exist")
-	}
-	if idx.CommunitiesOf(gen.Fig18Q1, 9) != nil {
-		t.Fatal("CommunitiesOf should be nil above max trussness")
-	}
-}
-
-func TestDisjointCliqueCommunities(t *testing.T) {
-	// A hub joined to three disjoint K5s: at k=5... each K5+hub gives a
-	// dense block; use k=4 so each block is one community through the hub.
-	b := graph.NewBuilder(1)
-	next := int32(1)
-	for c := 0; c < 3; c++ {
-		members := make([]int32, 4)
-		for i := range members {
-			members[i] = next
-			next++
-			b.AddEdge(0, members[i])
-		}
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				b.AddEdge(members[i], members[j])
-			}
-		}
-	}
-	g := b.Build()
-	idx := Build(g)
-	// Each block {hub, m1..m4} is a K5: trussness 5 edges, and the three
-	// blocks only meet at the hub, so they are triangle-disconnected.
-	if got := idx.CommunityCount(0, 5); got != 3 {
-		t.Fatalf("hub 5-truss communities = %d, want 3", got)
-	}
-	comms := idx.CommunitiesOf(0, 5)
-	if len(comms) != 3 {
-		t.Fatalf("reconstructed %d communities, want 3", len(comms))
-	}
-	for _, c := range comms {
-		if len(c) != 5 {
-			t.Fatalf("community size = %d, want 5 (K5 incl. hub)", len(c))
-		}
-		if c[0] != 0 {
-			t.Fatalf("community %v should contain the hub", c)
-		}
-	}
-}
-
-// naiveCommunity computes the triangle-connected k-truss community of an
-// edge by brute force, as an oracle for the BFS reconstruction.
-func naiveCommunity(g *graph.Graph, tau []int32, seed graph.Edge, k int32) []int32 {
-	id := g.EdgeID(seed.U, seed.V)
-	if id < 0 || tau[id] < k {
-		return nil
-	}
-	inSet := map[int32]bool{id: true}
-	for changed := true; changed; {
-		changed = false
-		for eid := int32(0); int(eid) < g.M(); eid++ {
-			if inSet[eid] || tau[eid] < k {
-				continue
-			}
-			e := g.Edge(eid)
-			// eid joins if it shares a qualifying triangle with a member.
-			cn := g.CommonNeighbors(nil, e.U, e.V)
-			for _, w := range cn {
-				e1, e2 := g.EdgeID(e.U, w), g.EdgeID(e.V, w)
-				if tau[e1] < k || tau[e2] < k {
-					continue
-				}
-				if inSet[e1] || inSet[e2] {
-					inSet[eid] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	verts := map[int32]struct{}{}
-	for eid := range inSet {
-		e := g.Edge(eid)
-		verts[e.U] = struct{}{}
-		verts[e.V] = struct{}{}
-	}
-	out := make([]int32, 0, len(verts))
-	for v := range verts {
-		out = append(out, v)
-	}
-	sortInt32s(out)
-	return out
-}
-
-func sortInt32s(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
-}
-
-func TestCommunityMatchesNaive(t *testing.T) {
-	rng := testutil.Rand(t, 3)
-	for trial := 0; trial < 12; trial++ {
-		n := 18 + trial
-		b := graph.NewBuilder(n)
-		for i := 0; i < 4*n; i++ {
-			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-		}
-		g := b.Build()
-		idx := Build(g)
-		for _, k := range []int32{3, 4} {
-			for id := int32(0); int(id) < g.M(); id += 3 {
-				e := g.Edge(id)
-				got := idx.TriangleConnectedCommunity(e, k)
-				want := naiveCommunity(g, idx.tau, e, k)
-				if len(got) == 0 && len(want) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d k=%d edge (%d,%d): got %v, want %v",
-						trial, k, e.U, e.V, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestCommunityCountMatchesReconstruction(t *testing.T) {
-	rng := testutil.Rand(t, 8)
-	for trial := 0; trial < 8; trial++ {
-		n := 20 + trial*2
-		b := graph.NewBuilder(n)
-		for i := 0; i < 5*n; i++ {
-			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-		}
-		g := b.Build()
-		idx := Build(g)
-		for v := int32(0); int(v) < g.N(); v++ {
-			for k := int32(3); k <= 5; k++ {
-				if idx.CommunityCount(v, k) != len(idx.CommunitiesOf(v, k)) {
-					t.Fatalf("trial %d v=%d k=%d: count/reconstruction mismatch", trial, v, k)
-				}
-			}
-		}
 	}
 }

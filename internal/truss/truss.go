@@ -72,24 +72,6 @@ func MaxTrussness(tau []int32) int32 {
 	return best
 }
 
-// VertexTrussness returns per-vertex trussness: the maximum trussness of
-// any incident edge, 0 for isolated vertices. (Def. 4 extends trussness to
-// vertices; the maximum over incident edges is equivalent because any
-// k-truss containing v contains an incident edge of v.)
-func VertexTrussness(g *graph.Graph, tau []int32) []int32 {
-	vt := make([]int32, g.N())
-	for id, e := range g.Edges() {
-		t := tau[id]
-		if t > vt[e.U] {
-			vt[e.U] = t
-		}
-		if t > vt[e.V] {
-			vt[e.V] = t
-		}
-	}
-	return vt
-}
-
 // Distribution returns hist[t] = the number of edges with trussness t
 // (paper Fig. 3's edge-trussness histogram).
 func Distribution(tau []int32) []int64 {

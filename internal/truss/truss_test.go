@@ -269,22 +269,6 @@ func TestCountMatchesComponents(t *testing.T) {
 	}
 }
 
-func TestVertexTrussness(t *testing.T) {
-	g := gen.DisjointUnion(gen.Clique(5), gen.Path(3))
-	tau := Decompose(g)
-	vt := VertexTrussness(g, tau)
-	for v := 0; v < 5; v++ {
-		if vt[v] != 5 {
-			t.Fatalf("clique vertex trussness = %d, want 5", vt[v])
-		}
-	}
-	for v := 5; v < 8; v++ {
-		if vt[v] != 2 {
-			t.Fatalf("path vertex trussness = %d, want 2", vt[v])
-		}
-	}
-}
-
 func TestDistribution(t *testing.T) {
 	g := gen.DisjointUnion(gen.Clique(4), gen.Path(4))
 	tau := Decompose(g)

@@ -80,7 +80,7 @@ func newSnapshot(epoch Epoch, g *Graph, cache *indexCache) *Snapshot {
 	s.engines = catalogue{
 		s.onlineEngine(online),
 		s.boundEngine(),
-		// TSD.Search scores through goroutine-private TSDScorers, so
+		// TSD.Search scores by O(log) reads of the read-only index, so
 		// concurrent searches over the shared index need no serialization.
 		s.indexEngine("tsd", store.SecTSD, s.w.m, s.w.egoWork,
 			func(ctx context.Context, p core.Params) (*Result, *Stats, error) {
