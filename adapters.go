@@ -69,7 +69,7 @@ type indexCache struct {
 	// byte-identical for every worker count.
 	buildTau    func(*Graph) []int32
 	buildAllIdx func(*Graph, core.BuildTargets) *core.BuildProducts
-	patchAllIdx func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts
+	patchAllIdx func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32, s *core.PassScratch) *core.BuildProducts
 	builds      int
 }
 
@@ -121,8 +121,8 @@ func newIndexCache(g *Graph, cfg dbConfig) *indexCache {
 		buildAllIdx: func(g *Graph, t core.BuildTargets) *core.BuildProducts {
 			return core.BuildAll(g, t, 0)
 		},
-		patchAllIdx: func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32) *core.BuildProducts {
-			return core.PatchAll(g, old, t, affected, 0)
+		patchAllIdx: func(g *Graph, old *core.BuildProducts, t core.BuildTargets, affected []int32, s *core.PassScratch) *core.BuildProducts {
+			return core.PatchAll(g, old, t, affected, 0, s)
 		},
 	}
 	if cfg.storeMode == StoreDecode {
@@ -192,7 +192,7 @@ func (c *indexCache) storedEpoch() Epoch {
 // connection moves to the new cache: its next persist re-derives the
 // fingerprint from the edited graph. This cache stops persisting — a late
 // lazy build on a superseded snapshot must not clobber newer state.
-func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) (*indexCache, *core.UpdateStats, error) {
+func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge, scratch *core.PassScratch) (*indexCache, *core.UpdateStats, error) {
 	c.mu.Lock()
 	oldG := c.g
 	old := &core.BuildProducts{TSD: c.tsd, GCT: c.gct, MeasureRanks: map[Measure][][]core.VertexScore{}}
@@ -231,7 +231,7 @@ func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge) 
 	// index survives too. next is not shared yet: no lock needed.
 	if t.TSD || t.GCT || len(t.Measures) > 0 {
 		affected := core.AffectedVertices(oldG, newG, ins, del)
-		p := c.patchAllIdx(newG, old, t, affected)
+		p := c.patchAllIdx(newG, old, t, affected, scratch)
 		stats = &core.UpdateStats{Inserted: len(ins), Removed: len(del), Affected: len(affected)}
 		next.tsd, next.gct = p.TSD, p.GCT
 		for m, perK := range p.MeasureRanks {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -550,5 +551,59 @@ func TestApplyStatsAffectedWithRankingsOnly(t *testing.T) {
 		if got := affected(name); got != want {
 			t.Errorf("Prepare(%s): Affected = %d, want %d (as with the TSD index in memory)", name, got, want)
 		}
+	}
+}
+
+// TestServingReadsLeaveEdgeIDsUnlaid: on a DB prepared like a serving
+// replica (every structure, bound's truss decomposition included), Apply
+// and then a ranked top-r, a top-r with contexts, a k-less top-r, a point
+// score and a point contexts query on each measure all read the edited
+// graph through its adjacency only. Its edge IDs are therefore still
+// unlaid afterwards: the first Edges() call lays them out, which takes at
+// least the edge list's 8 bytes per edge.
+func TestServingReadsLeaveEdgeIDsUnlaid(t *testing.T) {
+	ctx := context.Background()
+	g := trussdiv.CommunityOverlay(trussdiv.OverlayConfig{
+		N: 400, Attach: 3, Cliques: 80, MinSize: 4, MaxSize: 8, Seed: 7,
+	})
+	db, err := trussdiv.Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(ctx, "bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree"); err != nil {
+		t.Fatal(err)
+	}
+	u := randomUpdates(t, g, rand.New(rand.NewSource(5)), 8, 8)
+	if _, err := db.Apply(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	v := u.Insert[0].U
+	for _, m := range trussdiv.AllMeasures() {
+		for _, q := range []trussdiv.Query{
+			{K: 4, R: 10, Measure: m},
+			{K: 4, R: 10, Measure: m, IncludeContexts: true},
+			{R: 10, Measure: m},
+		} {
+			if _, _, err := db.TopR(ctx, q); err != nil {
+				t.Fatalf("%+v: %v", q, err)
+			}
+		}
+		if _, err := db.ScoreMeasure(ctx, v, 4, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ContextsMeasure(ctx, v, 4, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edited := db.Graph()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	edges := edited.Edges()
+	runtime.ReadMemStats(&after)
+	if got, least := after.TotalAlloc-before.TotalAlloc, uint64(8*edited.M()); got < least {
+		t.Fatalf("the first Edges() after the reads allocated %d bytes, want at least %d: a read laid the edge IDs out", got, least)
+	}
+	if len(edges) != edited.M() {
+		t.Fatalf("Edges() lists %d edges, want %d", len(edges), edited.M())
 	}
 }

@@ -306,6 +306,6 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 		}
 		// Copy-on-write: base is never modified, so every iteration
 		// repairs the same batch.
-		core.PatchAll(newG, base, targets, core.AffectedVertices(g, newG, ins, nil), 1)
+		core.PatchAll(newG, base, targets, core.AffectedVertices(g, newG, ins, nil), 1, nil)
 	}
 }

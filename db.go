@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trussdiv/internal/core"
 	"trussdiv/internal/par"
 	"trussdiv/internal/store"
 )
@@ -32,6 +33,12 @@ type DB struct {
 
 	// applyMu serializes Apply calls. Readers never take it.
 	applyMu sync.Mutex
+	// patchScratch is the patch pass's per-worker storage, kept from one
+	// Apply to the next under applyMu so each batch reuses the ego-network
+	// markers instead of allocating an int32 per vertex per worker. It
+	// lives on the DB, never on a snapshot, and is empty until the first
+	// Apply.
+	patchScratch core.PassScratch
 }
 
 // Option configures Open.

@@ -11,10 +11,17 @@ import (
 	"trussdiv/internal/graph"
 )
 
-// applyEditsAllocs is the fixed allocation count of one ApplyEdits: the
-// two checked edit lists, and graph.Edit's new edge list, old→new edge-ID
-// table, edit arcs, offsets, adjacency, edge IDs and Graph header.
-const applyEditsAllocs = 9
+// applyEditsAllocs is the fixed allocation count of one ApplyEdits:
+//  1. the checked insertion list,
+//  2. the checked deletion list,
+//  3. graph.Edit's edit arcs (two per edit),
+//  4. its offsets (n+1 int64),
+//  5. its adjacency (2m int32),
+//  6. its Graph header.
+//
+// The edge IDs and the edge list are not among them: the edited graph
+// lays them out on its first per-edge access.
+const applyEditsAllocs = 6
 
 // TestApplyEditsAllocsIndependentOfM pins the CSR splice's allocations:
 // one 8+8 batch makes the same small, fixed number on a small and on a
@@ -34,6 +41,37 @@ func TestApplyEditsAllocsIndependentOfM(t *testing.T) {
 		if allocs != applyEditsAllocs {
 			t.Errorf("n = %d, m = %d: ApplyEdits of an 8+8 batch makes %v allocations, want %d",
 				n, g.M(), allocs, applyEditsAllocs)
+		}
+	}
+}
+
+// TestApplyEditsAllocsBytesWithinAdjacency pins what ApplyEdits
+// allocates: one 8+8 batch takes less than the offsets (8(n+1) bytes) and
+// the adjacency (8m bytes) plus a per-batch constant — the small edit
+// lists and the Graph header, and the rounding of the two large arrays up
+// to whole 8 KiB heap pages. No other per-edge array (edge IDs, edge
+// list, an old→new ID table) fits in that: on the larger graph each would
+// add at least 100 KB.
+func TestApplyEditsAllocsBytesWithinAdjacency(t *testing.T) {
+	const perBatch = 16<<10 + 1<<10
+	for _, n := range []int{500, 5000} {
+		g := gen.CommunityOverlay(gen.OverlayConfig{
+			N: n, Attach: 3, Cliques: n / 5, MinSize: 4, MaxSize: 8, Seed: 5,
+		})
+		ins, del := randomEdits(t, g, 8, 8, int64(n))
+		least := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := ApplyEdits(g, ins, del); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(8*(n+1) + 8*g.M() + perBatch); least >= limit {
+			t.Errorf("n = %d, m = %d: ApplyEdits of an 8+8 batch allocates %d bytes, want < %d",
+				n, g.M(), least, limit)
 		}
 	}
 }
@@ -74,8 +112,10 @@ func TestNormalizedCandidatesAllocs(t *testing.T) {
 // allocates within 1.5x the bytes on a graph and on the same graph padded
 // with ten times as many isolated vertices. PatchAll copies the page tables
 // and the pages holding an affected vertex, never all n entries; the page
-// tables and the worker's ego position marker are what grows with n
-// (1.17x here, where a whole-array copy measured 5.2x).
+// tables are what grows with n (1.08x here, where a whole-array copy
+// measured 5.2x). The pass reuses its scratch from the previous batch as a
+// DB does, so the worker's ego position marker (an int32 per vertex) is
+// not allocated again: with a fresh scratch per pass it read 1.17x.
 func TestPatchAllAllocsIndependentOfN(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 1000, Attach: 4, Cliques: 300, MinSize: 5, MaxSize: 10, Seed: 11,
@@ -93,11 +133,12 @@ func TestPatchAllAllocsIndependentOfN(t *testing.T) {
 		}
 		affected := AffectedVertices(padded, newG, ins, del)
 		old := BuildAll(padded, targets, 1)
+		var scratch PassScratch // as a DB keeps it from one Apply to the next
 		least := ^uint64(0)
 		for range 5 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			PatchAll(newG, old, targets, affected, 1)
+			PatchAll(newG, old, targets, affected, 1, &scratch)
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}

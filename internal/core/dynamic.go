@@ -97,8 +97,9 @@ func (e *UpdateError) Is(target error) bool { return target == ErrBadUpdate }
 // result is deterministic, so every structure repaired against it (the
 // PatchAll pass, a replayed truss repair) shares one canonical graph and
 // its edge-ID assignment. The checked, sorted batches go to graph.Edit,
-// which splices them into g's CSR arrays and copies the untouched
-// adjacency in bulk.
+// which splices them into g's adjacency and copies the untouched runs in
+// bulk. Neither the checks nor the edit read edge IDs, so the result's
+// are laid out only by its first per-edge access.
 func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, error) {
 	n := int32(g.N())
 	ins, del := make([]graph.Edge, len(insert)), make([]graph.Edge, len(remove))
@@ -133,12 +134,12 @@ func ApplyEdits(g *graph.Graph, insert, remove []graph.Edge) (*graph.Graph, erro
 		prev, prevIns = e, isIns
 	}
 	for _, e := range ins {
-		if g.EdgeID(e.U, e.V) >= 0 {
+		if g.HasEdge(e.U, e.V) {
 			return nil, &UpdateError{Edge: e, Reason: "insert of an edge already present"}
 		}
 	}
 	for _, e := range del {
-		if g.EdgeID(e.U, e.V) < 0 {
+		if !g.HasEdge(e.U, e.V) {
 			return nil, &UpdateError{Edge: e, Reason: "delete of an edge not present"}
 		}
 	}

@@ -163,7 +163,7 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 					}
 				}
 				for _, w := range workerCounts {
-					p := PatchAll(newG, old, tc.t, affected, w)
+					p := PatchAll(newG, old, tc.t, affected, w, nil)
 					if tc.t.TSD != (p.TSD != nil) || tc.t.GCT != (p.GCT != nil) {
 						t.Fatalf("%s/w=%d: products %+v do not match targets %+v", label, w, p, tc.t)
 					}
@@ -463,7 +463,7 @@ func TestUpdateAffectedSetIsLocal(t *testing.T) {
 	if !reflect.DeepEqual(affected, []int32{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("affected = %v, want the first clique", affected)
 	}
-	updated := PatchAll(newG, BuildAll(g, BuildTargets{TSD: true}, 1), BuildTargets{TSD: true}, affected, 0).TSD
+	updated := PatchAll(newG, BuildAll(g, BuildTargets{TSD: true}, 1), BuildTargets{TSD: true}, affected, 0, nil).TSD
 	// Second clique untouched: each vertex's ego is K5, one 5-truss.
 	for v := int32(6); v < 12; v++ {
 		if got := updated.Score(v, 5); got != 1 {

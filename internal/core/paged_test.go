@@ -162,7 +162,7 @@ func TestPatchAllSharesUntouchedPages(t *testing.T) {
 		scores, contexts := answers()
 		tsdBefore, gctBefore := old.TSD.Flatten(), old.GCT.Flatten()
 
-		p := PatchAll(newG, old, targets, affected, 2)
+		p := PatchAll(newG, old, targets, affected, 2, nil)
 		if !reflect.DeepEqual(p.TSD.Flatten(), want.TSD.Flatten()) || !reflect.DeepEqual(p.GCT.Flatten(), want.GCT.Flatten()) {
 			t.Fatalf("%s: patched indexes diverge from BuildAll over the edited graph", name)
 		}

@@ -22,7 +22,7 @@ func TestPatchHybridMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := PatchAll(newG, old, targets, AffectedVertices(g, newG, ins, del), 0)
+		p := PatchAll(newG, old, targets, AffectedVertices(g, newG, ins, del), 0, nil)
 		patched := p.MeasureRanks[MeasureTruss]
 		if fresh := buildRanked(newG, MeasureTruss).Rankings(); !reflect.DeepEqual(patched, fresh) {
 			t.Fatalf("seed %d: patched hybrid rankings diverge from rebuild\npatched: %v\nfresh:   %v",
@@ -53,7 +53,7 @@ func TestPatchHybridNoAffected(t *testing.T) {
 	g := randomGraph(t, 20, 80, 31)
 	targets := BuildTargets{Measures: []Measure{MeasureTruss}}
 	old := BuildAll(g, targets, 1)
-	patched := PatchAll(g, old, targets, nil, 0).MeasureRanks[MeasureTruss]
+	patched := PatchAll(g, old, targets, nil, 0, nil).MeasureRanks[MeasureTruss]
 	if !reflect.DeepEqual(patched, old.MeasureRanks[MeasureTruss]) {
 		t.Fatal("empty affected set must reproduce the rankings unchanged")
 	}
@@ -214,7 +214,7 @@ func TestSpliceRankingsEdgeCases(t *testing.T) {
 		}
 		affected := AffectedVertices(g, newG, ins, del)
 		p := newEgoPass(newG, BuildTargets{Measures: ms}, len(affected))
-		p.run(len(affected), 1, func(slot int) int32 { return affected[slot] })
+		p.run(len(affected), 1, nil, func(slot int) int32 { return affected[slot] })
 		want := BuildAll(newG, BuildTargets{Measures: ms}, 1).MeasureRanks
 		for _, m := range ms {
 			checkSplice(t, fmt.Sprintf("seed %d %s", seed, m), old[m], affected, p.vecs[m], newG.N(), want[m])

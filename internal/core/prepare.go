@@ -71,7 +71,7 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 	if t.GCT {
 		p.gct = &GCTIndex{g: g, verts: makePaged[gctVertex](n)}
 	}
-	p.run(n, workers, func(slot int) int32 { return int32(slot) })
+	p.run(n, workers, nil, func(slot int) int32 { return int32(slot) })
 
 	out := &BuildProducts{TSD: p.tsd, GCT: p.gct}
 	for m, vecs := range p.vecs {
@@ -93,8 +93,12 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 // `workers` goroutines. Every product is copy-on-write — fresh pages for
 // the affected vertices' entries and fresh ranking levels where they
 // moved, sharing every other page and level with old, which stays fully
-// usable — and identical to a BuildAll over g.
-func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int32, workers int) *BuildProducts {
+// usable — and identical to a BuildAll over g. A non-nil scratch lends
+// the pass its workers' extraction and decomposition storage and keeps it
+// for the next pass, so a caller patching batch after batch allocates the
+// ego-network markers (an int32 per vertex per worker) once; nil gives
+// the pass fresh storage.
+func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int32, workers int, scratch *PassScratch) *BuildProducts {
 	p := newEgoPass(g, t, len(affected))
 	if t.TSD {
 		p.tsd = &TSDIndex{
@@ -107,7 +111,7 @@ func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int
 	if t.GCT {
 		p.gct = &GCTIndex{g: g, verts: old.GCT.verts.cow(affected)}
 	}
-	p.run(len(affected), workers, func(slot int) int32 { return affected[slot] })
+	p.run(len(affected), workers, scratch, func(slot int) int32 { return affected[slot] })
 
 	out := &BuildProducts{TSD: p.tsd, GCT: p.gct}
 	if len(p.vecs) == 0 {
@@ -161,6 +165,13 @@ func newEgoPass(g *graph.Graph, t BuildTargets, slots int) *egoPass {
 	return p
 }
 
+// PassScratch holds the per-worker storage of an ego pass across passes
+// (see PatchAll). The zero value is ready to use. It serves one pass at a
+// time: a caller sharing it between goroutines must serialize its passes.
+type PassScratch struct {
+	workers []*passScratch
+}
+
 // passScratch is one worker's extraction/decomposition scratch, reused
 // across the vertices it handles.
 type passScratch struct {
@@ -174,18 +185,23 @@ type passScratch struct {
 
 // run walks slots 0..count-1 (vertexAt maps a slot to its vertex) in
 // blocks claimed by `workers` goroutines (0 or negative = GOMAXPROCS),
-// each with its own scratch. Workers write disjoint slots, so the result
-// does not depend on the schedule.
-func (p *egoPass) run(count, workers int, vertexAt func(slot int) int32) {
+// each with its own scratch from s (nil = fresh). Workers write disjoint
+// slots, so the result does not depend on the schedule.
+func (p *egoPass) run(count, workers int, s *PassScratch, vertexAt func(slot int) int32) {
 	workers = par.Workers(workers)
 	// Blocks of 256 keep hand-off contention negligible on full builds;
 	// a short patch list is split evenly instead so every worker helps.
 	block := min(256, max(1, (count+workers-1)/workers))
-	scratch := make([]passScratch, workers)
+	if s == nil {
+		s = new(PassScratch)
+	}
+	for len(s.workers) < workers {
+		s.workers = append(s.workers, new(passScratch))
+	}
 	// The background context never reports an error, so neither does For.
 	_ = par.For(context.Background(), count, workers, block, func(w, lo, hi int) {
 		for slot := lo; slot < hi; slot++ {
-			p.vertex(&scratch[w], vertexAt(slot), slot)
+			p.vertex(s.workers[w], vertexAt(slot), slot)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"trussdiv/internal/testutil"
@@ -26,19 +27,54 @@ func editOracle(t *testing.T, g *Graph, ins, del []Edge) *Graph {
 	return want
 }
 
+// rawArrays returns g's CSR arrays as they are held, without laying out
+// an edited graph's edge IDs: eid and edges are nil while they are unlaid.
+func rawArrays(g *Graph) [4]any {
+	eid, edges := g.eid, g.edges
+	if p := g.ids.Load(); p != nil {
+		eid, edges = p.eid, p.edges
+	}
+	return [4]any{g.off, g.adj, eid, edges}
+}
+
+// unlaid reports whether g is an edited graph whose edge IDs are not laid
+// out yet.
+func unlaid(g *Graph) bool { return g.edited && g.ids.Load() == nil }
+
 // checkEdit applies one batch with Edit and checks it byte for byte
 // against the oracle, and g against its own copy from before the edit.
-func checkEdit(t *testing.T, label string, g *Graph, ins, del []Edge) *Graph {
+// The edit result leaves its edge IDs unlaid through M and Fingerprint,
+// and Edit does not lay out g's. It returns the result still unlaid and
+// a second, identical edit of g whose IDs the check laid out.
+func checkEdit(t *testing.T, label string, g *Graph, ins, del []Edge) (fresh, laid *Graph) {
 	t.Helper()
-	off, adj, eid, edges := g.CSR()
-	before := [4]any{slices.Clone(off), slices.Clone(adj), slices.Clone(eid), slices.Clone(edges)}
-	got := g.Edit(ins, del)
+	wasUnlaid := unlaid(g)
+	before := fmt.Sprint(rawArrays(g))
+	fresh, laid = g.Edit(ins, del), g.Edit(ins, del)
+	if fmt.Sprint(rawArrays(g)) != before {
+		t.Fatalf("%s: Edit wrote into the graph it edited", label)
+	}
+	if wasUnlaid && !unlaid(g) {
+		t.Fatalf("%s: Edit laid out the edited graph's edge IDs", label)
+	}
 	want := editOracle(t, g, ins, del)
-	gOff, gAdj, gEid, gEdges := got.CSR()
+	for _, got := range []*Graph{fresh, laid} {
+		if !unlaid(got) {
+			t.Fatalf("%s: Edit laid out its result's edge IDs", label)
+		}
+		if got.M() != want.M() || got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%s: M = %d, fingerprint %x; want %d, %x from FromEdges",
+				label, got.M(), got.Fingerprint(), want.M(), want.Fingerprint())
+		}
+		if got.HasEdge(0, 1) != want.HasEdge(0, 1) || !unlaid(got) {
+			t.Fatalf("%s: M, Fingerprint or HasEdge laid out the edge IDs", label)
+		}
+	}
+	gOff, gAdj, gEid, gEdges := laid.CSR()
 	wOff, wAdj, wEid, wEdges := want.CSR()
 	switch {
-	case got.N() != want.N():
-		t.Fatalf("%s: N = %d, want %d", label, got.N(), want.N())
+	case laid.N() != want.N():
+		t.Fatalf("%s: N = %d, want %d", label, laid.N(), want.N())
 	case !slices.Equal(gEdges, wEdges):
 		t.Fatalf("%s: edges differ from FromEdges\n got %v\nwant %v", label, gEdges, wEdges)
 	case !slices.Equal(gOff, wOff):
@@ -47,14 +83,18 @@ func checkEdit(t *testing.T, label string, g *Graph, ins, del []Edge) *Graph {
 		t.Fatalf("%s: adj differs from FromEdges", label)
 	case !slices.Equal(gEid, wEid):
 		t.Fatalf("%s: eid differs from FromEdges", label)
-	case got.Fingerprint() != want.Fingerprint():
-		t.Fatalf("%s: fingerprint differs from FromEdges", label)
+	case laid.Fingerprint() != want.Fingerprint():
+		t.Fatalf("%s: fingerprint differs from FromEdges after layout", label)
 	}
-	off, adj, eid, edges = g.CSR()
-	if after := [4]any{off, adj, eid, edges}; fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("%s: Edit wrote into the graph it edited", label)
+	for id, e := range wEdges {
+		if laid.Edge(int32(id)) != e || laid.EdgeID(e.U, e.V) != int32(id) {
+			t.Fatalf("%s: edge %d = %v is not found under its ID", label, id, e)
+		}
 	}
-	return got
+	if unlaid(laid) || !unlaid(fresh) {
+		t.Fatalf("%s: edge IDs laid out on the wrong graph", label)
+	}
+	return fresh, laid
 }
 
 // randomBatch picks up to nIns absent edges and up to nDel present ones,
@@ -79,11 +119,14 @@ func randomBatch(rng *rand.Rand, g *Graph, nIns, nDel int) (ins, del []Edge) {
 }
 
 // TestEditMatchesFromEdges: Edit's graph is byte-equal to FromEdges of
-// the edited edge list, and the edited graph is never written. Hand-made
-// corners come first — edits at vertex 0 and at n-1, a vertex losing all
-// its edges, an isolated vertex gaining one, the empty batch, the graph
-// emptied and refilled — then chained random batches on random graphs,
-// alternating insert-only, delete-only and mixed ones.
+// the edited edge list once its edge IDs are laid out, and before that
+// has the same M and fingerprint with the IDs still unlaid; the edited
+// graph is never written. Hand-made corners come first — edits at vertex
+// 0 and at n-1, a vertex losing all its edges, an isolated vertex gaining
+// one, the empty batch, the graph emptied and refilled — then chained
+// random batches on random graphs, alternating insert-only, delete-only
+// and mixed ones, and alternating between editing a result whose IDs are
+// laid out and one whose IDs are not.
 func TestEditMatchesFromEdges(t *testing.T) {
 	// 0-1, 0-2, 1-2, 2-3, 3-4; vertex 5 isolated, n = 6.
 	g, err := FromEdges(6, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}})
@@ -131,7 +174,64 @@ func TestEditMatchesFromEdges(t *testing.T) {
 			default:
 				ins, del = randomBatch(rng, g, rng.Intn(9), rng.Intn(9))
 			}
-			g = checkEdit(t, fmt.Sprintf("trial %d step %d", trial, step), g, ins, del)
+			fresh, laid := checkEdit(t, fmt.Sprintf("trial %d step %d", trial, step), g, ins, del)
+			if g = laid; step%2 == 1 {
+				g = fresh
+			}
+		}
+	}
+}
+
+// TestEditLayoutRace: four goroutines make the first per-edge call on the
+// same fresh Edit result at once — through Arcs, Edges and CSR — and all
+// read the arrays FromEdges lays out. Under -race it also checks that the
+// layout is published safely.
+func TestEditLayoutRace(t *testing.T) {
+	rng := testutil.Rand(t, 17)
+	b := NewBuilder(300)
+	for range 1500 {
+		b.AddEdge(rng.Int31n(300), rng.Int31n(300))
+	}
+	g := b.Build()
+	ins, del := randomBatch(rng, g, 20, 20)
+	_, _, wantEid, wantEdges := editOracle(t, g, ins, del).CSR()
+	for trial := range 20 {
+		got := g.Edit(ins, del)
+		var eids [4][]int32
+		var edges [4][]Edge
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch w {
+				case 0, 1: // Arcs first, vertex by vertex from either end
+					eids[w] = make([]int32, 2*got.M())
+					for i := range got.N() {
+						v := int32(i)
+						if w == 1 {
+							v = int32(got.N() - 1 - i)
+						}
+						_, ids := got.Arcs(v)
+						copy(eids[w][got.off[v]:], ids)
+					}
+					edges[w] = got.Edges()
+				case 2:
+					edges[w] = got.Edges()
+					_, _, eids[w], _ = got.CSR()
+				case 3:
+					_, _, eids[w], edges[w] = got.CSR()
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w := range 4 {
+			if !slices.Equal(eids[w], wantEid) || !slices.Equal(edges[w], wantEdges) {
+				t.Fatalf("trial %d: goroutine %d read edge IDs that differ from FromEdges", trial, w)
+			}
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "# undirected simple graph: %d vertices, %d edges\n", g.N(), g.M()); err != nil {
 		return err
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.edges); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, g.Edges()); err != nil {
 		return err
 	}
 	return bw.Flush()

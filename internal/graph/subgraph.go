@@ -32,7 +32,7 @@ func (g *Graph) InducedSubgraph(verts []int32) (sub *Graph, local2global []int32
 // vertices may become isolated.
 func (g *Graph) FilterEdges(keep func(id int32) bool) *Graph {
 	kept := make([]Edge, 0, g.M())
-	for id, e := range g.edges {
+	for id, e := range g.Edges() {
 		if keep(int32(id)) {
 			kept = append(kept, e)
 		}

@@ -170,10 +170,10 @@ func TestApplyMakesOnePatchPass(t *testing.T) {
 	var passes []core.BuildTargets
 	var patched []int32
 	patchAll := cache.patchAllIdx
-	cache.patchAllIdx = func(g *Graph, old *core.BuildProducts, t2 core.BuildTargets, affected []int32) *core.BuildProducts {
+	cache.patchAllIdx = func(g *Graph, old *core.BuildProducts, t2 core.BuildTargets, affected []int32, s *core.PassScratch) *core.BuildProducts {
 		passes = append(passes, t2)
 		patched = affected
-		return patchAll(g, old, t2, affected)
+		return patchAll(g, old, t2, affected, s)
 	}
 
 	u := Updates{Insert: []Edge{{U: 0, V: 299}}, Delete: []Edge{g.Edge(7)}}

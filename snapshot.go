@@ -419,7 +419,7 @@ func (db *DB) Apply(ctx context.Context, u Updates) (Epoch, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	nextCache, stats, err := cur.cache.advance(ctx, newG, u.Insert, u.Delete)
+	nextCache, stats, err := cur.cache.advance(ctx, newG, u.Insert, u.Delete, &db.patchScratch)
 	if err != nil {
 		return 0, err
 	}
