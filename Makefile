@@ -128,7 +128,9 @@ cover:
 # through one scratch across two graphs of different N (seeded with the
 # Fig. 1 graph and an empty graph), the index-file reader, seeded from the
 # store goldens, the POST /edges and /batch bodies
-# (internal/server/testdata/fuzz), and Apply parity (up to four edit
+# (internal/server/testdata/fuzz), the raw query strings of GET /topr,
+# /score and /contexts (seeded with TestValidationErrors' URLs), and
+# Apply parity (up to four edit
 # batches, bad edits included, on a DB with every engine prepared: each
 # accepted batch must answer every engine x measure x k like a cold Open
 # and a warm reopen in both store modes; seeded with the stream tests'
@@ -143,4 +145,5 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryParams -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test . -run '^$$' -fuzz FuzzApplyParity -fuzztime 15s -fuzzminimizetime 5x

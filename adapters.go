@@ -194,6 +194,14 @@ func (c *indexCache) storedEpoch() Epoch {
 // lazy build on a superseded snapshot must not clobber newer state.
 func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge, scratch *core.PassScratch) (*indexCache, *core.UpdateStats, error) {
 	c.mu.Lock()
+	// A warm-opened cache holds the sections no query has loaded yet only
+	// in its file, which describes the old graph and so is not handed to
+	// next: load every ego-derived one now so the patch pass carries it.
+	for _, ref := range cacheSections {
+		if ref.Section != store.SecTruss {
+			c.loadLocked(ref)
+		}
+	}
 	oldG := c.g
 	old := &core.BuildProducts{TSD: c.tsd, GCT: c.gct, MeasureRanks: map[Measure][][]core.VertexScore{}}
 	t := core.BuildTargets{TSD: c.tsd != nil, GCT: c.gct != nil}

@@ -12,7 +12,6 @@
 package cascade
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -209,44 +208,6 @@ func MaxInfluenceRIS(g *graph.Graph, p float64, count, samples int, seed int64) 
 		inAnswer[best] = true
 		for _, sid := range coverage[best] {
 			covered[sid] = true
-		}
-	}
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i] < chosen[j] })
-	return chosen
-}
-
-// DegreeDiscount is the classic cheap influence-maximization heuristic of
-// Chen et al.: repeatedly pick the highest discounted-degree vertex, where
-// each chosen neighbor discounts a vertex's effective degree.
-func DegreeDiscount(g *graph.Graph, count int, p float64) []int32 {
-	n := g.N()
-	if count > n {
-		count = n
-	}
-	dd := make([]float64, n)
-	tv := make([]int, n) // chosen neighbors
-	for v := 0; v < n; v++ {
-		dd[v] = float64(g.Degree(int32(v)))
-	}
-	chosen := make([]int32, 0, count)
-	inAnswer := make([]bool, n)
-	for len(chosen) < count {
-		best, bestVal := -1, math.Inf(-1)
-		for v := 0; v < n; v++ {
-			if !inAnswer[v] && dd[v] > bestVal {
-				best, bestVal = v, dd[v]
-			}
-		}
-		chosen = append(chosen, int32(best))
-		inAnswer[best] = true
-		for _, w := range g.Neighbors(int32(best)) {
-			if inAnswer[w] {
-				continue
-			}
-			tv[w]++
-			d := float64(g.Degree(w))
-			t := float64(tv[w])
-			dd[w] = d - 2*t - (d-t)*t*p
 		}
 	}
 	sort.Slice(chosen, func(i, j int) bool { return chosen[i] < chosen[j] })

@@ -126,26 +126,6 @@ func TestMaxInfluenceRIS(t *testing.T) {
 	}
 }
 
-func TestDegreeDiscount(t *testing.T) {
-	g := gen.Star(10) // center 0 has degree 9
-	seeds := DegreeDiscount(g, 1, 0.1)
-	if len(seeds) != 1 || seeds[0] != 0 {
-		t.Fatalf("seeds = %v, want the hub", seeds)
-	}
-	seeds = DegreeDiscount(g, 3, 0.1)
-	if len(seeds) != 3 {
-		t.Fatalf("want 3 seeds, got %v", seeds)
-	}
-	// Distinct.
-	if seeds[0] == seeds[1] || seeds[1] == seeds[2] {
-		t.Fatal("duplicate seeds")
-	}
-	// Clamps at n.
-	if got := DegreeDiscount(gen.Clique(3), 10, 0.1); len(got) != 3 {
-		t.Fatalf("clamp failed: %v", got)
-	}
-}
-
 func TestRISClamp(t *testing.T) {
 	g := gen.Clique(4)
 	if got := MaxInfluenceRIS(g, 0.1, 10, 50, 3); len(got) != 4 {

@@ -238,43 +238,6 @@ func CommunityOverlay(cfg OverlayConfig) *graph.Graph {
 	return b.Build()
 }
 
-// PlantedPartition returns a stochastic block model graph with `communities`
-// communities of `size` vertices each, intra-community edge probability pIn
-// and inter-community probability pOut.
-func PlantedPartition(communities, size int, pIn, pOut float64, seed int64) *graph.Graph {
-	n := communities * size
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	// Intra-community: iterate pairs directly (communities are small).
-	for c := 0; c < communities; c++ {
-		base := c * size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				if rng.Float64() < pIn {
-					b.AddEdge(int32(base+i), int32(base+j))
-				}
-			}
-		}
-	}
-	// Inter-community: geometric skipping over the cross-pair count.
-	if pOut > 0 {
-		crossPairs := float64(n*(n-1)/2 - communities*size*(size-1)/2)
-		expected := int(crossPairs * pOut)
-		for k := 0; k < expected; k++ {
-			for {
-				u := int32(rng.Intn(n))
-				v := int32(rng.Intn(n))
-				if u == v || int(u)/size == int(v)/size {
-					continue
-				}
-				b.AddEdge(u, v)
-				break
-			}
-		}
-	}
-	return b.Build()
-}
-
 // PowerLawDegreeExponent estimates the degree-distribution exponent of g by
 // a log-log least-squares fit over degrees >= 2. It exists so tests can
 // assert the generators actually produce heavy-tailed graphs.

@@ -63,26 +63,6 @@ func TestCommunityOverlayTriangleRich(t *testing.T) {
 	}
 }
 
-func TestPlantedPartition(t *testing.T) {
-	g := PlantedPartition(4, 20, 0.8, 0.01, 9)
-	if g.N() != 80 {
-		t.Fatalf("N = %d, want 80", g.N())
-	}
-	// Intra edges should dominate: expected intra ≈ 4*190*0.8 = 608,
-	// expected inter ≈ 2400*0.01 = 24.
-	intra, inter := 0, 0
-	for _, e := range g.Edges() {
-		if int(e.U)/20 == int(e.V)/20 {
-			intra++
-		} else {
-			inter++
-		}
-	}
-	if intra < 500 || inter > 100 {
-		t.Fatalf("intra=%d inter=%d, want clear community structure", intra, inter)
-	}
-}
-
 func TestFixtures(t *testing.T) {
 	tests := []struct {
 		name string

@@ -30,22 +30,3 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 	}
 	return labels, count
 }
-
-// BFSOrder returns the vertices reachable from src in breadth-first order
-// (including src).
-func (g *Graph) BFSOrder(src int32) []int32 {
-	seen := make([]bool, g.N())
-	order := make([]int32, 0, 64)
-	seen[src] = true
-	order = append(order, src)
-	for head := 0; head < len(order); head++ {
-		v := order[head]
-		for _, w := range g.Neighbors(v) {
-			if !seen[w] {
-				seen[w] = true
-				order = append(order, w)
-			}
-		}
-	}
-	return order
-}

@@ -274,17 +274,3 @@ func (g *Graph) DegreeOrder() (order []int32, rank []int32) {
 	}
 	return order, rank
 }
-
-// ArboricityBound returns the classical upper bound on the arboricity used
-// in the paper's complexity statements: ρ ≤ min{⌊√m⌋, d_max}.
-func (g *Graph) ArboricityBound() int {
-	m := g.M()
-	s := 0
-	for (s+1)*(s+1) <= m {
-		s++
-	}
-	if d := g.MaxDegree(); d < s {
-		return d
-	}
-	return s
-}

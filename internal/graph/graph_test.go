@@ -213,18 +213,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestBFSOrder(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 4)
-	g := b.Build()
-	order := g.BFSOrder(0)
-	if len(order) != 3 || order[0] != 0 {
-		t.Fatalf("BFSOrder(0) = %v", order)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := k4(t)
 	sub, l2g := g.InducedSubgraph([]int32{3, 1, 2, 2})
@@ -266,14 +254,6 @@ func TestDegreeOrder(t *testing.T) {
 		if rank[order[i]] != int32(i) {
 			t.Fatal("rank inconsistent with order")
 		}
-	}
-}
-
-func TestArboricityBound(t *testing.T) {
-	g := k4(t)
-	// m=6 => floor(sqrt 6)=2; dmax=3 => bound 2
-	if got := g.ArboricityBound(); got != 2 {
-		t.Fatalf("ArboricityBound = %d, want 2", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +18,9 @@ import (
 // and a rejected edit batch must leave the served graph exactly as it
 // was. Each input gets a fresh server over the paper's 17-vertex example
 // graph, so a failing input reproduces on its own. Seed corpora live in
-// testdata/fuzz; `make fuzz` explores beyond them.
+// testdata/fuzz; `make fuzz` explores beyond them. The query strings of
+// the read endpoints come from the network too; FuzzQueryParams holds
+// them to 200 or 400.
 
 // fuzzServer returns a fresh server over the Figure 1 graph with a
 // deadline short enough that a pathological batch ends in a 504.
@@ -102,6 +105,36 @@ func FuzzBatchBody(f *testing.F) {
 		for i, r := range out.Results {
 			if r.Epoch != uint64(srv.DB().Epoch()) {
 				t.Fatalf("batch %q: result %d at epoch %d, server at %d", body, i, r.Epoch, srv.DB().Epoch())
+			}
+		}
+	})
+}
+
+// FuzzQueryParams sends one raw query string to GET /topr, /score and
+// /contexts on a server with no deadline: every answer is 200 or a 400
+// with a JSON error body, never a panic or a 5xx. The seeds are the
+// query strings of TestValidationErrors.
+func FuzzQueryParams(f *testing.F) {
+	for _, u := range validationURLs {
+		_, query, _ := strings.Cut(u, "?")
+		f.Add(query)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		h := New(gen.Fig1Graph()).Handler()
+		for _, path := range []string{"/topr", "/score", "/contexts"} {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			req.URL.RawQuery = query
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK:
+			case http.StatusBadRequest:
+				var e errorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Fatalf("GET %s?%s: 400 without a JSON error body: %q", path, query, rec.Body.Bytes())
+				}
+			default:
+				t.Fatalf("GET %s?%s: status %d: %s", path, query, rec.Code, rec.Body.Bytes())
 			}
 		}
 	})

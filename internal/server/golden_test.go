@@ -18,7 +18,7 @@ import (
 // produces: status, Content-Type and body of every request, with the
 // fields that vary between runs masked. A refactor of the handlers must
 // leave it unchanged; a deliberate change to the wire format rewrites it
-// together with that change.
+// from responsesTranscript's output in the same change.
 const goldenPath = "testdata/responses.golden"
 
 // unstable matches the response fields that differ between two runs of

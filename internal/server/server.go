@@ -168,8 +168,8 @@ func (s *Server) DB() *trussdiv.DB { return s.db }
 // /stats.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	instr := func(pattern, route string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.metrics.Instrument(route, h))
+	instr := func(pattern, route string, h handler) {
+		mux.HandleFunc(pattern, s.metrics.Instrument(route, s.serve(h)))
 	}
 	instr("GET /healthz", "/healthz", s.handleHealth)
 	instr("GET /stats", "/stats", s.handleStats)
@@ -178,8 +178,8 @@ func (s *Server) Handler() http.Handler {
 	instr("GET /topr", "/topr", s.handleTopR)
 	instr("POST /batch", "/batch", s.handleBatch)
 	instr("POST /edges", "/edges", s.handleEdges)
-	instr("GET /score", "/score", s.handleScore)
-	instr("GET /contexts", "/contexts", s.handleContexts)
+	instr("GET /score", "/score", s.handlePoint(false))
+	instr("GET /contexts", "/contexts", s.handlePoint(true))
 	mux.HandleFunc("GET /metrics", s.metrics.Handler())
 	if s.pprof {
 		// Deliberately uninstrumented: a 30s CPU profile pull would
@@ -193,43 +193,59 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// requestContext derives the per-request search context.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.timeout <= 0 {
-		return r.Context(), func() {}
+// handler is the shape of every endpoint: it returns the body of a 200
+// answer or the error that replaces it. w is there only for
+// http.MaxBytesReader; the handler never writes to it.
+type handler func(w http.ResponseWriter, r *http.Request) (any, error)
+
+// errReadOnly rejects POST /edges on a server built WithReadOnly.
+var errReadOnly = errors.New("server is read-only (started with -readonly)")
+
+// statusOf is the one status policy for failed requests: a deadline or
+// cancellation is 504, a batch the DB rejects is 409, an update to a
+// read-only server is 403, and everything else is a caller error.
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, trussdiv.ErrBadUpdate):
+		return http.StatusConflict
+	case errors.Is(err, errReadOnly):
+		return http.StatusForbidden
+	default:
+		return http.StatusBadRequest
 	}
-	return context.WithTimeout(r.Context(), s.timeout)
 }
 
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func badRequest(w http.ResponseWriter, format string, args ...any) {
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// searchError maps search failures to HTTP statuses: deadline and
-// cancellation become 504, everything else is a caller error.
-func searchError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
-		return
+// serve runs h under the server's request deadline, if any, and encodes
+// its body, or its error under statusOf.
+func (s *Server) serve(h handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.timeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
+		body, err := h(w, r)
+		status := http.StatusOK
+		if err != nil {
+			status, body = statusOf(err), errorBody{Error: err.Error()}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_ = json.NewEncoder(w).Encode(body)
 	}
-	badRequest(w, "%v", err)
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Server) handleHealth(http.ResponseWriter, *http.Request) (any, error) {
+	return map[string]string{"status": "ok"}, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleStats(http.ResponseWriter, *http.Request) (any, error) {
 	// One snapshot for the whole report, so the counts, epoch, and index
 	// readiness describe a single graph version even mid-update.
 	snap := s.db.Snapshot()
@@ -281,51 +297,74 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			body["index_save_error"] = st.SaveErr.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body, nil
 }
 
-func (s *Server) handleEngines(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"engines": s.db.Engines()})
+func (s *Server) handleEngines(http.ResponseWriter, *http.Request) (any, error) {
+	return map[string]any{"engines": s.db.Engines()}, nil
 }
 
 // handleMeasures reports the measure axis: every diversity measure the
 // DB serves with the engines that can answer it (the routing matrix).
-func (s *Server) handleMeasures(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"measures": s.db.Measures()})
+func (s *Server) handleMeasures(http.ResponseWriter, *http.Request) (any, error) {
+	return map[string]any{"measures": s.db.Measures()}, nil
 }
 
-// measureParam parses the optional measure= query parameter ("" = truss).
-func measureParam(params url.Values) (trussdiv.Measure, error) {
-	raw := params.Get("measure")
-	if raw == "" {
-		return "", nil
-	}
-	return trussdiv.ParseMeasure(raw)
+// params reads query parameters and keeps the first error: once a read
+// fails, later reads return zero values, so a handler reads them all and
+// checks err once.
+type params struct {
+	url.Values
+	err error
 }
 
-// intParam parses a required integer query parameter; see
-// optionalIntParam.
-func intParam(params url.Values, name string, bits int) (int, error) {
-	if params.Get(name) == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	return optionalIntParam(params, name, bits)
-}
-
-// optionalIntParam parses an integer query parameter, 0 when absent. It
-// must fit a signed integer of the given bit size (0 = int): k and v are
-// int32 in the library, so a wider value fails here instead of wrapping
-// into a different query.
-func optionalIntParam(params url.Values, name string, bits int) (int, error) {
-	raw := params.Get(name)
-	if raw == "" {
-		return 0, nil
+// int parses an integer parameter, 0 when absent (a failure when
+// required). It must fit a signed integer of the given bit size (0 =
+// int): k and v are int32 in the library, so a wider value fails here
+// instead of wrapping into a different query.
+func (p *params) int(name string, bits int, required bool) int {
+	raw := p.Get(name)
+	if p.err != nil || raw == "" {
+		if required && p.err == nil {
+			p.err = fmt.Errorf("missing parameter %q", name)
+		}
+		return 0
 	}
 	v, err := strconv.ParseInt(raw, 10, bits)
 	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
+		p.err = fmt.Errorf("parameter %q: %v", name, err)
 	}
-	return int(v), nil
+	return int(v)
+}
+
+// measure parses the optional measure= parameter ("" = truss).
+func (p *params) measure() trussdiv.Measure {
+	raw := p.Get("measure")
+	if p.err != nil || raw == "" {
+		return ""
+	}
+	m, err := trussdiv.ParseMeasure(raw)
+	p.err = err
+	return m
+}
+
+// candidates parses the optional comma-separated vertex subset.
+func (p *params) candidates() []int32 {
+	raw := p.Get("candidates")
+	if p.err != nil || raw == "" {
+		return nil
+	}
+	parts := strings.Split(raw, ",")
+	out := make([]int32, 0, len(parts))
+	for _, part := range parts {
+		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
+		if err != nil {
+			p.err = fmt.Errorf("parameter \"candidates\": %v", err)
+			return nil
+		}
+		out = append(out, int32(v))
+	}
+	return out
 }
 
 // clampWorkers bounds a client-supplied worker count: non-positive falls
@@ -337,24 +376,6 @@ func clampWorkers(n int) int {
 		return 0
 	}
 	return min(n, runtime.GOMAXPROCS(0))
-}
-
-// candidatesParam parses the optional comma-separated vertex subset.
-func candidatesParam(params url.Values) ([]int32, error) {
-	raw := params.Get("candidates")
-	if raw == "" {
-		return nil, nil
-	}
-	parts := strings.Split(raw, ",")
-	out := make([]int32, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("parameter \"candidates\": %v", err)
-		}
-		out = append(out, int32(v))
-	}
-	return out, nil
 }
 
 type topRResponse struct {
@@ -375,81 +396,23 @@ type topRResult struct {
 	Contexts [][]int32 `json:"contexts,omitempty"`
 }
 
-func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
-	// k is optional: absent (or 0) builds a parameter-free query, which
-	// routes to the pfree engine — the objective picks each vertex's level.
-	params := r.URL.Query()
-	k, err := optionalIntParam(params, "k", 32)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	rr, err := intParam(params, "r", 0)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	cands, err := candidatesParam(params)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	workers, err := optionalIntParam(params, "workers", 0)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	measure, err := measureParam(params)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	q := trussdiv.Query{
-		K:               int32(k),
-		R:               rr,
-		IncludeContexts: params.Get("contexts") == "true",
-		Candidates:      cands,
-		Workers:         clampWorkers(workers),
-		Measure:         measure,
-	}
-
-	// Route and run the query against one snapshot, so routing and
-	// execution agree on the graph version even when an update lands
-	// mid-request. An absent parameter means the snapshot routes by cost
-	// among the engines serving the query's measure; a named engine is
-	// checked against the measure (tsd cannot answer measure=component),
-	// and a routing error answers 400 through searchError. The response
-	// names the engine that answered (stats.Engine), so a concurrent
-	// request that readies an index cannot make the label disagree.
-	snap := s.db.Snapshot()
-	q.Engine = params.Get("engine")
-	routed := q.Engine == ""
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	start := time.Now()
-	res, stats, err := snap.TopR(ctx, q)
-	if err != nil {
-		searchError(w, err)
-		return
-	}
-	eng, err := snap.Engine(stats.Engine)
-	if err != nil {
-		searchError(w, err)
-		return
+// topRBody renders the answer res that engine eng gave to q: the /topr
+// response and each item of a /batch response. A pinned comp or
+// kcore engine with no measure answers under its native definition, so
+// the echoed measure comes from the engine, not the truss default.
+func topRBody(snap *trussdiv.Snapshot, q trussdiv.Query, eng string, res *trussdiv.Result) topRResponse {
+	measure := q.Measure.Normalize()
+	if e, err := snap.Engine(eng); err == nil {
+		measure = trussdiv.EffectiveMeasure(q, e)
 	}
 	body := topRResponse{
-		Engine: stats.Engine,
-		Routed: routed,
-		// A pinned comp/kcore engine with no measure param answers under
-		// its native definition; echo that, not the truss default.
-		Measure: trussdiv.EffectiveMeasure(q, eng),
-		Epoch:   uint64(snap.Epoch()),
-		K:       k,
-		R:       rr,
-		TookUS:  time.Since(start).Microseconds(),
+		Engine:  eng,
+		Routed:  q.Engine == "",
+		Measure: measure,
+		Epoch:   res.Epoch,
+		K:       int(q.K),
+		R:       q.R,
 	}
-	body.Searched = stats.ScoreComputations
 	for _, e := range res.TopR {
 		out := topRResult{Vertex: e.V, Score: e.Score}
 		if q.IncludeContexts {
@@ -457,7 +420,44 @@ func (s *Server) handleTopR(w http.ResponseWriter, r *http.Request) {
 		}
 		body.Results = append(body.Results, out)
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body
+}
+
+func (s *Server) handleTopR(_ http.ResponseWriter, r *http.Request) (any, error) {
+	// k is optional: absent (or 0) builds a parameter-free query, which
+	// routes to the pfree engine — the objective picks each vertex's level.
+	p := params{Values: r.URL.Query()}
+	q := trussdiv.Query{
+		K:               int32(p.int("k", 32, false)),
+		R:               p.int("r", 0, true),
+		Candidates:      p.candidates(),
+		Workers:         clampWorkers(p.int("workers", 0, false)),
+		Measure:         p.measure(),
+		IncludeContexts: p.Get("contexts") == "true",
+		// An absent engine means the snapshot routes by cost among the
+		// engines serving the query's measure; a named engine is checked
+		// against the measure (tsd cannot answer measure=component).
+		Engine: p.Get("engine"),
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+
+	// Route and run the query against one snapshot, so routing and
+	// execution agree on the graph version even when an update lands
+	// mid-request. The response names the engine that answered
+	// (stats.Engine), so a concurrent request that readies an index
+	// cannot make the label disagree.
+	snap := s.db.Snapshot()
+	start := time.Now()
+	res, stats, err := snap.TopR(r.Context(), q)
+	if err != nil {
+		return nil, err
+	}
+	body := topRBody(snap, q, stats.Engine, res)
+	body.TookUS = time.Since(start).Microseconds()
+	body.Searched = stats.ScoreComputations
+	return body, nil
 }
 
 // batchQuery is the JSON shape of one query in a POST /batch body.
@@ -491,32 +491,24 @@ const (
 // handleBatch answers many top-r queries in one DB.Batch pass: shared
 // indexes are built once and the queries fan out across the worker pool.
 // Each query routes by cost unless it names an engine.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		badRequest(w, "batch body: %v", err)
-		return
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		return nil, fmt.Errorf("batch body: %v", err)
 	}
-	if len(req.Queries) == 0 {
-		badRequest(w, "batch body: no queries")
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		badRequest(w, "batch body: %d queries exceeds the limit of %d",
-			len(req.Queries), maxBatchQueries)
-		return
+	if n := len(req.Queries); n == 0 {
+		return nil, errors.New("batch body: no queries")
+	} else if n > maxBatchQueries {
+		return nil, fmt.Errorf("batch body: %d queries exceeds the limit of %d", n, maxBatchQueries)
 	}
 	qs := make([]trussdiv.Query, len(req.Queries))
 	for i, bq := range req.Queries {
 		var measure trussdiv.Measure
 		if bq.Measure != "" {
-			m, err := trussdiv.ParseMeasure(bq.Measure)
-			if err != nil {
-				badRequest(w, "batch query %d: %v", i, err)
-				return
+			var err error
+			if measure, err = trussdiv.ParseMeasure(bq.Measure); err != nil {
+				return nil, fmt.Errorf("batch query %d: %v", i, err)
 			}
-			measure = m
 		}
 		qs[i] = trussdiv.Query{
 			K:               bq.K,
@@ -534,45 +526,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	snap := s.db.Snapshot()
 	engines, err := snap.BatchEngines(qs)
 	if err != nil {
-		badRequest(w, "%v", err)
-		return
+		return nil, err
 	}
 
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
 	start := time.Now()
-	results, err := snap.Batch(ctx, qs)
+	results, err := snap.Batch(r.Context(), qs)
 	if err != nil {
-		searchError(w, err)
-		return
+		return nil, err
 	}
 	resp := batchResponse{TookUS: time.Since(start).Microseconds()}
 	resp.Results = make([]topRResponse, len(results))
 	for i, res := range results {
-		measure := qs[i].Measure.Normalize()
-		if eng, err := snap.Engine(engines[i]); err == nil {
-			// As in /topr: a pinned native engine with no measure field
-			// answered under its own definition.
-			measure = trussdiv.EffectiveMeasure(qs[i], eng)
-		}
-		item := topRResponse{
-			Engine:  engines[i],
-			Routed:  req.Queries[i].Engine == "",
-			Measure: measure,
-			Epoch:   res.Epoch,
-			K:       int(qs[i].K),
-			R:       qs[i].R,
-		}
-		for _, e := range res.TopR {
-			out := topRResult{Vertex: e.V, Score: e.Score}
-			if qs[i].IncludeContexts {
-				out.Contexts = res.Contexts[e.V]
-			}
-			item.Results = append(item.Results, out)
-		}
-		resp.Results[i] = item
+		resp.Results[i] = topRBody(snap, qs[i], engines[i], res)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // edgeJSON is one edge in a POST /edges body.
@@ -614,25 +581,18 @@ const (
 // incrementally. A batch the DB rejects (errors.Is ErrBadUpdate: self-loops,
 // duplicate edits, inserting a present edge, deleting an absent one,
 // out-of-range endpoints) fails with 409 and leaves the graph untouched.
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) (any, error) {
 	if s.readOnly {
-		writeJSON(w, http.StatusForbidden, errorBody{Error: "server is read-only (started with -readonly)"})
-		return
+		return nil, errReadOnly
 	}
 	var req edgesRequest
-	body := http.MaxBytesReader(w, r.Body, maxEdgesBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		badRequest(w, "edges body: %v", err)
-		return
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody)).Decode(&req); err != nil {
+		return nil, fmt.Errorf("edges body: %v", err)
 	}
-	if len(req.Insert)+len(req.Delete) == 0 {
-		badRequest(w, "edges body: no edits")
-		return
-	}
-	if len(req.Insert)+len(req.Delete) > maxEdgeBatch {
-		badRequest(w, "edges body: %d edits exceeds the limit of %d",
-			len(req.Insert)+len(req.Delete), maxEdgeBatch)
-		return
+	if n := len(req.Insert) + len(req.Delete); n == 0 {
+		return nil, errors.New("edges body: no edits")
+	} else if n > maxEdgeBatch {
+		return nil, fmt.Errorf("edges body: %d edits exceeds the limit of %d", n, maxEdgeBatch)
 	}
 	u := trussdiv.Updates{
 		Insert: make([]trussdiv.Edge, len(req.Insert)),
@@ -645,19 +605,9 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		u.Delete[i] = trussdiv.Edge{U: e.U, V: e.V}
 	}
 
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
 	start := time.Now()
-	if _, err := s.db.Apply(ctx, u); err != nil {
-		switch {
-		case errors.Is(err, trussdiv.ErrBadUpdate):
-			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
-		default:
-			badRequest(w, "%v", err)
-		}
-		return
+	if _, err := s.db.Apply(r.Context(), u); err != nil {
+		return nil, err
 	}
 	// Every derived field comes from one snapshot, keyed by its epoch. A
 	// concurrent update may land between Apply and this read; the response
@@ -675,100 +625,62 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if st := snap.ApplyStats(); st != nil {
 		resp.Repaired = st.Affected
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// vertexParam parses the point-query axes: the vertex (required), the
-// threshold k, and whether the request is parameter-free. k is optional
-// — absent or 0 means pfree semantics (the objective chooses the
-// level), matching /topr; engine=pfree makes that explicit and rejects
-// a non-zero k with 400, mirroring the library's BadQueryError.
-func (s *Server) vertexParam(params url.Values) (v, k int32, pf bool, err error) {
-	vi, err := intParam(params, "v", 32)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	ki, err := optionalIntParam(params, "k", 32)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	eng := params.Get("engine")
-	switch eng {
-	case "", "pfree":
-		// pfree is the only engine with point semantics of its own; any
-		// other name would silently answer with default-path semantics, so
-		// reject it rather than mislabel the response.
-	default:
-		return 0, 0, false, fmt.Errorf("parameter \"engine\": point queries accept only engine=pfree, got %q", eng)
-	}
-	pf = ki == 0
-	if eng == "pfree" && ki != 0 {
-		return 0, 0, false, fmt.Errorf("engine \"pfree\" is parameter-free: leave k unset, got k=%d", ki)
-	}
-	return int32(vi), int32(ki), pf, nil
+// pointResponse is the body of /score and /contexts. Its fields are
+// declared in sorted key order, the order the wire format lists them in
+// (TestResponsesGolden); Contexts is a pointer so /score omits it while
+// an empty /contexts answer still encodes null.
+type pointResponse struct {
+	Contexts *[][]int32       `json:"contexts,omitempty"`
+	K        int32            `json:"k"`
+	Measure  trussdiv.Measure `json:"measure"`
+	Score    int              `json:"score"`
+	Vertex   int32            `json:"vertex"`
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	v, k, pf, err := s.vertexParam(params)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
+// handlePoint answers the point query of one vertex: its score, or with
+// withContexts its social contexts and their count. k is optional —
+// absent or 0 means pfree semantics (the objective chooses the level),
+// matching /topr; engine=pfree makes that explicit and rejects a non-zero
+// k with 400, mirroring the library's BadQueryError.
+func (s *Server) handlePoint(withContexts bool) handler {
+	return func(_ http.ResponseWriter, r *http.Request) (any, error) {
+		p := params{Values: r.URL.Query()}
+		v, k := int32(p.int("v", 32, true)), int32(p.int("k", 32, false))
+		switch eng := p.Get("engine"); {
+		case p.err != nil:
+		case eng != "" && eng != "pfree":
+			// pfree is the only engine with point semantics of its own; any
+			// other name would silently answer with default-path semantics,
+			// so reject it rather than mislabel the response.
+			p.err = fmt.Errorf("parameter \"engine\": point queries accept only engine=pfree, got %q", eng)
+		case eng == "pfree" && k != 0:
+			p.err = fmt.Errorf("engine \"pfree\" is parameter-free: leave k unset, got k=%d", k)
+		}
+		measure := p.measure()
+		if p.err != nil {
+			return nil, p.err
+		}
+		body := pointResponse{Vertex: v, K: k, Measure: measure.Normalize()}
+		var err error
+		if withContexts {
+			var cs [][]int32
+			if k == 0 {
+				cs, err = s.db.ContextsPFree(r.Context(), v, measure)
+			} else {
+				cs, err = s.db.ContextsMeasure(r.Context(), v, k, measure)
+			}
+			body.Contexts, body.Score = &cs, len(cs)
+		} else if k == 0 {
+			body.Score, err = s.db.ScorePFree(r.Context(), v, measure)
+		} else {
+			body.Score, err = s.db.ScoreMeasure(r.Context(), v, k, measure)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return body, nil
 	}
-	measure, err := measureParam(params)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var score int
-	if pf {
-		score, err = s.db.ScorePFree(ctx, v, measure)
-	} else {
-		score, err = s.db.ScoreMeasure(ctx, v, k, measure)
-	}
-	if err != nil {
-		searchError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"vertex":  v,
-		"k":       k,
-		"measure": measure.Normalize(),
-		"score":   score,
-	})
-}
-
-func (s *Server) handleContexts(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	v, k, pf, err := s.vertexParam(params)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	measure, err := measureParam(params)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var contexts [][]int32
-	if pf {
-		contexts, err = s.db.ContextsPFree(ctx, v, measure)
-	} else {
-		contexts, err = s.db.ContextsMeasure(ctx, v, k, measure)
-	}
-	if err != nil {
-		searchError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"vertex":   v,
-		"k":        k,
-		"measure":  measure.Normalize(),
-		"score":    len(contexts),
-		"contexts": contexts,
-	})
 }

@@ -449,3 +449,66 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmApplyKeepsStoreSections: an Apply on a freshly warm-opened DB,
+// before any query has loaded a section, patches every ego-derived
+// section the store file held instead of dropping it. The edited snapshot
+// lists them ready, the patch pass counts all three ranking tables, the
+// next query of each engine they serve builds nothing, and every engine
+// answers like a cold Open of the edited graph — in both store modes.
+func TestWarmApplyKeepsStoreSections(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 200, Attach: 3, Cliques: 40, MinSize: 4, MaxSize: 7, Seed: 11,
+	})
+	ctx := context.Background()
+	u := Updates{Delete: []Edge{g.Edge(0)}}
+	for v := int32(1); u.Insert == nil; v++ {
+		if !g.HasEdge(0, v) {
+			u.Insert = []Edge{{U: 0, V: v}}
+		}
+	}
+	for _, mode := range []StoreMode{StoreMmap, StoreDecode} {
+		dir := t.TempDir()
+		seed, err := Open(g, WithIndexDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seed.Prepare(ctx, seed.Engines()...); err != nil {
+			t.Fatal(err)
+		}
+		held := seed.IndexStats()
+
+		db, err := Open(g, WithIndexDir(dir), WithStoreMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Apply(ctx, u); err != nil {
+			t.Fatal(err)
+		}
+		st := db.IndexStats()
+		if st.TSDReady != held.TSDReady || st.GCTReady != held.GCTReady || st.HybridReady != held.HybridReady ||
+			!slices.Equal(st.MeasureRankings, held.MeasureRankings) || !slices.Equal(st.PFreeRankings, held.PFreeRankings) {
+			t.Fatalf("%s: IndexStats after Apply = %+v, want every section the store held: %+v", mode, st, held)
+		}
+		if as := db.Snapshot().ApplyStats(); as == nil || as.RankingsPatched != 3 {
+			t.Fatalf("%s: ApplyStats = %+v, want 3 ranking tables patched", mode, as)
+		}
+		for _, engine := range []string{"tsd", "gct", "hybrid", "comp", "kcore", "pfree"} {
+			k := int32(3)
+			if engine == "pfree" {
+				k = 0
+			}
+			if _, _, err := db.TopR(ctx, NewQuery(k, 10, ViaEngine(engine), WithContexts())); err != nil {
+				t.Fatalf("%s %s: %v", mode, engine, err)
+			}
+		}
+		if bt := db.IndexStats().BuildTime; bt != st.BuildTime {
+			t.Fatalf("%s: the first queries after Apply built for %v", mode, bt-st.BuildTime)
+		}
+		cold, err := Open(db.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkParity(t, mode.String(), db, cold)
+	}
+}
