@@ -112,7 +112,6 @@ bench-artifacts:
 	$(GO) run ./cmd/tsdbench -exp store -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp dynamic -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp measures -quick -outdir bench-out
-	$(GO) run ./cmd/tsdbench -exp pfree -quick -outdir bench-out
 
 # Fails when bench-out/BENCH_parallel.json came from a GOMAXPROCS=1 run —
 # CI runs this right after bench-artifacts so a single-core parallel

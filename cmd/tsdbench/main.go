@@ -9,8 +9,8 @@
 //	tsdbench -exp parallel -workers 8     # serial vs parallel engine timings
 //	tsdbench -exp dynamic                 # incremental Apply vs cold rebuild, batches of 1/16/256
 //	tsdbench -exp dynamic -updates 32     # the same at one batch size
-//	tsdbench -exp measures                # per-measure serving cost (BENCH_measures.json)
-//	tsdbench -exp measures -measure core  # one measure only
+//	tsdbench -exp measures                # serving cost per engine and measure (BENCH_measures.json)
+//	tsdbench -exp measures -measure core  # one measure's engines only
 //	tsdbench -list                        # show available experiment IDs
 //	tsdbench -exp measures -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
@@ -18,7 +18,11 @@
 // wall times per engine) into -outdir, recording the perf trajectory of
 // the worker-pool search layer; the dynamic experiment likewise writes
 // BENCH_dynamic.json (DB.Apply vs rebuild per dataset and batch size),
-// recording the perf trajectory of the mutable-graph write path.
+// recording the perf trajectory of the mutable-graph write path, and the
+// measures experiment writes BENCH_measures.json: one row per engine of
+// every measure's routing-matrix row (the parameter-free pfree engine at
+// k = 0, the others at k = 4) with its first query, Prepare and prepared
+// queries.
 package main
 
 import (

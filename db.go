@@ -250,9 +250,10 @@ func (s *Snapshot) Batch(ctx context.Context, qs []Query) ([]*Result, error) {
 		firstErr error
 	)
 	err = par.For(ctx, len(queries), 0, 1, func(_, i, _ int) {
-		// cachedTopR consults the result cache; Workers is not part of the
-		// key (answers are byte-identical across worker counts), so batch
-		// and single-query traffic share entries.
+		// cachedTopR consults the result cache; neither Workers nor
+		// SkipStats is part of the key (answers are byte-identical across
+		// worker counts, and every entry keeps its Stats), so batch and
+		// single-query traffic share entries.
 		res, _, err := s.cachedTopR(ctx, engines[i], queries[i])
 		if err != nil {
 			errOnce.Do(func() { firstErr = err; cancel() })

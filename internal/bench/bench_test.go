@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"trussdiv"
 	"trussdiv/internal/baseline"
 	"trussdiv/internal/core"
 )
@@ -96,6 +97,9 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("bogus ID resolved")
+	}
+	if _, ok := ByID("pfree"); ok {
+		t.Fatal("pfree is registered on its own; its cells belong to the measures experiment")
 	}
 	if len(IDs()) != len(All()) {
 		t.Fatal("IDs length mismatch")
@@ -431,108 +435,85 @@ func TestDynamicExperimentEmitsJSON(t *testing.T) {
 
 // TestMeasuresExperimentEmitsJSON runs the quick-mode measures
 // experiment on one small dataset and checks the BENCH_measures.json
-// artifact: every (dataset, measure) row must carry positive timings and
-// the Verified flag — the experiment itself fails when any engine's
-// answer diverges from the online reference, so a written artifact means
-// the parity held.
+// artifact: every (measure, engine) cell of the routing matrix appears
+// once, pfree at k = 0 and every other engine at k = 4, each with
+// positive first and warm timings and the Verified flag — the
+// experiment itself fails when any answer diverges from its reference,
+// so a written artifact means the parity held.
 func TestMeasuresExperimentEmitsJSON(t *testing.T) {
 	e, ok := ByID("measures")
 	if !ok {
 		t.Fatal("measures experiment not registered")
 	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	cfg := Config{Quick: true, Seed: 1, OutDir: dir, Datasets: []string{"wiki-sim"}}
-	if err := e.Run(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, MeasuresReportFile))
+	db, err := trussdiv.Open(MustLoad("wiki-sim"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report MeasuresReport
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_measures.json is not valid JSON: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, row := range report.Rows {
-		if row.Dataset != "wiki-sim" {
-			t.Fatalf("unexpected dataset %q", row.Dataset)
+	run := func(measure string) MeasuresReport {
+		t.Helper()
+		cfg := Config{Quick: true, Seed: 1, OutDir: t.TempDir(), Datasets: []string{"wiki-sim"}, Measure: measure}
+		var buf bytes.Buffer
+		if err := e.Run(&buf, cfg); err != nil {
+			t.Fatal(err)
 		}
-		if row.OnlineNS <= 0 || row.BoundFirstNS <= 0 || row.BoundNS <= 0 || row.RankedNS <= 0 || row.PrepareNS <= 0 {
-			t.Fatalf("row %+v has non-positive timings", row)
+		blob, err := os.ReadFile(filepath.Join(cfg.OutDir, MeasuresReportFile))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !row.Verified {
-			t.Fatalf("row %+v not verified", row)
+		var report MeasuresReport
+		if err := json.Unmarshal(blob, &report); err != nil {
+			t.Fatalf("BENCH_measures.json is not valid JSON: %v", err)
 		}
-		seen[row.Measure] = true
+		return report
 	}
-	for _, m := range []string{"truss", "component", "core"} {
-		if !seen[m] {
-			t.Fatalf("measure %s missing from the report (rows: %+v)", m, report.Rows)
+	// check holds the report's rows to exactly the catalogue's cells of
+	// the given measures.
+	check := func(report MeasuresReport, measures ...trussdiv.Measure) {
+		t.Helper()
+		want := map[string]bool{}
+		for _, mi := range db.Measures() {
+			if slices.Contains(measures, mi.Measure) {
+				for _, engine := range mi.Engines {
+					want[string(mi.Measure)+"/"+engine] = true
+				}
+			}
+		}
+		for _, row := range report.Rows {
+			cell := row.Measure + "/" + row.Engine
+			if row.Dataset != "wiki-sim" || !want[cell] {
+				t.Fatalf("unexpected or repeated row %+v", row)
+			}
+			delete(want, cell)
+			wantK := 4
+			if row.Engine == "pfree" {
+				wantK = 0
+			}
+			if row.K != wantK {
+				t.Fatalf("row %+v ran at k = %d, want %d", row, row.K, wantK)
+			}
+			if row.First.NS <= 0 || row.Warm.NS <= 0 {
+				t.Fatalf("row %+v has non-positive timings", row)
+			}
+			if !row.Verified {
+				t.Fatalf("row %+v not verified", row)
+			}
+		}
+		if len(want) > 0 {
+			t.Fatalf("cells missing from the report: %v", want)
 		}
 	}
-	// The -measure flag narrows the run to one measure.
-	one := Config{Quick: true, Seed: 1, OutDir: t.TempDir(), Datasets: []string{"wiki-sim"}, Measure: "core"}
-	if err := e.Run(&buf, one); err != nil {
-		t.Fatal(err)
+	all := run("")
+	check(all, trussdiv.AllMeasures()...)
+	if len(all.PrepareAll) != 1 {
+		t.Fatalf("prepare-all rows %+v, want one", all.PrepareAll)
 	}
-	blob, err = os.ReadFile(filepath.Join(one.OutDir, MeasuresReportFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var narrowed MeasuresReport
-	if err := json.Unmarshal(blob, &narrowed); err != nil {
-		t.Fatal(err)
-	}
-	if len(narrowed.Rows) != 1 || narrowed.Rows[0].Measure != "core" {
-		t.Fatalf("-measure core produced rows %+v", narrowed.Rows)
+	// The -measure flag narrows the run to one measure's cells.
+	core := run("core")
+	check(core, trussdiv.MeasureCore)
+	if len(core.PrepareAll) != 0 {
+		t.Fatalf("-measure core produced prepare-all rows %+v", core.PrepareAll)
 	}
 	if _, err := measuresUnderTest(Config{Measure: "bogus"}); err == nil {
 		t.Fatal("bad -measure value accepted")
-	}
-}
-
-// TestPFreeExperimentEmitsJSON runs the quick-mode pfree experiment on
-// one small dataset and checks the BENCH_pfree.json artifact: every
-// (dataset, measure) row must carry positive timings and the Verified
-// flag — the experiment fails when the prepared path's answer diverges
-// from the online fallback, so a written artifact means the parity held.
-func TestPFreeExperimentEmitsJSON(t *testing.T) {
-	e, ok := ByID("pfree")
-	if !ok {
-		t.Fatal("pfree experiment not registered")
-	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	cfg := Config{Quick: true, Seed: 1, OutDir: dir, Datasets: []string{"wiki-sim"}}
-	if err := e.Run(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, PFreeReportFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report PFreeReport
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_pfree.json is not valid JSON: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, row := range report.Rows {
-		if row.Dataset != "wiki-sim" {
-			t.Fatalf("unexpected dataset %q", row.Dataset)
-		}
-		if row.OnlineNS <= 0 || row.RankedNS <= 0 || row.PrepareNS <= 0 {
-			t.Fatalf("row %+v has non-positive timings", row)
-		}
-		if !row.Verified {
-			t.Fatalf("row %+v not verified", row)
-		}
-		seen[row.Measure] = true
-	}
-	for _, m := range []string{"truss", "component", "core"} {
-		if !seen[m] {
-			t.Fatalf("measure %s missing from the report (rows: %+v)", m, report.Rows)
-		}
 	}
 }

@@ -4,48 +4,54 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"trussdiv"
 	"trussdiv/internal/graph"
 )
 
-// runMeasures benchmarks the measure axis (the §7 model comparison made
-// a servable workload): for every dataset and every diversity measure it
-// times the three routes a measure query can take — the generic online
-// scan, the generic bound search, and the measure's rankings-backed fast
-// engine (hybrid for truss, comp/kcore for the alternatives) after one
-// Prepare — and verifies all three return identical answers. The DB runs
-// with the result cache disabled so repeated queries measure execution,
-// not cache hits. Numbers land in BENCH_measures.json, tracking the
-// per-measure serving cost from PR to PR.
+// runMeasures benchmarks the routing matrix cell by cell (the §7 model
+// comparison made a servable workload): for every dataset, every
+// diversity measure and every engine db.Measures() lists for it, one row
+// times the first query on a freshly opened DB, Prepare(engine), and the
+// queries the prepared DB answers, and verifies every answer. The
+// fixed-k engines run at k = 4 and must answer byte-identically to the
+// online cell; the parameter-free pfree engine runs at k = 0, where its
+// first query is the online fallback (every candidate's all-k vector
+// scored on the fly) and its prepared answer, an O(r) prefix read of the
+// table's k = 0 row, must equal that cold one. The DB runs with the
+// result cache disabled so repeated queries measure execution, not cache
+// hits. Numbers land in BENCH_measures.json, tracking the per-measure
+// serving cost from PR to PR.
 
-// MeasureRow is one (dataset, measure) timing.
+// Op is one timed query kind of a cell: the median wall time over its
+// reps, and the mean heap allocations and bytes of one query.
+type Op struct {
+	NS          int64 `json:"ns"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+}
+
+// MeasureRow is one (dataset, measure, engine) cell of the routing matrix.
 type MeasureRow struct {
 	Dataset string `json:"dataset"`
 	Measure string `json:"measure"`
-	// OnlineNS and BoundNS are per-query wall times of the generic
-	// engines; BoundNS is the warm mean after BoundFirstNS, the first
-	// bound query of the DB, which builds the bound level it reads (and,
-	// for truss, the global truss decomposition). RankedNS is the
-	// per-query time of the rankings-backed engine once prepared, and
-	// PrepareNS what that preparation cost.
-	OnlineNS     int64 `json:"online_ns"`
-	BoundFirstNS int64 `json:"bound_first_ns"`
-	BoundNS      int64 `json:"bound_ns"`
-	PrepareNS    int64 `json:"prepare_ns"`
-	RankedNS     int64 `json:"ranked_ns"`
-	// Speedup is OnlineNS / RankedNS: what the prepared fast path buys
-	// over recomputing the measure from scratch per query.
-	Speedup float64 `json:"speedup"`
-	// AllocsPerOp and BytesPerOp are the mean heap allocations and bytes
-	// of one online query — the scratch-reuse hot path this table tracks
-	// from PR to PR alongside its wall time.
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	// Verified records that online, bound, and ranked answers matched.
+	Engine  string `json:"engine"`
+	K       int    `json:"k"`
+	// First is the first query of a freshly opened DB: it pays whatever
+	// the engine readies on first use (bound's level and, for truss, the
+	// global truss decomposition; hybrid's table; the tsd and gct
+	// indexes), or answers by the online scan where the engine does not
+	// build (comp, kcore and pfree before Prepare).
+	First Op `json:"first"`
+	// PrepareNS is what Prepare(engine) cost on another fresh DB, and Warm
+	// the queries that prepared DB answers.
+	PrepareNS int64 `json:"prepare_ns"`
+	Warm      Op    `json:"warm"`
+	// Verified records that every answer of the cell matched the
+	// reference: the online cell's at k = 4, pfree's cold one at k = 0.
 	Verified bool `json:"verified"`
 }
 
@@ -60,7 +66,8 @@ type PrepareAllRow struct {
 	Speedup      float64  `json:"speedup"`
 }
 
-// MeasuresReport is the schema of BENCH_measures.json.
+// MeasuresReport is the schema of BENCH_measures.json. K is the threshold
+// of the fixed-k engines; pfree rows run at k = 0.
 type MeasuresReport struct {
 	K          int             `json:"k"`
 	R          int             `json:"r"`
@@ -70,18 +77,6 @@ type MeasuresReport struct {
 
 // MeasuresReportFile is the artifact runMeasures writes.
 const MeasuresReportFile = "BENCH_measures.json"
-
-// fastEngineFor names the rankings-backed engine of each measure.
-func fastEngineFor(m trussdiv.Measure) string {
-	switch m {
-	case trussdiv.MeasureComponent:
-		return "comp"
-	case trussdiv.MeasureCore:
-		return "kcore"
-	default:
-		return "hybrid"
-	}
-}
 
 // measuresUnderTest honors the -measure flag (cfg.Measure): one measure
 // when set, all three otherwise.
@@ -103,104 +98,59 @@ func runMeasures(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	queryReps := 5
+	reps := 5
 	if cfg.Quick {
-		queryReps = 3
+		reps = 3
 	}
 	report := MeasuresReport{K: int(k), R: r}
 	t := &Table{
-		Title:   fmt.Sprintf("Per-measure top-r serving cost, k=%d r=%d (extension)", k, r),
-		Headers: []string{"Network", "measure", "online", "bound first", "bound", "prepare", "ranked", "speedup", "allocs/op"},
+		Title: fmt.Sprintf("Routing-matrix top-r serving cost, k=%d (pfree k=0) r=%d (extension)", k, r),
+		Headers: []string{"Network", "measure", "engine", "k", "first", "prepare", "warm",
+			"first allocs/op", "warm allocs/op"},
 	}
 	for _, name := range cfg.perfDatasets() {
 		g := MustLoad(name)
-		for _, m := range measures {
-			// Result cache off: repeated identical queries would otherwise
-			// be served from the cache, diluting every per-query mean (and
-			// zeroing the allocation column) after the first reps.
-			db, err := trussdiv.Open(g, trussdiv.WithResultCache(0))
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			var onlineRes, boundRes, rankedRes *trussdiv.Result
-			online := timePerQuery(queryReps, func() error {
-				onlineRes, _, err = db.TopR(ctx, trussdiv.NewQuery(k, r,
-					trussdiv.WithMeasure(m), trussdiv.ViaEngine("online")))
-				return err
-			})
-			if err != nil {
-				return fmt.Errorf("%s/%s online: %w", name, m, err)
-			}
-			boundQuery := func() error {
-				boundRes, _, err = db.TopR(ctx, trussdiv.NewQuery(k, r,
-					trussdiv.WithMeasure(m), trussdiv.ViaEngine("bound")))
-				return err
-			}
-			boundFirst := timePerQuery(1, boundQuery)
-			if err != nil {
-				return fmt.Errorf("%s/%s first bound: %w", name, m, err)
-			}
-			bound := timePerQuery(queryReps, boundQuery)
-			if err != nil {
-				return fmt.Errorf("%s/%s bound: %w", name, m, err)
-			}
-
-			fast := fastEngineFor(m)
-			var prepare time.Duration
-			prepare += Timed(func() {
-				err = db.Prepare(ctx, fast)
-			})
-			if err != nil {
-				return fmt.Errorf("%s/%s prepare(%s): %w", name, m, fast, err)
-			}
-			ranked := timePerQuery(queryReps, func() error {
-				rankedRes, _, err = db.TopR(ctx, trussdiv.NewQuery(k, r,
-					trussdiv.WithMeasure(m), trussdiv.ViaEngine(fast)))
-				return err
-			})
-			if err != nil {
-				return fmt.Errorf("%s/%s ranked(%s): %w", name, m, fast, err)
-			}
-
-			// The speedup must measure the same answers, faster.
-			if err := sameAnswer(onlineRes, boundRes); err != nil {
-				return fmt.Errorf("%s/%s: bound diverged from online: %w", name, m, err)
-			}
-			if err := sameAnswer(onlineRes, rankedRes); err != nil {
-				return fmt.Errorf("%s/%s: %s diverged from online: %w", name, m, fast, err)
-			}
-			if !reflect.DeepEqual(onlineRes.TopR, rankedRes.TopR) {
-				return fmt.Errorf("%s/%s: ranked answer not byte-identical", name, m)
-			}
-			allocs, bytes := allocsPerOp(queryReps, func() error {
-				_, _, err := db.TopR(ctx, trussdiv.NewQuery(k, r,
-					trussdiv.WithMeasure(m), trussdiv.ViaEngine("online")))
-				return err
-			})
-
-			speedup := float64(online) / float64(max(ranked, time.Nanosecond))
-			report.Rows = append(report.Rows, MeasureRow{
-				Dataset:      name,
-				Measure:      string(m),
-				OnlineNS:     online.Nanoseconds(),
-				BoundFirstNS: boundFirst.Nanoseconds(),
-				BoundNS:      bound.Nanoseconds(),
-				PrepareNS:    prepare.Nanoseconds(),
-				RankedNS:     ranked.Nanoseconds(),
-				Speedup:      speedup,
-				AllocsPerOp:  allocs,
-				BytesPerOp:   bytes,
-				Verified:     true,
-			})
-			t.AddRow(name, string(m), online, boundFirst, bound, prepare, ranked,
-				fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%d", allocs))
+		db, err := trussdiv.Open(g)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if len(measures) >= 2 {
-			var names []string
-			for _, m := range measures {
-				names = append(names, fastEngineFor(m))
+		for _, mi := range db.Measures() {
+			if !slices.Contains(measures, mi.Measure) {
+				continue
 			}
-			row, err := timePrepareAll(ctx, g, names, names)
+			// The reference answer at each k is the first one computed: the
+			// catalogue lists online first, and pfree is the only k = 0 cell.
+			want := map[int32]*trussdiv.Result{}
+			for _, engine := range mi.Engines {
+				kq := k
+				if engine == "pfree" {
+					kq = 0 // the parameter-free engine takes no threshold
+				}
+				cell := fmt.Sprintf("%s/%s/%s", name, mi.Measure, engine)
+				row, answers, err := measureCell(ctx, g,
+					trussdiv.NewQuery(kq, r, trussdiv.WithMeasure(mi.Measure), trussdiv.ViaEngine(engine)), reps)
+				if err != nil {
+					return fmt.Errorf("%s: %w", cell, err)
+				}
+				for _, res := range answers {
+					if want[kq] == nil {
+						want[kq] = res
+					}
+					if err := sameAnswer(want[kq], res); err != nil {
+						return fmt.Errorf("%s: diverged from the reference: %w", cell, err)
+					}
+				}
+				row.Dataset, row.Measure, row.Verified = name, string(mi.Measure), true
+				report.Rows = append(report.Rows, row)
+				t.AddRow(name, string(mi.Measure), engine, kq, time.Duration(row.First.NS),
+					time.Duration(row.PrepareNS), time.Duration(row.Warm.NS),
+					row.First.AllocsPerOp, row.Warm.AllocsPerOp)
+			}
+		}
+		if len(measures) == len(trussdiv.AllMeasures()) {
+			// The rankings-backed engines: every measure's table, and the
+			// pfree rows derived from them.
+			row, err := timePrepareAll(ctx, g, []string{"hybrid", "comp", "kcore", "pfree"})
 			if err != nil {
 				return fmt.Errorf("%s prepare-all: %w", name, err)
 			}
@@ -222,68 +172,106 @@ func runMeasures(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// timePrepareAll times one multi-structure Prepare (allNames in a single
+// measureCell times one cell: q's first query on each of reps freshly
+// opened DBs, Prepare(q.Engine) on one more, and reps queries on that
+// prepared DB. It returns the cell's row (Dataset, Measure and Verified
+// left to the caller) and every answer it got.
+func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int) (MeasureRow, []*trussdiv.Result, error) {
+	var db *trussdiv.DB
+	open := func() (err error) {
+		// Result cache off: repeated identical queries would otherwise be
+		// served from the cache, zeroing the warm timings and allocations.
+		db, err = trussdiv.Open(g, trussdiv.WithResultCache(0))
+		return err
+	}
+	answers := make([]*trussdiv.Result, 0, 2*reps)
+	query := func() error {
+		res, _, err := db.TopR(ctx, q)
+		answers = append(answers, res)
+		return err
+	}
+	first, err := timeOp(reps, open, query)
+	if err != nil {
+		return MeasureRow{}, nil, fmt.Errorf("first query: %w", err)
+	}
+	if err := open(); err != nil {
+		return MeasureRow{}, nil, err
+	}
+	prepare := Timed(func() { err = db.Prepare(ctx, q.Engine) })
+	if err != nil {
+		return MeasureRow{}, nil, fmt.Errorf("prepare: %w", err)
+	}
+	warm, err := timeOp(reps, nil, query)
+	if err != nil {
+		return MeasureRow{}, nil, fmt.Errorf("warm query: %w", err)
+	}
+	return MeasureRow{Engine: q.Engine, K: int(q.K), First: first,
+		PrepareNS: prepare.Nanoseconds(), Warm: warm}, answers, nil
+}
+
+// timeOp runs query reps times, each after setup (when non-nil, untimed)
+// and a GC, and returns the median wall time with the mean heap
+// allocations and bytes of one query, from runtime.MemStats deltas. The
+// numbers include whatever the query path really does (worker
+// goroutines, result assembly), not just the scorer, so they track the
+// serving cost a replica pays per request. The first error aborts.
+func timeOp(reps int, setup, query func() error) (Op, error) {
+	ns := make([]time.Duration, reps)
+	var allocs, bytes uint64
+	var before, after runtime.MemStats
+	for i := range ns {
+		if setup != nil {
+			if err := setup(); err != nil {
+				return Op{}, err
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err := query()
+		ns[i] = time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return Op{}, err
+		}
+		allocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	return Op{
+		NS:          medianDuration(ns).Nanoseconds(),
+		AllocsPerOp: int64(allocs) / int64(reps),
+		BytesPerOp:  int64(bytes) / int64(reps),
+	}, nil
+}
+
+// timePrepareAll times one multi-structure Prepare (names in a single
 // call, so the shared extraction pass serves them together) against
-// reaching the same end state one name at a time (splitNames
-// sequentially on a second DB, every singleton paying its own ego
-// sweep). The caller fills in Dataset.
-func timePrepareAll(ctx context.Context, g *graph.Graph, allNames, splitNames []string) (PrepareAllRow, error) {
+// reaching the same end state one name at a time on a second DB, every
+// singleton paying its own ego sweep. The caller fills in Dataset.
+func timePrepareAll(ctx context.Context, g *graph.Graph, names []string) (PrepareAllRow, error) {
 	shared, err := trussdiv.Open(g)
 	if err != nil {
 		return PrepareAllRow{}, err
 	}
-	all := Timed(func() { err = shared.Prepare(ctx, allNames...) })
+	all := Timed(func() { err = shared.Prepare(ctx, names...) })
 	if err != nil {
-		return PrepareAllRow{}, fmt.Errorf("Prepare(%v): %w", allNames, err)
+		return PrepareAllRow{}, fmt.Errorf("Prepare(%v): %w", names, err)
 	}
 	split, err := trussdiv.Open(g)
 	if err != nil {
 		return PrepareAllRow{}, err
 	}
 	var sum time.Duration
-	for _, n := range splitNames {
+	for _, n := range names {
 		sum += Timed(func() { err = split.Prepare(ctx, n) })
 		if err != nil {
 			return PrepareAllRow{}, fmt.Errorf("Prepare(%s): %w", n, err)
 		}
 	}
 	return PrepareAllRow{
-		Names:        splitNames,
+		Names:        names,
 		PrepareAllNS: all.Nanoseconds(),
 		PrepareSumNS: sum.Nanoseconds(),
 		Speedup:      float64(sum) / float64(max(all, time.Nanosecond)),
 	}, nil
-}
-
-// allocsPerOp reports the mean heap allocations and bytes of one run of
-// f, from runtime.MemStats deltas across reps runs. The numbers include
-// whatever the query path really does — worker goroutines, result
-// assembly — not just the scorer, so they track the serving cost a
-// replica pays per request.
-func allocsPerOp(reps int, f func() error) (allocs, bytes int64) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reps; i++ {
-		if f() != nil {
-			return 0, 0 // caller already surfaced the error on the timed path
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs-before.Mallocs) / int64(reps),
-		int64(after.TotalAlloc-before.TotalAlloc) / int64(reps)
-}
-
-// timePerQuery runs f reps times and returns the mean duration; the
-// first error aborts (the caller inspects the captured err).
-func timePerQuery(reps int, f func() error) time.Duration {
-	var total time.Duration
-	for i := 0; i < reps; i++ {
-		var err error
-		total += Timed(func() { err = f() })
-		if err != nil {
-			return total / time.Duration(i+1)
-		}
-	}
-	return total / time.Duration(reps)
 }

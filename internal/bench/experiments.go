@@ -89,8 +89,7 @@ var experiments = []Experiment{
 	{"parallel", "extension", "serial vs parallel TopR per engine; writes BENCH_parallel.json", runParallel},
 	{"store", "extension", "cold build vs warm index-store load at startup; writes BENCH_store.json", runStore},
 	{"dynamic", "extension", "incremental DB.Apply vs cold rebuild under edge updates; writes BENCH_dynamic.json", runDynamic},
-	{"measures", "extension", "per-measure top-r serving: online vs bound vs prepared rankings; writes BENCH_measures.json", runMeasures},
-	{"pfree", "extension", "parameter-free top-r: online fallback vs prepared ranking; writes BENCH_pfree.json", runPFree},
+	{"measures", "extension", "top-r serving per engine and measure (pfree at k=0): first query, prepare, prepared queries; writes BENCH_measures.json", runMeasures},
 }
 
 // All returns every registered experiment in paper order.

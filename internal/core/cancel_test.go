@@ -207,12 +207,12 @@ func TestDedupCandidatesFirstOccurrenceWins(t *testing.T) {
 func TestSearchSkipOptions(t *testing.T) {
 	g := randomGraph(t, 40, 200, 9)
 	res, stats, err := NewOnline(g).Search(context.Background(),
-		Params{K: 3, R: 5, SkipContexts: true, SkipStats: true})
+		Params{K: 3, R: 5, SkipContexts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats != nil {
-		t.Fatalf("stats = %+v, want nil with SkipStats", stats)
+	if stats == nil {
+		t.Fatal("stats missing: every engine returns its Stats")
 	}
 	if res.Contexts != nil {
 		t.Fatalf("contexts present despite SkipContexts")

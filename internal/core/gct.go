@@ -288,5 +288,5 @@ func (s *GCT) Search(ctx context.Context, p Params) (*Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, exportStats(stats, p), nil
+	return res, stats, nil
 }

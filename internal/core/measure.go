@@ -189,7 +189,7 @@ func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 		// race-free.
 		stats.ScoreComputations = len(answer)
 	}
-	return res, exportStats(stats, p), nil
+	return res, stats, nil
 }
 
 // rankedAnswer selects the canonical top-r answer from one precomputed

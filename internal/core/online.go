@@ -68,5 +68,5 @@ func (o *Online) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, exportStats(stats, p), nil
+	return res, stats, nil
 }

@@ -199,5 +199,5 @@ func prunedSearch(ctx context.Context, p Params, n int, ub func(v int32) int,
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, exportStats(stats, p), nil
+	return res, stats, nil
 }

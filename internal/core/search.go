@@ -27,9 +27,6 @@ type Params struct {
 	// rankings-backed engine (Ranked) context recovery is the dominant
 	// query cost, so callers that only need the ranking should set it.
 	SkipContexts bool
-	// SkipStats suppresses the Stats return (the search still runs
-	// identically; the *Stats result is nil).
-	SkipStats bool
 	// Workers is the number of goroutines that score candidates (and
 	// recover answer contexts): 0 or negative means GOMAXPROCS, 1 forces
 	// the serial path. The workers claim blocks of candidates from a
@@ -240,12 +237,4 @@ func finishResult(ctx context.Context, answer []VertexScore, p Params, contexts 
 		res.Contexts[e.V] = recovered[i]
 	}
 	return res, nil
-}
-
-// exportStats applies the stats opt-out.
-func exportStats(stats *Stats, p Params) *Stats {
-	if p.SkipStats {
-		return nil
-	}
-	return stats
 }

@@ -378,6 +378,9 @@ func clampWorkers(n int) int {
 	return min(n, runtime.GOMAXPROCS(0))
 }
 
+// topRResponse is the /topr body and one /batch item. Only /topr times
+// and counts its search, so a batch item omits took_us and search_space
+// rather than report zeros no one measured.
 type topRResponse struct {
 	Engine   string           `json:"engine"`
 	Routed   bool             `json:"routed"`
@@ -385,8 +388,8 @@ type topRResponse struct {
 	Epoch    uint64           `json:"epoch"`
 	K        int              `json:"k"`
 	R        int              `json:"r"`
-	TookUS   int64            `json:"took_us"`
-	Searched int              `json:"search_space"`
+	TookUS   *int64           `json:"took_us,omitempty"`
+	Searched *int             `json:"search_space,omitempty"`
 	Results  []topRResult     `json:"results"`
 }
 
@@ -454,9 +457,9 @@ func (s *Server) handleTopR(_ http.ResponseWriter, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
+	took := time.Since(start).Microseconds()
 	body := topRBody(snap, q, stats.Engine, res)
-	body.TookUS = time.Since(start).Microseconds()
-	body.Searched = stats.ScoreComputations
+	body.TookUS, body.Searched = &took, &stats.ScoreComputations
 	return body, nil
 }
 
@@ -518,7 +521,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error
 			IncludeContexts: bq.Contexts,
 			Candidates:      bq.Candidates,
 			Workers:         clampWorkers(bq.Workers),
-			SkipStats:       true, // Batch drops stats anyway
 		}
 	}
 	// One snapshot labels and answers the whole batch: every result shares

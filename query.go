@@ -22,7 +22,9 @@ type Query struct {
 	// Candidates restricts the search to a vertex subset; nil searches
 	// every vertex. Out-of-range IDs are an error.
 	Candidates []int32
-	// SkipStats suppresses the *Stats return (it will be nil).
+	// SkipStats sets the *Stats that TopR returns to nil. The answer, and
+	// the result cache entry it shares with the same query asked with
+	// stats, are unchanged.
 	SkipStats bool
 	// Workers is the number of goroutines the engine may use to score
 	// candidates and recover contexts: 0 or negative means GOMAXPROCS,
@@ -68,8 +70,8 @@ func WithCandidates(vs ...int32) QueryOption {
 	return func(q *Query) { q.Candidates = vs }
 }
 
-// WithoutStats opts out of search-effort accounting; TopR returns a nil
-// *Stats.
+// WithoutStats makes TopR return a nil *Stats; the search and the
+// result cache entry are those of the same query with stats.
 func WithoutStats() QueryOption {
 	return func(q *Query) { q.SkipStats = true }
 }
@@ -101,7 +103,6 @@ func (q Query) params() core.Params {
 		R:            q.R,
 		Candidates:   q.Candidates,
 		SkipContexts: !q.IncludeContexts,
-		SkipStats:    q.SkipStats,
 		Workers:      q.Workers,
 		Measure:      q.Measure,
 	}

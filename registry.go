@@ -66,7 +66,8 @@ func (e *catalogueEntry) Measures() []Measure { return e.measures }
 func (e *catalogueEntry) Cost(q Query) Estimate { return e.cost(q) }
 
 // TopR answers q outside routing and the result cache: a cancelled ctx
-// wins over a malformed query, which wins over the search.
+// wins over a malformed query, which wins over the search. The Stats are
+// nil when q.SkipStats is set.
 func (e *catalogueEntry) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -74,7 +75,11 @@ func (e *catalogueEntry) TopR(ctx context.Context, q Query) (*Result, *Stats, er
 	if err := e.check(q); err != nil {
 		return nil, nil, err
 	}
-	return e.run(ctx, q)
+	res, stats, err := e.run(ctx, q)
+	if q.SkipStats {
+		stats = nil
+	}
+	return res, stats, err
 }
 
 // run answers a query that check has accepted, under the measure the

@@ -35,28 +35,29 @@ type resultCache struct {
 // resultKey identifies one cacheable query: the answering snapshot's
 // epoch, the resolved engine, and every answer-shaping Query field.
 // Workers is deliberately absent — answers are byte-identical for every
-// worker count. SkipStats is present because it decides whether a Stats
-// value was recorded alongside the Result. A parameter-free query keys
+// worker count, and so is SkipStats: every engine records its Stats
+// alongside the Result, and TopR drops them on the way out, so a query
+// asked with and without stats (a /topr request and the same query in a
+// /batch) shares one entry. A parameter-free query keys
 // as k = 0: every fixed-k query that reaches the cache has k >= 2, so
 // the two never collide.
 type resultKey struct {
-	epoch     Epoch
-	engine    string
-	measure   Measure
-	k         int32
-	r         int
-	contexts  bool
-	skipStats bool
-	hasCands  bool
-	nCands    int
-	candHash  uint64
+	epoch    Epoch
+	engine   string
+	measure  Measure
+	k        int32
+	r        int
+	contexts bool
+	hasCands bool
+	nCands   int
+	candHash uint64
 }
 
 type resultEntry struct {
 	key   resultKey
 	cands []int32 // the exact candidate set, for collision-proof hits
 	res   *Result
-	stats *Stats // nil when the query ran with SkipStats
+	stats *Stats
 }
 
 // resultCacheDefaultCap bounds the LRU when Open is not given
@@ -79,15 +80,14 @@ func newResultCache(capacity int) *resultCache {
 // snapshot at epoch.
 func resultCacheKey(epoch Epoch, engine string, q Query) resultKey {
 	key := resultKey{
-		epoch:     epoch,
-		engine:    engine,
-		measure:   q.Measure.Normalize(),
-		k:         q.K,
-		r:         q.R,
-		contexts:  q.IncludeContexts,
-		skipStats: q.SkipStats,
-		hasCands:  q.Candidates != nil,
-		nCands:    len(q.Candidates),
+		epoch:    epoch,
+		engine:   engine,
+		measure:  q.Measure.Normalize(),
+		k:        q.K,
+		r:        q.R,
+		contexts: q.IncludeContexts,
+		hasCands: q.Candidates != nil,
+		nCands:   len(q.Candidates),
 	}
 	if key.hasCands {
 		// FNV-1a over the candidate IDs; collisions are tolerable (the

@@ -300,3 +300,56 @@ func TestResultCachePerEngineStats(t *testing.T) {
 		t.Fatalf("per-engine split does not sum to totals: %+v", rc)
 	}
 }
+
+// TestResultCacheSharedAcrossStatsOptOut: asking for stats or not does
+// not split the cache. A TopR followed by the same query in a Batch
+// (which never returns stats), or by the same query WithoutStats, is one
+// miss and one hit on one entry, in either order, and the opt-out only
+// nils the returned Stats.
+func TestResultCacheSharedAcrossStatsOptOut(t *testing.T) {
+	withStats := trussdiv.NewQuery(4, 1)
+	noStats := trussdiv.NewQuery(4, 1, trussdiv.WithoutStats())
+	for _, tc := range []struct {
+		name          string
+		first, second func(*trussdiv.DB) (*trussdiv.Stats, error)
+		wantStats     bool // whether the second call returns Stats
+	}{
+		{"TopR then Batch", topRStats(withStats), batchStats(noStats), false},
+		{"TopR then WithoutStats", topRStats(withStats), topRStats(noStats), false},
+		{"WithoutStats then TopR", topRStats(noStats), topRStats(withStats), true},
+	} {
+		db, err := trussdiv.Open(trussdiv.PaperExampleGraph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.first(db); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		stats, err := tc.second(db)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rc := db.ResultCacheStats(); rc.Hits != 1 || rc.Misses != 1 || rc.Size != 1 {
+			t.Errorf("%s: %+v, want one miss, one hit, one entry", tc.name, rc)
+		}
+		if (stats != nil) != tc.wantStats {
+			t.Errorf("%s: second call's stats = %+v, want present = %v", tc.name, stats, tc.wantStats)
+		}
+	}
+}
+
+// topRStats and batchStats run q through DB.TopR or a one-query
+// DB.Batch and return the Stats the call hands back (Batch: none).
+func topRStats(q trussdiv.Query) func(*trussdiv.DB) (*trussdiv.Stats, error) {
+	return func(db *trussdiv.DB) (*trussdiv.Stats, error) {
+		_, stats, err := db.TopR(context.Background(), q)
+		return stats, err
+	}
+}
+
+func batchStats(q trussdiv.Query) func(*trussdiv.DB) (*trussdiv.Stats, error) {
+	return func(db *trussdiv.DB) (*trussdiv.Stats, error) {
+		_, err := db.Batch(context.Background(), []trussdiv.Query{q})
+		return nil, err
+	}
+}

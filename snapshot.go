@@ -241,13 +241,18 @@ func (s *Snapshot) resolveBatch(qs []Query) ([]*catalogueEntry, error) {
 // repeat of a query this snapshot already answered returns the cached
 // Result (byte-identical — it IS the earlier answer) without entering
 // the engine. The Result is stamped with the snapshot's epoch; the
-// Stats, when requested, name the engine that answered.
+// Stats name the engine that answered, and are nil when q.SkipStats is
+// set.
 func (s *Snapshot) TopR(ctx context.Context, q Query) (*Result, *Stats, error) {
 	e, err := s.routeAmortized(q, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.cachedTopR(ctx, e, q)
+	res, stats, err := s.cachedTopR(ctx, e, q)
+	if q.SkipStats {
+		stats = nil
+	}
+	return res, stats, err
 }
 
 // cachedTopR runs q, already checked by routeAmortized, through its
