@@ -35,12 +35,12 @@ type resultCache struct {
 // resultKey identifies one cacheable query: the answering snapshot's
 // epoch, the resolved engine, and every answer-shaping Query field.
 // Workers is deliberately absent — answers are byte-identical for every
-// worker count, and so is SkipStats: every engine records its Stats
+// worker count — and so is SkipStats: every engine records its Stats
 // alongside the Result, and TopR drops them on the way out, so a query
 // asked with and without stats (a /topr request and the same query in a
-// /batch) shares one entry. A parameter-free query keys
-// as k = 0: every fixed-k query that reaches the cache has k >= 2, so
-// the two never collide.
+// /batch) shares one entry. A parameter-free query keys as k = 0: every
+// fixed-k query that reaches the cache has k >= 2, so the two never
+// collide.
 type resultKey struct {
 	epoch    Epoch
 	engine   string
