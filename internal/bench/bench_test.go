@@ -433,6 +433,70 @@ func TestDynamicExperimentEmitsJSON(t *testing.T) {
 	}
 }
 
+// measuresReport runs the quick-mode measures experiment on wiki-sim,
+// narrowed to one measure unless measure is empty, and decodes the
+// BENCH_measures.json it writes.
+func measuresReport(t *testing.T, measure string) MeasuresReport {
+	t.Helper()
+	e, ok := ByID("measures")
+	if !ok {
+		t.Fatal("measures experiment not registered")
+	}
+	cfg := Config{Quick: true, Seed: 1, OutDir: t.TempDir(), Datasets: []string{"wiki-sim"}, Measure: measure}
+	var buf bytes.Buffer
+	if err := e.Run(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(cfg.OutDir, MeasuresReportFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report MeasuresReport
+	if err := json.Unmarshal(blob, &report); err != nil {
+		t.Fatalf("BENCH_measures.json is not valid JSON: %v", err)
+	}
+	return report
+}
+
+// TestPFreeExperimentEmitsJSON checks the parameter-free cells of the
+// measures experiment: one pfree row per measure, at k = 0, with a
+// positive cold (online fallback) first query, Prepare cost and warm
+// ranked query, the cold all-k scan's allocations recorded, and the
+// prepared answer verified against the cold one.
+func TestPFreeExperimentEmitsJSON(t *testing.T) {
+	report := measuresReport(t, "")
+	seen := map[string]bool{}
+	for _, row := range report.Rows {
+		if row.Engine != "pfree" {
+			continue
+		}
+		if row.Dataset != "wiki-sim" {
+			t.Fatalf("unexpected dataset %q", row.Dataset)
+		}
+		if seen[row.Measure] {
+			t.Fatalf("measure %s has more than one pfree row", row.Measure)
+		}
+		seen[row.Measure] = true
+		if row.K != 0 {
+			t.Fatalf("pfree row %+v ran at k = %d, want 0", row, row.K)
+		}
+		if row.First.NS <= 0 || row.PrepareNS <= 0 || row.Warm.NS <= 0 {
+			t.Fatalf("row %+v has non-positive timings", row)
+		}
+		if row.First.AllocsPerOp <= 0 {
+			t.Fatalf("row %+v records no allocations for the cold all-k scan", row)
+		}
+		if !row.Verified {
+			t.Fatalf("row %+v not verified", row)
+		}
+	}
+	for _, m := range []string{"truss", "component", "core"} {
+		if !seen[m] {
+			t.Fatalf("measure %s has no pfree row (rows: %+v)", m, report.Rows)
+		}
+	}
+}
+
 // TestMeasuresExperimentEmitsJSON runs the quick-mode measures
 // experiment on one small dataset and checks the BENCH_measures.json
 // artifact: every (measure, engine) cell of the routing matrix appears
@@ -441,30 +505,9 @@ func TestDynamicExperimentEmitsJSON(t *testing.T) {
 // experiment itself fails when any answer diverges from its reference,
 // so a written artifact means the parity held.
 func TestMeasuresExperimentEmitsJSON(t *testing.T) {
-	e, ok := ByID("measures")
-	if !ok {
-		t.Fatal("measures experiment not registered")
-	}
 	db, err := trussdiv.Open(MustLoad("wiki-sim"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	run := func(measure string) MeasuresReport {
-		t.Helper()
-		cfg := Config{Quick: true, Seed: 1, OutDir: t.TempDir(), Datasets: []string{"wiki-sim"}, Measure: measure}
-		var buf bytes.Buffer
-		if err := e.Run(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(filepath.Join(cfg.OutDir, MeasuresReportFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var report MeasuresReport
-		if err := json.Unmarshal(blob, &report); err != nil {
-			t.Fatalf("BENCH_measures.json is not valid JSON: %v", err)
-		}
-		return report
 	}
 	// check holds the report's rows to exactly the catalogue's cells of
 	// the given measures.
@@ -502,13 +545,13 @@ func TestMeasuresExperimentEmitsJSON(t *testing.T) {
 			t.Fatalf("cells missing from the report: %v", want)
 		}
 	}
-	all := run("")
+	all := measuresReport(t, "")
 	check(all, trussdiv.AllMeasures()...)
 	if len(all.PrepareAll) != 1 {
 		t.Fatalf("prepare-all rows %+v, want one", all.PrepareAll)
 	}
 	// The -measure flag narrows the run to one measure's cells.
-	core := run("core")
+	core := measuresReport(t, "core")
 	check(core, trussdiv.MeasureCore)
 	if len(core.PrepareAll) != 0 {
 		t.Fatalf("-measure core produced prepare-all rows %+v", core.PrepareAll)
