@@ -77,7 +77,9 @@ bench:
 # path — ego extraction (its position marker grows once, to the largest N
 # the scratch serves; alternating between a larger and a smaller graph
 # after that allocates nothing), ego-network truss decomposition in both of the
-# peel's support modes (merge and bitmap, alternating on one scratch),
+# peel's support modes (merge and bitmap, alternating on one scratch) and
+# the single-k peel (KTrussInto and DecomposeInto alternating over growing
+# and shrinking ego-networks, TestKTrussIntoAllocFree),
 # per-vertex scoring under every measure, every DB point query (the GCT
 # index, the shared scorer, and the parameter-free branches), and query
 # routing (Route and
@@ -125,7 +127,10 @@ cover:
 # Each fuzz target runs for 15s from its seed corpus: the edge-list loader
 # (internal/graph/testdata/fuzz), the binary graph reader, ego extraction
 # through one scratch across two graphs of different N (seeded with the
-# Fig. 1 graph and an empty graph), the index-file reader, seeded from the
+# Fig. 1 graph and an empty graph), ego-network truss decomposition (one
+# small graph and its ego-networks through one scratch: DecomposeInto
+# against Decompose, KTrussInto against both at every k, the listing
+# marker clear after every call), the index-file reader, seeded from the
 # store goldens, the POST /edges and /batch bodies
 # (internal/server/testdata/fuzz), the raw query strings of GET /topr,
 # /score and /contexts (seeded with TestValidationErrors' URLs), and
@@ -141,6 +146,7 @@ fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLoadEdgeList -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadBinary -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/ego -run '^$$' -fuzz FuzzExtractOneInto -fuzztime 15s -fuzzminimizetime 5x
+	$(GO) test ./internal/truss -run '^$$' -fuzz FuzzDecomposeInto -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzOpenFile -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEdgesBody -fuzztime 15s -fuzzminimizetime 5x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime 15s -fuzzminimizetime 5x

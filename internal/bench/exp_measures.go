@@ -47,7 +47,7 @@ type MeasureRow struct {
 	// build (comp, kcore and pfree before Prepare).
 	First Op `json:"first"`
 	// PrepareNS is what Prepare(engine) cost on another fresh DB, and Warm
-	// the queries that prepared DB answers.
+	// the queries that prepared DB answers after one untimed query.
 	PrepareNS int64 `json:"prepare_ns"`
 	Warm      Op    `json:"warm"`
 	// Verified records that every answer of the cell matched the
@@ -174,8 +174,11 @@ func runMeasures(w io.Writer, cfg Config) error {
 
 // measureCell times one cell: q's first query on each of reps freshly
 // opened DBs, Prepare(q.Engine) on one more, and reps queries on that
-// prepared DB. It returns the cell's row (Dataset, Measure and Verified
-// left to the caller) and every answer it got.
+// prepared DB after one untimed query there. The untimed query builds
+// what Prepare leaves to the first query at q's k (a component or core
+// bound level), so every warm rep reads the same state. It returns the
+// cell's row (Dataset, Measure and Verified left to the caller) and every
+// answer it got.
 func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int) (MeasureRow, []*trussdiv.Result, error) {
 	var db *trussdiv.DB
 	open := func() (err error) {
@@ -200,6 +203,9 @@ func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int
 	prepare := Timed(func() { err = db.Prepare(ctx, q.Engine) })
 	if err != nil {
 		return MeasureRow{}, nil, fmt.Errorf("prepare: %w", err)
+	}
+	if err := query(); err != nil {
+		return MeasureRow{}, nil, fmt.Errorf("untimed query after prepare: %w", err)
 	}
 	warm, err := timeOp(reps, nil, query)
 	if err != nil {

@@ -97,7 +97,7 @@ func (s *Scorer) Contexts(v int32, k int32) [][]int32 {
 	return out
 }
 
-// ScoreAndContexts computes both in one truss decomposition of v's
+// ScoreAndContexts computes both from one single-k truss peel of v's
 // ego-network. The contexts are nil when no k-truss qualifies, as
 // Contexts reports.
 func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
@@ -107,7 +107,7 @@ func (s *Scorer) ScoreAndContexts(v int32, k int32) (int, [][]int32) {
 	if net.G.M() == 0 {
 		return 0, nil
 	}
-	tau := vs.tr.DecomposeInto(net.G)
+	tau := vs.tr.KTrussInto(net.G, k)
 	comps := vs.tr.Components(net.G, tau, k, net.Verts)
 	return len(comps), comps
 }

@@ -74,7 +74,7 @@ func (s *VertexScorer) Score(v int32, k int32) int {
 		if net.G.M() == 0 {
 			return 0
 		}
-		tau := s.tr.DecomposeInto(net.G)
+		tau := s.tr.KTrussInto(net.G, k)
 		return s.tr.CountComponents(net.G, tau, k)
 	}
 }
@@ -105,7 +105,7 @@ func (s *VertexScorer) Contexts(v int32, k int32) [][]int32 {
 		if net.G.M() == 0 {
 			return nil
 		}
-		return s.tr.Components(net.G, s.tr.DecomposeInto(net.G), k, net.Verts)
+		return s.tr.Components(net.G, s.tr.KTrussInto(net.G, k), k, net.Verts)
 	}
 }
 

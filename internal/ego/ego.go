@@ -8,10 +8,11 @@
 //     §3.2/§5.1). Each triangle through v is touched while building one
 //     ego-network. A position marker over global IDs tests membership in
 //     N(v) in O(1), so one extraction costs Σ|N⁺(u)| over u ∈ N(v), where
-//     N⁺(u) is the part of N(u) above u. The marker is an O(n) int32
-//     array per Scratch, grown once to the largest graph it serves:
-//     reuse one Scratch per worker via ExtractOneInto, and never call the
-//     one-shot ExtractOne in a loop.
+//     N⁺(u) is the part of N(u) above u, walked from the end of u's
+//     sorted list down to u. The marker is an O(n) int32 array per
+//     Scratch, grown once to the largest graph it serves: reuse one
+//     Scratch per worker via ExtractOneInto, and never call the one-shot
+//     ExtractOne in a loop.
 //   - ExtractAll performs one-shot global triangle listing and distributes
 //     each triangle to the three ego-networks it belongs to (the GCT
 //     pipeline, §6.2). Each triangle is enumerated once instead of being
@@ -20,7 +21,6 @@
 package ego
 
 import (
-	"slices"
 	"sort"
 
 	"trussdiv/internal/graph"
@@ -50,17 +50,19 @@ func (n *Network) Local(global int32) int32 {
 // Scratch owns the reusable storage one worker needs to extract
 // ego-networks without allocating in steady state: the builder's edge
 // slab, the local graph's CSR slabs, the Network header itself, and the
-// O(n) position marker of ExtractOneInto (all zero between calls). The
-// zero value is ready to use. A Scratch is not safe for concurrent use —
-// each worker owns exactly one — and the Network returned by
-// ExtractOneInto or All.NetworkInto (plus everything reachable from it)
-// is a view over the Scratch, valid only until the next extraction into
-// the same Scratch. See DESIGN.md "Scratch ownership contract".
+// O(n) position marker of ExtractOneInto (all zero between calls) with
+// its per-neighbor hit buffer. The zero value is ready to use. A Scratch
+// is not safe for concurrent use — each worker owns exactly one — and
+// the Network returned by ExtractOneInto or All.NetworkInto (plus
+// everything reachable from it) is a view over the Scratch, valid only
+// until the next extraction into the same Scratch. See DESIGN.md
+// "Scratch ownership contract".
 type Scratch struct {
-	b   graph.Builder
-	csr graph.Scratch
-	net Network
-	pos []int32 // global ID -> local ID + 1 over N(center); all zero between calls
+	b    graph.Builder
+	csr  graph.Scratch
+	net  Network
+	pos  []int32 // global ID -> local ID + 1 over N(center); all zero between calls
+	hits []int32 // local IDs one neighbor's upper run hit, in descending order
 }
 
 // ExtractOneInto is ExtractOne into recycled storage: the returned
@@ -68,10 +70,13 @@ type Scratch struct {
 //
 // It lists the triangles through v with a position marker: pos[w] holds
 // w's local ID + 1 while w ∈ N(v), so each neighbor u tests the part of
-// N(u) above u (found by binary search) in O(1) per entry. That costs
-// Σ|N⁺(u)| over u ∈ N(v), against Σ(d(u) + d(v)) for a merge, whose
-// d(v)² term dominates at hubs. The marker is an int32 array over global
-// IDs, grown to g.N() on the first extraction that needs it and reused
+// N(u) above u in O(1) per entry, walking its sorted list from the end
+// and stopping at u. That costs Σ|N⁺(u)| over u ∈ N(v), against
+// Σ(d(u) + d(v)) for a merge, whose d(v)² term dominates at hubs. The
+// walk meets u's hits in descending order, so they are reversed before
+// they reach the builder, which then gets every edge in (lu, lw) order
+// and skips its sort. The marker is an int32 array over global IDs,
+// grown to g.N() on the first extraction that needs it and reused
 // afterwards; only the entries of N(v) are set and cleared again, so it
 // is all zero between calls and serves any graph, smaller ones included.
 func ExtractOneInto(s *Scratch, g *graph.Graph, v int32) *Network {
@@ -87,12 +92,16 @@ func ExtractOneInto(s *Scratch, g *graph.Graph, v int32) *Network {
 		}
 		for lu, u := range verts {
 			nu := g.Neighbors(u)
-			i, _ := slices.BinarySearch(nu, u+1) // N⁺(u): each ego edge once
-			for _, w := range nu[i:] {
-				if p := pos[w]; p != 0 {
-					s.b.AddEdge(int32(lu), p-1)
+			hits := s.hits[:0]
+			for i := len(nu) - 1; i >= 0 && nu[i] > u; i-- { // N⁺(u): each ego edge once
+				if p := pos[nu[i]]; p != 0 {
+					hits = append(hits, p-1)
 				}
 			}
+			for i := len(hits) - 1; i >= 0; i-- {
+				s.b.AddEdge(int32(lu), hits[i])
+			}
+			s.hits = hits
 		}
 		for _, w := range verts {
 			pos[w] = 0

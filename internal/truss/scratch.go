@@ -12,11 +12,11 @@ import (
 // to decompose and score ego-network-sized graphs without allocating in
 // steady state. The zero value is ready to use. A Scratch is not safe
 // for concurrent use — each worker owns exactly one — and the slices
-// returned by DecomposeInto and DecomposeBitmapInto are views over the
-// Scratch, valid only until its next use. See DESIGN.md "Scratch
-// ownership contract".
+// returned by DecomposeInto, KTrussInto and DecomposeBitmapInto are
+// views over the Scratch, valid only until its next use. See DESIGN.md
+// "Scratch ownership contract".
 type Scratch struct {
-	// peeling state (DecomposeInto, DecomposeBitmapInto)
+	// peeling state (DecomposeInto, KTrussInto, DecomposeBitmapInto)
 	sup      []int32
 	tau      []int32
 	binStart []int32
@@ -24,6 +24,10 @@ type Scratch struct {
 	pos      []int32
 	cursor   []int32
 	removed  []bool
+
+	// listing marker (DecomposeInto, KTrussInto): mark[w] holds the ID + 1
+	// of edge (u,w) while the listing visits u; all zero between calls.
+	mark []int32
 
 	// bitmap mode (DecomposeBitmapInto): vertex v's adjacency row is
 	// rows[v*words : (v+1)*words]; words == 0 selects the merge mode.
@@ -38,20 +42,64 @@ type Scratch struct {
 }
 
 // DecomposeInto is Decompose over s's recycled storage: supports are
-// counted by merging each edge's two sorted adjacency lists (the local
-// equivalent of the global triangle pass, suited to ego-network-sized
-// inputs) and the peel runs in the scratch bins. The returned tau is
-// owned by s and valid only until the next decomposition.
+// counted by one oriented triangle listing (listSupports) and the peel
+// runs in the scratch bins. The returned tau is owned by s and valid only
+// until the next decomposition.
 func (s *Scratch) DecomposeInto(g *graph.Graph) []int32 {
-	m := g.M()
+	s.listSupports(g)
+	return s.peel(g, math.MaxInt32)
+}
+
+// KTrussInto is DecomposeInto for one threshold k: the peel stops once
+// the lowest live support is at least k−2, since every edge still live
+// then lies in the k-truss, and gives those edges τ = k. Every edge below
+// the k-truss gets its exact trussness, so CountComponents and Components
+// at k read the returned tau exactly as they read DecomposeInto's; other
+// thresholds must not. A k below 2 peels nothing and gives every edge
+// τ = 2. The returned tau is owned by s and valid only until the next
+// decomposition.
+func (s *Scratch) KTrussInto(g *graph.Graph, k int32) []int32 {
+	s.listSupports(g)
+	return s.peel(g, max(k, 2))
+}
+
+// listSupports sets s.sup[e] to the number of triangles through every
+// edge e of g, listing each triangle once from its lowest vertex u: the
+// marker holds N⁺(u), the neighbours above u, and for each v ∈ N⁺(u) a
+// walk of N⁺(v) finds every w that closes a triangle (u, v, w), adding
+// one to all three of its edges. Both upper runs are walked from the end
+// of the sorted lists, so the listing costs Σ over edges (u,v), u < v, of
+// |N⁺(v)|, and the marker is cleared again after each u.
+func (s *Scratch) listSupports(g *graph.Graph) {
+	n := g.N()
 	s.words = 0
-	s.sup = grow(s.sup, m)
-	for id, e := range g.Edges() {
-		c := int32(0)
-		forEachCommonArc(g, e.U, e.V, func(_, _, _ int32) { c++ })
-		s.sup[id] = c
+	s.sup = grow(s.sup, g.M())
+	clear(s.sup)
+	if len(s.mark) < n {
+		s.mark = make([]int32, n)
 	}
-	return s.peel(g)
+	sup, mark := s.sup, s.mark
+	for u := range int32(n) {
+		nu, eu := g.Arcs(u)
+		lo := len(nu)
+		for lo > 0 && nu[lo-1] > u {
+			lo--
+			mark[nu[lo]] = eu[lo] + 1
+		}
+		for i := lo; i < len(nu); i++ {
+			nv, ev := g.Arcs(nu[i])
+			for j := len(nv) - 1; j >= 0 && nv[j] > nu[i]; j-- {
+				if x := mark[nv[j]]; x != 0 {
+					sup[eu[i]]++
+					sup[ev[j]]++
+					sup[x-1]++
+				}
+			}
+		}
+		for _, w := range nu[lo:] {
+			mark[w] = 0
+		}
+	}
 }
 
 // DecomposeBitmapInto is DecomposeInto with paper §6.2's bitmap supports:
@@ -79,7 +127,7 @@ func (s *Scratch) DecomposeBitmapInto(g *graph.Graph) []int32 {
 		}
 		s.sup[id] = int32(c)
 	}
-	return s.peel(g)
+	return s.peel(g, math.MaxInt32)
 }
 
 // row is vertex v's adjacency bit row in bitmap mode.
@@ -91,8 +139,11 @@ func (s *Scratch) row(v int32) []uint64 {
 // peel is Algorithm 1 over scratch storage — the package's one peeler:
 // edges leave in ascending support order through a bin sort. It consumes
 // s.sup, and lists each peeled edge's live triangles from the bit rows in
-// bitmap mode (s.words > 0), by merging adjacency lists otherwise.
-func (s *Scratch) peel(g *graph.Graph) []int32 {
+// bitmap mode (s.words > 0), by merging adjacency lists otherwise. The
+// peel ends early once the lowest live support reaches stop−2: the live
+// edges then form a stop-truss and all get τ = stop, while every edge
+// peeled before has its exact τ < stop. math.MaxInt32 peels to the end.
+func (s *Scratch) peel(g *graph.Graph, stop int32) []int32 {
 	m := g.M()
 	s.tau = grow(s.tau, m)
 	if m == 0 {
@@ -156,6 +207,12 @@ func (s *Scratch) peel(g *graph.Graph) []int32 {
 	k := int32(2)
 	for i := 0; i < m; i++ {
 		e := sorted[i]
+		if sup[e] >= stop-2 {
+			for _, e := range sorted[i:] {
+				tau[e] = stop
+			}
+			break
+		}
 		if sup[e] > k-2 {
 			k = sup[e] + 2
 		}

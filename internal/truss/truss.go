@@ -10,15 +10,19 @@
 // procedure at O(ρ·m) after triangle counting.
 //
 // Scratch.peel is the package's one such peel. Its callers differ only in
-// how supports are counted: by a global triangle pass (Decompose), by
-// merging adjacency lists (Scratch.DecomposeInto), or from per-vertex bit
-// rows (Scratch.DecomposeBitmapInto, paper §6.2's bitmap engine for
+// how supports are counted and where the peel stops: by a global triangle
+// pass (Decompose), by a local listing of each triangle once
+// (Scratch.DecomposeInto, and Scratch.KTrussInto, which stops the peel at
+// one threshold k), or from per-vertex bit rows
+// (Scratch.DecomposeBitmapInto, paper §6.2's bitmap engine for
 // ego-networks), in which mode the peel also lists a peeled edge's live
 // triangles from the rows. The h-index descent that DecomposeParallel and
 // Repair share is a separate algorithm.
 package truss
 
 import (
+	"math"
+
 	"trussdiv/internal/graph"
 )
 
@@ -28,7 +32,7 @@ import (
 // the peel is Scratch's, run over a scratch owned by this call.
 func Decompose(g *graph.Graph) []int32 {
 	s := Scratch{sup: g.Supports()}
-	return s.peel(g)
+	return s.peel(g, math.MaxInt32)
 }
 
 // DecomposeWithSupports is Decompose for callers that already computed the
@@ -37,7 +41,7 @@ func Decompose(g *graph.Graph) []int32 {
 // (the loadbench replay of Repair seeds from them).
 func DecomposeWithSupports(g *graph.Graph, sup []int32) []int32 {
 	s := Scratch{sup: append([]int32(nil), sup...)}
-	return s.peel(g)
+	return s.peel(g, math.MaxInt32)
 }
 
 // forEachCommonArc calls fn(w, id(u,w), id(v,w)) for every common neighbor
