@@ -91,12 +91,16 @@ bench:
 # copy-on-write of the TSD and GCT entries of one 8+8 batch allocates
 # within 1.5x the bytes on a graph and on the same graph padded with ten
 # times as many isolated vertices: it copies the page table and the
-# pages the batch touches, never all n entries. The truss repair
+# pages the batch touches, never all n entries. The ranking splice of one
+# 8+8 batch (the three measures' tables) allocates within 1.5x the bytes
+# on a graph and on that graph padded with nine disjoint copies of
+# itself: it copies the chunk tables of the rankings the batch moves and
+# the chunks it touches, never whole rankings. The truss repair
 # tripwire holds an 8-insertion Repair to 1.5x the bytes of a 1-insertion
 # one; Apply no longer calls Repair, so it guards only the subject of the
 # loadbench replay. Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs|PatchAllAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
+	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs|PatchAllAllocs|SpliceAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:

@@ -203,7 +203,7 @@ func (c *indexCache) advance(ctx context.Context, newG *Graph, ins, del []Edge, 
 		}
 	}
 	oldG := c.g
-	old := &core.BuildProducts{TSD: c.tsd, GCT: c.gct, MeasureRanks: map[Measure][][]core.VertexScore{}}
+	old := &core.BuildProducts{TSD: c.tsd, GCT: c.gct, MeasureRanks: map[Measure]core.RankTable{}}
 	t := core.BuildTargets{TSD: c.tsd != nil, GCT: c.gct != nil}
 	for _, m := range AllMeasures() {
 		if r := c.ranked[m]; r != nil {
@@ -332,7 +332,7 @@ func (c *indexCache) loadLocked(ref store.SectionRef) bool {
 		c.gct = loadSection(c, ref, (*store.File).GCT)
 		return c.gct != nil
 	}
-	perK := loadSection(c, ref, func(f *store.File) ([][]core.VertexScore, error) {
+	perK := loadSection(c, ref, func(f *store.File) (core.RankTable, error) {
 		return f.MeasureRankings(ref.Measure)
 	})
 	if perK == nil {
@@ -453,7 +453,7 @@ func (c *indexCache) rankedTable(m Measure, build bool) *core.Ranked {
 
 // setRankedLocked adopts perK as measure m's table, bound to the cache's
 // shared scorer of m.
-func (c *indexCache) setRankedLocked(m Measure, perK [][]core.VertexScore) *core.Ranked {
+func (c *indexCache) setRankedLocked(m Measure, perK core.RankTable) *core.Ranked {
 	if c.ranked == nil {
 		c.ranked = make(map[core.Measure]*core.Ranked, len(c.scorers))
 	}
@@ -476,7 +476,7 @@ func (c *indexCache) persistLocked() {
 	}
 	ix := store.Indexes{Tau: c.tau, TSD: c.tsd, GCT: c.gct, Epoch: uint64(c.epoch)}
 	if len(c.ranked) > 0 {
-		ix.MeasureRankings = make(map[core.Measure][][]core.VertexScore, len(c.ranked))
+		ix.MeasureRankings = make(map[core.Measure]core.RankTable, len(c.ranked))
 		for m, r := range c.ranked {
 			ix.MeasureRankings[m] = r.Rankings()
 		}

@@ -150,3 +150,58 @@ func TestPatchAllAllocsIndependentOfN(t *testing.T) {
 			small, g.N(), large, 10*g.N())
 	}
 }
+
+// TestSpliceAllocsIndependentOfN pins the ranking splice's copy-on-write:
+// splicing one fixed 8+8 batch's fresh scores into the three measures'
+// tables allocates within 1.5x the bytes on a graph and on that graph
+// padded with nine disjoint copies of itself, whose rankings are ten
+// times as long. The splice copies the chunk tables of the rankings the
+// batch moves and the chunks it touches, never whole rankings; a splice
+// that copied every changed ranking in full measured about 10x here.
+// (Isolated vertices would not do as padding: they score nowhere, so the
+// rankings would not grow.)
+func TestSpliceAllocsIndependentOfN(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 1000, Attach: 4, Cliques: 300, MinSize: 5, MaxSize: 10, Seed: 11,
+	})
+	ins, del := randomEdits(t, g, 8, 8, 12)
+	targets := BuildTargets{Measures: AllMeasures()}
+	spliceBytes := func(copies int) uint64 {
+		var edges []graph.Edge
+		for c := range copies {
+			off := int32(c * g.N())
+			for _, e := range g.Edges() {
+				edges = append(edges, graph.Edge{U: e.U + off, V: e.V + off})
+			}
+		}
+		padded, err := graph.FromEdges(copies*g.N(), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newG, err := ApplyEdits(padded, ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		affected := AffectedVertices(padded, newG, ins, del)
+		old := BuildAll(padded, targets, 1).MeasureRanks
+		p := newEgoPass(newG, targets, len(affected))
+		p.run(len(affected), 1, nil, func(slot int) int32 { return affected[slot] })
+		least := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for m, table := range old {
+				spliceRankings(table, affected, p.vecs[m])
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := spliceBytes(1), spliceBytes(10)
+	t.Logf("splice of an 8+8 batch: %d bytes on %d vertices, %d bytes with nine copies added", small, g.N(), large)
+	if 2*large > 3*small {
+		t.Errorf("ranking splice of an 8+8 batch allocates %d bytes on %d vertices, %d bytes with nine disjoint copies added; want within 1.5x",
+			small, g.N(), large)
+	}
+}

@@ -183,9 +183,9 @@ func checkPatchMatchesBuildAll(t *testing.T, seed int64, targets []patchTarget) 
 						t.Fatalf("%s/w=%d: patched %d tables, want %d", label, w, len(p.MeasureRanks), len(tc.tables))
 					}
 					for _, m := range tc.tables {
-						if !reflect.DeepEqual(p.MeasureRanks[m], want.MeasureRanks[m]) {
+						if got, want := wide(p.MeasureRanks[m]), wide(want.MeasureRanks[m]); !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s/w=%d: patched %s table diverges from BuildAll\n got %v\nwant %v",
-								label, w, m, p.MeasureRanks[m], want.MeasureRanks[m])
+								label, w, m, got, want)
 						}
 					}
 					for _, m := range tc.tables {
@@ -232,7 +232,7 @@ func brutePFreeRanking(g *graph.Graph, m Measure) []VertexScore {
 
 // checkPFreeRow answers the parameter-free query (K = 0, r = n) from a
 // Ranked table over perK and compares it with the brute-force ranking.
-func checkPFreeRow(t *testing.T, label string, g *graph.Graph, m Measure, perK [][]VertexScore, want []VertexScore) {
+func checkPFreeRow(t *testing.T, label string, g *graph.Graph, m Measure, perK RankTable, want []VertexScore) {
 	t.Helper()
 	res, _, err := NewRanked(NewMeasureScorer(g, m), perK).Search(context.Background(),
 		Params{R: g.N(), SkipContexts: true, Measure: m})

@@ -104,51 +104,52 @@ func MeasureUpperBound(m Measure, degree int, egoEdges int32, k int32) int {
 }
 
 // Ranked serves top-r queries of one measure from its precomputed per-k
-// rankings: perK[k] is the complete vertex ranking at threshold k, so a
-// top-r query reads the first r entries directly. For the truss measure
-// this is the Hybrid competitor of paper Exp-4 — by Lemma 3 its table is
-// exactly the truss row of the per-measure table BuildAll produces — and
-// the same strategy serves the component and core measures. Reading the
-// ranking is an O(r) prefix scan; the social contexts of the answer
-// vertices are recovered online with the measure's shared Scorer (spread
-// over p.Workers), which is what makes the strategy lose to GCT as r
-// grows. The same table answers the parameter-free query (K = 0) from a
-// pfree row it derives from its per-k rows on first use (pfreeRow).
+// rankings: the table's ranking at k is the complete vertex ranking at
+// threshold k, so a top-r query reads its first r entries directly. For
+// the truss measure this is the Hybrid competitor of paper Exp-4 — by
+// Lemma 3 its table is exactly the truss row of the per-measure table
+// BuildAll produces — and the same strategy serves the component and core
+// measures. Reading the ranking is an O(r) prefix scan; the social
+// contexts of the answer vertices are recovered online with the measure's
+// shared Scorer (spread over p.Workers), which is what makes the strategy
+// lose to GCT as r grows. The same table answers the parameter-free query
+// (K = 0) from a pfree row it derives from its per-k rows on first use
+// (pfreeRow).
 type Ranked struct {
 	scorer *Scorer
-	perK   [][]VertexScore
+	table  RankTable
 	pfOnce sync.Once
-	pf     []VertexScore // the pfree row, set by pfreeRow
+	pf     RankRow // the pfree row, set by pfreeRow
 }
 
 // NewRanked returns a rankings-backed searcher for scorer's measure over
-// scorer's graph. perK must come from BuildAll for that measure (or an
-// index store that persisted it, or PatchAll): perK[k]
-// sorted by score descending, vertex ascending, zero scores omitted. The
-// rankings are adopted, not copied; the scorer recovers contexts.
-func NewRanked(scorer *Scorer, perK [][]VertexScore) *Ranked {
-	return &Ranked{scorer: scorer, perK: perK}
+// scorer's graph. table must come from BuildAll for that measure (or an
+// index store that persisted it, or PatchAll): each ranking sorted by
+// score descending, vertex ascending, zero scores omitted. The table is
+// adopted, not copied; the scorer recovers contexts.
+func NewRanked(scorer *Scorer, table RankTable) *Ranked {
+	return &Ranked{scorer: scorer, table: table}
 }
 
 // Measure returns the measure the rankings were scored under.
 func (r *Ranked) Measure() Measure { return r.scorer.m }
 
-// Rankings returns every per-k ranking indexed by k (entries below k=2
-// are nil). The slices alias internal storage.
-func (r *Ranked) Rankings() [][]VertexScore { return r.perK }
+// Rankings returns the per-k table (entries below k=2 are empty). It
+// aliases internal storage.
+func (r *Ranked) Rankings() RankTable { return r.table }
 
 // Ranking returns the full precomputed ranking for k (sorted by score
-// descending), nil outside the table; k = 0 returns the parameter-free
-// ranking, derived from the per-k rows on the first such call. The slice
-// aliases internal storage.
-func (r *Ranked) Ranking(k int32) []VertexScore {
+// descending), empty outside the table; k = 0 returns the parameter-free
+// ranking, derived from the per-k rows on the first such call. It aliases
+// internal storage.
+func (r *Ranked) Ranking(k int32) RankRow {
 	if k == 0 {
 		return r.pfreeRow()
 	}
-	if k < 0 || int(k) >= len(r.perK) {
-		return nil
+	if k < 0 || int(k) >= len(r.table) {
+		return RankRow{}
 	}
-	return r.perK[k]
+	return r.table[k]
 }
 
 // TopR answers from the precomputed ranking, then recovers the contexts
@@ -199,25 +200,27 @@ func (r *Ranked) Search(ctx context.Context, p Params) (*Result, *Stats, error) 
 // context — matching the scanning searchers' answer byte for byte. The
 // second return is the number of ranked candidates considered (the
 // Stats.Candidates of rankings-backed engines).
-func rankedAnswer(ranked []VertexScore, n int, p Params) ([]VertexScore, int) {
+func rankedAnswer(ranked RankRow, n int, p Params) ([]VertexScore, int) {
 	var answer []VertexScore
 	var candidates int
 	if p.Candidates == nil {
-		candidates = len(ranked)
-		answer = append(make([]VertexScore, 0, p.R), ranked[:min(p.R, len(ranked))]...)
+		candidates = ranked.Len()
+		answer = ranked.AppendTo(make([]VertexScore, 0, p.R), p.R)
 	} else {
 		inCand := make(map[int32]bool, len(p.Candidates))
 		for _, v := range p.Candidates {
 			inCand[v] = true
 		}
 		answer = make([]VertexScore, 0, p.R)
-		for _, e := range ranked {
-			if !inCand[e.V] {
-				continue
-			}
-			candidates++
-			if len(answer) < p.R {
-				answer = append(answer, e)
+		for _, c := range ranked.Chunks() {
+			for _, e := range c {
+				if !inCand[e.V] {
+					continue
+				}
+				candidates++
+				if len(answer) < p.R {
+					answer = append(answer, VertexScore{V: e.V, Score: int(e.Score)})
+				}
 			}
 		}
 	}

@@ -150,7 +150,7 @@ func TestMeasureRankingsMatchScores(t *testing.T) {
 	for _, tc := range measureParityGraphs(t)[:2] {
 		g := tc.g
 		for _, m := range []Measure{MeasureComponent, MeasureCore} {
-			perK := buildRanked(g, m).Rankings()
+			perK := wide(buildRanked(g, m).Rankings())
 			scorer := NewMeasureScorer(g, m)
 			maxK := int32(len(perK) + 2)
 			for k := int32(2); k <= maxK; k++ {
@@ -280,5 +280,28 @@ func TestParseMeasure(t *testing.T) {
 	}
 	if names := AllMeasures(); len(names) != 3 || names[0] != MeasureTruss {
 		t.Fatalf("AllMeasures() = %v", names)
+	}
+}
+
+// TestRankingsNest pins what the ranking splice relies on to stop
+// looking for a vertex: under every measure, a vertex listed at k >= 3 is
+// listed at k-1 too (a k-truss is a (k-1)-truss, a component of k
+// vertices has k-1, a k-core is a (k-1)-core).
+func TestRankingsNest(t *testing.T) {
+	for _, tc := range measureParityGraphs(t) {
+		for _, m := range AllMeasures() {
+			perK := wide(buildRanked(tc.g, m).Rankings())
+			for k := 3; k < len(perK); k++ {
+				below := map[int32]bool{}
+				for _, e := range perK[k-1] {
+					below[e.V] = true
+				}
+				for _, e := range perK[k] {
+					if !below[e.V] {
+						t.Fatalf("%s/%s: vertex %d listed at k=%d but not at k=%d", tc.name, m, e.V, k, k-1)
+					}
+				}
+			}
+		}
 	}
 }

@@ -56,21 +56,23 @@ func pfreeLevel(allK []int) int32 {
 }
 
 // pfreeRow derives the canonical pfree ranking (score descending, vertex
-// ascending, zero scores omitted, never nil) from the table's per-k rows,
-// once per table. Every listed (v, k, s) entry witnesses exactly the
-// per-level h of pfreeScore, so one pass over the table takes each
-// vertex's best witness, and a counting sort over the scores — bucketed
-// by score descending, filled in vertex order — lays out the row: O(n +
-// table), no map and no comparison sort.
-func (r *Ranked) pfreeRow() []VertexScore {
+// ascending, zero scores omitted) from the table's per-k rows, once per
+// table. Every listed (v, k, s) entry witnesses exactly the per-level h of
+// pfreeScore, so one pass over the table takes each vertex's best
+// witness, and a counting sort over the scores — bucketed by score
+// descending, filled in vertex order — lays out the row: O(n + table), no
+// map and no comparison sort.
+func (r *Ranked) pfreeRow() RankRow {
 	r.pfOnce.Do(func() {
 		best := make([]int32, r.scorer.g.N())
-		// A witness never exceeds its level, so scores stay below len(perK).
-		count := make([]int, len(r.perK)+1)
-		for k := 2; k < len(r.perK); k++ {
-			for _, e := range r.perK[k] {
-				if h := int32(witness(k, e.Score)); h > best[e.V] {
-					best[e.V] = h
+		// A witness never exceeds its level, so scores stay below len(table).
+		count := make([]int, len(r.table)+1)
+		for k := 2; k < len(r.table); k++ {
+			for _, c := range r.table[k].chunks {
+				for _, e := range c {
+					if h := int32(witness(k, int(e.Score))); h > best[e.V] {
+						best[e.V] = h
+					}
 				}
 			}
 		}
@@ -85,14 +87,14 @@ func (r *Ranked) pfreeRow() []VertexScore {
 			count[h] = total
 			total += c
 		}
-		row := make([]VertexScore, total)
+		row := make([]RankPair, total)
 		for v, h := range best {
 			if h > 0 {
-				row[count[h]] = VertexScore{V: int32(v), Score: int(h)}
+				row[count[h]] = RankPair{V: int32(v), Score: h}
 				count[h]++
 			}
 		}
-		r.pf = row
+		r.pf = rowOf(row)
 	})
 	return r.pf
 }

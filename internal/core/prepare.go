@@ -45,11 +45,10 @@ type BuildProducts struct {
 	TSD *TSDIndex
 	GCT *GCTIndex
 	// MeasureRanks holds each requested measure's per-k rankings (feed
-	// NewRanked): perK[k] sorted by score descending then vertex
-	// ascending, zero scores omitted, nil for empty lists and for k < 2,
-	// the table trimmed to the largest k any vertex scores at (minimum
-	// length 3).
-	MeasureRanks map[Measure][][]VertexScore
+	// NewRanked): the ranking at k sorted by score descending then vertex
+	// ascending, zero scores omitted, empty for k < 2, the table trimmed
+	// to the largest k any vertex scores at (minimum length 3).
+	MeasureRanks map[Measure]RankTable
 }
 
 // BuildAll builds every requested structure in one pass over the
@@ -76,7 +75,7 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 	out := &BuildProducts{TSD: p.tsd, GCT: p.gct}
 	for m, vecs := range p.vecs {
 		if out.MeasureRanks == nil {
-			out.MeasureRanks = make(map[Measure][][]VertexScore, len(p.vecs))
+			out.MeasureRanks = make(map[Measure]RankTable, len(p.vecs))
 		}
 		out.MeasureRanks[m] = assembleMeasureRanks(vecs)
 	}
@@ -91,14 +90,16 @@ func BuildAll(g *graph.Graph, t BuildTargets, workers int) *BuildProducts {
 // t.Measures gets its per-k table in old.MeasureRanks (which must hold
 // one) patched into MeasureRanks; the tables are spliced side by side on
 // `workers` goroutines. Every product is copy-on-write — fresh pages for
-// the affected vertices' entries and fresh ranking levels where they
-// moved, sharing every other page and level with old, which stays fully
-// usable — and identical to a BuildAll over g. A non-nil scratch lends
-// the pass its workers' extraction and decomposition storage and keeps it
-// for the next pass, so a caller patching batch after batch allocates the
-// ego-network markers (an int32 per vertex per worker) once; nil gives
-// the pass fresh storage.
+// the affected vertices' entries and fresh ranking chunks where they
+// moved, sharing every other page, chunk and ranking with old, which
+// stays fully usable — and holds what a BuildAll over g does. A non-nil
+// scratch lends the pass its workers' extraction and decomposition
+// storage and keeps it for the next pass, so a caller patching batch after batch allocates those
+// per-vertex arrays once; nil gives the pass fresh storage.
 func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int32, workers int, scratch *PassScratch) *BuildProducts {
+	if scratch == nil {
+		scratch = new(PassScratch)
+	}
 	p := newEgoPass(g, t, len(affected))
 	if t.TSD {
 		p.tsd = &TSDIndex{
@@ -117,22 +118,18 @@ func PatchAll(g *graph.Graph, old *BuildProducts, t BuildTargets, affected []int
 	if len(p.vecs) == 0 {
 		return out
 	}
-	marked := make([]bool, g.N())
-	for _, v := range affected {
-		marked[v] = true
-	}
 	measures := slices.Collect(maps.Keys(p.vecs))
-	tables := make([][][]VertexScore, len(measures))
+	tables := make([]RankTable, len(measures))
 	// Each table is its own splice over read-only inputs, written to its
 	// own slot, so the products do not depend on the schedule. The
 	// background context never reports an error, so neither does For.
 	_ = par.For(context.Background(), len(measures), workers, 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m := measures[i]
-			tables[i] = spliceRankings(old.MeasureRanks[m], affected, marked, p.vecs[m])
+			tables[i] = spliceRankings(old.MeasureRanks[m], affected, p.vecs[m])
 		}
 	})
-	out.MeasureRanks = make(map[Measure][][]VertexScore, len(measures))
+	out.MeasureRanks = make(map[Measure]RankTable, len(measures))
 	for i, m := range measures {
 		out.MeasureRanks[m] = tables[i]
 	}
@@ -266,23 +263,37 @@ func copyAllK(allk []int) []int32 {
 }
 
 // assembleMeasureRanks shapes the per-vertex measure vectors (indexed by
-// vertex) into per-k rankings: minimum table length 3, empty entries
-// nil, canonical order per k. Each vector ends at its vertex's largest
-// scoring k, so the table ends at the largest k any vertex scores at.
-func assembleMeasureRanks(vecs [][]int32) [][]VertexScore {
-	perK := make([][]VertexScore, 3)
-	for v, vec := range vecs {
-		for len(perK) < len(vec) {
-			perK = append(perK, nil)
+// vertex) into per-k rankings: minimum table length 3, canonical order
+// per k. Each vector ends at its vertex's largest scoring k, so the table
+// ends at the largest k any vertex scores at. Each ranking's chunks are
+// cut out of one array of exactly its length.
+func assembleMeasureRanks(vecs [][]int32) RankTable {
+	counts := make([]int, 3)
+	for _, vec := range vecs {
+		for len(counts) < len(vec) {
+			counts = append(counts, 0)
 		}
 		for k := 2; k < len(vec); k++ {
-			if s := vec[k]; s > 0 {
-				perK[k] = append(perK[k], VertexScore{V: int32(v), Score: int(s)})
+			if vec[k] > 0 {
+				counts[k]++
 			}
 		}
 	}
-	for k := 2; k < len(perK); k++ {
-		sortAnswer(perK[k])
+	rows := make([][]RankPair, len(counts))
+	for k, c := range counts {
+		if c > 0 {
+			rows[k] = make([]RankPair, 0, c)
+		}
 	}
-	return perK
+	for v, vec := range vecs {
+		for k := 2; k < len(vec); k++ {
+			if s := vec[k]; s > 0 {
+				rows[k] = append(rows[k], RankPair{V: int32(v), Score: s})
+			}
+		}
+	}
+	for _, row := range rows {
+		slices.SortFunc(row, comparePairs)
+	}
+	return NewRankTable(rows)
 }

@@ -79,15 +79,15 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 			if !reflect.DeepEqual(p.GCT, wantGCT) {
 				t.Fatalf("%s/w=%d: BuildAll GCT index diverges from BuildGCTIndex", tc.name, workers)
 			}
-			if !reflect.DeepEqual(p.MeasureRanks[MeasureTruss], wantHybrid) {
+			if !reflect.DeepEqual(wide(p.MeasureRanks[MeasureTruss]), wantHybrid) {
 				t.Fatalf("%s/w=%d: BuildAll truss rankings diverge from the GCT index scores\n got %v\nwant %v",
-					tc.name, workers, p.MeasureRanks[MeasureTruss], wantHybrid)
+					tc.name, workers, wide(p.MeasureRanks[MeasureTruss]), wantHybrid)
 			}
-			if !reflect.DeepEqual(p.MeasureRanks[MeasureComponent], wantComp) {
+			if !reflect.DeepEqual(wide(p.MeasureRanks[MeasureComponent]), wantComp) {
 				t.Fatalf("%s/w=%d: BuildAll component rankings diverge from the baseline model",
 					tc.name, workers)
 			}
-			if !reflect.DeepEqual(p.MeasureRanks[MeasureCore], wantCore) {
+			if !reflect.DeepEqual(wide(p.MeasureRanks[MeasureCore]), wantCore) {
 				t.Fatalf("%s/w=%d: BuildAll core rankings diverge from the baseline model",
 					tc.name, workers)
 			}
@@ -100,7 +100,7 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 	if p.TSD != nil || p.GCT != nil || len(p.MeasureRanks) != 1 {
 		t.Fatal("unrequested products were built")
 	}
-	if !reflect.DeepEqual(p.MeasureRanks[MeasureTruss], referenceRankings(g.N(), BuildGCTIndex(g).Score)) {
+	if !reflect.DeepEqual(wide(p.MeasureRanks[MeasureTruss]), referenceRankings(g.N(), BuildGCTIndex(g).Score)) {
 		t.Fatal("truss-only BuildAll diverges from the GCT index scores")
 	}
 }

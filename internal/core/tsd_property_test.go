@@ -95,7 +95,8 @@ func TestHybridAccessors(t *testing.T) {
 		t.Fatalf("maxK = %d, measure %q", maxK, h.Measure())
 	}
 	for k := int32(2); k <= maxK; k++ {
-		ranking := h.Ranking(k)
+		row := h.Ranking(k)
+		ranking := row.AppendTo(nil, row.Len())
 		for i := 1; i < len(ranking); i++ {
 			if ranking[i].Score > ranking[i-1].Score {
 				t.Fatalf("k=%d: ranking not sorted", k)
@@ -109,8 +110,8 @@ func TestHybridAccessors(t *testing.T) {
 			}
 		}
 	}
-	if h.Ranking(maxK+5) != nil {
-		t.Fatal("out-of-range ranking should be nil")
+	if h.Ranking(maxK+5).Len() != 0 {
+		t.Fatal("out-of-range ranking should be empty")
 	}
 }
 

@@ -413,11 +413,9 @@ func (f *File) Epoch() (uint64, error) {
 }
 
 // MeasureRankings loads the per-k rankings of measure m, or (nil, nil)
-// when the file has no rankings section tagged with m. Rankings always
-// materialize on the heap — scores are platform-width — so both modes pay
-// one widening pass here; every other array-shaped section is served as
-// views.
-func (f *File) MeasureRankings(m core.Measure) ([][]core.VertexScore, error) {
+// when the file has no rankings section tagged with m. The table's chunks
+// are views of the payload, like every other array-shaped section.
+func (f *File) MeasureRankings(m core.Measure) (core.RankTable, error) {
 	payload, err := f.payload(SecRankings, m)
 	if payload == nil || err != nil {
 		return nil, err
@@ -453,7 +451,7 @@ func ReadAll(path string, g *graph.Graph) (*Indexes, error) {
 			return nil, err
 		}
 		if ix.MeasureRankings == nil {
-			ix.MeasureRankings = make(map[core.Measure][][]core.VertexScore)
+			ix.MeasureRankings = make(map[core.Measure]core.RankTable)
 		}
 		ix.MeasureRankings[m] = perK
 	}

@@ -67,8 +67,13 @@ func exerciseFile(t *testing.T, f *File, err error) {
 	_, err = f.Epoch()
 	requireTyped(t, "Epoch", err)
 	for _, m := range core.AllMeasures() {
-		_, err = f.MeasureRankings(m)
+		rankings, err := f.MeasureRankings(m)
 		requireTyped(t, "MeasureRankings", err)
+		for _, row := range rankings {
+			for _, c := range row.Chunks() {
+				_ = slices.Clone(c) // reads every entry of the view
+			}
+		}
 		for _, s := range knownSections {
 			_, err = f.Section(s, m)
 			requireTyped(t, "Section", err)

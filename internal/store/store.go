@@ -261,10 +261,10 @@ type Indexes struct {
 	// GCT is the compressed supernode/superedge index (paper §6).
 	GCT *core.GCTIndex
 	// MeasureRankings are the per-k vertex rankings of each measure
-	// (perK[k] is sorted by score descending, vertex ascending); each
-	// present measure becomes one measure-tagged rankings section. The
-	// truss-tagged one is the hybrid engine's table.
-	MeasureRankings map[core.Measure][][]core.VertexScore
+	// (the ranking at k is sorted by score descending, vertex ascending);
+	// each present measure becomes one measure-tagged rankings section.
+	// The truss-tagged one is the hybrid engine's table.
+	MeasureRankings map[core.Measure]core.RankTable
 	// Epoch is the snapshot version the indexes describe; 0 means "not
 	// recorded" and writes no section.
 	Epoch uint64

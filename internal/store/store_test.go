@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,14 +39,14 @@ func buildIndexes(g *graph.Graph) Indexes {
 		Tau: truss.Decompose(g),
 		TSD: core.BuildTSDIndex(g),
 		GCT: core.BuildGCTIndex(g),
-		MeasureRankings: map[core.Measure][][]core.VertexScore{
+		MeasureRankings: map[core.Measure]core.RankTable{
 			core.MeasureTruss: rankingsOf(g, core.MeasureTruss),
 		},
 	}
 }
 
 // rankingsOf builds measure m's per-k ranking table over g.
-func rankingsOf(g *graph.Graph, m core.Measure) [][]core.VertexScore {
+func rankingsOf(g *graph.Graph, m core.Measure) core.RankTable {
 	return core.BuildAll(g, core.BuildTargets{Measures: []core.Measure{m}}, 1).MeasureRanks[m]
 }
 
@@ -496,7 +497,7 @@ func TestPortableDecoderMatchesViews(t *testing.T) {
 		tau      []int32
 		tsd      core.TSDFlat
 		gct      core.GCTFlat
-		rankings [][]core.VertexScore
+		rankings core.RankTable
 	}
 	load := func(t *testing.T, f *File) loaded {
 		t.Helper()
@@ -534,7 +535,9 @@ func TestPortableDecoderMatchesViews(t *testing.T) {
 		if !reflect.DeepEqual(viewed, copied) {
 			t.Fatal("portable decoder disagrees with the in-place views")
 		}
-		if &copied.tau[0] == &viewed.tau[0] || &copied.tsd.Forest[0] == &viewed.tsd.Forest[0] {
+		firstPair := func(rk core.RankTable) *core.RankPair { return &rk[2].Chunks()[0][0] }
+		if &copied.tau[0] == &viewed.tau[0] || &copied.tsd.Forest[0] == &viewed.tsd.Forest[0] ||
+			firstPair(copied.rankings) == firstPair(viewed.rankings) {
 			t.Fatal("portable decoder returned views, not copies")
 		}
 		if mode == ModeMmap && f.Mode() == ModeMmap {
@@ -544,6 +547,14 @@ func TestPortableDecoderMatchesViews(t *testing.T) {
 			}
 			if unsafe.Pointer(&viewed.tau[0]) != unsafe.Pointer(&payload[0]) {
 				t.Fatal("mmap tau is not a view of the mapping")
+			}
+			payload, err = f.Section(SecRankings, core.MeasureComponent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := uintptr(unsafe.Pointer(firstPair(viewed.rankings)))
+			if lo := uintptr(unsafe.Pointer(&payload[0])); at < lo || at >= lo+uintptr(len(payload)) {
+				t.Fatal("mmap rankings are not views of the mapping")
 			}
 		}
 	})
@@ -796,11 +807,64 @@ func TestTruncatedPayloadIsCorrupt(t *testing.T) {
 }
 
 func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
+	// Poison one ranking entry with a vertex the graph does not have.
+	checkRankingsRejected(t, func(g *graph.Graph, rows [][]core.RankPair) {
+		rows[2][0].V = int32(g.N() + 100)
+	})
+}
+
+// TestRankingsRejectMalformedRows: a ranking entry without a positive
+// score, not strictly after its predecessor in canonical order, repeating
+// a vertex of its ranking, or for a vertex the k-1 ranking lacks is
+// corrupt in both modes. The splice that patches a table relies on all
+// four, so such a table would otherwise make it list a vertex twice or
+// (a score of MinInt32) never finish.
+func TestRankingsRejectMalformedRows(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(rows [][]core.RankPair)
+	}{
+		// The last entry, so that only the score check can catch it.
+		{"zero score", func(rows [][]core.RankPair) { rows[2][len(rows[2])-1].Score = 0 }},
+		{"MinInt32 score", func(rows [][]core.RankPair) { rows[2][len(rows[2])-1].Score = math.MinInt32 }},
+		{"swapped entries", func(rows [][]core.RankPair) { rows[2][0], rows[2][1] = rows[2][1], rows[2][0] }},
+		{"repeated entry", func(rows [][]core.RankPair) { rows[2][1] = rows[2][0] }},
+		{"repeated vertex", func(rows [][]core.RankPair) {
+			// The copy scores above every entry, so the row stays in order.
+			first := rows[2][0]
+			rows[2] = slices.Insert(slices.Clone(rows[2]), 0, core.RankPair{V: first.V, Score: first.Score + 1})
+		}},
+		{"not nested", func(rows [][]core.RankPair) {
+			// Drop a vertex of the k=3 ranking from the k=2 one.
+			v := rows[3][0].V
+			rows[2] = slices.DeleteFunc(slices.Clone(rows[2]), func(e core.RankPair) bool { return e.V == v })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRankingsRejected(t, func(_ *graph.Graph, rows [][]core.RankPair) { tc.damage(rows) })
+		})
+	}
+}
+
+// checkRankingsRejected saves the test graph's indexes with the truss
+// table's rows damaged by damage, and requires both modes to report the
+// table corrupt.
+func checkRankingsRejected(t *testing.T, damage func(g *graph.Graph, rows [][]core.RankPair)) {
+	t.Helper()
 	g := testGraph(t)
 	ix := buildIndexes(g)
-	// Poison one ranking entry with a vertex the graph does not have.
-	ix.MeasureRankings[core.MeasureTruss][2] = append([]core.VertexScore(nil), ix.MeasureRankings[core.MeasureTruss][2]...)
-	ix.MeasureRankings[core.MeasureTruss][2][0].V = int32(g.N() + 100)
+	rows := make([][]core.RankPair, len(ix.MeasureRankings[core.MeasureTruss]))
+	for k, row := range ix.MeasureRankings[core.MeasureTruss] {
+		for _, c := range row.Chunks() {
+			rows[k] = append(rows[k], c...)
+		}
+	}
+	if len(rows) < 4 || len(rows[2]) < 2 || len(rows[3]) == 0 {
+		t.Fatalf("truss rankings %v too small for the damage", rows)
+	}
+	damage(g, rows)
+	ix.MeasureRankings[core.MeasureTruss] = core.NewRankTable(rows)
 	path := saveTo(t, g, ix)
 	bothModes(t, func(t *testing.T, mode Mode) {
 		f, err := OpenFile(path, g, WithMode(mode))

@@ -26,6 +26,8 @@ const (
 	_ = uint(12 - unsafe.Sizeof(core.TSDEdge{}))
 	_ = uint(unsafe.Sizeof(core.GCTSuperEdge{}) - 12)
 	_ = uint(12 - unsafe.Sizeof(core.GCTSuperEdge{}))
+	_ = uint(unsafe.Sizeof(core.RankPair{}) - 8)
+	_ = uint(8 - unsafe.Sizeof(core.RankPair{}))
 )
 
 // hostLittleEndian gates the in-place views: on a big-endian host the raw
@@ -279,35 +281,36 @@ func decodeGCTSlab(payload []byte, g *graph.Graph) (*core.GCTIndex, error) {
 	return idx, nil
 }
 
-// --- rankings slab: maxK, koff[maxK+2], pairs[2*nPairs] (interleaved
-//     vertex, score) ---
+// --- rankings slab: maxK, koff[maxK+2], pairs[nPairs] (vertex, score
+//     int32 pairs) ---
 //
-// Rankings are the one section that cannot be served in place:
-// core.VertexScore holds a platform-width score, so both modes widen the
-// viewed int32 pairs into fresh []core.VertexScore in one pass.
+// A ranking table is served like the other sections: each k's row of
+// pairs is viewed in place, and the table's chunks are cut out of the
+// rows without copying (core.NewRankTable). Loading checks every entry
+// (decodeRankingsSlab), so a query never widens an entry that names no
+// vertex and a patch never meets a ranking out of order.
 
-func encodeRankingsSlab(perK [][]core.VertexScore, n int) ([]byte, error) {
-	maxK := len(perK) - 1
-	if maxK < 2 {
-		maxK = 2
-	}
+func encodeRankingsSlab(t core.RankTable, n int) ([]byte, error) {
+	maxK := max(len(t)-1, 2)
 	koff := make([]int64, maxK+2)
 	var total int64
 	for k := 0; k <= maxK; k++ {
 		koff[k] = total
-		if k >= 2 && k < len(perK) {
-			if len(perK[k]) > n {
+		if k >= 2 && k < len(t) {
+			if t[k].Len() > n {
 				return nil, fmt.Errorf("store: ranking for k=%d has %d entries, graph has %d vertices",
-					k, len(perK[k]), n)
+					k, t[k].Len(), n)
 			}
-			total += int64(len(perK[k]))
+			total += int64(t[k].Len())
 		}
 	}
 	koff[maxK+1] = total
 	pairs := make([]int32, 0, 2*total)
-	for k := 2; k <= maxK && k < len(perK); k++ {
-		for _, e := range perK[k] {
-			pairs = append(pairs, e.V, int32(e.Score))
+	for k := 2; k < len(t); k++ {
+		for _, c := range t[k].Chunks() {
+			for _, e := range c {
+				pairs = append(pairs, e.V, e.Score)
+			}
 		}
 	}
 	var s slabW
@@ -317,7 +320,7 @@ func encodeRankingsSlab(perK [][]core.VertexScore, n int) ([]byte, error) {
 	return s.buf, nil
 }
 
-func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
+func decodeRankingsSlab(payload []byte, n int) (core.RankTable, error) {
 	r := &slabR{sec: SecRankings, b: payload}
 	maxK := r.count()
 	if r.err == nil && (maxK < 2 || maxK > n+2) {
@@ -331,30 +334,54 @@ func decodeRankingsSlab(payload []byte, n int) ([][]core.VertexScore, error) {
 		return nil, r.err
 	}
 	total := koff[maxK+1]
-	pairs := i32Array[int32](r, 2*int(total))
+	pairs := i32Array[core.RankPair](r, int(total))
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	perK := make([][]core.VertexScore, maxK+1)
+	rows := make([][]core.RankPair, maxK+1)
+	// listed[v] is the last k whose ranking held v. An entry must name a
+	// vertex of the graph, score above 0, come strictly after the one
+	// before it in canonical order, and (at k >= 3) name a vertex the k-1
+	// ranking held: the splice that patches a table binary-searches each
+	// ranking and stops looking for a vertex above the first k that lacks
+	// it, so a table that breaks any of these would make it list a vertex
+	// twice or (a score of MinInt32) never finish.
+	listed := make([]int32, n)
 	for k := 2; k <= maxK; k++ {
 		lo, hi := koff[k], koff[k+1]
 		if lo < 0 || lo > hi || hi > total || hi-lo > int64(n) {
 			return nil, &CorruptError{Section: SecRankings,
 				Reason: fmt.Sprintf("ranking k=%d spans [%d,%d] for %d vertices", k, lo, hi, n)}
 		}
-		if lo == hi {
-			continue
+		row := pairs[lo:hi:hi]
+		below := int32(k - 1)
+		if k == 2 {
+			below = 0
 		}
-		list := make([]core.VertexScore, hi-lo)
-		for i := range list {
-			v := pairs[2*(lo+int64(i))]
-			if v < 0 || int(v) >= n {
+		prev := int64(-1)
+		for i, e := range row {
+			// Where the score is positive, key increases strictly along a
+			// canonical ranking.
+			key := (math.MaxInt32-int64(e.Score))<<32 | int64(uint32(e.V))
+			if uint32(e.V) >= uint32(n) || e.Score <= 0 || key <= prev || listed[e.V] != below {
+				var bad string
+				switch {
+				case uint32(e.V) >= uint32(n):
+					bad = fmt.Sprintf("vertex %d out of range", e.V)
+				case e.Score <= 0:
+					bad = fmt.Sprintf("score %d not positive", e.Score)
+				case key <= prev:
+					bad = fmt.Sprintf("(%d, %d) not after entry %d", e.V, e.Score, i-1)
+				default:
+					bad = fmt.Sprintf("vertex %d listed last at k=%d", e.V, listed[e.V])
+				}
 				return nil, &CorruptError{Section: SecRankings,
-					Reason: fmt.Sprintf("ranking k=%d entry %d: vertex %d out of range", k, i, v)}
+					Reason: fmt.Sprintf("ranking k=%d entry %d: %s", k, i, bad)}
 			}
-			list[i] = core.VertexScore{V: v, Score: int(pairs[2*(lo+int64(i))+1])}
+			listed[e.V] = int32(k)
+			prev = key
 		}
-		perK[k] = list
+		rows[k] = row
 	}
-	return perK, nil
+	return core.NewRankTable(rows), nil
 }
