@@ -98,9 +98,12 @@ bench:
 # the chunks it touches, never whole rankings. The truss repair
 # tripwire holds an 8-insertion Repair to 1.5x the bytes of a 1-insertion
 # one; Apply no longer calls Repair, so it guards only the subject of the
-# loadbench replay. Fast enough to run on every change.
+# loadbench replay. A /topr answer the result cache holds makes the same
+# number of allocations through the server's Handler at r = 5 and at
+# r = 200: the hand encoder writes every result into one pooled buffer.
+# Fast enough to run on every change.
 bench-allocs:
-	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs|PatchAllAllocs|SpliceAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss
+	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs|PatchAllAllocs|SpliceAllocs|TopRAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss ./internal/server
 
 # Serial-vs-parallel engine timings; writes BENCH_parallel.json.
 bench-parallel:
@@ -137,7 +140,9 @@ cover:
 # marker clear after every call), the index-file reader, seeded from the
 # store goldens, the POST /edges and /batch bodies
 # (internal/server/testdata/fuzz), the raw query strings of GET /topr,
-# /score and /contexts (seeded with TestValidationErrors' URLs), and
+# /score and /contexts (seeded with TestValidationErrors' URLs; these
+# and the /batch fuzzer re-encode every 200 body from the reference
+# shapes of the hand encoder, byte for byte), and
 # Apply parity (up to four edit
 # batches, bad edits included, on a DB with every engine prepared: each
 # accepted batch must answer every engine x measure x k like a cold Open

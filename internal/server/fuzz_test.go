@@ -82,7 +82,8 @@ func FuzzEdgesBody(f *testing.F) {
 }
 
 // FuzzBatchBody drives POST /batch: an accepted body answers every query
-// it carried, at the epoch the server is on.
+// it carried, at the epoch the server is on, and re-encodes from its
+// reference shape byte for byte.
 func FuzzBatchBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv := fuzzServer()
@@ -95,7 +96,8 @@ func FuzzBatchBody(f *testing.F) {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("accepted an undecodable batch %q: %v", body, err)
 		}
-		var out batchResponse
+		reencode(t, "/batch", resp)
+		var out refBatch
 		if err := json.Unmarshal(resp, &out); err != nil {
 			t.Fatalf("batch %q: undecodable response %q: %v", body, resp, err)
 		}
@@ -112,7 +114,8 @@ func FuzzBatchBody(f *testing.F) {
 
 // FuzzQueryParams sends one raw query string to GET /topr, /score and
 // /contexts on a server with no deadline: every answer is 200 or a 400
-// with a JSON error body, never a panic or a 5xx. The seeds are the
+// with a JSON error body, never a panic or a 5xx, and every 200 body
+// re-encodes from its reference shape byte for byte. The seeds are the
 // query strings of TestValidationErrors.
 func FuzzQueryParams(f *testing.F) {
 	for _, u := range validationURLs {
@@ -128,6 +131,7 @@ func FuzzQueryParams(f *testing.F) {
 			h.ServeHTTP(rec, req)
 			switch rec.Code {
 			case http.StatusOK:
+				reencode(t, path, rec.Body.Bytes())
 			case http.StatusBadRequest:
 				var e errorBody
 				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {

@@ -144,6 +144,8 @@ func responsesTranscript(t *testing.T) []byte {
 		{"warm", warm, []goldenRequest{
 			get("/stats"),
 			get("/topr?k=4&r=5&engine=gct&contexts=true"),
+			get("/topr?k=4&r=3&contexts=1"),
+			get("/topr?k=4&r=3&contexts=yes"),
 		}},
 		{"read-only", New(g, WithReadOnly()), []goldenRequest{
 			postBody("/edges", `{"insert":[{"u":0,"v":15}]}`),

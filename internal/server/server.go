@@ -222,7 +222,10 @@ type errorBody struct {
 }
 
 // serve runs h under the server's request deadline, if any, and encodes
-// its body, or its error under statusOf.
+// its body, or its error under statusOf. A query answer encodes itself
+// (appender) and goes out in one Write; every other body, errors
+// included, goes through json.Encoder. A failed Write means the client
+// is gone, and there is no one left to tell.
 func (s *Server) serve(h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.timeout > 0 {
@@ -237,6 +240,15 @@ func (s *Server) serve(h handler) http.HandlerFunc {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
+		if a, ok := body.(appender); ok {
+			buf := bufPool.Get().(*[]byte)
+			*buf = append(a.appendJSON((*buf)[:0]), '\n') // json.Encoder's newline
+			_, _ = w.Write(*buf)
+			if cap(*buf) <= maxPooledBuf {
+				bufPool.Put(buf)
+			}
+			return
+		}
 		_ = json.NewEncoder(w).Encode(body)
 	}
 }
@@ -337,6 +349,20 @@ func (p *params) int(name string, bits int, required bool) int {
 	return int(v)
 }
 
+// bool parses an optional boolean parameter, false when absent; it
+// takes what strconv.ParseBool takes (1, t, true, 0, f, false, ...).
+func (p *params) bool(name string) bool {
+	raw := p.Get(name)
+	if p.err != nil || raw == "" {
+		return false
+	}
+	v, err := strconv.ParseBool(raw)
+	if err != nil {
+		p.err = fmt.Errorf("parameter %q: %v", name, err)
+	}
+	return v
+}
+
 // measure parses the optional measure= parameter ("" = truss).
 func (p *params) measure() trussdiv.Measure {
 	raw := p.Get("measure")
@@ -378,25 +404,21 @@ func clampWorkers(n int) int {
 	return min(n, runtime.GOMAXPROCS(0))
 }
 
-// topRResponse is the /topr body and one /batch item. Only /topr times
-// and counts its search, so a batch item omits took_us and search_space
-// rather than report zeros no one measured.
+// topRResponse is the /topr body and one /batch item: the query echo and
+// the engine's answer, encoded straight from Res (encode.go). Only /topr
+// times and counts its search (Timed), so a batch item omits took_us and
+// search_space rather than report zeros no one measured.
 type topRResponse struct {
-	Engine   string           `json:"engine"`
-	Routed   bool             `json:"routed"`
-	Measure  trussdiv.Measure `json:"measure"`
-	Epoch    uint64           `json:"epoch"`
-	K        int              `json:"k"`
-	R        int              `json:"r"`
-	TookUS   *int64           `json:"took_us,omitempty"`
-	Searched *int             `json:"search_space,omitempty"`
-	Results  []topRResult     `json:"results"`
-}
-
-type topRResult struct {
-	Vertex   int32     `json:"vertex"`
-	Score    int       `json:"score"`
-	Contexts [][]int32 `json:"contexts,omitempty"`
+	Engine   string
+	Routed   bool
+	Measure  trussdiv.Measure
+	K        int32
+	R        int
+	Contexts bool // the query asked for each vertex's social contexts
+	Timed    bool
+	TookUS   int64
+	Searched int
+	Res      *trussdiv.Result
 }
 
 // topRBody renders the answer res that engine eng gave to q: the /topr
@@ -408,22 +430,15 @@ func topRBody(snap *trussdiv.Snapshot, q trussdiv.Query, eng string, res *trussd
 	if e, err := snap.Engine(eng); err == nil {
 		measure = trussdiv.EffectiveMeasure(q, e)
 	}
-	body := topRResponse{
-		Engine:  eng,
-		Routed:  q.Engine == "",
-		Measure: measure,
-		Epoch:   res.Epoch,
-		K:       int(q.K),
-		R:       q.R,
+	return topRResponse{
+		Engine:   eng,
+		Routed:   q.Engine == "",
+		Measure:  measure,
+		K:        q.K,
+		R:        q.R,
+		Contexts: q.IncludeContexts,
+		Res:      res,
 	}
-	for _, e := range res.TopR {
-		out := topRResult{Vertex: e.V, Score: e.Score}
-		if q.IncludeContexts {
-			out.Contexts = res.Contexts[e.V]
-		}
-		body.Results = append(body.Results, out)
-	}
-	return body
 }
 
 func (s *Server) handleTopR(_ http.ResponseWriter, r *http.Request) (any, error) {
@@ -436,7 +451,7 @@ func (s *Server) handleTopR(_ http.ResponseWriter, r *http.Request) (any, error)
 		Candidates:      p.candidates(),
 		Workers:         clampWorkers(p.int("workers", 0, false)),
 		Measure:         p.measure(),
-		IncludeContexts: p.Get("contexts") == "true",
+		IncludeContexts: p.bool("contexts"),
 		// An absent engine means the snapshot routes by cost among the
 		// engines serving the query's measure; a named engine is checked
 		// against the measure (tsd cannot answer measure=component).
@@ -459,8 +474,8 @@ func (s *Server) handleTopR(_ http.ResponseWriter, r *http.Request) (any, error)
 	}
 	took := time.Since(start).Microseconds()
 	body := topRBody(snap, q, stats.Engine, res)
-	body.TookUS, body.Searched = &took, &stats.ScoreComputations
-	return body, nil
+	body.Timed, body.TookUS, body.Searched = true, took, stats.ScoreComputations
+	return &body, nil
 }
 
 // batchQuery is the JSON shape of one query in a POST /batch body.
@@ -479,8 +494,8 @@ type batchRequest struct {
 }
 
 type batchResponse struct {
-	TookUS  int64          `json:"took_us"`
-	Results []topRResponse `json:"results"`
+	TookUS  int64
+	Results []topRResponse
 }
 
 const (
@@ -536,7 +551,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
-	resp := batchResponse{TookUS: time.Since(start).Microseconds()}
+	resp := &batchResponse{TookUS: time.Since(start).Microseconds()}
 	resp.Results = make([]topRResponse, len(results))
 	for i, res := range results {
 		resp.Results[i] = topRBody(snap, qs[i], engines[i], res)
@@ -630,16 +645,16 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) (any, error
 	return resp, nil
 }
 
-// pointResponse is the body of /score and /contexts. Its fields are
-// declared in sorted key order, the order the wire format lists them in
-// (TestResponsesGolden); Contexts is a pointer so /score omits it while
-// an empty /contexts answer still encodes null.
+// pointResponse is the body of /score and /contexts. Its keys go on the
+// wire in sorted order (TestResponsesGolden). /score omits contexts;
+// /contexts always carries them, an empty answer as null.
 type pointResponse struct {
-	Contexts *[][]int32       `json:"contexts,omitempty"`
-	K        int32            `json:"k"`
-	Measure  trussdiv.Measure `json:"measure"`
-	Score    int              `json:"score"`
-	Vertex   int32            `json:"vertex"`
+	WithContexts bool
+	Contexts     [][]int32
+	K            int32
+	Measure      trussdiv.Measure
+	Score        int
+	Vertex       int32
 }
 
 // handlePoint answers the point query of one vertex: its score, or with
@@ -665,16 +680,15 @@ func (s *Server) handlePoint(withContexts bool) handler {
 		if p.err != nil {
 			return nil, p.err
 		}
-		body := pointResponse{Vertex: v, K: k, Measure: measure.Normalize()}
+		body := &pointResponse{WithContexts: withContexts, Vertex: v, K: k, Measure: measure.Normalize()}
 		var err error
 		if withContexts {
-			var cs [][]int32
 			if k == 0 {
-				cs, err = s.db.ContextsPFree(r.Context(), v, measure)
+				body.Contexts, err = s.db.ContextsPFree(r.Context(), v, measure)
 			} else {
-				cs, err = s.db.ContextsMeasure(r.Context(), v, k, measure)
+				body.Contexts, err = s.db.ContextsMeasure(r.Context(), v, k, measure)
 			}
-			body.Contexts, body.Score = &cs, len(cs)
+			body.Score = len(body.Contexts)
 		} else if k == 0 {
 			body.Score, err = s.db.ScorePFree(r.Context(), v, measure)
 		} else {

@@ -189,6 +189,7 @@ var validationURLs = []string{
 	"/contexts?v=abc&k=4",              // non-integer
 	"/topr?k=4294967300&r=3",           // k beyond int32 (must not wrap to k=4)
 	"/score?v=4294967296&k=4294967300", // v and k beyond int32 (must not wrap to v=0, k=4)
+	"/topr?k=4&r=1&contexts=yes",       // contexts takes strconv.ParseBool's values only
 }
 
 func TestValidationErrors(t *testing.T) {
