@@ -132,7 +132,10 @@ cover:
 	$(GO) test -cover ./...
 
 # Each fuzz target runs for 15s from its seed corpus: the edge-list loader
-# (internal/graph/testdata/fuzz), the binary graph reader, ego extraction
+# (internal/graph/testdata/fuzz; every parsed graph's triangle listing is
+# held to a naive oracle: Supports, TrianglesPerVertex, CountTriangles,
+# ForEachTriangle, and two SupportsInto calls over one marker that must
+# agree and leave it clear), the binary graph reader, ego extraction
 # through one scratch across two graphs of different N (seeded with the
 # Fig. 1 graph and an empty graph), ego-network truss decomposition (one
 # small graph and its ego-networks through one scratch: DecomposeInto

@@ -13,11 +13,12 @@
 //     Scratch, grown once to the largest graph it serves: reuse one
 //     Scratch per worker via ExtractOneInto, and never call the one-shot
 //     ExtractOne in a loop.
-//   - ExtractAll performs one-shot global triangle listing and distributes
-//     each triangle to the three ego-networks it belongs to (the GCT
-//     pipeline, §6.2). Each triangle is enumerated once instead of being
-//     rediscovered by every endpoint, which the paper credits for roughly
-//     halving extraction work.
+//   - ExtractAll performs one-shot global triangle listing
+//     (graph.ForEachTriangle, the same oriented listing by vertex ID) and
+//     distributes each triangle to the three ego-networks it belongs to
+//     (the GCT pipeline, §6.2). Each triangle is enumerated once instead
+//     of being rediscovered by every endpoint, which the paper credits
+//     for roughly halving extraction work.
 package ego
 
 import (
@@ -146,10 +147,8 @@ func ExtractAll(g *graph.Graph) *All {
 	edges := make([]graph.Edge, off[n])
 	cursor := make([]int64, n)
 	copy(cursor, off[:n])
+	// U < V < W, so each pair below is already in canonical order.
 	put := func(center int32, a, b int32) {
-		if a > b {
-			a, b = b, a
-		}
 		edges[cursor[center]] = graph.Edge{U: a, V: b}
 		cursor[center]++
 	}

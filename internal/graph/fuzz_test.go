@@ -12,7 +12,11 @@ import (
 // server's graph-loading path: arbitrary input must either parse into a
 // structurally valid graph or return an error — never panic, and never
 // produce a graph that violates the simple-graph invariants the engines
-// rely on.
+// rely on. Every parsed graph then drives the triangle listing against
+// the naive oracle (checkTriangles): Supports, TrianglesPerVertex,
+// CountTriangles and ForEachTriangle, and two SupportsInto calls over one
+// marker, a few entries longer than the graph, that must agree and leave
+// it clear.
 func FuzzLoadEdgeList(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -66,6 +70,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 			}
 			seen[key] = true
 		}
+		checkTriangles(t, g, make([]int32, g.N()+3), "parsed graph")
 		// Round-trip: writing and re-reading preserves the structure.
 		var buf bytes.Buffer
 		if err := g.WriteEdgeList(&buf); err != nil {

@@ -3,6 +3,12 @@
 // neighbor lists, stable edge identifiers, triangle listing, connected
 // components, induced subgraphs, and edge-list I/O.
 //
+// Triangles are listed by one algorithm (triangles.go), oriented by
+// vertex ID, with two entry points: SupportsInto counts per-edge supports
+// over a caller-owned marker and makes no call per triangle, so the
+// ego-network scans run it on every ego-network; ForEachTriangle hands
+// each triangle to a closure for the whole-graph passes.
+//
 // Vertices are dense int32 identifiers 0..N()-1. Every undirected edge
 // {u,v} has a single edge ID in 0..M()-1, assigned in canonical (U,V)
 // order; both directed arcs carry that ID, which lets per-edge algorithms
@@ -249,28 +255,4 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return best
-}
-
-// DegreeOrder returns the vertices sorted by (degree, id) ascending, along
-// with rank[v] giving each vertex's position in that order. This "degeneracy
-// style" ordering orients triangle listing so each triangle is enumerated
-// exactly once.
-func (g *Graph) DegreeOrder() (order []int32, rank []int32) {
-	n := g.N()
-	order = make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
-	})
-	rank = make([]int32, n)
-	for i, v := range order {
-		rank[v] = int32(i)
-	}
-	return order, rank
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,71 +112,143 @@ func TestTrianglesK4(t *testing.T) {
 	}
 }
 
-// naiveTriangles counts triangles by checking all vertex triples.
-func naiveTriangles(g *Graph) int64 {
-	var c int64
-	n := int32(g.N())
-	for u := int32(0); u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) {
-				continue
-			}
-			for w := v + 1; w < n; w++ {
-				if g.HasEdge(u, w) && g.HasEdge(v, w) {
-					c++
-				}
+// naiveTriangles lists every triangle of g by trying every vertex w
+// above each edge (u,v), in (U, V, W) order, with edge IDs from EdgeID.
+func naiveTriangles(g *Graph) []Triangle {
+	var ts []Triangle
+	for _, e := range g.Edges() {
+		for w := e.V + 1; int(w) < g.N(); w++ {
+			if g.HasEdge(e.U, w) && g.HasEdge(e.V, w) {
+				ts = append(ts, Triangle{
+					U: e.U, V: e.V, W: w,
+					EUV: g.EdgeID(e.U, e.V), EUW: g.EdgeID(e.U, w), EVW: g.EdgeID(e.V, w),
+				})
 			}
 		}
 	}
-	return c
+	return ts
 }
 
+// hubGraph builds a hub-heavy graph inline (graph's tests cannot import
+// gen): n vertices by preferential attachment, each joining attach
+// earlier ones, then hubs of the oldest vertices joined to every other
+// vertex with probability 1/2. Vertex IDs are randomly permuted, so the
+// hubs land anywhere in the ID order the listing orients by.
+func hubGraph(rng *rand.Rand, n, attach, hubs int) *Graph {
+	perm := rng.Perm(n)
+	b := NewBuilder(n)
+	add := func(u, v int) { b.AddEdge(int32(perm[u]), int32(perm[v])) }
+	var ends []int // edge endpoints, for degree-proportional picks
+	for v := 1; v < n; v++ {
+		for range attach {
+			u := rng.Intn(v)
+			if len(ends) > 0 && rng.Intn(2) == 0 {
+				u = ends[rng.Intn(len(ends))]
+			}
+			add(u, v)
+			ends = append(ends, u, v)
+		}
+	}
+	for h := range hubs {
+		for v := range n {
+			if v != h && rng.Intn(2) == 0 {
+				add(h, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// checkTriangles holds every triangle entry point on g to the naive
+// oracle: each edge's support to its common-neighbour count, each
+// vertex's count and the total to the naive list, and ForEachTriangle's
+// list to the naive list (each triangle once, U < V < W, the right edge
+// IDs). Two SupportsInto calls over mark, which must hold at least g.N()
+// zeros, must each overwrite a stale sup with Supports' answer and leave
+// the marker clear.
+func checkTriangles(t *testing.T, g *Graph, mark []int32, label string) {
+	t.Helper()
+	want := naiveTriangles(g)
+	sup := g.Supports()
+	for id, e := range g.Edges() {
+		if c := len(g.CommonNeighbors(nil, e.U, e.V)); int(sup[id]) != c {
+			t.Fatalf("%s: edge (%d,%d) support %d, %d common neighbours", label, e.U, e.V, sup[id], c)
+		}
+	}
+	again := make([]int32, g.M())
+	for call := range 2 {
+		for i := range again {
+			again[i] = -1
+		}
+		g.SupportsInto(again, mark)
+		for w, x := range mark {
+			if x != 0 {
+				t.Fatalf("%s: SupportsInto call %d left mark[%d] = %d", label, call, w, x)
+			}
+		}
+		if !slices.Equal(again, sup) {
+			t.Fatalf("%s: SupportsInto call %d gave %v, Supports %v", label, call, again, sup)
+		}
+	}
+	tv := make([]int32, g.N())
+	for _, tr := range want {
+		tv[tr.U]++
+		tv[tr.V]++
+		tv[tr.W]++
+	}
+	if got := g.TrianglesPerVertex(); !slices.Equal(got, tv) {
+		t.Fatalf("%s: TrianglesPerVertex %v, naive %v", label, got, tv)
+	}
+	if got := g.CountTriangles(); got != int64(len(want)) {
+		t.Fatalf("%s: CountTriangles = %d, naive = %d", label, got, len(want))
+	}
+	var got []Triangle
+	g.ForEachTriangle(func(tr Triangle) bool {
+		got = append(got, tr)
+		return true
+	})
+	slices.SortFunc(got, func(a, b Triangle) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.W, b.W))
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: ForEachTriangle listed %v, naive %v", label, got, want)
+	}
+	calls := 0
+	g.ForEachTriangle(func(Triangle) bool { calls++; return false })
+	if calls != min(len(want), 1) {
+		t.Fatalf("%s: ForEachTriangle went on for %d calls after fn returned false", label, calls)
+	}
+}
+
+// TestTrianglesMatchNaive runs checkTriangles over random graphs and
+// hub-heavy graphs with permuted IDs, all through one marker, grown to
+// the largest graph so far and reused on smaller ones.
 func TestTrianglesMatchNaive(t *testing.T) {
 	rng := testutil.Rand(t, 7)
+	var mark []int32
+	check := func(g *Graph, label string) {
+		t.Helper()
+		if len(mark) < g.N() {
+			mark = make([]int32, g.N())
+		}
+		checkTriangles(t, g, mark, label)
+	}
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(30)
 		b := NewBuilder(n)
 		for i := 0; i < n*n/3; i++ {
 			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
-		g := b.Build()
-		want := naiveTriangles(g)
-		if got := g.CountTriangles(); got != want {
-			t.Fatalf("trial %d: CountTriangles = %d, naive = %d", trial, got, want)
-		}
-		// Sum of supports equals 3T.
-		var supSum int64
-		for _, s := range g.Supports() {
-			supSum += int64(s)
-		}
-		if supSum != 3*want {
-			t.Fatalf("trial %d: support sum %d != 3T=%d", trial, supSum, 3*want)
-		}
-		// Sum of per-vertex counts equals 3T as well.
-		var tvSum int64
-		for _, c := range g.TrianglesPerVertex() {
-			tvSum += int64(c)
-		}
-		if tvSum != 3*want {
-			t.Fatalf("trial %d: vertex triangle sum %d != 3T=%d", trial, tvSum, 3*want)
+		check(b.Build(), fmt.Sprintf("random trial %d", trial))
+	}
+	for _, c := range []struct{ n, attach, hubs int }{
+		{150, 4, 3}, {120, 2, 1}, {80, 6, 2}, {60, 1, 5},
+	} {
+		for trial := 0; trial < 3; trial++ {
+			check(hubGraph(rng, c.n, c.attach, c.hubs), fmt.Sprintf("hub graph %+v trial %d", c, trial))
 		}
 	}
-}
-
-func TestTriangleEdgeIDsValid(t *testing.T) {
-	rng := testutil.Rand(t, 11)
-	n := 40
-	b := NewBuilder(n)
-	for i := 0; i < 300; i++ {
-		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-	}
-	g := b.Build()
-	g.ForEachTriangle(func(tr Triangle) bool {
-		if g.EdgeID(tr.U, tr.V) != tr.EUV || g.EdgeID(tr.U, tr.W) != tr.EUW || g.EdgeID(tr.V, tr.W) != tr.EVW {
-			t.Fatalf("triangle %+v has wrong edge IDs", tr)
-		}
-		return true
-	})
+	check(NewBuilder(0).Build(), "empty graph")
 }
 
 func TestCommonNeighbors(t *testing.T) {
@@ -235,25 +310,6 @@ func TestFilterEdges(t *testing.T) {
 	}
 	if sub.Degree(0) != 3 || sub.Degree(1) != 1 {
 		t.Fatal("filtered degrees wrong")
-	}
-}
-
-func TestDegreeOrder(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(0, 3)
-	b.AddEdge(1, 2)
-	g := b.Build() // degrees: 0:3, 1:2, 2:2, 3:1
-	order, rank := g.DegreeOrder()
-	wantOrder := []int32{3, 1, 2, 0}
-	for i := range wantOrder {
-		if order[i] != wantOrder[i] {
-			t.Fatalf("order = %v, want %v", order, wantOrder)
-		}
-		if rank[order[i]] != int32(i) {
-			t.Fatal("rank inconsistent with order")
-		}
 	}
 }
 

@@ -14,6 +14,8 @@
 package tcp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"trussdiv/internal/dsu"
@@ -47,14 +49,9 @@ func Build(g *graph.Graph) *Index {
 	// Collect the weighted neighborhood edges of every vertex in one
 	// global triangle pass: triangle (u,v,w) contributes edge (v,w) to
 	// u's forest graph, (u,w) to v's, and (u,v) to w's, all with weight
-	// min of the three trussnesses.
-	counts := make([]int32, g.N())
-	g.ForEachTriangle(func(t graph.Triangle) bool {
-		counts[t.U]++
-		counts[t.V]++
-		counts[t.W]++
-		return true
-	})
+	// min of the three trussnesses. Each vertex gets one edge per
+	// triangle through it, so its slot count is its triangle count.
+	counts := g.TrianglesPerVertex()
 	off := make([]int64, g.N()+1)
 	for v := 0; v < g.N(); v++ {
 		off[v+1] = off[v] + int64(counts[v])
@@ -63,7 +60,7 @@ func Build(g *graph.Graph) *Index {
 	cursor := make([]int64, g.N())
 	copy(cursor, off[:g.N()])
 	g.ForEachTriangle(func(t graph.Triangle) bool {
-		wt := t3min(idx.tau[t.EUV], idx.tau[t.EUW], idx.tau[t.EVW])
+		wt := min(idx.tau[t.EUV], idx.tau[t.EUW], idx.tau[t.EVW])
 		put := func(center, a, b int32) {
 			edges[cursor[center]] = ForestEdge{U: a, W: b, Wt: wt}
 			cursor[center]++
@@ -80,23 +77,23 @@ func Build(g *graph.Graph) *Index {
 	return idx
 }
 
-func t3min(a, b, c int32) int32 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// maxSpanningForest runs Kruskal over v's weighted neighborhood edges.
+// maxSpanningForest runs Kruskal over v's weighted neighborhood edges in
+// the total order (Wt desc, U asc, W asc), so the forest kept among equal
+// weights does not depend on the order the triangles were listed in.
 // Neighbor IDs are mapped to local slots via the sorted neighbor list.
 func maxSpanningForest(g *graph.Graph, v int32, edges []ForestEdge) []ForestEdge {
 	if len(edges) == 0 {
 		return nil
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Wt > edges[j].Wt })
+	slices.SortFunc(edges, func(a, b ForestEdge) int {
+		if c := cmp.Compare(b.Wt, a.Wt); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.W, b.W)
+	})
 	nbr := g.Neighbors(v)
 	local := func(global int32) int32 {
 		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] >= global })

@@ -2,6 +2,7 @@ package truss
 
 import (
 	"context"
+	"math"
 	"slices"
 
 	"trussdiv/internal/graph"
@@ -45,10 +46,13 @@ func DecomposeFull(g *graph.Graph, workers int) (tau, sup []int32) {
 	if g.M() == 0 {
 		return []int32{}, sup
 	}
-	if par.Workers(workers) == 1 {
-		return DecomposeWithSupports(g, sup), sup
-	}
+	// Both paths consume a private copy, so sup goes back pristine (the
+	// loadbench replay of Repair seeds from it).
 	h := append([]int32(nil), sup...)
+	if par.Workers(workers) == 1 {
+		s := Scratch{sup: h}
+		return s.peel(g, math.MaxInt32), sup
+	}
 	d := newHDescent(g, h, nil, workers)
 	d.run(nil, 0)
 	for e := range h {

@@ -34,6 +34,10 @@ func TestDecomposeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDecomposeFullReturnsPristineSupports is also the regression for the
+// "sup is consumed" bug on both paths (one worker peels, four run the
+// h-index descent): the incremental repair path seeds from the supports
+// DecomposeFull returns, so the peel must not scribble over them.
 func TestDecomposeFullReturnsPristineSupports(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := randomGraph(t, 30, 120, 7)
@@ -57,27 +61,5 @@ func TestDecomposeFullEmptyGraph(t *testing.T) {
 	tau, sup := DecomposeFull(g, 4)
 	if len(tau) != 0 || len(sup) != 0 {
 		t.Fatalf("edgeless graph: got %d taus, %d sups", len(tau), len(sup))
-	}
-}
-
-// Regression for the "sup is consumed" bug: DecomposeWithSupports must not
-// scribble over the caller's support slice — the incremental repair path
-// caches supports across applies.
-func TestDecomposeWithSupportsLeavesInputIntact(t *testing.T) {
-	g := randomGraph(t, 25, 100, 11)
-	sup := g.Supports()
-	before := append([]int32(nil), sup...)
-	tau := DecomposeWithSupports(g, sup)
-	for id := range sup {
-		if sup[id] != before[id] {
-			t.Fatalf("edge %d: sup mutated from %d to %d by DecomposeWithSupports",
-				id, before[id], sup[id])
-		}
-	}
-	want := Decompose(g)
-	for id := range want {
-		if tau[id] != want[id] {
-			t.Fatalf("edge %d: tau = %d, want %d", id, tau[id], want[id])
-		}
 	}
 }

@@ -25,8 +25,8 @@ type Scratch struct {
 	cursor   []int32
 	removed  []bool
 
-	// listing marker (DecomposeInto, KTrussInto): mark[w] holds the ID + 1
-	// of edge (u,w) while the listing visits u; all zero between calls.
+	// listing marker (DecomposeInto, KTrussInto) for graph.SupportsInto:
+	// all zero between calls.
 	mark []int32
 
 	// bitmap mode (DecomposeBitmapInto): vertex v's adjacency row is
@@ -41,65 +41,30 @@ type Scratch struct {
 	gr    dsu.Grouper
 }
 
-// DecomposeInto is Decompose over s's recycled storage: supports are
-// counted by one oriented triangle listing (listSupports) and the peel
-// runs in the scratch bins. The returned tau is owned by s and valid only
-// until the next decomposition.
+// DecomposeInto is Decompose over s's recycled storage: KTrussInto with
+// no threshold, so the peel runs to the end. The returned tau is owned by
+// s and valid only until the next decomposition.
 func (s *Scratch) DecomposeInto(g *graph.Graph) []int32 {
-	s.listSupports(g)
-	return s.peel(g, math.MaxInt32)
+	return s.KTrussInto(g, math.MaxInt32)
 }
 
-// KTrussInto is DecomposeInto for one threshold k: the peel stops once
-// the lowest live support is at least k−2, since every edge still live
-// then lies in the k-truss, and gives those edges τ = k. Every edge below
-// the k-truss gets its exact trussness, so CountComponents and Components
-// at k read the returned tau exactly as they read DecomposeInto's; other
-// thresholds must not. A k below 2 peels nothing and gives every edge
-// τ = 2. The returned tau is owned by s and valid only until the next
-// decomposition.
+// KTrussInto decomposes g for one threshold k: supports are counted by
+// one oriented triangle listing (graph.SupportsInto, over s's own sup
+// and marker), and the peel stops once the lowest live support is at
+// least k−2, since every edge still live then lies in the k-truss, and
+// gives those edges τ = k. Every edge below the k-truss gets its exact
+// trussness, so CountComponents and Components at k read the returned
+// tau exactly as they read DecomposeInto's; other thresholds must not. A
+// k below 2 peels nothing and gives every edge τ = 2. The returned tau
+// is owned by s and valid only until the next decomposition.
 func (s *Scratch) KTrussInto(g *graph.Graph, k int32) []int32 {
-	s.listSupports(g)
-	return s.peel(g, max(k, 2))
-}
-
-// listSupports sets s.sup[e] to the number of triangles through every
-// edge e of g, listing each triangle once from its lowest vertex u: the
-// marker holds N⁺(u), the neighbours above u, and for each v ∈ N⁺(u) a
-// walk of N⁺(v) finds every w that closes a triangle (u, v, w), adding
-// one to all three of its edges. Both upper runs are walked from the end
-// of the sorted lists, so the listing costs Σ over edges (u,v), u < v, of
-// |N⁺(v)|, and the marker is cleared again after each u.
-func (s *Scratch) listSupports(g *graph.Graph) {
-	n := g.N()
 	s.words = 0
 	s.sup = grow(s.sup, g.M())
-	clear(s.sup)
-	if len(s.mark) < n {
-		s.mark = make([]int32, n)
+	if len(s.mark) < g.N() {
+		s.mark = make([]int32, g.N())
 	}
-	sup, mark := s.sup, s.mark
-	for u := range int32(n) {
-		nu, eu := g.Arcs(u)
-		lo := len(nu)
-		for lo > 0 && nu[lo-1] > u {
-			lo--
-			mark[nu[lo]] = eu[lo] + 1
-		}
-		for i := lo; i < len(nu); i++ {
-			nv, ev := g.Arcs(nu[i])
-			for j := len(nv) - 1; j >= 0 && nv[j] > nu[i]; j-- {
-				if x := mark[nv[j]]; x != 0 {
-					sup[eu[i]]++
-					sup[ev[j]]++
-					sup[x-1]++
-				}
-			}
-		}
-		for _, w := range nu[lo:] {
-			mark[w] = 0
-		}
-	}
+	g.SupportsInto(s.sup, s.mark)
+	return s.peel(g, max(k, 2))
 }
 
 // DecomposeBitmapInto is DecomposeInto with paper §6.2's bitmap supports:

@@ -11,9 +11,10 @@ import (
 	"trussdiv/internal/testutil"
 )
 
-// mergeSupports is the support count listSupports replaced, kept as the
-// test oracle: every edge merges its endpoints' sorted adjacency lists,
-// so each triangle is counted once from each of its three edges.
+// mergeSupports is the support count the oriented listing replaced,
+// kept as the test oracle: every edge merges its endpoints' sorted
+// adjacency lists, so each triangle is counted once from each of its
+// three edges.
 func mergeSupports(g *graph.Graph) []int32 {
 	sup := make([]int32, g.M())
 	for id, e := range g.Edges() {
@@ -88,12 +89,17 @@ func TestKTrussIntoMatchesDecompose(t *testing.T) {
 }
 
 // TestListedSupportsMatchMerge holds the oriented listing's supports
-// equal to the per-edge merge count on the scan graphs, with the marker
-// clear after each listing.
+// (graph.SupportsInto over one Scratch's sup and marker, as KTrussInto
+// runs it) equal to the per-edge merge count on the scan graphs, with the
+// marker clear after each listing.
 func TestListedSupportsMatchMerge(t *testing.T) {
 	var s Scratch
 	for i, h := range scanGraphs(t) {
-		s.listSupports(h)
+		s.sup = grow(s.sup, h.M())
+		if len(s.mark) < h.N() {
+			s.mark = make([]int32, h.N())
+		}
+		h.SupportsInto(s.sup, s.mark)
 		label := fmt.Sprintf("graph %d (n=%d, m=%d)", i, h.N(), h.M())
 		markClear(t, &s, label)
 		if want := mergeSupports(h); !slices.Equal(s.sup, want) {

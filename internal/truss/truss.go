@@ -10,38 +10,26 @@
 // procedure at O(ρ·m) after triangle counting.
 //
 // Scratch.peel is the package's one such peel. Its callers differ only in
-// how supports are counted and where the peel stops: by a global triangle
-// pass (Decompose), by a local listing of each triangle once
-// (Scratch.DecomposeInto, and Scratch.KTrussInto, which stops the peel at
-// one threshold k), or from per-vertex bit rows
-// (Scratch.DecomposeBitmapInto, paper §6.2's bitmap engine for
-// ego-networks), in which mode the peel also lists a peeled edge's live
-// triangles from the rows. The h-index descent that DecomposeParallel and
-// Repair share is a separate algorithm.
+// how supports are counted and where the peel stops: by graph's one
+// oriented triangle listing (Scratch.DecomposeInto, whose fresh-scratch
+// form is Decompose, and Scratch.KTrussInto, which stops the peel at one
+// threshold k; DecomposeFull seeds a private copy of the supports it
+// returns), or from per-vertex bit rows (Scratch.DecomposeBitmapInto,
+// paper §6.2's bitmap engine for ego-networks), in which mode the peel
+// also lists a peeled edge's live triangles from the rows. The h-index
+// descent that DecomposeParallel and Repair share is a separate
+// algorithm.
 package truss
 
-import (
-	"math"
-
-	"trussdiv/internal/graph"
-)
+import "trussdiv/internal/graph"
 
 // Decompose returns tau[e] = trussness of edge e for every edge of g,
 // indexed by edge ID. Trussness values start at 2 (an edge in no triangle
-// has trussness 2). The supports are seeded by one global triangle pass;
-// the peel is Scratch's, run over a scratch owned by this call.
+// has trussness 2). It is Scratch.DecomposeInto over a scratch owned by
+// this call.
 func Decompose(g *graph.Graph) []int32 {
-	s := Scratch{sup: g.Supports()}
-	return s.peel(g, math.MaxInt32)
-}
-
-// DecomposeWithSupports is Decompose for callers that already computed the
-// edge supports. sup is left untouched: the peeling works on a private
-// copy, so DecomposeFull can hand the same supports back to its caller
-// (the loadbench replay of Repair seeds from them).
-func DecomposeWithSupports(g *graph.Graph, sup []int32) []int32 {
-	s := Scratch{sup: append([]int32(nil), sup...)}
-	return s.peel(g, math.MaxInt32)
+	var s Scratch
+	return s.DecomposeInto(g)
 }
 
 // forEachCommonArc calls fn(w, id(u,w), id(v,w)) for every common neighbor
