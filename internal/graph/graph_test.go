@@ -251,6 +251,22 @@ func TestTrianglesMatchNaive(t *testing.T) {
 	check(NewBuilder(0).Build(), "empty graph")
 }
 
+func TestTriangleEdgeIDsValid(t *testing.T) {
+	rng := testutil.Rand(t, 11)
+	n := 40
+	b := NewBuilder(n)
+	for i := 0; i < 300; i++ {
+		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	g := b.Build()
+	g.ForEachTriangle(func(tr Triangle) bool {
+		if g.EdgeID(tr.U, tr.V) != tr.EUV || g.EdgeID(tr.U, tr.W) != tr.EUW || g.EdgeID(tr.V, tr.W) != tr.EVW {
+			t.Fatalf("triangle %+v has wrong edge IDs", tr)
+		}
+		return true
+	})
+}
+
 func TestCommonNeighbors(t *testing.T) {
 	b := NewBuilder(6)
 	// 0-1, 0-2, 0-3, 1-2, 1-3, 4-5
