@@ -92,7 +92,8 @@ bench:
 # within 1.5x the bytes on a graph and on the same graph padded with ten
 # times as many isolated vertices: it copies the page table and the
 # pages the batch touches, never all n entries. The ranking splice of one
-# 8+8 batch (the three measures' tables) allocates within 1.5x the bytes
+# 8+8 batch (the three measures' tables, each with its parameter-free
+# row 0) allocates within 1.5x the bytes
 # on a graph and on that graph padded with nine disjoint copies of
 # itself: it copies the chunk tables of the rankings the batch moves and
 # the chunks it touches, never whole rankings. The truss repair

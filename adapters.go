@@ -34,7 +34,7 @@ type indexCache struct {
 	tau       []int32 // global truss decomposition, indexed by edge ID
 	tsd       *core.TSDIndex
 	gct       *core.GCTIndex
-	ranked    map[core.Measure]*core.Ranked // per-k ranking tables (truss = hybrid; k = 0 is pfree)
+	ranked    map[core.Measure]*core.Ranked // ranking tables (truss = hybrid; row 0 is pfree)
 	buildTime time.Duration
 	loadTime  time.Duration
 
@@ -177,8 +177,8 @@ func (c *indexCache) storedEpoch() Epoch {
 
 // advance derives the next snapshot's cache from this one after an update
 // batch. One patch pass over the affected ego-networks re-derives the TSD
-// and GCT entries and every ranking table in memory (truss included; each
-// new table derives its pfree row on first use), copy-on-write against the
+// and GCT entries and every ranking table in memory (truss included, and
+// each table's pfree row 0 with it), copy-on-write against the
 // shared edited graph, so this cache keeps answering for in-flight
 // readers. The global truss decomposition is never carried over: the
 // next cache starts with it cold, and the first bound query of the new
@@ -580,8 +580,8 @@ func (s *Snapshot) indexEngine(name string, sec store.Section, perQuery, coldBui
 // of ms. hybrid (truss — the paper's Exp-4 competitor, whose table is by
 // Lemma 3 the truss row of the per-measure rankings), comp (component)
 // and kcore (core) each serve their own measure at a fixed k. The kless
-// pfree engine (arXiv:1908.11612) serves every measure from the k = 0
-// row each table derives on first use. Once a table is ready (Prepare, a
+// pfree engine (arXiv:1908.11612) serves every measure from the
+// parameter-free row 0 of its table. Once a table is ready (Prepare, a
 // Batch that routes here, an Apply that patched it, or an index store
 // holding the measure's rankings section) a query is an O(r) prefix read
 // plus online context recovery. Only hybrid builds a cold table on first
@@ -613,8 +613,7 @@ func (s *Snapshot) tableEngine(name string, online *core.Online, kless bool, ms 
 		if len(ms) == 1 {
 			m = ms[0]
 		}
-		// Readying the table costs nothing once it is in memory (pfree's
-		// row is then an O(n + table) pass on first use), one cheap
+		// Readying the table costs nothing once it is in memory, one cheap
 		// sequential load when the index store holds it, else one BuildAll
 		// pass — slightly more than one online scan, since it scores every
 		// k, so a single cold query routes to online/bound while batches

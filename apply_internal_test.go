@@ -3,6 +3,7 @@ package trussdiv
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -154,11 +155,11 @@ func TestApplyPatchesStoreLoadedTrussRankings(t *testing.T) {
 }
 
 // TestApplyPatchesPFreeRankings pins the parameter-free repair
-// contract: the pfree ranking is the k = 0 row of each measure's table,
-// so a small Apply patches the tables alone — ApplyStats counts one patch
-// per table — and the k-less answers at the new epoch, derived from the
-// patched tables without a build, are byte-equal to a cold DB on the
-// edited graph.
+// contract: the pfree ranking is row 0 of each measure's table, so a
+// small Apply patches the tables alone — ApplyStats counts one patch per
+// table — and the k-less answers at the new epoch, read from the patched
+// rows 0 without a build, are byte-equal to a cold DB on the edited
+// graph.
 func TestApplyPatchesPFreeRankings(t *testing.T) {
 	g := gen.CommunityOverlay(gen.OverlayConfig{
 		N: 300, Attach: 3, Cliques: 60, MinSize: 4, MaxSize: 7, Seed: 39,
@@ -218,6 +219,107 @@ func TestApplyPatchesPFreeRankings(t *testing.T) {
 	if cache.builds != 0 {
 		t.Fatalf("builds = %d after post-Apply pfree queries, want 0", cache.builds)
 	}
+}
+
+// TestApplySharesUntouchedPFreeChunks: an 8+8 Apply splices each table's
+// row 0, the parameter-free ranking, copy-on-write like its per-k rows.
+// Every chunk of the previous epoch's row 0 that the batch had no reason
+// to copy is shared by the new epoch's: a chunk from which no entry
+// leaves, and into which or next to which no entry arrives (a rewritten
+// neighbour absorbs a chunk only when it falls below the chunk size).
+func TestApplySharesUntouchedPFreeChunks(t *testing.T) {
+	g := gen.CommunityOverlay(gen.OverlayConfig{
+		N: 3000, Attach: 3, Cliques: 600, MinSize: 4, MaxSize: 7, Seed: 43,
+	})
+	ctx := context.Background()
+	db, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Prepare(ctx, "hybrid", "comp", "kcore"); err != nil {
+		t.Fatal(err)
+	}
+	row0 := func(m Measure) core.RankRow { return db.Snapshot().cache.rankedTable(m, false).Ranking(0) }
+	rng := rand.New(rand.NewSource(43))
+	shared, copied := map[Measure]int{}, map[Measure]int{}
+	// One batch may move no parameter-free score of a measure; apply
+	// batches until each row 0 has had a chunk copied.
+	for batch := 0; batch < 20 && len(copied) < len(AllMeasures()); batch++ {
+		before := map[Measure]core.RankRow{}
+		for _, m := range AllMeasures() {
+			before[m] = row0(m)
+		}
+		if _, err := db.Apply(ctx, streamUpdates(db.Graph(), rng, 8, 8)); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range AllMeasures() {
+			s, c := checkRowShared(t, fmt.Sprintf("batch %d %s", batch, m), before[m], row0(m))
+			shared[m] += s
+			if c > 0 {
+				copied[m] += c
+			}
+		}
+	}
+	for _, m := range AllMeasures() {
+		if shared[m] == 0 || copied[m] == 0 {
+			t.Fatalf("%s: row 0 chunks shared %d times and copied %d times; want some of each",
+				m, shared[m], copied[m])
+		}
+	}
+}
+
+// checkRowShared fails unless got, the splice of the ranking old, shares
+// every chunk of old that no entry leaves and into which or next to
+// which no entry arrives; it returns how many of old's chunks got shares
+// and how many it copied.
+func checkRowShared(t *testing.T, label string, old, got core.RankRow) (shared, copied int) {
+	t.Helper()
+	scores := func(r core.RankRow) map[int32]int32 {
+		out := map[int32]int32{}
+		for _, c := range r.Chunks() {
+			for _, e := range c {
+				out[e.V] = e.Score
+			}
+		}
+		return out
+	}
+	oldScore, newScore := scores(old), scores(got)
+	var arrived []core.RankPair
+	for v, s := range newScore {
+		if oldScore[v] != s {
+			arrived = append(arrived, core.RankPair{V: v, Score: s})
+		}
+	}
+	ahead := func(a, b core.RankPair) bool { return a.Score > b.Score || (a.Score == b.Score && a.V < b.V) }
+	chunks := old.Chunks()
+	leaves := make([]bool, len(chunks))
+	for c, ch := range chunks {
+		for _, e := range ch {
+			leaves[c] = leaves[c] || newScore[e.V] != e.Score
+		}
+	}
+	kept := map[*core.RankPair]int{}
+	for _, c := range got.Chunks() {
+		kept[&c[0]] = len(c)
+	}
+	for c := range chunks {
+		lo, hi := max(c-1, 0), min(c+2, len(chunks))
+		touched := slices.Contains(leaves[lo:hi], true)
+		for _, e := range arrived {
+			after := c == 0 || !ahead(e, chunks[lo][0])
+			before := hi == len(chunks) || ahead(e, chunks[hi][0])
+			touched = touched || (after && before)
+		}
+		switch {
+		case kept[&chunks[c][0]] == len(chunks[c]):
+			shared++
+		case !touched:
+			t.Fatalf("%s: row 0 chunk %d of %d was copied, want it shared", label, c, len(chunks))
+		default:
+			copied++
+		}
+	}
+	return shared, copied
 }
 
 // trippingContext reports itself cancelled from its (trip+1)-th Err call

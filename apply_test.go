@@ -315,8 +315,8 @@ func concurrentReadersDuringApply(t *testing.T, extra []trussdiv.Option) {
 	}
 	// Parameter-free readers: the k-less cell of the matrix, every
 	// measure, two readers at once. Each Apply installs freshly patched
-	// tables whose pfree rows derive on first use, so the readers race to
-	// derive them while Apply patches the next epoch copy-on-write.
+	// tables whose pfree rows 0 it spliced, so the readers read them while
+	// Apply patches the next epoch copy-on-write.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {

@@ -5,13 +5,13 @@
 // every boot.
 //
 // The store file (<out>/indexes.tdx) holds the global truss
-// decomposition, the TSD and GCT indexes, and the hybrid engine's per-k
-// rankings, fingerprinted against the exact graph they were built from;
+// decomposition, the TSD and GCT indexes, and the hybrid engine's
+// ranking table, fingerprinted against the exact graph they were built from;
 // a reader refuses the file for any other graph and rebuilds instead.
-// With -measures the file additionally carries the per-k rankings of the
+// With -measures the file additionally carries the ranking tables of the
 // component and core diversity measures (measure-tagged sections), so a
 // warm server answers every measure's top-r in O(r) — fixed-k, and
-// k-less from the pfree row each table derives on first use.
+// k-less from the parameter-free row 0 each table stores.
 //
 // Usage:
 //
@@ -74,9 +74,9 @@ func run(input, dataset, out string, verify, measures bool) error {
 	// so the store file is serialized once, not once per Prepare.
 	names := []string(nil) // default set: bound, tsd, gct, hybrid
 	if measures {
-		// Plus the native measure engines' per-k rankings, landing in the
+		// Plus the native measure engines' ranking tables, landing in the
 		// same file as measure-tagged sections; pfree needs no section of
-		// its own (it reads every measure's table).
+		// its own (it reads row 0 of every measure's table).
 		names = []string{"bound", "tsd", "gct", "hybrid", "comp", "kcore", "pfree"}
 	}
 	start := time.Now()

@@ -110,14 +110,14 @@ func WithResultCache(n int) Option {
 // A warm file also restores the epoch counter it recorded, so epochs keep
 // increasing across redeploys of an updated graph.
 //
-// Format v3 files are memory-mapped by default — see WithStoreMode.
+// Index files are memory-mapped by default — see WithStoreMode.
 func WithIndexDir(dir string) Option {
 	return func(c *dbConfig) { c.indexDir = dir }
 }
 
 // WithStoreMode selects how the index store configured with WithIndexDir
 // is read: StoreMmap (the default) serves zero-copy views over a
-// read-only mapping of a format v3 file, StoreDecode forces the classic
+// read-only mapping of the index file, StoreDecode forces the classic
 // read-and-decode path. The mode never changes query results — answers
 // are byte-identical either way — only where the index arrays live.
 // Without WithIndexDir the option has no effect.
@@ -326,8 +326,8 @@ type IndexStats struct {
 	// from the index store).
 	MeasureRankings []Measure
 	// PFreeRankings lists the measures whose parameter-free rankings are
-	// ready: those whose per-k table is in memory, since the pfree
-	// ranking is the table's k = 0 row (derived on first use).
+	// ready: those whose ranking table is in memory, since the pfree
+	// ranking is the table's row 0, built, stored and patched with it.
 	PFreeRankings []Measure
 	BuildTime     time.Duration
 	LoadTime      time.Duration // time spent reading the index store
@@ -351,10 +351,9 @@ type StoreStatus struct {
 	// "epoch", and "rankings@component"/"rankings@core").
 	Warm     bool
 	Sections []string
-	// FormatVersion is the on-disk format version of the warm file (3,
+	// FormatVersion is the on-disk format version of the warm file (4,
 	// the only one accepted; 0 when no file is loaded), and Mode is how
-	// the file is actually
-	// being read — StoreMmap only when the mapping is live, StoreDecode
+	// the file is actually being read — StoreMmap only when the mapping is live, StoreDecode
 	// when the configured (or fallen-back-to) path decodes sections.
 	FormatVersion uint32
 	Mode          StoreMode

@@ -37,9 +37,10 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n\n", g.N(), g.M())
 
-	// Prepare pfree once (every measure's per-k table and its derived
-	// pfree row); afterwards every k-less top-r is an O(r) prefix read. (Skipping this works too — the engine falls
-	// back to scoring all-k vectors online, same answers.)
+	// Prepare pfree once (every measure's ranking table, whose row 0 is
+	// the pfree ranking); afterwards every k-less top-r is an O(r) prefix
+	// read. (Skipping this works too — the engine falls back to scoring
+	// all-k vectors online, same answers.)
 	if err := db.Prepare(ctx, "pfree"); err != nil {
 		log.Fatal(err)
 	}

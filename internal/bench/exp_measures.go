@@ -148,8 +148,8 @@ func runMeasures(w io.Writer, cfg Config) error {
 			}
 		}
 		if len(measures) == len(trussdiv.AllMeasures()) {
-			// The rankings-backed engines: every measure's table, and the
-			// pfree rows derived from them.
+			// The rankings-backed engines: every measure's table, whose
+			// row 0 serves pfree.
 			row, err := timePrepareAll(ctx, g, []string{"hybrid", "comp", "kcore", "pfree"})
 			if err != nil {
 				return fmt.Errorf("%s prepare-all: %w", name, err)

@@ -153,7 +153,7 @@ func TestPatchAllAllocsIndependentOfN(t *testing.T) {
 
 // TestSpliceAllocsIndependentOfN pins the ranking splice's copy-on-write:
 // splicing one fixed 8+8 batch's fresh scores into the three measures'
-// tables allocates within 1.5x the bytes on a graph and on that graph
+// tables, the parameter-free row 0 of each included, allocates within 1.5x the bytes on a graph and on that graph
 // padded with nine disjoint copies of itself, whose rankings are ten
 // times as long. The splice copies the chunk tables of the rankings the
 // batch moves and the chunks it touches, never whole rankings; a splice

@@ -60,8 +60,8 @@ type patchTarget struct {
 // per-vertex driver: PatchAll over the affected vertices of a random
 // insert/delete batch deep-equals BuildAll over the edited graph — for
 // every target and measure, at every worker count — its TSD scores equal
-// the online scorer's, the pfree row each built and patched table
-// derives equals a brute-force ranking, and the previous products are
+// the online scorer's, the pfree row 0 of each built and patched table
+// equals a brute-force ranking, and the previous products are
 // untouched (copy-on-write). The single-structure rows run under their
 // own tests below.
 func TestPatchMatchesBuildAll(t *testing.T) {

@@ -21,11 +21,10 @@ type GCTSuperEdge struct {
 // of supernodes. Supernodes are stored with trussness descending so that
 // N_k = |{S : τ(S) >= k}| is a binary search; superedge weights likewise.
 type gctVertex struct {
-	nodeTau   []int32 // per supernode, descending
-	memberOff []int32 // supernode i owns members[memberOff[i]:memberOff[i+1]]
-	members   []int32 // local vertex IDs grouped by supernode
-	edges     []GCTSuperEdge
-	edgeW     []int32 // superedge weights, descending (same order as edges)
+	nodeTau   []int32        // per supernode, descending
+	memberOff []int32        // supernode i owns members[memberOff[i]:memberOff[i+1]]
+	members   []int32        // local vertex IDs grouped by supernode
+	edges     []GCTSuperEdge // by weight descending
 }
 
 // GCTIndex is the compressed truss-based diversity index (paper §6): per
@@ -160,10 +159,6 @@ func buildGCTVertex(local *graph.Graph, tau, forest, vt []int32) gctVertex {
 		}
 	}
 	sort.Slice(gv.edges, func(i, j int) bool { return gv.edges[i].W > gv.edges[j].W })
-	gv.edgeW = make([]int32, len(gv.edges))
-	for i, e := range gv.edges {
-		gv.edgeW[i] = e.W
-	}
 	return gv
 }
 
@@ -190,7 +185,7 @@ func (idx *GCTIndex) SuperEdges(v int32) []GCTSuperEdge { return idx.verts.ref(v
 func (idx *GCTIndex) Score(v int32, k int32) int {
 	gv := idx.verts.ref(v)
 	nk := sort.Search(len(gv.nodeTau), func(i int) bool { return gv.nodeTau[i] < k })
-	mk := sort.Search(len(gv.edgeW), func(i int) bool { return gv.edgeW[i] < k })
+	mk := sort.Search(len(gv.edges), func(i int) bool { return gv.edges[i].W < k })
 	return nk - mk
 }
 
@@ -233,8 +228,7 @@ func (idx *GCTIndex) SizeBytes() int64 {
 		for i := range page {
 			gv := &page[i]
 			b += int64(len(gv.nodeTau))*4 + int64(len(gv.memberOff))*4 +
-				int64(len(gv.members))*4 + int64(len(gv.edges))*12 +
-				int64(len(gv.edgeW))*4 + 5*24
+				int64(len(gv.members))*4 + int64(len(gv.edges))*12 + 4*24
 		}
 	}
 	return b

@@ -105,7 +105,7 @@ func NewTSDIndexFromFlat(g *graph.Graph, f TSDFlat) (*TSDIndex, error) {
 // GCTFlat is the flat-slab form of a GCTIndex. All *Off tables have len
 // n+1. Bounds holds the per-vertex memberOff arrays back to back (each has
 // one more entry than the vertex's supernode count, or zero entries for a
-// vertex with no ego edges); Edges and EdgeW are parallel and share EdgeOff.
+// vertex with no ego edges).
 type GCTFlat struct {
 	NodeOff   []int64
 	NodeTau   []int32
@@ -115,7 +115,6 @@ type GCTFlat struct {
 	Members   []int32
 	EdgeOff   []int64
 	Edges     []GCTSuperEdge
-	EdgeW     []int32
 }
 
 // Flatten exports the index as flat slabs.
@@ -141,14 +140,12 @@ func (idx *GCTIndex) Flatten() GCTFlat {
 	f.Bounds = make([]int32, 0, nb)
 	f.Members = make([]int32, 0, nm)
 	f.Edges = make([]GCTSuperEdge, 0, ne)
-	f.EdgeW = make([]int32, 0, ne)
 	for v := int32(0); int(v) < n; v++ {
 		gv := idx.verts.ref(v)
 		f.NodeTau = append(f.NodeTau, gv.nodeTau...)
 		f.Bounds = append(f.Bounds, gv.memberOff...)
 		f.Members = append(f.Members, gv.members...)
 		f.Edges = append(f.Edges, gv.edges...)
-		f.EdgeW = append(f.EdgeW, gv.edgeW...)
 	}
 	return f
 }
@@ -166,8 +163,7 @@ func NewGCTIndexFromFlat(g *graph.Graph, f GCTFlat) (*GCTIndex, error) {
 	}
 	if f.NodeOff[0] != 0 || f.BoundOff[0] != 0 || f.MemberOff[0] != 0 || f.EdgeOff[0] != 0 ||
 		f.NodeOff[n] != int64(len(f.NodeTau)) || f.BoundOff[n] != int64(len(f.Bounds)) ||
-		f.MemberOff[n] != int64(len(f.Members)) || f.EdgeOff[n] != int64(len(f.Edges)) ||
-		len(f.EdgeW) != len(f.Edges) {
+		f.MemberOff[n] != int64(len(f.Members)) || f.EdgeOff[n] != int64(len(f.Edges)) {
 		return nil, fmt.Errorf("core: gct flat: offset tables do not span their arrays")
 	}
 	idx := &GCTIndex{g: g, verts: makePaged[gctVertex](n)}
@@ -205,7 +201,6 @@ func NewGCTIndexFromFlat(g *graph.Graph, f GCTFlat) (*GCTIndex, error) {
 		gv.members = f.Members[mlo:mhi:mhi]
 		if ehi > elo {
 			gv.edges = f.Edges[elo:ehi:ehi]
-			gv.edgeW = f.EdgeW[elo:ehi:ehi]
 		}
 	}
 	return idx, nil

@@ -130,7 +130,7 @@ func TestGCTSmallerThanTSD(t *testing.T) {
 	a, b := BuildTSDIndex(g).Flatten(), BuildGCTIndex(g).Flatten()
 	tsd := 8*(len(a.ForestOff)+len(a.CumOff)) + 12*len(a.Forest) + 4*(len(a.Mv)+len(a.Cum))
 	gct := 8*(len(b.NodeOff)+len(b.BoundOff)+len(b.MemberOff)+len(b.EdgeOff)) + 12*len(b.Edges) +
-		4*(len(b.NodeTau)+len(b.Bounds)+len(b.Members)+len(b.EdgeW))
+		4*(len(b.NodeTau)+len(b.Bounds)+len(b.Members))
 	if gct >= tsd {
 		t.Fatalf("GCT flat %d bytes >= TSD %d; compression lost", gct, tsd)
 	}

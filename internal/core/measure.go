@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Measure names one structural diversity definition — the axis the
@@ -113,13 +112,10 @@ func MeasureUpperBound(m Measure, degree int, egoEdges int32, k int32) int {
 // contexts of the answer vertices are recovered online with the measure's
 // shared Scorer (spread over p.Workers), which is what makes the strategy
 // lose to GCT as r grows. The same table answers the parameter-free query
-// (K = 0) from a pfree row it derives from its per-k rows on first use
-// (pfreeRow).
+// (K = 0) from its row 0.
 type Ranked struct {
 	scorer *Scorer
 	table  RankTable
-	pfOnce sync.Once
-	pf     RankRow // the pfree row, set by pfreeRow
 }
 
 // NewRanked returns a rankings-backed searcher for scorer's measure over
@@ -134,18 +130,14 @@ func NewRanked(scorer *Scorer, table RankTable) *Ranked {
 // Measure returns the measure the rankings were scored under.
 func (r *Ranked) Measure() Measure { return r.scorer.m }
 
-// Rankings returns the per-k table (entries below k=2 are empty). It
+// Rankings returns the table (row 0 parameter-free, row 1 empty). It
 // aliases internal storage.
 func (r *Ranked) Rankings() RankTable { return r.table }
 
 // Ranking returns the full precomputed ranking for k (sorted by score
 // descending), empty outside the table; k = 0 returns the parameter-free
-// ranking, derived from the per-k rows on the first such call. It aliases
-// internal storage.
+// ranking. It aliases internal storage.
 func (r *Ranked) Ranking(k int32) RankRow {
-	if k == 0 {
-		return r.pfreeRow()
-	}
 	if k < 0 || int(k) >= len(r.table) {
 		return RankRow{}
 	}

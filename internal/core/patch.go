@@ -2,7 +2,7 @@ package core
 
 import "slices"
 
-// In-place repair of the per-k ranking tables after an edit batch. The
+// In-place repair of the ranking tables after an edit batch. The
 // rankings are global orderings, but every entry is a per-vertex score
 // computed from that vertex's ego-network alone — so an edit batch can
 // only move the vertices in AffectedVertices. PatchAll re-scores those
@@ -19,15 +19,18 @@ import "slices"
 
 // spliceRankings derives one measure's rankings for the edited graph from
 // the previous table old and the affected vertices' fresh all-k vectors
-// (aligned with affected, which is sorted ascending). The output holds BuildAll's entries
-// exactly: zero scores omitted, each ranking in canonical order, empty
-// rankings below k=2 and where no vertex scores, and the table trimmed to
-// the true maximum k. old is never written, and stays fully usable.
+// (aligned with affected, which is sorted ascending; entry 0 is the
+// parameter-free score). The output holds BuildAll's entries exactly:
+// zero scores omitted, each ranking in canonical order, row 1 empty, and
+// the table trimmed to the true maximum k. old is never written, and
+// stays fully usable.
 //
 // Every measure nests its contexts — a k-truss is a (k-1)-truss, a
 // component of k vertices has k-1, a k-core is a (k-1)-core — so a vertex
 // listed at k >= 3 is listed at k-1 too. The splice walks k upwards and
-// stops looking for a vertex once a ranking of old lacks it.
+// stops looking for a vertex once a ranking of old lacks it. Row 0 does
+// not nest with the per-k rows: it is spliced first, looking up every
+// affected vertex.
 func spliceRankings(old RankTable, affected []int32, fresh [][]int32) RankTable {
 	maxK := max(len(old)-1, 2)
 	for _, s := range fresh {
@@ -35,11 +38,18 @@ func spliceRankings(old RankTable, affected []int32, fresh [][]int32) RankTable 
 	}
 	out := make(RankTable, maxK+1)
 	sp := tableSplice{fresh: fresh, old: make([]int32, len(affected))}
-	for i := range sp.old {
-		sp.old[i] = -1 // may be listed at k = 2
-	}
 	top := 2
-	for k := 2; k <= maxK; k++ {
+	for k := 0; k <= maxK; k++ {
+		switch k {
+		case 1:
+			continue
+		case 0, 2:
+			// Rows 0 and 2 may list any affected vertex; a higher row
+			// only one that row k-1 listed.
+			for i := range sp.old {
+				sp.old[i] = -1
+			}
+		}
 		var row RankRow
 		if k < len(old) {
 			row = old[k]
@@ -52,7 +62,7 @@ func spliceRankings(old RankTable, affected []int32, fresh [][]int32) RankTable 
 			}
 		}
 		slices.SortFunc(sp.scored, comparePairs)
-		if out[k] = sp.splice(row); out[k].n > 0 {
+		if out[k] = sp.splice(row); out[k].n > 0 && k >= 2 {
 			top = k
 		}
 	}

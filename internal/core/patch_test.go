@@ -69,8 +69,8 @@ func TestPatchHybridNoAffected(t *testing.T) {
 }
 
 // spliceRankingsMap is the map-based splice spliceRankings replaced, kept
-// as the reference it must agree with: every level rebuilt entry by entry,
-// with a map lookup per old entry.
+// as the reference it must agree with: row 0 and every level rebuilt entry
+// by entry, with a map lookup per old entry.
 func spliceRankingsMap(old [][]VertexScore, affected []int32, fresh [][]int32) [][]VertexScore {
 	aff := make(map[int32]bool, len(affected))
 	maxK := max(len(old)-1, 2)
@@ -79,7 +79,10 @@ func spliceRankingsMap(old [][]VertexScore, affected []int32, fresh [][]int32) [
 		maxK = max(maxK, len(fresh[i])-1)
 	}
 	perK := make([][]VertexScore, maxK+1)
-	for k := 2; k <= maxK; k++ {
+	for k := 0; k <= maxK; k++ {
+		if k == 1 {
+			continue
+		}
 		var oldList []VertexScore
 		if k < len(old) {
 			oldList = old[k]
@@ -179,7 +182,7 @@ func checkChunkBounds(t *testing.T, label string, table RankTable) {
 	}
 }
 
-// checkShared requires every chunk of old that the splice had no reason
+// checkShared requires every chunk of old (row 0 included) that the splice had no reason
 // to copy to be shared by got: a chunk whose neighbours and itself lose
 // no entry, and near which no entry arrives — between the first entry of
 // the chunk before it and the first entry of the chunk two after it (a
@@ -188,7 +191,7 @@ func checkChunkBounds(t *testing.T, label string, table RankTable) {
 // neither leaves nor arrives.
 func checkShared(t *testing.T, label string, old, got RankTable, affected []int32, fresh [][]int32) {
 	t.Helper()
-	for k := 2; k < min(len(old), len(got)); k++ {
+	for k := range min(len(old), len(got)) {
 		chunks := old[k].chunks
 		oldScore := map[int32]int32{} // the affected vertices' scores in old[k]
 		leaves := make([]bool, len(chunks))
@@ -345,6 +348,18 @@ func TestSpliceRankingsEdgeCases(t *testing.T) {
 func TestSpliceRankingsRandomized(t *testing.T) {
 	rng := testutil.Rand(t, 4100)
 	const n = 10000
+	// withPFree sets entry 0 of a vector to its parameter-free score, as
+	// copyAllK does.
+	withPFree := func(vec []int32) []int32 {
+		allk := make([]int, len(vec))
+		for k := 2; k < len(vec); k++ {
+			allk[k] = int(vec[k])
+		}
+		if len(vec) > 0 {
+			vec[0] = int32(pfreeScore(allk))
+		}
+		return vec
+	}
 	// vector draws a nested all-k vector: positive scores at k = 2..len-1.
 	vector := func(length int) []int32 {
 		if length < 3 {
@@ -354,7 +369,7 @@ func TestSpliceRankingsRandomized(t *testing.T) {
 		for k := 2; k < length; k++ {
 			vec[k] = 1 + rng.Int31n(6)
 		}
-		return vec
+		return withPFree(vec)
 	}
 	for trial := range 3 {
 		maxLen := 6 + rng.Intn(4)
@@ -385,10 +400,11 @@ func TestSpliceRankingsRandomized(t *testing.T) {
 						vec = slices.Clone(vec)
 						switch {
 						case len(vec) > 3 && rng.Intn(2) == 0:
-							vec = vec[:len(vec)-1]
+							vec = withPFree(vec[:len(vec)-1])
 						case len(vec) >= 3:
 							k := 2 + rng.Intn(len(vec)-2)
 							vec[k] = max(1, vec[k]+1-2*rng.Int31n(2))
+							vec = withPFree(vec)
 						default:
 							vec = vector(3)
 						}
@@ -410,7 +426,7 @@ func TestSpliceRankingsRandomized(t *testing.T) {
 				want := 2*rankChunk + 1 - len(chunk) + rng.Intn(rankChunk)
 				for v := chunk[0].V + 1; v < chunk[len(chunk)-1].V && len(affected) < want; v++ {
 					if len(vecs[v]) < 3 {
-						add(v, []int32{0, 0, chunk[0].Score})
+						add(v, withPFree([]int32{0, 0, chunk[0].Score}))
 					}
 				}
 				if len(chunk)+len(affected) <= 2*rankChunk {
@@ -433,7 +449,7 @@ func TestSpliceRankingsRandomized(t *testing.T) {
 				top := len(table) - 1
 				for _, c := range table[top].chunks {
 					for _, e := range c {
-						add(e.V, vecs[e.V][:top])
+						add(e.V, withPFree(slices.Clone(vecs[e.V][:top])))
 					}
 				}
 			}

@@ -15,8 +15,8 @@ package core
 //
 // Threshold 0 selects the objective throughout this package: a
 // VertexScorer or Scorer scores and recovers contexts parameter-freely at
-// k = 0, Online scans with it, and a Ranked table answers K = 0 from a
-// pfree row it derives once from its own per-k rows (pfreeRow).
+// k = 0, Online scans with it, and a Ranked table answers K = 0 from its
+// row 0, which BuildAll and PatchAll produce like every other row.
 
 // pfreeScore aggregates one vertex's per-k score vector (indexed by k,
 // entries 0 and 1 unused, nil when the vertex has no contexts at any
@@ -53,48 +53,4 @@ func pfreeLevel(allK []int) int32 {
 		return 0
 	}
 	return int32(max(h, 2))
-}
-
-// pfreeRow derives the canonical pfree ranking (score descending, vertex
-// ascending, zero scores omitted) from the table's per-k rows, once per
-// table. Every listed (v, k, s) entry witnesses exactly the per-level h of
-// pfreeScore, so one pass over the table takes each vertex's best
-// witness, and a counting sort over the scores — bucketed by score
-// descending, filled in vertex order — lays out the row: O(n + table), no
-// map and no comparison sort.
-func (r *Ranked) pfreeRow() RankRow {
-	r.pfOnce.Do(func() {
-		best := make([]int32, r.scorer.g.N())
-		// A witness never exceeds its level, so scores stay below len(table).
-		count := make([]int, len(r.table)+1)
-		for k := 2; k < len(r.table); k++ {
-			for _, c := range r.table[k].chunks {
-				for _, e := range c {
-					if h := int32(witness(k, int(e.Score))); h > best[e.V] {
-						best[e.V] = h
-					}
-				}
-			}
-		}
-		for _, h := range best {
-			count[h]++
-		}
-		// Turn the counts into each bucket's first slot, higher scores
-		// first; bucket 0 (no score) is left out of the row.
-		total := 0
-		for h := len(count) - 1; h >= 1; h-- {
-			c := count[h]
-			count[h] = total
-			total += c
-		}
-		row := make([]RankPair, total)
-		for v, h := range best {
-			if h > 0 {
-				row[count[h]] = RankPair{V: int32(v), Score: h}
-				count[h]++
-			}
-		}
-		r.pf = rowOf(row)
-	})
-	return r.pf
 }

@@ -44,10 +44,11 @@ type BuildTargets struct {
 type BuildProducts struct {
 	TSD *TSDIndex
 	GCT *GCTIndex
-	// MeasureRanks holds each requested measure's per-k rankings (feed
-	// NewRanked): the ranking at k sorted by score descending then vertex
-	// ascending, zero scores omitted, empty for k < 2, the table trimmed
-	// to the largest k any vertex scores at (minimum length 3).
+	// MeasureRanks holds each requested measure's ranking table (feed
+	// NewRanked): the parameter-free ranking at 0 and the ranking at each
+	// k >= 2, sorted by score descending then vertex ascending, zero
+	// scores omitted, empty at 1, the table trimmed to the largest k any
+	// vertex scores at (minimum length 3).
 	MeasureRanks map[Measure]RankTable
 }
 
@@ -249,8 +250,9 @@ func (p *egoPass) vertex(s *passScratch, v int32, slot int) {
 	}
 }
 
-// copyAllK snapshots a scratch-owned all-k vector (indexed by k, entries
-// 0 and 1 unused) so it survives the worker's next vertex.
+// copyAllK snapshots a scratch-owned all-k vector (indexed by k, entry 1
+// unused) so it survives the worker's next vertex, with the vertex's
+// parameter-free score in entry 0: the row-0 score of its table.
 func copyAllK(allk []int) []int32 {
 	if len(allk) == 0 {
 		return nil
@@ -259,22 +261,24 @@ func copyAllK(allk []int) []int32 {
 	for i, s := range allk {
 		out[i] = int32(s)
 	}
+	out[0] = int32(pfreeScore(allk))
 	return out
 }
 
 // assembleMeasureRanks shapes the per-vertex measure vectors (indexed by
-// vertex) into per-k rankings: minimum table length 3, canonical order
-// per k. Each vector ends at its vertex's largest scoring k, so the table
-// ends at the largest k any vertex scores at. Each ranking's chunks are
-// cut out of one array of exactly its length.
+// vertex) into rankings: row 0 from each vector's parameter-free score,
+// row k >= 2 from its score at k, minimum table length 3, canonical order
+// per row. Each vector ends at its vertex's largest scoring k, so the
+// table ends at the largest k any vertex scores at. Each ranking's chunks
+// are cut out of one array of exactly its length.
 func assembleMeasureRanks(vecs [][]int32) RankTable {
 	counts := make([]int, 3)
 	for _, vec := range vecs {
 		for len(counts) < len(vec) {
 			counts = append(counts, 0)
 		}
-		for k := 2; k < len(vec); k++ {
-			if vec[k] > 0 {
+		for k, s := range vec {
+			if s > 0 {
 				counts[k]++
 			}
 		}
@@ -286,8 +290,8 @@ func assembleMeasureRanks(vecs [][]int32) RankTable {
 		}
 	}
 	for v, vec := range vecs {
-		for k := 2; k < len(vec); k++ {
-			if s := vec[k]; s > 0 {
+		for k, s := range vec {
+			if s > 0 {
 				rows[k] = append(rows[k], RankPair{V: int32(v), Score: s})
 			}
 		}

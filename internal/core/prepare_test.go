@@ -7,18 +7,24 @@ import (
 	"testing"
 
 	"trussdiv/internal/gen"
+	"trussdiv/internal/graph"
 	"trussdiv/internal/testutil"
 )
 
-// referenceRankings builds a per-k ranking table the slow way — every
-// vertex scored at every k through score, until a k nobody scores at —
-// in BuildAll's shape: zero scores omitted, canonical order, empty lists
-// nil, minimum length 3.
-func referenceRankings(n int, score func(v, k int32) int) [][]VertexScore {
+// referenceRankings builds measure m's ranking table over g the slow
+// way — every vertex scored at every k through score, until a k nobody
+// scores at, and row 0 from brutePFreeRanking — in BuildAll's shape: zero
+// scores omitted, canonical order, empty lists nil, minimum length 3.
+func referenceRankings(g *graph.Graph, m Measure, score func(v, k int32) int) [][]VertexScore {
 	perK := make([][]VertexScore, 3)
+	for _, e := range brutePFreeRanking(g, m) {
+		if e.Score > 0 {
+			perK[0] = append(perK[0], e)
+		}
+	}
 	for k := int32(2); ; k++ {
 		var list []VertexScore
-		for v := int32(0); int(v) < n; v++ {
+		for v := int32(0); int(v) < g.N(); v++ {
 			if s := score(v, k); s > 0 {
 				list = append(list, VertexScore{V: v, Score: s})
 			}
@@ -67,9 +73,9 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 		wantTSD := BuildTSDIndex(g)
 		online := onlineTrussScores(g)
 		wantGCT := BuildGCTIndex(g)
-		wantHybrid := referenceRankings(g.N(), wantGCT.Score)
-		wantComp := referenceRankings(g.N(), baselineModel(g, MeasureComponent).Score)
-		wantCore := referenceRankings(g.N(), baselineModel(g, MeasureCore).Score)
+		wantHybrid := referenceRankings(g, MeasureTruss, wantGCT.Score)
+		wantComp := referenceRankings(g, MeasureComponent, baselineModel(g, MeasureComponent).Score)
+		wantCore := referenceRankings(g, MeasureCore, baselineModel(g, MeasureCore).Score)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			p := BuildAll(g, targets, workers)
 			if !reflect.DeepEqual(p.TSD, wantTSD) {
@@ -100,7 +106,7 @@ func TestBuildAllMatchesDedicatedBuilders(t *testing.T) {
 	if p.TSD != nil || p.GCT != nil || len(p.MeasureRanks) != 1 {
 		t.Fatal("unrequested products were built")
 	}
-	if !reflect.DeepEqual(wide(p.MeasureRanks[MeasureTruss]), referenceRankings(g.N(), BuildGCTIndex(g).Score)) {
+	if !reflect.DeepEqual(wide(p.MeasureRanks[MeasureTruss]), referenceRankings(g, MeasureTruss, BuildGCTIndex(g).Score)) {
 		t.Fatal("truss-only BuildAll diverges from the GCT index scores")
 	}
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // Ranking tables. A measure's table holds one canonical ranking per
-// threshold k: the vertices with a positive score at k, by score
-// descending then vertex ascending. Each ranking is cut into chunks of
+// threshold k, and the parameter-free ranking at index 0: the vertices
+// with a positive score, by score descending then vertex ascending. Each
+// ranking is cut into chunks of
 // (vertex, score) int32 pairs — the pairs the index store lays out — and
 // reached through a chunk table, so a warm open serves a ranking as views
 // of the store's flat row, a query widens only the entries it returns,
@@ -40,9 +41,9 @@ type RankRow struct {
 	n      int
 }
 
-// RankTable is one measure's rankings indexed by k: entries 0 and 1 are
-// empty, and the table ends at the largest k any vertex scores at
-// (minimum length 3).
+// RankTable is one measure's rankings indexed by k: entry 0 is the
+// parameter-free ranking, entry 1 is empty, and the table ends at the
+// largest k any vertex scores at (minimum length 3).
 type RankTable []RankRow
 
 // Len returns the number of entries.

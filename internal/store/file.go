@@ -412,7 +412,7 @@ func (f *File) Epoch() (uint64, error) {
 	return binary.LittleEndian.Uint64(payload), nil
 }
 
-// MeasureRankings loads the per-k rankings of measure m, or (nil, nil)
+// MeasureRankings loads the ranking table of measure m, or (nil, nil)
 // when the file has no rankings section tagged with m. The table's chunks
 // are views of the payload, like every other array-shaped section.
 func (f *File) MeasureRankings(m core.Measure) (core.RankTable, error) {

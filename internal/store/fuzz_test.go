@@ -15,10 +15,10 @@ import (
 // mmap path builds views from offsets and counts taken from the file, so
 // every open, accessor and VerifySections call, in both modes, must return a value or one of the store's typed errors — and
 // never panic or hand out a view past the payload. The corpus is seeded
-// with the v3 goldens, the rejected v1/v2 goldens, and truncations of
-// each.
+// with the rejected v3, v1 and v2 goldens, the current v4 golden, and
+// truncations of each.
 func FuzzOpenFile(f *testing.F) {
-	for _, name := range []string{"golden_fig1_v3.tdx", "golden_fig1_v3_pfree.tdx", "golden_fig1.tdx", "golden_fig1_v2.tdx"} {
+	for _, name := range []string{"golden_fig1_v3.tdx", "golden_fig1_v3_pfree.tdx", "golden_fig1.tdx", "golden_fig1_v2.tdx", "golden_fig1_v4.tdx"} {
 		blob, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

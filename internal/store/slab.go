@@ -10,7 +10,7 @@ import (
 	"trussdiv/internal/graph"
 )
 
-// Format v3 section payloads are "slabs": sequences of fixed-width
+// Section payloads are "slabs": sequences of fixed-width
 // little-endian arrays, each starting on an 8-byte boundary relative to the
 // payload start. The writer places every payload 8-byte aligned in the
 // file, and decode mode reads each payload into an 8-byte-aligned buffer,
@@ -236,7 +236,7 @@ func decodeTSDSlab(payload []byte, g *graph.Graph) (*core.TSDIndex, error) {
 
 // --- GCT slab: n, nNode, nBound, nMember, nEdge, noff[n+1], nodeTau[nNode],
 //     boff[n+1], bounds[nBound], moff[n+1], members[nMember], eoff[n+1],
-//     edges[nEdge], edgeW[nEdge] ---
+//     edges[nEdge] ---
 
 func encodeGCTSlab(idx *core.GCTIndex) []byte {
 	f := idx.Flatten()
@@ -254,7 +254,6 @@ func encodeGCTSlab(idx *core.GCTIndex) []byte {
 	s.i32s(f.Members)
 	s.i64s(f.EdgeOff)
 	s.gctEdges(f.Edges)
-	s.i32s(f.EdgeW)
 	return s.buf
 }
 
@@ -270,7 +269,6 @@ func decodeGCTSlab(payload []byte, g *graph.Graph) (*core.GCTIndex, error) {
 	f.Members = i32Array[int32](r, nMember)
 	f.EdgeOff = r.i64s(n + 1)
 	f.Edges = i32Array[core.GCTSuperEdge](r, nEdge)
-	f.EdgeW = i32Array[int32](r, nEdge)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -282,11 +280,12 @@ func decodeGCTSlab(payload []byte, g *graph.Graph) (*core.GCTIndex, error) {
 }
 
 // --- rankings slab: maxK, koff[maxK+2], pairs[nPairs] (vertex, score
-//     int32 pairs) ---
+//     int32 pairs); row k holds pairs[koff[k]:koff[k+1]], row 0 the
+//     parameter-free ranking and row 1 nothing ---
 //
-// A ranking table is served like the other sections: each k's row of
-// pairs is viewed in place, and the table's chunks are cut out of the
-// rows without copying (core.NewRankTable). Loading checks every entry
+// A ranking table is served like the other sections: each row of pairs
+// is viewed in place, and the table's chunks are cut out of the rows
+// without copying (core.NewRankTable). Loading checks every entry
 // (decodeRankingsSlab), so a query never widens an entry that names no
 // vertex and a patch never meets a ranking out of order.
 
@@ -296,7 +295,7 @@ func encodeRankingsSlab(t core.RankTable, n int) ([]byte, error) {
 	var total int64
 	for k := 0; k <= maxK; k++ {
 		koff[k] = total
-		if k >= 2 && k < len(t) {
+		if k < len(t) {
 			if t[k].Len() > n {
 				return nil, fmt.Errorf("store: ranking for k=%d has %d entries, graph has %d vertices",
 					k, t[k].Len(), n)
@@ -306,8 +305,8 @@ func encodeRankingsSlab(t core.RankTable, n int) ([]byte, error) {
 	}
 	koff[maxK+1] = total
 	pairs := make([]int32, 0, 2*total)
-	for k := 2; k < len(t); k++ {
-		for _, c := range t[k].Chunks() {
+	for _, row := range t {
+		for _, c := range row.Chunks() {
 			for _, e := range c {
 				pairs = append(pairs, e.V, e.Score)
 			}
@@ -339,49 +338,78 @@ func decodeRankingsSlab(payload []byte, n int) (core.RankTable, error) {
 		return nil, err
 	}
 	rows := make([][]core.RankPair, maxK+1)
-	// listed[v] is the last k whose ranking held v. An entry must name a
-	// vertex of the graph, score above 0, come strictly after the one
-	// before it in canonical order, and (at k >= 3) name a vertex the k-1
-	// ranking held: the splice that patches a table binary-searches each
-	// ranking and stops looking for a vertex above the first k that lacks
-	// it, so a table that breaks any of these would make it list a vertex
-	// twice or (a score of MinInt32) never finish.
-	listed := make([]int32, n)
-	for k := 2; k <= maxK; k++ {
+	for k := range rows {
 		lo, hi := koff[k], koff[k+1]
-		if lo < 0 || lo > hi || hi > total || hi-lo > int64(n) {
+		if lo < 0 || lo > hi || hi > total || hi-lo > int64(n) || (k == 1 && hi > lo) {
 			return nil, &CorruptError{Section: SecRankings,
 				Reason: fmt.Sprintf("ranking k=%d spans [%d,%d] for %d vertices", k, lo, hi, n)}
 		}
-		row := pairs[lo:hi:hi]
-		below := int32(k - 1)
-		if k == 2 {
-			below = 0
+		rows[k] = pairs[lo:hi:hi]
+	}
+	// listed[v] is the last k whose ranking held v (checkRow).
+	listed := make([]int32, n)
+	for k := 2; k <= maxK; k++ {
+		if err := checkRow(rows[k], k, listed); err != nil {
+			return nil, err
 		}
-		prev := int64(-1)
-		for i, e := range row {
-			// Where the score is positive, key increases strictly along a
-			// canonical ranking.
-			key := (math.MaxInt32-int64(e.Score))<<32 | int64(uint32(e.V))
-			if uint32(e.V) >= uint32(n) || e.Score <= 0 || key <= prev || listed[e.V] != below {
-				var bad string
-				switch {
-				case uint32(e.V) >= uint32(n):
-					bad = fmt.Sprintf("vertex %d out of range", e.V)
-				case e.Score <= 0:
-					bad = fmt.Sprintf("score %d not positive", e.Score)
-				case key <= prev:
-					bad = fmt.Sprintf("(%d, %d) not after entry %d", e.V, e.Score, i-1)
-				default:
-					bad = fmt.Sprintf("vertex %d listed last at k=%d", e.V, listed[e.V])
-				}
-				return nil, &CorruptError{Section: SecRankings,
-					Reason: fmt.Sprintf("ranking k=%d entry %d: %s", k, i, bad)}
-			}
-			listed[e.V] = int32(k)
-			prev = key
-		}
-		rows[k] = row
+	}
+	if len(rows[0]) != len(rows[2]) {
+		return nil, &CorruptError{Section: SecRankings,
+			Reason: fmt.Sprintf("ranking k=0 has %d entries, k=2 has %d", len(rows[0]), len(rows[2]))}
+	}
+	if err := checkRow(rows[0], 0, listed); err != nil {
+		return nil, err
 	}
 	return core.NewRankTable(rows), nil
+}
+
+// checkRow checks the ranking at k, given in listed[v] the last k >= 2
+// whose ranking held v (0 if none), and updates listed. An entry must
+// name a vertex of the graph, score above 0 and come strictly after the
+// one before it in canonical order. At k >= 3 it must name a vertex the
+// k-1 ranking held; at k = 2, one no ranking held yet. Called last with
+// k = 0, on the parameter-free row, it must name a vertex some ranking
+// held, at most once (a checked vertex's listed entry is negated), and
+// score no higher than the last k holding it: no level above can witness
+// the score. The splice that patches a table binary-searches each
+// ranking and stops looking for a vertex above the first k that lacks it,
+// so a table that breaks any of these would make it list a vertex twice
+// or (a score of MinInt32) never finish.
+func checkRow(row []core.RankPair, k int, listed []int32) error {
+	below := int32(k - 1)
+	if k == 2 {
+		below = 0
+	}
+	prev := int64(-1)
+	for i, e := range row {
+		// Where the score is positive, key increases strictly along a
+		// canonical ranking.
+		key := (math.MaxInt32-int64(e.Score))<<32 | int64(uint32(e.V))
+		var bad string
+		switch {
+		case uint32(e.V) >= uint32(len(listed)):
+			bad = fmt.Sprintf("vertex %d out of range", e.V)
+		case e.Score <= 0:
+			bad = fmt.Sprintf("score %d not positive", e.Score)
+		case key <= prev:
+			bad = fmt.Sprintf("(%d, %d) not after entry %d", e.V, e.Score, i-1)
+		case k == 0 && listed[e.V] < 0:
+			bad = fmt.Sprintf("vertex %d listed twice", e.V)
+		case k == 0 && (listed[e.V] == 0 || e.Score > listed[e.V]):
+			bad = fmt.Sprintf("vertex %d scores %d, listed last at k=%d", e.V, e.Score, listed[e.V])
+		case k > 0 && listed[e.V] != below:
+			bad = fmt.Sprintf("vertex %d listed last at k=%d", e.V, listed[e.V])
+		}
+		if bad != "" {
+			return &CorruptError{Section: SecRankings,
+				Reason: fmt.Sprintf("ranking k=%d entry %d: %s", k, i, bad)}
+		}
+		if k == 0 {
+			listed[e.V] = -listed[e.V]
+		} else {
+			listed[e.V] = int32(k)
+		}
+		prev = key
+	}
+	return nil
 }

@@ -1,5 +1,5 @@
 // Package store persists the library's search accelerators — the truss
-// decomposition, the TSD and GCT indexes and the per-k rankings of every
+// decomposition, the TSD and GCT indexes and the ranking tables of every
 // measure — in one versioned binary file, so a serving process can warm
 // start from disk instead of paying the full build cost on every boot.
 //
@@ -7,7 +7,7 @@
 //
 //	offset  size  field
 //	0       4     magic "TDIX"
-//	4       4     format version (currently 3)
+//	4       4     format version (currently 4)
 //	8       32    SHA-256 fingerprint of the graph the indexes were built from
 //	40      4     section count
 //	44      28*c  table of contents: {id u32, measure u32, crc32c u32, offset u64, length u64}
@@ -21,7 +21,7 @@
 // *FingerprintError (errors.Is(err, ErrStaleIndex)) so callers can fall
 // back to a rebuild.
 //
-// Payloads are flat slabs of fixed-width little-endian arrays (see v3.go):
+// Payloads are flat slabs of fixed-width little-endian arrays (see slab.go):
 // section offsets and every array inside a section are 8-byte aligned, so
 // the one slab reader views each array in place. The two read modes differ
 // only in how a section's bytes arrive — sliced from a read-only mapping
@@ -57,7 +57,7 @@ const (
 	Magic = uint32(0x58494454)
 	// Version is the format version this package writes and the only one
 	// it reads; see the package comment for the compatibility policy.
-	Version = uint32(3)
+	Version = uint32(4)
 	// FileName is the conventional file name inside an index directory.
 	FileName = "indexes.tdx"
 
@@ -76,24 +76,24 @@ const (
 	// SecTruss is the global truss decomposition: one int32 trussness per
 	// edge, indexed by edge ID.
 	SecTruss Section = 1
-	// SecTSD is the TSD index as a flat slab (v3.go).
+	// SecTSD is the TSD index as a flat slab (slab.go).
 	SecTSD Section = 2
 	// SecGCT is the GCT index, serialized like SecTSD.
 	SecGCT Section = 3
-	// SecRankings is a per-k vertex ranking set; the measure tag in the TOC
-	// says which measure it ranks (untagged/truss = the hybrid engine's).
+	// SecRankings is one measure's ranking table: the per-k vertex
+	// rankings and the parameter-free one; the measure tag in the TOC says
+	// which measure it ranks (untagged/truss = the hybrid engine's).
 	SecRankings Section = 4
 	// SecEpoch is the epoch counter of the snapshot the file was persisted
 	// from (8 bytes, little-endian), so a warm start resumes the version
 	// numbering of an updated graph instead of restarting at 1.
 	SecEpoch Section = 5
-	// Section IDs 6, 7 and 8 are retired. Earlier v3 writers stored the
+	// Section IDs 6, 7 and 8 are retired. Earlier writers stored the
 	// global edge supports (6), the graph's CSR arrays (7) and a
-	// parameter-free ranking (8) there; no reader needs them, since
-	// the DB recounts supports when it rebuilds τ, always holds the graph
-	// it opens a file against, and derives the parameter-free row from the
-	// rankings section. Files that carry them still open — the sections
-	// are skipped like any unknown ID — and no writer may reuse the IDs.
+	// parameter-free ranking (8) there; no reader needs them, since the
+	// DB recounts supports when it rebuilds τ, always holds the graph it
+	// opens a file against, and reads the parameter-free ranking from row
+	// 0 of the rankings section. No writer may reuse the IDs.
 )
 
 // Measure tags on TOC entries, binding a section to the diversity
@@ -260,8 +260,9 @@ type Indexes struct {
 	TSD *core.TSDIndex
 	// GCT is the compressed supernode/superedge index (paper §6).
 	GCT *core.GCTIndex
-	// MeasureRankings are the per-k vertex rankings of each measure
-	// (the ranking at k is sorted by score descending, vertex ascending);
+	// MeasureRankings are the ranking tables of each measure (row 0 the
+	// parameter-free ranking, row k >= 2 the ranking at k, each sorted by
+	// score descending, vertex ascending);
 	// each present measure becomes one measure-tagged rankings section.
 	// The truss-tagged one is the hybrid engine's table.
 	MeasureRankings map[core.Measure]core.RankTable
@@ -270,8 +271,8 @@ type Indexes struct {
 	Epoch uint64
 }
 
-// Write serializes the present sections of ix in format v3, fingerprinted
-// against g, and returns the bytes written. Every payload starts on an
+// Write serializes the present sections of ix in format Version,
+// fingerprinted against g, and returns the bytes written. Every payload starts on an
 // 8-byte file offset so a mmap reader can serve views in place.
 func Write(w io.Writer, g *graph.Graph, ix Indexes) (int64, error) {
 	type section struct {

@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -45,7 +47,7 @@ func buildIndexes(g *graph.Graph) Indexes {
 	}
 }
 
-// rankingsOf builds measure m's per-k ranking table over g.
+// rankingsOf builds measure m's ranking table over g.
 func rankingsOf(g *graph.Graph, m core.Measure) core.RankTable {
 	return core.BuildAll(g, core.BuildTargets{Measures: []core.Measure{m}}, 1).MeasureRanks[m]
 }
@@ -182,7 +184,7 @@ func TestV3OffsetsAligned(t *testing.T) {
 }
 
 // TestGoldenFormat pins the byte-exact on-disk layout of a fully
-// populated version-3 file (truss sections plus one measure-tagged
+// populated version-4 file (truss sections plus one measure-tagged
 // rankings section per alternative measure). A change to the header, the
 // TOC or a slab codec fails here and needs a format-version bump (see the
 // package comment's compatibility policy); retiring an optional section
@@ -197,7 +199,7 @@ func TestGoldenFormat(t *testing.T) {
 	if _, err := Write(&buf, g, ix); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden_fig1_v3.tdx")
+	golden := filepath.Join("testdata", "golden_fig1_v4.tdx")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -217,33 +219,25 @@ func TestGoldenFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenFormatPFree pins compatibility with v3 files that carry the
-// retired section IDs: the global supports (6), the graph's CSR arrays
-// (7) and the parameter-free ranking (8). The checked-in
-// golden_fig1_v3_pfree.tdx carries one supports and one graph section and
-// one pfree section per measure, and is never regenerated. It must open in
-// both modes, leave the retired sections out of Sections(), and decode
-// every other section equal to a fresh build.
-func TestGoldenFormatPFree(t *testing.T) {
+// TestUnknownSectionSkipped pins the compatibility policy's one rule
+// inside a version: a section ID this reader does not know is skipped. A
+// current file with one extra section under an unused ID opens in both
+// modes, leaves the extra section out of Sections(), and decodes every
+// other section equal to what was written.
+func TestUnknownSectionSkipped(t *testing.T) {
 	g := testGraph(t)
 	ix := buildIndexes(g)
 	addMeasureRankings(g, &ix)
-	golden := filepath.Join("testdata", "golden_fig1_v3_pfree.tdx")
-	raw, err := os.ReadFile(golden)
+	blob, err := os.ReadFile(saveTo(t, g, ix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired := map[uint32]int{}
-	for i := 0; i < int(binary.LittleEndian.Uint32(raw[40:44])); i++ {
-		if id := binary.LittleEndian.Uint32(raw[headerSize+tocEntrySize*i:]); id >= 6 {
-			retired[id]++
-		}
-	}
-	if want := map[uint32]int{6: 1, 7: 1, 8: 3}; !reflect.DeepEqual(retired, want) {
-		t.Fatalf("fixture holds retired entries %v, want %v", retired, want)
+	path := filepath.Join(t.TempDir(), FileName)
+	if err := os.WriteFile(path, withExtraSection(blob, 9, []byte("from a newer writer")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	bothModes(t, func(t *testing.T, mode Mode) {
-		f, err := OpenFile(golden, g, WithMode(mode))
+		f, err := OpenFile(path, g, WithMode(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +260,10 @@ func TestGoldenFormatPFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(tau, ix.Tau) {
-			t.Error("truss decomposition in the fixture diverges from a fresh build")
+			t.Error("truss decomposition diverges from the one written")
 		}
 		if !reflect.DeepEqual(tsd.Flatten(), ix.TSD.Flatten()) || !reflect.DeepEqual(gct.Flatten(), ix.GCT.Flatten()) {
-			t.Error("TSD/GCT in the fixture diverge from a fresh build")
+			t.Error("TSD/GCT diverge from the ones written")
 		}
 		for _, m := range core.AllMeasures() {
 			perK, err := f.MeasureRankings(m)
@@ -277,23 +271,57 @@ func TestGoldenFormatPFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(perK, ix.MeasureRankings[m]) {
-				t.Errorf("%s rankings in the fixture diverge from a fresh build", m)
+				t.Errorf("%s rankings diverge from the ones written", m)
 			}
 		}
 	})
 }
 
-// TestV1GoldenRejected and TestV2GoldenRejected pin the compatibility
-// policy: the checked-in v1 and v2 goldens (never regenerated) are refused
-// with a typed *VersionError naming their version — through OpenFile in
-// both modes — so a DB rebuilds and persists v3 in their place instead of
-// misreading them.
+// withExtraSection returns the index file blob with one more TOC entry,
+// section id (truss-tagged), whose payload is appended at the end. Every
+// other payload moves 32 bytes down: the new TOC entry plus padding that
+// keeps each offset 8-byte aligned.
+func withExtraSection(blob []byte, id Section, payload []byte) []byte {
+	const shift = 32
+	count := int(binary.LittleEndian.Uint32(blob[40:44]))
+	tocEnd := headerSize + tocEntrySize*count
+	out := slices.Clone(blob[:tocEnd])
+	binary.LittleEndian.PutUint32(out[40:44], uint32(count+1))
+	for i := range count {
+		off := out[headerSize+tocEntrySize*i+12:]
+		binary.LittleEndian.PutUint64(off, binary.LittleEndian.Uint64(off)+shift)
+	}
+	at := align8(len(blob) + shift)
+	out = binary.LittleEndian.AppendUint32(out, uint32(id))
+	out = binary.LittleEndian.AppendUint32(out, measureCodeTruss)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	out = binary.LittleEndian.AppendUint64(out, uint64(at))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, make([]byte, shift-tocEntrySize)...)
+	out = append(out, blob[tocEnd:]...)
+	out = append(out, make([]byte, at-len(out))...)
+	return append(out, payload...)
+}
+
+// TestV1GoldenRejected, TestV2GoldenRejected and TestV3GoldenRejected pin
+// the compatibility policy: the checked-in v1, v2 and v3 goldens (never
+// regenerated) are refused with a typed *VersionError naming their
+// version — through OpenFile in both modes — so a DB rebuilds and
+// persists the current version in their place instead of misreading
+// them. A v3 rankings section has no parameter-free row, so read as v4
+// it would answer k-less queries from an empty ranking.
 func TestV1GoldenRejected(t *testing.T) {
 	checkOldGoldenRejected(t, "golden_fig1.tdx", 1)
 }
 
 func TestV2GoldenRejected(t *testing.T) {
 	checkOldGoldenRejected(t, "golden_fig1_v2.tdx", 2)
+}
+
+func TestV3GoldenRejected(t *testing.T) {
+	for _, file := range []string{"golden_fig1_v3.tdx", "golden_fig1_v3_pfree.tdx"} {
+		t.Run(file, func(t *testing.T) { checkOldGoldenRejected(t, file, 3) })
+	}
 }
 
 func checkOldGoldenRejected(t *testing.T, file string, version uint32) {
@@ -353,8 +381,8 @@ func TestMeasureRankingsRoundTrip(t *testing.T) {
 	})
 }
 
-// TestPFreeRankingRoundTrip: the parameter-free ranking has no section
-// of its own; a Ranked table over each measure's rankings, loaded through
+// TestPFreeRankingRoundTrip: the parameter-free ranking is row 0 of each
+// measure's rankings section; a Ranked table over it, loaded through
 // either read mode, answers the K = 0 query with r = n exactly as a
 // brute-force ranking of every vertex does.
 func TestPFreeRankingRoundTrip(t *testing.T) {
@@ -808,7 +836,7 @@ func TestTruncatedPayloadIsCorrupt(t *testing.T) {
 
 func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
 	// Poison one ranking entry with a vertex the graph does not have.
-	checkRankingsRejected(t, func(g *graph.Graph, rows [][]core.RankPair) {
+	checkRankingsRejected(t, "out of range", func(g *graph.Graph, rows [][]core.RankPair) {
 		rows[2][0].V = int32(g.N() + 100)
 	})
 }
@@ -818,39 +846,90 @@ func TestRankingsRejectOutOfRangeVertex(t *testing.T) {
 // a vertex of its ranking, or for a vertex the k-1 ranking lacks is
 // corrupt in both modes. The splice that patches a table relies on all
 // four, so such a table would otherwise make it list a vertex twice or
-// (a score of MinInt32) never finish.
+// (a score of MinInt32) never finish. Row 0, the parameter-free ranking,
+// must list each vertex of the k = 2 ranking once, canonically, at a
+// score no higher than the last k listing it, and row 1 must be empty.
 func TestRankingsRejectMalformedRows(t *testing.T) {
+	canonical := func(a, b core.RankPair) int {
+		if a.Score != b.Score {
+			return int(b.Score - a.Score)
+		}
+		return int(a.V - b.V)
+	}
+	// replaceLast returns row with its last entry replaced by e, in
+	// canonical position.
+	replaceLast := func(row []core.RankPair, e core.RankPair) []core.RankPair {
+		row = append(slices.Clone(row[:len(row)-1]), e)
+		slices.SortFunc(row, canonical)
+		return row
+	}
 	cases := []struct {
-		name   string
-		damage func(rows [][]core.RankPair)
+		name, reason string
+		damage       func(g *graph.Graph, rows [][]core.RankPair)
 	}{
 		// The last entry, so that only the score check can catch it.
-		{"zero score", func(rows [][]core.RankPair) { rows[2][len(rows[2])-1].Score = 0 }},
-		{"MinInt32 score", func(rows [][]core.RankPair) { rows[2][len(rows[2])-1].Score = math.MinInt32 }},
-		{"swapped entries", func(rows [][]core.RankPair) { rows[2][0], rows[2][1] = rows[2][1], rows[2][0] }},
-		{"repeated entry", func(rows [][]core.RankPair) { rows[2][1] = rows[2][0] }},
-		{"repeated vertex", func(rows [][]core.RankPair) {
+		{"zero score", "not positive", func(_ *graph.Graph, rows [][]core.RankPair) { rows[2][len(rows[2])-1].Score = 0 }},
+		{"MinInt32 score", "not positive", func(_ *graph.Graph, rows [][]core.RankPair) {
+			rows[2][len(rows[2])-1].Score = math.MinInt32
+		}},
+		{"swapped entries", "not after", func(_ *graph.Graph, rows [][]core.RankPair) {
+			rows[2][0], rows[2][1] = rows[2][1], rows[2][0]
+		}},
+		{"repeated entry", "not after", func(_ *graph.Graph, rows [][]core.RankPair) { rows[2][1] = rows[2][0] }},
+		{"repeated vertex", "listed last", func(_ *graph.Graph, rows [][]core.RankPair) {
 			// The copy scores above every entry, so the row stays in order.
 			first := rows[2][0]
 			rows[2] = slices.Insert(slices.Clone(rows[2]), 0, core.RankPair{V: first.V, Score: first.Score + 1})
 		}},
-		{"not nested", func(rows [][]core.RankPair) {
+		{"not nested", "listed last", func(_ *graph.Graph, rows [][]core.RankPair) {
 			// Drop a vertex of the k=3 ranking from the k=2 one.
 			v := rows[3][0].V
 			rows[2] = slices.DeleteFunc(slices.Clone(rows[2]), func(e core.RankPair) bool { return e.V == v })
 		}},
+		{"pfree vertex missing at k=2", "listed last at k=0", func(g *graph.Graph, rows [][]core.RankPair) {
+			// Swap a listed vertex for one no ranking lists.
+			v := int32(0)
+			for slices.ContainsFunc(rows[2], func(e core.RankPair) bool { return e.V == v }) {
+				v++
+			}
+			if int(v) >= g.N() {
+				t.Fatal("every vertex is listed at k=2")
+			}
+			rows[0] = replaceLast(rows[0], core.RankPair{V: v, Score: 1})
+		}},
+		{"pfree row short", "k=0 has", func(_ *graph.Graph, rows [][]core.RankPair) {
+			rows[0] = rows[0][:len(rows[0])-1]
+		}},
+		{"pfree score above last k", "scores", func(_ *graph.Graph, rows [][]core.RankPair) {
+			// The first entry stays first; no k up to len(rows)-1 lists it there.
+			rows[0][0].Score = int32(len(rows))
+		}},
+		{"pfree repeated vertex", "listed twice", func(_ *graph.Graph, rows [][]core.RankPair) {
+			first := rows[0][0]
+			if first.Score < 2 {
+				t.Fatalf("row 0 %v too flat for the damage", rows[0])
+			}
+			rows[0] = replaceLast(rows[0], core.RankPair{V: first.V, Score: 1})
+		}},
+		{"pfree swapped entries", "not after", func(_ *graph.Graph, rows [][]core.RankPair) {
+			rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+		}},
+		{"pfree zero score", "not positive", func(_ *graph.Graph, rows [][]core.RankPair) {
+			rows[0][len(rows[0])-1].Score = 0
+		}},
+		{"non-empty row 1", "k=1", func(_ *graph.Graph, rows [][]core.RankPair) {
+			rows[1] = rows[2][:1]
+		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			checkRankingsRejected(t, func(_ *graph.Graph, rows [][]core.RankPair) { tc.damage(rows) })
-		})
+		t.Run(tc.name, func(t *testing.T) { checkRankingsRejected(t, tc.reason, tc.damage) })
 	}
 }
 
 // checkRankingsRejected saves the test graph's indexes with the truss
 // table's rows damaged by damage, and requires both modes to report the
-// table corrupt.
-func checkRankingsRejected(t *testing.T, damage func(g *graph.Graph, rows [][]core.RankPair)) {
+// table corrupt, for a reason that contains reason.
+func checkRankingsRejected(t *testing.T, reason string, damage func(g *graph.Graph, rows [][]core.RankPair)) {
 	t.Helper()
 	g := testGraph(t)
 	ix := buildIndexes(g)
@@ -860,7 +939,7 @@ func checkRankingsRejected(t *testing.T, damage func(g *graph.Graph, rows [][]co
 			rows[k] = append(rows[k], c...)
 		}
 	}
-	if len(rows) < 4 || len(rows[2]) < 2 || len(rows[3]) == 0 {
+	if len(rows) < 4 || len(rows[0]) < 2 || len(rows[2]) < 2 || len(rows[3]) == 0 {
 		t.Fatalf("truss rankings %v too small for the damage", rows)
 	}
 	damage(g, rows)
@@ -872,8 +951,9 @@ func checkRankingsRejected(t *testing.T, damage func(g *graph.Graph, rows [][]co
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if _, err := f.MeasureRankings(core.MeasureTruss); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("MeasureRankings(truss) err = %v, want ErrCorrupt", err)
+		_, err = f.MeasureRankings(core.MeasureTruss)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), reason) {
+			t.Fatalf("MeasureRankings(truss) err = %v, want ErrCorrupt for %q", err, reason)
 		}
 	})
 }

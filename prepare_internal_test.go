@@ -145,7 +145,7 @@ func TestPrepareSingleUsesBuildAll(t *testing.T) {
 
 // TestApplyMakesOnePatchPass pins the maintenance side of the one
 // driver: with every ego-derived structure in memory, an Apply repairs
-// the TSD and GCT indexes and every per-k table (whose k = 0 rows are the
+// the TSD and GCT indexes and every ranking table (whose rows 0 are the
 // pfree rankings) from one PatchAll pass over the affected vertices — one extraction and
 // one decomposition per vertex, not one per structure — and never enters
 // the ego build path. The truss decomposition is left for the first
@@ -197,7 +197,7 @@ func TestApplyMakesOnePatchPass(t *testing.T) {
 	}
 	checkTauColdThenRebuiltOnce(t, db, "after Apply")
 	checkCellsMatchCold(t, db, "after Apply", 4, 10)
-	// Three per-k tables; the pfree rankings are their k = 0 rows.
+	// Three ranking tables; the pfree rankings are their rows 0.
 	if st.RankingsPatched != 3 {
 		t.Fatalf("RankingsPatched = %d, want 3", st.RankingsPatched)
 	}

@@ -356,15 +356,6 @@ func (s *Snapshot) Prepare(ctx context.Context, names ...string) error {
 		}
 	}
 	s.cache.ready(refs)
-	// The parameter-free engine reads each table's k = 0 row: derive it
-	// now rather than on the first k-less query.
-	for _, e := range entries {
-		if e.kless {
-			for _, ref := range e.needs {
-				s.cache.rankedTable(ref.Measure, false).Ranking(0)
-			}
-		}
-	}
 	return nil
 }
 
@@ -387,8 +378,8 @@ func (db *DB) Epoch() Epoch { return db.Snapshot().epoch }
 // one pass over the vertices in the edits' triangle neighborhoods — the
 // only ego-networks the batch touched (the paper's §5.3 locality
 // argument) — repairs the in-memory TSD and GCT indexes and patches every
-// per-measure ranking table (hybrid's included, and with it the pfree
-// rows derived from them). The global truss decomposition, read only by
+// per-measure ranking table (hybrid's included, and with each its pfree
+// row 0). The global truss decomposition, read only by
 // the bound engine, is not maintained: the new snapshot starts with it
 // cold, and the first bound query of the epoch rebuilds it once with the
 // parallel peeling — cost routing prices that rebuild into bound's

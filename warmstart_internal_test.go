@@ -1,9 +1,11 @@
 package trussdiv
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
@@ -99,9 +101,10 @@ func TestWarmOpenNeverBuilds(t *testing.T) {
 }
 
 // TestOldFormatIndexFileRejectedAndHealed: an index file in a retired
-// format — the never-regenerated v1 and v2 goldens — is rejected with
-// ErrIndexVersion, Prepare builds in its place and persists a v3 file,
-// and the next open is warm, builds nothing, and answers like a cold DB.
+// format — the never-regenerated v1, v2 and v3 goldens — is rejected with
+// ErrIndexVersion, Prepare builds in its place and persists a file in the
+// current format, and the next open is warm, builds nothing, and answers
+// like a cold DB, the k-less query included.
 func TestOldFormatIndexFileRejectedAndHealed(t *testing.T) {
 	g := gen.Fig1Graph()
 	ctx := context.Background()
@@ -117,7 +120,13 @@ func TestOldFormatIndexFileRejectedAndHealed(t *testing.T) {
 		}
 	}
 
-	for _, golden := range []string{"golden_fig1.tdx", "golden_fig1_v2.tdx"} {
+	// hybrid's table answers the k-less query too, from its row 0.
+	kless := NewQuery(0, 5, ViaEngine("pfree"), WithContexts())
+	if want["pfree"], _, err = cold.TopR(ctx, kless); err != nil {
+		t.Fatalf("cold pfree: %v", err)
+	}
+
+	for _, golden := range []string{"golden_fig1.tdx", "golden_fig1_v2.tdx", "golden_fig1_v3.tdx", "golden_fig1_v3_pfree.tdx"} {
 		t.Run(golden, func(t *testing.T) {
 			blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", golden))
 			if err != nil {
@@ -152,8 +161,12 @@ func TestOldFormatIndexFileRejectedAndHealed(t *testing.T) {
 			if !st.Warm || st.LoadErr != nil || st.FormatVersion != store.Version {
 				t.Fatalf("reopen: %+v, want warm at format v%d", st, store.Version)
 			}
-			for _, e := range engines {
-				got, _, err := warm.TopR(ctx, NewQuery(3, 5, ViaEngine(e), WithContexts()))
+			for _, e := range append(engines, "pfree") {
+				q := NewQuery(3, 5, ViaEngine(e), WithContexts())
+				if e == "pfree" {
+					q = kless
+				}
+				got, _, err := warm.TopR(ctx, q)
 				if err != nil {
 					t.Fatalf("warm %s: %v", e, err)
 				}
@@ -291,96 +304,16 @@ func TestDamagedSectionKeepsSiblings(t *testing.T) {
 	}
 }
 
-// TestLegacyPFreeStoreWarmStart: a v3 store written while the
-// parameter-free ranking had a section of its own (the checked-in
-// golden_fig1_v3_pfree.tdx, never regenerated) still warm-starts a DB in
-// both read modes. The retired section is skipped, and the k-less answers
-// — derived from the stored tables without a build — are byte-equal to a
-// cold DB's.
-func TestLegacyPFreeStoreWarmStart(t *testing.T) {
-	g := gen.Fig1Graph()
-	ctx := context.Background()
-	blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "golden_fig1_v3_pfree.tdx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []StoreMode{StoreMmap, StoreDecode} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, IndexFileName), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			db, err := Open(g, WithIndexDir(dir), WithStoreMode(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := db.StoreStatus()
-			if !st.Warm || st.LoadErr != nil {
-				t.Fatalf("legacy store did not open warm: %+v", st)
-			}
-			for _, sec := range st.Sections {
-				if strings.HasPrefix(sec, "pfree") || strings.HasPrefix(sec, "section(") {
-					t.Fatalf("retired section listed: %v", st.Sections)
-				}
-			}
-			for _, m := range AllMeasures() {
-				for _, r := range []int{3, g.N()} {
-					q := NewQuery(0, r, WithMeasure(m), WithContexts())
-					got, gotStats, err := db.TopR(ctx, q)
-					if err != nil {
-						t.Fatalf("%s r=%d: %v", m, r, err)
-					}
-					want, _, err := cold.TopR(ctx, q)
-					if err != nil {
-						t.Fatalf("%s r=%d (cold): %v", m, r, err)
-					}
-					if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
-						t.Fatalf("%s r=%d: warm answer diverges from cold\n got %v\nwant %v", m, r, got.TopR, want.TopR)
-					}
-					if gotStats.ScoreComputations != len(got.TopR) {
-						t.Fatalf("%s r=%d: stats %+v, want a prefix read (one recovery per answer)", m, r, gotStats)
-					}
-				}
-			}
-			if n := db.Snapshot().cache.builds; n != 0 {
-				t.Fatalf("builds = %d, want 0", n)
-			}
-		})
-	}
-}
-
-// TestRetiredSectionStoreUpgrade: a v3 store that carries the retired
-// section IDs 6 (supports), 7 (graph) and 8 (pfree) — the checked-in
-// golden_fig1_v3_pfree.tdx — readies every preparable engine without a
-// build and answers exactly like a cold DB. The next SaveIndexes rewrites
-// it without the retired sections, so the file shrinks.
+// TestRetiredSectionStoreUpgrade: a current store that also carries the
+// retired section IDs 6 (supports), 7 (graph) and 8 (pfree) — unknown IDs
+// to this reader, written into the file here — readies every preparable
+// engine without a build and answers exactly like a cold DB, the k-less
+// queries by a prefix read of each table's stored row 0. The next
+// SaveIndexes rewrites it without the retired sections, so the file
+// shrinks.
 func TestRetiredSectionStoreUpgrade(t *testing.T) {
 	g := gen.Fig1Graph()
 	ctx := context.Background()
-	blob, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "golden_fig1_v3_pfree.tdx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// tocIDs lists the section IDs in an index file's TOC (header: 44
-	// bytes, section count at 40; TOC entries: 28 bytes, ID first).
-	tocIDs := func(b []byte) []uint32 {
-		ids := make([]uint32, binary.LittleEndian.Uint32(b[40:44]))
-		for i := range ids {
-			ids[i] = binary.LittleEndian.Uint32(b[44+28*i:])
-		}
-		return ids
-	}
-	if ids := tocIDs(blob); !slices.Contains(ids, 6) || !slices.Contains(ids, 7) || !slices.Contains(ids, 8) {
-		t.Fatalf("fixture TOC %v lacks a retired ID", ids)
-	}
-	cold, err := Open(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := map[string]Query{
 		"bound":  NewQuery(3, 5, WithContexts()),
 		"tsd":    NewQuery(3, 5, WithContexts()),
@@ -389,6 +322,24 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 		"comp":   NewQuery(3, 5, WithMeasure(MeasureComponent), WithContexts()),
 		"kcore":  NewQuery(3, 5, WithMeasure(MeasureCore), WithContexts()),
 		"pfree":  NewQuery(0, 5, WithContexts()),
+	}
+	engines := slices.Sorted(maps.Keys(queries))
+	seedDir := t.TempDir()
+	seed, err := Open(g, WithIndexDir(seedDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Prepare(ctx, engines...); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(seedDir, IndexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := withExtraSections(written, 6, 7, 8)
+	cold, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, mode := range []StoreMode{StoreMmap, StoreDecode} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -401,7 +352,7 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Prepare(ctx, slices.Sorted(maps.Keys(queries))...); err != nil {
+			if err := db.Prepare(ctx, engines...); err != nil {
 				t.Fatal(err)
 			}
 			if n := db.Snapshot().cache.builds; n != 0 {
@@ -412,13 +363,13 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 				t.Fatalf("store did not open warm: %+v", st)
 			}
 			for _, sec := range st.Sections {
-				if sec == "supports" || sec == "graph" || strings.HasPrefix(sec, "pfree") || strings.HasPrefix(sec, "section(") {
+				if strings.HasPrefix(sec, "section(") {
 					t.Fatalf("retired section listed: %v", st.Sections)
 				}
 			}
-			for name, q := range queries {
+			check := func(name string, q Query) {
 				ViaEngine(name)(&q)
-				got, _, err := db.TopR(ctx, q)
+				got, gotStats, err := db.TopR(ctx, q)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -427,8 +378,17 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 					t.Fatalf("%s (cold): %v", name, err)
 				}
 				if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
-					t.Fatalf("%s: warm answer diverges from cold\n got %v\nwant %v", name, got.TopR, want.TopR)
+					t.Fatalf("%s r=%d: warm answer diverges from cold\n got %v\nwant %v", name, q.R, got.TopR, want.TopR)
 				}
+				if name == "pfree" && gotStats.ScoreComputations != len(got.TopR) {
+					t.Fatalf("pfree r=%d: stats %+v, want a prefix read (one recovery per answer)", q.R, gotStats)
+				}
+			}
+			for name, q := range queries {
+				check(name, q)
+			}
+			for _, m := range AllMeasures() {
+				check("pfree", NewQuery(0, g.N(), WithMeasure(m), WithContexts()))
 			}
 
 			if _, err := db.SaveIndexes(); err != nil {
@@ -438,16 +398,45 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, id := range tocIDs(saved) {
-				if id >= 6 {
-					t.Fatalf("rewritten store carries retired section ID %d (TOC %v)", id, tocIDs(saved))
-				}
-			}
-			if len(saved) >= len(blob) {
-				t.Fatalf("rewritten store is %d bytes, want fewer than the fixture's %d", len(saved), len(blob))
+			if !bytes.Equal(saved, written) {
+				t.Fatalf("rewritten store is %d bytes, want the %d bytes written before the retired sections were added",
+					len(saved), len(written))
 			}
 		})
 	}
+}
+
+// withExtraSections returns the index file blob with one more TOC entry
+// per id (truss-tagged), each over an 8-byte payload appended at the end.
+// Every other payload moves down by the new entries, padded to keep each
+// offset 8-byte aligned. (Header: 44 bytes, section count at 40; TOC
+// entries: 28 bytes, {id, measure, crc, offset, length}.)
+func withExtraSections(blob []byte, ids ...uint32) []byte {
+	count := int(binary.LittleEndian.Uint32(blob[40:44]))
+	tocEnd := 44 + 28*count
+	shift := (28*len(ids) + 7) &^ 7
+	out := slices.Clone(blob[:tocEnd])
+	binary.LittleEndian.PutUint32(out[40:44], uint32(count+len(ids)))
+	for i := range count {
+		off := out[44+28*i+12:]
+		binary.LittleEndian.PutUint64(off, binary.LittleEndian.Uint64(off)+uint64(shift))
+	}
+	end := (len(blob) + shift + 7) &^ 7
+	for i, id := range ids {
+		payload := binary.LittleEndian.AppendUint64(nil, uint64(id))
+		out = binary.LittleEndian.AppendUint32(out, id)
+		out = binary.LittleEndian.AppendUint32(out, 0)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		out = binary.LittleEndian.AppendUint64(out, uint64(end+8*i))
+		out = binary.LittleEndian.AppendUint64(out, 8)
+	}
+	out = append(out, make([]byte, tocEnd+shift-len(out))...)
+	out = append(out, blob[tocEnd:]...)
+	out = append(out, make([]byte, end-len(out))...)
+	for _, id := range ids {
+		out = binary.LittleEndian.AppendUint64(out, uint64(id))
+	}
+	return out
 }
 
 // TestWarmApplyKeepsStoreSections: an Apply on a freshly warm-opened DB,
