@@ -304,11 +304,80 @@ func TestDamagedSectionKeepsSiblings(t *testing.T) {
 	}
 }
 
+// TestLegacyPFreeStoreWarmStart: a store that still carries the retired
+// pfree section (ID 8) beside its ranking tables opens warm in both store
+// modes, lists no retired section, and answers every measure's k-less
+// query at r = 3 and r = n exactly like a cold DB, by a prefix read of
+// the table's stored row 0 and without a build.
+func TestLegacyPFreeStoreWarmStart(t *testing.T) {
+	g := gen.Fig1Graph()
+	ctx := context.Background()
+	seedDir := t.TempDir()
+	seed, err := Open(g, WithIndexDir(seedDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Prepare(ctx, "tsd", "comp", "kcore", "pfree"); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(seedDir, IndexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := withExtraSections(written, 8)
+	cold, err := Open(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []StoreMode{StoreMmap, StoreDecode} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, IndexFileName), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(g, WithIndexDir(dir), WithStoreMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := db.StoreStatus()
+			if !st.Warm || st.LoadErr != nil {
+				t.Fatalf("legacy store did not open warm: %+v", st)
+			}
+			for _, sec := range st.Sections {
+				if strings.HasPrefix(sec, "pfree") || strings.HasPrefix(sec, "section(") {
+					t.Fatalf("retired section listed: %v", st.Sections)
+				}
+			}
+			for _, m := range AllMeasures() {
+				for _, r := range []int{3, g.N()} {
+					q := NewQuery(0, r, WithMeasure(m), WithContexts())
+					got, gotStats, err := db.TopR(ctx, q)
+					if err != nil {
+						t.Fatalf("%s r=%d: %v", m, r, err)
+					}
+					want, _, err := cold.TopR(ctx, q)
+					if err != nil {
+						t.Fatalf("%s r=%d (cold): %v", m, r, err)
+					}
+					if !reflect.DeepEqual(got.TopR, want.TopR) || !reflect.DeepEqual(got.Contexts, want.Contexts) {
+						t.Fatalf("%s r=%d: warm answer diverges from cold\n got %v\nwant %v", m, r, got.TopR, want.TopR)
+					}
+					if gotStats.ScoreComputations != len(got.TopR) {
+						t.Fatalf("%s r=%d: stats %+v, want a prefix read (one recovery per answer)", m, r, gotStats)
+					}
+				}
+			}
+			if n := db.Snapshot().cache.builds; n != 0 {
+				t.Fatalf("builds = %d, want 0", n)
+			}
+		})
+	}
+}
+
 // TestRetiredSectionStoreUpgrade: a current store that also carries the
 // retired section IDs 6 (supports), 7 (graph) and 8 (pfree) — unknown IDs
 // to this reader, written into the file here — readies every preparable
-// engine without a build and answers exactly like a cold DB, the k-less
-// queries by a prefix read of each table's stored row 0. The next
+// engine without a build and answers exactly like a cold DB. The next
 // SaveIndexes rewrites it without the retired sections, so the file
 // shrinks.
 func TestRetiredSectionStoreUpgrade(t *testing.T) {
@@ -386,9 +455,6 @@ func TestRetiredSectionStoreUpgrade(t *testing.T) {
 			}
 			for name, q := range queries {
 				check(name, q)
-			}
-			for _, m := range AllMeasures() {
-				check("pfree", NewQuery(0, g.N(), WithMeasure(m), WithContexts()))
 			}
 
 			if _, err := db.SaveIndexes(); err != nil {
