@@ -11,7 +11,7 @@
 # loadbench/ (informational, not a gate).
 GO ?= go
 
-.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-parallel bench-dynamic bench-artifacts check-parallel-baseline cover fuzz lines
+.PHONY: ci check loadbench-check examples check-race fmt-check lint vet build test test-1cpu bench bench-allocs bench-dynamic bench-artifacts cover fuzz lines
 
 ci: fmt-check lint check loadbench-check examples
 
@@ -106,10 +106,6 @@ bench:
 bench-allocs:
 	$(GO) test -run 'AllocFree|RepairAllocs|ContextsAllocs|ApplyEditsAllocs|PatchAllAllocs|SpliceAllocs|TopRAllocs' -count=1 -v . ./internal/ego ./internal/core ./internal/truss ./internal/server
 
-# Serial-vs-parallel engine timings; writes BENCH_parallel.json.
-bench-parallel:
-	$(GO) run ./cmd/tsdbench -exp parallel -quick
-
 # Incremental Apply vs cold rebuild, plus the first bound query after each
 # apply; writes BENCH_dynamic.json.
 bench-dynamic:
@@ -118,16 +114,9 @@ bench-dynamic:
 # Quick-mode machine-readable benchmarks; CI uploads bench-out/BENCH_*.json
 # as a build artifact so the perf trajectory is tracked per commit.
 bench-artifacts:
-	$(GO) run ./cmd/tsdbench -exp parallel -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp store -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp dynamic -quick -outdir bench-out
 	$(GO) run ./cmd/tsdbench -exp measures -quick -outdir bench-out
-
-# Fails when bench-out/BENCH_parallel.json came from a GOMAXPROCS=1 run —
-# CI runs this right after bench-artifacts so a single-core parallel
-# baseline can never be published as the perf trajectory.
-check-parallel-baseline:
-	bash scripts/check_parallel_baseline.sh bench-out/BENCH_parallel.json
 
 cover:
 	$(GO) test -cover ./...

@@ -6,23 +6,23 @@
 //	tsdbench -exp table2                  # one experiment
 //	tsdbench -exp all -quick              # everything, small datasets
 //	tsdbench -exp all -timeout 5m         # bound the whole run
-//	tsdbench -exp parallel -workers 8     # serial vs parallel engine timings
 //	tsdbench -exp dynamic                 # incremental Apply vs cold rebuild, batches of 1/16/256
 //	tsdbench -exp dynamic -updates 32     # the same at one batch size
-//	tsdbench -exp measures                # serving cost per engine and measure (BENCH_measures.json)
+//	tsdbench -exp measures                # serving cost per engine and measure, serial vs parallel (BENCH_measures.json)
 //	tsdbench -exp measures -measure core  # one measure's engines only
 //	tsdbench -list                        # show available experiment IDs
 //	tsdbench -exp measures -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
-// The parallel experiment writes BENCH_parallel.json (serial vs -workers
-// wall times per engine) into -outdir, recording the perf trajectory of
-// the worker-pool search layer; the dynamic experiment likewise writes
-// BENCH_dynamic.json (DB.Apply vs rebuild per dataset and batch size),
-// recording the perf trajectory of the mutable-graph write path, and the
-// measures experiment writes BENCH_measures.json: one row per engine of
-// every measure's routing-matrix row (the parameter-free pfree engine at
-// k = 0, the others at k = 4) with its first query, Prepare and prepared
-// queries.
+// The dynamic experiment writes BENCH_dynamic.json (DB.Apply vs rebuild
+// per dataset and batch size) into -outdir, recording the perf trajectory
+// of the mutable-graph write path, and the measures experiment writes
+// BENCH_measures.json: one row per engine of every measure's
+// routing-matrix row (the parameter-free pfree engine at k = 0, the
+// others at k = 4) with its first query, Prepare and prepared queries.
+// On more than one core each row also times its prepared query with
+// contexts serial against the default worker pool, and each dataset its
+// truss decomposition serial against parallel: the perf trajectory of
+// the worker-pool layer.
 package main
 
 import (
@@ -45,11 +45,9 @@ func main() {
 		runs    = flag.Int("mcruns", 0, "Monte-Carlo cascade count (0 = default)")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		timeout = flag.Duration("timeout", 0, "abort the whole run after this long (0 = none)")
-		workers = flag.Int("workers", 0, "worker-pool size for parallel search experiments (0 = GOMAXPROCS)")
 		updates = flag.Int("updates", 0, "edits per Apply batch for the dynamic experiment (0 = sweep 1, 16 and 256)")
 		measure = flag.String("measure", "", "restrict the measures experiment to one diversity measure: truss|component|core (default: all)")
-		outDir  = flag.String("outdir", "", "directory for machine-readable artifacts like BENCH_parallel.json (default: working dir)")
-		force   = flag.Bool("force", false, "overwrite guarded baselines (a GOMAXPROCS=1 run refuses to replace an existing BENCH_parallel.json without this)")
+		outDir  = flag.String("outdir", "", "directory for machine-readable artifacts like BENCH_measures.json (default: working dir)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the run, post-GC) to this file")
@@ -69,7 +67,7 @@ func main() {
 	}
 	// A missing -outdir is created by the artifact writer (bench.writeArtifact)
 	// at first use, so a fresh checkout or CI workspace needs no mkdir.
-	cfg := bench.Config{Quick: *quick, Seed: *seed, MCRuns: *runs, Workers: *workers, Updates: *updates, Measure: *measure, OutDir: *outDir, Force: *force}
+	cfg := bench.Config{Quick: *quick, Seed: *seed, MCRuns: *runs, Updates: *updates, Measure: *measure, OutDir: *outDir}
 	err = runWithDeadline(*timeout, func() error { return run(*expID, cfg) })
 	stopProfiles() // flush before any exit path: os.Exit skips defers
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -100,6 +101,9 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("pfree"); ok {
 		t.Fatal("pfree is registered on its own; its cells belong to the measures experiment")
+	}
+	if _, ok := ByID("parallel"); ok {
+		t.Fatal("parallel is registered on its own; its pairs belong to the measures experiment")
 	}
 	if len(IDs()) != len(All()) {
 		t.Fatal("IDs length mismatch")
@@ -276,53 +280,6 @@ func TestRunFig18(t *testing.T) {
 	}
 }
 
-// TestParallelExperimentEmitsJSON runs the quick-mode parallel
-// experiment and checks the machine-readable BENCH_parallel.json
-// artifact: complete per-engine samples with positive wall times, so the
-// perf trajectory has a baseline to diff against from this PR on.
-func TestParallelExperimentEmitsJSON(t *testing.T) {
-	e, ok := ByID("parallel")
-	if !ok {
-		t.Fatal("parallel experiment not registered")
-	}
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	cfg := Config{Quick: true, Seed: 1, Workers: 4, OutDir: dir, Datasets: []string{"wiki-sim"}}
-	if err := e.Run(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, ParallelReportFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report ParallelReport
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_parallel.json is not valid JSON: %v", err)
-	}
-	if report.Workers != 4 || report.GOMAXPROCS < 1 {
-		t.Fatalf("report header = %+v", report)
-	}
-	if len(report.Datasets) != 1 || report.Datasets[0].Name != "wiki-sim" {
-		t.Fatalf("datasets = %+v", report.Datasets)
-	}
-	engines := map[string]bool{}
-	for _, s := range report.Datasets[0].Engines {
-		if s.SerialNS <= 0 || s.ParallelNS <= 0 || s.Speedup <= 0 {
-			t.Fatalf("sample %+v has non-positive timings", s)
-		}
-		if s.SerialMinNS > s.SerialNS || s.SerialNS > s.SerialMaxNS ||
-			s.ParallelMinNS > s.ParallelNS || s.ParallelNS > s.ParallelMaxNS {
-			t.Fatalf("sample %+v: a median lies outside its min/max", s)
-		}
-		engines[s.Engine] = true
-	}
-	for _, name := range []string{"online", "bound", "tsd", "gct", "hybrid"} {
-		if !engines[name] {
-			t.Fatalf("engine %s missing from report (got %v)", name, engines)
-		}
-	}
-}
-
 func TestFig13Monotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
@@ -356,9 +313,11 @@ func TestFig13Monotone(t *testing.T) {
 }
 
 // TestStoreExperimentEmitsJSON runs the quick-mode store experiment on
-// one small dataset and checks the BENCH_store.json artifact: the warm
-// path must have been measured (and implicitly, its answers verified
-// against the cold path — the experiment fails otherwise).
+// one small dataset and checks the BENCH_store.json artifact: the cold
+// start must have been sampled (its median inside its spread) and the
+// warm path measured (and implicitly, every cold run verified cold and
+// the warm answers verified against the cold path — the experiment fails
+// otherwise).
 func TestStoreExperimentEmitsJSON(t *testing.T) {
 	e, ok := ByID("store")
 	if !ok {
@@ -384,8 +343,12 @@ func TestStoreExperimentEmitsJSON(t *testing.T) {
 		t.Fatalf("report datasets = %+v", report.Datasets)
 	}
 	ds := report.Datasets[0]
-	if ds.ColdStartNS <= 0 || ds.WarmStartNS <= 0 || ds.FileBytes <= 0 {
+	if ds.ColdStartNS <= 0 || ds.WarmStartNS <= 0 || ds.WarmMmapNS <= 0 || ds.FileBytes <= 0 {
 		t.Fatalf("implausible sample %+v", ds)
+	}
+	if ds.ColdStartMinNS <= 0 || ds.ColdStartMinNS > ds.ColdStartNS || ds.ColdStartNS > ds.ColdStartMaxNS {
+		t.Fatalf("cold start median %d outside its spread [%d, %d]",
+			ds.ColdStartNS, ds.ColdStartMinNS, ds.ColdStartMaxNS)
 	}
 	if ds.Speedup <= 0 {
 		t.Fatalf("speedup %v not positive", ds.Speedup)
@@ -433,11 +396,12 @@ func TestDynamicExperimentEmitsJSON(t *testing.T) {
 	}
 }
 
-// measuresReport runs the quick-mode measures experiment on wiki-sim,
-// narrowed to one measure unless measure is empty, and decodes the
-// BENCH_measures.json it writes.
-func measuresReport(t *testing.T, measure string) MeasuresReport {
+// measuresReport runs the quick-mode measures experiment on wiki-sim at
+// GOMAXPROCS procs, narrowed to one measure unless measure is empty, and
+// decodes the BENCH_measures.json it writes.
+func measuresReport(t *testing.T, procs int, measure string) MeasuresReport {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	e, ok := ByID("measures")
 	if !ok {
 		t.Fatal("measures experiment not registered")
@@ -464,7 +428,7 @@ func measuresReport(t *testing.T, measure string) MeasuresReport {
 // ranked query, the cold all-k scan's allocations recorded, and the
 // prepared answer verified against the cold one.
 func TestPFreeExperimentEmitsJSON(t *testing.T) {
-	report := measuresReport(t, "")
+	report := measuresReport(t, 1, "")
 	seen := map[string]bool{}
 	for _, row := range report.Rows {
 		if row.Engine != "pfree" {
@@ -503,7 +467,11 @@ func TestPFreeExperimentEmitsJSON(t *testing.T) {
 // once, pfree at k = 0 and every other engine at k = 4, each with
 // positive first and warm timings and the Verified flag — the
 // experiment itself fails when any answer diverges from its reference,
-// so a written artifact means the parity held.
+// so a written artifact means the parity held. At GOMAXPROCS=2 every row
+// carries its serial and parallel contexts query and the dataset its
+// decompose pair, each a median inside its spread (the experiment fails
+// when a pair's answers or tau arrays differ); at GOMAXPROCS=1 neither
+// is written.
 func TestMeasuresExperimentEmitsJSON(t *testing.T) {
 	db, err := trussdiv.Open(MustLoad("wiki-sim"))
 	if err != nil {
@@ -511,8 +479,28 @@ func TestMeasuresExperimentEmitsJSON(t *testing.T) {
 	}
 	// check holds the report's rows to exactly the catalogue's cells of
 	// the given measures.
-	check := func(report MeasuresReport, measures ...trussdiv.Measure) {
+	check := func(report MeasuresReport, procs int, measures ...trussdiv.Measure) {
 		t.Helper()
+		if report.GOMAXPROCS != procs {
+			t.Fatalf("report ran at GOMAXPROCS %d, want %d", report.GOMAXPROCS, procs)
+		}
+		spread := func(what string, op *Op) {
+			t.Helper()
+			if op == nil || op.MinNS <= 0 || op.MinNS > op.NS || op.NS > op.MaxNS {
+				t.Fatalf("%s: median outside its spread or missing: %+v", what, op)
+			}
+		}
+		if procs == 1 {
+			if len(report.Decompose) != 0 {
+				t.Fatalf("one-core run wrote decompose pairs %+v", report.Decompose)
+			}
+		} else {
+			if len(report.Decompose) != 1 || report.Decompose[0].Dataset != "wiki-sim" {
+				t.Fatalf("decompose pairs %+v, want one for wiki-sim", report.Decompose)
+			}
+			spread("decompose serial", &report.Decompose[0].Serial)
+			spread("decompose parallel", &report.Decompose[0].Parallel)
+		}
 		want := map[string]bool{}
 		for _, mi := range db.Measures() {
 			if slices.Contains(measures, mi.Measure) {
@@ -540,19 +528,27 @@ func TestMeasuresExperimentEmitsJSON(t *testing.T) {
 			if !row.Verified {
 				t.Fatalf("row %+v not verified", row)
 			}
+			if procs == 1 {
+				if row.Serial != nil || row.Parallel != nil {
+					t.Fatalf("one-core row %+v carries a serial/parallel pair", row)
+				}
+			} else {
+				spread(cell+" serial", row.Serial)
+				spread(cell+" parallel", row.Parallel)
+			}
 		}
 		if len(want) > 0 {
 			t.Fatalf("cells missing from the report: %v", want)
 		}
 	}
-	all := measuresReport(t, "")
-	check(all, trussdiv.AllMeasures()...)
+	all := measuresReport(t, 2, "")
+	check(all, 2, trussdiv.AllMeasures()...)
 	if len(all.PrepareAll) != 1 {
 		t.Fatalf("prepare-all rows %+v, want one", all.PrepareAll)
 	}
 	// The -measure flag narrows the run to one measure's cells.
-	core := measuresReport(t, "core")
-	check(core, trussdiv.MeasureCore)
+	core := measuresReport(t, 1, "core")
+	check(core, 1, trussdiv.MeasureCore)
 	if len(core.PrepareAll) != 0 {
 		t.Fatalf("-measure core produced prepare-all rows %+v", core.PrepareAll)
 	}

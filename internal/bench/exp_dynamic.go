@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"time"
 
 	"trussdiv"
@@ -207,27 +206,20 @@ func dynamicRow(ctx context.Context, db *trussdiv.DB, name string, prepared []st
 			}
 		}
 	}
-	apply, rebuild := medianDuration(applyNS), medianDuration(rebuildNS)
+	apply, rebuild := summary(applyNS).NS, summary(rebuildNS).NS
 	return DynamicDatasetReport{
 		Name:            name,
 		Vertices:        g.N(),
 		Edges:           g.M(),
 		Batches:         batches,
 		BatchEdges:      batchEdges,
-		ApplyNS:         apply.Nanoseconds(),
-		RebuildNS:       rebuild.Nanoseconds(),
-		FirstBoundNS:    medianDuration(firstBoundNS).Nanoseconds(),
+		ApplyNS:         apply,
+		RebuildNS:       rebuild,
+		FirstBoundNS:    summary(firstBoundNS).NS,
 		Repaired:        float64(repairedTotal) / float64(batches),
 		RankingsPatched: float64(rankingsTotal) / float64(batches),
-		Speedup:         float64(rebuild) / float64(max(apply, time.Nanosecond)),
+		Speedup:         float64(rebuild) / float64(max(apply, 1)),
 	}, nil
-}
-
-// medianDuration returns the median of ds (the upper one of an even
-// count), sorting ds in place.
-func medianDuration(ds []time.Duration) time.Duration {
-	slices.Sort(ds)
-	return ds[len(ds)/2]
 }
 
 // RandomUpdates picks a valid update batch for g: insertions among absent

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"slices"
 	"time"
 
 	"trussdiv"
 	"trussdiv/internal/graph"
+	"trussdiv/internal/truss"
 )
 
 // runMeasures benchmarks the routing matrix cell by cell (the §7 model
@@ -23,16 +25,14 @@ import (
 // scored on the fly) and its prepared answer, an O(r) prefix read of the
 // table's k = 0 row, must equal that cold one. The DB runs with the
 // result cache disabled so repeated queries measure execution, not cache
-// hits. Numbers land in BENCH_measures.json, tracking the per-measure
-// serving cost from PR to PR.
-
-// Op is one timed query kind of a cell: the median wall time over its
-// reps, and the mean heap allocations and bytes of one query.
-type Op struct {
-	NS          int64 `json:"ns"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-}
+// hits. On more than one core every row also times its prepared query
+// with contexts serial (Workers: 1) against the default worker pool, and
+// every dataset the cold truss decomposition serial (truss.Decompose)
+// against h-index iteration (truss.DecomposeParallel): the only committed
+// record of what the parallel layer buys, with each pair's answers
+// asserted equal. On one core those pairs would time the same thing
+// twice, so they are left out. Numbers land in BENCH_measures.json,
+// tracking the per-measure serving cost from PR to PR.
 
 // MeasureRow is one (dataset, measure, engine) cell of the routing matrix.
 type MeasureRow struct {
@@ -50,6 +50,11 @@ type MeasureRow struct {
 	// the queries that prepared DB answers after one untimed query.
 	PrepareNS int64 `json:"prepare_ns"`
 	Warm      Op    `json:"warm"`
+	// Serial and Parallel time the prepared query with contexts at
+	// Workers: 1 and at the default worker count, alternating; nil at
+	// GOMAXPROCS=1.
+	Serial   *Op `json:"serial,omitempty"`
+	Parallel *Op `json:"parallel,omitempty"`
 	// Verified records that every answer of the cell matched the
 	// reference: the online cell's at k = 4, pfree's cold one at k = 0.
 	Verified bool `json:"verified"`
@@ -66,13 +71,25 @@ type PrepareAllRow struct {
 	Speedup      float64  `json:"speedup"`
 }
 
+// DecomposeRow times one dataset's cold truss decomposition serial
+// (Decompose) against h-index iteration (DecomposeParallel) on the
+// default worker count, alternating; the tau arrays are asserted equal.
+type DecomposeRow struct {
+	Dataset  string `json:"dataset"`
+	Serial   Op     `json:"serial"`
+	Parallel Op     `json:"parallel"`
+}
+
 // MeasuresReport is the schema of BENCH_measures.json. K is the threshold
-// of the fixed-k engines; pfree rows run at k = 0.
+// of the fixed-k engines; pfree rows run at k = 0. Decompose, like each
+// row's Serial and Parallel, is empty at GOMAXPROCS=1.
 type MeasuresReport struct {
+	GOMAXPROCS int             `json:"gomaxprocs"`
 	K          int             `json:"k"`
 	R          int             `json:"r"`
 	Rows       []MeasureRow    `json:"rows"`
 	PrepareAll []PrepareAllRow `json:"prepare_all,omitempty"`
+	Decompose  []DecomposeRow  `json:"decompose,omitempty"`
 }
 
 // MeasuresReportFile is the artifact runMeasures writes.
@@ -102,14 +119,23 @@ func runMeasures(w io.Writer, cfg Config) error {
 	if cfg.Quick {
 		reps = 3
 	}
-	report := MeasuresReport{K: int(k), R: r}
+	parallel := runtime.GOMAXPROCS(0) > 1
+	report := MeasuresReport{GOMAXPROCS: runtime.GOMAXPROCS(0), K: int(k), R: r}
 	t := &Table{
 		Title: fmt.Sprintf("Routing-matrix top-r serving cost, k=%d (pfree k=0) r=%d (extension)", k, r),
 		Headers: []string{"Network", "measure", "engine", "k", "first", "prepare", "warm",
-			"first allocs/op", "warm allocs/op"},
+			"first allocs/op", "warm allocs/op", "ctx serial", "ctx parallel"},
 	}
 	for _, name := range cfg.perfDatasets() {
 		g := MustLoad(name)
+		if parallel {
+			row, err := timeDecompose(g, reps)
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			row.Dataset = name
+			report.Decompose = append(report.Decompose, row)
+		}
 		db, err := trussdiv.Open(g)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -128,7 +154,7 @@ func runMeasures(w io.Writer, cfg Config) error {
 				}
 				cell := fmt.Sprintf("%s/%s/%s", name, mi.Measure, engine)
 				row, answers, err := measureCell(ctx, g,
-					trussdiv.NewQuery(kq, r, trussdiv.WithMeasure(mi.Measure), trussdiv.ViaEngine(engine)), reps)
+					trussdiv.NewQuery(kq, r, trussdiv.WithMeasure(mi.Measure), trussdiv.ViaEngine(engine)), reps, parallel)
 				if err != nil {
 					return fmt.Errorf("%s: %w", cell, err)
 				}
@@ -142,9 +168,14 @@ func runMeasures(w io.Writer, cfg Config) error {
 				}
 				row.Dataset, row.Measure, row.Verified = name, string(mi.Measure), true
 				report.Rows = append(report.Rows, row)
+				serial, par := "-", "-"
+				if row.Serial != nil {
+					serial = FormatDuration(time.Duration(row.Serial.NS))
+					par = FormatDuration(time.Duration(row.Parallel.NS))
+				}
 				t.AddRow(name, string(mi.Measure), engine, kq, time.Duration(row.First.NS),
 					time.Duration(row.PrepareNS), time.Duration(row.Warm.NS),
-					row.First.AllocsPerOp, row.Warm.AllocsPerOp)
+					row.First.AllocsPerOp, row.Warm.AllocsPerOp, serial, par)
 			}
 		}
 		if len(measures) == len(trussdiv.AllMeasures()) {
@@ -164,6 +195,10 @@ func runMeasures(w io.Writer, cfg Config) error {
 			row.Dataset, row.Names,
 			time.Duration(row.PrepareAllNS), time.Duration(row.PrepareSumNS), row.Speedup)
 	}
+	for _, row := range report.Decompose {
+		fmt.Fprintf(w, "decompose   %-12s serial %v vs parallel %v (%d workers)\n",
+			row.Dataset, time.Duration(row.Serial.NS), time.Duration(row.Parallel.NS), report.GOMAXPROCS)
+	}
 	path, err := writeArtifact(cfg, MeasuresReportFile, report)
 	if err != nil {
 		return err
@@ -176,10 +211,12 @@ func runMeasures(w io.Writer, cfg Config) error {
 // opened DBs, Prepare(q.Engine) on one more, and reps queries on that
 // prepared DB after one untimed query there. The untimed query builds
 // what Prepare leaves to the first query at q's k (a component or core
-// bound level), so every warm rep reads the same state. It returns the
+// bound level), so every warm rep reads the same state. With pair set it
+// then times q with contexts serial against the default worker count on
+// the same DB, and requires the two to answer alike. It returns the
 // cell's row (Dataset, Measure and Verified left to the caller) and every
 // answer it got.
-func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int) (MeasureRow, []*trussdiv.Result, error) {
+func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int, pair bool) (MeasureRow, []*trussdiv.Result, error) {
 	var db *trussdiv.DB
 	open := func() (err error) {
 		// Result cache off: repeated identical queries would otherwise be
@@ -187,13 +224,13 @@ func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int
 		db, err = trussdiv.Open(g, trussdiv.WithResultCache(0))
 		return err
 	}
-	answers := make([]*trussdiv.Result, 0, 2*reps)
+	answers := make([]*trussdiv.Result, 0, 2*reps+2)
 	query := func() error {
 		res, _, err := db.TopR(ctx, q)
 		answers = append(answers, res)
 		return err
 	}
-	first, err := timeOp(reps, open, query)
+	first, err := sample(reps, open, query)
 	if err != nil {
 		return MeasureRow{}, nil, fmt.Errorf("first query: %w", err)
 	}
@@ -207,47 +244,58 @@ func measureCell(ctx context.Context, g *graph.Graph, q trussdiv.Query, reps int
 	if err := query(); err != nil {
 		return MeasureRow{}, nil, fmt.Errorf("untimed query after prepare: %w", err)
 	}
-	warm, err := timeOp(reps, nil, query)
+	warm, err := sample(reps, nil, query)
 	if err != nil {
 		return MeasureRow{}, nil, fmt.Errorf("warm query: %w", err)
 	}
-	return MeasureRow{Engine: q.Engine, K: int(q.K), First: first,
-		PrepareNS: prepare.Nanoseconds(), Warm: warm}, answers, nil
+	row := MeasureRow{Engine: q.Engine, K: int(q.K), First: first[0],
+		PrepareNS: prepare.Nanoseconds(), Warm: warm[0]}
+	if !pair {
+		return row, answers, nil
+	}
+	serialQ, parallelQ := q, q
+	serialQ.IncludeContexts, serialQ.Workers = true, 1
+	parallelQ.IncludeContexts = true
+	var serialRes, parallelRes *trussdiv.Result
+	ops, err := sample(reps, nil, func() (err error) {
+		serialRes, _, err = db.TopR(ctx, serialQ)
+		return err
+	}, func() (err error) {
+		parallelRes, _, err = db.TopR(ctx, parallelQ)
+		return err
+	})
+	if err != nil {
+		return MeasureRow{}, nil, fmt.Errorf("serial vs parallel query: %w", err)
+	}
+	if err := sameAnswer(serialRes, parallelRes); err != nil {
+		return MeasureRow{}, nil, fmt.Errorf("serial and parallel answers differ: %w", err)
+	}
+	if !reflect.DeepEqual(serialRes.Contexts, parallelRes.Contexts) {
+		return MeasureRow{}, nil, fmt.Errorf("serial and parallel contexts differ")
+	}
+	row.Serial, row.Parallel = &ops[0], &ops[1]
+	return row, append(answers, serialRes, parallelRes), nil
 }
 
-// timeOp runs query reps times, each after setup (when non-nil, untimed)
-// and a GC, and returns the median wall time with the mean heap
-// allocations and bytes of one query, from runtime.MemStats deltas. The
-// numbers include whatever the query path really does (worker
-// goroutines, result assembly), not just the scorer, so they track the
-// serving cost a replica pays per request. The first error aborts.
-func timeOp(reps int, setup, query func() error) (Op, error) {
-	ns := make([]time.Duration, reps)
-	var allocs, bytes uint64
-	var before, after runtime.MemStats
-	for i := range ns {
-		if setup != nil {
-			if err := setup(); err != nil {
-				return Op{}, err
-			}
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		err := query()
-		ns[i] = time.Since(start)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return Op{}, err
-		}
-		allocs += after.Mallocs - before.Mallocs
-		bytes += after.TotalAlloc - before.TotalAlloc
+// timeDecompose times g's truss decomposition serial against h-index
+// iteration over the default worker count, reps times each, and requires
+// the two tau arrays to be equal. The caller fills in Dataset.
+func timeDecompose(g *graph.Graph, reps int) (DecomposeRow, error) {
+	var serialTau, parallelTau []int32
+	ops, err := sample(reps, nil, func() error {
+		serialTau = truss.Decompose(g)
+		return nil
+	}, func() error {
+		parallelTau = truss.DecomposeParallel(g, 0)
+		return nil
+	})
+	if err != nil {
+		return DecomposeRow{}, err
 	}
-	return Op{
-		NS:          medianDuration(ns).Nanoseconds(),
-		AllocsPerOp: int64(allocs) / int64(reps),
-		BytesPerOp:  int64(bytes) / int64(reps),
-	}, nil
+	if !slices.Equal(serialTau, parallelTau) {
+		return DecomposeRow{}, fmt.Errorf("parallel decomposition diverges from serial tau")
+	}
+	return DecomposeRow{Serial: ops[0], Parallel: ops[1]}, nil
 }
 
 // timePrepareAll times one multi-structure Prepare (names in a single

@@ -258,7 +258,7 @@ func runFig11(w io.Writer, cfg Config) error {
 	for _, name := range cfg.perfDatasets() {
 		g := MustLoad(name)
 		gct := core.NewGCT(core.BuildGCTIndex(g))
-		hybrid := hybridSearcher(g, 0)
+		hybrid := hybridSearcher(g)
 		t := &Table{
 			Title:   fmt.Sprintf("Hybrid vs GCT varying r on %s, k=%d (paper Fig. 11)", name, k),
 			Headers: []string{"r", "Hybrid", "GCT"},
@@ -275,9 +275,9 @@ func runFig11(w io.Writer, cfg Config) error {
 
 // hybridSearcher builds the paper's Hybrid competitor of Exp-4 over g: by
 // Lemma 3 its per-k rankings are the truss row of the per-measure ranking
-// tables, built in one BuildAll pass with `workers` goroutines.
-func hybridSearcher(g *graph.Graph, workers int) *core.Ranked {
-	p := core.BuildAll(g, core.BuildTargets{Measures: []core.Measure{core.MeasureTruss}}, workers)
+// tables, built in one BuildAll pass.
+func hybridSearcher(g *graph.Graph) *core.Ranked {
+	p := core.BuildAll(g, core.BuildTargets{Measures: []core.Measure{core.MeasureTruss}}, 0)
 	return core.NewRanked(core.NewScorer(g), p.MeasureRanks[core.MeasureTruss])
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"trussdiv"
@@ -14,7 +13,7 @@ import (
 
 // runStore measures what the persistent index store buys a serving
 // process: the cold path (build every index from the raw edge list and
-// persist it) versus the two warm paths a format v3 store offers — the
+// persist it) versus the two warm paths a format v4 store offers — the
 // classic read-and-decode reload and the zero-copy mmap open. Both warm
 // DBs' answers are asserted identical to the cold DB's on every engine,
 // so no speedup column ever comes at the price of a different result.
@@ -26,13 +25,17 @@ type StoreDatasetReport struct {
 	Name     string `json:"name"`
 	Vertices int    `json:"vertices"`
 	Edges    int    `json:"edges"`
-	// ColdStartNS is Open + Prepare against an empty index directory:
-	// every index is built from the graph and persisted.
-	ColdStartNS int64 `json:"cold_start_ns"`
-	// WarmStartNS is Open + Prepare against the directory the cold run
-	// populated, forced through decode mode (kept under this name so the series stays comparable across format
-	// versions). Warm numbers are the best of warmRuns attempts so a stray
-	// GC pause in one run does not masquerade as startup cost.
+	// ColdStartNS is the median of storeRuns Open + Prepare runs, each
+	// against an emptied index directory: every index is built from the
+	// graph and persisted. ColdStartMinNS and ColdStartMaxNS are the
+	// fastest and slowest of those runs.
+	ColdStartNS    int64 `json:"cold_start_ns"`
+	ColdStartMinNS int64 `json:"cold_start_min_ns"`
+	ColdStartMaxNS int64 `json:"cold_start_max_ns"`
+	// WarmStartNS is Open + Prepare against the directory the cold runs
+	// populated, forced through decode mode (kept under this name so the
+	// series stays comparable across format versions). Warm numbers are
+	// medians of storeRuns runs, alternating decode and mmap.
 	WarmStartNS int64 `json:"warm_start_ns"`
 	// WarmMmapNS is the same warm start through the default mmap path:
 	// the file is mapped once and sections are served as zero-copy views,
@@ -44,10 +47,11 @@ type StoreDatasetReport struct {
 	Speedup float64 `json:"speedup"`
 	// MmapSpeedup is decode-warm / mmap-warm startup wall time.
 	MmapSpeedup float64 `json:"mmap_speedup"`
-	// WarmAllocBytes / WarmMmapAllocBytes are the heap bytes allocated
-	// during each warm start — the marginal per-replica memory cost of
-	// another process serving the same store (mmap pages are shared and
-	// file-backed, so they are missing from the mmap number by design).
+	// WarmAllocBytes / WarmMmapAllocBytes are the mean heap bytes
+	// allocated during one warm start — the marginal per-replica memory
+	// cost of another process serving the same store (mmap pages are
+	// shared and file-backed, so they are missing from the mmap number by
+	// design).
 	WarmAllocBytes     int64 `json:"warm_alloc_bytes"`
 	WarmMmapAllocBytes int64 `json:"warm_mmap_alloc_bytes"`
 }
@@ -61,35 +65,9 @@ type StoreReport struct {
 // default the working directory).
 const StoreReportFile = "BENCH_store.json"
 
-// timedAlloc runs f and reports its wall time plus the heap bytes it
-// allocated (monotonic TotalAlloc delta, so concurrent GC does not hide
-// allocations).
-func timedAlloc(f func()) (time.Duration, int64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	d := Timed(f)
-	runtime.ReadMemStats(&after)
-	return d, int64(after.TotalAlloc - before.TotalAlloc)
-}
-
-// warmRuns is how many times each warm start is repeated; the fastest run
-// is reported. Warm starts are millisecond-scale, so a single GC assist or
-// scheduler hiccup inside one run would otherwise dominate the number.
-const warmRuns = 3
-
-// bestWarm repeats f warmRuns times with a GC between attempts and returns
-// the fastest wall time with that run's allocation delta.
-func bestWarm(f func()) (time.Duration, int64) {
-	best, bestAlloc := time.Duration(0), int64(0)
-	for i := 0; i < warmRuns; i++ {
-		runtime.GC()
-		d, alloc := timedAlloc(f)
-		if i == 0 || d < best {
-			best, bestAlloc = d, alloc
-		}
-	}
-	return best, bestAlloc
-}
+// storeRuns is how many times each cold and warm start is timed. A
+// single cold start of the same code varies by up to 2x on a shared host.
+const storeRuns = 3
 
 // runStore times cold and warm startup per dataset and emits both a
 // table and BENCH_store.json.
@@ -112,45 +90,44 @@ func runStore(w io.Writer, cfg Config) error {
 		dir := filepath.Join(scratch, name)
 
 		var coldDB, warmDB, mmapDB *trussdiv.DB
-		var coldErr, warmErr, mmapErr error
-		cold := Timed(func() {
-			coldDB, coldErr = trussdiv.Open(g, trussdiv.WithIndexDir(dir))
-			if coldErr == nil {
-				coldErr = coldDB.Prepare(ctx)
+		cold, err := sample(storeRuns, func() error { return os.RemoveAll(dir) }, func() (err error) {
+			coldDB, err = trussdiv.Open(g, trussdiv.WithIndexDir(dir))
+			if err != nil {
+				return err
 			}
+			if coldDB.StoreStatus().Warm {
+				return fmt.Errorf("opened warm from an emptied index directory")
+			}
+			return coldDB.Prepare(ctx)
 		})
-		if coldErr != nil {
-			return fmt.Errorf("%s: cold start: %w", name, coldErr)
+		if err != nil {
+			return fmt.Errorf("%s: cold start: %w", name, err)
 		}
 		if st := coldDB.StoreStatus(); st.SaveErr != nil {
 			return fmt.Errorf("%s: persist: %w", name, st.SaveErr)
 		}
-		warm, warmAlloc := bestWarm(func() {
-			warmDB, warmErr = trussdiv.Open(g, trussdiv.WithIndexDir(dir),
+		warm, err := sample(storeRuns, nil, func() (err error) {
+			warmDB, err = trussdiv.Open(g, trussdiv.WithIndexDir(dir),
 				trussdiv.WithStoreMode(trussdiv.StoreDecode))
-			if warmErr == nil {
-				warmErr = warmDB.Prepare(ctx)
+			if err == nil {
+				err = warmDB.Prepare(ctx)
 			}
-		})
-		if warmErr != nil {
-			return fmt.Errorf("%s: warm start: %w", name, warmErr)
-		}
-		if st := warmDB.StoreStatus(); !st.Warm || st.LoadErr != nil {
-			return fmt.Errorf("%s: warm open did not trust the store (warm=%v, err=%v)",
-				name, st.Warm, st.LoadErr)
-		}
-		warmMmap, mmapAlloc := bestWarm(func() {
-			mmapDB, mmapErr = trussdiv.Open(g, trussdiv.WithIndexDir(dir))
-			if mmapErr == nil {
-				mmapErr = mmapDB.Prepare(ctx)
+			return err
+		}, func() (err error) {
+			mmapDB, err = trussdiv.Open(g, trussdiv.WithIndexDir(dir))
+			if err == nil {
+				err = mmapDB.Prepare(ctx)
 			}
+			return err
 		})
-		if mmapErr != nil {
-			return fmt.Errorf("%s: mmap warm start: %w", name, mmapErr)
+		if err != nil {
+			return fmt.Errorf("%s: warm start: %w", name, err)
 		}
-		if st := mmapDB.StoreStatus(); !st.Warm || st.LoadErr != nil {
-			return fmt.Errorf("%s: mmap warm open did not trust the store (warm=%v, err=%v)",
-				name, st.Warm, st.LoadErr)
+		for _, db := range []*trussdiv.DB{warmDB, mmapDB} {
+			if st := db.StoreStatus(); !st.Warm || st.LoadErr != nil {
+				return fmt.Errorf("%s: %v warm open did not trust the store (warm=%v, err=%v)",
+					name, st.Mode, st.Warm, st.LoadErr)
+			}
 		}
 		// The paper's correctness bar for the store: a loaded index must
 		// answer every engine's query exactly like a built one — through
@@ -180,23 +157,26 @@ func runStore(w io.Writer, cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		speedup := float64(cold) / float64(max(warm, time.Nanosecond))
-		mmapSpeedup := float64(warm) / float64(max(warmMmap, time.Nanosecond))
+		decode, mmap := warm[0], warm[1]
+		speedup := float64(cold[0].NS) / float64(max(decode.NS, 1))
+		mmapSpeedup := float64(decode.NS) / float64(max(mmap.NS, 1))
 		report.Datasets = append(report.Datasets, StoreDatasetReport{
 			Name:               name,
 			Vertices:           g.N(),
 			Edges:              g.M(),
-			ColdStartNS:        cold.Nanoseconds(),
-			WarmStartNS:        warm.Nanoseconds(),
-			WarmMmapNS:         warmMmap.Nanoseconds(),
+			ColdStartNS:        cold[0].NS,
+			ColdStartMinNS:     cold[0].MinNS,
+			ColdStartMaxNS:     cold[0].MaxNS,
+			WarmStartNS:        decode.NS,
+			WarmMmapNS:         mmap.NS,
 			FileBytes:          info.Size(),
 			Speedup:            speedup,
 			MmapSpeedup:        mmapSpeedup,
-			WarmAllocBytes:     warmAlloc,
-			WarmMmapAllocBytes: mmapAlloc,
+			WarmAllocBytes:     decode.BytesPerOp,
+			WarmMmapAllocBytes: mmap.BytesPerOp,
 		})
-		t.AddRow(name, cold, warm, warmMmap, fmt.Sprintf("%d B", info.Size()),
-			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.2fx", mmapSpeedup))
+		t.AddRow(name, time.Duration(cold[0].NS), time.Duration(decode.NS), time.Duration(mmap.NS),
+			fmt.Sprintf("%d B", info.Size()), fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.2fx", mmapSpeedup))
 	}
 	t.Fprint(w)
 	path, err := writeArtifact(cfg, StoreReportFile, report)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"trussdiv/internal/core"
 )
 
 // Config controls experiment scale.
@@ -15,11 +17,9 @@ type Config struct {
 	Seed     int64    // base RNG seed for simulations
 	MCRuns   int      // Monte-Carlo cascades (0 = default)
 	Datasets []string // override the per-figure dataset choice (tests)
-	Workers  int      // worker-pool size for the parallel experiment (0 = GOMAXPROCS)
 	Updates  int      // edits per Apply batch for the dynamic experiment (0 = sweep 1, 16, 256)
 	Measure  string   // restrict the measures experiment to one measure ("" = all)
 	OutDir   string   // where machine-readable artifacts land ("" = working dir)
-	Force    bool     // overwrite guarded baselines (e.g. a single-core BENCH_parallel.json)
 }
 
 func (c Config) tier() int {
@@ -86,10 +86,9 @@ var experiments = []Experiment{
 	{"exp11", "Figure 17", "case study: Comp-Div and Core-Div top-1 on DBLP-sim", runExp11},
 	{"table5", "Table 5", "ego-network quality statistics of the top-1 results", runTable5},
 	{"ltcheck", "extension", "Fig. 14 robustness check under the Linear Threshold model", runLTCheck},
-	{"parallel", "extension", "serial vs parallel TopR per engine; writes BENCH_parallel.json", runParallel},
 	{"store", "extension", "cold build vs warm index-store load at startup; writes BENCH_store.json", runStore},
 	{"dynamic", "extension", "incremental DB.Apply vs cold rebuild under edge updates; writes BENCH_dynamic.json", runDynamic},
-	{"measures", "extension", "top-r serving per engine and measure (pfree at k=0): first query, prepare, prepared queries; writes BENCH_measures.json", runMeasures},
+	{"measures", "extension", "top-r serving per engine and measure (pfree at k=0): first query, prepare, prepared queries, serial vs parallel on >1 core; writes BENCH_measures.json", runMeasures},
 }
 
 // All returns every registered experiment in paper order.
@@ -143,4 +142,21 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// sameAnswer verifies the determinism guarantee the parallel layer makes:
+// identical ranked answers (the paper's §2.3 output) for any worker count.
+func sameAnswer(a, b *core.Result) error {
+	if a == nil || b == nil {
+		return fmt.Errorf("missing result (%v, %v)", a == nil, b == nil)
+	}
+	if len(a.TopR) != len(b.TopR) {
+		return fmt.Errorf("answer sizes %d vs %d", len(a.TopR), len(b.TopR))
+	}
+	for i := range a.TopR {
+		if a.TopR[i] != b.TopR[i] {
+			return fmt.Errorf("position %d: %+v vs %+v", i, a.TopR[i], b.TopR[i])
+		}
+	}
+	return nil
 }
